@@ -9,15 +9,11 @@ DictionaryHandle::DictionaryHandle(ShardedDictionary initial)
 
 std::uint64_t DictionaryHandle::swap(ShardedDictionary next) {
   // Writers serialize (swaps are rare — a retrain cadence, not a hot
-  // path) so versions are dense and monotone; the successor is published
-  // with a release store so any reader that sees the pointer sees the
-  // fully built dictionary.
+  // path) so versions are dense and monotone. The successor (index
+  // compile included) is built before readers are locked out at all.
   std::lock_guard lock(writer_mutex_);
-  const std::uint64_t version =
-      current_.load(std::memory_order_relaxed)->version + 1;
-  current_.store(std::make_shared<Epoch>(version, std::move(next)),
-                 std::memory_order_release);
-  version_.store(version, std::memory_order_release);
+  const std::uint64_t version = acquire()->version + 1;
+  publish(std::make_shared<Epoch>(version, std::move(next)));
   swaps_.fetch_add(1, std::memory_order_relaxed);
   return version;
 }
@@ -25,10 +21,19 @@ std::uint64_t DictionaryHandle::swap(ShardedDictionary next) {
 void DictionaryHandle::reset(std::shared_ptr<Epoch> epoch,
                              std::uint64_t swap_count) {
   std::lock_guard lock(writer_mutex_);
-  const std::uint64_t version = epoch->version;
-  current_.store(std::move(epoch), std::memory_order_release);
-  version_.store(version, std::memory_order_release);
+  publish(std::move(epoch));
   swaps_.store(swap_count, std::memory_order_relaxed);
+}
+
+void DictionaryHandle::publish(std::shared_ptr<Epoch> epoch) {
+  const std::uint64_t version = epoch->version;
+  {
+    std::lock_guard lock(current_mutex_);
+    current_.swap(epoch);
+  }
+  version_.store(version, std::memory_order_release);
+  // `epoch` now holds the superseded one: released here, outside the
+  // reader lock, if no stream still pins it.
 }
 
 }  // namespace efd::core

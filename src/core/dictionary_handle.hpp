@@ -11,13 +11,15 @@
 ///  - The active dictionary lives inside an immutable-identity Epoch
 ///    (its ShardedDictionary stays internally synchronized, so learn()
 ///    keeps inserting into the active epoch). Readers pin an epoch once
-///    per stream via acquire() — a single atomic shared_ptr load — and
-///    then touch only the pinned epoch for the stream's whole life:
-///    the per-sample recognition hot path never revisits the handle.
-///  - swap() builds the successor Epoch (version + 1) and publishes it
-///    with one atomic store. In-flight streams keep recognizing against
-///    the epoch they pinned at open; streams opened after the swap see
-///    the new one. No stream ever observes a half-swapped dictionary.
+///    per stream via acquire() — one shared_ptr copy under a leaf mutex
+///    — and then touch only the pinned epoch for the stream's whole
+///    life: the per-sample recognition hot path never revisits the
+///    handle.
+///  - swap() builds the successor Epoch (version + 1) outside that
+///    mutex and publishes it with one pointer exchange under it.
+///    In-flight streams keep recognizing against the epoch they pinned
+///    at open; streams opened after the swap see the new one. No stream
+///    ever observes a half-swapped dictionary.
 ///  - Reclamation is reference-counted: a superseded epoch is freed the
 ///    moment the last in-flight stream pinned to it finishes — unlike
 ///    ApplicationRegistry's retire list, because dictionaries are far
@@ -67,9 +69,11 @@ class DictionaryHandle {
 
   /// Pins the active epoch: the returned pointer (and the dictionary
   /// inside it) stays valid until the caller drops it, across any number
-  /// of concurrent swaps. One atomic load; never blocks on a swap.
+  /// of concurrent swaps. Never waits for a swap's epoch build, only
+  /// for a pointer exchange.
   std::shared_ptr<Epoch> acquire() const {
-    return current_.load(std::memory_order_acquire);
+    std::lock_guard lock(current_mutex_);
+    return current_;
   }
 
   /// Version of the active epoch (starts at 1). Lock-free.
@@ -93,7 +97,15 @@ class DictionaryHandle {
   void reset(std::shared_ptr<Epoch> epoch, std::uint64_t swap_count);
 
  private:
-  std::atomic<std::shared_ptr<Epoch>> current_;
+  /// Installs \p epoch as current; caller holds writer_mutex_.
+  void publish(std::shared_ptr<Epoch> epoch);
+
+  /// A plain mutex, not std::atomic<std::shared_ptr>: libstdc++ 12
+  /// implements that with an internal lock bit whose load() unlocks
+  /// with relaxed ordering, which ThreadSanitizer reports as a race on
+  /// every concurrent swap. The cost is the same one short lock.
+  mutable std::mutex current_mutex_;
+  std::shared_ptr<Epoch> current_;
   std::atomic<std::uint64_t> version_;
   std::atomic<std::uint64_t> swaps_{0};
   /// Serializes swap()/reset() so versions stay dense and monotone;

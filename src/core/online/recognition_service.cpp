@@ -97,11 +97,16 @@ std::uint32_t RecognitionService::assign_worker(
 
 void RecognitionService::schedule_stream(
     const std::shared_ptr<JobStream>& stream) {
-  if (workers_.empty()) return;
-  // Dedup: one ring slot per dirty stream, however many pushes landed.
-  // The worker clears the flag before draining, so a push that arrives
-  // mid-drain re-rings and is never lost.
+  // Dedup: one drain-list slot per dirty stream, however many pushes
+  // landed. The drainer clears the flag before draining, so a push that
+  // arrives mid-drain re-marks the stream and is never lost.
   if (stream->scheduled.exchange(true, std::memory_order_acq_rel)) return;
+  if (workers_.empty()) {
+    // Poll-boundary drain: process_pending() consumes this list.
+    std::lock_guard lock(dirty_mutex_);
+    dirty_.push_back(stream);
+    return;
+  }
   Worker& worker = *workers_[stream->worker_index];
   {
     std::lock_guard lock(worker.producer_mutex);
@@ -345,7 +350,7 @@ bool RecognitionService::enqueue_locked(
           }
         } else {
           // Real back-pressure: an active drainer exists, so waiting
-          // terminates. The stalled producer (a network reader,
+          // terminates. The stalled producer (the ingest poll loop,
           // typically) leaves TCP bytes unread and pushes the stall
           // back to the remote sender.
           pushes_blocked_.fetch_add(1, std::memory_order_relaxed);
@@ -406,8 +411,9 @@ std::size_t RecognitionService::push_batch(
     stream->last_activity_ns.store(batch_ns, std::memory_order_relaxed);
     if (!config_.deferred) {
       drain_stream(*stream, lock);
-    } else if (!workers_.empty()) {
-      // Ring the owning worker; dedup makes repeat notifies one slot.
+    } else {
+      // Mark the stream dirty for its drainer (the owning worker, or the
+      // next process_pending); dedup makes repeat marks one slot.
       schedule_stream(stream);
     }
   }
@@ -503,30 +509,26 @@ std::size_t RecognitionService::drain_stream(
 }
 
 std::size_t RecognitionService::process_pending(util::ThreadPool* pool) {
-  std::vector<std::shared_ptr<JobStream>> streams;
+  // Worker mode: pushes already rang the owning workers, which score
+  // asynchronously — the poll boundary has nothing to do.
+  if (!workers_.empty()) return 0;
+
+  std::lock_guard process_lock(process_mutex_);
+  std::vector<std::shared_ptr<JobStream>>& streams = draining_;
   {
-    std::shared_lock lock(jobs_mutex_);
-    streams.reserve(jobs_.size());
-    for (const auto& [job_id, stream] : jobs_) {
-      if (!stream->done.load(std::memory_order_acquire) &&
-          stream->queued.load(std::memory_order_relaxed) > 0) {
-        streams.push_back(stream);
-      }
-    }
+    // Swap, not copy: dirty_ inherits the previous (cleared) buffer, so
+    // the two lists trade capacity and steady state allocates nothing.
+    std::lock_guard lock(dirty_mutex_);
+    streams.swap(dirty_);
   }
   if (streams.empty()) return 0;
-
-  if (!workers_.empty()) {
-    // Worker mode: scoring belongs to the owning workers. This is only
-    // a catch-up sweep — pushes already ring on arrival — so nudge any
-    // dirty stream and let the pool drain asynchronously.
-    for (const auto& stream : streams) schedule_stream(stream);
-    return 0;
-  }
 
   std::atomic<std::size_t> fed{0};
   const auto drain_one = [&](std::size_t i) {
     JobStream& stream = *streams[i];
+    // Clear BEFORE draining, as the workers do: a push landing after
+    // this point re-marks the stream, so its samples drain next call.
+    stream.scheduled.store(false, std::memory_order_release);
     std::unique_lock lock(stream.mutex);
     fed.fetch_add(drain_stream(stream, lock), std::memory_order_relaxed);
   };
@@ -535,6 +537,7 @@ std::size_t RecognitionService::process_pending(util::ThreadPool* pool) {
   } else {
     for (std::size_t i = 0; i < streams.size(); ++i) drain_one(i);
   }
+  streams.clear();
   return fed.load(std::memory_order_relaxed);
 }
 
@@ -623,19 +626,17 @@ std::size_t RecognitionService::sweep_stale_jobs(
 }
 
 std::vector<JobVerdict> RecognitionService::drain_verdicts() {
+  std::vector<JobVerdict> drained;
+  drain_verdicts(drained);
+  return drained;
+}
+
+void RecognitionService::drain_verdicts(std::vector<JobVerdict>& out) {
+  out.clear();
+  std::lock_guard drain_lock(drain_mutex_);
+  std::vector<PendingVerdict>& merged = drain_merge_;
   {
-    // Reap finished streams; their ids become reusable from here on.
-    std::unique_lock lock(jobs_mutex_);
-    for (auto it = jobs_.begin(); it != jobs_.end();) {
-      if (it->second->done.load(std::memory_order_acquire)) {
-        it = jobs_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  std::vector<PendingVerdict> merged;
-  {
+    // verdicts_ inherits merged's cleared buffer: the two trade capacity.
     std::lock_guard lock(verdicts_mutex_);
     merged.swap(verdicts_);
   }
@@ -646,18 +647,42 @@ std::vector<JobVerdict> RecognitionService::drain_verdicts() {
                   std::make_move_iterator(worker->staging.end()));
     worker->staging.clear();
   }
+  if (merged.empty() && reap_retry_.empty()) return;
+
   // Merge staged + shared back into the single global completion order
   // (the order single-threaded mode yields natively).
   std::sort(merged.begin(), merged.end(),
             [](const PendingVerdict& a, const PendingVerdict& b) {
               return a.seq < b.seq;
             });
-  std::vector<JobVerdict> drained;
-  drained.reserve(merged.size());
-  for (PendingVerdict& pending : merged) {
-    drained.push_back(std::move(pending.verdict));
+
+  {
+    // Reap by the drained verdicts' job ids: every done stream queued
+    // exactly one verdict before publishing done, so this visits the
+    // finished streams only, never every open one. An id whose done is
+    // not yet visible (its firing thread sits between the two) is
+    // retried on the next drain. Reaped ids become reusable from here.
+    std::unique_lock lock(jobs_mutex_);
+    const auto reap = [&](std::uint64_t job_id) {
+      const auto it = jobs_.find(job_id);
+      if (it == jobs_.end()) return true;
+      if (!it->second->done.load(std::memory_order_acquire)) return false;
+      jobs_.erase(it);
+      return true;
+    };
+    std::erase_if(reap_retry_, reap);
+    for (const PendingVerdict& pending : merged) {
+      if (!reap(pending.verdict.job_id)) {
+        reap_retry_.push_back(pending.verdict.job_id);
+      }
+    }
   }
-  return drained;
+
+  out.reserve(merged.size());
+  for (PendingVerdict& pending : merged) {
+    out.push_back(std::move(pending.verdict));
+  }
+  merged.clear();
 }
 
 RecognitionServiceStats RecognitionService::stats() const {

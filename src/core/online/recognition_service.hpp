@@ -18,10 +18,11 @@
 ///    RecognitionServiceStats.
 ///  - In the default (inline) mode the pushing thread drains the queue
 ///    itself, so verdicts still fire inside push() — the simulator path.
-///    With config.deferred = true, push() only enqueues (cheap enough
-///    for a network reader thread) and process_pending() — typically
-///    called by the ingest pipeline, fanned across a thread pool —
-///    consumes the queues and fires verdicts.
+///    With config.deferred = true, push() only enqueues and marks the
+///    stream dirty, and process_pending() — typically called by the
+///    ingest pipeline at each poll boundary, fanned across a thread
+///    pool — drains exactly the dirty streams and fires verdicts, so a
+///    poll costs O(streams pushed), not O(streams open).
 ///  - With config.worker_count = N > 0 the service runs N persistent
 ///    worker threads instead: every job is sharded to one worker (hash
 ///    of job id), pushes enqueue and notify the owning worker's SPSC
@@ -35,8 +36,9 @@
 ///    unknown-application safeguard verdict.
 ///
 /// Thread-safety / locking discipline:
-///  - jobs map:      std::shared_mutex; push/has_job/stats/process/sweep
-///    take it shared, open_job and the drain-time reap take it exclusive.
+///  - jobs map:      std::shared_mutex; push/has_job/stats/sweep take it
+///    shared, open_job and the drain-time reap take it exclusive. The
+///    reap visits only the ids of the verdicts being drained.
 ///  - per-job state: its own std::mutex guarding the sample queue and the
 ///    drain token (`draining`), only ever taken while holding no other
 ///    lock. The recognizer itself is owned by whichever thread holds the
@@ -47,7 +49,10 @@
 ///  - verdict queue: its own std::mutex, leaf lock (acquired under a
 ///    stream mutex when a verdict fires, never the other way round).
 ///    Verdicts are queued BEFORE a stream's done flag is published, so
-///    the drain-time reap can treat done==true as "verdict queued".
+///    a drained verdict's stream is done or about to be (reaped then, or
+///    on the next drain).
+///  - dirty list:    its own std::mutex, leaf lock (taken under a stream
+///    mutex by push); process_pending swaps it out whole.
 ///  - dictionary:    the active dictionary lives behind a versioned
 ///    DictionaryHandle (RCU snapshot). Each stream pins the epoch that
 ///    was active when it opened and recognizes against it for its whole
@@ -383,13 +388,14 @@ class RecognitionService {
   std::size_t push_batch(std::uint64_t job_id,
                          std::span<const SamplePush> samples);
 
-  /// Drains every job's queued samples (deferred mode's consumer); fans
-  /// the jobs out across \p pool when non-null. Safe to call from any
-  /// thread and in any mode. Must be called from outside the pool's own
-  /// workers. Returns the number of samples recognized. With the worker
-  /// pool active this only nudges dirty streams onto their owning
-  /// workers (a catch-up sweep; pushes already notify) and returns 0 —
-  /// the workers score asynchronously.
+  /// Drains the queued samples of every stream marked dirty since the
+  /// last call — pushed in deferred mode, or restored with a queue —
+  /// and fans them out across \p pool when non-null. Idle streams are
+  /// never visited. Safe to call from any thread (callers serialize);
+  /// must be called from outside the pool's own workers. Returns the
+  /// number of samples recognized. With the worker pool active it
+  /// returns 0 at once: pushes already ring the owning workers, which
+  /// score asynchronously.
   std::size_t process_pending(util::ThreadPool* pool = nullptr);
 
   /// Force-closes a job, producing a verdict from whatever windows have
@@ -408,8 +414,12 @@ class RecognitionService {
   std::size_t sweep_stale_jobs() { return sweep_stale_jobs(config_.stale_ttl); }
 
   /// Moves out all queued verdicts (order: completion order) and reaps
-  /// completed streams from the jobs map (their ids become reusable).
+  /// their streams from the jobs map: a job id is reusable once the
+  /// drain that returned its verdict is over.
   std::vector<JobVerdict> drain_verdicts();
+  /// drain_verdicts() into \p out (cleared first), reusing its capacity:
+  /// a caller that keeps \p out drains with no steady-state allocation.
+  void drain_verdicts(std::vector<JobVerdict>& out);
 
   RecognitionServiceStats stats() const;
 
@@ -476,10 +486,11 @@ class RecognitionService {
     /// open/restore and never persisted — restoring under a different
     /// --workers N just re-shards. Meaningless when the pool is off.
     std::uint32_t worker_index = 0;
-    /// True while a reference to this stream sits in its worker's ring.
-    /// Producers exchange it to true before ringing (so N pushes cost
-    /// one ring slot); the worker clears it BEFORE draining, so a push
-    /// landing mid-drain re-rings and is never lost.
+    /// True while a reference to this stream sits on a drain list: its
+    /// worker's ring, or the dirty list process_pending consumes.
+    /// Producers exchange it to true before listing (so N pushes cost
+    /// one slot); the drainer clears it BEFORE draining, so a push
+    /// landing mid-drain re-lists the stream and is never lost.
     std::atomic<bool> scheduled{false};
   };
 
@@ -573,8 +584,9 @@ class RecognitionService {
   void worker_loop(Worker& worker);
   /// Consumer-side pop; nullptr when the ring is empty.
   std::shared_ptr<JobStream> try_pop(Worker& worker);
-  /// Rings the stream's owning worker if it is not already scheduled.
-  /// Safe to call while holding stream->mutex (never blocks on it).
+  /// Lists the stream for its drainer — the owning worker's ring, or the
+  /// dirty list without a pool — unless it is already listed. Safe to
+  /// call while holding stream->mutex (never blocks on it).
   void schedule_stream(const std::shared_ptr<JobStream>& stream);
   /// Shard assignment: splitmix64(job_id) % worker count.
   std::uint32_t assign_worker(std::uint64_t job_id) const noexcept;
@@ -615,6 +627,19 @@ class RecognitionService {
 
   mutable std::mutex verdicts_mutex_;
   std::vector<PendingVerdict> verdicts_;
+  /// drain_verdicts state (guarded by drain_mutex_): the merge buffer
+  /// that trades capacity with verdicts_, and ids whose stream was not
+  /// yet visibly done when their verdict drained.
+  std::mutex drain_mutex_;
+  std::vector<PendingVerdict> drain_merge_;
+  std::vector<std::uint64_t> reap_retry_;
+
+  /// Streams with work for process_pending (no worker pool). The drain
+  /// side swaps the list into draining_ (guarded by process_mutex_).
+  std::mutex dirty_mutex_;
+  std::vector<std::shared_ptr<JobStream>> dirty_;
+  std::mutex process_mutex_;
+  std::vector<std::shared_ptr<JobStream>> draining_;
   /// Global completion-order stamp shared by every verdict producer.
   std::atomic<std::uint64_t> verdict_seq_{0};
 

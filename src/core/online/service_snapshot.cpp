@@ -748,8 +748,9 @@ ServiceRestoreInfo RecognitionService::commit_staging(
   swaps_noop_.store(staging.counters[9], std::memory_order_relaxed);
 
   // Restored streams with queued samples would otherwise sit dirty
-  // until their next push: hand them to their owning workers now.
-  if (!workers_.empty()) {
+  // until their next push: hand them to their drainer now (the owning
+  // worker, or the next process_pending).
+  {
     std::shared_lock lock(jobs_mutex_);
     for (const auto& [job_id, stream] : jobs_) {
       if (stream->queued.load(std::memory_order_relaxed) > 0) {

@@ -811,8 +811,8 @@ std::uint64_t IngestPipeline::flush_verdicts() {
   // Stage first, ship second: verdicts that drained in one poll cycle
   // and route to the same connection leave in a single deliver_many()
   // call (one vectored syscall on the TCP path) instead of one write
-  // per verdict. The staging vectors are members, so a steady verdict
-  // rate reuses their capacity allocation-free.
+  // per verdict. The drain and staging vectors are members, so a steady
+  // verdict rate reuses their capacity allocation-free.
   std::uint64_t delivered = 0;
   obs::HotPathMetrics& hot = obs::hot_path();
   const bool timed = hot.enabled.load(std::memory_order_relaxed);
@@ -826,7 +826,8 @@ std::uint64_t IngestPipeline::flush_verdicts() {
   std::vector<ReplyRoute>& routes = outbound_routes_;
   messages.clear();
   routes.clear();
-  for (const core::JobVerdict& verdict : service_.drain_verdicts()) {
+  service_.drain_verdicts(drained_verdicts_);
+  for (const core::JobVerdict& verdict : drained_verdicts_) {
     if (config_.on_verdict) config_.on_verdict(verdict);
     if (hub != nullptr) {
       const std::uint64_t latency_ns =
@@ -970,11 +971,10 @@ std::uint64_t IngestPipeline::run() {
       for (Envelope& envelope : batch) dispatch(envelope);
     }
 
-    // Recognize everything the batch enqueued (deferred services; a
-    // no-op for inline ones), then ship finished verdicts back. With
-    // the worker pool active the service's own workers score as pushes
-    // arrive — no poll-boundary scoring pass at all.
-    if (!service_.workers_active()) service_.process_pending(pool_);
+    // Recognize what the batch enqueued — only the streams it pushed —
+    // then ship finished verdicts back. A no-op for inline services, and
+    // with the worker pool active the workers score as pushes arrive.
+    service_.process_pending(pool_);
     total_delivered += flush_verdicts();
 
     const auto now = std::chrono::steady_clock::now();

@@ -14,7 +14,8 @@
 /// complete vertical slice from socket bytes to recognition verdict,
 /// with per-source loss/throughput accounting the whole way down.
 ///
-/// Every stage is bounded: the transport's queue (its capacity), the
+/// Every stage is bounded: the transport's buffering (a TCP peer's
+/// kernel receive window, the other transports' bounded queues), the
 /// service's per-job queues (RecognitionServiceConfig), and the sweep
 /// (stale TTL) together guarantee that a misbehaving emitter — too fast,
 /// or one that vanishes mid-job — cannot grow service memory without
@@ -320,6 +321,8 @@ class IngestPipeline {
   /// deliver_many() — one writev-style syscall instead of N.
   std::vector<Message> outbound_verdicts_;
   std::vector<ReplyRoute> outbound_routes_;
+  /// Reused drain_verdicts() output (run() thread only).
+  std::vector<core::JobVerdict> drained_verdicts_;
 
   /// Snapshot-chain bookkeeping (run() thread only): capture ids and
   /// per-stream digests the incremental writer diffs against.

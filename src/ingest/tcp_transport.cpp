@@ -5,12 +5,16 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -47,19 +51,29 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
+/// How long stop() keeps draining peers that have not reached EOF.
+constexpr auto kStopGrace = std::chrono::seconds(1);
+constexpr int kMaxEvents = 64;
+
+/// epoll_wait timeout for \p left, rounded up so a sub-millisecond
+/// remainder still sleeps instead of spinning.
+int epoll_timeout_ms(std::chrono::steady_clock::duration left) {
+  const auto ms = std::chrono::ceil<std::chrono::milliseconds>(left).count();
+  return static_cast<int>(std::clamp<long long>(ms, 0, INT_MAX));
+}
+
 }  // namespace
 
 /// One accepted connection. The shared_ptr doubles as the Envelope reply
-/// channel, so a Connection outlives its reader thread for as long as
-/// undelivered verdicts reference it.
+/// channel, so a Connection outlives its place in the reactor for as
+/// long as undelivered verdicts reference it.
 struct TcpServer::Connection final : VerdictSink {
-  Connection(int fd,
+  Connection(int fd, SampleBufferPool* pool,
              std::shared_ptr<std::atomic<std::uint64_t>> write_failures)
-      : fd(fd), write_failures(std::move(write_failures)) {}
-  ~Connection() override {
-    std::lock_guard lock(write_mutex);
-    close_fd(fd);
+      : fd(fd), write_failures(std::move(write_failures)) {
+    decoder.set_buffer_pool(pool);  // recycle within the owning server
   }
+  ~Connection() override { close_socket(); }
 
   void deliver(const Message& verdict) override {
     std::vector<std::uint8_t> frame;
@@ -145,26 +159,41 @@ struct TcpServer::Connection final : VerdictSink {
     }
   }
 
-  void shutdown_socket() {
+  void shutdown_socket(int how) {
     std::lock_guard lock(write_mutex);
-    if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
+    if (fd >= 0) ::shutdown(fd, how);
+  }
+
+  void close_socket() {
+    std::lock_guard lock(write_mutex);
+    close_fd(fd);
   }
 
   std::mutex write_mutex;
+  /// -1 once closed. Only the reactor (under its mutex) and the
+  /// destructor close it, so reactor-side reads need no write_mutex.
   int fd;
   std::shared_ptr<std::atomic<std::uint64_t>> write_failures;
-  std::thread reader;
-  std::atomic<bool> finished{false};
   /// deliver_many scratch (guarded by write_mutex).
   std::vector<std::vector<std::uint8_t>> write_slots;
   std::vector<iovec> write_iov;
+  /// Reactor-side stream state (poll()/stop() only).
+  FrameDecoder decoder;
 };
 
 TcpServer::TcpServer(const Config& config)
     : config_(config),
-      queue_(config.queue_capacity, config.queue_sample_capacity) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw_errno("socket");
+      read_buffer_(std::max<std::size_t>(config.read_chunk, 1)) {
+  const auto fail = [this](const std::string& what) {
+    const int saved = errno;
+    close_fd(listen_fd_);
+    close_fd(epoll_fd_);
+    close_fd(wake_fd_);
+    errno = saved;
+    throw_errno(what);
+  };
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (listen_fd_ < 0) fail("socket");
   const int reuse = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
 
@@ -174,31 +203,40 @@ TcpServer::TcpServer(const Config& config)
   address.sin_port = htons(config.port);
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&address),
              sizeof(address)) < 0) {
-    close_fd(listen_fd_);
-    throw_errno("bind");
+    fail("bind");
   }
   socklen_t length = sizeof(address);
   if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&address),
                     &length) < 0) {
-    close_fd(listen_fd_);
-    throw_errno("getsockname");
+    fail("getsockname");
   }
   port_ = ntohs(address.sin_port);
-  if (::listen(listen_fd_, 64) < 0) {
-    close_fd(listen_fd_);
-    throw_errno("listen");
+  if (::listen(listen_fd_, 64) < 0) fail("listen");
+
+  epoll_fd_ = ::epoll_create1(0);
+  if (epoll_fd_ < 0) fail("epoll_create1");
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
+  if (wake_fd_ < 0) fail("eventfd");
+  // The listener and the wake fd are tagged by their members' addresses;
+  // every other event carries its Connection.
+  for (int* tagged : {&listen_fd_, &wake_fd_}) {
+    epoll_event event{};
+    event.events = EPOLLIN;
+    event.data.ptr = tagged;
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, *tagged, &event) < 0) {
+      fail("epoll_ctl");
+    }
   }
-  accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
 TcpServer::~TcpServer() { stop(); }
 
-void TcpServer::accept_loop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
+void TcpServer::accept_ready() {
+  for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      break;  // listener closed by stop()
+      return;  // EAGAIN: the backlog is empty
     }
     const int nodelay = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
@@ -209,97 +247,138 @@ void TcpServer::accept_loop() {
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
                  sizeof(send_timeout));
     auto connection =
-        std::make_shared<Connection>(fd, verdict_write_failures_);
+        std::make_shared<Connection>(fd, &pool_, verdict_write_failures_);
+    epoll_event event{};
+    event.events = EPOLLIN;
+    event.data.ptr = connection.get();
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event) < 0) {
+      continue;  // the connection's destructor closes the socket
+    }
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard lock(connections_mutex_);
-      reap_finished_connections();
-      connections_.push_back(connection);
-    }
-    connection->reader =
-        std::thread([this, connection] { reader_loop(connection); });
+    active_connections_.fetch_add(1, std::memory_order_relaxed);
+    connections_.emplace(connection.get(), std::move(connection));
   }
 }
 
-void TcpServer::reader_loop(const std::shared_ptr<Connection>& connection) {
-  FrameDecoder decoder;
-  decoder.set_buffer_pool(&pool_);  // recycle within this server
-  std::vector<std::uint8_t> chunk(config_.read_chunk);
-  bool dropped = false;
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const ssize_t received =
-        ::recv(connection->fd, chunk.data(), chunk.size(), 0);
-    if (received < 0 && errno == EINTR) continue;
-    if (received <= 0) break;  // EOF or error: emitter finished
-    decoder.feed(chunk.data(), static_cast<std::size_t>(received));
-
-    Message message;
-    DecodeStatus status;
-    while ((status = decoder.next(message)) == DecodeStatus::kMessage) {
-      frames_.fetch_add(1, std::memory_order_relaxed);
-      // Blocking send = end-to-end back-pressure: stop reading the
-      // socket until the pipeline catches up.
-      try {
-        queue_.send_with_reply(std::move(message), connection);
-      } catch (const std::runtime_error&) {
-        dropped = true;  // server stopping underneath us
-        break;
-      }
-    }
-    if (status == DecodeStatus::kError) {
-      // Corrupted framing is unrecoverable; drop the connection.
-      connections_dropped_.fetch_add(1, std::memory_order_relaxed);
-      dropped = true;
-    }
-    if (dropped) break;
+ssize_t TcpServer::read_some(const Connection& connection) {
+  const ssize_t received = ::recv(connection.fd, read_buffer_.data(),
+                                  read_buffer_.size(), MSG_DONTWAIT);
+  if (received > 0) return received;
+  if (received < 0 &&
+      (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+    return 0;
   }
-  if (dropped) connection->shutdown_socket();
-  connection->finished.store(true, std::memory_order_release);
+  return -1;  // EOF or a socket error: the peer is finished
 }
 
-void TcpServer::reap_finished_connections() {
-  // Caller holds connections_mutex_. Joins readers that already exited
-  // so long-lived servers don't accumulate dead threads.
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    if ((*it)->finished.load(std::memory_order_acquire)) {
-      if ((*it)->reader.joinable()) (*it)->reader.join();
-      it = connections_.erase(it);
-    } else {
-      ++it;
+bool TcpServer::read_connection(const std::shared_ptr<Connection>& connection,
+                                std::vector<Envelope>& out) {
+  // One recv per call is the per-connection read budget: the remainder
+  // stays readable (level-triggered) for the next poll.
+  const ssize_t received = read_some(*connection);
+  if (received <= 0) return received == 0;
+  FrameDecoder& decoder = connection->decoder;
+  decoder.feed(read_buffer_.data(), static_cast<std::size_t>(received));
+
+  std::uint64_t frames = 0;
+  DecodeStatus status;
+  for (;;) {
+    Envelope& envelope = out.emplace_back();
+    status = decoder.next(envelope.message);
+    if (status != DecodeStatus::kMessage) {
+      out.pop_back();
+      break;
     }
+    envelope.reply = connection;
+    envelope.pool = &pool_;
+    ++frames;
   }
+  frames_.fetch_add(frames, std::memory_order_relaxed);
+  if (status == DecodeStatus::kError) {
+    // Corrupted framing is unrecoverable; drop the connection.
+    connections_dropped_.fetch_add(1, std::memory_order_relaxed);
+    connection->shutdown_socket(SHUT_RDWR);
+    return false;
+  }
+  return true;
+}
+
+void TcpServer::retire(ConnectionMap::iterator it) {
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second->fd, nullptr);
+  connections_.erase(it);
+  active_connections_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 bool TcpServer::poll(std::vector<Envelope>& out,
                      std::chrono::milliseconds timeout) {
-  // Stamp pool provenance on the entries this call appended, so the
-  // consumer releases sample buffers back to THIS server's pool.
+  std::lock_guard lock(reactor_mutex_);
   const std::size_t before = out.size();
-  const bool alive = queue_.poll(out, timeout);
-  for (std::size_t i = before; i < out.size(); ++i) out[i].pool = &pool_;
-  return alive;
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  epoll_event events[kMaxEvents];
+  for (;;) {
+    // stop() sets the flag before it writes the wake fd, so a stop that
+    // lands after this check still ends the epoll_wait below at once.
+    if (stopping_.load(std::memory_order_acquire)) return false;
+    const int ready = ::epoll_wait(
+        epoll_fd_, events, kMaxEvents,
+        epoll_timeout_ms(deadline - std::chrono::steady_clock::now()));
+    for (int i = 0; i < ready; ++i) {
+      void* const tag = events[i].data.ptr;
+      if (tag == &listen_fd_) {
+        accept_ready();
+        continue;
+      }
+      const auto it = connections_.find(static_cast<Connection*>(tag));
+      if (it == connections_.end()) continue;  // the wake fd
+      if (!read_connection(it->second, out)) retire(it);
+    }
+    // Accepts and partial frames are not progress: keep waiting until a
+    // message decodes or the caller's timeout runs out.
+    if (out.size() > before ||
+        std::chrono::steady_clock::now() >= deadline) {
+      return true;
+    }
+  }
 }
 
 void TcpServer::stop() {
   if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
-  // Wake accept() with shutdown(); the fd value itself is only mutated
-  // after the accept thread is gone (it reads listen_fd_ every loop).
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t woke = ::write(wake_fd_, &one, sizeof(one));
+  std::lock_guard lock(reactor_mutex_);
+  // Stop accepting (peers still in the backlog are refused by the close)
+  // and silence the wake fd, which stays readable from here on.
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
   close_fd(listen_fd_);
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, wake_fd_, nullptr);
 
-  // Close the queue BEFORE joining readers: a reader blocked on a full
-  // queue (back-pressure) must wake and exit or the join deadlocks.
-  queue_.close();
-  std::vector<std::shared_ptr<Connection>> connections;
-  {
-    std::lock_guard lock(connections_mutex_);
-    connections.swap(connections_);
+  // Graceful drain: closing a socket that still holds unread bytes makes
+  // the kernel answer the peer with a reset, failing a sender that is
+  // still streaming a job's tail. Half-close so peers see the server is
+  // done, then read and discard until each peer's EOF or the grace ends.
+  for (const auto& entry : connections_) {
+    entry.second->shutdown_socket(SHUT_WR);
   }
-  for (const auto& connection : connections) connection->shutdown_socket();
-  for (const auto& connection : connections) {
-    if (connection->reader.joinable()) connection->reader.join();
+  const auto deadline = std::chrono::steady_clock::now() + kStopGrace;
+  epoll_event events[kMaxEvents];
+  while (!connections_.empty()) {
+    const auto left = deadline - std::chrono::steady_clock::now();
+    if (left <= std::chrono::steady_clock::duration::zero()) break;
+    const int ready =
+        ::epoll_wait(epoll_fd_, events, kMaxEvents, epoll_timeout_ms(left));
+    for (int i = 0; i < ready; ++i) {
+      const auto it =
+          connections_.find(static_cast<Connection*>(events[i].data.ptr));
+      if (it == connections_.end() || read_some(*it->second) >= 0) continue;
+      it->second->close_socket();
+      retire(it);
+    }
   }
+  for (const auto& entry : connections_) entry.second->close_socket();
+  connections_.clear();
+  active_connections_.store(0, std::memory_order_relaxed);
+  close_fd(epoll_fd_);
+  close_fd(wake_fd_);
 }
 
 TcpServer::Stats TcpServer::stats() const {
@@ -311,14 +390,8 @@ TcpServer::Stats TcpServer::stats() const {
   stats.frames = frames_.load(std::memory_order_relaxed);
   stats.verdict_write_failures =
       verdict_write_failures_->load(std::memory_order_relaxed);
-  {
-    std::lock_guard lock(connections_mutex_);
-    for (const auto& connection : connections_) {
-      if (!connection->finished.load(std::memory_order_acquire)) {
-        ++stats.active_connections;
-      }
-    }
-  }
+  stats.active_connections =
+      active_connections_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -328,7 +401,6 @@ TransportCounters TcpServer::transport_counters() const {
   counters.frames = stats.frames;
   counters.decode_errors = stats.connections_dropped;
   counters.drops = stats.verdict_write_failures;
-  counters.blocked = queue_.blocked_sends();
   return counters;
 }
 

@@ -2,36 +2,45 @@
 /// \file tcp_transport.hpp
 /// \brief TCP transport: the network ingestion front end.
 ///
-/// TcpServer binds a listening socket, accepts monitoring connections,
-/// and runs one reader thread per connection that decodes EFD-WIRE-V1
-/// frames and forwards them — tagged with the connection as the verdict
-/// reply channel — into a bounded internal RingTransport the pipeline
-/// polls. Back-pressure is end-to-end: a full internal ring blocks the
-/// reader, which stops draining the socket, which fills the kernel
-/// receive window, which stalls the remote sender. A connection whose
-/// byte stream fails to decode is dropped (corrupted framing is
-/// unrecoverable) and counted.
+/// TcpServer is an epoll reactor that runs on the caller's thread: the
+/// non-blocking listener, every accepted connection, and a wake eventfd
+/// sit in one epoll set, and poll() does all the work — epoll_wait,
+/// accept, one bounded recv(MSG_DONTWAIT) per ready connection (so a
+/// flooding peer cannot starve the others), and decoding with that
+/// connection's own FrameDecoder straight into the caller's envelope
+/// vector, each envelope tagged with its connection as the verdict
+/// reply channel. There is no accept thread, no reader thread, and no
+/// internal queue. Back-pressure is end-to-end by construction: bytes
+/// the pipeline has not polled stay in the kernel receive buffer, whose
+/// window stalls the remote sender. A connection whose byte stream
+/// fails to decode is dropped (corrupted framing is unrecoverable) and
+/// counted.
 ///
 /// TcpClient is the emitter side: connect, send() frames, receive()
 /// verdict messages. Used by `efd_cli replay` and by TransportFeed for
 /// sampling loops that emit to a remote service.
 ///
-/// Threading: the server owns one accept thread plus one reader thread
-/// per live connection. stop() (and the destructor) shuts the listener
-/// and all sockets down and joins every thread. Verdict delivery
-/// (Connection::deliver) may run concurrently with the reader; socket
-/// writes are serialized by a per-connection mutex.
+/// Threading: poll() and stop() serialize on one reactor mutex; stop()
+/// may come from any thread — it wakes a blocked poll() through the
+/// eventfd. Shutdown is graceful: stop() closes the listener, half-closes
+/// every live connection, and keeps reading and discarding each peer's
+/// bytes until its EOF or a fixed grace of about a second before closing
+/// it, so a peer still sending never sees a reset. Verdict writes
+/// (Connection::deliver) stay blocking with a send timeout and may run
+/// on any thread; they are serialized by a per-connection mutex.
+
+#include <sys/types.h>
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
-#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "ingest/buffer_pool.hpp"
-#include "ingest/ring_transport.hpp"
 #include "ingest/transport.hpp"
 
 namespace efd::ingest {
@@ -46,10 +55,7 @@ class TcpServer final : public SampleSource {
  public:
   struct Config {
     std::uint16_t port = 0;          ///< 0 = ephemeral (see port())
-    std::size_t queue_capacity = 4096; ///< decoded-message bound
-    /// Bound on buffered *samples* across queued batches (0 = 64 x
-    /// queue_capacity); the real memory bound — see ring_transport.hpp.
-    std::size_t queue_sample_capacity = 0;
+    /// Per-connection read budget of one poll() call (one recv).
     std::size_t read_chunk = 64 * 1024;
   };
 
@@ -77,45 +83,62 @@ class TcpServer final : public SampleSource {
   bool poll(std::vector<Envelope>& out,
             std::chrono::milliseconds timeout) override;
 
-  /// Closes the listener and every connection, joins all threads.
-  /// Idempotent; poll() reports exhaustion once the queue drains.
+  /// Graceful shutdown (see the file comment); wakes a blocked poll(),
+  /// which then reports exhaustion. Idempotent; any thread.
   void stop();
 
   Stats stats() const;
 
   /// Mux view: frames decoded, corrupt connections as decode errors,
-  /// failed verdict writes as drops, reader back-pressure stalls.
+  /// failed verdict writes as drops.
   TransportCounters transport_counters() const override;
 
-  /// The server-owned sample buffer pool every reader thread's decoder
+  /// The server-owned sample buffer pool every connection's decoder
   /// acquires from (and the consumer releases back to).
   const SampleBufferPool* buffer_pool() const override { return &pool_; }
 
  private:
   struct Connection;
 
-  void accept_loop();
-  void reader_loop(const std::shared_ptr<Connection>& connection);
-  void reap_finished_connections();
+  using ConnectionMap =
+      std::unordered_map<Connection*, std::shared_ptr<Connection>>;
+
+  void accept_ready();
+  /// One non-blocking recv into read_buffer_: the byte count, 0 when
+  /// nothing is waiting, -1 once the peer is finished (EOF or error).
+  ssize_t read_some(const Connection& connection);
+  /// One bounded read + decode into \p out; false once the connection
+  /// is finished (EOF, socket error, or corrupt framing).
+  bool read_connection(const std::shared_ptr<Connection>& connection,
+                       std::vector<Envelope>& out);
+  /// Removes a finished connection from the epoll set and the live map.
+  void retire(ConnectionMap::iterator it);
 
   Config config_;
   int listen_fd_ = -1;
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;  ///< eventfd: stop() wakes epoll_wait through it
   std::uint16_t port_ = 0;
-  RingTransport queue_;
-  /// Server-local sample buffer recycling: reader decoders acquire
-  /// here, poll() stamps each Envelope with the provenance, dispatch
-  /// releases back. Keeps the hot acquire/release cycle off the
-  /// process-global pool's shared free list.
+  /// Server-local sample buffer recycling: connection decoders acquire
+  /// here, envelopes carry the provenance, dispatch releases back. Keeps
+  /// the hot acquire/release cycle off the process-global pool's shared
+  /// free list.
   SampleBufferPool pool_;
-  std::thread accept_thread_;
   std::atomic<bool> stopping_{false};
 
-  mutable std::mutex connections_mutex_;
-  std::vector<std::shared_ptr<Connection>> connections_;
+  /// Serializes poll() and stop(); guards the connection map, the read
+  /// buffer, and the teardown of the three fds above.
+  std::mutex reactor_mutex_;
+  /// Live (registered, not yet finished) connections. A finished one
+  /// leaves the map but stays open while undelivered verdicts reference
+  /// it — a peer that half-closed still reads its verdicts.
+  ConnectionMap connections_;
+  std::vector<std::uint8_t> read_buffer_;
 
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> connections_dropped_{0};
   std::atomic<std::uint64_t> frames_{0};
+  std::atomic<std::size_t> active_connections_{0};
   /// Shared with every Connection (a connection — held alive by
   /// undelivered Envelopes — can outlive the server).
   std::shared_ptr<std::atomic<std::uint64_t>> verdict_write_failures_ =

@@ -471,17 +471,190 @@ TEST(TcpServer, DropsConnectionOnCorruptFraming) {
   ASSERT_GT(::send(fd, garbage, sizeof(garbage), 0), 0);
 
   // The healthy frame still arrives; the hostile connection is counted
-  // dropped (poll until the reader thread processes the garbage).
+  // dropped. Decoding happens inside poll(), so the wait loop polls.
   std::vector<Envelope> drained;
   server.poll(drained, std::chrono::milliseconds(200));
-  EXPECT_GE(drained.size(), 1u);
+  ASSERT_GE(drained.size(), 1u);
   EXPECT_EQ(drained[0].message.type, MessageType::kOpenJob);
   for (int i = 0; i < 100 && server.stats().connections_dropped == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    server.poll(drained, std::chrono::milliseconds(10));
   }
   EXPECT_EQ(server.stats().connections_dropped, 1u);
+  EXPECT_EQ(drained.size(), 1u);  // nothing decoded from the garbage
   ::close(fd);
+  good.finish_sending();
   server.stop();
+}
+
+TEST(TcpServer, ConnectSendEofCyclesLeaveNoLiveConnections) {
+  TcpServer server({});
+  constexpr std::uint64_t kCycles = 200;
+  std::atomic<bool> done{false};
+  std::vector<Envelope> received;
+  // The reactor runs on its caller's thread: this one stands in for the
+  // pipeline while the main thread churns connections.
+  std::thread poller([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (std::chrono::steady_clock::now() < deadline &&
+           !(received.size() >= kCycles &&
+             server.stats().active_connections == 0)) {
+      server.poll(received, std::chrono::milliseconds(10));
+    }
+    done.store(true);
+  });
+  for (std::uint64_t job = 1; job <= kCycles; ++job) {
+    TcpClient client("127.0.0.1", server.port());
+    client.send(make_open_job(job, 1));
+    client.finish_sending();
+  }
+  poller.join();
+  ASSERT_TRUE(done.load());
+
+  ASSERT_EQ(received.size(), kCycles);
+  std::vector<std::uint64_t> jobs;
+  for (const Envelope& envelope : received) {
+    EXPECT_EQ(envelope.message.type, MessageType::kOpenJob);
+    EXPECT_NE(envelope.reply, nullptr);
+    jobs.push_back(envelope.message.job_id);
+  }
+  std::sort(jobs.begin(), jobs.end());
+  for (std::uint64_t job = 1; job <= kCycles; ++job) {
+    EXPECT_EQ(jobs[job - 1], job);
+  }
+  const TcpServer::Stats stats = server.stats();
+  EXPECT_EQ(stats.connections_accepted, kCycles);
+  EXPECT_EQ(stats.active_connections, 0u);
+  EXPECT_EQ(stats.frames, kCycles);
+}
+
+TEST(TcpServer, StopFromAnotherThreadWakesABlockedPoll) {
+  TcpServer server({});
+  std::atomic<std::int64_t> returned_ns{0};
+  std::atomic<bool> alive{true};
+  std::thread poller([&] {
+    std::vector<Envelope> out;
+    alive.store(server.poll(out, std::chrono::seconds(10)));
+    returned_ns.store(std::chrono::steady_clock::now().time_since_epoch() /
+                      std::chrono::nanoseconds(1));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto stop_at = std::chrono::steady_clock::now();
+  server.stop();
+  poller.join();
+  const auto woke_after = std::chrono::nanoseconds(returned_ns.load()) -
+                          stop_at.time_since_epoch();
+  EXPECT_LT(woke_after, std::chrono::milliseconds(100));
+  EXPECT_FALSE(alive.load());  // a stopped server reports exhaustion
+}
+
+TEST(TcpServer, FloodingPeerDoesNotStarveATricklingOne) {
+  TcpServer::Config config;
+  config.read_chunk = 16 * 1024;
+  TcpServer server(config);
+  // The flooder streams 256-sample batches for job 1 as fast as the
+  // socket takes them, so far more than one read budget is always
+  // waiting in the kernel.
+  Message batch;
+  batch.type = MessageType::kSampleBatch;
+  batch.job_id = 1;
+  for (int i = 0; i < 256; ++i) {
+    batch.samples.push_back({0, i, 6000.0, "nr_mapped_vmstat"});
+  }
+  std::vector<std::uint8_t> encoded;
+  encode_frame(batch, encoded);
+  // One read budget holds this many whole frames, plus one completed
+  // from the previous read's tail.
+  const std::size_t max_flood_per_poll = config.read_chunk / encoded.size() + 1;
+
+  TcpClient flooder("127.0.0.1", server.port());
+  std::atomic<bool> flooding{true};
+  std::atomic<bool> flood_done{false};
+  std::thread flood([&] {
+    try {
+      while (flooding.load()) flooder.send(batch);
+    } catch (const TransportError&) {
+    }
+    flood_done.store(true);
+  });
+  TcpClient trickler("127.0.0.1", server.port());
+
+  std::vector<Envelope> out;
+  for (int i = 0; i < 100 && server.stats().connections_accepted < 2; ++i) {
+    server.poll(out, std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(server.stats().connections_accepted, 2u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // backlog
+
+  // Each trickled frame must surface within a few polls, and no poll may
+  // take more than one read budget from the flooder.
+  for (std::uint64_t job = 2; job <= 6; ++job) {
+    trickler.send(make_open_job(job, 1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    bool trickled = false;
+    for (int attempt = 0; attempt < 3 && !trickled; ++attempt) {
+      out.clear();
+      server.poll(out, std::chrono::milliseconds(100));
+      std::size_t flooded = 0;
+      for (const Envelope& envelope : out) {
+        if (envelope.message.type == MessageType::kOpenJob) {
+          EXPECT_EQ(envelope.message.job_id, job);
+          trickled = true;
+        } else {
+          ++flooded;
+        }
+      }
+      EXPECT_LE(flooded, max_flood_per_poll) << "job " << job;
+    }
+    EXPECT_TRUE(trickled) << "job " << job;
+  }
+
+  flooding.store(false);
+  while (!flood_done.load()) {  // unblock a sender stuck on a full window
+    out.clear();
+    server.poll(out, std::chrono::milliseconds(10));
+  }
+  flood.join();
+  flooder.finish_sending();
+  trickler.finish_sending();
+  server.stop();
+}
+
+TEST_F(IngestFixture, StopDrainsPeersThatAreStillSending) {
+  RecognitionServiceConfig service_config;
+  service_config.deferred = true;
+  RecognitionService service = make_service(service_config);
+  TcpServer server({});
+  IngestPipelineConfig pipeline_config;
+  pipeline_config.max_verdicts = 1;
+  IngestPipeline pipeline(service, server, pipeline_config);
+  pipeline.start();
+
+  TcpClient client("127.0.0.1", server.port());
+  send_job(client, 1, 6030.0);
+  Message message;
+  ASSERT_TRUE(client.receive(message, std::chrono::seconds(10)));
+  ASSERT_EQ(message.type, MessageType::kVerdict);
+  pipeline.join();  // the verdict quota stops the pipeline, as --max-jobs
+
+  // Shut the listener down, as serve does after run(), while the emitter
+  // is still streaming its next job: the bytes must be drained, never
+  // answered with a reset.
+  std::thread stopper([&] { server.stop(); });
+  EXPECT_NO_THROW({
+    TransportFeed feed(client, /*batch_samples=*/64);
+    feed.job_opened(2, 2);
+    for (int t = 0; t < 300; ++t) {
+      for (std::uint32_t node = 0; node < 2; ++node) {
+        feed.publish(node, "nr_mapped_vmstat", t, 6080.0);
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+    feed.job_closed(2);
+    client.finish_sending();
+  });
+  stopper.join();
+  EXPECT_EQ(server.stats().active_connections, 0u);
 }
 
 }  // namespace

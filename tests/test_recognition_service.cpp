@@ -208,6 +208,60 @@ TEST_F(ServiceFixture, DeferredModeBuffersUntilProcessPending) {
   EXPECT_EQ(verdicts[0].result.votes, inline_verdicts[0].result.votes);
 }
 
+TEST_F(ServiceFixture, ProcessPendingDrainsOnlyPushedStreams) {
+  RecognitionServiceConfig config;
+  config.deferred = true;
+  RecognitionService service = make_service(config);
+  constexpr std::uint64_t kIdleJobs = 5000;
+  for (std::uint64_t job = 1; job <= kIdleJobs; ++job) {
+    ASSERT_TRUE(service.open_job(job, 2));
+  }
+  EXPECT_EQ(service.process_pending(), 0u);  // nothing pushed yet
+
+  // One job of 5000 gets 10 ticks x 2 nodes; the drain recognizes
+  // exactly those samples and leaves no dirty stream behind.
+  stream_job(service, 4242, 6030.0, 10);
+  EXPECT_EQ(service.process_pending(), 20u);
+  EXPECT_EQ(service.stats().samples_pushed, 20u);
+  EXPECT_EQ(service.stats().queued_samples, 0u);
+  EXPECT_EQ(service.process_pending(), 0u);
+
+  // A push after a drain marks the stream dirty again.
+  stream_job(service, 17, 6080.0, 3);
+  EXPECT_EQ(service.process_pending(), 6u);
+  EXPECT_EQ(service.stats().active_jobs, kIdleJobs);
+}
+
+TEST_F(ServiceFixture, JobIdIsReusableRightAfterTheDrainThatReturnsItsVerdict) {
+  for (const bool deferred : {false, true}) {
+    RecognitionServiceConfig config;
+    config.deferred = deferred;
+    RecognitionService service = make_service(config);
+    ASSERT_TRUE(service.open_job(7, 2));
+    stream_job(service, 7, 6030.0);
+    service.process_pending();
+
+    // The verdict is queued, so the stream lingers: not reusable yet.
+    EXPECT_FALSE(service.has_job(7));
+    EXPECT_FALSE(service.open_job(7, 2)) << "deferred=" << deferred;
+
+    std::vector<JobVerdict> drained;
+    service.drain_verdicts(drained);
+    ASSERT_EQ(drained.size(), 1u);
+    EXPECT_EQ(drained[0].job_id, 7u);
+    EXPECT_EQ(drained[0].result.prediction(), "ft");
+
+    // Reusable from here: the reopened stream recognizes from scratch.
+    ASSERT_TRUE(service.open_job(7, 2)) << "deferred=" << deferred;
+    stream_job(service, 7, 6080.0);
+    service.process_pending();
+    service.drain_verdicts(drained);
+    ASSERT_EQ(drained.size(), 1u);
+    EXPECT_EQ(drained[0].result.prediction(), "mg");
+    EXPECT_EQ(service.stats().active_jobs, 0u);
+  }
+}
+
 TEST_F(ServiceFixture, DropOldestPolicyBoundsQueueAndCountsOverflow) {
   RecognitionServiceConfig config;
   config.deferred = true;

@@ -231,6 +231,36 @@ TEST_F(SnapshotFixture, DeferredQueuesSurviveRestore) {
   EXPECT_EQ(verdicts[0].result.prediction(), "ft");
 }
 
+TEST_F(SnapshotFixture, RestoredQueuedStreamDrainsOnProcessPendingWithoutPush) {
+  RecognitionServiceConfig config;
+  config.deferred = true;
+  RecognitionService original = make_service(config);
+  ASSERT_TRUE(original.open_job(4, 2));
+  ASSERT_TRUE(original.open_job(5, 2));  // idle: nothing queued
+  stream_range(original, 4, 6080.0, 0, 40);
+
+  std::ostringstream out;
+  original.snapshot(out);
+
+  RecognitionService restored = make_service(config);
+  std::istringstream in(std::move(out).str());
+  ASSERT_EQ(restored.restore(in).jobs_restored, 2u);
+  ASSERT_EQ(restored.stats().queued_samples, 2u * 40u);
+
+  // No push after the restore: the restore itself marked the queued
+  // stream for the next drain, and only its samples are recognized.
+  EXPECT_EQ(restored.process_pending(), 2u * 40u);
+  EXPECT_EQ(restored.stats().queued_samples, 0u);
+  EXPECT_EQ(restored.process_pending(), 0u);
+
+  stream_range(restored, 4, 6080.0, 40, 130);
+  restored.process_pending();
+  const auto verdicts = restored.drain_verdicts();
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_EQ(verdicts[0].job_id, 4u);
+  EXPECT_EQ(verdicts[0].result.prediction(), "mg");
+}
+
 TEST_F(SnapshotFixture, PendingVerdictsSurviveRestore) {
   RecognitionService original = make_service();
   ASSERT_TRUE(original.open_job(5, 2));
