@@ -1,7 +1,6 @@
 #include "core/online/recognition_service.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -9,9 +8,6 @@
 #include "util/thread_pool.hpp"
 
 namespace efd::core {
-
-thread_local RecognitionService::Worker* RecognitionService::tl_worker_ =
-    nullptr;
 
 const char* backpressure_policy_name(BackpressurePolicy policy) {
   switch (policy) {
@@ -34,175 +30,16 @@ RecognitionService::RecognitionService(ShardedDictionary dictionary,
                                        RecognitionServiceConfig config)
     : handle_(std::move(dictionary)), config_(config) {
   if (config_.job_queue_capacity == 0) config_.job_queue_capacity = 1;
-  if (config_.worker_count > 0) {
-    // Workers ARE the drain side: a push that scored inline would race
-    // the owning worker for the recognizer, so worker mode is always
-    // deferred.
-    config_.deferred = true;
-    start_workers(config_.worker_count);
-  }
-}
-
-RecognitionService::~RecognitionService() { stop_workers(); }
-
-void RecognitionService::start_workers(std::size_t count) {
-  constexpr std::size_t kRingCapacity = 4096;  // power of two
-  workers_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    auto worker = std::make_unique<Worker>(kRingCapacity);
-    worker->owner = this;
-    workers_.push_back(std::move(worker));
-  }
-  // Threads start only after workers_ is final (worker_loop and
-  // schedule_stream index into it).
-  for (auto& worker : workers_) {
-    worker->thread = std::thread([this, w = worker.get()] { worker_loop(*w); });
-  }
-}
-
-void RecognitionService::stop_workers() {
-  if (workers_.empty()) return;
-  stop_workers_.store(true, std::memory_order_release);
-  {
-    // Unpark anyone at the quiesce barrier (a snapshot racing teardown).
-    std::lock_guard lock(pause_mutex_);
-    paused_.store(false, std::memory_order_relaxed);
-  }
-  pause_cv_.notify_all();
-  for (auto& worker : workers_) {
-    // Empty critical section: a worker between its predicate check and
-    // its wait would otherwise miss this notify and sleep forever.
-    { std::lock_guard lock(worker->producer_mutex); }
-    worker->work_cv.notify_all();
-  }
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) worker->thread.join();
-  }
-}
-
-std::uint32_t RecognitionService::assign_worker(
-    std::uint64_t job_id) const noexcept {
-  if (workers_.empty()) return 0;
-  // splitmix64 finalizer: job ids are often sequential, and a plain
-  // modulo would put every id on worker id%N forever — fine — but also
-  // correlate with any id-structured load. The mix spreads them evenly.
-  std::uint64_t x = job_id + 0x9E3779B97F4A7C15ull;
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return static_cast<std::uint32_t>(x % workers_.size());
 }
 
 void RecognitionService::schedule_stream(
     const std::shared_ptr<JobStream>& stream) {
-  // Dedup: one drain-list slot per dirty stream, however many pushes
+  // Dedup: one dirty-list slot per dirty stream, however many pushes
   // landed. The drainer clears the flag before draining, so a push that
   // arrives mid-drain re-marks the stream and is never lost.
   if (stream->scheduled.exchange(true, std::memory_order_acq_rel)) return;
-  if (workers_.empty()) {
-    // Poll-boundary drain: process_pending() consumes this list.
-    std::lock_guard lock(dirty_mutex_);
-    dirty_.push_back(stream);
-    return;
-  }
-  Worker& worker = *workers_[stream->worker_index];
-  {
-    std::lock_guard lock(worker.producer_mutex);
-    const std::uint64_t tail = worker.tail.load(std::memory_order_relaxed);
-    if (tail - worker.head.load(std::memory_order_acquire) <
-        worker.ring.size()) {
-      worker.ring[tail & worker.mask] = stream;
-      worker.tail.store(tail + 1, std::memory_order_release);
-    } else {
-      // Degenerate: more scheduled streams than ring slots. Spill
-      // rather than block — callers hold stream mutexes.
-      worker.overflow.push_back(stream);
-    }
-  }
-  worker.work_cv.notify_one();
-}
-
-std::shared_ptr<RecognitionService::JobStream> RecognitionService::try_pop(
-    Worker& worker) {
-  const std::uint64_t head = worker.head.load(std::memory_order_relaxed);
-  if (head != worker.tail.load(std::memory_order_acquire)) {
-    std::shared_ptr<JobStream> stream =
-        std::move(worker.ring[head & worker.mask]);
-    worker.head.store(head + 1, std::memory_order_release);
-    return stream;
-  }
-  std::lock_guard lock(worker.producer_mutex);
-  if (worker.overflow.empty()) return nullptr;
-  std::shared_ptr<JobStream> stream = std::move(worker.overflow.front());
-  worker.overflow.erase(worker.overflow.begin());
-  return stream;
-}
-
-void RecognitionService::worker_loop(Worker& worker) {
-  tl_worker_ = &worker;
-  while (!stop_workers_.load(std::memory_order_acquire)) {
-    if (paused_.load(std::memory_order_acquire)) {
-      // Quiesce barrier: park between drains until the guard releases.
-      std::unique_lock lock(pause_mutex_);
-      ++quiesced_;
-      pause_cv_.notify_all();
-      pause_cv_.wait(lock, [&] {
-        return !paused_.load(std::memory_order_relaxed) ||
-               stop_workers_.load(std::memory_order_relaxed);
-      });
-      --quiesced_;
-      continue;
-    }
-    std::shared_ptr<JobStream> stream = try_pop(worker);
-    if (stream == nullptr) {
-      std::unique_lock lock(worker.producer_mutex);
-      worker.work_cv.wait(lock, [&] {
-        return worker.head.load(std::memory_order_relaxed) !=
-                   worker.tail.load(std::memory_order_relaxed) ||
-               !worker.overflow.empty() ||
-               stop_workers_.load(std::memory_order_relaxed) ||
-               paused_.load(std::memory_order_relaxed);
-      });
-      continue;
-    }
-    // Clear BEFORE draining: a producer enqueueing after this point
-    // re-rings the stream, so its samples are picked up next round.
-    stream->scheduled.store(false, std::memory_order_release);
-    std::unique_lock lock(stream->mutex);
-    drain_stream(*stream, lock);
-  }
-  tl_worker_ = nullptr;
-}
-
-RecognitionService::WorkerQuiesceGuard::WorkerQuiesceGuard(
-    const RecognitionService& service)
-    : service_(service) {
-  if (service_.workers_.empty()) return;
-  service_.quiesce_mutex_.lock();  // one quiescer at a time
-  {
-    std::lock_guard lock(service_.pause_mutex_);
-    service_.paused_.store(true, std::memory_order_release);
-  }
-  for (const auto& worker : service_.workers_) {
-    { std::lock_guard lock(worker->producer_mutex); }
-    worker->work_cv.notify_all();
-  }
-  std::unique_lock lock(service_.pause_mutex_);
-  service_.pause_cv_.wait(lock, [&] {
-    return service_.quiesced_ == service_.workers_.size();
-  });
-}
-
-RecognitionService::WorkerQuiesceGuard::~WorkerQuiesceGuard() {
-  if (service_.workers_.empty()) return;
-  {
-    std::lock_guard lock(service_.pause_mutex_);
-    service_.paused_.store(false, std::memory_order_release);
-  }
-  service_.pause_cv_.notify_all();
-  service_.quiesce_mutex_.unlock();
+  std::lock_guard lock(dirty_mutex_);
+  dirty_.push_back(stream);
 }
 
 const ShardedDictionary& RecognitionService::dictionary() const {
@@ -261,7 +98,6 @@ bool RecognitionService::open_job(std::uint64_t job_id,
   auto stream =
       std::make_shared<JobStream>(handle_.acquire(), job_id, node_count);
   stream->last_activity_ns.store(now_ns(), std::memory_order_relaxed);
-  stream->worker_index = assign_worker(job_id);
   SourceIngress* ingress = ingress_for(source_tag);
   stream->ingress = ingress;
   {
@@ -323,22 +159,7 @@ bool RecognitionService::enqueue_locked(
         samples_overflowed_.fetch_add(1, std::memory_order_relaxed);
         break;
       case BackpressurePolicy::kBlock:
-        if (!workers_.empty()) {
-          // Worker mode: never self-drain — the owning worker is the
-          // sole scorer. Ring it (idempotent), then wait for space; the
-          // cv wait releases the stream mutex, so the worker drains
-          // independently and the wait terminates.
-          schedule_stream(stream_ptr);
-          pushes_blocked_.fetch_add(1, std::memory_order_relaxed);
-          stream.space.wait(lock, [&] {
-            return stream.queue.size() < config_.job_queue_capacity ||
-                   stream.done.load(std::memory_order_relaxed);
-          });
-          if (stream.done.load(std::memory_order_relaxed)) {
-            samples_late_.fetch_add(1, std::memory_order_relaxed);
-            return false;
-          }
-        } else if (!stream.draining) {
+        if (!stream.draining) {
           // No active drainer to wait on: make progress ourselves (even
           // in deferred mode). Waiting here would deadlock a pipeline
           // that is both the sole producer and the process_pending
@@ -412,8 +233,8 @@ std::size_t RecognitionService::push_batch(
     if (!config_.deferred) {
       drain_stream(*stream, lock);
     } else {
-      // Mark the stream dirty for its drainer (the owning worker, or the
-      // next process_pending); dedup makes repeat marks one slot.
+      // Mark the stream dirty for the next process_pending; dedup makes
+      // repeat marks one slot.
       schedule_stream(stream);
     }
   }
@@ -454,16 +275,7 @@ std::size_t RecognitionService::drain_stream(
       }
       ++fed;  // unknown-metric samples still count as fed, as before
       if (stream.recognizer.ready()) {
-        // On a worker thread, score with the worker's own scratch (one
-        // arena serves every stream it drains); the verdict is the same
-        // either way — scratch is working memory, not state.
-        RecognitionScratch* scratch =
-            (tl_worker_ != nullptr && tl_worker_->owner == this)
-                ? &tl_worker_->scratch
-                : nullptr;
-        auto result = scratch != nullptr ? stream.recognizer.result(*scratch)
-                                         : stream.recognizer.result();
-        if (result) verdict = *result;
+        if (auto result = stream.recognizer.result()) verdict = *result;
         fired = true;
         fired_enqueue_ns = sample.enqueue_ns;
         break;
@@ -509,10 +321,6 @@ std::size_t RecognitionService::drain_stream(
 }
 
 std::size_t RecognitionService::process_pending(util::ThreadPool* pool) {
-  // Worker mode: pushes already rang the owning workers, which score
-  // asynchronously — the poll boundary has nothing to do.
-  if (!workers_.empty()) return 0;
-
   std::lock_guard process_lock(process_mutex_);
   std::vector<std::shared_ptr<JobStream>>& streams = draining_;
   {
@@ -526,8 +334,8 @@ std::size_t RecognitionService::process_pending(util::ThreadPool* pool) {
   std::atomic<std::size_t> fed{0};
   const auto drain_one = [&](std::size_t i) {
     JobStream& stream = *streams[i];
-    // Clear BEFORE draining, as the workers do: a push landing after
-    // this point re-marks the stream, so its samples drain next call.
+    // Clear BEFORE draining: a push landing after this point re-marks
+    // the stream, so its samples drain next call.
     stream.scheduled.store(false, std::memory_order_release);
     std::unique_lock lock(stream.mutex);
     fed.fetch_add(drain_stream(stream, lock), std::memory_order_relaxed);
@@ -634,55 +442,30 @@ std::vector<JobVerdict> RecognitionService::drain_verdicts() {
 void RecognitionService::drain_verdicts(std::vector<JobVerdict>& out) {
   out.clear();
   std::lock_guard drain_lock(drain_mutex_);
-  std::vector<PendingVerdict>& merged = drain_merge_;
   {
-    // verdicts_ inherits merged's cleared buffer: the two trade capacity.
+    // verdicts_ inherits out's cleared buffer: the two trade capacity.
     std::lock_guard lock(verdicts_mutex_);
-    merged.swap(verdicts_);
+    out.swap(verdicts_);
   }
-  for (const auto& worker : workers_) {
-    std::lock_guard lock(worker->staging_mutex);
-    merged.insert(merged.end(),
-                  std::make_move_iterator(worker->staging.begin()),
-                  std::make_move_iterator(worker->staging.end()));
-    worker->staging.clear();
-  }
-  if (merged.empty() && reap_retry_.empty()) return;
+  if (out.empty() && reap_retry_.empty()) return;
 
-  // Merge staged + shared back into the single global completion order
-  // (the order single-threaded mode yields natively).
-  std::sort(merged.begin(), merged.end(),
-            [](const PendingVerdict& a, const PendingVerdict& b) {
-              return a.seq < b.seq;
-            });
-
-  {
-    // Reap by the drained verdicts' job ids: every done stream queued
-    // exactly one verdict before publishing done, so this visits the
-    // finished streams only, never every open one. An id whose done is
-    // not yet visible (its firing thread sits between the two) is
-    // retried on the next drain. Reaped ids become reusable from here.
-    std::unique_lock lock(jobs_mutex_);
-    const auto reap = [&](std::uint64_t job_id) {
-      const auto it = jobs_.find(job_id);
-      if (it == jobs_.end()) return true;
-      if (!it->second->done.load(std::memory_order_acquire)) return false;
-      jobs_.erase(it);
-      return true;
-    };
-    std::erase_if(reap_retry_, reap);
-    for (const PendingVerdict& pending : merged) {
-      if (!reap(pending.verdict.job_id)) {
-        reap_retry_.push_back(pending.verdict.job_id);
-      }
-    }
+  // Reap by the drained verdicts' job ids: every done stream queued
+  // exactly one verdict before publishing done, so this visits the
+  // finished streams only, never every open one. An id whose done is
+  // not yet visible (its firing thread sits between the two) is
+  // retried on the next drain. Reaped ids become reusable from here.
+  std::unique_lock lock(jobs_mutex_);
+  const auto reap = [&](std::uint64_t job_id) {
+    const auto it = jobs_.find(job_id);
+    if (it == jobs_.end()) return true;
+    if (!it->second->done.load(std::memory_order_acquire)) return false;
+    jobs_.erase(it);
+    return true;
+  };
+  std::erase_if(reap_retry_, reap);
+  for (const JobVerdict& verdict : out) {
+    if (!reap(verdict.job_id)) reap_retry_.push_back(verdict.job_id);
   }
-
-  out.reserve(merged.size());
-  for (PendingVerdict& pending : merged) {
-    out.push_back(std::move(pending.verdict));
-  }
-  merged.clear();
 }
 
 RecognitionServiceStats RecognitionService::stats() const {
@@ -762,11 +545,6 @@ void RecognitionService::queue_verdict(std::uint64_t job_id,
                                        RecognitionResult result,
                                        std::uint32_t source,
                                        std::int64_t enqueue_ns) {
-  // The seq stamp (taken under the firing stream's mutex) is the global
-  // completion order; drain_verdicts sorts by it, so the drained stream
-  // is identical whether verdicts staged per-worker or centrally.
-  const std::uint64_t seq =
-      verdict_seq_.fetch_add(1, std::memory_order_relaxed);
   const std::int64_t verdict_ns = now_ns();
   if (enqueue_ns > 0) {
     auto& hot = obs::hot_path();
@@ -774,50 +552,22 @@ void RecognitionService::queue_verdict(std::uint64_t job_id,
       hot.verdict_e2e_ns.observe(verdict_ns - enqueue_ns);
     }
   }
-  PendingVerdict pending{
-      seq, {job_id, std::move(result), source, enqueue_ns, verdict_ns}};
-  if (tl_worker_ != nullptr && tl_worker_->owner == this) {
-    // Worker fast path: stage locally; no cross-worker lock traffic on
-    // the scoring path.
-    std::lock_guard lock(tl_worker_->staging_mutex);
-    tl_worker_->staging.push_back(std::move(pending));
-  } else {
+  {
     std::lock_guard lock(verdicts_mutex_);
-    verdicts_.push_back(std::move(pending));
+    verdicts_.push_back(
+        {job_id, std::move(result), source, enqueue_ns, verdict_ns});
   }
   jobs_completed_.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::vector<RecognitionService::PendingVerdict>
-RecognitionService::collect_pending_verdicts() const {
-  std::vector<PendingVerdict> merged;
-  {
-    std::lock_guard lock(verdicts_mutex_);
-    merged = verdicts_;
-  }
-  for (const auto& worker : workers_) {
-    std::lock_guard lock(worker->staging_mutex);
-    merged.insert(merged.end(), worker->staging.begin(),
-                  worker->staging.end());
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const PendingVerdict& a, const PendingVerdict& b) {
-              return a.seq < b.seq;
-            });
-  return merged;
+std::vector<JobVerdict> RecognitionService::collect_pending_verdicts() const {
+  std::lock_guard lock(verdicts_mutex_);
+  return verdicts_;
 }
 
 std::size_t RecognitionService::pending_verdict_count() const {
-  std::size_t count = 0;
-  {
-    std::lock_guard lock(verdicts_mutex_);
-    count = verdicts_.size();
-  }
-  for (const auto& worker : workers_) {
-    std::lock_guard lock(worker->staging_mutex);
-    count += worker->staging.size();
-  }
-  return count;
+  std::lock_guard lock(verdicts_mutex_);
+  return verdicts_.size();
 }
 
 }  // namespace efd::core

@@ -19,17 +19,11 @@
 ///  - In the default (inline) mode the pushing thread drains the queue
 ///    itself, so verdicts still fire inside push() — the simulator path.
 ///    With config.deferred = true, push() only enqueues and marks the
-///    stream dirty, and process_pending() — typically called by the
-///    ingest pipeline at each poll boundary, fanned across a thread
-///    pool — drains exactly the dirty streams and fires verdicts, so a
-///    poll costs O(streams pushed), not O(streams open).
-///  - With config.worker_count = N > 0 the service runs N persistent
-///    worker threads instead: every job is sharded to one worker (hash
-///    of job id), pushes enqueue and notify the owning worker's SPSC
-///    ring, and that worker alone scores the stream with its own
-///    RecognitionScratch — ingest never contends with scoring. Verdicts
-///    are sequence-stamped and drained in completion order, so the
-///    drained verdict stream is byte-identical to single-threaded mode.
+///    stream dirty, and process_pending() — called by the ingest
+///    pipeline at each poll boundary, optionally fanned across a thread
+///    pool (serve --threads N) — drains exactly the dirty streams and
+///    fires verdicts, so a poll costs O(streams pushed), not O(streams
+///    open). Verdicts queue in the order they fire.
 ///  - Jobs that never complete (crashed daemons, killed executions)
 ///    stop consuming memory: sweep_stale_jobs() force-closes every
 ///    stream idle past the configured TTL, producing the paper's
@@ -81,7 +75,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -116,9 +109,7 @@ enum class BackpressurePolicy : std::uint8_t {
   /// Lossless: if another thread is draining, wait for space (true
   /// back-pressure); with no active drainer, the pusher drains inline
   /// itself — so kBlock can never deadlock a lone producer, even in
-  /// deferred mode. With the worker pool active the pusher instead
-  /// rings the owning worker and waits for it to make space (waiting
-  /// releases the stream mutex, so the worker drains independently).
+  /// deferred mode.
   kBlock,
   kDropOldest, ///< evict the oldest queued sample (bounded, freshest-wins)
   kReject,     ///< refuse the new sample (bounded, caller sees false)
@@ -139,16 +130,10 @@ struct RecognitionServiceConfig {
   BackpressurePolicy policy = BackpressurePolicy::kBlock;
   /// Idle time after which sweep_stale_jobs() force-closes a stream.
   std::chrono::steady_clock::duration stale_ttl = std::chrono::minutes(10);
-  /// When true, push() only enqueues; process_pending() consumes. When
-  /// false, the pushing thread drains inline (verdicts fire in push()).
+  /// When true, push() only enqueues and process_pending() scores (on
+  /// the caller's thread, or fanned across its pool). When false, the
+  /// pushing thread drains inline (verdicts fire in push()).
   bool deferred = false;
-  /// Persistent recognition workers (serve --workers N). 0 keeps the
-  /// single-threaded shape: the pusher (inline mode) or the
-  /// process_pending() caller scores. N > 0 starts N dedicated worker
-  /// threads, each owning a disjoint shard of jobs (hash of job id):
-  /// pushes only enqueue + notify the owning worker's ring, so the
-  /// ingest thread never scores a sample. Implies deferred = true.
-  std::size_t worker_count = 0;
 };
 
 /// Ingress counters of one source tag — the service-side view of a
@@ -235,21 +220,12 @@ struct ServiceRestoreInfo {
 /// (open streams hold pointers into the owned dictionary).
 class RecognitionService {
  public:
-  /// Takes ownership of a trained concurrent dictionary. When
-  /// config.worker_count > 0 the worker pool starts here (and deferred
-  /// mode is forced on — workers ARE the drain side).
+  /// Takes ownership of a trained concurrent dictionary.
   explicit RecognitionService(ShardedDictionary dictionary,
                               RecognitionServiceConfig config = {});
 
-  /// Stops and joins the worker pool (no-op when worker_count == 0).
-  ~RecognitionService();
-
   RecognitionService(const RecognitionService&) = delete;
   RecognitionService& operator=(const RecognitionService&) = delete;
-
-  /// Number of persistent recognition workers (0 = single-threaded).
-  std::size_t worker_count() const noexcept { return workers_.size(); }
-  bool workers_active() const noexcept { return !workers_.empty(); }
 
   /// The ACTIVE dictionary. Borrowed reference: valid until the next
   /// swap_dictionary()/restore() publishes a successor epoch — callers
@@ -393,9 +369,7 @@ class RecognitionService {
   /// and fans them out across \p pool when non-null. Idle streams are
   /// never visited. Safe to call from any thread (callers serialize);
   /// must be called from outside the pool's own workers. Returns the
-  /// number of samples recognized. With the worker pool active it
-  /// returns 0 at once: pushes already ring the owning workers, which
-  /// score asynchronously.
+  /// number of samples recognized.
   std::size_t process_pending(util::ThreadPool* pool = nullptr);
 
   /// Force-closes a job, producing a verdict from whatever windows have
@@ -413,7 +387,7 @@ class RecognitionService {
   /// sweep_stale_jobs with the configured TTL.
   std::size_t sweep_stale_jobs() { return sweep_stale_jobs(config_.stale_ttl); }
 
-  /// Moves out all queued verdicts (order: completion order) and reaps
+  /// Moves out all queued verdicts (in the order they fired) and reaps
   /// their streams from the jobs map: a job id is reusable once the
   /// drain that returned its verdict is over.
   std::vector<JobVerdict> drain_verdicts();
@@ -482,15 +456,11 @@ class RecognitionService {
     std::atomic<bool> done{false};
     std::atomic<std::size_t> queued{0}; ///< == queue.size(), for stats
     std::atomic<std::int64_t> last_activity_ns{0}; ///< steady_clock epoch
-    /// Owning worker (hash of job id % worker count), assigned at
-    /// open/restore and never persisted — restoring under a different
-    /// --workers N just re-shards. Meaningless when the pool is off.
-    std::uint32_t worker_index = 0;
-    /// True while a reference to this stream sits on a drain list: its
-    /// worker's ring, or the dirty list process_pending consumes.
-    /// Producers exchange it to true before listing (so N pushes cost
-    /// one slot); the drainer clears it BEFORE draining, so a push
-    /// landing mid-drain re-lists the stream and is never lost.
+    /// True while a reference to this stream sits on the dirty list
+    /// process_pending consumes. Producers exchange it to true before
+    /// listing (so N pushes cost one slot); the drainer clears it BEFORE
+    /// draining, so a push landing mid-drain re-lists the stream and is
+    /// never lost.
     std::atomic<bool> scheduled{false};
   };
 
@@ -501,58 +471,6 @@ class RecognitionService {
     std::atomic<std::uint64_t> jobs_opened{0};
     std::atomic<std::uint64_t> jobs_completed{0};
     std::atomic<std::uint64_t> samples_pushed{0};
-  };
-
-  /// A verdict plus its global completion-order stamp. Workers stage
-  /// verdicts locally (no shared lock on the scoring path); drain time
-  /// merges every staging area with the shared queue and sorts by seq,
-  /// recovering the exact completion order single-threaded mode yields.
-  struct PendingVerdict {
-    std::uint64_t seq = 0;
-    JobVerdict verdict;
-  };
-
-  /// One persistent recognition worker: a dedicated thread fed by a
-  /// notification ring of streams with work. The consumer's ring pop is
-  /// lock-free; producer_mutex serializes multiple producers and backs
-  /// the ring-empty sleep. Producers NEVER block on the ring: when it
-  /// is full (more scheduled streams than slots — degenerate) the entry
-  /// spills to `overflow`, so scheduling is safe while holding a stream
-  /// mutex (a blocking ring would deadlock against a worker stuck on
-  /// that same stream's mutex).
-  struct Worker {
-    explicit Worker(std::size_t capacity)
-        : mask(capacity - 1), ring(capacity) {}
-
-    RecognitionService* owner = nullptr;
-    const std::size_t mask;                      ///< capacity - 1 (pow2)
-    std::vector<std::shared_ptr<JobStream>> ring;
-    std::atomic<std::uint64_t> head{0};          ///< consumer cursor
-    std::atomic<std::uint64_t> tail{0};          ///< producer cursor
-    std::mutex producer_mutex;
-    std::condition_variable work_cv;             ///< worker: ring empty
-    /// Ring-full spill (guarded by producer_mutex); drained when the
-    /// ring empties.
-    std::vector<std::shared_ptr<JobStream>> overflow;
-    std::mutex staging_mutex;
-    std::vector<PendingVerdict> staging;         ///< verdicts scored here
-    RecognitionScratch scratch;                  ///< reused across streams
-    std::thread thread;
-  };
-
-  /// Quiesces the worker pool for the lifetime of the guard: every
-  /// worker parks at the pause barrier (between drains, so no stream is
-  /// mid-score) until destruction. No-op when the pool is off. Snapshot
-  /// uses this to capture worker-mode state at a consistent point.
-  class WorkerQuiesceGuard {
-   public:
-    explicit WorkerQuiesceGuard(const RecognitionService& service);
-    ~WorkerQuiesceGuard();
-    WorkerQuiesceGuard(const WorkerQuiesceGuard&) = delete;
-    WorkerQuiesceGuard& operator=(const WorkerQuiesceGuard&) = delete;
-
-   private:
-    const RecognitionService& service_;
   };
 
   /// Get-or-create the counters of \p source_tag (any thread).
@@ -578,23 +496,12 @@ class RecognitionService {
                      std::uint32_t source, std::int64_t enqueue_ns);
   static std::int64_t now_ns();
 
-  /// Worker pool plumbing (all no-ops / unused when worker_count == 0).
-  void start_workers(std::size_t count);
-  void stop_workers();
-  void worker_loop(Worker& worker);
-  /// Consumer-side pop; nullptr when the ring is empty.
-  std::shared_ptr<JobStream> try_pop(Worker& worker);
-  /// Lists the stream for its drainer — the owning worker's ring, or the
-  /// dirty list without a pool — unless it is already listed. Safe to
-  /// call while holding stream->mutex (never blocks on it).
+  /// Puts the stream on the dirty list process_pending consumes, unless
+  /// it is already there. Safe to call while holding stream->mutex.
   void schedule_stream(const std::shared_ptr<JobStream>& stream);
-  /// Shard assignment: splitmix64(job_id) % worker count.
-  std::uint32_t assign_worker(std::uint64_t job_id) const noexcept;
-  /// Shared + per-worker staged verdicts, merged in completion (seq)
-  /// order. Read-only; snapshot's verdict section uses it.
-  std::vector<PendingVerdict> collect_pending_verdicts() const;
-  /// Total undrained verdicts across the shared queue and every
-  /// worker's staging area.
+  /// Copy of the undrained verdicts in firing order (snapshot's verdict
+  /// section).
+  std::vector<JobVerdict> collect_pending_verdicts() const;
   std::size_t pending_verdict_count() const;
 
   /// Snapshot/restore internals (service_snapshot.cpp): the section
@@ -614,11 +521,6 @@ class RecognitionService {
   ServiceRestoreInfo commit_staging(RestoreStaging&& staging);
   void require_fresh_for_restore() const;
 
-  /// The worker this thread runs (nullptr on every non-worker thread).
-  /// Scratch/staging are borrowed only after an owner check, so a
-  /// worker of service A pushing into service B stays correct.
-  static thread_local Worker* tl_worker_;
-
   DictionaryHandle handle_;
   RecognitionServiceConfig config_;
 
@@ -626,34 +528,18 @@ class RecognitionService {
   std::unordered_map<std::uint64_t, std::shared_ptr<JobStream>> jobs_;
 
   mutable std::mutex verdicts_mutex_;
-  std::vector<PendingVerdict> verdicts_;
-  /// drain_verdicts state (guarded by drain_mutex_): the merge buffer
-  /// that trades capacity with verdicts_, and ids whose stream was not
-  /// yet visibly done when their verdict drained.
+  std::vector<JobVerdict> verdicts_;  ///< firing order
+  /// Serializes drain_verdicts; guards reap_retry_, the ids whose
+  /// stream was not yet visibly done when their verdict drained.
   std::mutex drain_mutex_;
-  std::vector<PendingVerdict> drain_merge_;
   std::vector<std::uint64_t> reap_retry_;
 
-  /// Streams with work for process_pending (no worker pool). The drain
-  /// side swaps the list into draining_ (guarded by process_mutex_).
+  /// Streams with work for process_pending. The drain side swaps the
+  /// list into draining_ (guarded by process_mutex_).
   std::mutex dirty_mutex_;
   std::vector<std::shared_ptr<JobStream>> dirty_;
   std::mutex process_mutex_;
   std::vector<std::shared_ptr<JobStream>> draining_;
-  /// Global completion-order stamp shared by every verdict producer.
-  std::atomic<std::uint64_t> verdict_seq_{0};
-
-  /// The pool (empty when worker_count == 0). unique_ptr: Worker holds
-  /// mutexes/cvs/a thread, so it must not move once started. Mutable
-  /// pause machinery lets const snapshot() quiesce the pool.
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::atomic<bool> stop_workers_{false};
-  mutable std::atomic<bool> paused_{false};
-  mutable std::mutex pause_mutex_;
-  mutable std::condition_variable pause_cv_;
-  mutable std::size_t quiesced_ = 0;  ///< workers parked at the barrier
-  /// Serializes WorkerQuiesceGuard holders (snapshot vs snapshot).
-  mutable std::mutex quiesce_mutex_;
 
   /// Source-tag → ingress counters. Touched once per open_job (and by
   /// stats()); the hot push path goes through JobStream::ingress.

@@ -321,17 +321,15 @@ std::size_t RecognitionService::write_snapshot_sections(
     if (info != nullptr) info->jobs_closed = closed.size();
   }
 
-  // Pending (undrained) verdicts — non-destructive copy, merged across
-  // the shared queue and every worker's staging area in completion
-  // order, so worker-mode and single-threaded snapshots serialize the
-  // same verdict stream.
+  // Pending (undrained) verdicts — non-destructive copy, in firing
+  // order.
   payload.clear();
   put_u8(payload, static_cast<std::uint8_t>(SnapshotSection::kVerdicts));
   {
-    const std::vector<PendingVerdict> pending = collect_pending_verdicts();
+    const std::vector<JobVerdict> pending = collect_pending_verdicts();
     put_u32(payload, static_cast<std::uint32_t>(pending.size()));
-    for (const PendingVerdict& entry : pending) {
-      put_result(payload, entry.verdict.job_id, entry.verdict.result);
+    for (const JobVerdict& verdict : pending) {
+      put_result(payload, verdict.job_id, verdict.result);
     }
   }
   bytes += write_section(out, payload);
@@ -378,11 +376,6 @@ void RecognitionService::snapshot(
     std::ostream& out, std::uint64_t replay_cursor,
     std::span<const std::uint8_t> retrain_state,
     std::span<const SourceCursor> source_cursors) const {
-  // Park the worker pool (no-op when single-threaded) so every stream
-  // is between drains for the whole capture — the same consistency the
-  // per-stream drained-wait below provides against ad-hoc drainers.
-  WorkerQuiesceGuard quiesce(*this);
-
   out.write(kSnapshotMagic, kSnapshotMagicBytes);
   const auto epoch = handle_.acquire();
   write_snapshot_sections(out, epoch, handle_.swap_count(),
@@ -394,8 +387,6 @@ SnapshotCaptureInfo RecognitionService::snapshot_capture(
     std::ostream& out, SnapshotChainState& chain, bool force_base,
     std::uint64_t replay_cursor, std::span<const std::uint8_t> retrain_state,
     std::span<const SourceCursor> source_cursors) const {
-  WorkerQuiesceGuard quiesce(*this);
-
   // One epoch acquisition feeds both the base/delta decision and the
   // Dictionary section, so a concurrent swap can't split them: the
   // written capture always matches the recorded chain identity.
@@ -570,10 +561,6 @@ void RecognitionService::decode_snapshot_sections(std::istream& in,
         }
         auto stream =
             std::make_shared<JobStream>(staging.epoch, job_id, node_count);
-        // Shard assignment is a pure function of the job id and THIS
-        // process's worker count — never persisted, so a snapshot taken
-        // under --workers 4 restores cleanly under --workers 2 (or 0).
-        stream->worker_index = assign_worker(job_id);
         staging.reset_jobs.erase(job_id);
         if (signature == config_signature(staging.epoch->dictionary.config())) {
           try {
@@ -726,15 +713,9 @@ ServiceRestoreInfo RecognitionService::commit_staging(
     jobs_ = std::move(staging.jobs);
   }
   {
+    // The snapshot's verdict section IS the firing order.
     std::lock_guard lock(verdicts_mutex_);
-    verdicts_.clear();
-    verdicts_.reserve(staging.verdicts.size());
-    for (JobVerdict& verdict : staging.verdicts) {
-      // Fresh seq stamps in serialized order: the snapshot's verdict
-      // section IS the completion order, so re-stamping preserves it.
-      verdicts_.push_back({verdict_seq_.fetch_add(1, std::memory_order_relaxed),
-                           std::move(verdict)});
-    }
+    verdicts_ = std::move(staging.verdicts);
   }
   jobs_opened_.store(staging.counters[0], std::memory_order_relaxed);
   jobs_completed_.store(staging.counters[1], std::memory_order_relaxed);
@@ -748,8 +729,7 @@ ServiceRestoreInfo RecognitionService::commit_staging(
   swaps_noop_.store(staging.counters[9], std::memory_order_relaxed);
 
   // Restored streams with queued samples would otherwise sit dirty
-  // until their next push: hand them to their drainer now (the owning
-  // worker, or the next process_pending).
+  // until their next push: list them for the next process_pending.
   {
     std::shared_lock lock(jobs_mutex_);
     for (const auto& [job_id, stream] : jobs_) {

@@ -96,13 +96,6 @@ class OnlineRecognizer {
   /// cached. Identical to the offline Matcher result for the same data.
   std::optional<RecognitionResult> result() const;
 
-  /// result() computed with a caller-owned scratch instead of the
-  /// recognizer's internal one — the worker-pool form, where one scratch
-  /// per worker thread serves every stream that worker drains. The
-  /// rendered verdict is identical either way (the scratch is working
-  /// memory, not state).
-  std::optional<RecognitionResult> result(RecognitionScratch& scratch) const;
-
   /// Seconds still missing until the last window closes (0 when ready).
   int seconds_until_ready(int current_t) const noexcept;
 
@@ -126,8 +119,6 @@ class OnlineRecognizer {
   void import_state(const std::vector<AccumulatorState>& states);
 
  private:
-  std::optional<RecognitionResult> result_with(RecognitionScratch& scratch) const;
-
   /// Flat lane index of window (node, metric slot, interval).
   std::size_t lane_index(std::uint32_t node, std::size_t slot,
                          std::size_t interval) const noexcept {

@@ -972,8 +972,8 @@ std::uint64_t IngestPipeline::run() {
     }
 
     // Recognize what the batch enqueued — only the streams it pushed —
-    // then ship finished verdicts back. A no-op for inline services, and
-    // with the worker pool active the workers score as pushes arrive.
+    // then ship finished verdicts back (a no-op for inline services;
+    // with a pool the dirty streams fan out across it).
     service_.process_pending(pool_);
     total_delivered += flush_verdicts();
 

@@ -199,6 +199,32 @@ TEST_F(CliWorkflow, MissingArgumentsFail) {
   EXPECT_NE(run(cli() + " recognize --data " + *data_path_).first, 0);
 }
 
+TEST_F(CliWorkflow, ServeRejectsRemovedAndOutOfRangeFlags) {
+  // The flag parser ignores unknown options, so serve validates these
+  // itself before binding anything. `timeout` bounds a regression that
+  // would otherwise start serving and never exit.
+  const std::string serve =
+      "timeout 20 " + cli() + " serve --dict " + *dict_path_ + " --port 0 ";
+  const auto [workers_status, workers_output] = run(serve + "--workers 2");
+  EXPECT_NE(workers_status, 0);
+  EXPECT_NE(workers_output.find("--workers is no longer supported"),
+            std::string::npos)
+      << workers_output;
+  EXPECT_NE(workers_output.find("--threads N"), std::string::npos)
+      << workers_output;
+
+  const auto [queue_status, queue_output] = run(serve + "--queue-capacity -1");
+  EXPECT_NE(queue_status, 0);
+  EXPECT_NE(queue_output.find("--queue-capacity must be >= 1"),
+            std::string::npos)
+      << queue_output;
+
+  const auto [ttl_status, ttl_output] = run(serve + "--ttl-seconds 0");
+  EXPECT_NE(ttl_status, 0);
+  EXPECT_NE(ttl_output.find("--ttl-seconds must be >= 1"), std::string::npos)
+      << ttl_output;
+}
+
 TEST_F(CliWorkflow, MissingFileReportsError) {
   const auto [status, output] =
       run(cli() + " stats --dict /no/such/file.efd");

@@ -472,124 +472,108 @@ TEST_F(ServiceFixture, DeferredConcurrentProducersWithPooledProcessing) {
   }
 }
 
-TEST_F(ServiceFixture, WorkerPoolVerdictTableMatchesSingleThreaded) {
-  // The same traffic through the single-threaded deferred drain and
-  // through worker pools of several sizes: the verdict table (job ->
-  // full recognition result) must be identical — the pool changes who
-  // scores, never what is scored.
-  const auto run = [&](std::size_t workers) {
-    RecognitionServiceConfig config;
-    config.deferred = true;
-    config.worker_count = workers;
-    RecognitionService service = make_service(config);
-    EXPECT_EQ(service.worker_count(), workers);
-    EXPECT_EQ(service.workers_active(), workers > 0);
-    constexpr std::uint64_t kJobs = 12;
-    for (std::uint64_t job = 1; job <= kJobs; ++job) {
-      EXPECT_TRUE(service.open_job(job, 2));
-    }
-    for (int t = 0; t < 130; ++t) {
-      for (std::uint64_t job = 1; job <= kJobs; ++job) {
-        for (std::uint32_t node = 0; node < 2; ++node) {
-          service.push(job, node, "nr_mapped_vmstat", t,
-                       job % 2 == 0 ? 6030.0 : 6080.0);
-        }
-      }
-      if (workers == 0) service.process_pending();
-    }
-    // Worker mode scores asynchronously; wait for every verdict.
-    std::vector<JobVerdict> verdicts;
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (verdicts.size() < kJobs &&
-           std::chrono::steady_clock::now() < deadline) {
-      if (workers == 0) service.process_pending();
-      auto drained = service.drain_verdicts();
-      for (auto& verdict : drained) verdicts.push_back(std::move(verdict));
-      if (verdicts.size() < kJobs) std::this_thread::yield();
-    }
-    EXPECT_EQ(verdicts.size(), kJobs) << "workers=" << workers;
+TEST_F(ServiceFixture, PooledDrainStressWithBackpressureAndConcurrentDrain) {
+  // TSan target: competing producers push 32 jobs through a queue small
+  // enough to force kBlock waits (producers parking on stream.space
+  // while a pool thread drains, or self-draining when no drainer holds
+  // the token), while one thread drives process_pending across a pool
+  // and another drains verdicts and polls stats concurrently. Lossless
+  // end state, and at every pool size the verdict table (job -> full
+  // recognition result) equals a sequential single-threaded drain's:
+  // the fan-out changes who scores, never what is scored.
+  constexpr std::uint64_t kJobs = 32;
+  const auto level = [](std::uint64_t job) {
+    return job % 2 == 0 ? 6030.0 : 6080.0;
+  };
+  const auto by_job = [](std::vector<JobVerdict> verdicts) {
     std::sort(verdicts.begin(), verdicts.end(),
               [](const JobVerdict& a, const JobVerdict& b) {
                 return a.job_id < b.job_id;
               });
     return verdicts;
   };
-
-  const std::vector<JobVerdict> baseline = run(0);
-  for (const std::size_t workers : {1u, 2u, 3u}) {
-    const std::vector<JobVerdict> pooled = run(workers);
-    ASSERT_EQ(pooled.size(), baseline.size()) << "workers=" << workers;
-    for (std::size_t i = 0; i < baseline.size(); ++i) {
-      EXPECT_EQ(pooled[i].job_id, baseline[i].job_id);
-      EXPECT_EQ(pooled[i].result.recognized, baseline[i].result.recognized);
-      EXPECT_EQ(pooled[i].result.applications, baseline[i].result.applications);
-      EXPECT_EQ(pooled[i].result.votes, baseline[i].result.votes);
-      EXPECT_EQ(pooled[i].result.label_votes, baseline[i].result.label_votes);
-      EXPECT_EQ(pooled[i].result.matched_labels,
-                baseline[i].result.matched_labels);
-      EXPECT_EQ(pooled[i].result.fingerprint_count,
-                baseline[i].result.fingerprint_count);
-      EXPECT_EQ(pooled[i].result.matched_count,
-                baseline[i].result.matched_count);
-    }
-  }
-}
-
-TEST_F(ServiceFixture, WorkerPoolStressWithBackpressureAndConcurrentDrain) {
-  // TSan target: competing producers push 32 jobs through a 3-worker
-  // pool with a queue small enough to force kBlock waits (producers
-  // parking on stream.space while the owning worker drains), while a
-  // separate thread drains verdicts and polls stats concurrently, and
-  // the pushing threads sprinkle process_pending (the worker-mode
-  // catch-up sweep) in. Lossless end state: every job completes with
-  // the right prediction, nothing rejected or overflowed.
   RecognitionServiceConfig config;
-  config.worker_count = 3;  // implies deferred
+  config.deferred = true;
   config.job_queue_capacity = 16;
   config.policy = BackpressurePolicy::kBlock;
-  RecognitionService service = make_service(config);
-  constexpr std::uint64_t kJobs = 32;
-  for (std::uint64_t job = 1; job <= kJobs; ++job) {
-    ASSERT_TRUE(service.open_job(job, 2));
+
+  std::vector<JobVerdict> baseline;
+  {
+    RecognitionService service = make_service(config);
+    for (std::uint64_t job = 1; job <= kJobs; ++job) {
+      ASSERT_TRUE(service.open_job(job, 2));
+      stream_job(service, job, level(job));
+      service.process_pending(nullptr);
+    }
+    baseline = by_job(service.drain_verdicts());
+    ASSERT_EQ(baseline.size(), kJobs);
   }
 
-  std::atomic<bool> done_producing{false};
-  std::vector<JobVerdict> verdicts;
-  std::thread drainer([&] {
-    while (!done_producing.load() || verdicts.size() < kJobs) {
-      auto drained = service.drain_verdicts();
-      for (auto& verdict : drained) verdicts.push_back(std::move(verdict));
-      (void)service.stats();
-      std::this_thread::yield();
+  for (const std::size_t threads : {1u, 2u, 3u}) {
+    RecognitionService service = make_service(config);
+    for (std::uint64_t job = 1; job <= kJobs; ++job) {
+      ASSERT_TRUE(service.open_job(job, 2));
     }
-  });
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&, p] {
-      for (std::uint64_t job = 1 + static_cast<std::uint64_t>(p);
-           job <= kJobs; job += 4) {
-        stream_job(service, job, job % 2 == 0 ? 6030.0 : 6080.0);
-        if (job % 8 == 1) service.process_pending();
+    util::ThreadPool pool(threads);
+    std::atomic<bool> done_producing{false};
+    std::atomic<bool> done_scoring{false};
+    std::vector<JobVerdict> verdicts;
+    std::thread scorer([&] {
+      while (!done_producing.load()) {
+        service.process_pending(&pool);
+        std::this_thread::yield();
+      }
+      service.process_pending(&pool);
+      done_scoring.store(true);
+    });
+    std::thread drainer([&] {
+      while (!done_scoring.load() || verdicts.size() < kJobs) {
+        auto drained = service.drain_verdicts();
+        for (auto& verdict : drained) verdicts.push_back(std::move(verdict));
+        (void)service.stats();
+        if (done_scoring.load() && drained.empty()) break;
+        std::this_thread::yield();
       }
     });
-  }
-  for (auto& producer : producers) producer.join();
-  done_producing.store(true);
-  drainer.join();
+    std::vector<std::thread> producers;
+    for (int p = 0; p < 4; ++p) {
+      producers.emplace_back([&, p] {
+        for (std::uint64_t job = 1 + static_cast<std::uint64_t>(p);
+             job <= kJobs; job += 4) {
+          stream_job(service, job, level(job));
+        }
+      });
+    }
+    for (auto& producer : producers) producer.join();
+    done_producing.store(true);
+    scorer.join();
+    drainer.join();
 
-  ASSERT_EQ(verdicts.size(), kJobs);
-  for (const JobVerdict& verdict : verdicts) {
-    EXPECT_EQ(verdict.result.prediction(),
-              verdict.job_id % 2 == 0 ? "ft" : "mg")
-        << "job " << verdict.job_id;
+    const std::string context = "threads=" + std::to_string(threads);
+    verdicts = by_job(std::move(verdicts));
+    ASSERT_EQ(verdicts.size(), kJobs) << context;
+    for (std::size_t i = 0; i < kJobs; ++i) {
+      const RecognitionResult& got = verdicts[i].result;
+      const RecognitionResult& want = baseline[i].result;
+      EXPECT_EQ(verdicts[i].job_id, baseline[i].job_id) << context;
+      EXPECT_EQ(got.prediction(), level(verdicts[i].job_id) == 6030.0 ? "ft"
+                                                                    : "mg")
+          << context << " job " << verdicts[i].job_id;
+      EXPECT_EQ(got.recognized, want.recognized) << context;
+      EXPECT_EQ(got.applications, want.applications) << context;
+      EXPECT_EQ(got.votes, want.votes) << context;
+      EXPECT_EQ(got.label_votes, want.label_votes) << context;
+      EXPECT_EQ(got.matched_labels, want.matched_labels) << context;
+      EXPECT_EQ(got.fingerprint_count, want.fingerprint_count) << context;
+      EXPECT_EQ(got.matched_count, want.matched_count) << context;
+    }
+    const RecognitionServiceStats stats = service.stats();
+    EXPECT_EQ(stats.samples_rejected, 0u) << context;
+    EXPECT_EQ(stats.samples_overflowed, 0u) << context;
+    EXPECT_EQ(stats.active_jobs, 0u) << context;
+    EXPECT_EQ(stats.pending_verdicts, 0u) << context;
+    EXPECT_EQ(stats.jobs_completed, kJobs) << context;
   }
-  const RecognitionServiceStats stats = service.stats();
-  EXPECT_EQ(stats.samples_rejected, 0u);
-  EXPECT_EQ(stats.samples_overflowed, 0u);
-  EXPECT_EQ(stats.active_jobs, 0u);
-  EXPECT_EQ(stats.pending_verdicts, 0u);
-  EXPECT_EQ(stats.jobs_completed, kJobs);
 }
 
 TEST(RecognitionServiceStreaming, ConcurrentSimulatedClusterEndToEnd) {

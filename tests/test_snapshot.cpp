@@ -22,6 +22,7 @@
 #include "core/online/recognition_service.hpp"
 #include "core/trainer.hpp"
 #include "util/binary_io.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -450,41 +451,38 @@ TEST_F(SnapshotFixture, FuzzCorruptionAlwaysDetected) {
   }
 }
 
-TEST_F(SnapshotFixture, WorkerPoolMidStreamRestoreYieldsIdenticalVerdicts) {
-  // Snapshot a service whose worker pool is ACTIVE (the quiesce barrier
-  // must capture a consistent point between drains), then restore into
-  // pools of the same size, a different size, and the single-threaded
-  // shape. worker_index is never persisted — every restore re-shards —
-  // and all four futures must produce the identical verdict table.
-  RecognitionServiceConfig pooled;
-  pooled.worker_count = 3;
-  RecognitionService service = make_service(pooled);
+TEST_F(SnapshotFixture, PooledDrainMidStreamRestoreYieldsIdenticalVerdicts) {
+  // Snapshot a deferred service mid-stream, with windows half-filled by
+  // a pooled drain and samples still queued, then finish the original
+  // and two restored services — one drained on the calling thread, one
+  // fanned across a 3-thread pool. All three verdict tables must match.
+  RecognitionServiceConfig config;
+  config.deferred = true;
   constexpr std::uint64_t kJobs = 6;
+  const auto level = [](std::uint64_t job) {
+    return job % 2 == 0 ? 6030.0 : 6080.0;
+  };
+  util::ThreadPool pool(3);
+  RecognitionService service = make_service(config);
   for (std::uint64_t job = 1; job <= kJobs; ++job) {
     ASSERT_TRUE(service.open_job(job, 2));
+    stream_range(service, job, level(job), 0, 70);
   }
+  service.process_pending(&pool);
   for (std::uint64_t job = 1; job <= kJobs; ++job) {
-    stream_range(service, job, job % 2 == 0 ? 6030.0 : 6080.0, 0, 80);
+    stream_range(service, job, level(job), 70, 80);  // left queued
   }
   std::ostringstream out;
-  service.snapshot(out);  // pool still running: quiesce barrier
+  service.snapshot(out);
   const std::string snapshot = std::move(out).str();
 
   // Finish a service's jobs and return its verdicts sorted by job id.
-  const auto finish = [&](RecognitionService& target) {
+  const auto finish = [&](RecognitionService& target, util::ThreadPool* with) {
     for (std::uint64_t job = 1; job <= kJobs; ++job) {
-      stream_range(target, job, job % 2 == 0 ? 6030.0 : 6080.0, 80, 130);
+      stream_range(target, job, level(job), 80, 130);
     }
-    std::vector<JobVerdict> verdicts;
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (verdicts.size() < kJobs &&
-           std::chrono::steady_clock::now() < deadline) {
-      if (!target.workers_active()) target.process_pending();
-      auto drained = target.drain_verdicts();
-      for (auto& verdict : drained) verdicts.push_back(std::move(verdict));
-      if (verdicts.size() < kJobs) std::this_thread::yield();
-    }
+    target.process_pending(with);
+    std::vector<JobVerdict> verdicts = target.drain_verdicts();
     EXPECT_EQ(verdicts.size(), kJobs);
     std::sort(verdicts.begin(), verdicts.end(),
               [](const JobVerdict& a, const JobVerdict& b) {
@@ -493,72 +491,23 @@ TEST_F(SnapshotFixture, WorkerPoolMidStreamRestoreYieldsIdenticalVerdicts) {
     return verdicts;
   };
 
-  const std::vector<JobVerdict> original = finish(service);
-  for (const std::size_t workers : {3u, 1u, 0u}) {
-    RecognitionServiceConfig config;
-    config.deferred = true;  // match the pool's forced deferred shape
-    config.worker_count = workers;
+  const std::vector<JobVerdict> original = finish(service, nullptr);
+  for (util::ThreadPool* with : {static_cast<util::ThreadPool*>(nullptr),
+                                 &pool}) {
+    const std::string context = with == nullptr ? "inline" : "pooled";
     RecognitionService restored = make_service(config);
     std::istringstream in(snapshot);
     const ServiceRestoreInfo info = restored.restore(in);
-    EXPECT_EQ(info.jobs_restored, kJobs) << "workers=" << workers;
-    const std::vector<JobVerdict> verdicts = finish(restored);
-    ASSERT_EQ(verdicts.size(), original.size()) << "workers=" << workers;
+    EXPECT_EQ(info.jobs_restored, kJobs) << context;
+    EXPECT_EQ(restored.stats().queued_samples, kJobs * 20) << context;
+    const std::vector<JobVerdict> verdicts = finish(restored, with);
+    ASSERT_EQ(verdicts.size(), original.size()) << context;
     for (std::size_t i = 0; i < original.size(); ++i) {
       EXPECT_EQ(verdicts[i].job_id, original[i].job_id);
       expect_same_result(verdicts[i].result, original[i].result,
-                         "workers=" + std::to_string(workers) + " job " +
+                         context + " job " +
                              std::to_string(verdicts[i].job_id));
     }
-  }
-}
-
-TEST_F(SnapshotFixture, SnapshotUnderLiveWorkerPoolTrafficStaysRestorable) {
-  // The worker-pool twin of SnapshotUnderLiveTrafficStaysRestorable:
-  // producers hammer a pooled service while a snapshotter quiesces it
-  // in a loop. Every capture must restore cleanly — TSan-validates the
-  // quiesce barrier against pushes, worker drains, and verdict firing.
-  RecognitionServiceConfig pooled;
-  pooled.worker_count = 2;
-  RecognitionService service = make_service(pooled);
-  constexpr std::uint64_t kJobs = 8;
-  constexpr int kRounds = 4;
-  for (std::uint64_t job = 1; job <= kJobs; ++job) {
-    ASSERT_TRUE(service.open_job(job, 2));
-  }
-
-  std::vector<std::string> captures;
-  std::atomic<bool> done{false};
-  std::thread snapshotter([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      std::ostringstream out;
-      service.snapshot(out, captures.size());
-      captures.push_back(std::move(out).str());
-      std::this_thread::yield();
-    }
-  });
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&, p] {
-      for (int round = 0; round < kRounds; ++round) {
-        for (std::uint64_t job = 1 + static_cast<std::uint64_t>(p);
-             job <= kJobs; job += 4) {
-          stream_range(service, job, job % 2 == 0 ? 6030.0 : 6080.0, 0, 130);
-        }
-      }
-    });
-  }
-  for (auto& producer : producers) producer.join();
-  done.store(true, std::memory_order_release);
-  snapshotter.join();
-
-  ASSERT_FALSE(captures.empty());
-  for (std::size_t i = 0; i < captures.size(); ++i) {
-    RecognitionService fresh = make_service();
-    std::istringstream in(captures[i]);
-    const ServiceRestoreInfo info = fresh.restore(in);
-    EXPECT_EQ(info.replay_cursor, i);
   }
 }
 
@@ -566,51 +515,61 @@ TEST_F(SnapshotFixture, SnapshotUnderLiveTrafficStaysRestorable) {
   // Producers hammer the service while a snapshotter captures it in a
   // loop: every capture must be internally consistent (restorable into
   // a fresh service without error). TSan-validates snapshot() against
-  // the drain-token and verdict-queue locking.
-  RecognitionService service = make_service();
-  constexpr std::uint64_t kJobs = 8;
-  constexpr int kRounds = 6;
-  for (std::uint64_t job = 1; job <= kJobs; ++job) {
-    ASSERT_TRUE(service.open_job(job, 2));
-  }
-
-  std::vector<std::string> captures;
-  std::atomic<bool> done{false};
-  std::thread snapshotter([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      std::ostringstream out;
-      service.snapshot(out, captures.size());
-      captures.push_back(std::move(out).str());
-      std::this_thread::yield();
+  // the drain-token and verdict-queue locking, once with inline drains
+  // in push() and once deferred, with a scorer thread fanning
+  // process_pending across a pool (the serve --threads shape).
+  for (const bool deferred : {false, true}) {
+    RecognitionServiceConfig config;
+    config.deferred = deferred;
+    RecognitionService service = make_service(config);
+    constexpr std::uint64_t kJobs = 8;
+    constexpr int kRounds = 6;
+    for (std::uint64_t job = 1; job <= kJobs; ++job) {
+      ASSERT_TRUE(service.open_job(job, 2));
     }
-  });
 
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&, p] {
-      for (int round = 0; round < kRounds; ++round) {
-        for (std::uint64_t job = 1 + static_cast<std::uint64_t>(p);
-             job <= kJobs; job += 4) {
-          for (int t = 0; t < 130; ++t) {
-            for (std::uint32_t node = 0; node < 2; ++node) {
-              service.push(job, node, "nr_mapped_vmstat", t,
-                           job % 2 == 0 ? 6030.0 : 6080.0);
-            }
-          }
-        }
+    std::vector<std::string> captures;
+    std::atomic<bool> done{false};
+    std::thread snapshotter([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        std::ostringstream out;
+        service.snapshot(out, captures.size());
+        captures.push_back(std::move(out).str());
+        std::this_thread::yield();
       }
     });
-  }
-  for (auto& producer : producers) producer.join();
-  done.store(true, std::memory_order_release);
-  snapshotter.join();
+    util::ThreadPool pool(2);
+    std::thread scorer([&] {
+      while (deferred && !done.load(std::memory_order_acquire)) {
+        service.process_pending(&pool);
+        std::this_thread::yield();
+      }
+    });
 
-  ASSERT_FALSE(captures.empty());
-  for (std::size_t i = 0; i < captures.size(); ++i) {
-    RecognitionService fresh = make_service();
-    std::istringstream in(captures[i]);
-    const ServiceRestoreInfo info = fresh.restore(in);
-    EXPECT_EQ(info.replay_cursor, i);
+    std::vector<std::thread> producers;
+    for (int p = 0; p < 4; ++p) {
+      producers.emplace_back([&, p] {
+        for (int round = 0; round < kRounds; ++round) {
+          for (std::uint64_t job = 1 + static_cast<std::uint64_t>(p);
+               job <= kJobs; job += 4) {
+            stream_range(service, job, job % 2 == 0 ? 6030.0 : 6080.0, 0,
+                         130);
+          }
+        }
+      });
+    }
+    for (auto& producer : producers) producer.join();
+    done.store(true, std::memory_order_release);
+    snapshotter.join();
+    scorer.join();
+
+    ASSERT_FALSE(captures.empty());
+    for (std::size_t i = 0; i < captures.size(); ++i) {
+      RecognitionService fresh = make_service();
+      std::istringstream in(captures[i]);
+      const ServiceRestoreInfo info = fresh.restore(in);
+      EXPECT_EQ(info.replay_cursor, i) << "deferred=" << deferred;
+    }
   }
 }
 

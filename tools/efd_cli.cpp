@@ -150,7 +150,7 @@ int usage() {
       "             [--listen tcp:PORT|udp:PORT|shm:NAME]...  (repeatable:\n"
       "             every listener feeds the same service; default tcp)\n"
       "             [--policy block|drop-oldest|reject] [--queue-capacity N]\n"
-      "             [--workers N] [--ttl-seconds S] [--max-jobs N] [--quiet]\n"
+      "             [--ttl-seconds S] [--max-jobs N] [--quiet]\n"
       "             [--allow-shutdown] [--allow-swap] [--http PORT]\n"
       "             [--snapshot-path FILE] [--snapshot-interval-ms MS]\n"
       "             [--snapshot-every VERDICTS] [--restore]\n"
@@ -571,14 +571,31 @@ int cmd_serve(const util::ArgParser& args) {
     std::cerr << "unknown policy: " << policy << "\n";
     return usage();
   }
+  // The parser ignores unknown flags, so the removed --workers must fail
+  // loudly rather than quietly serve single-threaded.
+  if (args.has("workers")) {
+    std::cerr << "error: --workers is no longer supported; use --threads N "
+                 "to fan recognition out across N threads\n";
+    return usage();
+  }
+  // A negative capacity would wrap to an effectively unbounded queue
+  // (no back-pressure); a TTL <= 0 would evict every stream at the
+  // first sweep.
+  const long long queue_capacity = args.get_int("queue-capacity", 4096);
+  if (queue_capacity < 1) {
+    std::cerr << "error: --queue-capacity must be >= 1, got "
+              << queue_capacity << "\n";
+    return usage();
+  }
+  const long long ttl_seconds = args.get_int("ttl-seconds", 600);
+  if (ttl_seconds < 1) {
+    std::cerr << "error: --ttl-seconds must be >= 1, got " << ttl_seconds
+              << "\n";
+    return usage();
+  }
   service_config.job_queue_capacity =
-      static_cast<std::size_t>(args.get_int("queue-capacity", 4096));
-  // --workers N > 0 shards recognition across a persistent worker pool;
-  // 0 keeps the single-threaded poll-loop drain (process_pending).
-  service_config.worker_count =
-      static_cast<std::size_t>(args.get_int("workers", 0));
-  service_config.stale_ttl =
-      std::chrono::seconds(args.get_int("ttl-seconds", 600));
+      static_cast<std::size_t>(queue_capacity);
+  service_config.stale_ttl = std::chrono::seconds(ttl_seconds);
 
   const auto shard_count = static_cast<std::size_t>(args.get_int("shards", 0));
   core::ShardedDictionary dictionary =
@@ -586,9 +603,8 @@ int cmd_serve(const util::ArgParser& args) {
   std::cout << "serving dictionary: " << dictionary.size() << " keys across "
             << dictionary.shard_count() << " shards (policy "
             << core::backpressure_policy_name(service_config.policy)
-            << ", queue " << service_config.job_queue_capacity << ", workers "
-            << service_config.worker_count << ", ttl "
-            << args.get_int("ttl-seconds", 600) << " s)\n";
+            << ", queue " << service_config.job_queue_capacity << ", ttl "
+            << ttl_seconds << " s)\n";
   core::RecognitionService service(std::move(dictionary), service_config);
 
   // N listeners → one service: every --listen spec becomes a registered
@@ -747,13 +763,11 @@ int cmd_serve(const util::ArgParser& args) {
     follower_config.control = &sources;
     // Every replicated capture is validated by restoring the full local
     // chain into a throwaway service configured like the one a
-    // promotion would boot (workers off — it only replays).
-    core::RecognitionServiceConfig shadow_config = service_config;
-    shadow_config.worker_count = 0;
-    follower_config.shadow_factory = [dict, shard_count, shadow_config] {
+    // promotion would boot.
+    follower_config.shadow_factory = [dict, shard_count, service_config] {
       return std::make_unique<core::RecognitionService>(
           core::ShardedDictionary::load_file(dict, shard_count),
-          shadow_config);
+          service_config);
     };
     if (!args.has("quiet")) {
       follower_config.log = [](const std::string& line) {
