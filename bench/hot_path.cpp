@@ -285,11 +285,6 @@ int main(int argc, char** argv) {
   core::ShardedDictionary indexed_dict =
       core::ShardedDictionary::from_dictionary(dictionary);
   indexed_dict.compile_probe_index();
-  if (indexed_dict.probe_index() == nullptr) {
-    std::cerr << "bench_hot_path: no flat index compiled (EFD_FLAT_INDEX=off?);"
-                 " the lookup stage requires one\n";
-    return 1;
-  }
   std::vector<std::vector<core::FingerprintKey>> key_sets;
   std::size_t key_total = 0;
   for (const telemetry::ExecutionRecord& record : dataset.records()) {

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <fstream>
 #include <numeric>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
 #include "telemetry/execution_record.hpp"
 #include "util/string_utils.hpp"
@@ -175,8 +178,20 @@ std::vector<FingerprintKey> Dictionary::keys_for_label(
 }
 
 namespace {
+
 constexpr char kFormatTag[] = "EFD-DICT-V1";
+
+/// util::parse_int narrowed to T: nullopt when the text is not an integer
+/// or its value does not fit T, where a static_cast would wrap or
+/// truncate (a label count of 2^32 would become 0).
+template <typename T>
+std::optional<T> parse_as(std::string_view text) {
+  const auto value = util::parse_int(text);
+  if (!value || !std::in_range<T>(*value)) return std::nullopt;
+  return static_cast<T>(*value);
 }
+
+}  // namespace
 
 namespace detail {
 
@@ -245,18 +260,17 @@ Dictionary Dictionary::load(std::istream& in) {
     if (token == "intervals" || token.empty()) continue;
     const auto parts = util::split(token, ':');
     if (parts.size() != 2) return fail("bad interval token");
-    const auto begin = util::parse_int(parts[0]);
-    const auto end = util::parse_int(parts[1]);
+    const auto begin = parse_as<int>(parts[0]);
+    const auto end = parse_as<int>(parts[1]);
     if (!begin || !end) return fail("bad interval numbers");
-    config.intervals.push_back(
-        {static_cast<int>(*begin), static_cast<int>(*end)});
+    config.intervals.push_back({*begin, *end});
   }
 
   if (!std::getline(in, line) || !util::starts_with(line, "depth "))
     return fail("missing depth");
-  const auto depth = util::parse_int(line.substr(6));
+  const auto depth = parse_as<int>(line.substr(6));
   if (!depth) return fail("bad depth");
-  config.rounding_depth = static_cast<int>(*depth);
+  config.rounding_depth = *depth;
 
   if (!std::getline(in, line) || !util::starts_with(line, "combine "))
     return fail("missing combine flag");
@@ -274,15 +288,15 @@ Dictionary Dictionary::load(std::istream& in) {
     if (fields.size() != 5) return fail("bad key row");
     FingerprintKey key;
     key.metric = fields[0];
-    const auto node = util::parse_int(fields[1]);
+    const auto node = parse_as<std::uint32_t>(fields[1]);
     if (!node) return fail("bad node id");
-    key.node_id = static_cast<std::uint32_t>(*node);
+    key.node_id = *node;
     const auto interval_parts = util::split(fields[2], ':');
     if (interval_parts.size() != 2) return fail("bad key interval");
-    const auto ib = util::parse_int(interval_parts[0]);
-    const auto ie = util::parse_int(interval_parts[1]);
+    const auto ib = parse_as<int>(interval_parts[0]);
+    const auto ie = parse_as<int>(interval_parts[1]);
     if (!ib || !ie) return fail("bad key interval numbers");
-    key.interval = {static_cast<int>(*ib), static_cast<int>(*ie)};
+    key.interval = {*ib, *ie};
     for (const std::string& mean_text : util::split(fields[3], ',')) {
       const auto mean = util::parse_double(mean_text);
       if (!mean) return fail("bad mean");
@@ -291,10 +305,10 @@ Dictionary Dictionary::load(std::istream& in) {
     for (const std::string& label_token : util::split(fields[4], ',')) {
       const auto eq = label_token.rfind('=');
       if (eq == std::string::npos) return fail("bad label token");
-      const auto count = util::parse_int(label_token.substr(eq + 1));
+      const auto count = parse_as<std::uint32_t>(label_token.substr(eq + 1));
       if (!count || *count < 1) return fail("bad label count");
       const std::string label = label_token.substr(0, eq);
-      dictionary.insert(key, label, static_cast<std::uint32_t>(*count));
+      dictionary.insert(key, label, *count);
     }
   }
   return dictionary;

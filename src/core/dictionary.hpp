@@ -77,8 +77,8 @@ class Dictionary : public DictionaryView {
   /// The label interner entries' label_ids index into. Shared (not
   /// deep-copied) between copies of a dictionary: the table is
   /// append-only, so a copy's ids stay valid against the shared table.
-  const LabelTable* label_table() const noexcept override {
-    return labels_.get();
+  const LabelTable& label_table() const noexcept override {
+    return *labels_;
   }
 
   /// Number of unique keys.
@@ -140,7 +140,9 @@ class Dictionary : public DictionaryView {
   void save(std::ostream& out) const;
   void save_file(const std::string& path) const;
 
-  /// Deserializes; throws std::runtime_error on malformed input.
+  /// Deserializes; throws std::runtime_error on malformed input,
+  /// including integers that do not fit their field (a node id or label
+  /// count outside u32, an interval bound or depth outside int).
   static Dictionary load(std::istream& in);
   static Dictionary load_file(const std::string& path);
 

@@ -8,9 +8,10 @@
 /// is the RCU-snapshot publication point that makes that safe, the same
 /// pattern ApplicationRegistry uses for application epoch order:
 ///
-///  - The active dictionary lives inside an immutable-identity Epoch
-///    (its ShardedDictionary stays internally synchronized, so learn()
-///    keeps inserting into the active epoch). Readers pin an epoch once
+///  - The active dictionary lives inside an immutable Epoch: a const
+///    ShardedDictionary with its flat probe index compiled before
+///    publication. New keys arrive as a successor epoch via swap(),
+///    never by mutating a published one. Readers pin an epoch once
 ///    per stream via acquire() — one shared_ptr copy under a leaf mutex
 ///    — and then touch only the pinned epoch for the stream's whole
 ///    life: the per-sample recognition hot path never revisits the
@@ -41,24 +42,27 @@ namespace efd::core {
 /// Publication point for the active dictionary epoch.
 class DictionaryHandle {
  public:
-  /// One published dictionary generation. The version is immutable; the
-  /// dictionary itself is internally synchronized (online learning keeps
-  /// inserting into the active epoch while streams recognize against it).
+  /// One published dictionary generation, immutable as a whole.
   struct Epoch {
     /// Construction is the publication point for the dictionary's derived
     /// read structures: the flat probe index (dictionary_index.hpp) is
-    /// compiled here, so every path that publishes an epoch — initial
-    /// handle construction (train completion), swap(), and the snapshot
-    /// restorer's pre-built epoch for reset() — atomically ships
-    /// structure + index together. In-flight streams keep their pinned
-    /// epoch's index; EFD_FLAT_INDEX=off skips compilation.
+    /// compiled before the const member is initialised, so every path
+    /// that publishes an epoch — initial handle construction (train
+    /// completion), swap(), and the snapshot restorer's pre-built epoch
+    /// for reset() — ships structure + index together, and neither can
+    /// change afterwards. In-flight streams keep their pinned epoch's
+    /// index.
     Epoch(std::uint64_t version, ShardedDictionary dictionary)
-        : version(version), dictionary(std::move(dictionary)) {
-      this->dictionary.compile_probe_index();
-    }
+        : version(version), dictionary(compiled(std::move(dictionary))) {}
 
     const std::uint64_t version;
-    ShardedDictionary dictionary;
+    const ShardedDictionary dictionary;
+
+   private:
+    static ShardedDictionary compiled(ShardedDictionary dictionary) {
+      dictionary.compile_probe_index();
+      return dictionary;
+    }
   };
 
   /// The initial dictionary becomes epoch 1.

@@ -4,14 +4,11 @@
 #include <bit>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <unordered_map>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #endif
-
-#include "core/label_table.hpp"
 
 namespace efd::core {
 
@@ -102,13 +99,6 @@ std::uint8_t tag_of(std::uint64_t hash) noexcept {
 
 const char* index_kernel_name() noexcept { return scan_dispatch().name; }
 
-bool flat_index_enabled() noexcept {
-  const char* env = std::getenv("EFD_FLAT_INDEX");
-  if (env == nullptr) return true;
-  return !(std::strcmp(env, "off") == 0 || std::strcmp(env, "OFF") == 0 ||
-           std::strcmp(env, "0") == 0 || std::strcmp(env, "false") == 0);
-}
-
 std::uint64_t DictionaryIndex::hash_key(const FingerprintKey& key) noexcept {
   std::uint64_t h = static_cast<std::uint64_t>(FingerprintKeyHash{}(key));
   h ^= h >> 30;
@@ -168,13 +158,6 @@ std::shared_ptr<const DictionaryIndex> DictionaryIndex::compile(
   std::size_t means_total = 0;
   std::size_t labels_total = 0;
   for (const auto& [key, entry] : entries) {
-    // The id-based payload must be trustworthy for every entry: content
-    // populated outside insert() (misaligned or unassigned ids) keeps the
-    // whole dictionary on the sharded path, which scores it string-keyed.
-    if (entry.label_ids.size() != entry.labels.size()) return nullptr;
-    for (const std::uint32_t id : entry.label_ids) {
-      if (id == kNoLabelId) return nullptr;
-    }
     means_total += key.rounded_means.size();
     labels_total += entry.label_ids.size();
   }

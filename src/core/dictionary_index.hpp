@@ -33,11 +33,11 @@
 /// the shard maps exactly because equality is FingerprintKey::operator==
 /// and the table holds precisely the published key set.
 ///
-/// The index is derived state: never serialized (EFD-DICT-V1 unchanged),
-/// rebuilt from content at every publish, and dropped — not patched — the
-/// moment the owning dictionary learns a new observation (see
-/// ShardedDictionary::probe_index). EFD_FLAT_INDEX=off disables
-/// compilation entirely, restoring the sharded lookup path.
+/// The index is derived state: never serialized (EFD-DICT-V1 unchanged)
+/// and compiled once per published epoch, whose dictionary is const from
+/// then on, so an index is never patched or invalidated while readers
+/// hold it. A mutator on a not-yet-published dictionary drops the index
+/// (see ShardedDictionary::probe_index).
 
 #include <cstddef>
 #include <cstdint>
@@ -71,11 +71,6 @@ void tag_scan_avx2(const std::uint8_t* tags, std::uint8_t tag,
 /// Name of the dispatched tag-scan kernel ("avx2" or "scalar").
 const char* index_kernel_name() noexcept;
 
-/// EFD_FLAT_INDEX gate, read per call so tests can toggle: "off"/"OFF"/
-/// "0"/"false" disable index compilation (the escape hatch back to the
-/// sharded probe path); anything else — including unset — enables it.
-bool flat_index_enabled() noexcept;
-
 /// The compiled index. Immutable after compile(); concurrent probes from
 /// any number of threads are safe (const reads of frozen arrays).
 class DictionaryIndex {
@@ -102,10 +97,9 @@ class DictionaryIndex {
   /// Compiles the index from a dictionary's sorted_entries() output.
   /// Deterministic: identical content (in identical order) produces an
   /// identical table shape regardless of which process builds it — the
-  /// restored-snapshot-equals-live-training test leans on this. Returns
-  /// nullptr when any entry's label_ids are misaligned or unassigned
-  /// (content populated outside insert()): callers then keep the sharded
-  /// path, which handles such entries string-keyed.
+  /// restored-snapshot-equals-live-training test leans on this. Every
+  /// entry's label_ids must be aligned with its labels, which insert()
+  /// guarantees by interning each label before it writes the entry.
   static std::shared_ptr<const DictionaryIndex> compile(
       const std::vector<std::pair<FingerprintKey, DictionaryEntry>>& entries);
 

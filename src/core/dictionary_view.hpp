@@ -13,7 +13,10 @@
 /// lookup_entry copies the entry out instead of returning a pointer:
 /// concurrent implementations hold their shard lock only for the
 /// duration of the copy, so readers never observe a half-written entry
-/// while training keeps inserting.
+/// while training keeps inserting. Served dictionaries are published
+/// epochs (dictionary_handle.hpp): const, with a compiled probe_index()
+/// that the scorer reads instead; the copy-out path serves uncompiled
+/// dictionaries and is the index's parity reference.
 
 #include <string>
 
@@ -45,19 +48,16 @@ class DictionaryView {
   /// unknown applications rank last.
   virtual std::size_t application_order(const std::string& application) const = 0;
 
-  /// Label interner backing the allocation-free id-based scoring path, or
-  /// nullptr when the implementation does not provide one (callers fall
-  /// back to string-keyed scoring). The table is append-only and owned by
-  /// the dictionary; ids are stable for the dictionary's lifetime.
-  virtual const LabelTable* label_table() const noexcept { return nullptr; }
+  /// Label interner backing the allocation-free id-based scoring path.
+  /// insert() interns every label before it writes the entry, so every
+  /// entry's label_ids resolve here. The table is append-only and owned
+  /// by the dictionary; ids are stable for the dictionary's lifetime.
+  virtual const LabelTable& label_table() const noexcept = 0;
 
-  /// Compiled flat probe index (dictionary_index.hpp), or nullptr when no
-  /// index is published — because the implementation never compiles one,
-  /// EFD_FLAT_INDEX=off, or the dictionary has learned since the last
-  /// compile (the index is a snapshot of frozen content, never patched).
-  /// Callers holding the dictionary may hold the returned pointer for the
-  /// same lifetime: a compiled index is only ever released with its
-  /// dictionary.
+  /// Compiled flat probe index (dictionary_index.hpp), or nullptr when
+  /// none is compiled (Dictionary never compiles one; a ShardedDictionary
+  /// compiles when published as an epoch). A published epoch is const,
+  /// so callers holding it may hold the returned pointer as long.
   virtual const DictionaryIndex* probe_index() const noexcept {
     return nullptr;
   }

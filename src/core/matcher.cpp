@@ -93,18 +93,13 @@ RecognitionResult Matcher::recognize(const telemetry::ExecutionRecord& record,
 
 void Matcher::recognize_keys_into(std::span<const FingerprintKey> keys,
                                   RecognitionScratch& scratch) const {
-  const LabelTable* table = dictionary_->label_table();
-  if (table == nullptr) {
-    scratch.set_legacy(recognize_key_span(keys));
-    return;
-  }
+  scratch.begin(dictionary_->label_table());
   if (const DictionaryIndex* index = dictionary_->probe_index()) {
     // Flat-index batch probe: every key's hash first (one pass of pure
     // arithmetic over the arena), then a software-pipelined probe loop —
     // prefetch probe i+K's bucket while resolving probe i, so the
     // random-access cache miss of each lookup overlaps the tag scan and
     // vote tally of an earlier one instead of serializing behind it.
-    scratch.begin(*table);
     std::vector<std::uint64_t>& hashes = scratch.hash_buffer();
     hashes.resize(keys.size());
     for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -117,24 +112,14 @@ void Matcher::recognize_keys_into(std::span<const FingerprintKey> keys,
       }
       const DictionaryIndex::Entry* entry =
           index->find_hashed(keys[i], hashes[i]);
-      if (entry == nullptr) continue;
-      if (!scratch.score_entry_ids(index->label_ids(*entry))) {
-        scratch.set_legacy(recognize_key_span(keys));  // defensive
-        return;
-      }
+      if (entry != nullptr) scratch.score_entry_ids(index->label_ids(*entry));
     }
-    scratch.finish(*dictionary_, keys.size());
-    return;
-  }
-  scratch.begin(*table);
-  DictionaryEntry& entry = scratch.entry_buffer();
-  for (const FingerprintKey& key : keys) {
-    if (!dictionary_->lookup_entry(key, entry)) continue;
-    if (!scratch.score_entry(entry)) {
-      // Defensive: an entry without aligned ids means the dictionary was
-      // populated outside insert(); score the whole set string-keyed.
-      scratch.set_legacy(recognize_key_span(keys));
-      return;
+  } else {
+    DictionaryEntry& entry = scratch.entry_buffer();
+    for (const FingerprintKey& key : keys) {
+      if (dictionary_->lookup_entry(key, entry)) {
+        scratch.score_entry_ids(entry.label_ids);
+      }
     }
   }
   scratch.finish(*dictionary_, keys.size());

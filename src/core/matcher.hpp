@@ -89,8 +89,8 @@ class Matcher {
   /// Allocation-free scoring into a worker-local scratch: votes are
   /// tallied in interned-id space (recognition_scratch.hpp) and read via
   /// scratch.result(), or rendered to a RecognitionResult with
-  /// scratch.render_result(). Falls back to string-keyed scoring (same
-  /// answers, with allocations) when the dictionary has no label table.
+  /// scratch.render_result(). Probes the dictionary's compiled index when
+  /// it has one, else its copy-out lookup; both yield the same votes.
   void recognize_keys_into(std::span<const FingerprintKey> keys,
                            RecognitionScratch& scratch) const;
 
@@ -118,8 +118,8 @@ class Matcher {
   std::vector<std::size_t> resolve_metric_slots(
       const telemetry::Dataset& dataset) const;
 
-  /// String-keyed scoring shared by recognize_keys and the scratch
-  /// fallback path.
+  /// String-keyed scoring behind recognize_keys: the reference the
+  /// id-space path is checked against.
   RecognitionResult recognize_key_span(
       std::span<const FingerprintKey> keys) const;
 

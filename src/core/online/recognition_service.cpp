@@ -54,9 +54,7 @@ RecognitionService::SwapOutcome RecognitionService::swap_dictionary(
   // Already-active guard: EFD-DICT-V1 serialization is deterministic
   // (sorted entries, config included), so byte equality is content AND
   // layout identity. Swaps are a retrain cadence, not a hot path — two
-  // serializations per attempt is fine, and comparing fresh bytes (not a
-  // publication-time hash) stays correct after learn() inserted into the
-  // active epoch.
+  // serializations per attempt is fine.
   {
     const auto active = handle_.acquire();
     std::ostringstream active_bytes, candidate_bytes;
@@ -74,11 +72,6 @@ std::int64_t RecognitionService::now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-void RecognitionService::learn(const FingerprintKey& key,
-                               const std::string& label) {
-  handle_.acquire()->dictionary.insert(key, label);
 }
 
 RecognitionService::SourceIngress* RecognitionService::ingress_for(

@@ -51,9 +51,10 @@
 ///    DictionaryHandle (RCU snapshot). Each stream pins the epoch that
 ///    was active when it opened and recognizes against it for its whole
 ///    life; swap_dictionary() atomically publishes a retrained successor
-///    for new streams without touching in-flight ones. learn() inserts
-///    into the active epoch (ShardedDictionary is internally
-///    synchronized) and may run concurrently with every recognition path.
+///    for new streams without touching in-flight ones. A published epoch
+///    is const, so recognition reads it without any dictionary lock on
+///    the index path; new keys ("learning new applications is as simple
+///    as adding new keys") reach the service as such a successor.
 ///
 /// Durability: snapshot() serializes the whole service — active
 /// dictionary epoch, every open stream's accumulators and queue, pending
@@ -174,10 +175,10 @@ struct RecognitionServiceStats {
   /// finish against it; drops to 0 once pre-swap streams drain).
   std::size_t jobs_on_stale_epoch = 0;
   /// Flat probe index (dictionary_index.hpp) of the active epoch: compile
-  /// wall-clock cost and resident footprint. Both 0 when no index was
-  /// compiled (EFD_FLAT_INDEX=off or unusable content); the build cost is
-  /// reported even after online learning staled the index, so the
-  /// swap-time cost stays visible on the scrape.
+  /// wall-clock cost and resident footprint. Every epoch compiles its
+  /// index at publication and never changes after, so both describe the
+  /// index every new stream probes (index_bytes is 0 only for an empty
+  /// dictionary).
   double index_build_seconds = 0.0;
   std::uint64_t index_bytes = 0;
   /// Per-source ingress, ordered by tag. Populated only once a tagged
@@ -234,12 +235,6 @@ class RecognitionService {
   const DictionaryHandle& dictionary_handle() const noexcept { return handle_; }
   const RecognitionServiceConfig& config() const noexcept { return config_; }
 
-  /// Online learning passthrough: thread-safe against all recognition
-  /// paths ("learning new applications is as simple as adding new keys").
-  /// Inserts into the ACTIVE epoch; streams pinned to older epochs do
-  /// not see the new key.
-  void learn(const FingerprintKey& key, const std::string& label);
-
   /// What swap_dictionary did with a candidate.
   struct SwapOutcome {
     std::uint64_t epoch = 0;    ///< active epoch after the call
@@ -257,9 +252,9 @@ class RecognitionService {
   /// already-active: the epoch does not advance, the outcome reports the
   /// current version, and the attempt is counted in
   /// ServiceStats::dictionary_swaps_noop. The identity check is advisory
-  /// under races (a concurrent learn() or competing swap between the
-  /// comparison and the publication can let a now-identical candidate
-  /// through); every committed swap is still a fully consistent epoch.
+  /// under races (a competing swap between the comparison and the
+  /// publication can let a now-identical candidate through); every
+  /// committed swap is still a fully consistent epoch.
   /// Thread-safe against every other method (including concurrent swaps,
   /// which serialize).
   SwapOutcome swap_dictionary(ShardedDictionary next);

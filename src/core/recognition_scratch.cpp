@@ -13,7 +13,6 @@ FingerprintKey& RecognitionScratch::next_key() {
 
 void RecognitionScratch::begin(const LabelTable& table) {
   table_ = &table;
-  fell_back_ = false;
 
   const std::size_t labels = table.label_count();
   const std::size_t apps = table.application_count();
@@ -44,7 +43,7 @@ void RecognitionScratch::begin(const LabelTable& table) {
   result_.label_votes.clear();
 }
 
-bool RecognitionScratch::score_entry_ids(
+void RecognitionScratch::score_entry_ids(
     std::span<const std::uint32_t> label_ids) {
   ++result_.matched_count;
   ++entry_serial_;
@@ -53,7 +52,6 @@ bool RecognitionScratch::score_entry_ids(
     // Concurrent interning can publish ids past the counts begin() saw;
     // grow to cover them (rare, training-time only).
     if (label_id >= label_votes_.size()) {
-      if (label_id == kNoLabelId) return false;
       label_votes_.resize(label_id + 1, 0);
       label_stamp_.resize(label_id + 1, 0);
     }
@@ -66,7 +64,6 @@ bool RecognitionScratch::score_entry_ids(
 
     const std::uint32_t app = table_->application_of(label_id);
     if (app >= app_votes_.size()) {
-      if (app == kNoLabelId) return false;
       app_votes_.resize(app + 1, 0);
       app_stamp_.resize(app + 1, 0);
       app_entry_stamp_.resize(app + 1, 0);
@@ -84,7 +81,6 @@ bool RecognitionScratch::score_entry_ids(
       ++app_votes_[app];
     }
   }
-  return true;
 }
 
 void RecognitionScratch::finish(const DictionaryView& dictionary,
@@ -117,16 +113,7 @@ void RecognitionScratch::finish(const DictionaryView& dictionary,
   result_.recognized = true;
 }
 
-void RecognitionScratch::set_legacy(RecognitionResult&& result) {
-  legacy_result_ = std::move(result);
-  fell_back_ = true;
-}
-
 void RecognitionScratch::render_result(RecognitionResult& out) const {
-  if (fell_back_) {
-    out = legacy_result_;
-    return;
-  }
   if (table_ == nullptr) {  // render before any scoring pass
     out = RecognitionResult{};
     return;

@@ -113,21 +113,12 @@ class RecognitionScratch {
   /// the table and advances the generation stamp (O(1) logical clear).
   void begin(const LabelTable& table);
 
-  /// Tallies one matched entry's votes. Returns false when the entry's
-  /// label_ids are unusable (misaligned with labels) — the caller falls
-  /// back to string-keyed scoring for the whole key set.
-  bool score_entry(const DictionaryEntry& entry) {
-    if (entry.label_ids.size() != entry.labels.size()) return false;
-    return score_entry_ids(entry.label_ids);
-  }
-
-  /// The tallying core, shared verbatim by the sharded copy-out path
-  /// (score_entry) and the flat-index path (which feeds
-  /// DictionaryIndex::label_ids spans directly) — vote parity between the
-  /// two probe paths holds by construction, not by testing alone.
-  /// Returns false on an unassigned id (defensive; compiled indexes
-  /// reject those at build time).
-  bool score_entry_ids(std::span<const std::uint32_t> label_ids);
+  /// Tallies one matched entry's votes from its interned label ids,
+  /// shared verbatim by the sharded copy-out path (DictionaryEntry's
+  /// label_ids) and the flat-index path (DictionaryIndex::label_ids
+  /// spans) — vote parity between the two probe paths holds by
+  /// construction, not by testing alone.
+  void score_entry_ids(std::span<const std::uint32_t> label_ids);
 
   /// Finalizes result(): copies touched votes out and computes the tied
   /// winner array in \p dictionary first-seen order.
@@ -136,17 +127,8 @@ class RecognitionScratch {
   /// Reused copy-out buffer for DictionaryView::lookup_entry.
   DictionaryEntry& entry_buffer() noexcept { return entry_; }
 
-  /// Records a string-keyed result produced by the legacy fallback path;
-  /// render_result() then returns it verbatim.
-  void set_legacy(RecognitionResult&& result);
-
-  /// The id-space result of the last scoring pass. Meaningful only when
-  /// !fell_back().
+  /// The id-space result of the last scoring pass.
   const IdRecognitionResult& result() const noexcept { return result_; }
-
-  /// True when the last pass used the string-keyed fallback (dictionary
-  /// without a label table, or defensive id misalignment).
-  bool fell_back() const noexcept { return fell_back_; }
 
   /// Renders the last result as the legacy string-keyed struct. This is
   /// the allocating step (strings, map nodes); call it once per verdict,
@@ -180,8 +162,6 @@ class RecognitionScratch {
   const LabelTable* table_ = nullptr;
 
   IdRecognitionResult result_;
-  bool fell_back_ = false;
-  RecognitionResult legacy_result_;
 };
 
 }  // namespace efd::core

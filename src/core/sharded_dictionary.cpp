@@ -29,35 +29,8 @@ ShardedDictionary::ShardedDictionary(FingerprintConfig config,
   }
 }
 
-ShardedDictionary::ShardedDictionary(ShardedDictionary&& other) noexcept
-    : config_(std::move(other.config_)),
-      shards_(std::move(other.shards_)),
-      applications_(std::move(other.applications_)),
-      labels_(std::move(other.labels_)),
-      index_(std::move(other.index_)),
-      index_stale_(other.index_stale_.load(std::memory_order_relaxed)) {}
-
-ShardedDictionary& ShardedDictionary::operator=(
-    ShardedDictionary&& other) noexcept {
-  if (this != &other) {
-    config_ = std::move(other.config_);
-    shards_ = std::move(other.shards_);
-    applications_ = std::move(other.applications_);
-    labels_ = std::move(other.labels_);
-    index_ = std::move(other.index_);
-    index_stale_.store(other.index_stale_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-  }
-  return *this;
-}
-
 void ShardedDictionary::compile_probe_index() {
-  if (!flat_index_enabled()) {
-    index_.reset();
-    return;
-  }
   index_ = DictionaryIndex::compile(sorted_entries());
-  index_stale_.store(false, std::memory_order_release);
 }
 
 std::size_t ShardedDictionary::shard_of(
@@ -82,11 +55,10 @@ void ShardedDictionary::insert(const FingerprintKey& key,
                                const std::string& label,
                                std::uint32_t count) {
   if (count == 0) return;
-  // Online learning into a published epoch outdates its compiled index:
-  // hide it BEFORE the shard mutation so a probe that still sees the
-  // index races only with this insert's visibility (the same guarantee a
-  // reader overlapping the shard lock had), never with a later one.
-  invalidate_probe_index();
+  // Only an unpublished dictionary is ever mutated (epochs are const), so
+  // nothing probes the index this drops. The guard keeps concurrent
+  // training inserts, which never have an index, to reads of index_.
+  if (index_) index_.reset();
   // Lock-free when the application is already registered (every insert
   // but an application's first); no lock is ever held with a shard mutex.
   // Interning likewise happens before the shard lock, so a reader that
@@ -128,7 +100,7 @@ std::vector<std::string> ShardedDictionary::applications_in_order() const {
 }
 
 std::size_t ShardedDictionary::prune_rare(std::uint32_t min_observations) {
-  invalidate_probe_index();
+  if (index_) index_.reset();
   std::size_t removed = 0;
   for (const auto& shard : shards_) {
     std::unique_lock lock(shard->mutex);

@@ -6,9 +6,11 @@
 /// The single hash table of dictionary.hpp is split into N shards, each
 /// owning a disjoint slice of the key space (shard = hash(key) mod N)
 /// behind its own std::shared_mutex. Lookups take a shard's shared lock;
-/// inserts take its exclusive lock — so a production deployment can keep
-/// learning new executions while many recognition streams query
-/// concurrently, with contention limited to 1/N of the key space.
+/// inserts take its exclusive lock — so parallel training can insert from
+/// many threads while lookups run, with contention limited to 1/N of the
+/// key space. A served dictionary never changes: DictionaryHandle
+/// publishes each epoch as a const ShardedDictionary with its flat probe
+/// index compiled, and new keys arrive in a successor epoch.
 ///
 /// Tie-break semantics stay paper-identical: application first-seen
 /// order is a *global* epoch counter held in an ApplicationRegistry
@@ -30,7 +32,6 @@
 ///    lock one shard at a time; they are safe against concurrent
 ///    inserts/lookups but see a point-in-time view per shard.
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -64,8 +65,8 @@ class ShardedDictionary final : public DictionaryView {
                              std::size_t shard_count = 0);
 
   /// Movable (not thread-safe to move while in use), not copyable.
-  ShardedDictionary(ShardedDictionary&& other) noexcept;
-  ShardedDictionary& operator=(ShardedDictionary&& other) noexcept;
+  ShardedDictionary(ShardedDictionary&& other) noexcept = default;
+  ShardedDictionary& operator=(ShardedDictionary&& other) noexcept = default;
   ShardedDictionary(const ShardedDictionary&) = delete;
   ShardedDictionary& operator=(const ShardedDictionary&) = delete;
 
@@ -76,8 +77,8 @@ class ShardedDictionary final : public DictionaryView {
   /// therefore id values) depends on insert interleaving under parallel
   /// training; ids are never serialized or compared across dictionaries,
   /// so this nondeterminism is unobservable.
-  const LabelTable* label_table() const noexcept override {
-    return labels_.get();
+  const LabelTable& label_table() const noexcept override {
+    return *labels_;
   }
 
   /// Shard index a key lives in (stable for the dictionary's lifetime).
@@ -143,27 +144,23 @@ class ShardedDictionary final : public DictionaryView {
                                            std::size_t shard_count = 0);
   Dictionary to_dictionary() const;
 
-  /// Compiles the flat probe index from the current content (no-op under
-  /// EFD_FLAT_INDEX=off). Call ONLY while the dictionary is frozen and
-  /// pre-publication — DictionaryHandle::Epoch's constructor is the
-  /// intended (and sole in-tree) production call site, covering train
-  /// completion, epoch swap, and snapshot restore. The index is derived
-  /// state: never serialized, and hidden again by the stale flag the
-  /// moment insert()/merge()/prune_rare() mutate the content.
+  /// Compiles the flat probe index from the current content. Not safe
+  /// against concurrent mutators. DictionaryHandle::Epoch's constructor
+  /// is the production call site (train completion, epoch swap, snapshot
+  /// restore); it compiles before the epoch's const member exists. The
+  /// index is derived state: never serialized, and dropped again if
+  /// insert()/merge()/prune_rare() later mutate this (unpublished)
+  /// dictionary.
   void compile_probe_index();
 
-  /// The compiled index, or nullptr when none was compiled or the content
-  /// has mutated since compilation (online learn() into the active epoch
-  /// self-invalidates; readers fall back to the sharded path). Lock-free.
+  /// The compiled index, or nullptr when none is compiled (a dictionary
+  /// that was never published, or one mutated since its compile: those
+  /// probe through the sharded copy-out path). Lock-free.
   const DictionaryIndex* probe_index() const noexcept override {
-    if (index_ == nullptr) return nullptr;
-    if (index_stale_.load(std::memory_order_acquire)) return nullptr;
     return index_.get();
   }
 
-  /// Build cost / footprint of the last compiled index (0 when none) —
-  /// reported even while stale, so the swap-time gauges survive the
-  /// first post-swap learn(). Lock-free.
+  /// Build cost / footprint of the compiled index (0 when none).
   double index_build_seconds() const noexcept {
     return index_ != nullptr ? index_->build_seconds() : 0.0;
   }
@@ -172,15 +169,6 @@ class ShardedDictionary final : public DictionaryView {
   }
 
  private:
-  /// Hides the index from probe_index() on the first content mutation
-  /// after compilation. The branch keeps training-loop inserts (index_
-  /// never compiled) from hammering a shared cache line.
-  void invalidate_probe_index() noexcept {
-    if (index_ != nullptr && !index_stale_.load(std::memory_order_relaxed)) {
-      index_stale_.store(true, std::memory_order_release);
-    }
-  }
-
   struct Shard {
     mutable std::shared_mutex mutex;
     std::unordered_map<FingerprintKey, DictionaryEntry, FingerprintKeyHash>
@@ -191,11 +179,10 @@ class ShardedDictionary final : public DictionaryView {
   std::vector<std::unique_ptr<Shard>> shards_;
   ApplicationRegistry applications_;
   std::shared_ptr<LabelTable> labels_ = std::make_shared<LabelTable>();
-  /// Set once by compile_probe_index() before publication, then released
-  /// only with the dictionary — so probe_index()'s raw pointer stays
-  /// valid for every reader that outlives its epoch pin.
+  /// Set by compile_probe_index() before publication; a published epoch
+  /// is const, so its index lives exactly as long as the dictionary and
+  /// probe_index()'s raw pointer stays valid for every epoch pin.
   std::shared_ptr<const DictionaryIndex> index_;
-  std::atomic<bool> index_stale_{false};
 };
 
 }  // namespace efd::core

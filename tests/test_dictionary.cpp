@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 namespace {
@@ -206,6 +207,36 @@ TEST(Dictionary, LoadRejectsMalformedInputs) {
   expect_throws(
       "EFD-DICT-V1\nmetrics m\nintervals 60:120\ndepth 2\ncombine 0\n"
       "keys 1\nm|0|60:120|abc|ft_X=1\n");               // bad mean
+
+  // Integers outside the field's type are rejected, not narrowed: a
+  // wrapped label count would silently drop (2^32 -> 0) or rewrite
+  // (2^32 + 1 -> 1) an observation.
+  const std::string header =
+      "EFD-DICT-V1\nmetrics m\nintervals 60:120\ndepth 2\ncombine 0\n";
+  expect_throws(header + "keys 1\nm|0|60:120|6000|ft_X=4294967296\n");
+  expect_throws(header + "keys 1\nm|0|60:120|6000|ft_X=4294967297\n");
+  expect_throws(header + "keys 1\nm|-1|60:120|6000|ft_X=1\n");
+  expect_throws(header + "keys 1\nm|4294967296|60:120|6000|ft_X=1\n");
+  expect_throws(header + "keys 1\nm|0|60:2147483648|6000|ft_X=1\n");
+  expect_throws(header + "keys 1\nm|0|-2147483649:120|6000|ft_X=1\n");
+  expect_throws(
+      "EFD-DICT-V1\nmetrics m\nintervals 60:4294967416\ndepth 2\n"
+      "combine 0\nkeys 0\n");                           // interval > int
+  expect_throws(
+      "EFD-DICT-V1\nmetrics m\nintervals 60:120\ndepth 4294967298\n"
+      "combine 0\nkeys 0\n");                           // depth > int
+
+  // The extremes that do fit still load.
+  std::istringstream extremes(
+      header + "keys 1\nm|4294967295|-2147483648:2147483647|6000|"
+               "ft_X=4294967295\n");
+  const Dictionary loaded = Dictionary::load(extremes);
+  ASSERT_EQ(loaded.size(), 1u);
+  const auto [key, entry] = loaded.sorted_entries().front();
+  EXPECT_EQ(key.node_id, 4294967295u);
+  EXPECT_EQ(key.interval.begin_seconds, std::numeric_limits<int>::min());
+  EXPECT_EQ(key.interval.end_seconds, std::numeric_limits<int>::max());
+  EXPECT_EQ(entry.counts, std::vector<std::uint32_t>{4294967295u});
 }
 
 TEST(Dictionary, FileRoundTrip) {

@@ -2,16 +2,16 @@
 /// \brief Flat probe index suite: verdict parity between the index and
 /// sharded probe paths (randomized dictionaries, tie order, empty and
 /// collision-heavy tables), restored-snapshot == live-training index
-/// equivalence, EFD_FLAT_INDEX gating, publication at every epoch
-/// point, scalar/AVX2 tag-scan mask identity, and a TSan-facing
-/// swap-storm test (workers probing while epochs churn).
+/// equivalence, index drop on mutation of an unpublished dictionary,
+/// publication at every epoch point, scalar/AVX2 tag-scan mask identity,
+/// and a TSan-facing swap-storm test (workers probing while epochs
+/// churn).
 
 #include "core/dictionary_index.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <random>
 #include <sstream>
 #include <thread>
@@ -28,13 +28,6 @@ namespace {
 
 using namespace efd;
 using namespace efd::core;
-
-// This suite exercises both sides of the EFD_FLAT_INDEX toggle itself
-// (FlatIndexOffDisablesCompilationAndKeepsVerdicts flips it off
-// locally), so pin it on before main — under an ambient
-// EFD_FLAT_INDEX=off run every compilation-dependent test would
-// otherwise fail for the wrong reason.
-const int kPinFlatIndexOn = (::setenv("EFD_FLAT_INDEX", "on", 1), 0);
 
 FingerprintKey key_of(double mean, std::uint32_t node = 0,
                       const std::string& metric = "nr_mapped_vmstat") {
@@ -298,50 +291,34 @@ TEST(DictionaryIndex, RestoredSnapshotIndexEqualsLiveTrainingIndex) {
                      "live vs restored");
 }
 
-TEST(DictionaryIndex, LearnInvalidatesPublishedIndex) {
+TEST(DictionaryIndex, MutatingAnUnpublishedDictionaryDropsItsIndex) {
   ShardedDictionary dictionary(config_of(), 4);
   dictionary.insert(key_of(6000.0), "ft_X");
   dictionary.compile_probe_index();
   ASSERT_NE(dictionary.probe_index(), nullptr);
   EXPECT_GT(dictionary.index_resident_bytes(), 0u);
 
-  // Online learning into the published epoch: the index is a snapshot of
-  // frozen content, so the first insert hides it...
+  // The index is a snapshot of the content it was compiled from, so a
+  // mutation drops it rather than leaving it to answer for stale keys...
   dictionary.insert(key_of(8000.0), "lu_X");
   EXPECT_EQ(dictionary.probe_index(), nullptr);
-  // ...but the swap-time gauges keep reporting the last compile.
-  EXPECT_GT(dictionary.index_resident_bytes(), 0u);
+  EXPECT_EQ(dictionary.index_resident_bytes(), 0u);
 
-  // The sharded fallback sees the new observation immediately.
+  // ...and the sharded copy-out path sees the new observation.
   const std::vector<FingerprintKey> keys = {key_of(8000.0)};
   EXPECT_EQ(scored_via(dictionary, keys).prediction(), "lu");
 
-  // Recompiling (what the next epoch publication does) restores the
-  // fast path with the learned content included.
+  // Recompiling (what publishing the dictionary as an epoch does)
+  // restores the index with the new key included.
   dictionary.compile_probe_index();
   ASSERT_NE(dictionary.probe_index(), nullptr);
+  EXPECT_EQ(dictionary.probe_index()->key_count(), 2u);
+  EXPECT_NE(dictionary.probe_index()->find(key_of(8000.0)), nullptr);
   EXPECT_EQ(scored_via(dictionary, keys).prediction(), "lu");
-}
 
-TEST(DictionaryIndex, FlatIndexOffDisablesCompilationAndKeepsVerdicts) {
-  std::mt19937_64 rng(5);
-  const auto observations = random_observations(rng, 150);
-  const std::vector<FingerprintKey> keys = probe_batch(observations);
-
-  ShardedDictionary indexed = dictionary_from(observations);
-  indexed.compile_probe_index();
-  const RecognitionResult with_index = scored_via(indexed, keys);
-
-  ::setenv("EFD_FLAT_INDEX", "off", 1);
-  EXPECT_FALSE(flat_index_enabled());
-  ShardedDictionary gated = dictionary_from(observations);
-  gated.compile_probe_index();
-  EXPECT_EQ(gated.probe_index(), nullptr);
-  const RecognitionResult without_index = scored_via(gated, keys);
-  ::unsetenv("EFD_FLAT_INDEX");
-  EXPECT_TRUE(flat_index_enabled());
-
-  expect_same_result(with_index, without_index, "EFD_FLAT_INDEX=off");
+  // prune_rare is a mutator too.
+  EXPECT_EQ(dictionary.prune_rare(1), 0u);
+  EXPECT_EQ(dictionary.probe_index(), nullptr);
 }
 
 TEST(DictionaryIndex, EpochPublicationCompilesAtConstructionSwapAndReset) {
@@ -402,9 +379,9 @@ TEST(DictionaryIndex, ExpositionTypesIndexRowsAsGauges) {
 }
 
 /// The TSan target: four workers batch-probe pinned epochs while a
-/// swapper churns publications. Workers must always see a fully built
-/// index (or a clean fallback), never a torn one, and verdicts must
-/// match the pinned epoch's content.
+/// swapper churns publications. Every pinned epoch must expose its fully
+/// built index, never a torn or missing one, and verdicts must match the
+/// pinned epoch's content.
 TEST(DictionaryIndex, SwapStormConcurrentProbesStayCoherent) {
   constexpr int kWorkers = 4;
   constexpr int kSwaps = 60;
@@ -441,6 +418,7 @@ TEST(DictionaryIndex, SwapStormConcurrentProbesStayCoherent) {
         // Pin once, probe many — the stream lifecycle in miniature.
         const std::shared_ptr<DictionaryHandle::Epoch> epoch =
             handle.acquire();
+        ASSERT_NE(epoch->dictionary.probe_index(), nullptr);
         const Matcher matcher(epoch->dictionary);
         for (int probe = 0; probe < kProbesPerPin; ++probe) {
           matcher.recognize_keys_into(keys, scratch);

@@ -152,7 +152,6 @@ TEST_F(HotPathFixture, RecognizeIntoIsAllocationFreeAfterWarmup) {
       matcher.recognize_into(record, slots, scratch);
     }
   }
-  ASSERT_FALSE(scratch.fell_back());  // id-space scoring, not the fallback
 
   const std::uint64_t before = allocations();
   std::size_t matched = 0;

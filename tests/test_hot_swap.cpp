@@ -113,28 +113,6 @@ TEST(HotSwap, InFlightStreamsFinishAgainstTheirEpoch) {
   EXPECT_EQ(service.stats().jobs_on_stale_epoch, 0u);  // pre-swap stream done
 }
 
-TEST(HotSwap, LearnInsertsIntoTheActiveEpoch) {
-  RecognitionService service(
-      ShardedDictionary::from_dictionary(train_levels({{"ft", 6000.0}}), 8));
-  service.swap_dictionary(
-      ShardedDictionary::from_dictionary(train_levels({{"mg", 6100.0}}), 8));
-
-  // Learned keys land in epoch 2 (the active one).
-  for (std::uint32_t node = 0; node < 2; ++node) {
-    FingerprintKey key;
-    key.metric = "nr_mapped_vmstat";
-    key.node_id = node;
-    key.interval = {60, 120};
-    key.rounded_means = {9900.0};
-    service.learn(key, "lu_X");
-  }
-  ASSERT_TRUE(service.open_job(5, 2));
-  stream_range(service, 5, 9870.0, 0, 130);
-  const auto verdicts = service.drain_verdicts();
-  ASSERT_EQ(verdicts.size(), 1u);
-  EXPECT_EQ(verdicts[0].result.prediction(), "lu");
-}
-
 TEST(HotSwap, IdenticalCandidateIsRejectedAsAlreadyActive) {
   // A no-op swap must not burn an epoch: nothing would change for
   // recognition, yet every in-flight stream would look stale and the

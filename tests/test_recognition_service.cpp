@@ -132,15 +132,21 @@ TEST_F(ServiceFixture, LifecycleEdgeCases) {
 
 TEST_F(ServiceFixture, OnlineLearningAddsRecognizableApplication) {
   RecognitionService service = make_service();
-  // "learning new applications is as simple as adding new keys".
+  // "learning new applications is as simple as adding new keys": the
+  // keys are added to a copy of the active dictionary, published as the
+  // successor epoch.
+  Dictionary next = service.dictionary().to_dictionary();
   for (std::uint32_t node = 0; node < 2; ++node) {
     FingerprintKey key;
     key.metric = "nr_mapped_vmstat";
     key.node_id = node;
     key.interval = {60, 120};
     key.rounded_means = {9900.0};
-    service.learn(key, "lu_X");
+    next.insert(key, "lu_X");
   }
+  ASSERT_FALSE(
+      service.swap_dictionary(ShardedDictionary::from_dictionary(next))
+          .already_active);
   ASSERT_TRUE(service.open_job(5, 2));
   stream_job(service, 5, 9870.0);  // rounds to 9900 at depth 2
   const auto verdicts = service.drain_verdicts();
