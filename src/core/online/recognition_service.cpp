@@ -151,33 +151,39 @@ bool RecognitionService::enqueue_locked(
         stream.queued.fetch_sub(1, std::memory_order_relaxed);
         samples_overflowed_.fetch_add(1, std::memory_order_relaxed);
         break;
-      case BackpressurePolicy::kBlock:
-        if (!stream.draining) {
-          // No active drainer to wait on: make progress ourselves (even
-          // in deferred mode). Waiting here would deadlock a pipeline
-          // that is both the sole producer and the process_pending
-          // caller; draining inline keeps kBlock lossless AND bounded.
-          drain_stream(stream, lock);
-          if (stream.done.load(std::memory_order_relaxed)) {
-            samples_late_.fetch_add(1, std::memory_order_relaxed);
-            return false;
+      case BackpressurePolicy::kBlock: {
+        bool blocked = false;
+        while (stream.queue.size() >= config_.job_queue_capacity &&
+               !stream.done.load(std::memory_order_relaxed)) {
+          if (!stream.draining) {
+            // No active drainer to wait on: make progress ourselves (even
+            // in deferred mode). Waiting here would deadlock a pipeline
+            // that is both the sole producer and the process_pending
+            // caller; draining inline keeps kBlock lossless AND bounded.
+            drain_stream(stream, lock);
+            continue;
           }
-        } else {
           // Real back-pressure: an active drainer exists, so waiting
           // terminates. The stalled producer (the ingest poll loop,
           // typically) leaves TCP bytes unread and pushes the stall
-          // back to the remote sender.
-          pushes_blocked_.fetch_add(1, std::memory_order_relaxed);
+          // back to the remote sender. The wait also ends when the
+          // drainer finishes: other producers may have refilled the
+          // queue by the time this one wakes, and with no drainer left
+          // it must drain itself rather than wait forever.
+          if (!blocked) pushes_blocked_.fetch_add(1, std::memory_order_relaxed);
+          blocked = true;
           stream.space.wait(lock, [&] {
             return stream.queue.size() < config_.job_queue_capacity ||
-                   stream.done.load(std::memory_order_relaxed);
+                   stream.done.load(std::memory_order_relaxed) ||
+                   !stream.draining;
           });
-          if (stream.done.load(std::memory_order_relaxed)) {
-            samples_late_.fetch_add(1, std::memory_order_relaxed);
-            return false;
-          }
+        }
+        if (stream.done.load(std::memory_order_relaxed)) {
+          samples_late_.fetch_add(1, std::memory_order_relaxed);
+          return false;
         }
         break;
+      }
       }
     }
   }

@@ -35,8 +35,7 @@ class RingTransport final : public SampleSource, public MessageSender {
         sample_capacity_(sample_capacity == 0 ? capacity * 64
                                               : sample_capacity) {}
 
-  /// Verdicts for jobs ingested via send() go here (optional; senders
-  /// with their own reply channel use send_with_reply instead).
+  /// Verdicts for jobs ingested via send() go here (optional).
   void set_verdict_sink(std::shared_ptr<VerdictSink> sink) {
     std::lock_guard lock(mutex_);
     verdict_sink_ = std::move(sink);
@@ -46,41 +45,16 @@ class RingTransport final : public SampleSource, public MessageSender {
   /// std::runtime_error if the transport was closed.
   void send(Message message) override {
     std::unique_lock lock(mutex_);
-    send_locked(lock, std::move(message), verdict_sink_);
-  }
-
-  /// send() with an explicit reply channel for this message's job (the
-  /// TCP server tags each message with its connection).
-  void send_with_reply(Message message, std::shared_ptr<VerdictSink> reply) {
-    std::unique_lock lock(mutex_);
-    send_locked(lock, std::move(message), std::move(reply));
-  }
-
-  /// Non-blocking send; false when full (by either bound) or closed.
-  bool try_send(Message message) {
-    std::shared_ptr<VerdictSink> sink;
-    {
-      std::lock_guard lock(mutex_);
-      sink = verdict_sink_;
+    if (at_capacity() && !closed_) {
+      ++blocked_sends_;
+      not_full_.wait(lock, [this] { return !at_capacity() || closed_; });
     }
-    return try_send_with_reply(std::move(message), std::move(sink));
-  }
-
-  /// try_send with an explicit reply channel (lossy transports shed on a
-  /// full queue instead of blocking their receiver — see udp_transport).
-  bool try_send_with_reply(Message message,
-                           std::shared_ptr<VerdictSink> reply) {
-    {
-      std::lock_guard lock(mutex_);
-      if (closed_ || ring_.full() || buffered_samples_ >= sample_capacity_) {
-        return false;
-      }
-      buffered_samples_ += message.samples.size();
-      ++accepted_;
-      ring_.push(Envelope{std::move(message), std::move(reply)});
-    }
+    if (closed_) throw std::runtime_error("send on closed RingTransport");
+    buffered_samples_ += message.samples.size();
+    ++accepted_;
+    ring_.push(Envelope{std::move(message), verdict_sink_});
+    lock.unlock();
     not_empty_.notify_one();
-    return true;
   }
 
   /// Marks the producer side finished; poll() drains what remains and
@@ -130,20 +104,6 @@ class RingTransport final : public SampleSource, public MessageSender {
  private:
   bool at_capacity() const {
     return ring_.full() || buffered_samples_ >= sample_capacity_;
-  }
-
-  void send_locked(std::unique_lock<std::mutex>& lock, Message message,
-                   std::shared_ptr<VerdictSink> reply) {
-    if (at_capacity() && !closed_) {
-      ++blocked_sends_;
-      not_full_.wait(lock, [this] { return !at_capacity() || closed_; });
-    }
-    if (closed_) throw std::runtime_error("send on closed RingTransport");
-    buffered_samples_ += message.samples.size();
-    ++accepted_;
-    ring_.push(Envelope{std::move(message), std::move(reply)});
-    lock.unlock();
-    not_empty_.notify_one();
   }
 
   mutable std::mutex mutex_;

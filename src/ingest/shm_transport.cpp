@@ -256,6 +256,33 @@ ShmRingServer::ShmRingServer(const std::string& name, const Config& config)
 ShmRingServer::~ShmRingServer() { stop(); }
 
 void ShmRingServer::stop() {
+  ShmHeader& header = region_->header();
+  if (header.consumer_closed.load(std::memory_order_acquire) != 0) return;
+  // Graceful drain, as TcpServer::stop() does: a producer in mid-session
+  // (bytes written since the last turnover, not yet finished) would fail
+  // its next send once consumer_closed is set. Keep discarding its bytes,
+  // heartbeat fresh, until it finishes or the grace ends. An idle
+  // segment closes at once.
+  const auto deadline = Clock::now() + kStopGrace;
+  while (header.producer_closed.load(std::memory_order_acquire) == 0 &&
+         header.in_head.load(std::memory_order_acquire) != session_start_ &&
+         Clock::now() < deadline) {
+    header.consumer_heartbeat_ns.store(monotonic_ns(),
+                                       std::memory_order_relaxed);
+    header.in_tail.store(header.in_head.load(std::memory_order_acquire),
+                         std::memory_order_release);
+    wait_tick();
+  }
+  header.consumer_closed.store(1, std::memory_order_release);
+}
+
+void ShmRingServer::retire() {
+  // Corrupt framing or cursors are unrecoverable mid-stream, exactly like
+  // a poisoned TCP connection: retire the source, keep the service, and
+  // close at once so the producer fails instead of blocking on a ring
+  // nobody drains.
+  decode_errors_.fetch_add(1, std::memory_order_relaxed);
+  dead_ = true;
   region_->header().consumer_closed.store(1, std::memory_order_release);
 }
 
@@ -269,9 +296,7 @@ std::size_t ShmRingServer::drain_inbound() {
   // source, exactly like a poisoned frame stream, instead of
   // over-allocating or reading past the mapping.
   if (head - tail > header.inbound_capacity) {
-    decode_errors_.fetch_add(1, std::memory_order_relaxed);
-    dead_ = true;
-    stop();
+    retire();
     return 0;
   }
   const std::size_t available = static_cast<std::size_t>(head - tail);
@@ -307,11 +332,7 @@ bool ShmRingServer::poll(std::vector<Envelope>& out,
       frames_.fetch_add(1, std::memory_order_relaxed);
     }
     if (decoder_.failed()) {
-      // Corrupt framing is unrecoverable mid-stream, exactly like a
-      // poisoned TCP connection: retire the source, keep the service.
-      decode_errors_.fetch_add(1, std::memory_order_relaxed);
-      dead_ = true;
-      stop();  // unblock (and fail) the producer
+      retire();
       return appended > 0;
     }
     if (appended > 0) return true;
@@ -328,6 +349,7 @@ bool ShmRingServer::poll(std::vector<Envelope>& out,
       // shut the endpoint down because one replay ended. Only a corrupt
       // stream (dead_) retires the source.
       header.producer_closed.store(0, std::memory_order_release);
+      session_start_ = header.in_head.load(std::memory_order_acquire);
     }
     if (Clock::now() >= deadline) return true;  // normal timeout
     wait_tick();

@@ -35,6 +35,9 @@
 /// consumer (crashed without closing) via a heartbeat the server
 /// refreshes every poll; a send blocked against a stale heartbeat fails
 /// loudly instead of waiting on an orphaned segment forever.
+/// Shutdown drains like TcpServer::stop(): a producer in mid-session
+/// keeps sending (its bytes discarded) until it finishes or kStopGrace
+/// ends, and only then is the consumer side closed.
 ///
 /// Synchronization is purely acquire/release on the head/tail cursors;
 /// waiting sides sleep-poll at millisecond granularity (monitoring
@@ -144,8 +147,11 @@ class ShmRingServer final : public SampleSource {
   bool poll(std::vector<Envelope>& out,
             std::chrono::milliseconds timeout) override;
 
-  /// Marks the consumer side closed (producers error instead of
-  /// blocking forever). Idempotent; the destructor calls it.
+  /// Graceful shutdown: while a producer is in mid-session, keeps
+  /// reading and discarding its bytes until it finishes or kStopGrace
+  /// ends, then marks the consumer side closed (producers error instead
+  /// of blocking forever). Idempotent; the destructor calls it. Call it
+  /// from the polling thread or once polling has ended.
   void stop();
 
   Stats stats() const;
@@ -160,6 +166,8 @@ class ShmRingServer final : public SampleSource {
 
   /// Drains available inbound bytes into the decoder; returns bytes.
   std::size_t drain_inbound();
+  /// Retires the source on a corrupt stream: counted, closed at once.
+  void retire();
 
   std::string name_;
   Config config_;
@@ -169,6 +177,9 @@ class ShmRingServer final : public SampleSource {
   SampleBufferPool pool_;
   FrameDecoder decoder_;
   bool dead_ = false;  ///< corrupt stream: source retired
+  /// in_head at the last session turnover; the producer has written
+  /// since when in_head moved past it.
+  std::uint64_t session_start_ = 0;
   std::vector<std::uint8_t> scratch_;
   std::atomic<std::uint64_t> bytes_{0};
   std::atomic<std::uint64_t> frames_{0};

@@ -91,19 +91,24 @@ bool SourceMux::poll(std::vector<Envelope>& out,
   }
   if (appended > 0) return true;
 
-  // Pass 2: nothing ready anywhere — give each still-live source an
-  // equal slice of the timeout (>= 1 ms), returning as soon as one
-  // yields. Sources later in this round get the first look next call.
-  const auto slice = std::max<std::chrono::milliseconds>(
-      std::chrono::milliseconds(1),
-      timeout / static_cast<long>(std::max<std::size_t>(live.size(), 1)));
+  // Pass 2: nothing ready anywhere — wait on each still-live source in
+  // turn for one short slice, round after round, returning as soon as
+  // one yields. Sources later in a round get the first look next call.
+  // A sole live source waits the whole timeout in one call.
+  constexpr std::chrono::milliseconds kSlice{1};
+  const bool sole = live.size() == 1;
+  const auto slice = sole ? std::max(kSlice, timeout) : kSlice;
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
   bool any_live = false;
-  for (Entry* entry : live) {
-    if (entry->exhausted.load(std::memory_order_acquire)) continue;
-    appended += poll_entry(*entry, out, slice);
-    any_live |= !entry->exhausted.load(std::memory_order_acquire);
-    if (appended > 0) return true;
-  }
+  do {
+    any_live = false;
+    for (Entry* entry : live) {
+      if (entry->exhausted.load(std::memory_order_acquire)) continue;
+      appended += poll_entry(*entry, out, slice);
+      any_live |= !entry->exhausted.load(std::memory_order_acquire);
+      if (appended > 0) return true;
+    }
+  } while (!sole && any_live && std::chrono::steady_clock::now() < deadline);
   if (any_live) return true;
   // Everything retired this round; report exhaustion only when no
   // registered source can ever produce again.

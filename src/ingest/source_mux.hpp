@@ -16,11 +16,12 @@
 ///  1. A non-blocking sweep over every live source, starting at a
 ///     rotating index so no source is structurally favored. Anything
 ///     ready is tagged and returned immediately.
-///  2. Only if nothing was ready anywhere, each live source in turn is
-///     polled with an equal slice of the remaining timeout (>= 1 ms), so
-///     the worst-case idle latency stays bounded by the caller's
-///     timeout while a message on ANY source wakes the loop within one
-///     slice.
+///  2. Only if nothing was ready anywhere, the live sources are waited
+///     on in turn, 1 ms each, round after round until one yields or the
+///     caller's timeout runs out (a sole live source waits the whole
+///     timeout at once). A message on ANY source is picked up within
+///     one round: a UDP socket has no flow control, so a long wait on
+///     another source would overflow its kernel receive buffer.
 ///
 /// Exhaustion is collective: a source whose poll() returns false is
 /// retired (its final batch is still delivered), and the mux reports

@@ -51,8 +51,6 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
-/// How long stop() keeps draining peers that have not reached EOF.
-constexpr auto kStopGrace = std::chrono::seconds(1);
 constexpr int kMaxEvents = 64;
 
 /// epoll_wait timeout for \p left, rounded up so a sub-millisecond

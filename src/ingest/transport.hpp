@@ -24,6 +24,10 @@
 
 namespace efd::ingest {
 
+/// How long a stopping server keeps draining a peer that is still
+/// sending before it closes on it (TcpServer, ShmRingServer).
+inline constexpr std::chrono::seconds kStopGrace{1};
+
 /// Stable identity of a registered ingest source within a SourceMux
 /// (assigned at registration, dense from 0). 0 is also the implicit id
 /// of a pipeline's only source in the legacy single-source mode.
@@ -69,7 +73,7 @@ struct Envelope {
 struct TransportCounters {
   std::uint64_t frames = 0;        ///< messages decoded and enqueued
   std::uint64_t decode_errors = 0; ///< corrupt frames/datagrams/streams
-  std::uint64_t drops = 0;         ///< messages shed (lossy mode / full queue)
+  std::uint64_t drops = 0;         ///< messages shed (duplicates, lost replies)
   std::uint64_t gaps = 0;          ///< sequence holes observed (lossy links)
   std::uint64_t blocked = 0;       ///< producer back-pressure events
   /// Control-frame retransmissions observed: on an emitter, kOpenJob/

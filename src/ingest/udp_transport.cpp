@@ -1,14 +1,16 @@
 #include "ingest/udp_transport.hpp"
 
 #include <arpa/inet.h>
+#include <limits.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -31,6 +33,10 @@ void close_fd(int& fd) {
     fd = -1;
   }
 }
+
+/// One receive slot: any datagram fits (EFD-DGRAM-V1 caps well below).
+constexpr std::size_t kDatagramBytes = 64 * 1024;
+constexpr int kReceiveBufferBytes = 4 * 1024 * 1024;  ///< SO_RCVBUF request
 
 }  // namespace
 
@@ -118,88 +124,72 @@ struct UdpServer::PeerSink final : VerdictSink {
 
 UdpServer::UdpServer(const Config& config)
     : config_(config),
-      queue_(config.queue_capacity, config.queue_sample_capacity) {
-  fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd_ < 0) throw_errno("socket");
+      socket_(std::make_shared<SharedSocket>()),
+      receive_buffer_(std::make_unique_for_overwrite<std::uint8_t[]>(
+          kPollDatagramBudget * kDatagramBytes)) {
+  int& fd = socket_->fd;
+  const auto fail = [&](const std::string& what) {
+    const int saved = errno;
+    close_fd(fd);
+    close_fd(wake_fd_);
+    errno = saved;
+    throw_errno(what);
+  };
+  fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  if (fd < 0) fail("socket");
 
   sockaddr_in address{};
   address.sin_family = AF_INET;
   address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   address.sin_port = htons(config.port);
-  if (::bind(fd_, reinterpret_cast<sockaddr*>(&address), sizeof(address)) <
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&address), sizeof(address)) <
       0) {
-    close_fd(fd_);
-    throw_errno("bind");
+    fail("bind");
   }
   socklen_t length = sizeof(address);
-  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&address), &length) <
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&address), &length) <
       0) {
-    close_fd(fd_);
-    throw_errno("getsockname");
+    fail("getsockname");
   }
   port_ = ntohs(address.sin_port);
-
-  if (config_.receive_buffer_bytes > 0) {
-    // Best-effort: the kernel clamps to rmem_max. A bigger buffer only
-    // moves where a burst is shed, and our shed is the counted one.
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &config_.receive_buffer_bytes,
-                 sizeof(config_.receive_buffer_bytes));
-  }
-  // Periodic recv timeout so the receiver observes stop() without
-  // needing to close the socket underneath it.
-  timeval recv_timeout{};
-  recv_timeout.tv_usec = 100 * 1000;
-  ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &recv_timeout,
-               sizeof(recv_timeout));
-
-  socket_ = std::make_shared<SharedSocket>();
-  socket_->fd = fd_;
-  receiver_ = std::thread([this] { receive_loop(); });
+  // Best-effort: the kernel clamps to rmem_max. The buffer absorbs
+  // bursts between polls; what overflows it is shed by the kernel and
+  // counted as gaps.
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &kReceiveBufferBytes,
+               sizeof(kReceiveBufferBytes));
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
+  if (wake_fd_ < 0) fail("eventfd");
 }
 
 UdpServer::~UdpServer() { stop(); }
 
-void UdpServer::receive_loop() {
-  // Batched receive: one recvmmsg() syscall drains up to kReceiveBatch
-  // datagrams that are already queued in the kernel — a replay burst
-  // costs 1/kReceiveBatch of the per-datagram syscall overhead.
-  // MSG_WAITFORONE blocks for the first datagram only (bounded by the
-  // socket's SO_RCVTIMEO, so stop() is still observed every 100 ms) and
-  // returns immediately with whatever else is waiting.
-  constexpr std::size_t kReceiveBatch = 16;
-  constexpr std::size_t kDatagramBytes = 64 * 1024;
-  std::vector<std::vector<std::uint8_t>> buffers(
-      kReceiveBatch, std::vector<std::uint8_t>(kDatagramBytes));
-  std::vector<sockaddr_in> peers(kReceiveBatch);
-  std::vector<iovec> iovs(kReceiveBatch);
-  std::vector<mmsghdr> headers(kReceiveBatch);
-
-  while (!stopping_.load(std::memory_order_acquire)) {
-    // Re-arm every header: the kernel overwrites msg_namelen/msg_len.
-    for (std::size_t i = 0; i < kReceiveBatch; ++i) {
-      iovs[i] = iovec{buffers[i].data(), buffers[i].size()};
-      headers[i] = mmsghdr{};
-      headers[i].msg_hdr.msg_name = &peers[i];
-      headers[i].msg_hdr.msg_namelen = sizeof(peers[i]);
-      headers[i].msg_hdr.msg_iov = &iovs[i];
-      headers[i].msg_hdr.msg_iovlen = 1;
-    }
-    const int received = ::recvmmsg(fd_, headers.data(), kReceiveBatch,
-                                    MSG_WAITFORONE, nullptr);
-    if (received < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      break;  // socket gone
-    }
-    for (int i = 0; i < received; ++i) {
-      handle_datagram(peers[static_cast<std::size_t>(i)],
-                      buffers[static_cast<std::size_t>(i)].data(),
-                      headers[static_cast<std::size_t>(i)].msg_len);
-    }
+std::size_t UdpServer::receive_ready(std::vector<Envelope>& out) {
+  // Batched receive: one non-blocking recvmmsg() takes whatever the
+  // kernel has queued, up to the per-poll budget.
+  std::array<sockaddr_in, kPollDatagramBudget> peers{};
+  std::array<iovec, kPollDatagramBudget> iovs{};
+  std::array<mmsghdr, kPollDatagramBudget> headers{};
+  for (std::size_t i = 0; i < kPollDatagramBudget; ++i) {
+    iovs[i] = iovec{receive_buffer_.get() + i * kDatagramBytes,
+                    kDatagramBytes};
+    headers[i].msg_hdr.msg_name = &peers[i];
+    headers[i].msg_hdr.msg_namelen = sizeof(peers[i]);
+    headers[i].msg_hdr.msg_iov = &iovs[i];
+    headers[i].msg_hdr.msg_iovlen = 1;
   }
+  const int received = ::recvmmsg(socket_->fd, headers.data(),
+                                  kPollDatagramBudget, MSG_DONTWAIT, nullptr);
+  if (received <= 0) return 0;  // nothing waiting (EAGAIN) or EINTR
+  for (std::size_t i = 0; i < static_cast<std::size_t>(received); ++i) {
+    handle_datagram(peers[i], static_cast<std::uint8_t*>(iovs[i].iov_base),
+                    headers[i].msg_len, out);
+  }
+  return static_cast<std::size_t>(received);
 }
 
 void UdpServer::handle_datagram(const sockaddr_in& peer,
-                                const std::uint8_t* data, std::size_t size) {
+                                const std::uint8_t* data, std::size_t size,
+                                std::vector<Envelope>& out) {
   datagrams_.fetch_add(1, std::memory_order_relaxed);
 
   std::uint64_t seq = 0;
@@ -270,14 +260,9 @@ void UdpServer::handle_datagram(const sockaddr_in& peer,
     state.control_next = (state.control_next + 1) % kControlHistorySize;
   }
 
-  // Lossy discipline end-to-end: a full internal queue sheds the
-  // datagram visibly instead of stalling the receiver into opaque
-  // kernel-buffer drops.
-  if (queue_.try_send_with_reply(std::move(message), state.sink)) {
-    frames_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    queue_drops_.fetch_add(1, std::memory_order_relaxed);
-  }
+  out.push_back(Envelope{std::move(message), state.sink, /*source=*/0,
+                         /*pool=*/&pool_});
+  frames_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void UdpServer::sweep_idle_peers(std::chrono::steady_clock::time_point now) {
@@ -302,25 +287,33 @@ void UdpServer::sweep_idle_peers(std::chrono::steady_clock::time_point now) {
 
 bool UdpServer::poll(std::vector<Envelope>& out,
                      std::chrono::milliseconds timeout) {
-  // Stamp pool provenance on the entries this call appended, so the
-  // consumer releases sample buffers back to THIS server's pool.
-  const std::size_t before = out.size();
-  const bool alive = queue_.poll(out, timeout);
-  for (std::size_t i = before; i < out.size(); ++i) out[i].pool = &pool_;
-  return alive;
+  std::lock_guard lock(reactor_mutex_);
+  // stop() sets the flag before it writes the wake fd, so a stop that
+  // lands after this check still ends the wait below at once.
+  if (stopping_.load(std::memory_order_acquire)) return false;
+  if (receive_ready(out) == 0) {
+    // Nothing waiting: sleep until a datagram (or stop()) arrives. A
+    // wake whose datagrams are all shed returns empty-handed, which the
+    // SampleSource contract reads as a normal timeout.
+    pollfd fds[] = {{socket_->fd, POLLIN, 0}, {wake_fd_, POLLIN, 0}};
+    const auto ms = std::clamp<long long>(timeout.count(), 0, INT_MAX);
+    if (::poll(fds, 2, static_cast<int>(ms)) > 0) receive_ready(out);
+  }
+  return !stopping_.load(std::memory_order_acquire);
 }
 
 void UdpServer::stop() {
   if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
-  if (receiver_.joinable()) receiver_.join();
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t woke = ::write(wake_fd_, &one, sizeof(one));
+  std::lock_guard lock(reactor_mutex_);
   {
-    // The receiver is gone; sinks held by undelivered envelopes observe
-    // fd < 0 under the shared mutex from here on.
-    std::lock_guard lock(socket_->mutex);
+    // Sinks held by undelivered envelopes observe fd < 0 under the
+    // shared mutex from here on.
+    std::lock_guard socket_lock(socket_->mutex);
     close_fd(socket_->fd);
-    fd_ = -1;
   }
-  queue_.close();
+  close_fd(wake_fd_);
 }
 
 UdpServer::Stats UdpServer::stats() const {
@@ -330,7 +323,6 @@ UdpServer::Stats UdpServer::stats() const {
   stats.decode_errors = decode_errors_.load(std::memory_order_relaxed);
   stats.gaps = gaps_.load(std::memory_order_relaxed);
   stats.duplicates = duplicates_.load(std::memory_order_relaxed);
-  stats.queue_drops = queue_drops_.load(std::memory_order_relaxed);
   stats.verdict_send_failures =
       verdict_send_failures_->load(std::memory_order_relaxed);
   stats.control_retransmits =
@@ -344,7 +336,7 @@ TransportCounters UdpServer::transport_counters() const {
   TransportCounters counters;
   counters.frames = stats.frames;
   counters.decode_errors = stats.decode_errors;
-  counters.drops = stats.duplicates + stats.queue_drops;
+  counters.drops = stats.duplicates;
   counters.gaps = stats.gaps;
   counters.blocked = 0;  // lossy mode never back-pressures
   counters.retransmits = stats.control_retransmits;

@@ -5,13 +5,22 @@
 /// Per-node samplers on a big cluster often ship over UDP: no connection
 /// state on either side, and a dropped datagram costs one batch of
 /// monitoring samples — never a stalled emitter. This transport embraces
-/// that: datagrams carry an explicit sequence number, the server COUNTS
-/// loss (gaps), duplication, and reordering per peer instead of treating
-/// them as errors, and a full internal queue sheds the newest datagram
-/// (counted) rather than back-pressuring the socket into invisible
-/// kernel drops. Loss degrades per-source counters — visible in the
-/// `source.<id>.*` stats rows — never correctness or liveness of the
-/// jobs that did arrive.
+/// that: datagrams carry an explicit sequence number, and the server
+/// COUNTS loss (gaps), duplication, and reordering per peer instead of
+/// treating them as errors. Loss degrades per-source counters — visible
+/// in the `source.<id>.*` stats rows — never correctness or liveness of
+/// the jobs that did arrive.
+///
+/// UdpServer is a reactor that runs on the caller's thread, shaped like
+/// TcpServer: poll() reads at most kPollDatagramBudget datagrams with
+/// one non-blocking recvmmsg, then sequences, dedups and decodes each
+/// straight into the caller's envelope vector; when nothing is waiting
+/// it waits for readiness up to its timeout. There is no receiver thread
+/// and no internal queue: datagrams the pipeline has not polled wait in
+/// the kernel receive buffer, and when that overflows the kernel sheds
+/// them, which the next datagram's sequence number books as a gap. stop()
+/// may come from any thread; it wakes a blocked poll() through an
+/// eventfd.
 ///
 /// Datagram layout (EFD-DGRAM-V1; integers little-endian):
 ///
@@ -44,12 +53,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "ingest/buffer_pool.hpp"
-#include "ingest/ring_transport.hpp"
 #include "ingest/tcp_transport.hpp"  // TransportError
 #include "ingest/transport.hpp"
 
@@ -81,11 +88,6 @@ class UdpServer final : public SampleSource {
  public:
   struct Config {
     std::uint16_t port = 0;            ///< 0 = ephemeral (see port())
-    std::size_t queue_capacity = 4096; ///< decoded-message bound
-    std::size_t queue_sample_capacity = 0;  ///< 0 = 64 x queue_capacity
-    /// SO_RCVBUF request (best-effort; the kernel may clamp it). Bigger
-    /// buffers absorb replay bursts before the kernel sheds datagrams.
-    int receive_buffer_bytes = 4 * 1024 * 1024;
     /// Idle time after which a peer's sequencing state expires (0 =
     /// never). An emitter that reboots and restarts its seq at 1 within
     /// a live session would look like a flood of duplicates; once idle
@@ -99,13 +101,17 @@ class UdpServer final : public SampleSource {
     std::chrono::milliseconds peer_ttl{60 * 1000};
   };
 
+  /// Datagrams one poll() reads at most (one recvmmsg): a flooding
+  /// peer cannot make a poll return more, and the rest stays queued in
+  /// the kernel for the next poll.
+  static constexpr std::size_t kPollDatagramBudget = 32;
+
   struct Stats {
     std::uint64_t datagrams = 0;       ///< received from the socket
-    std::uint64_t frames = 0;          ///< decoded and enqueued
+    std::uint64_t frames = 0;          ///< decoded and returned by poll()
     std::uint64_t decode_errors = 0;   ///< malformed datagrams
     std::uint64_t gaps = 0;            ///< sequence holes (lost datagrams)
     std::uint64_t duplicates = 0;      ///< seq <= last seen (dropped)
-    std::uint64_t queue_drops = 0;     ///< shed on a full internal queue
     std::uint64_t verdict_send_failures = 0;
     /// Duplicate kOpenJob/kCloseJob frames absorbed (an unacked emitter
     /// retransmits its control frames — see UdpClient — and each copy
@@ -126,15 +132,15 @@ class UdpServer final : public SampleSource {
   bool poll(std::vector<Envelope>& out,
             std::chrono::milliseconds timeout) override;
 
-  /// Closes the socket and joins the receiver; poll() reports
-  /// exhaustion once the queue drains. Idempotent.
+  /// Wakes a blocked poll(), which then reports exhaustion, and closes
+  /// the socket. Idempotent; any thread.
   void stop();
 
   Stats stats() const;
   TransportCounters transport_counters() const override;
 
-  /// The server-owned sample buffer pool the receiver's decoders
-  /// acquire from (and the consumer releases back to).
+  /// The server-owned sample buffer pool poll()'s decoders acquire
+  /// from (and the consumer releases back to).
   const SampleBufferPool* buffer_pool() const override { return &pool_; }
 
  private:
@@ -159,25 +165,31 @@ class UdpServer final : public SampleSource {
     std::shared_ptr<PeerSink> sink;
   };
 
-  void receive_loop();
-  /// Sequencing, dedup, and enqueue for one received datagram
-  /// (receiver thread).
+  /// One non-blocking recvmmsg, each datagram handled into \p out;
+  /// returns the datagrams read (0 when none was waiting).
+  std::size_t receive_ready(std::vector<Envelope>& out);
+  /// Sequencing, dedup, and decode of one received datagram into \p out.
   void handle_datagram(const sockaddr_in& peer, const std::uint8_t* data,
-                       std::size_t size);
-  /// Amortized eviction of peers idle past the TTL (receiver thread).
+                       std::size_t size, std::vector<Envelope>& out);
+  /// Amortized eviction of peers idle past the TTL.
   void sweep_idle_peers(std::chrono::steady_clock::time_point now);
 
   Config config_;
-  int fd_ = -1;
+  /// The socket; the reactor reads it under reactor_mutex_, verdict
+  /// sinks write it under its own mutex, and stop() closes it under both.
   std::shared_ptr<SharedSocket> socket_;
+  int wake_fd_ = -1;  ///< eventfd: stop() wakes a blocked poll() through it
   std::uint16_t port_ = 0;
-  RingTransport queue_;
   /// Server-local sample buffer recycling (see TcpServer::pool_).
   SampleBufferPool pool_;
-  std::thread receiver_;
   std::atomic<bool> stopping_{false};
 
-  /// Per-peer sequencing state (receiver thread only).
+  /// Serializes poll() and stop(); guards everything below up to the
+  /// counters.
+  std::mutex reactor_mutex_;
+  /// recvmmsg scratch: kPollDatagramBudget slots of one datagram each.
+  std::unique_ptr<std::uint8_t[]> receive_buffer_;
+  /// Per-peer sequencing state.
   std::unordered_map<std::uint64_t, PeerState> peers_;
   std::size_t peers_sweep_at_ = 64;
 
@@ -186,7 +198,6 @@ class UdpServer final : public SampleSource {
   std::atomic<std::uint64_t> decode_errors_{0};
   std::atomic<std::uint64_t> gaps_{0};
   std::atomic<std::uint64_t> duplicates_{0};
-  std::atomic<std::uint64_t> queue_drops_{0};
   std::atomic<std::uint64_t> control_retransmits_{0};
   std::atomic<std::size_t> peer_count_{0};
   /// Shared with every PeerSink (a sink held by undelivered envelopes

@@ -3,8 +3,8 @@
 /// blocking, ordered), the IngestPipeline vertical slice (open/samples/
 /// close -> verdicts back over the transport), end-to-end parity with
 /// the in-process run_concurrent_jobs path on the same simulated
-/// dataset, a 64-job concurrent ingestion run (TSan target), and the
-/// TCP transport over localhost.
+/// dataset, a 64-job concurrent ingestion run (TSan target), the TCP
+/// transport over localhost, and the graceful stop of TCP and shm.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +25,7 @@
 #include "core/trainer.hpp"
 #include "ingest/pipeline.hpp"
 #include "ingest/ring_transport.hpp"
+#include "ingest/shm_transport.hpp"
 #include "ingest/tcp_transport.hpp"
 #include "ingest/transport_feed.hpp"
 #include "ldms/sampler.hpp"
@@ -133,9 +134,8 @@ TEST(RingTransport, DeliversInOrderAndReportsExhaustion) {
 
 TEST(RingTransport, FullRingBlocksProducerUntilConsumed) {
   RingTransport ring(2);
-  ASSERT_TRUE(ring.try_send(make_open_job(1, 1)));
-  ASSERT_TRUE(ring.try_send(make_open_job(2, 1)));
-  EXPECT_FALSE(ring.try_send(make_open_job(3, 1)));  // full, non-blocking
+  ring.send(make_open_job(1, 1));
+  ring.send(make_open_job(2, 1));  // the ring is now full
 
   std::atomic<bool> delivered{false};
   std::thread producer([&] {
@@ -655,6 +655,44 @@ TEST_F(IngestFixture, StopDrainsPeersThatAreStillSending) {
   });
   stopper.join();
   EXPECT_EQ(server.stats().active_connections, 0u);
+}
+
+TEST_F(IngestFixture, ShmStopDrainsAProducerThatIsStillSending) {
+  RecognitionServiceConfig service_config;
+  service_config.deferred = true;
+  RecognitionService service = make_service(service_config);
+  ShmRingServer server("ingest_stop_drain_ring");
+  IngestPipelineConfig pipeline_config;
+  pipeline_config.max_verdicts = 1;
+  IngestPipeline pipeline(service, server, pipeline_config);
+  pipeline.start();
+
+  ShmRingClient client("ingest_stop_drain_ring");
+  send_job(client, 1, 6030.0);
+  Message message;
+  ASSERT_TRUE(client.receive(message, std::chrono::seconds(10)));
+  ASSERT_EQ(message.type, MessageType::kVerdict);
+  pipeline.join();  // the verdict quota stops the pipeline, as --max-jobs
+
+  // Stop the segment, as serve does after run(), while the emitter is
+  // still streaming its next job: its sends must be drained until it
+  // finishes, never failed on a closed transport.
+  std::thread stopper([&] { server.stop(); });
+  EXPECT_NO_THROW({
+    TransportFeed feed(client, /*batch_samples=*/64);
+    feed.job_opened(2, 2);
+    for (int t = 0; t < 300; ++t) {
+      for (std::uint32_t node = 0; node < 2; ++node) {
+        feed.publish(node, "nr_mapped_vmstat", t, 6080.0);
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+    feed.job_closed(2);
+    client.finish_sending();
+  });
+  stopper.join();
+  // Once the producer finished, the consumer side is closed.
+  EXPECT_THROW(client.send(make_open_job(3, 1)), TransportError);
 }
 
 }  // namespace

@@ -2,11 +2,12 @@
 /// \brief Multi-source ingestion tests: SourceMux fan-in semantics
 /// (tagging, fairness, collective exhaustion, per-source counters,
 /// cursor seeding), the UDP transport's lossy-tolerant sequencing
-/// (gaps/duplicates counted, never fatal), the cross-process-shaped
+/// (gaps/duplicates counted, never fatal) and caller-thread reactor
+/// (per-poll budget, cross-thread stop), the cross-process-shaped
 /// shared-memory ring, and the acceptance gate — the same workload
 /// split across TCP+UDP+shm sources of one pipeline must produce the
 /// verdict table of a single-source run. The concurrent mixed-transport
-/// parity case is the TSan target.
+/// parity case and the cross-thread UDP stop are the TSan targets.
 
 #include <gtest/gtest.h>
 
@@ -181,6 +182,29 @@ TEST(SourceMux, DuplicateNamesAreDisambiguatedDeterministically) {
   c.close();
 }
 
+TEST(SourceMux, AnIdleSourceDoesNotHoldBackAnotherSourcesData) {
+  // Waiting on a quiet source must not leave another source unread for
+  // long: a UDP socket has no flow control, so its kernel buffer
+  // overflows while the mux sleeps elsewhere.
+  SourceMux mux;
+  RingTransport idle(4), busy(4);
+  mux.add_source("idle", idle);  // first in the first rotation
+  mux.add_source("busy", busy);
+  std::thread producer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    busy.send(make_open_job(1, 1));
+  });
+  std::vector<Envelope> batch;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(mux.poll(batch, std::chrono::seconds(1)));
+  const auto waited = std::chrono::steady_clock::now() - start;
+  producer.join();
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_LT(waited, std::chrono::milliseconds(250));
+  idle.close();
+  busy.close();
+}
+
 TEST(SourceMux, NoteVerdictCreditsTheRightSource) {
   SourceMux mux;
   RingTransport a(4), b(4);
@@ -226,47 +250,61 @@ TEST_F(SourceMuxFixture, ServiceShowsEverySourceTagEvenWhenOneIsIdle) {
 
 // --- UDP datagram sequencing ------------------------------------------
 
-TEST(UdpTransport, CountsGapsDuplicatesAndDecodeErrorsWithoutDying) {
-  UdpServer::Config config;
-  UdpServer server(config);
-  ASSERT_GT(server.port(), 0);
+/// A raw datagram emitter with hand-picked sequence numbers. One socket
+/// is one peer identity to the server.
+class RawUdpPeer {
+ public:
+  explicit RawUdpPeer(std::uint16_t port)
+      : fd_(::socket(AF_INET, SOCK_DGRAM, 0)) {
+    sockaddr_in address{};
+    address.sin_family = AF_INET;
+    address.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr);
+    EXPECT_EQ(::connect(fd_, reinterpret_cast<sockaddr*>(&address),
+                        sizeof(address)),
+              0);
+  }
+  ~RawUdpPeer() { ::close(fd_); }
 
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_port = htons(server.port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&address),
-                      sizeof(address)),
-            0);
-  const auto blast = [&](std::uint64_t seq, const Message& message) {
+  void send(std::uint64_t seq, const Message& message) {
     std::vector<std::uint8_t> datagram;
     encode_datagram(seq, message, datagram);
-    ASSERT_GT(::send(fd, datagram.data(), datagram.size(), 0), 0);
-  };
+    send_bytes(datagram.data(), datagram.size());
+  }
+  void send_bytes(const std::uint8_t* data, std::size_t size) {
+    EXPECT_GT(::send(fd_, data, size, 0), 0);
+  }
 
-  blast(1, make_open_job(1, 1));
-  blast(2, make_close_job(1));
-  blast(2, make_close_job(1));   // duplicate: dropped, counted
-  blast(5, make_open_job(2, 1)); // gap of 2 (seq 3, 4 lost)
-  blast(3, make_open_job(9, 1)); // reordered behind delivery: dropped
+ private:
+  int fd_;
+};
+
+TEST(UdpTransport, CountsGapsDuplicatesAndDecodeErrorsWithoutDying) {
+  UdpServer server({});
+  ASSERT_GT(server.port(), 0);
+  RawUdpPeer peer(server.port());
+
+  peer.send(1, make_open_job(1, 1));
+  peer.send(2, make_close_job(1));
+  peer.send(2, make_close_job(1));   // duplicate: dropped, counted
+  peer.send(5, make_open_job(2, 1)); // gap of 2 (seq 3, 4 lost)
+  peer.send(3, make_open_job(9, 1)); // reordered behind delivery: dropped
   const std::uint8_t garbage[] = {0xDE, 0xAD, 0xBE, 0xEF, 0x01};
-  ASSERT_GT(::send(fd, garbage, sizeof(garbage), 0), 0);
+  peer.send_bytes(garbage, sizeof(garbage));
 
-  // The in-order + gapped messages arrive; the rest is counted.
+  // The in-order + gapped messages arrive; the rest is counted. poll()
+  // does all the work on this thread, so once it has read all six
+  // datagrams the counters are exact.
   std::vector<Envelope> drained;
-  for (int i = 0; i < 100 && drained.size() < 3; ++i) {
+  for (int i = 0; i < 100 && server.stats().datagrams < 6; ++i) {
     server.poll(drained, std::chrono::milliseconds(20));
   }
   ASSERT_EQ(drained.size(), 3u);
   EXPECT_EQ(drained[0].message.type, MessageType::kOpenJob);
   EXPECT_EQ(drained[2].message.job_id, 2u);
 
-  for (int i = 0; i < 100 && server.stats().decode_errors == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
   const UdpServer::Stats stats = server.stats();
+  EXPECT_EQ(stats.datagrams, 6u);
   EXPECT_EQ(stats.frames, 3u);
   EXPECT_EQ(stats.gaps, 2u);
   EXPECT_EQ(stats.duplicates, 2u);  // exact dup + the reordered seq 3
@@ -276,7 +314,6 @@ TEST(UdpTransport, CountsGapsDuplicatesAndDecodeErrorsWithoutDying) {
   const TransportCounters counters = server.transport_counters();
   EXPECT_EQ(counters.gaps, 2u);
   EXPECT_EQ(counters.drops, 2u);
-  ::close(fd);
   server.stop();
 }
 
@@ -284,25 +321,10 @@ TEST(UdpTransport, PeerTtlStartsAFreshSessionAfterSilence) {
   UdpServer::Config config;
   config.peer_ttl = std::chrono::milliseconds(50);
   UdpServer server(config);
+  RawUdpPeer peer(server.port());  // one peer identity across the "reboot"
 
-  // One fixed socket = one peer identity across the "reboot".
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_port = htons(server.port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&address),
-                      sizeof(address)),
-            0);
-  const auto blast = [&](std::uint64_t seq, const Message& message) {
-    std::vector<std::uint8_t> datagram;
-    encode_datagram(seq, message, datagram);
-    ASSERT_GT(::send(fd, datagram.data(), datagram.size(), 0), 0);
-  };
-
-  blast(1, make_open_job(1, 1));
-  blast(2, make_close_job(1));
+  peer.send(1, make_open_job(1, 1));
+  peer.send(2, make_close_job(1));
   std::vector<Envelope> drained;
   for (int i = 0; i < 100 && drained.size() < 2; ++i) {
     server.poll(drained, std::chrono::milliseconds(20));
@@ -314,23 +336,74 @@ TEST(UdpTransport, PeerTtlStartsAFreshSessionAfterSilence) {
   // here). Neither may be shed against the old high-water mark as a
   // duplicate, and the idle spell must NOT be booked as packet loss.
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  blast(7, make_open_job(2, 1));
+  peer.send(7, make_open_job(2, 1));
   drained.clear();
   for (int i = 0; i < 100 && drained.empty(); ++i) {
     server.poll(drained, std::chrono::milliseconds(20));
   }
   ASSERT_EQ(drained.size(), 1u);
   EXPECT_EQ(drained[0].message.job_id, 2u);
-  // The frames counter lands just after the enqueue the drain observed:
-  // give the receiver thread its turn before reading.
-  for (int i = 0; i < 100 && server.stats().frames < 3; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
   const UdpServer::Stats stats = server.stats();
   EXPECT_EQ(stats.frames, 3u);
   EXPECT_EQ(stats.duplicates, 0u);
   EXPECT_EQ(stats.gaps, 0u);
-  ::close(fd);
+  server.stop();
+}
+
+TEST(UdpTransport, StopFromAnotherThreadWakesABlockedPoll) {
+  UdpServer server({});
+  std::vector<Envelope> drained;
+  bool alive = true;
+  std::chrono::steady_clock::time_point returned_at;
+  std::thread poller([&] {
+    alive = server.poll(drained, std::chrono::seconds(10));
+    returned_at = std::chrono::steady_clock::now();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // let it block
+  const auto stopped_at = std::chrono::steady_clock::now();
+  server.stop();
+  poller.join();
+  EXPECT_LT(returned_at - stopped_at, std::chrono::milliseconds(100));
+  EXPECT_FALSE(alive);
+  EXPECT_TRUE(drained.empty());
+  // Exhausted from here on: no wait, no datagrams.
+  EXPECT_FALSE(server.poll(drained, std::chrono::seconds(10)));
+}
+
+TEST(UdpTransport, OnePollReadsAtMostItsBudgetAndOtherPeersStillArrive) {
+  UdpServer server({});
+  RawUdpPeer flooder(server.port());
+  RawUdpPeer quiet(server.port());
+  constexpr std::size_t kBudget = UdpServer::kPollDatagramBudget;
+  for (std::uint64_t seq = 1; seq <= 4 * kBudget; ++seq) {
+    flooder.send(seq, make_open_job(seq, 1));
+  }
+  quiet.send(1, make_open_job(1'000'000, 1));
+
+  // The flood is queued ahead of the quiet peer's datagram: it drains
+  // across several polls, none returning more than the budget, and the
+  // quiet peer's job arrives behind it.
+  std::vector<Envelope> drained;
+  std::size_t polls = 0;
+  bool quiet_arrived = false;
+  while (!quiet_arrived && polls < 100) {
+    drained.clear();
+    server.poll(drained, std::chrono::milliseconds(20));
+    ++polls;
+    EXPECT_LE(drained.size(), kBudget);
+    if (polls == 1) {
+      EXPECT_EQ(drained.size(), kBudget);
+    }
+    for (const Envelope& envelope : drained) {
+      quiet_arrived |= envelope.message.job_id == 1'000'000;
+    }
+  }
+  EXPECT_TRUE(quiet_arrived);
+  EXPECT_GE(polls, 5u);  // 4 budgets of flood + the quiet datagram
+  const UdpServer::Stats stats = server.stats();
+  EXPECT_EQ(stats.frames, 4 * kBudget + 1);
+  EXPECT_EQ(stats.gaps, 0u);
+  EXPECT_EQ(stats.peers, 2u);
   server.stop();
 }
 
@@ -569,7 +642,7 @@ TEST_F(SourceMuxFixture, MixedTransportParityMatchesSingleSourceRun) {
     UdpClient client("127.0.0.1", udp_server.port());
     for (std::uint64_t job = 2; job <= kJobs; job += 3) {
       send_job(client, job, level_of(job));
-      // Loopback pacing: give the receiver a turn on tiny CI boxes.
+      // Loopback pacing: give the pipeline's poll a turn on tiny CI boxes.
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
     Message message;
