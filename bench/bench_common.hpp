@@ -62,7 +62,7 @@ inline void print_header(const std::string& title) {
   std::cout << "\n=== " << title << " ===\n\n";
 }
 
-/// Parses a --name a,b,c option of positive integers (thread/shard
+/// Parses a --name a,b,c option of positive integers (thread/source
 /// sweeps); returns \p fallback when absent or nothing parses.
 inline std::vector<std::size_t> parse_size_list(
     const util::ArgParser& args, const std::string& name,

@@ -1,10 +1,8 @@
 /// \file concurrent_recognition.cpp
-/// \brief Throughput of the concurrent recognition engine on the
-/// simulated Table 2 dataset: single-thread Matcher loop (the seed's
-/// path) vs Matcher::recognize_batch across a pool, plus the end-to-end
-/// RecognitionService streaming many concurrent jobs. Also asserts that
-/// sharded predictions are identical to the sequential baseline before
-/// timing anything.
+/// \brief Throughput of concurrent recognition on the simulated Table 2
+/// dataset: single-thread Matcher loop (the seed's path) vs
+/// Matcher::recognize_batch across a pool, plus the end-to-end
+/// RecognitionService streaming many concurrent jobs.
 ///
 /// Flags: --repetitions N  dataset scale (default 10, --full = 30)
 ///        --threads-list 1,2,4,8   --jobs N (default 32) --repeats N
@@ -19,7 +17,6 @@
 #include "bench_common.hpp"
 #include "core/matcher.hpp"
 #include "core/online/recognition_service.hpp"
-#include "core/sharded_dictionary.hpp"
 #include "core/trainer.hpp"
 #include "ldms/sampler.hpp"
 #include "ldms/streaming.hpp"
@@ -58,35 +55,15 @@ int main(int argc, char** argv) {
   config.metrics = {"nr_mapped_vmstat"};
   config.rounding_depth = 2;
 
-  const core::Dictionary sequential = core::train_dictionary(dataset, config);
-  const core::ShardedDictionary sharded =
-      core::train_dictionary_sharded(dataset, config);
-
-  // Correctness gate: the sharded engine must reproduce the sequential
-  // predictions exactly (tie order included) before we time it.
-  {
-    const core::Matcher a(sequential);
-    const core::Matcher b(sharded);
-    for (const auto& record : dataset.records()) {
-      const auto lhs = a.recognize(record, dataset);
-      const auto rhs = b.recognize(record, dataset);
-      if (lhs.prediction() != rhs.prediction() ||
-          lhs.applications != rhs.applications || lhs.votes != rhs.votes) {
-        std::cerr << "PARITY FAILURE on execution " << record.id() << "\n";
-        return 1;
-      }
-    }
-    std::cout << "parity: sharded == sequential on " << dataset.size()
-              << " executions\n";
-  }
+  const core::Dictionary dictionary = core::train_dictionary(dataset, config);
 
   util::TablePrinter table(
       {"path", "threads", "exec/s", "speedup vs 1-thread"});
 
-  // Baseline: the seed's serial loop over the sequential dictionary.
+  // Baseline: the seed's serial loop.
   double baseline_rate = 0.0;
   {
-    const core::Matcher matcher(sequential);
+    const core::Matcher matcher(dictionary);
     std::vector<std::size_t> slots = {dataset.metric_slot("nr_mapped_vmstat")};
     std::size_t recognized = 0;
     const auto start = Clock::now();
@@ -111,7 +88,7 @@ int main(int argc, char** argv) {
 
   for (const std::size_t threads : thread_counts) {
     util::ThreadPool pool(threads);
-    const core::Matcher matcher(sharded);
+    const core::Matcher matcher(dictionary);
     std::vector<std::size_t> slots = {dataset.metric_slot("nr_mapped_vmstat")};
     std::size_t recognized = 0;
     const auto start = Clock::now();
@@ -122,12 +99,12 @@ int main(int argc, char** argv) {
     }
     const double elapsed = seconds_since(start);
     const double rate = static_cast<double>(dataset.size() * repeats) / elapsed;
-    table.add_row({"recognize_batch (sharded)", std::to_string(threads),
+    table.add_row({"recognize_batch", std::to_string(threads),
                    util::format_fixed(rate, 0),
                    util::format_fixed(rate / baseline_rate, 2)});
     bench::emit_json(args, bench::JsonRecord()
                                .field("bench", "concurrent_recognition")
-                               .field("path", "batch_sharded")
+                               .field("path", "batch")
                                .field("threads", threads)
                                .field("exec_per_s", rate)
                                .field("speedup", rate / baseline_rate)
@@ -158,8 +135,7 @@ int main(int argc, char** argv) {
       plans.push_back(plan);
     }
     util::ThreadPool pool(threads);
-    core::RecognitionService service(
-        core::train_dictionary_sharded(dataset, config));
+    core::RecognitionService service(dictionary);
     const auto start = Clock::now();
     const ldms::StreamingRunReport report = ldms::run_concurrent_jobs(
         service, registry, plans, samplers, data.generator.seed,

@@ -19,10 +19,11 @@
 ///     disabled, in ns/sample; `obs_overhead_ratio` (off/on) gates that
 ///     instrumentation stays within the CI budget (>= 0.95 means the
 ///     timers cost at most ~5%);
-///  5. dictionary lookup — batch probes resolved through the sharded
-///     (per-shard shared_mutex + node-based hash map) path vs. the
-///     compiled flat probe index (dictionary_index.hpp), in ns/key over
-///     identical pre-built key sets; the ratio is `lookup_speedup`.
+///  5. dictionary lookup — batch probes resolved through an uncompiled
+///     Dictionary (the Matcher's Dictionary::lookup fallback over the
+///     node-based hash map) vs. its compiled flat probe index
+///     (dictionary_index.hpp), in ns/key over identical pre-built key
+///     sets; the ratio is `lookup_speedup`.
 ///
 /// CI runs this via the hot-path-smoke job and feeds the JSONL line to
 /// tools/bench_check.py, which compares the ratio fields against the
@@ -46,7 +47,6 @@
 #include "core/recognition_scratch.hpp"
 #include "core/rounding.hpp"
 #include "core/rounding_kernel.hpp"
-#include "core/sharded_dictionary.hpp"
 #include "core/trainer.hpp"
 #include "ingest/buffer_pool.hpp"
 #include "ingest/wire_format.hpp"
@@ -238,8 +238,7 @@ int main(int argc, char** argv) {
   }
   const auto service_rep = [&](bool timers_on) {
     obs::hot_path().enabled.store(timers_on, std::memory_order_relaxed);
-    core::RecognitionService service(
-        core::ShardedDictionary::from_dictionary(dictionary), {});
+    core::RecognitionService service(dictionary, {});
     const auto start = std::chrono::steady_clock::now();
     for (std::size_t job = 1; job <= kServeJobs; ++job) {
       service.open_job(job, 8, 0);
@@ -276,14 +275,11 @@ int main(int argc, char** argv) {
   std::cout << "obs_overhead_ratio: " << util::format_mean(obs_overhead_ratio)
             << " (off/on; 1.0 = free instrumentation)\n";
 
-  // --- Stage 5: dictionary lookup (sharded locks vs flat index) -----
-  // Two dictionaries with byte-identical content; only one compiles the
+  // --- Stage 5: dictionary lookup (hash map vs flat index) -----------
+  // The trained dictionary and a copy of it; only the copy compiles the
   // probe index. Keys are pre-built once so the stage prices exactly the
   // lookup+tally loop the serve path runs per verdict, nothing else.
-  core::ShardedDictionary sharded_dict =
-      core::ShardedDictionary::from_dictionary(dictionary);
-  core::ShardedDictionary indexed_dict =
-      core::ShardedDictionary::from_dictionary(dictionary);
+  core::Dictionary indexed_dict = dictionary;
   indexed_dict.compile_probe_index();
   std::vector<std::vector<core::FingerprintKey>> key_sets;
   std::size_t key_total = 0;
@@ -291,7 +287,7 @@ int main(int argc, char** argv) {
     key_sets.push_back(core::build_fingerprints(record, config, slots));
     key_total += key_sets.back().size();
   }
-  const core::Matcher sharded_matcher(sharded_dict);
+  const core::Matcher map_matcher(dictionary);
   const core::Matcher indexed_matcher(indexed_dict);
   core::RecognitionScratch lookup_scratch;
   constexpr int kLookupPasses = 16;  // amortize timer granularity
@@ -305,17 +301,17 @@ int main(int argc, char** argv) {
     }
     g_sink = static_cast<double>(matched);
   };
-  const double lookup_sharded_ns =
-      best_of(repetitions, [&] { lookup_loop(sharded_matcher); }) /
+  const double lookup_map_ns =
+      best_of(repetitions, [&] { lookup_loop(map_matcher); }) /
       (key_total * kLookupPasses);
   const double lookup_index_ns =
       best_of(repetitions, [&] { lookup_loop(indexed_matcher); }) /
       (key_total * kLookupPasses);
-  const double lookup_speedup = lookup_sharded_ns / lookup_index_ns;
+  const double lookup_speedup = lookup_map_ns / lookup_index_ns;
 
   std::cout << "\n";
   util::TablePrinter lookup({"dictionary lookup", "ns/key"});
-  lookup.add_row({"sharded (locked)", util::format_mean(lookup_sharded_ns)});
+  lookup.add_row({"hash map (uncompiled)", util::format_mean(lookup_map_ns)});
   lookup.add_row({std::string("flat index (") + core::index_kernel_name() +
                       " tag scan)",
                   util::format_mean(lookup_index_ns)});
@@ -343,7 +339,7 @@ int main(int argc, char** argv) {
       .field("obs_on_ns_per_sample", obs_on_ns)
       .field("obs_off_ns_per_sample", obs_off_ns)
       .field("obs_overhead_ratio", obs_overhead_ratio)
-      .field("lookup_sharded_ns_per_key", lookup_sharded_ns)
+      .field("lookup_map_ns_per_key", lookup_map_ns)
       .field("lookup_index_ns_per_key", lookup_index_ns)
       .field("lookup_speedup", lookup_speedup)
       .field("index_kernel", core::index_kernel_name())

@@ -22,8 +22,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/dictionary.hpp"
 #include "core/online/recognition_service.hpp"
-#include "core/sharded_dictionary.hpp"
 #include "ingest/pipeline.hpp"
 #include "ingest/ring_transport.hpp"
 #include "ingest/transport_feed.hpp"
@@ -49,8 +49,8 @@ core::FingerprintConfig fingerprint_config() {
 }
 
 /// Two-app constant-level dictionary covering \p nodes nodes.
-core::ShardedDictionary make_dictionary(std::uint32_t nodes) {
-  core::ShardedDictionary dictionary(fingerprint_config(), 16);
+core::Dictionary make_dictionary(std::uint32_t nodes) {
+  core::Dictionary dictionary(fingerprint_config());
   for (std::uint32_t node = 0; node < nodes; ++node) {
     core::FingerprintKey key;
     key.metric = "nr_mapped_vmstat";

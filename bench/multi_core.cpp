@@ -33,7 +33,6 @@
 #include <chrono>
 #include <cstdint>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,7 +40,6 @@
 #include "bench_common.hpp"
 #include "core/fingerprint.hpp"
 #include "core/online/recognition_service.hpp"
-#include "core/sharded_dictionary.hpp"
 #include "core/trainer.hpp"
 #include "util/table_printer.hpp"
 #include "util/thread_pool.hpp"
@@ -102,17 +100,14 @@ double percentile(std::vector<double> values, double fraction) {
 
 /// Replays the traffic once through a fresh deferred service, draining
 /// with process_pending(pool) after every tick round (pool == nullptr is
-/// the single-threaded baseline). The service takes ownership of its
-/// dictionary (ShardedDictionary is move-only), so every run rehydrates
-/// one from the serialized bytes.
-ModeResult run_mode(const std::string& dictionary_bytes,
+/// the single-threaded baseline). Every run's service owns its own copy
+/// of the dictionary.
+ModeResult run_mode(const core::Dictionary& dictionary,
                     const std::vector<JobTraffic>& traffic,
                     util::ThreadPool* pool) {
-  std::istringstream dictionary_in(dictionary_bytes);
   core::RecognitionServiceConfig config;
   config.deferred = true;
-  core::RecognitionService service(
-      core::ShardedDictionary::load(dictionary_in), config);
+  core::RecognitionService service(dictionary, config);
 
   for (const JobTraffic& job : traffic) {
     if (!service.open_job(job.job_id, job.node_count)) std::abort();
@@ -188,11 +183,7 @@ int main(int argc, char** argv) {
   core::FingerprintConfig config;
   config.metrics = dataset.metric_names();
   config.rounding_depth = 2;
-  const core::ShardedDictionary dictionary =
-      core::train_dictionary_sharded(dataset, config);
-  std::ostringstream dictionary_out;
-  dictionary.save(dictionary_out);
-  const std::string dictionary_bytes = dictionary_out.str();
+  const core::Dictionary dictionary = core::train_dictionary(dataset, config);
 
   // Traffic: J jobs, each replaying one execution's telemetry through
   // every tick a fingerprint window can still consume.
@@ -234,7 +225,7 @@ int main(int argc, char** argv) {
             << std::thread::hardware_concurrency() << ")\n\n";
 
   const ModeResult baseline = best_run(
-      repeats, [&] { return run_mode(dictionary_bytes, traffic, nullptr); });
+      repeats, [&] { return run_mode(dictionary, traffic, nullptr); });
 
   util::TablePrinter table(
       {"mode", "samples/s", "speedup", "p99 verdict lag (us)", "parity"});
@@ -253,7 +244,7 @@ int main(int argc, char** argv) {
   for (const std::size_t threads : thread_counts) {
     util::ThreadPool pool(threads);
     const ModeResult run = best_run(
-        repeats, [&] { return run_mode(dictionary_bytes, traffic, &pool); });
+        repeats, [&] { return run_mode(dictionary, traffic, &pool); });
     const bool same = run.verdict_table == baseline.verdict_table &&
                       run.verdicts == jobs;
     parity = parity && same;

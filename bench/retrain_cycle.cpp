@@ -9,7 +9,7 @@
 ///     per-batch push latencies — the baseline p99.
 ///  2. Window snapshot: the deep copy a cycle starts with (the only
 ///     retrain step that runs on the scheduler thread).
-///  3. One full cycle: background sharded train + validation-gate replay
+///  3. One full cycle: background train + validation-gate replay
 ///     (timings from the controller's own report).
 ///  4. Swap latency: publishing a retrained epoch via the RCU handle.
 ///  5. Retrain-under-traffic: a background thread runs cycles
@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
   config.rounding_depth = 2;
 
   core::RecognitionService service(
-      core::train_dictionary_sharded(dataset.dataset, config));
+      core::train_dictionary(dataset.dataset, config));
 
   retrain::RetrainConfig retrain_config;
   retrain_config.background = false;  // timings measured per call
@@ -192,8 +192,7 @@ int main(int argc, char** argv) {
   // ---- Phase 4: swap latency (a real content-changing promotion). ----
   const auto slices = retrain::slice_window(
       recorder.snapshot_window(), config, retrain_config.holdout_fraction);
-  core::ShardedDictionary candidate =
-      core::train_dictionary_sharded(slices.train, config);
+  core::Dictionary candidate = core::train_dictionary(slices.train, config);
   const auto swap_start = Clock::now();
   const auto outcome = service.swap_dictionary(std::move(candidate));
   const double swap_us = micros_since(swap_start);

@@ -11,6 +11,7 @@
 #include <string_view>
 #include <utility>
 
+#include "core/dictionary_index.hpp"
 #include "telemetry/execution_record.hpp"
 #include "util/string_utils.hpp"
 
@@ -39,7 +40,10 @@ std::uint64_t DictionaryEntry::total_count() const noexcept {
 void Dictionary::insert(const FingerprintKey& key, const std::string& label,
                         std::uint32_t count) {
   if (count == 0) return;
-  const std::uint32_t label_id = labels_->intern(label);
+  // Only an unpublished dictionary is ever mutated (epochs are const), so
+  // nothing probes the index this drops.
+  index_.reset();
+  const std::uint32_t label_id = labels_.intern(label);
   DictionaryEntry& entry = entries_[key];
   entry.observe(label, count);
   // observe() appends at most this one label at the end, so the id lists
@@ -56,26 +60,11 @@ const DictionaryEntry* Dictionary::lookup(const FingerprintKey& key) const {
   return it != entries_.end() ? &it->second : nullptr;
 }
 
-bool Dictionary::lookup_entry(const FingerprintKey& key,
-                              DictionaryEntry& out) const {
-  out.labels.clear();
-  out.counts.clear();
-  out.label_ids.clear();
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return false;
-  out = it->second;
-  return true;
-}
-
 std::size_t Dictionary::application_order(const std::string& application) const {
   const auto it = application_first_seen_.find(application);
   return it != application_first_seen_.end()
              ? it->second
              : application_first_seen_.size();  // unknowns sort last
-}
-
-void Dictionary::register_application(const std::string& application) {
-  application_first_seen_.emplace(application, application_first_seen_.size());
 }
 
 std::vector<std::string> Dictionary::applications_in_order() const {
@@ -87,6 +76,7 @@ std::vector<std::string> Dictionary::applications_in_order() const {
 }
 
 std::size_t Dictionary::prune_rare(std::uint32_t min_observations) {
+  index_.reset();
   std::size_t removed = 0;
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (it->second.total_count() < min_observations) {
@@ -113,7 +103,8 @@ void Dictionary::merge(const Dictionary& other) {
   // Adopt the source's application epoch order first so tie-breaking
   // stays deterministic regardless of entry iteration order below.
   for (const std::string& application : other.applications_in_order()) {
-    register_application(application);
+    application_first_seen_.emplace(application,
+                                    application_first_seen_.size());
   }
   for (const auto& [key, entry] : other.entries_) {
     for (std::size_t i = 0; i < entry.labels.size(); ++i) {
@@ -143,8 +134,10 @@ DictionaryStats Dictionary::stats() const {
   return stats;
 }
 
-namespace detail {
+namespace {
 
+/// Table-4 key ordering of sorted_entries() and the serialization
+/// (metric, interval begin, means, node).
 bool fingerprint_key_before(const FingerprintKey& a, const FingerprintKey& b) {
   if (a.metric != b.metric) return a.metric < b.metric;
   if (a.interval.begin_seconds != b.interval.begin_seconds) {
@@ -156,14 +149,14 @@ bool fingerprint_key_before(const FingerprintKey& a, const FingerprintKey& b) {
   return a.node_id < b.node_id;
 }
 
-}  // namespace detail
+}  // namespace
 
 std::vector<std::pair<FingerprintKey, DictionaryEntry>>
 Dictionary::sorted_entries() const {
   std::vector<std::pair<FingerprintKey, DictionaryEntry>> sorted(
       entries_.begin(), entries_.end());
   std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
-    return detail::fingerprint_key_before(a.first, b.first);
+    return fingerprint_key_before(a.first, b.first);
   });
   return sorted;
 }
@@ -193,23 +186,19 @@ std::optional<T> parse_as(std::string_view text) {
 
 }  // namespace
 
-namespace detail {
-
-void save_dictionary_text(
-    std::ostream& out, const FingerprintConfig& config,
-    const std::vector<std::pair<FingerprintKey, DictionaryEntry>>&
-        sorted_entries) {
+void Dictionary::save(std::ostream& out) const {
   out << kFormatTag << '\n';
-  out << "metrics " << util::join(config.metrics, ",") << '\n';
+  out << "metrics " << util::join(config_.metrics, ",") << '\n';
   out << "intervals";
-  for (const auto& interval : config.intervals) {
+  for (const auto& interval : config_.intervals) {
     out << ' ' << interval.begin_seconds << ':' << interval.end_seconds;
   }
   out << '\n';
-  out << "depth " << config.rounding_depth << '\n';
-  out << "combine " << (config.combine_metrics ? 1 : 0) << '\n';
-  out << "keys " << sorted_entries.size() << '\n';
-  for (const auto& [key, entry] : sorted_entries) {
+  out << "depth " << config_.rounding_depth << '\n';
+  out << "combine " << (config_.combine_metrics ? 1 : 0) << '\n';
+  const auto sorted = sorted_entries();
+  out << "keys " << sorted.size() << '\n';
+  for (const auto& [key, entry] : sorted) {
     out << key.metric << '|' << key.node_id << '|' << key.interval.begin_seconds
         << ':' << key.interval.end_seconds << '|';
     for (std::size_t i = 0; i < key.rounded_means.size(); ++i) {
@@ -223,12 +212,6 @@ void save_dictionary_text(
     }
     out << '\n';
   }
-}
-
-}  // namespace detail
-
-void Dictionary::save(std::ostream& out) const {
-  detail::save_dictionary_text(out, config_, sorted_entries());
 }
 
 void Dictionary::save_file(const std::string& path) const {
@@ -318,6 +301,18 @@ Dictionary Dictionary::load_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open dictionary: " + path);
   return load(in);
+}
+
+void Dictionary::compile_probe_index() {
+  index_ = DictionaryIndex::compile(sorted_entries());
+}
+
+double Dictionary::index_build_seconds() const noexcept {
+  return index_ != nullptr ? index_->build_seconds() : 0.0;
+}
+
+std::uint64_t Dictionary::index_resident_bytes() const noexcept {
+  return index_ != nullptr ? index_->resident_bytes() : 0;
 }
 
 }  // namespace efd::core

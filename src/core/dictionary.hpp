@@ -18,11 +18,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/dictionary_view.hpp"
 #include "core/fingerprint.hpp"
 #include "core/label_table.hpp"
 
 namespace efd::core {
+
+class DictionaryIndex;
 
 /// Value of one dictionary entry.
 struct DictionaryEntry {
@@ -33,9 +34,8 @@ struct DictionaryEntry {
   std::vector<std::uint32_t> counts;
   /// Interned id per label (aligned with labels) in the owning
   /// dictionary's LabelTable — the allocation-free scoring path votes on
-  /// these instead of re-parsing label strings. Not serialized; id values
-  /// depend on interning order, which sharded training makes
-  /// nondeterministic, but labels/counts (the durable content) do not.
+  /// these instead of re-parsing label strings. Not serialized: id values
+  /// depend on interning order, the durable content is labels/counts.
   std::vector<std::uint32_t> label_ids;
 
   /// Adds one observation of a label.
@@ -60,10 +60,12 @@ struct DictionaryStats {
   std::uint64_t total_observations = 0;
 };
 
-/// The dictionary proper. Single-threaded: for concurrent training and
-/// lookup use ShardedDictionary (sharded_dictionary.hpp), which exposes
-/// the same interface behind per-shard locks.
-class Dictionary : public DictionaryView {
+/// The dictionary proper: the one trained form of the EFD. Built
+/// single-threaded (train_dictionary, load, merge), then published as a
+/// const epoch (dictionary_handle.hpp) with its compiled probe index;
+/// a published dictionary is never mutated, so any number of threads
+/// may read it.
+class Dictionary {
  public:
   Dictionary() = default;
 
@@ -72,14 +74,12 @@ class Dictionary : public DictionaryView {
   /// depth as in the learning phase").
   explicit Dictionary(FingerprintConfig config) : config_(std::move(config)) {}
 
-  const FingerprintConfig& config() const noexcept override { return config_; }
+  const FingerprintConfig& config() const noexcept { return config_; }
 
-  /// The label interner entries' label_ids index into. Shared (not
-  /// deep-copied) between copies of a dictionary: the table is
-  /// append-only, so a copy's ids stay valid against the shared table.
-  const LabelTable& label_table() const noexcept override {
-    return *labels_;
-  }
+  /// The label interner entries' label_ids index into. insert() interns
+  /// every label before it writes the entry, so every entry's label_ids
+  /// resolve here; a copy of the dictionary copies the table.
+  const LabelTable& label_table() const noexcept { return labels_; }
 
   /// Number of unique keys.
   std::size_t size() const noexcept { return entries_.size(); }
@@ -97,22 +97,13 @@ class Dictionary : public DictionaryView {
   /// Entry for a key, or nullptr if absent. O(1) expected.
   const DictionaryEntry* lookup(const FingerprintKey& key) const;
 
-  /// DictionaryView copy-out lookup (see dictionary_view.hpp).
-  bool lookup_entry(const FingerprintKey& key,
-                    DictionaryEntry& out) const override;
+  /// Application-name first-seen rank (for deterministic tie arrays):
+  /// applications are indexed in the order their first key was inserted;
+  /// unknown applications rank last.
+  std::size_t application_order(const std::string& application) const;
 
-  /// Application-name first-seen order (for deterministic tie arrays).
-  /// Applications are indexed in the order their first key was inserted.
-  std::size_t application_order(const std::string& application) const override;
-
-  /// Application names in first-seen order (the global tie-break epoch
-  /// order). Used to transplant the order into a ShardedDictionary.
+  /// Application names in first-seen order (the tie-break epoch order).
   std::vector<std::string> applications_in_order() const;
-
-  /// Pre-registers an application in the first-seen order without
-  /// inserting a key (idempotent). Lets conversions from sharded
-  /// dictionaries reproduce the tie-break epoch exactly.
-  void register_application(const std::string& application);
 
   /// Removes all keys whose total observation count is below
   /// \p min_observations; returns the number of keys removed. Models
@@ -146,6 +137,25 @@ class Dictionary : public DictionaryView {
   static Dictionary load(std::istream& in);
   static Dictionary load_file(const std::string& path);
 
+  /// Compiles the flat probe index (dictionary_index.hpp) from the
+  /// current content. DictionaryHandle::Epoch's constructor is the
+  /// production call site (train completion, epoch swap, snapshot
+  /// restore); it compiles before the epoch's const member exists. The
+  /// index is derived state: never serialized, and dropped again if
+  /// insert()/merge()/prune_rare() later mutate this (unpublished)
+  /// dictionary.
+  void compile_probe_index();
+
+  /// The compiled index, or nullptr when none is compiled (a dictionary
+  /// that was never published, or one mutated since its compile: the
+  /// Matcher then probes lookup()). A published epoch is const, so its
+  /// index lives as long as the epoch pin.
+  const DictionaryIndex* probe_index() const noexcept { return index_.get(); }
+
+  /// Build cost / footprint of the compiled index (0 when none).
+  double index_build_seconds() const noexcept;
+  std::uint64_t index_resident_bytes() const noexcept;
+
   /// Iteration support (unordered).
   auto begin() const { return entries_.begin(); }
   auto end() const { return entries_.end(); }
@@ -154,21 +164,8 @@ class Dictionary : public DictionaryView {
   FingerprintConfig config_;
   std::unordered_map<FingerprintKey, DictionaryEntry, FingerprintKeyHash> entries_;
   std::unordered_map<std::string, std::size_t> application_first_seen_;
-  std::shared_ptr<LabelTable> labels_ = std::make_shared<LabelTable>();
+  LabelTable labels_;
+  std::shared_ptr<const DictionaryIndex> index_;
 };
-
-namespace detail {
-
-/// Table-4 key ordering shared by Dictionary and ShardedDictionary
-/// sorted_entries/serialization (metric, interval begin, means, node).
-bool fingerprint_key_before(const FingerprintKey& a, const FingerprintKey& b);
-
-/// Writes the EFD-DICT-V1 text rendering of (config, sorted entries) —
-/// the single source of truth for the on-disk format.
-void save_dictionary_text(
-    std::ostream& out, const FingerprintConfig& config,
-    const std::vector<std::pair<FingerprintKey, DictionaryEntry>>& sorted_entries);
-
-}  // namespace detail
 
 }  // namespace efd::core

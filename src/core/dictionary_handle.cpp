@@ -4,10 +4,10 @@
 
 namespace efd::core {
 
-DictionaryHandle::DictionaryHandle(ShardedDictionary initial)
+DictionaryHandle::DictionaryHandle(Dictionary initial)
     : current_(std::make_shared<Epoch>(1, std::move(initial))), version_(1) {}
 
-std::uint64_t DictionaryHandle::swap(ShardedDictionary next) {
+std::uint64_t DictionaryHandle::swap(Dictionary next) {
   // Writers serialize (swaps are rare — a retrain cadence, not a hot
   // path) so versions are dense and monotone. The successor (index
   // compile included) is built before readers are locked out at all.

@@ -4,12 +4,11 @@
 ///
 /// A production service must take a retrained dictionary live without
 /// dropping the streams it is currently recognizing ("dictionary updates
-/// while serving" — the ROADMAP's durable-serving gap). DictionaryHandle
-/// is the RCU-snapshot publication point that makes that safe, the same
-/// pattern ApplicationRegistry uses for application epoch order:
+/// while serving"). DictionaryHandle is the publication point that makes
+/// that safe:
 ///
 ///  - The active dictionary lives inside an immutable Epoch: a const
-///    ShardedDictionary with its flat probe index compiled before
+///    Dictionary with its flat probe index compiled before
 ///    publication. New keys arrive as a successor epoch via swap(),
 ///    never by mutating a published one. Readers pin an epoch once
 ///    per stream via acquire() — one shared_ptr copy under a leaf mutex
@@ -22,9 +21,7 @@
 ///    at open; streams opened after the swap see the new one. No stream
 ///    ever observes a half-swapped dictionary.
 ///  - Reclamation is reference-counted: a superseded epoch is freed the
-///    moment the last in-flight stream pinned to it finishes — unlike
-///    ApplicationRegistry's retire list, because dictionaries are far
-///    too big to retain one per swap for the handle's lifetime.
+///    moment the last in-flight stream pinned to it finishes.
 ///
 /// version()/swap_count() are lock-free atomic reads (monitoring/stats
 /// material). Thread-safety: all methods are safe to call concurrently;
@@ -35,7 +32,7 @@
 #include <memory>
 #include <mutex>
 
-#include "core/sharded_dictionary.hpp"
+#include "core/dictionary_index.hpp"
 
 namespace efd::core {
 
@@ -52,21 +49,21 @@ class DictionaryHandle {
     /// for reset() — ships structure + index together, and neither can
     /// change afterwards. In-flight streams keep their pinned epoch's
     /// index.
-    Epoch(std::uint64_t version, ShardedDictionary dictionary)
+    Epoch(std::uint64_t version, Dictionary dictionary)
         : version(version), dictionary(compiled(std::move(dictionary))) {}
 
     const std::uint64_t version;
-    const ShardedDictionary dictionary;
+    const Dictionary dictionary;
 
    private:
-    static ShardedDictionary compiled(ShardedDictionary dictionary) {
+    static Dictionary compiled(Dictionary dictionary) {
       dictionary.compile_probe_index();
       return dictionary;
     }
   };
 
   /// The initial dictionary becomes epoch 1.
-  explicit DictionaryHandle(ShardedDictionary initial);
+  explicit DictionaryHandle(Dictionary initial);
 
   DictionaryHandle(const DictionaryHandle&) = delete;
   DictionaryHandle& operator=(const DictionaryHandle&) = delete;
@@ -92,7 +89,7 @@ class DictionaryHandle {
 
   /// Atomically publishes \p next as the new active epoch (version + 1)
   /// and returns that new version. In-flight pins keep their old epoch.
-  std::uint64_t swap(ShardedDictionary next);
+  std::uint64_t swap(Dictionary next);
 
   /// Restore path: installs a pre-built epoch (explicit version) with an
   /// explicit swap-count — snapshot continuity across restarts. Taking
@@ -113,7 +110,7 @@ class DictionaryHandle {
   std::atomic<std::uint64_t> version_;
   std::atomic<std::uint64_t> swaps_{0};
   /// Serializes swap()/reset() so versions stay dense and monotone;
-  /// readers never take it (ApplicationRegistry's writer discipline).
+  /// readers never take it.
   std::mutex writer_mutex_;
 };
 

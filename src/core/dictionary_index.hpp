@@ -2,14 +2,14 @@
 /// \file dictionary_index.hpp
 /// \brief Immutable flat probe index compiled from a frozen dictionary.
 ///
-/// ShardedDictionary is built for concurrent *training*: N shards, each a
-/// node-based hash map behind a shared_mutex. Between RCU epoch swaps the
-/// published dictionary never changes, yet every recognition probe still
-/// paid a lock acquisition, a bucket-list pointer chase, and a full
-/// DictionaryEntry copy-out. DictionaryIndex is the read-side artifact the
-/// serve path deserves: at publication time (train completion, epoch swap,
-/// snapshot restore — see DictionaryHandle::Epoch) the frozen content is
-/// compiled once into flat arrays, and probes touch nothing else.
+/// Dictionary is built for *training*: a node-based hash map that insert()
+/// grows one observation at a time. Between epoch swaps the published
+/// dictionary never changes, yet a map probe still chases a bucket list
+/// and string-compares node by node. DictionaryIndex is the read-side
+/// artifact the serve path deserves: at publication time (train
+/// completion, epoch swap, snapshot restore — see DictionaryHandle::Epoch)
+/// the frozen content is compiled once into flat arrays, and probes touch
+/// nothing else.
 ///
 /// Layout (all contiguous, no per-node allocation, no locks):
 ///
@@ -30,14 +30,14 @@
 /// rounding_kernel.cpp and honoring EFD_SIMD=off; the scalar build
 /// produces bit-identical masks), verify candidates with full key
 /// equality, stop at the first empty slot. Found/not-found semantics match
-/// the shard maps exactly because equality is FingerprintKey::operator==
+/// Dictionary::lookup exactly because equality is FingerprintKey::operator==
 /// and the table holds precisely the published key set.
 ///
 /// The index is derived state: never serialized (EFD-DICT-V1 unchanged)
 /// and compiled once per published epoch, whose dictionary is const from
 /// then on, so an index is never patched or invalidated while readers
 /// hold it. A mutator on a not-yet-published dictionary drops the index
-/// (see ShardedDictionary::probe_index).
+/// (see Dictionary::probe_index).
 
 #include <cstddef>
 #include <cstdint>
@@ -145,7 +145,7 @@ class DictionaryIndex {
 
   /// Full key equality against a packed entry, cheapest fields first.
   /// Mirrors FingerprintKey::operator== (double ==, so a NaN mean never
-  /// matches — same behavior the shard maps have).
+  /// matches — same behavior Dictionary::lookup has).
   bool key_matches(const Entry& entry,
                    const FingerprintKey& key) const noexcept;
 

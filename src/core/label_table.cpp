@@ -8,103 +8,41 @@ namespace {
 const std::string kEmptyString;
 }  // namespace
 
-const LabelTable::Snapshot* LabelTable::empty_snapshot() {
-  static const Snapshot empty;
-  return &empty;
-}
-
-LabelTable::LabelTable() : current_(empty_snapshot()) {}
-
-LabelTable::~LabelTable() = default;
-
-LabelTable::LabelTable(LabelTable&& other) noexcept
-    : current_(empty_snapshot()) {
-  std::lock_guard<std::mutex> lock(other.writer_mutex_);
-  current_.store(other.current_.load(std::memory_order_acquire),
-                 std::memory_order_release);
-  snapshots_ = std::move(other.snapshots_);
-  other.snapshots_.clear();
-  other.current_.store(empty_snapshot(), std::memory_order_release);
-}
-
-LabelTable& LabelTable::operator=(LabelTable&& other) noexcept {
-  if (this == &other) return *this;
-  std::scoped_lock lock(writer_mutex_, other.writer_mutex_);
-  current_.store(other.current_.load(std::memory_order_acquire),
-                 std::memory_order_release);
-  snapshots_ = std::move(other.snapshots_);
-  other.snapshots_.clear();
-  other.current_.store(empty_snapshot(), std::memory_order_release);
-  return *this;
-}
-
 std::uint32_t LabelTable::intern(const std::string& label) {
-  {
-    const Snapshot* snap = snapshot();
-    auto it = snap->label_ids.find(label);
-    if (it != snap->label_ids.end()) return it->second;
-  }
+  const auto it = label_ids_.find(label);
+  if (it != label_ids_.end()) return it->second;
 
-  std::lock_guard<std::mutex> lock(writer_mutex_);
-  const Snapshot* snap = snapshot();
-  auto it = snap->label_ids.find(label);
-  if (it != snap->label_ids.end()) return it->second;
+  const std::string application = telemetry::parse_label(label).application;
+  const auto [app_it, inserted] = app_ids_.emplace(
+      application, static_cast<std::uint32_t>(app_names_.size()));
+  if (inserted) app_names_.push_back(application);
 
-  auto next = std::make_unique<Snapshot>(*snap);
-  const std::string application =
-      telemetry::parse_label(label).application;
-  std::uint32_t app_id;
-  auto app_it = next->app_ids.find(application);
-  if (app_it != next->app_ids.end()) {
-    app_id = app_it->second;
-  } else {
-    app_id = static_cast<std::uint32_t>(next->app_names.size());
-    next->app_ids.emplace(application, app_id);
-    next->app_names.push_back(application);
-  }
-  const auto label_id = static_cast<std::uint32_t>(next->label_names.size());
-  next->label_ids.emplace(label, label_id);
-  next->label_names.push_back(label);
-  next->label_app.push_back(app_id);
-
-  current_.store(next.get(), std::memory_order_release);
-  snapshots_.push_back(std::move(next));
+  const auto label_id = static_cast<std::uint32_t>(label_names_.size());
+  label_ids_.emplace(label, label_id);
+  label_names_.push_back(label);
+  label_app_.push_back(app_it->second);
   return label_id;
 }
 
 std::uint32_t LabelTable::id_of(const std::string& label) const noexcept {
-  const Snapshot* snap = snapshot();
-  auto it = snap->label_ids.find(label);
-  return it != snap->label_ids.end() ? it->second : kNoLabelId;
+  const auto it = label_ids_.find(label);
+  return it != label_ids_.end() ? it->second : kNoLabelId;
 }
 
 const std::string& LabelTable::label_name(
     std::uint32_t label_id) const noexcept {
-  const Snapshot* snap = snapshot();
-  if (label_id >= snap->label_names.size()) return kEmptyString;
-  return snap->label_names[label_id];
+  return label_id < label_names_.size() ? label_names_[label_id]
+                                        : kEmptyString;
 }
 
 std::uint32_t LabelTable::application_of(
     std::uint32_t label_id) const noexcept {
-  const Snapshot* snap = snapshot();
-  if (label_id >= snap->label_app.size()) return kNoLabelId;
-  return snap->label_app[label_id];
+  return label_id < label_app_.size() ? label_app_[label_id] : kNoLabelId;
 }
 
 const std::string& LabelTable::application_name(
     std::uint32_t app_id) const noexcept {
-  const Snapshot* snap = snapshot();
-  if (app_id >= snap->app_names.size()) return kEmptyString;
-  return snap->app_names[app_id];
-}
-
-std::size_t LabelTable::label_count() const noexcept {
-  return snapshot()->label_names.size();
-}
-
-std::size_t LabelTable::application_count() const noexcept {
-  return snapshot()->app_names.size();
+  return app_id < app_names_.size() ? app_names_[app_id] : kEmptyString;
 }
 
 }  // namespace efd::core

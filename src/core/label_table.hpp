@@ -1,8 +1,8 @@
 #pragma once
 /// \file label_table.hpp
-/// \brief Lock-free-read interner of full labels ("ft_X") and their
-/// applications to dense u32 ids — the id space the allocation-free
-/// recognition hot path votes in.
+/// \brief Interner of full labels ("ft_X") and their applications to
+/// dense u32 ids — the id space the allocation-free recognition hot path
+/// votes in.
 ///
 /// The string-keyed scoring loop pays for itself many times per matched
 /// entry: a parse_label per label, a std::set per entry to dedup
@@ -11,29 +11,17 @@
 /// flat-array arithmetic (see recognition_scratch.hpp); names reappear
 /// only when a verdict is rendered for a human or the wire.
 ///
-/// Concurrency model is the ApplicationRegistry's (app_registry.hpp),
-/// copied deliberately:
-///  - Readers (id_of / label_name / application_of / counts) do one
-///    acquire-load of an immutable snapshot and an array/hash lookup —
-///    no lock, no refcount. Ids are stable forever once assigned.
-///  - Writers (intern) serialize on a mutex, copy the snapshot, append,
-///    and publish with a release store. A label is interned once per
-///    dictionary lifetime, so the copy is training-time cost, not
-///    serve-time.
-///  - Superseded snapshots are retired into a list freed on destruction
-///    (one per distinct label ever interned — O(labels²) strings, a few
-///    hundred KB at paper scale), so readers never synchronize with
-///    reclamation.
+/// Plain containers, owned by one Dictionary: intern() runs only while
+/// the dictionary is built (training, load), before it is published as a
+/// const epoch; every reader after publication sees a frozen table.
 ///
 /// Note the table's application ids are its own dense space for vote
 /// arrays; the tie-break epoch order remains the dictionary's
-/// ApplicationRegistry — ranks are queried by name at verdict time.
+/// application first-seen order — ranks are queried by name at verdict
+/// time.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -45,23 +33,14 @@ inline constexpr std::uint32_t kNoLabelId = 0xFFFFFFFFu;
 
 class LabelTable {
  public:
-  LabelTable();
-  ~LabelTable();
-
-  LabelTable(LabelTable&& other) noexcept;
-  LabelTable& operator=(LabelTable&& other) noexcept;
-  LabelTable(const LabelTable&) = delete;
-  LabelTable& operator=(const LabelTable&) = delete;
-
   /// Dense id of \p label, interning it (and its application) on first
-  /// sight. Lock-free when already interned — the dictionary-insert path.
+  /// sight.
   std::uint32_t intern(const std::string& label);
 
-  /// Id of an already-interned label; kNoLabelId if never seen. Lock-free.
+  /// Id of an already-interned label; kNoLabelId if never seen.
   std::uint32_t id_of(const std::string& label) const noexcept;
 
-  /// Full label name for an id (stable reference: snapshots are retained
-  /// for the table's lifetime). Empty string for out-of-range ids.
+  /// Full label name for an id. Empty string for out-of-range ids.
   const std::string& label_name(std::uint32_t label_id) const noexcept;
 
   /// Application id of a label id; kNoLabelId for out-of-range ids.
@@ -70,32 +49,16 @@ class LabelTable {
   /// Application name for an application id; empty for out-of-range.
   const std::string& application_name(std::uint32_t app_id) const noexcept;
 
-  /// Distinct labels / applications interned so far. Lock-free.
-  std::size_t label_count() const noexcept;
-  std::size_t application_count() const noexcept;
+  /// Distinct labels / applications interned so far.
+  std::size_t label_count() const noexcept { return label_names_.size(); }
+  std::size_t application_count() const noexcept { return app_names_.size(); }
 
  private:
-  struct Snapshot {
-    std::unordered_map<std::string, std::uint32_t> label_ids;
-    std::vector<std::string> label_names;      ///< index == label id
-    std::vector<std::uint32_t> label_app;      ///< label id -> app id
-    std::unordered_map<std::string, std::uint32_t> app_ids;
-    std::vector<std::string> app_names;        ///< index == app id
-  };
-
-  /// Shared immutable empty snapshot (fresh and moved-from tables point
-  /// here; never owned, never freed).
-  static const Snapshot* empty_snapshot();
-
-  const Snapshot* snapshot() const noexcept {
-    return current_.load(std::memory_order_acquire);
-  }
-
-  std::atomic<const Snapshot*> current_;
-  std::mutex writer_mutex_;
-  /// Owns every snapshot ever published (current included); guarded by
-  /// writer_mutex_, freed only on destruction/move.
-  std::vector<std::unique_ptr<const Snapshot>> snapshots_;
+  std::unordered_map<std::string, std::uint32_t> label_ids_;
+  std::vector<std::string> label_names_;      ///< index == label id
+  std::vector<std::uint32_t> label_app_;      ///< label id -> app id
+  std::unordered_map<std::string, std::uint32_t> app_ids_;
+  std::vector<std::string> app_names_;        ///< index == app id
 };
 
 }  // namespace efd::core

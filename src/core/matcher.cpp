@@ -38,16 +38,16 @@ RecognitionResult Matcher::recognize_key_span(
   result.fingerprint_count = keys.size();
 
   std::set<std::string> seen_labels;  // dedup while preserving first-seen order
-  DictionaryEntry entry;              // reused copy-out buffer
   for (const FingerprintKey& key : keys) {
-    if (!dictionary_->lookup_entry(key, entry)) continue;
+    const DictionaryEntry* entry = dictionary_->lookup(key);
+    if (entry == nullptr) continue;
     ++result.matched_count;
 
     // One vote per matched fingerprint per distinct application name in
     // the entry (an entry listing sp_X, sp_Y, bt_X yields one sp vote and
     // one bt vote for this fingerprint).
     std::set<std::string> applications_in_entry;
-    for (const std::string& label : entry.labels) {
+    for (const std::string& label : entry->labels) {
       applications_in_entry.insert(telemetry::parse_label(label).application);
       ++result.label_votes[label];
       if (seen_labels.insert(label).second) {
@@ -115,10 +115,9 @@ void Matcher::recognize_keys_into(std::span<const FingerprintKey> keys,
       if (entry != nullptr) scratch.score_entry_ids(index->label_ids(*entry));
     }
   } else {
-    DictionaryEntry& entry = scratch.entry_buffer();
     for (const FingerprintKey& key : keys) {
-      if (dictionary_->lookup_entry(key, entry)) {
-        scratch.score_entry_ids(entry.label_ids);
+      if (const DictionaryEntry* entry = dictionary_->lookup(key)) {
+        scratch.score_entry_ids(entry->label_ids);
       }
     }
   }

@@ -2,6 +2,11 @@
 /// \file matcher.hpp
 /// \brief The testing phase: looks up an unlabeled execution's fingerprints
 /// and votes — the paper's Figure 1 steps (2) and (3).
+///
+/// A published dictionary is probed through its compiled DictionaryIndex;
+/// one that was never compiled (an offline or freshly trained dictionary)
+/// is probed through Dictionary::lookup by pointer. Both tally votes with
+/// the same RecognitionScratch::score_entry_ids, so they agree exactly.
 
 #include <map>
 #include <span>
@@ -9,7 +14,6 @@
 #include <vector>
 
 #include "core/dictionary.hpp"
-#include "core/dictionary_view.hpp"
 #include "telemetry/dataset.hpp"
 
 namespace efd::util {
@@ -66,12 +70,13 @@ struct RecognitionResult {
   std::string label_prediction() const;
 };
 
-/// Recognizes executions against a dictionary view (single-threaded
-/// Dictionary or concurrent ShardedDictionary). Stateless; cheap to copy.
+/// Recognizes executions against a dictionary. Stateless; cheap to copy;
+/// safe to share across threads over a dictionary nobody mutates (every
+/// published epoch).
 class Matcher {
  public:
   /// \param dictionary borrowed; must outlive the matcher.
-  explicit Matcher(const DictionaryView& dictionary)
+  explicit Matcher(const Dictionary& dictionary)
       : dictionary_(&dictionary) {}
 
   /// Builds the execution's fingerprints with the dictionary's own config
@@ -90,7 +95,7 @@ class Matcher {
   /// tallied in interned-id space (recognition_scratch.hpp) and read via
   /// scratch.result(), or rendered to a RecognitionResult with
   /// scratch.render_result(). Probes the dictionary's compiled index when
-  /// it has one, else its copy-out lookup; both yield the same votes.
+  /// it has one, else Dictionary::lookup(); both yield the same votes.
   void recognize_keys_into(std::span<const FingerprintKey> keys,
                            RecognitionScratch& scratch) const;
 
@@ -123,7 +128,7 @@ class Matcher {
   RecognitionResult recognize_key_span(
       std::span<const FingerprintKey> keys) const;
 
-  const DictionaryView* dictionary_;
+  const Dictionary* dictionary_;
 };
 
 }  // namespace efd::core

@@ -26,7 +26,7 @@ std::optional<BackpressurePolicy> parse_backpressure_policy(
   return std::nullopt;
 }
 
-RecognitionService::RecognitionService(ShardedDictionary dictionary,
+RecognitionService::RecognitionService(Dictionary dictionary,
                                        RecognitionServiceConfig config)
     : handle_(std::move(dictionary)), config_(config) {
   if (config_.job_queue_capacity == 0) config_.job_queue_capacity = 1;
@@ -42,7 +42,7 @@ void RecognitionService::schedule_stream(
   dirty_.push_back(stream);
 }
 
-const ShardedDictionary& RecognitionService::dictionary() const {
+const Dictionary& RecognitionService::dictionary() const {
   // The handle's current_ reference keeps this epoch alive after the
   // acquire() temporary drops, so the borrow is valid until the next
   // swap publishes a successor.
@@ -50,7 +50,7 @@ const ShardedDictionary& RecognitionService::dictionary() const {
 }
 
 RecognitionService::SwapOutcome RecognitionService::swap_dictionary(
-    ShardedDictionary next) {
+    Dictionary next) {
   // Already-active guard: EFD-DICT-V1 serialization is deterministic
   // (sorted entries, config included), so byte equality is content AND
   // layout identity. Swaps are a retrain cadence, not a hot path — two

@@ -5,7 +5,7 @@
 ///
 /// A production cluster runs many jobs at once; each node's monitoring
 /// daemon pushes samples as they are taken. RecognitionService owns the
-/// trained concurrent dictionary (ShardedDictionary) and multiplexes one
+/// trained dictionary (published as a const epoch) and multiplexes one
 /// OnlineRecognizer stream per job id, so pushes for different jobs
 /// proceed in parallel and a verdict fires the moment a job's last
 /// fingerprint window closes (t = 120 s in the paper's configuration).
@@ -48,10 +48,10 @@
 ///  - dirty list:    its own std::mutex, leaf lock (taken under a stream
 ///    mutex by push); process_pending swaps it out whole.
 ///  - dictionary:    the active dictionary lives behind a versioned
-///    DictionaryHandle (RCU snapshot). Each stream pins the epoch that
-///    was active when it opened and recognizes against it for its whole
-///    life; swap_dictionary() atomically publishes a retrained successor
-///    for new streams without touching in-flight ones. A published epoch
+///    DictionaryHandle. Each stream pins the epoch that was active when
+///    it opened and recognizes against it for its whole life;
+///    swap_dictionary() atomically publishes a retrained successor for
+///    new streams without touching in-flight ones. A published epoch
 ///    is const, so recognition reads it without any dictionary lock on
 ///    the index path; new keys ("learning new applications is as simple
 ///    as adding new keys") reach the service as such a successor.
@@ -82,7 +82,6 @@
 #include "core/dictionary_handle.hpp"
 #include "core/online_recognizer.hpp"
 #include "core/online/service_snapshot.hpp"
-#include "core/sharded_dictionary.hpp"
 
 namespace efd::util {
 class ThreadPool;
@@ -221,8 +220,8 @@ struct ServiceRestoreInfo {
 /// (open streams hold pointers into the owned dictionary).
 class RecognitionService {
  public:
-  /// Takes ownership of a trained concurrent dictionary.
-  explicit RecognitionService(ShardedDictionary dictionary,
+  /// Takes ownership of a trained dictionary; it becomes epoch 1.
+  explicit RecognitionService(Dictionary dictionary,
                               RecognitionServiceConfig config = {});
 
   RecognitionService(const RecognitionService&) = delete;
@@ -231,7 +230,7 @@ class RecognitionService {
   /// The ACTIVE dictionary. Borrowed reference: valid until the next
   /// swap_dictionary()/restore() publishes a successor epoch — callers
   /// that must survive swaps should pin via dictionary_handle().acquire().
-  const ShardedDictionary& dictionary() const;
+  const Dictionary& dictionary() const;
   const DictionaryHandle& dictionary_handle() const noexcept { return handle_; }
   const RecognitionServiceConfig& config() const noexcept { return config_; }
 
@@ -257,7 +256,7 @@ class RecognitionService {
   /// committed swap is still a fully consistent epoch.
   /// Thread-safe against every other method (including concurrent swaps,
   /// which serialize).
-  SwapOutcome swap_dictionary(ShardedDictionary next);
+  SwapOutcome swap_dictionary(Dictionary next);
 
   /// Serializes the complete service state (active dictionary epoch,
   /// open streams, pending verdicts, lifetime counters) as EFD-SNAP-V1.
@@ -281,8 +280,8 @@ class RecognitionService {
   /// pending verdicts (a fresh restart); throws SnapshotError (see
   /// service_snapshot.hpp) on format/CRC violations — all-or-nothing:
   /// a failed restore leaves the service untouched. The restored
-  /// dictionary replaces the constructor's (keeping its shard count);
-  /// restored streams' TTL clocks restart at "now".
+  /// dictionary replaces the constructor's; restored streams' TTL clocks
+  /// restart at "now".
   ServiceRestoreInfo restore(std::istream& in);
 
   /// Writes one EFD-SNAP-V2 capture — a BASE (complete snapshot,

@@ -521,9 +521,7 @@ void RecognitionService::decode_snapshot_sections(std::istream& in,
         try {
           std::istringstream dictionary_bytes(text);
           staging.epoch = std::make_shared<DictionaryHandle::Epoch>(
-              staging.epoch_version,
-              ShardedDictionary::load(dictionary_bytes,
-                                      dictionary().shard_count()));
+              staging.epoch_version, Dictionary::load(dictionary_bytes));
         } catch (const std::exception& error) {
           fail(std::string("embedded dictionary rejected: ") + error.what());
         }

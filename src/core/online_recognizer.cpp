@@ -29,7 +29,7 @@ double WindowAccumulator::mean() const noexcept {
   return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
 }
 
-OnlineRecognizer::OnlineRecognizer(const DictionaryView& dictionary,
+OnlineRecognizer::OnlineRecognizer(const Dictionary& dictionary,
                                    std::uint32_t node_count)
     : dictionary_(&dictionary), node_count_(node_count) {
   const FingerprintConfig& config = dictionary_->config();

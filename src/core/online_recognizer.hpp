@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "core/dictionary_view.hpp"
+#include "core/dictionary.hpp"
 #include "core/matcher.hpp"
 #include "core/recognition_scratch.hpp"
 
@@ -59,15 +59,14 @@ class WindowAccumulator {
   int last_t_ = -1;
 };
 
-/// Streaming recognizer over a trained dictionary view (single-threaded
-/// Dictionary or concurrent ShardedDictionary). One instance watches one
-/// job; it is not internally synchronized — RecognitionService wraps
+/// Streaming recognizer over a trained dictionary. One instance watches
+/// one job; it is not internally synchronized — RecognitionService wraps
 /// each stream in its own lock to multiplex jobs across threads.
 class OnlineRecognizer {
  public:
   /// \param dictionary trained dictionary (borrowed; must outlive).
   /// \param node_count nodes of the job being watched.
-  OnlineRecognizer(const DictionaryView& dictionary, std::uint32_t node_count);
+  OnlineRecognizer(const Dictionary& dictionary, std::uint32_t node_count);
 
   /// Feeds one sample. Ignores metrics the dictionary does not fingerprint.
   void push(std::uint32_t node_id, std::string_view metric_name, int t,
@@ -130,7 +129,7 @@ class OnlineRecognizer {
     return counts_[w] > 0 ? sums_[w] / static_cast<double>(counts_[w]) : 0.0;
   }
 
-  const DictionaryView* dictionary_;
+  const Dictionary* dictionary_;
   std::uint32_t node_count_;
   std::size_t metric_count_ = 0;
   std::size_t interval_count_ = 0;

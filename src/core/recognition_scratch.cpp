@@ -83,7 +83,7 @@ void RecognitionScratch::score_entry_ids(
   }
 }
 
-void RecognitionScratch::finish(const DictionaryView& dictionary,
+void RecognitionScratch::finish(const Dictionary& dictionary,
                                 std::size_t fingerprint_count) {
   result_.fingerprint_count = fingerprint_count;
   if (result_.matched_count == 0) return;  // recognized stays false

@@ -114,18 +114,15 @@ class RecognitionScratch {
   void begin(const LabelTable& table);
 
   /// Tallies one matched entry's votes from its interned label ids,
-  /// shared verbatim by the sharded copy-out path (DictionaryEntry's
-  /// label_ids) and the flat-index path (DictionaryIndex::label_ids
-  /// spans) — vote parity between the two probe paths holds by
-  /// construction, not by testing alone.
+  /// shared verbatim by the map path (DictionaryEntry's label_ids) and
+  /// the flat-index path (DictionaryIndex::label_ids spans) — vote
+  /// parity between the two probe paths holds by construction, not by
+  /// testing alone.
   void score_entry_ids(std::span<const std::uint32_t> label_ids);
 
   /// Finalizes result(): copies touched votes out and computes the tied
   /// winner array in \p dictionary first-seen order.
-  void finish(const DictionaryView& dictionary, std::size_t fingerprint_count);
-
-  /// Reused copy-out buffer for DictionaryView::lookup_entry.
-  DictionaryEntry& entry_buffer() noexcept { return entry_; }
+  void finish(const Dictionary& dictionary, std::size_t fingerprint_count);
 
   /// The id-space result of the last scoring pass.
   const IdRecognitionResult& result() const noexcept { return result_; }
@@ -158,7 +155,6 @@ class RecognitionScratch {
   std::vector<std::uint32_t> touched_labels_;  // first-seen order
   std::vector<std::uint32_t> touched_apps_;    // first-touch order
 
-  DictionaryEntry entry_;
   const LabelTable* table_ = nullptr;
 
   IdRecognitionResult result_;

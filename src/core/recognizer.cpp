@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "util/logging.hpp"
+#include "util/thread_pool.hpp"
 
 namespace efd::core {
 
@@ -26,12 +27,10 @@ void Recognizer::train(const telemetry::Dataset& dataset,
 
 void Recognizer::train_parallel(const telemetry::Dataset& dataset,
                                 const std::vector<std::size_t>& train_indices,
-                                std::size_t shard_count,
                                 util::ThreadPool* pool) {
   select_depth(dataset, train_indices);
-  dictionary_ = train_dictionary_sharded(dataset, fingerprint_config(),
-                                         train_indices, shard_count, pool)
-                    .to_dictionary();
+  dictionary_ = train_dictionary(dataset, fingerprint_config(), train_indices,
+                                 pool != nullptr ? pool : &util::global_pool());
 }
 
 void Recognizer::select_depth(const telemetry::Dataset& dataset,
@@ -77,11 +76,6 @@ std::vector<RecognitionResult> Recognizer::recognize_batch(
     const telemetry::Dataset& dataset, util::ThreadPool* pool) const {
   if (!dictionary_) throw std::logic_error("Recognizer not trained");
   return Matcher(*dictionary_).recognize_batch(dataset, pool);
-}
-
-ShardedDictionary Recognizer::make_sharded(std::size_t shard_count) const {
-  if (!dictionary_) throw std::logic_error("Recognizer not trained");
-  return ShardedDictionary::from_dictionary(*dictionary_, shard_count);
 }
 
 const Dictionary& Recognizer::dictionary() const {

@@ -47,13 +47,12 @@ class Recognizer {
   void train(const telemetry::Dataset& dataset,
              const std::vector<std::size_t>& train_indices = {});
 
-  /// Like train(), but builds the dictionary with the deterministic
-  /// sharded parallel trainer (train_dictionary_sharded) across the
-  /// global thread pool. The resulting dictionary is identical to the
-  /// one train() produces. Call from outside pool workers only.
+  /// Like train(), but builds fingerprints in parallel across \p pool
+  /// (the global pool when null); see train_dictionary. The resulting
+  /// dictionary is byte-identical to the one train() produces. Call from
+  /// outside pool workers only.
   void train_parallel(const telemetry::Dataset& dataset,
                       const std::vector<std::size_t>& train_indices = {},
-                      std::size_t shard_count = 0,
                       util::ThreadPool* pool = nullptr);
 
   /// Recognizes one execution. Requires train() first.
@@ -65,10 +64,6 @@ class Recognizer {
   std::vector<RecognitionResult> recognize_batch(
       const telemetry::Dataset& dataset,
       util::ThreadPool* pool = nullptr) const;
-
-  /// Snapshot of the trained dictionary as a concurrent sharded engine
-  /// (for RecognitionService or lock-free scale-out of lookups).
-  ShardedDictionary make_sharded(std::size_t shard_count = 0) const;
 
   /// Adds one labeled execution to an already-trained dictionary —
   /// "learning new applications is as simple as adding new keys"

@@ -1,8 +1,5 @@
 #include "core/trainer.hpp"
 
-#include <algorithm>
-#include <numeric>
-
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 
@@ -10,127 +7,43 @@ namespace efd::core {
 
 Dictionary train_dictionary(const telemetry::Dataset& dataset,
                             const FingerprintConfig& config,
-                            const std::vector<std::size_t>& indices) {
+                            const std::vector<std::size_t>& indices,
+                            util::ThreadPool* pool) {
   std::vector<std::size_t> slots;
   slots.reserve(config.metrics.size());
   for (const std::string& name : config.metrics) {
     slots.push_back(dataset.metric_slot(name));
   }
-
-  Dictionary dictionary(config);
-  auto learn_one = [&](const telemetry::ExecutionRecord& record) {
-    const std::string label = record.label().full();
-    for (const FingerprintKey& key : build_fingerprints(record, config, slots)) {
-      dictionary.insert(key, label);
-    }
+  const std::size_t count = indices.empty() ? dataset.size() : indices.size();
+  const auto record = [&](std::size_t i) -> const telemetry::ExecutionRecord& {
+    return dataset.record(indices.empty() ? i : indices[i]);
   };
 
-  if (indices.empty()) {
-    for (const auto& record : dataset.records()) learn_one(record);
+  // Inserts always run here, in record order: that order alone decides
+  // label order per entry and the application tie-break order, so the
+  // output does not depend on whether fingerprints came from a pool.
+  Dictionary dictionary(config);
+  const auto learn = [&](std::size_t i,
+                         const std::vector<FingerprintKey>& keys) {
+    const std::string label = record(i).label().full();
+    for (const FingerprintKey& key : keys) dictionary.insert(key, label);
+  };
+
+  if (pool == nullptr) {
+    for (std::size_t i = 0; i < count; ++i) {
+      learn(i, build_fingerprints(record(i), config, slots));
+    }
   } else {
-    for (std::size_t index : indices) learn_one(dataset.record(index));
+    std::vector<std::vector<FingerprintKey>> keys(count);
+    util::parallel_for(*pool, 0, count, [&](std::size_t i) {
+      keys[i] = build_fingerprints(record(i), config, slots);
+    });
+    for (std::size_t i = 0; i < count; ++i) learn(i, keys[i]);
   }
 
   EFD_LOG(kDebug, "trainer") << "dictionary built: " << dictionary.size()
                              << " keys at depth " << config.rounding_depth;
   return dictionary;
-}
-
-ShardedDictionary train_dictionary_sharded(const telemetry::Dataset& dataset,
-                                           const FingerprintConfig& config,
-                                           const std::vector<std::size_t>& indices,
-                                           std::size_t shard_count,
-                                           util::ThreadPool* pool) {
-  std::vector<std::size_t> slots;
-  slots.reserve(config.metrics.size());
-  for (const std::string& name : config.metrics) {
-    slots.push_back(dataset.metric_slot(name));
-  }
-
-  std::vector<std::size_t> all = indices;
-  if (all.empty()) {
-    all.resize(dataset.size());
-    std::iota(all.begin(), all.end(), std::size_t{0});
-  }
-
-  util::ThreadPool& workers = pool != nullptr ? *pool : util::global_pool();
-
-  // Phase 1: fingerprint construction (the hot part) in parallel.
-  std::vector<std::vector<FingerprintKey>> keys(all.size());
-  std::vector<std::string> labels(all.size());
-  util::parallel_for(workers, 0, all.size(), [&](std::size_t i) {
-    const telemetry::ExecutionRecord& record = dataset.record(all[i]);
-    keys[i] = build_fingerprints(record, config, slots);
-    labels[i] = record.label().full();
-  });
-
-  ShardedDictionary dictionary(config, shard_count);
-
-  // Phase 2: fix the application epoch in record order. Records that
-  // produced no fingerprints register nothing — exactly like sequential
-  // insertion, which only learns an application at its first real key.
-  // The same scan buckets each key by shard (hashing it once), in record
-  // order, so shard workers replay only their own keys below.
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> buckets(
-      dictionary.shard_count());  // (record index, key index) per shard
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    if (!keys[i].empty()) {
-      dictionary.register_application(
-          telemetry::parse_label(labels[i]).application);
-    }
-    for (std::size_t k = 0; k < keys[i].size(); ++k) {
-      buckets[dictionary.shard_of(keys[i][k])].emplace_back(
-          static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(k));
-    }
-  }
-
-  // Phase 3: one worker per shard replays its bucket, which preserves
-  // record order, so per-entry label order matches sequential training
-  // regardless of scheduling.
-  util::parallel_for(
-      workers, 0, dictionary.shard_count(),
-      [&](std::size_t s) {
-        for (const auto& [i, k] : buckets[s]) {
-          dictionary.insert(keys[i][k], labels[i]);
-        }
-      },
-      /*min_chunk=*/1);
-
-  EFD_LOG(kDebug, "trainer") << "concurrent dictionary built: "
-                             << dictionary.size() << " keys across "
-                             << dictionary.shard_count() << " shards";
-  return dictionary;
-}
-
-Dictionary train_dictionary_parallel(const telemetry::Dataset& dataset,
-                                     const FingerprintConfig& config,
-                                     const std::vector<std::size_t>& indices,
-                                     std::size_t shards) {
-  std::vector<std::size_t> all = indices;
-  if (all.empty()) {
-    all.resize(dataset.size());
-    std::iota(all.begin(), all.end(), std::size_t{0});
-  }
-  if (shards == 0) shards = util::global_pool().size();
-  shards = std::max<std::size_t>(1, std::min(shards, all.size()));
-
-  // Contiguous shard ranges keep record order inside each shard, making
-  // the merged result deterministic for a given shard count.
-  std::vector<Dictionary> partial(shards, Dictionary(config));
-  util::parallel_for(0, shards, [&](std::size_t s) {
-    const std::size_t begin = s * all.size() / shards;
-    const std::size_t end = (s + 1) * all.size() / shards;
-    partial[s] = train_dictionary(
-        dataset, config,
-        std::vector<std::size_t>(all.begin() + static_cast<std::ptrdiff_t>(begin),
-                                 all.begin() + static_cast<std::ptrdiff_t>(end)));
-  });
-
-  Dictionary merged(config);
-  for (const Dictionary& shard : partial) merged.merge(shard);
-  EFD_LOG(kDebug, "trainer") << "sharded dictionary built: " << merged.size()
-                             << " keys from " << shards << " shards";
-  return merged;
 }
 
 }  // namespace efd::core

@@ -3,7 +3,6 @@
 /// \brief The learning phase: builds a Dictionary from labeled executions.
 
 #include "core/dictionary.hpp"
-#include "core/sharded_dictionary.hpp"
 #include "telemetry/dataset.hpp"
 
 namespace efd::util {
@@ -18,41 +17,16 @@ namespace efd::core {
 /// \p config and inserted with the execution's full label ("ft_X") as the
 /// value — the paper's Figure 1 step (1).
 ///
+/// With a \p pool, fingerprints of every record are built in parallel
+/// across it (the expensive part); the inserts then run in record order
+/// on the calling thread, so the result is byte-identical to sequential
+/// training by construction. Must then be called from outside the pool's
+/// own workers (it blocks on the pool).
+///
 /// \param indices records to learn from; empty means all records.
 Dictionary train_dictionary(const telemetry::Dataset& dataset,
                             const FingerprintConfig& config,
-                            const std::vector<std::size_t>& indices = {});
-
-/// Sharded learning: partitions the training records across the global
-/// thread pool, builds one dictionary per shard, and merges them — the
-/// ingest layout of a production deployment where every ingest daemon
-/// learns its own shard of job history. The result is identical to the
-/// sequential trainer up to per-entry label first-seen order within a
-/// key (vote semantics are unaffected; tie order follows shard merge
-/// order, which is deterministic).
-Dictionary train_dictionary_parallel(const telemetry::Dataset& dataset,
-                                     const FingerprintConfig& config,
-                                     const std::vector<std::size_t>& indices = {},
-                                     std::size_t shards = 0);
-
-/// Deterministic parallel batch training of the concurrent engine.
-///
-/// Three phases: (1) fingerprints of every training record are built in
-/// parallel across the pool (the expensive part); (2) the application
-/// tie-break epoch is fixed by a sequential scan in record order, exactly
-/// matching what sequential insertion would have produced; (3) one worker
-/// per shard replays the records in order, inserting only the keys that
-/// hash to its shard. Because each key lives in exactly one shard and
-/// each shard is filled by one worker in record order, the result is
-/// byte-identical to train_dictionary() — same entries, same per-entry
-/// label first-seen order, same serialization — for any shard/thread
-/// count.
-///
-/// Must be called from outside the pool's own workers (it blocks on the
-/// pool). \p pool null means the global pool.
-ShardedDictionary train_dictionary_sharded(
-    const telemetry::Dataset& dataset, const FingerprintConfig& config,
-    const std::vector<std::size_t>& indices = {}, std::size_t shard_count = 0,
-    util::ThreadPool* pool = nullptr);
+                            const std::vector<std::size_t>& indices = {},
+                            util::ThreadPool* pool = nullptr);
 
 }  // namespace efd::core

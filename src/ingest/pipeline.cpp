@@ -262,9 +262,8 @@ void IngestPipeline::dispatch(Envelope& envelope) {
         std::istringstream blob(
             std::string(message.dictionary_blob.begin(),
                         message.dictionary_blob.end()));
-        core::ShardedDictionary next = core::ShardedDictionary::load(
-            blob, service_.dictionary().shard_count());
-        const auto outcome = service_.swap_dictionary(std::move(next));
+        const auto outcome =
+            service_.swap_dictionary(core::Dictionary::load(blob));
         if (outcome.already_active) {
           // A byte-identical candidate must not burn an epoch; tell the
           // operator their push was a no-op instead of acking a "new"

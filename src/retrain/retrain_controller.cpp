@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/trainer.hpp"
+#include "util/thread_pool.hpp"
 #include "util/binary_io.hpp"
 
 namespace efd::retrain {
@@ -162,12 +163,10 @@ RetrainReport RetrainController::execute_cycle(std::uint64_t cycle) {
       return report;
     }
 
-    const std::size_t shards = config_.shard_count != 0
-                                   ? config_.shard_count
-                                   : incumbent->dictionary.shard_count();
     const auto train_start = std::chrono::steady_clock::now();
-    core::ShardedDictionary candidate = core::train_dictionary_sharded(
-        slices.train, layout, {}, shards, config_.pool);
+    core::Dictionary candidate = core::train_dictionary(
+        slices.train, layout, {},
+        config_.pool != nullptr ? config_.pool : &util::global_pool());
     report.train_seconds = seconds_since(train_start);
 
     if (config_.after_train) config_.after_train();

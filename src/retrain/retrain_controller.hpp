@@ -1,7 +1,7 @@
 #pragma once
 /// \file retrain_controller.hpp
 /// \brief The closed retraining loop: rolling traffic capture →
-/// background sharded retrain → validation gate → self-swap.
+/// background retrain → validation gate → self-swap.
 ///
 /// PR 3's DictionaryHandle made a retrained dictionary publishable
 /// mid-traffic, but only an operator hand-shipping bytes over swap-dict
@@ -16,11 +16,11 @@
 ///  2. Snapshot: the TrafficRecorder window is deep-copied at a
 ///     consistent point and sliced per application into train (older)
 ///     and holdout (newest) datasets. Capture continues concurrently.
-///  3. Train: train_dictionary_sharded() builds the candidate on a
-///     background thread (plus an optional worker pool), under the
+///  3. Train: train_dictionary() builds the candidate on a background
+///     thread (fingerprints fanned out across a worker pool), under the
 ///     incumbent epoch's fingerprint layout — recognition never stalls;
-///     the paper's deterministic parallel builder guarantees the
-///     candidate is byte-identical to a sequential retrain.
+///     the trainer inserts in record order, so the candidate is
+///     byte-identical to a sequential retrain.
 ///  4. Gate: the ValidationGate replays the holdout through candidate
 ///     AND incumbent (the epoch pinned in step 2 — a concurrent manual
 ///     swap cannot slip under the comparison) and only certifies a
@@ -103,13 +103,12 @@ struct RetrainConfig {
   /// Run the full cycle but never promote (report kDryRun instead) —
   /// the operator's shadow-mode knob.
   bool dry_run = false;
-  /// Candidate shard count (0 = match the incumbent).
-  std::size_t shard_count = 0;
   /// Run cycles on an internal background thread (the serving mode).
   /// false runs them inline inside maybe_trigger()/run_cycle() — the
   /// deterministic mode tests and benches use.
   bool background = true;
-  /// Worker pool for the sharded trainer (borrowed; null = global pool).
+  /// Worker pool for the trainer's fingerprint construction (borrowed;
+  /// null = global pool).
   util::ThreadPool* pool = nullptr;
   TrafficRecorderConfig recorder;
   /// Test/fault hook: invoked on the cycle thread after the candidate is

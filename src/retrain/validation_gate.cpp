@@ -8,7 +8,7 @@
 
 namespace efd::retrain {
 
-GateScore score_dictionary(const core::DictionaryView& dictionary,
+GateScore score_dictionary(const core::Dictionary& dictionary,
                            const telemetry::Dataset& holdout) {
   GateScore score;
   score.jobs = holdout.size();
@@ -31,8 +31,8 @@ GateScore score_dictionary(const core::DictionaryView& dictionary,
   return score;
 }
 
-GateDecision evaluate_gate(const core::DictionaryView& candidate,
-                           const core::DictionaryView& incumbent,
+GateDecision evaluate_gate(const core::Dictionary& candidate,
+                           const core::Dictionary& incumbent,
                            const telemetry::Dataset& holdout,
                            const ValidationGateConfig& config) {
   GateDecision decision;

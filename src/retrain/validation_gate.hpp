@@ -27,7 +27,7 @@
 #include <cstddef>
 #include <string>
 
-#include "core/dictionary_view.hpp"
+#include "core/dictionary.hpp"
 #include "telemetry/dataset.hpp"
 
 namespace efd::retrain {
@@ -59,12 +59,12 @@ struct GateDecision {
 /// Replays \p holdout through one dictionary. Records carry the labels
 /// they were captured under; prediction is scored at the application
 /// level (the paper's scoring).
-GateScore score_dictionary(const core::DictionaryView& dictionary,
+GateScore score_dictionary(const core::Dictionary& dictionary,
                            const telemetry::Dataset& holdout);
 
 /// Scores candidate and incumbent and applies the margin rule.
-GateDecision evaluate_gate(const core::DictionaryView& candidate,
-                           const core::DictionaryView& incumbent,
+GateDecision evaluate_gate(const core::Dictionary& candidate,
+                           const core::Dictionary& incumbent,
                            const telemetry::Dataset& holdout,
                            const ValidationGateConfig& config);
 

@@ -10,6 +10,8 @@
 #include <limits>
 #include <sstream>
 
+#include "core/matcher.hpp"
+
 namespace {
 
 using namespace efd::core;
@@ -75,6 +77,8 @@ TEST(Dictionary, ApplicationOrderFollowsFirstInsertion) {
   // Unknown applications sort last.
   EXPECT_GT(dictionary.application_order("nope"),
             dictionary.application_order("ft"));
+  EXPECT_EQ(dictionary.applications_in_order(),
+            (std::vector<std::string>{"sp", "bt", "ft"}));
 }
 
 TEST(Dictionary, PruneRareRemovesLowCountKeys) {
@@ -259,6 +263,79 @@ TEST(Dictionary, EmptyDictionaryBehaviour) {
   std::stringstream stream;
   dictionary.save(stream);
   EXPECT_EQ(Dictionary::load(stream).size(), 0u);
+}
+
+TEST(Dictionary, SaveLoadRoundTripPreservesLabelOrderAndCounts) {
+  Dictionary original(config_of());
+  original.insert(key_of(7500.0), "sp_X");
+  original.insert(key_of(7500.0), "bt_X");
+  original.insert(key_of(7500.0), "bt_X");
+
+  std::stringstream stream;
+  original.save(stream);
+  const Dictionary loaded = Dictionary::load(stream);
+  const DictionaryEntry* entry = loaded.lookup(key_of(7500.0));
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->labels, (std::vector<std::string>{"sp_X", "bt_X"}));
+  EXPECT_EQ(entry->counts, (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_LT(loaded.application_order("sp"), loaded.application_order("bt"));
+}
+
+TEST(Dictionary, SaveLoadRoundTripKeepsTieOrder) {
+  // Ties must still resolve to the first-seen application after a
+  // save -> load cycle (paper Section 3 / Table 4).
+  Dictionary original(config_of());
+  original.insert(key_of(7500.0), "sp_X");  // sp first
+  original.insert(key_of(7500.0), "bt_X");
+  original.insert(key_of(7500.0), "sp_X");
+  original.insert(key_of(6000.0), "ft_X");
+
+  std::stringstream stream;
+  original.save(stream);
+  const Dictionary loaded = Dictionary::load(stream);
+
+  EXPECT_EQ(loaded.size(), original.size());
+  const DictionaryEntry* entry = loaded.lookup(key_of(7500.0));
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->labels, (std::vector<std::string>{"sp_X", "bt_X"}));
+  EXPECT_EQ(entry->counts, (std::vector<std::uint32_t>{2, 1}));
+
+  const RecognitionResult result =
+      Matcher(loaded).recognize_keys({key_of(7500.0)});
+  ASSERT_TRUE(result.recognized);
+  EXPECT_EQ(result.applications, (std::vector<std::string>{"sp", "bt"}));
+  EXPECT_EQ(result.prediction(), "sp");
+}
+
+TEST(Dictionary, PruneRareAndStatsOverMixedKeys) {
+  Dictionary dictionary(config_of());
+  for (int i = 0; i < 5; ++i) dictionary.insert(key_of(6000.0), "ft_X");
+  dictionary.insert(key_of(9999.0), "ft_X");
+  dictionary.insert(key_of(7500.0), "sp_X");
+  dictionary.insert(key_of(7500.0), "bt_X");
+
+  const DictionaryStats stats = dictionary.stats();
+  EXPECT_EQ(stats.key_count, 3u);
+  EXPECT_EQ(stats.exclusive_keys, 2u);
+  EXPECT_EQ(stats.colliding_keys, 1u);
+  EXPECT_EQ(stats.total_observations, 8u);
+  EXPECT_DOUBLE_EQ(stats.mean_labels_per_key, 4.0 / 3.0);
+
+  EXPECT_EQ(dictionary.prune_rare(2), 1u);  // only the one-off 9999 key
+  EXPECT_EQ(dictionary.size(), 2u);
+  EXPECT_EQ(dictionary.lookup(key_of(9999.0)), nullptr);
+}
+
+TEST(Dictionary, KeysForLabelFollowSortedEntryOrder) {
+  Dictionary dictionary(config_of());
+  for (double mean : {7500.0, 6000.0, 6100.0}) {
+    dictionary.insert(key_of(mean), "ft_X");
+  }
+  const auto keys = dictionary.keys_for_label("ft_X");
+  ASSERT_EQ(keys.size(), 3u);
+  EXPECT_DOUBLE_EQ(keys[0].rounded_means[0], 6000.0);
+  EXPECT_DOUBLE_EQ(keys[1].rounded_means[0], 6100.0);
+  EXPECT_DOUBLE_EQ(keys[2].rounded_means[0], 7500.0);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 /// \file test_dictionary_index.cpp
 /// \brief Flat probe index suite: verdict parity between the index and
-/// sharded probe paths (randomized dictionaries, tie order, empty and
+/// map probe paths (randomized dictionaries, tie order, empty and
 /// collision-heavy tables), restored-snapshot == live-training index
 /// equivalence, index drop on mutation of an unpublished dictionary,
 /// publication at every epoch point, scalar/AVX2 tag-scan mask identity,
@@ -21,7 +21,6 @@
 #include "core/matcher.hpp"
 #include "core/online/recognition_service.hpp"
 #include "core/recognition_scratch.hpp"
-#include "core/sharded_dictionary.hpp"
 #include "obs/exposition.hpp"
 
 namespace {
@@ -80,9 +79,8 @@ std::vector<Observation> random_observations(std::mt19937_64& rng,
   return observations;
 }
 
-ShardedDictionary dictionary_from(const std::vector<Observation>& observations,
-                                  std::size_t shards = 8) {
-  ShardedDictionary dictionary(config_of(), shards);
+Dictionary dictionary_from(const std::vector<Observation>& observations) {
+  Dictionary dictionary(config_of());
   for (const Observation& obs : observations) {
     dictionary.insert(obs.key, obs.label);
   }
@@ -115,7 +113,7 @@ void expect_same_result(const RecognitionResult& a, const RecognitionResult& b,
   EXPECT_EQ(a.matched_count, b.matched_count) << context;
 }
 
-RecognitionResult scored_via(const ShardedDictionary& dictionary,
+RecognitionResult scored_via(const Dictionary& dictionary,
                              std::span<const FingerprintKey> keys) {
   Matcher matcher(dictionary);
   RecognitionScratch scratch;
@@ -126,7 +124,7 @@ RecognitionResult scored_via(const ShardedDictionary& dictionary,
 }
 
 TEST(DictionaryIndex, CompileFindAndMiss) {
-  ShardedDictionary dictionary(config_of(), 4);
+  Dictionary dictionary(config_of());
   dictionary.insert(key_of(6000.0), "ft_X");
   dictionary.insert(key_of(6000.0), "mg_X");
   dictionary.insert(key_of(7000.0, 3), "mg_X");
@@ -140,12 +138,12 @@ TEST(DictionaryIndex, CompileFindAndMiss) {
 
   const DictionaryIndex::Entry* entry = index->find(key_of(6000.0));
   ASSERT_NE(entry, nullptr);
-  DictionaryEntry reference;
-  ASSERT_TRUE(dictionary.lookup_entry(key_of(6000.0), reference));
+  const DictionaryEntry* reference = dictionary.lookup(key_of(6000.0));
+  ASSERT_NE(reference, nullptr);
   const auto ids = index->label_ids(*entry);
-  ASSERT_EQ(ids.size(), reference.label_ids.size());
+  ASSERT_EQ(ids.size(), reference->label_ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(ids[i], reference.label_ids[i]);
+    EXPECT_EQ(ids[i], reference->label_ids[i]);
   }
 
   EXPECT_EQ(index->find(key_of(9999.0)), nullptr);
@@ -157,7 +155,7 @@ TEST(DictionaryIndex, CompileFindAndMiss) {
 }
 
 TEST(DictionaryIndex, EmptyDictionaryCompilesAndMisses) {
-  ShardedDictionary dictionary(config_of(), 2);
+  Dictionary dictionary(config_of());
   dictionary.compile_probe_index();
   const DictionaryIndex* index = dictionary.probe_index();
   ASSERT_NE(index, nullptr);
@@ -170,27 +168,26 @@ TEST(DictionaryIndex, EmptyDictionaryCompilesAndMisses) {
   EXPECT_EQ(result.prediction(), kUnknownApplication);
 }
 
-TEST(DictionaryIndex, RandomizedVerdictParityWithShardedPath) {
+TEST(DictionaryIndex, RandomizedVerdictParityWithMapPath) {
   for (const std::uint64_t seed : {1ULL, 7ULL, 99ULL, 1234ULL}) {
     std::mt19937_64 rng(seed);
     const auto observations = random_observations(rng, 400);
     // Two dictionaries from the same scripted sequence: identical
     // content and epoch order, but only one compiles an index.
-    ShardedDictionary indexed = dictionary_from(observations);
-    const ShardedDictionary sharded = dictionary_from(observations);
+    Dictionary indexed = dictionary_from(observations);
+    const Dictionary map = dictionary_from(observations);
     indexed.compile_probe_index();
     ASSERT_NE(indexed.probe_index(), nullptr);
-    ASSERT_EQ(sharded.probe_index(), nullptr);
+    ASSERT_EQ(map.probe_index(), nullptr);
 
     const std::vector<FingerprintKey> keys = probe_batch(observations);
     const RecognitionResult via_index = scored_via(indexed, keys);
-    const RecognitionResult via_shards = scored_via(sharded, keys);
-    expect_same_result(via_index, via_shards, "index vs sharded scratch");
+    const RecognitionResult via_map = scored_via(map, keys);
+    expect_same_result(via_index, via_map, "index vs map scratch");
 
     // And against the string-keyed legacy scorer — three paths, one
     // verdict table.
-    const RecognitionResult via_legacy =
-        Matcher(sharded).recognize_keys(keys);
+    const RecognitionResult via_legacy = Matcher(map).recognize_keys(keys);
     expect_same_result(via_index, via_legacy, "index vs legacy strings");
     EXPECT_GT(via_index.matched_count, 0u) << "degenerate seed " << seed;
   }
@@ -203,14 +200,14 @@ TEST(DictionaryIndex, TieOrderMatchesDictionaryFirstSeenOrder) {
       {key_of(7500.0), "sp_X"},
       {key_of(7500.0), "bt_X"},
   };
-  ShardedDictionary indexed = dictionary_from(observations);
-  const ShardedDictionary sharded = dictionary_from(observations);
+  Dictionary indexed = dictionary_from(observations);
+  const Dictionary map = dictionary_from(observations);
   indexed.compile_probe_index();
   ASSERT_NE(indexed.probe_index(), nullptr);
 
   const std::vector<FingerprintKey> keys = {key_of(7500.0)};
   const RecognitionResult via_index = scored_via(indexed, keys);
-  expect_same_result(via_index, scored_via(sharded, keys), "tie order");
+  expect_same_result(via_index, scored_via(map, keys), "tie order");
   EXPECT_EQ(via_index.applications,
             (std::vector<std::string>{"sp", "bt"}));
 }
@@ -218,7 +215,7 @@ TEST(DictionaryIndex, TieOrderMatchesDictionaryFirstSeenOrder) {
 TEST(DictionaryIndex, CollisionHeavyTableFindsEveryKey) {
   // Thousands of keys stress natural probe-chain collisions; every
   // trained key must resolve and every near-miss must terminate absent.
-  ShardedDictionary dictionary(config_of(), 16);
+  Dictionary dictionary(config_of());
   std::vector<FingerprintKey> present;
   for (std::uint32_t node = 0; node < 40; ++node) {
     for (int mean = 1; mean <= 80; ++mean) {
@@ -267,14 +264,14 @@ TEST(DictionaryIndex, ScalarAndAvx2TagScansProduceIdenticalMasks) {
 TEST(DictionaryIndex, RestoredSnapshotIndexEqualsLiveTrainingIndex) {
   std::mt19937_64 rng(2024);
   const auto observations = random_observations(rng, 300);
-  ShardedDictionary live = dictionary_from(observations);
+  Dictionary live = dictionary_from(observations);
 
   // EFD-DICT-V1 round-trip: the serialized bytes carry no index (it is
   // derived state), yet the restored dictionary must compile an index
   // with the identical shape and identical probe behavior.
   std::stringstream bytes;
   live.save(bytes);
-  ShardedDictionary restored = ShardedDictionary::load(bytes, 8);
+  Dictionary restored = Dictionary::load(bytes);
 
   live.compile_probe_index();
   restored.compile_probe_index();
@@ -292,7 +289,7 @@ TEST(DictionaryIndex, RestoredSnapshotIndexEqualsLiveTrainingIndex) {
 }
 
 TEST(DictionaryIndex, MutatingAnUnpublishedDictionaryDropsItsIndex) {
-  ShardedDictionary dictionary(config_of(), 4);
+  Dictionary dictionary(config_of());
   dictionary.insert(key_of(6000.0), "ft_X");
   dictionary.compile_probe_index();
   ASSERT_NE(dictionary.probe_index(), nullptr);
@@ -304,7 +301,7 @@ TEST(DictionaryIndex, MutatingAnUnpublishedDictionaryDropsItsIndex) {
   EXPECT_EQ(dictionary.probe_index(), nullptr);
   EXPECT_EQ(dictionary.index_resident_bytes(), 0u);
 
-  // ...and the sharded copy-out path sees the new observation.
+  // ...and the map path (Dictionary::lookup) sees the new observation.
   const std::vector<FingerprintKey> keys = {key_of(8000.0)};
   EXPECT_EQ(scored_via(dictionary, keys).prediction(), "lu");
 
@@ -316,13 +313,19 @@ TEST(DictionaryIndex, MutatingAnUnpublishedDictionaryDropsItsIndex) {
   EXPECT_NE(dictionary.probe_index()->find(key_of(8000.0)), nullptr);
   EXPECT_EQ(scored_via(dictionary, keys).prediction(), "lu");
 
-  // prune_rare is a mutator too.
+  // prune_rare and merge are mutators too.
   EXPECT_EQ(dictionary.prune_rare(1), 0u);
+  EXPECT_EQ(dictionary.probe_index(), nullptr);
+  EXPECT_EQ(dictionary.index_build_seconds(), 0.0);
+  Dictionary more(config_of());
+  more.insert(key_of(9000.0), "sp_X");
+  dictionary.compile_probe_index();
+  dictionary.merge(more);
   EXPECT_EQ(dictionary.probe_index(), nullptr);
 }
 
 TEST(DictionaryIndex, EpochPublicationCompilesAtConstructionSwapAndReset) {
-  ShardedDictionary initial(config_of(), 4);
+  Dictionary initial(config_of());
   initial.insert(key_of(6000.0), "ft_X");
   DictionaryHandle handle(std::move(initial));
 
@@ -334,7 +337,7 @@ TEST(DictionaryIndex, EpochPublicationCompilesAtConstructionSwapAndReset) {
 
   // Swap: the successor compiles its own; the pinned epoch keeps the old
   // index untouched for its in-flight streams.
-  ShardedDictionary next(config_of(), 4);
+  Dictionary next(config_of());
   next.insert(key_of(6000.0), "ft_X");
   next.insert(key_of(8000.0), "lu_X");
   handle.swap(std::move(next));
@@ -346,7 +349,7 @@ TEST(DictionaryIndex, EpochPublicationCompilesAtConstructionSwapAndReset) {
 
   // Restore: reset() takes a ready-made epoch — built through the same
   // constructor, so the index is already compiled pre-publication.
-  ShardedDictionary restored(config_of(), 4);
+  Dictionary restored(config_of());
   restored.insert(key_of(9000.0), "sp_X");
   auto epoch = std::make_shared<DictionaryHandle::Epoch>(7, std::move(restored));
   ASSERT_NE(epoch->dictionary.probe_index(), nullptr);
@@ -356,7 +359,7 @@ TEST(DictionaryIndex, EpochPublicationCompilesAtConstructionSwapAndReset) {
 }
 
 TEST(DictionaryIndex, ServiceStatsExposeBuildCostAndFootprint) {
-  ShardedDictionary dictionary(config_of(), 4);
+  Dictionary dictionary(config_of());
   dictionary.insert(key_of(6000.0), "ft_X");
   RecognitionService service(std::move(dictionary), {});
   const RecognitionServiceStats stats = service.stats();
@@ -388,7 +391,7 @@ TEST(DictionaryIndex, SwapStormConcurrentProbesStayCoherent) {
   constexpr int kProbesPerPin = 16;
 
   const auto build_generation = [](int generation) {
-    ShardedDictionary dictionary(config_of(), 4);
+    Dictionary dictionary(config_of());
     for (std::uint32_t node = 0; node < 4; ++node) {
       dictionary.insert(key_of(6000.0, node), "ft_X");
       dictionary.insert(key_of(7000.0, node), "mg_X");

@@ -1,7 +1,7 @@
 /// \file test_extensions.cpp
 /// \brief Tests for the library extensions beyond the paper's minimal
-/// scope: sharded parallel training, label-level (input size) prediction,
-/// and recognition over downsampled telemetry.
+/// scope: label-level (input size) prediction and recognition over
+/// downsampled telemetry.
 
 #include <gtest/gtest.h>
 
@@ -30,60 +30,6 @@ FingerprintConfig fp_config(int depth = 3) {
   fp.metrics = {"nr_mapped_vmstat"};
   fp.rounding_depth = depth;
   return fp;
-}
-
-// --- Sharded training ---
-
-TEST(ShardedTraining, SameKeysAndCountsAsSequential) {
-  const auto dataset = make_dataset();
-  const Dictionary sequential = train_dictionary(dataset, fp_config());
-  const Dictionary sharded = train_dictionary_parallel(dataset, fp_config());
-
-  ASSERT_EQ(sharded.size(), sequential.size());
-  for (const auto& [key, entry] : sequential) {
-    const DictionaryEntry* other = sharded.lookup(key);
-    ASSERT_NE(other, nullptr) << key.to_string();
-    EXPECT_EQ(other->total_count(), entry.total_count());
-    // Same label set (order may differ across shard boundaries).
-    for (const auto& label : entry.labels) {
-      EXPECT_TRUE(other->contains(label)) << label;
-    }
-  }
-}
-
-TEST(ShardedTraining, PredictionsMatchSequential) {
-  const auto dataset = make_dataset();
-  const Dictionary sequential = train_dictionary(dataset, fp_config());
-  const Dictionary sharded =
-      train_dictionary_parallel(dataset, fp_config(), {}, 4);
-
-  const Matcher a(sequential), b(sharded);
-  for (std::size_t i = 0; i < dataset.size(); i += 3) {
-    EXPECT_EQ(a.recognize(dataset.record(i), dataset).prediction(),
-              b.recognize(dataset.record(i), dataset).prediction());
-  }
-}
-
-TEST(ShardedTraining, ExplicitShardCounts) {
-  const auto dataset = make_dataset(3);
-  for (std::size_t shards : {1u, 2u, 7u, 1000u}) {
-    const Dictionary dictionary =
-        train_dictionary_parallel(dataset, fp_config(), {}, shards);
-    EXPECT_GT(dictionary.size(), 0u) << shards << " shards";
-    EXPECT_EQ(dictionary.stats().total_observations,
-              train_dictionary(dataset, fp_config()).stats().total_observations)
-        << shards << " shards";
-  }
-}
-
-TEST(ShardedTraining, SubsetIndices) {
-  const auto dataset = make_dataset(3);
-  std::vector<std::size_t> subset;
-  for (std::size_t i = 0; i < dataset.size(); i += 2) subset.push_back(i);
-  const Dictionary a = train_dictionary(dataset, fp_config(), subset);
-  const Dictionary b = train_dictionary_parallel(dataset, fp_config(), subset, 3);
-  EXPECT_EQ(a.size(), b.size());
-  EXPECT_EQ(a.stats().total_observations, b.stats().total_observations);
 }
 
 // --- Label-level prediction (input-size identification) ---

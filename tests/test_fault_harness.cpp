@@ -50,8 +50,7 @@ class FaultHarnessTest : public ::testing::Test {
 
   FaultHarness::ServiceFactory factory(RecognitionServiceConfig config = {}) {
     return [this, config] {
-      return std::make_unique<RecognitionService>(
-          ShardedDictionary::from_dictionary(dictionary_, 8), config);
+      return std::make_unique<RecognitionService>(dictionary_, config);
     };
   }
 

@@ -90,7 +90,6 @@ using namespace efd;
 using namespace efd::ingest;
 using core::RecognitionService;
 using core::RecognitionServiceConfig;
-using core::ShardedDictionary;
 
 core::FingerprintConfig config_of() {
   core::FingerprintConfig config;
@@ -119,8 +118,7 @@ class HotPathFixture : public ::testing::Test {
   RecognitionService make_service() {
     RecognitionServiceConfig config;
     config.deferred = true;
-    return RecognitionService(ShardedDictionary::from_dictionary(dictionary_, 8),
-                              config);
+    return RecognitionService(dictionary_, config);
   }
 
   static void send_job(MessageSender& sender, std::uint64_t job_id,

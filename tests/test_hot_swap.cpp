@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <memory>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -55,17 +56,14 @@ void stream_range(RecognitionService& service, std::uint64_t job, double level,
 }
 
 TEST(DictionaryHandle, SwapPublishesDenseMonotoneVersions) {
-  DictionaryHandle handle(
-      ShardedDictionary::from_dictionary(train_levels({{"ft", 6000.0}}), 4));
+  DictionaryHandle handle(train_levels({{"ft", 6000.0}}));
   EXPECT_EQ(handle.version(), 1u);
   EXPECT_EQ(handle.swap_count(), 0u);
 
   const auto pinned = handle.acquire();
   EXPECT_EQ(pinned->version, 1u);
 
-  EXPECT_EQ(handle.swap(ShardedDictionary::from_dictionary(
-                train_levels({{"mg", 6100.0}}), 4)),
-            2u);
+  EXPECT_EQ(handle.swap(train_levels({{"mg", 6100.0}})), 2u);
   EXPECT_EQ(handle.version(), 2u);
   EXPECT_EQ(handle.swap_count(), 1u);
 
@@ -81,14 +79,12 @@ TEST(HotSwap, InFlightStreamsFinishAgainstTheirEpoch) {
   // Dictionary A maps level 6000 -> ft; the retrained B maps the SAME
   // signal to a different application, so the verdict tells us exactly
   // which epoch a stream recognized against.
-  RecognitionService service(
-      ShardedDictionary::from_dictionary(train_levels({{"ft", 6000.0}}), 8));
+  RecognitionService service(train_levels({{"ft", 6000.0}}));
 
   ASSERT_TRUE(service.open_job(1, 2));
   stream_range(service, 1, 6030.0, 0, 80);  // in flight across the swap
 
-  const auto outcome = service.swap_dictionary(
-      ShardedDictionary::from_dictionary(train_levels({{"cg", 6000.0}}), 8));
+  const auto outcome = service.swap_dictionary(train_levels({{"cg", 6000.0}}));
   EXPECT_EQ(outcome.epoch, 2u);
   EXPECT_FALSE(outcome.already_active);
 
@@ -120,10 +116,9 @@ TEST(HotSwap, IdenticalCandidateIsRejectedAsAlreadyActive) {
   // double-promotion guard (an at-least-once replay retrains the same
   // window into a byte-identical candidate).
   const Dictionary base = train_levels({{"ft", 6000.0}});
-  RecognitionService service(ShardedDictionary::from_dictionary(base, 8));
+  RecognitionService service(base);
 
-  const auto noop =
-      service.swap_dictionary(ShardedDictionary::from_dictionary(base, 8));
+  const auto noop = service.swap_dictionary(base);
   EXPECT_TRUE(noop.already_active);
   EXPECT_EQ(noop.epoch, 1u);
   RecognitionServiceStats stats = service.stats();
@@ -131,21 +126,21 @@ TEST(HotSwap, IdenticalCandidateIsRejectedAsAlreadyActive) {
   EXPECT_EQ(stats.dictionary_swaps, 0u);
   EXPECT_EQ(stats.dictionary_swaps_noop, 1u);
 
-  // A different shard count does not change identity (same EFD-DICT-V1
-  // bytes): still already-active.
-  const auto resharded =
-      service.swap_dictionary(ShardedDictionary::from_dictionary(base, 2));
-  EXPECT_TRUE(resharded.already_active);
+  // A reloaded copy has the same EFD-DICT-V1 bytes (its label ids may
+  // differ, they are never serialized): still already-active.
+  std::stringstream bytes;
+  base.save(bytes);
+  const auto reloaded = service.swap_dictionary(Dictionary::load(bytes));
+  EXPECT_TRUE(reloaded.already_active);
   EXPECT_EQ(service.stats().dictionary_swaps_noop, 2u);
 
   // Real content change: the epoch advances, and swapping the ORIGINAL
   // back is a content change again (not a no-op).
-  const auto changed = service.swap_dictionary(ShardedDictionary::from_dictionary(
-      train_levels({{"ft", 6000.0}, {"mg", 6100.0}}), 8));
+  const auto changed = service.swap_dictionary(
+      train_levels({{"ft", 6000.0}, {"mg", 6100.0}}));
   EXPECT_FALSE(changed.already_active);
   EXPECT_EQ(changed.epoch, 2u);
-  const auto back =
-      service.swap_dictionary(ShardedDictionary::from_dictionary(base, 8));
+  const auto back = service.swap_dictionary(base);
   EXPECT_FALSE(back.already_active);
   EXPECT_EQ(back.epoch, 3u);
   stats = service.stats();
@@ -161,7 +156,7 @@ TEST(DictionaryHandle, SupersededEpochsAreReclaimedUnderChurn) {
   // final active epoch must survive. Run under TSan in CI.
   const Dictionary even = train_levels({{"ft", 6000.0}});
   const Dictionary odd = train_levels({{"ft", 6000.0}, {"mg", 6100.0}});
-  DictionaryHandle handle(ShardedDictionary::from_dictionary(even, 4));
+  DictionaryHandle handle(even);
 
   constexpr int kReaders = 4;
   constexpr int kWriters = 2;
@@ -177,8 +172,7 @@ TEST(DictionaryHandle, SupersededEpochsAreReclaimedUnderChurn) {
         // Record the epoch being superseded, then swap in alternating
         // content (identical content would be rejected as a no-op).
         observed[w].push_back(handle.acquire());
-        handle.swap(ShardedDictionary::from_dictionary(
-            (w + i) % 2 == 0 ? odd : even, 4));
+        handle.swap((w + i) % 2 == 0 ? odd : even);
       }
     });
   }
@@ -219,8 +213,7 @@ TEST(DictionaryHandle, SupersededEpochsAreReclaimedUnderChurn) {
 
   // Releasing the last pin frees the active epoch too once superseded.
   std::weak_ptr<DictionaryHandle::Epoch> last = active;
-  handle.swap(ShardedDictionary::from_dictionary(
-      active->dictionary.size() == even.size() ? odd : even, 4));
+  handle.swap(active->dictionary.size() == even.size() ? odd : even);
   EXPECT_FALSE(last.expired());  // still pinned by `active`
   active.reset();
   EXPECT_TRUE(last.expired()) << "epoch leaked after its last pin dropped";
@@ -241,7 +234,7 @@ TEST(HotSwap, StressManyJobsStreamingAcrossContinuousSwaps) {
   // content-different, verdict-identical.
   const Dictionary base_plus =
       train_levels({{"ft", 6000.0}, {"mg", 6100.0}, {"lu", 9900.0}});
-  RecognitionService service(ShardedDictionary::from_dictionary(base, 8));
+  RecognitionService service(base);
 
   constexpr std::uint64_t kJobs = 32;
   constexpr int kSwaps = 40;
@@ -255,9 +248,8 @@ TEST(HotSwap, StressManyJobsStreamingAcrossContinuousSwaps) {
     int swaps = 0;
     while (swaps < kSwaps || !done_producing.load(std::memory_order_acquire)) {
       if (swaps < kSwaps) {
-        const auto outcome = service.swap_dictionary(
-            ShardedDictionary::from_dictionary(
-                swaps % 2 == 0 ? base_plus : base, 8));
+        const auto outcome =
+            service.swap_dictionary(swaps % 2 == 0 ? base_plus : base);
         EXPECT_FALSE(outcome.already_active);
         EXPECT_GT(outcome.epoch, last_epoch)
             << "epochs must increase monotonically";

@@ -41,7 +41,6 @@ using namespace efd;
 using namespace efd::ingest;
 using core::RecognitionService;
 using core::RecognitionServiceConfig;
-using core::ShardedDictionary;
 
 /// Thread-safe verdict collector usable as a transport's reply channel.
 class VerdictCollector final : public VerdictSink {
@@ -91,8 +90,7 @@ class IngestFixture : public ::testing::Test {
   }
 
   RecognitionService make_service(RecognitionServiceConfig config = {}) {
-    return RecognitionService(
-        ShardedDictionary::from_dictionary(dictionary_, 8), config);
+    return RecognitionService(dictionary_, config);
   }
 
   /// Sends one full job (open, batched samples, close) through a sender.
@@ -356,8 +354,7 @@ TEST(IngestTransportParity, RingPipelineMatchesInProcessStreaming) {
   const auto samplers = ldms::make_standard_samplers(registry);
 
   // Path A: the in-process service path.
-  RecognitionService direct_service(
-      core::train_dictionary_sharded(dataset, config));
+  RecognitionService direct_service(core::train_dictionary(dataset, config));
   util::ThreadPool direct_pool(4);
   const ldms::StreamingRunReport direct = ldms::run_concurrent_jobs(
       direct_service, registry, plans, samplers, kSeed, kDuration,
@@ -370,7 +367,7 @@ TEST(IngestTransportParity, RingPipelineMatchesInProcessStreaming) {
   service_config.deferred = true;
   service_config.job_queue_capacity = 256;
   RecognitionService ingest_service(
-      core::train_dictionary_sharded(dataset, config), service_config);
+      core::train_dictionary(dataset, config), service_config);
   auto collector = std::make_shared<VerdictCollector>();
   RingTransport ring(512);
   ring.set_verdict_sink(collector);

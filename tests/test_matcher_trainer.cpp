@@ -1,12 +1,17 @@
 /// \file test_matcher_trainer.cpp
 /// \brief Tests for the learning and testing phases on hand-built
 /// telemetry where the correct dictionary and votes are known exactly —
-/// including the paper's tie semantics (SP before BT).
+/// including the paper's tie semantics (SP before BT) — plus parity of
+/// pooled training and batch recognition with their sequential forms.
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/matcher.hpp"
 #include "core/trainer.hpp"
+#include "sim/dataset_generator.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -214,6 +219,102 @@ TEST(Trainer, UnknownMetricThrows) {
   FingerprintConfig config;
   config.metrics = {"missing"};
   EXPECT_THROW(train_dictionary(dataset, config), std::out_of_range);
+}
+
+/// Small generated dataset shared by the parity tests below.
+telemetry::Dataset small_dataset() {
+  sim::GeneratorConfig config;
+  config.seed = 7;
+  config.small_repetitions = 2;
+  config.include_large_input = false;
+  config.metrics = {"nr_mapped_vmstat"};
+  return sim::generate_paper_dataset(config);
+}
+
+FingerprintConfig depth2() {
+  FingerprintConfig config;
+  config.metrics = {"nr_mapped_vmstat"};
+  config.rounding_depth = 2;
+  return config;
+}
+
+std::string saved(const Dictionary& dictionary) {
+  std::ostringstream out;
+  dictionary.save(out);
+  return std::move(out).str();
+}
+
+TEST(Trainer, PooledTrainingIsByteIdenticalToSequential) {
+  const telemetry::Dataset dataset = small_dataset();
+  const Dictionary sequential = train_dictionary(dataset, depth2());
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    util::ThreadPool pool(threads);
+    const Dictionary pooled = train_dictionary(dataset, depth2(), {}, &pool);
+    EXPECT_EQ(saved(pooled), saved(sequential)) << threads << " threads";
+    EXPECT_EQ(pooled.applications_in_order(),
+              sequential.applications_in_order())
+        << threads << " threads";
+  }
+}
+
+TEST(Trainer, PooledTrainingPredictionsIdenticalToSequential) {
+  // Tie arrays and label-level votes included, not just the winner.
+  const telemetry::Dataset dataset = small_dataset();
+  const Dictionary sequential = train_dictionary(dataset, depth2());
+  util::ThreadPool pool(4);
+  const Dictionary pooled = train_dictionary(dataset, depth2(), {}, &pool);
+
+  const Matcher a(sequential);
+  const Matcher b(pooled);
+  for (const auto& record : dataset.records()) {
+    const RecognitionResult lhs = a.recognize(record, dataset);
+    const RecognitionResult rhs = b.recognize(record, dataset);
+    EXPECT_EQ(lhs.prediction(), rhs.prediction());
+    EXPECT_EQ(lhs.applications, rhs.applications);
+    EXPECT_EQ(lhs.votes, rhs.votes);
+    EXPECT_EQ(lhs.label_votes, rhs.label_votes);
+    EXPECT_EQ(lhs.matched_labels, rhs.matched_labels);
+    EXPECT_EQ(lhs.matched_count, rhs.matched_count);
+  }
+}
+
+TEST(Trainer, PooledTrainingRespectsTrainingIndices) {
+  const telemetry::Dataset dataset = small_dataset();
+  std::vector<std::size_t> half;
+  for (std::size_t i = 0; i < dataset.size(); i += 2) half.push_back(i);
+
+  const Dictionary sequential = train_dictionary(dataset, depth2(), half);
+  util::ThreadPool pool(2);
+  const Dictionary pooled = train_dictionary(dataset, depth2(), half, &pool);
+  EXPECT_EQ(saved(pooled), saved(sequential));
+  EXPECT_LT(sequential.size(), train_dictionary(dataset, depth2()).size());
+}
+
+TEST(Matcher, RecognizeBatchMatchesPerRecordRecognition) {
+  const telemetry::Dataset dataset = small_dataset();
+  const Dictionary dictionary = train_dictionary(dataset, depth2());
+  const Matcher matcher(dictionary);
+
+  util::ThreadPool pool(4);
+  const std::vector<RecognitionResult> batch =
+      matcher.recognize_batch(dataset, &pool);
+  ASSERT_EQ(batch.size(), dataset.size());
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    const RecognitionResult single =
+        matcher.recognize(dataset.record(i), dataset);
+    EXPECT_EQ(batch[i].prediction(), single.prediction());
+    EXPECT_EQ(batch[i].applications, single.applications);
+    EXPECT_EQ(batch[i].votes, single.votes);
+  }
+}
+
+TEST(RecognitionResult, PredictionSafeWhenApplicationsEmpty) {
+  // A (mis)constructed result flagged recognized with an empty tie array
+  // must not dereference an empty vector.
+  RecognitionResult result;
+  result.recognized = true;
+  EXPECT_EQ(result.prediction(), kUnknownApplication);
+  EXPECT_EQ(result.label_prediction(), kUnknownApplication);
 }
 
 }  // namespace

@@ -53,8 +53,7 @@ class ServiceFixture : public ::testing::Test {
   }
 
   RecognitionService make_service(RecognitionServiceConfig config = {}) {
-    return RecognitionService(ShardedDictionary::from_dictionary(dictionary_, 8),
-                              config);
+    return RecognitionService(dictionary_, config);
   }
 
   void stream_job(RecognitionService& service, std::uint64_t job,
@@ -135,7 +134,7 @@ TEST_F(ServiceFixture, OnlineLearningAddsRecognizableApplication) {
   // "learning new applications is as simple as adding new keys": the
   // keys are added to a copy of the active dictionary, published as the
   // successor epoch.
-  Dictionary next = service.dictionary().to_dictionary();
+  Dictionary next = service.dictionary();
   for (std::uint32_t node = 0; node < 2; ++node) {
     FingerprintKey key;
     key.metric = "nr_mapped_vmstat";
@@ -144,9 +143,7 @@ TEST_F(ServiceFixture, OnlineLearningAddsRecognizableApplication) {
     key.rounded_means = {9900.0};
     next.insert(key, "lu_X");
   }
-  ASSERT_FALSE(
-      service.swap_dictionary(ShardedDictionary::from_dictionary(next))
-          .already_active);
+  ASSERT_FALSE(service.swap_dictionary(std::move(next)).already_active);
   ASSERT_TRUE(service.open_job(5, 2));
   stream_job(service, 5, 9870.0);  // rounds to 9900 at depth 2
   const auto verdicts = service.drain_verdicts();
@@ -533,11 +530,14 @@ TEST_F(ServiceFixture, PooledDrainStressWithBackpressureAndConcurrentDrain) {
       done_scoring.store(true);
     });
     std::thread drainer([&] {
-      while (!done_scoring.load() || verdicts.size() < kJobs) {
+      for (;;) {
+        // Read the flag BEFORE draining: an empty drain then proves the
+        // scorer's last process_pending had already queued everything.
+        const bool scored = done_scoring.load();
         auto drained = service.drain_verdicts();
         for (auto& verdict : drained) verdicts.push_back(std::move(verdict));
         (void)service.stats();
-        if (done_scoring.load() && drained.empty()) break;
+        if (scored && drained.empty()) break;
         std::this_thread::yield();
       }
     });
@@ -612,7 +612,7 @@ TEST(RecognitionServiceStreaming, ConcurrentSimulatedClusterEndToEnd) {
   for (const sim::ExecutionPlan& plan : plans) dataset.add(simulator.run(plan));
 
   const FingerprintConfig config = config_of();
-  RecognitionService service(train_dictionary_sharded(dataset, config));
+  RecognitionService service(train_dictionary(dataset, config));
 
   const auto samplers = ldms::make_standard_samplers(registry);
   util::ThreadPool pool(8);

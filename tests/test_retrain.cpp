@@ -296,9 +296,7 @@ TEST(ValidationGate, MarginRuleAndScores) {
   config.margin = 0.05;
   config.coverage_weight = 0.3;
   const GateDecision decision =
-      evaluate_gate(ShardedDictionary::from_dictionary(candidate, 4),
-                    ShardedDictionary::from_dictionary(incumbent, 4), holdout,
-                    config);
+      evaluate_gate(candidate, incumbent, holdout, config);
   // Incumbent: node1 matches, node0 does not -> accuracy 1, coverage .5.
   EXPECT_DOUBLE_EQ(decision.incumbent.accuracy, 1.0);
   EXPECT_DOUBLE_EQ(decision.incumbent.coverage, 0.5);
@@ -311,15 +309,12 @@ TEST(ValidationGate, MarginRuleAndScores) {
 
   // A tie never clears a positive margin (reversed roles).
   const GateDecision tie =
-      evaluate_gate(ShardedDictionary::from_dictionary(incumbent, 4),
-                    ShardedDictionary::from_dictionary(incumbent, 4), holdout,
-                    config);
+      evaluate_gate(incumbent, incumbent, holdout, config);
   EXPECT_FALSE(tie.promote) << tie.reason;
 
   // An empty holdout refuses to certify.
   const GateDecision starved =
-      evaluate_gate(ShardedDictionary::from_dictionary(candidate, 4),
-                    ShardedDictionary::from_dictionary(incumbent, 4),
+      evaluate_gate(candidate, incumbent,
                     telemetry::Dataset({"nr_mapped_vmstat"}), config);
   EXPECT_FALSE(starved.promote);
   EXPECT_NE(starved.reason.find("holdout too small"), std::string::npos);
@@ -340,8 +335,7 @@ class RetrainCycle : public ::testing::Test {
   }
 
   static RecognitionService make_service() {
-    return RecognitionService(
-        ShardedDictionary::from_dictionary(train_levels({{"ft", 6000.0}}), 8));
+    return RecognitionService(train_levels({{"ft", 6000.0}}));
   }
 
   /// Streams \p jobs complete jobs; steady jobs keep both nodes in the
@@ -555,8 +549,7 @@ TEST_F(RetrainCycle, LayoutChangeRebindsTheCaptureWindow) {
   retrain_data.add(std::move(record));
   EXPECT_FALSE(
       service
-          .swap_dictionary(ShardedDictionary::from_dictionary(
-              train_dictionary(retrain_data, two_windows), 8))
+          .swap_dictionary(train_dictionary(retrain_data, two_windows))
           .already_active);
 
   const RetrainReport report = controller.run_cycle();
@@ -605,8 +598,7 @@ TEST_F(RetrainCycle, BackgroundCycleRunsOffTheSchedulerThread) {
 }
 
 TEST(RetrainState, BlobRoundTripAndRejection) {
-  RecognitionService service(
-      ShardedDictionary::from_dictionary(train_levels({{"ft", 6000.0}}), 4));
+  RecognitionService service(train_levels({{"ft", 6000.0}}));
   RetrainConfig config;
   config.background = false;
   RetrainController controller(service, config);
@@ -614,8 +606,7 @@ TEST(RetrainState, BlobRoundTripAndRejection) {
   EXPECT_EQ(report.outcome, RetrainOutcome::kSkippedNoData);
 
   const std::vector<std::uint8_t> blob = controller.encode_state();
-  RecognitionService other(
-      ShardedDictionary::from_dictionary(train_levels({{"ft", 6000.0}}), 4));
+  RecognitionService other(train_levels({{"ft", 6000.0}}));
   RetrainController restored(other, config);
   ASSERT_TRUE(restored.restore_state(blob));
   EXPECT_EQ(restored.stats().cycles_triggered, 1u);
@@ -641,8 +632,7 @@ TEST(RetrainState, BlobRoundTripAndRejection) {
 
 TEST(RetrainState, SnapshotCarriesRetrainSectionAndLegacyStatsRestore) {
   // Round trip: the Retrain section travels opaquely and is optional.
-  RecognitionService service(
-      ShardedDictionary::from_dictionary(train_levels({{"ft", 6000.0}}), 4));
+  RecognitionService service(train_levels({{"ft", 6000.0}}));
   const std::vector<std::uint8_t> blob = {9, 8, 7, 6, 5};
   std::ostringstream with_section;
   service.snapshot(with_section, 1, blob);
@@ -650,15 +640,13 @@ TEST(RetrainState, SnapshotCarriesRetrainSectionAndLegacyStatsRestore) {
   service.snapshot(without_section, 1);
 
   {
-    RecognitionService restored(
-        ShardedDictionary::from_dictionary(train_levels({{"ft", 6000.0}}), 4));
+    RecognitionService restored(train_levels({{"ft", 6000.0}}));
     std::istringstream in(std::move(with_section).str());
     EXPECT_EQ(restored.restore(in).retrain_state, blob);
   }
   const std::string plain = std::move(without_section).str();
   {
-    RecognitionService restored(
-        ShardedDictionary::from_dictionary(train_levels({{"ft", 6000.0}}), 4));
+    RecognitionService restored(train_levels({{"ft", 6000.0}}));
     std::istringstream in(plain);
     EXPECT_TRUE(restored.restore(in).retrain_state.empty());
   }
@@ -688,8 +676,7 @@ TEST(RetrainState, SnapshotCarriesRetrainSectionAndLegacyStatsRestore) {
       legacy.append(payload);
     }
   }
-  RecognitionService restored(
-      ShardedDictionary::from_dictionary(train_levels({{"ft", 6000.0}}), 4));
+  RecognitionService restored(train_levels({{"ft", 6000.0}}));
   std::istringstream in(legacy);
   const ServiceRestoreInfo info = restored.restore(in);
   EXPECT_EQ(info.replay_cursor, 1u);

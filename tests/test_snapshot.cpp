@@ -53,8 +53,7 @@ class SnapshotFixture : public ::testing::Test {
   }
 
   RecognitionService make_service(RecognitionServiceConfig config = {}) {
-    return RecognitionService(ShardedDictionary::from_dictionary(dictionary_, 8),
-                              config);
+    return RecognitionService(dictionary_, config);
   }
 
   /// Streams ticks [from, to) of a constant-level job into a service.
@@ -291,9 +290,7 @@ TEST_F(SnapshotFixture, SwappedEpochSurvivesRestore) {
   // Retrain with a third application and hot-swap it in.
   add(3, "lu", 9900.0);
   const Dictionary retrained = train_dictionary(dataset_, config_of());
-  EXPECT_EQ(original.swap_dictionary(
-                ShardedDictionary::from_dictionary(retrained, 8)),
-            2u);
+  EXPECT_EQ(original.swap_dictionary(retrained), 2u);
 
   std::ostringstream out;
   original.snapshot(out);
@@ -329,8 +326,7 @@ TEST_F(SnapshotFixture, StaleEpochStreamRestoresWithFreshWindows) {
   // accumulator layout for new streams.
   FingerprintConfig two_windows = config_of();
   two_windows.intervals = {{60, 120}, {120, 180}};
-  original.swap_dictionary(ShardedDictionary::from_dictionary(
-      train_dictionary(dataset_, two_windows), 8));
+  original.swap_dictionary(train_dictionary(dataset_, two_windows));
   ASSERT_EQ(original.stats().jobs_on_stale_epoch, 1u);
 
   std::ostringstream out;
@@ -763,8 +759,7 @@ TEST_F(SnapshotChainFixture, ClosedJobsTravelInDeltasAndEpochChangeForcesBase) {
   // A hot-swap changes the dictionary identity: the next capture MUST
   // be a base (deltas never carry a Dictionary section).
   add(3, "lu", 9900.0);
-  service.swap_dictionary(ShardedDictionary::from_dictionary(
-      train_dictionary(dataset_, config_of()), 8));
+  service.swap_dictionary(train_dictionary(dataset_, config_of()));
   std::ostringstream rebase_out;
   const SnapshotCaptureInfo rebase = service.snapshot_capture(rebase_out, chain);
   EXPECT_TRUE(rebase.base);

@@ -36,7 +36,6 @@ using namespace efd;
 using namespace efd::ingest;
 using core::RecognitionService;
 using core::RecognitionServiceConfig;
-using core::ShardedDictionary;
 
 /// Thread-safe verdict collector usable as a transport's reply channel.
 class VerdictCollector final : public VerdictSink {
@@ -81,8 +80,7 @@ class SourceMuxFixture : public ::testing::Test {
   }
 
   RecognitionService make_service(RecognitionServiceConfig config = {}) {
-    return RecognitionService(
-        ShardedDictionary::from_dictionary(dictionary_, 8), config);
+    return RecognitionService(dictionary_, config);
   }
 
   /// Sends one full job (open, batched samples, close) through a sender.

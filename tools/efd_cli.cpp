@@ -37,13 +37,12 @@
 ///              stream (kSubscribe, optional --app/--source filters)
 ///              and tail the kVerdictEvent frames
 ///
-/// Concurrency knobs: --shards selects the sharded concurrent dictionary
-/// engine (0 = heuristic), --threads sizes a dedicated worker pool, and
-/// --jobs (serve-sim) sets how many jobs are monitored concurrently.
+/// Concurrency knobs: --threads sizes a dedicated worker pool, and --jobs
+/// (serve-sim) sets how many jobs are monitored concurrently.
 ///
 /// Examples:
 ///   efd_cli generate --out history.csv --repetitions 10
-///   efd_cli train --data history.csv --out apps.efd --shards 16 --threads 8
+///   efd_cli train --data history.csv --out apps.efd --threads 8
 ///   efd_cli recognize --data new_jobs.csv --dict apps.efd --threads 8
 ///   efd_cli evaluate --data history.csv --experiment hard-input
 ///   efd_cli serve-sim --dict apps.efd --jobs 64 --threads 8
@@ -72,7 +71,6 @@
 #include "core/coverage.hpp"
 #include "core/online/recognition_service.hpp"
 #include "core/recognizer.hpp"
-#include "core/sharded_dictionary.hpp"
 #include "core/trainer.hpp"
 #include "eval/efd_experiment.hpp"
 #include "ingest/pipeline.hpp"
@@ -134,7 +132,7 @@ int usage() {
       "             [--no-large] [--noise-scale F]\n"
       "  train      --data FILE --out FILE [--metrics a,b] [--depth N|auto]\n"
       "             [--intervals 60:120[,120:180]] [--combine]\n"
-      "             [--shards N] [--threads N]\n"
+      "             [--threads N]\n"
       "  recognize  --data FILE --dict FILE [--verbose] [--threads N]\n"
       "  dump       --dict FILE\n"
       "  stats      --dict FILE | --port P [--host H] [--prometheus]\n"
@@ -144,9 +142,9 @@ int usage() {
       "  evaluate   --data FILE --experiment normal-fold|soft-input|\n"
       "             soft-unknown|hard-input|hard-unknown [--metrics a,b]\n"
       "             [--depth N|auto] [--folds K] [--seed S]\n"
-      "  serve-sim  --dict FILE [--jobs N] [--shards N] [--threads N]\n"
+      "  serve-sim  --dict FILE [--jobs N] [--threads N]\n"
       "             [--seed S] [--duration SECONDS]\n"
-      "  serve      --dict FILE [--port P] [--shards N] [--threads N]\n"
+      "  serve      --dict FILE [--port P] [--threads N]\n"
       "             [--listen tcp:PORT|udp:PORT|shm:NAME]...  (repeatable:\n"
       "             every listener feeds the same service; default tcp)\n"
       "             [--policy block|drop-oldest|reject] [--queue-capacity N]\n"
@@ -245,14 +243,12 @@ int cmd_train(const util::ArgParser& args) {
         static_cast<int>(util::parse_int(depth).value_or(2));
   }
 
-  const bool sharded = args.has("shards") || args.has("threads");
-  const auto shard_count =
-      static_cast<std::size_t>(args.get_int("shards", 0));
+  const bool parallel = args.has("threads");
   const auto pool = make_pool(args);
 
   core::Recognizer recognizer(config);
-  if (sharded) {
-    recognizer.train_parallel(dataset, {}, shard_count, pool.get());
+  if (parallel) {
+    recognizer.train_parallel(dataset, {}, pool.get());
   } else {
     recognizer.train(dataset);
   }
@@ -262,7 +258,7 @@ int cmd_train(const util::ArgParser& args) {
   std::cout << "trained on " << dataset.size() << " executions; depth "
             << recognizer.rounding_depth() << " ("
             << (depth == "auto" ? "selected by inner CV" : "fixed") << ")"
-            << (sharded ? " [sharded parallel build]" : "") << "\n"
+            << (parallel ? " [parallel build]" : "") << "\n"
             << "dictionary: " << stats.key_count << " keys ("
             << stats.exclusive_keys << " exclusive, " << stats.colliding_keys
             << " colliding) -> " << out << "\n";
@@ -435,15 +431,12 @@ int cmd_serve_sim(const util::ArgParser& args) {
   if (dict.empty()) return usage();
 
   const auto jobs = static_cast<std::size_t>(args.get_int("jobs", 64));
-  const auto shard_count = static_cast<std::size_t>(args.get_int("shards", 0));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   const double duration = args.get_double("duration", 0.0);
   auto pool = make_pool(args);
 
-  core::ShardedDictionary dictionary =
-      core::ShardedDictionary::load_file(dict, shard_count);
-  std::cout << "serving dictionary: " << dictionary.size() << " keys across "
-            << dictionary.shard_count() << " shards\n";
+  core::Dictionary dictionary = core::Dictionary::load_file(dict);
+  std::cout << "serving dictionary: " << dictionary.size() << " keys\n";
   core::RecognitionService service(std::move(dictionary));
 
   // Round-robin the paper's applications into a concurrent job mix.
@@ -597,11 +590,8 @@ int cmd_serve(const util::ArgParser& args) {
       static_cast<std::size_t>(queue_capacity);
   service_config.stale_ttl = std::chrono::seconds(ttl_seconds);
 
-  const auto shard_count = static_cast<std::size_t>(args.get_int("shards", 0));
-  core::ShardedDictionary dictionary =
-      core::ShardedDictionary::load_file(dict, shard_count);
-  std::cout << "serving dictionary: " << dictionary.size() << " keys across "
-            << dictionary.shard_count() << " shards (policy "
+  core::Dictionary dictionary = core::Dictionary::load_file(dict);
+  std::cout << "serving dictionary: " << dictionary.size() << " keys (policy "
             << core::backpressure_policy_name(service_config.policy)
             << ", queue " << service_config.job_queue_capacity << ", ttl "
             << ttl_seconds << " s)\n";
@@ -764,10 +754,9 @@ int cmd_serve(const util::ArgParser& args) {
     // Every replicated capture is validated by restoring the full local
     // chain into a throwaway service configured like the one a
     // promotion would boot.
-    follower_config.shadow_factory = [dict, shard_count, service_config] {
+    follower_config.shadow_factory = [dict, service_config] {
       return std::make_unique<core::RecognitionService>(
-          core::ShardedDictionary::load_file(dict, shard_count),
-          service_config);
+          core::Dictionary::load_file(dict), service_config);
     };
     if (!args.has("quiet")) {
       follower_config.log = [](const std::string& line) {
