@@ -23,7 +23,13 @@
 ///     Dictionary (the Matcher's Dictionary::lookup fallback over the
 ///     node-based hash map) vs. its compiled flat probe index
 ///     (dictionary_index.hpp), in ns/key over identical pre-built key
-///     sets; the ratio is `lookup_speedup`.
+///     sets; the ratio is `lookup_speedup`;
+///  6. dictionary publication — the trained dictionary plus 10k decoy
+///     keys (the shape of e2ebench's churn-tcp B1/B2 dictionaries): load
+///     of its EFD-DICT-V1 text, write, sort + index compile, an
+///     in-process swap_dictionary (epoch build included), a no-op swap
+///     of an identical candidate, and the snapshot base captured right
+///     after a swap, in ms. Informational: no threshold reads it.
 ///
 /// CI runs this via the hot-path-smoke job and feeds the JSONL line to
 /// tools/bench_check.py, which compares the ratio fields against the
@@ -34,9 +40,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -44,6 +53,7 @@
 #include "core/fingerprint.hpp"
 #include "core/matcher.hpp"
 #include "core/online/recognition_service.hpp"
+#include "core/online/service_snapshot.hpp"
 #include "core/recognition_scratch.hpp"
 #include "core/rounding.hpp"
 #include "core/rounding_kernel.hpp"
@@ -322,6 +332,94 @@ int main(int argc, char** argv) {
             << util::format_mean(indexed_dict.index_build_seconds() * 1e3)
             << " ms)\n";
 
+  // --- Stage 6: dictionary publication -------------------------------
+  // Two decoy variants, so consecutive swaps alternate real content
+  // changes exactly like churn-tcp's B1 <-> B2.
+  constexpr std::size_t kDecoys = 10000;
+  const auto with_decoys = [&](int variant) {
+    core::Dictionary decoyed = dictionary;
+    const int base = variant == 1 ? 13 : 140;
+    for (std::size_t k = 0; k < kDecoys; ++k) {
+      core::FingerprintKey key;
+      key.metric = config.metrics.front();
+      key.node_id = static_cast<std::uint32_t>(k % 32);
+      key.interval = telemetry::kPaperInterval;
+      key.rounded_means = {static_cast<double>(10 + k % 90) *
+                           std::pow(10.0, base + static_cast<int>(k / 90))};
+      decoyed.insert(key, "decoy_D");
+    }
+    std::string text;
+    decoyed.save(text);
+    return text;
+  };
+  const std::string b1_text = with_decoys(1);
+  const std::string b2_text = with_decoys(2);
+  const core::Dictionary b1 = core::Dictionary::load(b1_text);
+  constexpr double kNsPerMs = 1e6;
+
+  const double publish_load_ms =
+      best_of(repetitions, [&] {
+        g_sink = static_cast<double>(core::Dictionary::load(b1_text).size());
+      }) / kNsPerMs;
+  const double publish_write_ms =
+      best_of(repetitions, [&] {
+        std::string text;
+        b1.save(text);
+        g_sink = static_cast<double>(text.size());
+      }) / kNsPerMs;
+  // Sort + compile on fresh copies: a compiled index is never rebuilt.
+  std::vector<core::Dictionary> uncompiled(static_cast<std::size_t>(repetitions), b1);
+  std::size_t next_copy = 0;
+  const double publish_compile_ms =
+      best_of(repetitions, [&] {
+        uncompiled[next_copy++].compile_probe_index();
+      }) / kNsPerMs;
+
+  // Candidates are parsed before the clock starts, as the wire handler's
+  // load is priced above.
+  core::RecognitionService publisher(b1);
+  std::vector<core::Dictionary> candidates;
+  for (int rep = 0; rep < repetitions; ++rep) {
+    candidates.push_back(core::Dictionary::load(rep % 2 == 0 ? b2_text : b1_text));
+  }
+  std::size_t next_candidate = 0;
+  const double publish_swap_ms =
+      best_of(repetitions, [&] {
+        g_sink = static_cast<double>(
+            publisher.swap_dictionary(std::move(candidates[next_candidate++]))
+                .epoch);
+      }) / kNsPerMs;
+  // The base right after the last swap; a fresh chain starts with a base
+  // on every repetition.
+  const double publish_capture_ms =
+      best_of(repetitions, [&] {
+        core::SnapshotChainState chain;
+        std::ostringstream capture;
+        publisher.snapshot_capture(capture, chain);
+      }) / kNsPerMs;
+  std::vector<core::Dictionary> identical(static_cast<std::size_t>(repetitions),
+                                          publisher.dictionary());
+  std::size_t next_identical = 0;
+  const double publish_noop_swap_ms =
+      best_of(repetitions, [&] {
+        g_sink = static_cast<double>(
+            publisher.swap_dictionary(std::move(identical[next_identical++]))
+                .already_active);
+      }) / kNsPerMs;
+
+  std::cout << "\n";
+  util::TablePrinter publish({"dictionary publication", "ms"});
+  publish.add_row({"load", util::format_mean(publish_load_ms)});
+  publish.add_row({"write", util::format_mean(publish_write_ms)});
+  publish.add_row({"sort + compile", util::format_mean(publish_compile_ms)});
+  publish.add_row({"swap", util::format_mean(publish_swap_ms)});
+  publish.add_row({"no-op swap", util::format_mean(publish_noop_swap_ms)});
+  publish.add_row({"base capture after swap",
+                   util::format_mean(publish_capture_ms)});
+  publish.print(std::cout);
+  std::cout << "publish dictionary: " << b1.size() << " keys, "
+            << b1_text.size() << " bytes\n";
+
   bench::JsonRecord record;
   record.field("bench", "hot_path")
       .field("kernel", core::kernel_name())
@@ -346,6 +444,14 @@ int main(int argc, char** argv) {
       .field("index_bytes",
              static_cast<long long>(indexed_dict.index_resident_bytes()))
       .field("index_build_seconds", indexed_dict.index_build_seconds())
+      .field("publish_keys", static_cast<long long>(b1.size()))
+      .field("publish_bytes", static_cast<long long>(b1_text.size()))
+      .field("publish_load_ms", publish_load_ms)
+      .field("publish_write_ms", publish_write_ms)
+      .field("publish_compile_ms", publish_compile_ms)
+      .field("publish_swap_ms", publish_swap_ms)
+      .field("publish_noop_swap_ms", publish_noop_swap_ms)
+      .field("publish_base_capture_ms", publish_capture_ms)
       .field("records", dataset.size());
   bench::emit_json(args, record);
   return 0;

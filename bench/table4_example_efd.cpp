@@ -25,7 +25,8 @@ void print_dictionary(const efd::core::Dictionary& dictionary) {
   table.set_alignments({efd::util::Align::kLeft, efd::util::Align::kRight,
                         efd::util::Align::kLeft, efd::util::Align::kRight,
                         efd::util::Align::kLeft});
-  for (const auto& [key, entry] : dictionary.sorted_entries()) {
+  for (const efd::core::Dictionary::Row* row : dictionary.sorted_view()) {
+    const auto& [key, entry] = *row;
     std::string labels;
     for (std::size_t i = 0; i < entry.labels.size(); ++i) {
       if (i != 0) labels += ", ";

@@ -15,6 +15,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -37,12 +38,6 @@ struct DictionaryEntry {
   /// these instead of re-parsing label strings. Not serialized: id values
   /// depend on interning order, the durable content is labels/counts.
   std::vector<std::uint32_t> label_ids;
-
-  /// Adds one observation of a label.
-  void observe(const std::string& label) { observe(label, 1); }
-
-  /// Adds \p count observations at once (bulk merge/load path).
-  void observe(const std::string& label, std::uint32_t count);
 
   /// True if the entry contains the label.
   bool contains(const std::string& label) const;
@@ -118,22 +113,34 @@ class Dictionary {
   /// Aggregate statistics over keys.
   DictionaryStats stats() const;
 
-  /// All entries, sorted lexicographically by key string rendering — the
-  /// order used for the Table 4 dump and for serialization determinism.
-  std::vector<std::pair<FingerprintKey, DictionaryEntry>> sorted_entries() const;
+  /// One stored (key, entry) row.
+  using Row = std::pair<const FingerprintKey, DictionaryEntry>;
+
+  /// Every row, sorted by key (metric, interval begin, means, node,
+  /// interval end): the order of the Table 4 dump, of the EFD-DICT-V1 key
+  /// list and of the probe index's entries. The pointers are into this
+  /// dictionary and stay valid until it is mutated or destroyed.
+  std::vector<const Row*> sorted_view() const;
 
   /// Reverse lookup (Section 6: "using the dictionary in reverse"): every
   /// key observed for a full label, e.g. to predict a known application's
   /// expected resource usage.
   std::vector<FingerprintKey> keys_for_label(const std::string& label) const;
 
-  /// Serializes to a line-oriented text format.
+  /// Serializes to the line-oriented EFD-DICT-V1 text, appended to
+  /// \p out. Deterministic: keys are written in sorted_view() order.
+  void save(std::string& out) const;
+  /// The same bytes, written to a stream.
   void save(std::ostream& out) const;
   void save_file(const std::string& path) const;
 
-  /// Deserializes; throws std::runtime_error on malformed input,
-  /// including integers that do not fit their field (a node id or label
-  /// count outside u32, an interval bound or depth outside int).
+  /// Deserializes EFD-DICT-V1 text; throws std::runtime_error on
+  /// malformed input, including CRLF line endings and integers that do
+  /// not fit their field (a node id or label count outside u32, an
+  /// interval bound or depth outside int). Text after the declared key
+  /// rows is ignored.
+  static Dictionary load(std::string_view text);
+  /// Reads \p in to its end, then load(text).
   static Dictionary load(std::istream& in);
   static Dictionary load_file(const std::string& path);
 
@@ -145,6 +152,12 @@ class Dictionary {
   /// insert()/merge()/prune_rare() later mutate this (unpublished)
   /// dictionary.
   void compile_probe_index();
+
+  /// Publication in one pass: sorts once, compiles the probe index from
+  /// that view and returns the canonical EFD-DICT-V1 text (save()'s
+  /// bytes) written from the same view. DictionaryHandle::Epoch's
+  /// constructor calls it and keeps the text beside the dictionary.
+  std::string compile_for_publication();
 
   /// The compiled index, or nullptr when none is compiled (a dictionary
   /// that was never published, or one mutated since its compile: the
@@ -161,6 +174,14 @@ class Dictionary {
   auto end() const { return entries_.end(); }
 
  private:
+  /// Adds \p count observations of \p label to \p entry (a row of this
+  /// dictionary): interns the label, ranks its application on the
+  /// label's first sight, and keeps label_ids aligned with labels.
+  void observe(DictionaryEntry& entry, const std::string& label,
+               std::uint32_t count);
+  /// save() over an already sorted view.
+  void save(std::string& out, const std::vector<const Row*>& rows) const;
+
   FingerprintConfig config_;
   std::unordered_map<FingerprintKey, DictionaryEntry, FingerprintKeyHash> entries_;
   std::unordered_map<std::string, std::size_t> application_first_seen_;

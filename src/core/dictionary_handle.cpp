@@ -18,6 +18,17 @@ std::uint64_t DictionaryHandle::swap(Dictionary next) {
   return version;
 }
 
+DictionaryHandle::SwapOutcome DictionaryHandle::swap_if_changed(
+    Dictionary next) {
+  std::lock_guard lock(writer_mutex_);
+  const std::shared_ptr<Epoch> active = acquire();
+  auto candidate = std::make_shared<Epoch>(active->version + 1, std::move(next));
+  if (candidate->bytes == active->bytes) return {active->version, true};
+  publish(std::move(candidate));
+  swaps_.fetch_add(1, std::memory_order_relaxed);
+  return {active->version + 1, false};
+}
+
 void DictionaryHandle::reset(std::shared_ptr<Epoch> epoch,
                              std::uint64_t swap_count) {
   std::lock_guard lock(writer_mutex_);

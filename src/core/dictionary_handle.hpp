@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 
 #include "core/dictionary_index.hpp"
 
@@ -42,24 +43,36 @@ class DictionaryHandle {
   /// One published dictionary generation, immutable as a whole.
   struct Epoch {
     /// Construction is the publication point for the dictionary's derived
-    /// read structures: the flat probe index (dictionary_index.hpp) is
-    /// compiled before the const member is initialised, so every path
-    /// that publishes an epoch — initial handle construction (train
-    /// completion), swap(), and the snapshot restorer's pre-built epoch
-    /// for reset() — ships structure + index together, and neither can
-    /// change afterwards. In-flight streams keep their pinned epoch's
-    /// index.
+    /// forms: one sorted pass compiles the flat probe index
+    /// (dictionary_index.hpp) and writes the canonical EFD-DICT-V1 text,
+    /// both before the const members exist. So every path that publishes
+    /// an epoch — initial handle construction (train completion), swap(),
+    /// and the snapshot restorer's pre-built epoch for reset() — ships
+    /// structure, index and bytes together, and none can change
+    /// afterwards. In-flight streams keep their pinned epoch's index.
+    /// (`bytes` is declared before `dictionary`, so it is initialised
+    /// from the parameter before the parameter is moved from.)
     Epoch(std::uint64_t version, Dictionary dictionary)
-        : version(version), dictionary(compiled(std::move(dictionary))) {}
+        : version(version),
+          bytes(dictionary.compile_for_publication()),
+          dictionary(std::move(dictionary)) {}
 
     const std::uint64_t version;
+    /// The dictionary's EFD-DICT-V1 text, exactly what save() writes:
+    /// the already-active guard compares it and snapshot bases embed it,
+    /// so neither serializes the dictionary again.
+    const std::string bytes;
     const Dictionary dictionary;
+  };
 
-   private:
-    static Dictionary compiled(Dictionary dictionary) {
-      dictionary.compile_probe_index();
-      return dictionary;
-    }
+  /// What swap_if_changed() did: the active version after the call, and
+  /// whether the candidate was dropped as identical to the active epoch.
+  struct SwapOutcome {
+    std::uint64_t epoch = 0;     ///< active epoch after the call
+    bool already_active = false; ///< candidate identical to the active one
+
+    /// Legacy call sites compare the outcome against an epoch number.
+    bool operator==(std::uint64_t version) const { return epoch == version; }
   };
 
   /// The initial dictionary becomes epoch 1.
@@ -90,6 +103,13 @@ class DictionaryHandle {
   /// Atomically publishes \p next as the new active epoch (version + 1)
   /// and returns that new version. In-flight pins keep their old epoch.
   std::uint64_t swap(Dictionary next);
+
+  /// swap(), except that a candidate whose EFD-DICT-V1 bytes equal the
+  /// active epoch's is dropped without burning a version. Byte equality
+  /// is content identity: the text is deterministic and carries the
+  /// config. The candidate epoch is built once, compared, and then
+  /// published as is.
+  SwapOutcome swap_if_changed(Dictionary next);
 
   /// Restore path: installs a pre-built epoch (explicit version) with an
   /// explicit swap-count — snapshot continuity across restarts. Taking

@@ -153,21 +153,22 @@ const DictionaryIndex::Entry* DictionaryIndex::find_hashed(
 }
 
 std::shared_ptr<const DictionaryIndex> DictionaryIndex::compile(
-    const std::vector<std::pair<FingerprintKey, DictionaryEntry>>& entries) {
+    std::span<const Dictionary::Row* const> rows) {
   const auto start = std::chrono::steady_clock::now();
   std::size_t means_total = 0;
   std::size_t labels_total = 0;
-  for (const auto& [key, entry] : entries) {
-    means_total += key.rounded_means.size();
-    labels_total += entry.label_ids.size();
+  for (const Dictionary::Row* row : rows) {
+    means_total += row->first.rounded_means.size();
+    labels_total += row->second.label_ids.size();
   }
 
   std::shared_ptr<DictionaryIndex> index(new DictionaryIndex());
-  index->entries_.reserve(entries.size());
+  index->entries_.reserve(rows.size());
   index->means_.reserve(means_total);
   index->label_ids_.reserve(labels_total);
   std::unordered_map<std::string, std::uint32_t> metric_ids;
-  for (const auto& [key, dict_entry] : entries) {
+  for (const Dictionary::Row* row : rows) {
+    const auto& [key, dict_entry] = *row;
     Entry entry;
     entry.node_id = key.node_id;
     entry.begin_seconds = key.interval.begin_seconds;
@@ -189,17 +190,17 @@ std::shared_ptr<const DictionaryIndex> DictionaryIndex::compile(
     index->entries_.push_back(entry);
   }
 
-  if (!entries.empty()) {
+  if (!rows.empty()) {
     // Power-of-two slots at load factor <= 0.5: probe chains stay short
     // and the tag bytes cost 1/16th of what they save in entry touches.
     std::size_t slots = kTagScanWindow;
-    while (slots < 2 * entries.size()) slots <<= 1;
+    while (slots < 2 * rows.size()) slots <<= 1;
     index->slots_ = slots;
     index->mask_ = slots - 1;
     index->tags_.assign(slots + kTagScanWindow, 0);
     index->slot_entry_.assign(slots, 0);
     for (std::uint32_t e = 0; e < index->entries_.size(); ++e) {
-      const std::uint64_t hash = hash_key(entries[e].first);
+      const std::uint64_t hash = hash_key(rows[e]->first);
       std::size_t pos = static_cast<std::size_t>(hash) & index->mask_;
       while (index->tags_[pos] != 0) pos = (pos + 1) & index->mask_;
       index->tags_[pos] = tag_of(hash);

@@ -94,14 +94,14 @@ class DictionaryIndex {
   /// the LOW bits while FNV concentrates its quality in the high ones.
   static std::uint64_t hash_key(const FingerprintKey& key) noexcept;
 
-  /// Compiles the index from a dictionary's sorted_entries() output.
+  /// Compiles the index from a dictionary's sorted_view() rows.
   /// Deterministic: identical content (in identical order) produces an
   /// identical table shape regardless of which process builds it — the
   /// restored-snapshot-equals-live-training test leans on this. Every
   /// entry's label_ids must be aligned with its labels, which insert()
   /// guarantees by interning each label before it writes the entry.
   static std::shared_ptr<const DictionaryIndex> compile(
-      const std::vector<std::pair<FingerprintKey, DictionaryEntry>>& entries);
+      std::span<const Dictionary::Row* const> rows);
 
   /// Pulls the probe's first tag/slot cache lines toward L1. Issue this
   /// for key i+K while resolving key i (Matcher pipelines with K = 8) so

@@ -1,7 +1,6 @@
 #include "core/online/recognition_service.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -51,21 +50,11 @@ const Dictionary& RecognitionService::dictionary() const {
 
 RecognitionService::SwapOutcome RecognitionService::swap_dictionary(
     Dictionary next) {
-  // Already-active guard: EFD-DICT-V1 serialization is deterministic
-  // (sorted entries, config included), so byte equality is content AND
-  // layout identity. Swaps are a retrain cadence, not a hot path — two
-  // serializations per attempt is fine.
-  {
-    const auto active = handle_.acquire();
-    std::ostringstream active_bytes, candidate_bytes;
-    active->dictionary.save(active_bytes);
-    next.save(candidate_bytes);
-    if (std::move(active_bytes).str() == std::move(candidate_bytes).str()) {
-      swaps_noop_.fetch_add(1, std::memory_order_relaxed);
-      return {active->version, true};
-    }
+  const SwapOutcome outcome = handle_.swap_if_changed(std::move(next));
+  if (outcome.already_active) {
+    swaps_noop_.fetch_add(1, std::memory_order_relaxed);
   }
-  return {handle_.swap(std::move(next)), false};
+  return outcome;
 }
 
 std::int64_t RecognitionService::now_ns() {

@@ -235,25 +235,18 @@ class RecognitionService {
   const RecognitionServiceConfig& config() const noexcept { return config_; }
 
   /// What swap_dictionary did with a candidate.
-  struct SwapOutcome {
-    std::uint64_t epoch = 0;    ///< active epoch after the call
-    bool already_active = false;///< candidate identical to the active dict
-
-    /// Legacy call sites compare the outcome against an epoch number.
-    bool operator==(std::uint64_t version) const { return epoch == version; }
-  };
+  using SwapOutcome = DictionaryHandle::SwapOutcome;
 
   /// Atomically publishes a retrained dictionary as the new active
   /// epoch, mid-traffic. In-flight streams finish against the epoch they
   /// opened under; streams opened after this call recognize against
-  /// \p next. A candidate whose serialized form is byte-identical to the
-  /// active dictionary (config AND content) is rejected as
-  /// already-active: the epoch does not advance, the outcome reports the
-  /// current version, and the attempt is counted in
-  /// ServiceStats::dictionary_swaps_noop. The identity check is advisory
-  /// under races (a competing swap between the comparison and the
-  /// publication can let a now-identical candidate through); every
-  /// committed swap is still a fully consistent epoch.
+  /// \p next. A candidate whose EFD-DICT-V1 bytes equal the active
+  /// epoch's (config AND content) is rejected as already-active: the
+  /// epoch does not advance, the outcome reports the current version,
+  /// and the attempt is counted in ServiceStats::dictionary_swaps_noop.
+  /// The candidate's epoch (index and bytes) is built once; the
+  /// comparison and the publication happen under the handle's writer
+  /// lock, so a competing swap cannot slip between them.
   /// Thread-safe against every other method (including concurrent swaps,
   /// which serialize).
   SwapOutcome swap_dictionary(Dictionary next);

@@ -13,7 +13,7 @@
 #include <istream>
 #include <ostream>
 #include <shared_mutex>
-#include <sstream>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -232,12 +232,8 @@ std::size_t RecognitionService::write_snapshot_sections(
     put_u8(payload, static_cast<std::uint8_t>(SnapshotSection::kDictionary));
     put_u64(payload, dict_epoch->version);
     put_u64(payload, dict_swap_count);
-    {
-      std::ostringstream dictionary_bytes;
-      dict_epoch->dictionary.save(dictionary_bytes);
-      const std::string text = std::move(dictionary_bytes).str();
-      payload.insert(payload.end(), text.begin(), text.end());
-    }
+    payload.insert(payload.end(), dict_epoch->bytes.begin(),
+                   dict_epoch->bytes.end());
     bytes += write_section(out, payload);
   }
 
@@ -514,14 +510,13 @@ void RecognitionService::decode_snapshot_sections(std::istream& in,
             !reader.read_u64(staging.swap_count)) {
           fail("malformed dictionary section");
         }
-        const std::string text(
+        const std::string_view text(
             reinterpret_cast<const char*>(payload.data() +
                                           (payload.size() - reader.remaining())),
             reader.remaining());
         try {
-          std::istringstream dictionary_bytes(text);
           staging.epoch = std::make_shared<DictionaryHandle::Epoch>(
-              staging.epoch_version, Dictionary::load(dictionary_bytes));
+              staging.epoch_version, Dictionary::load(text));
         } catch (const std::exception& error) {
           fail(std::string("embedded dictionary rejected: ") + error.what());
         }

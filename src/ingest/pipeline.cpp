@@ -259,9 +259,9 @@ void IngestPipeline::dispatch(Envelope& envelope) {
         break;
       }
       try {
-        std::istringstream blob(
-            std::string(message.dictionary_blob.begin(),
-                        message.dictionary_blob.end()));
+        const std::string_view blob(
+            reinterpret_cast<const char*>(message.dictionary_blob.data()),
+            message.dictionary_blob.size());
         const auto outcome =
             service_.swap_dictionary(core::Dictionary::load(blob));
         if (outcome.already_active) {

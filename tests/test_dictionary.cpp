@@ -7,10 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <sstream>
+#include <string_view>
 
 #include "core/matcher.hpp"
+#include "core/rounding.hpp"
+#include "util/string_utils.hpp"
 
 namespace {
 
@@ -33,14 +39,18 @@ FingerprintConfig config_of(int depth = 2) {
   return config;
 }
 
-TEST(DictionaryEntry, ObserveAccumulatesCounts) {
-  DictionaryEntry entry;
-  entry.observe("ft_X");
-  entry.observe("ft_Y");
-  entry.observe("ft_X");
+TEST(DictionaryEntry, InsertAccumulatesCountsPerLabel) {
+  Dictionary dictionary(config_of());
+  dictionary.insert(key_of(6000.0), "ft_X");
+  dictionary.insert(key_of(6000.0), "ft_Y");
+  dictionary.insert(key_of(6000.0), "ft_X", 2);
+  const DictionaryEntry& entry = *dictionary.lookup(key_of(6000.0));
   ASSERT_EQ(entry.labels, (std::vector<std::string>{"ft_X", "ft_Y"}));
-  EXPECT_EQ(entry.counts, (std::vector<std::uint32_t>{2, 1}));
-  EXPECT_EQ(entry.total_count(), 3u);
+  EXPECT_EQ(entry.counts, (std::vector<std::uint32_t>{3, 1}));
+  ASSERT_EQ(entry.label_ids.size(), 2u);
+  EXPECT_EQ(dictionary.label_table().label_name(entry.label_ids[0]), "ft_X");
+  EXPECT_EQ(dictionary.label_table().label_name(entry.label_ids[1]), "ft_Y");
+  EXPECT_EQ(entry.total_count(), 4u);
   EXPECT_TRUE(entry.contains("ft_Y"));
   EXPECT_FALSE(entry.contains("mg_X"));
 }
@@ -124,18 +134,27 @@ TEST(Dictionary, StatsCountExclusiveAndColliding) {
   EXPECT_DOUBLE_EQ(stats.mean_labels_per_key, 2.0);
 }
 
-TEST(Dictionary, SortedEntriesDeterministicOrder) {
+TEST(Dictionary, SortedViewDeterministicOrder) {
   Dictionary dictionary(config_of());
   dictionary.insert(key_of(8000.0, 1), "a_X");
   dictionary.insert(key_of(6000.0, 0), "b_X");
   dictionary.insert(key_of(6000.0, 1), "b_X");
+  // Same metric, begin, means and node: only the interval end tells
+  // these two apart, and it orders them.
+  FingerprintKey long_window = key_of(6000.0, 1);
+  long_window.interval = {60, 180};
+  dictionary.insert(long_window, "c_X");
 
-  const auto sorted = dictionary.sorted_entries();
-  ASSERT_EQ(sorted.size(), 3u);
-  EXPECT_DOUBLE_EQ(sorted[0].first.rounded_means[0], 6000.0);
-  EXPECT_EQ(sorted[0].first.node_id, 0u);
-  EXPECT_EQ(sorted[1].first.node_id, 1u);
-  EXPECT_DOUBLE_EQ(sorted[2].first.rounded_means[0], 8000.0);
+  const auto sorted = dictionary.sorted_view();
+  ASSERT_EQ(sorted.size(), 4u);
+  EXPECT_DOUBLE_EQ(sorted[0]->first.rounded_means[0], 6000.0);
+  EXPECT_EQ(sorted[0]->first.node_id, 0u);
+  EXPECT_EQ(sorted[1]->first.node_id, 1u);
+  EXPECT_EQ(sorted[1]->first.interval.end_seconds, 120);
+  EXPECT_EQ(sorted[2]->first.interval.end_seconds, 180);
+  EXPECT_DOUBLE_EQ(sorted[3]->first.rounded_means[0], 8000.0);
+  // The view points at the dictionary's own rows.
+  EXPECT_EQ(&sorted[3]->second, dictionary.lookup(key_of(8000.0, 1)));
 }
 
 TEST(Dictionary, KeysForLabelReverseLookup) {
@@ -230,17 +249,136 @@ TEST(Dictionary, LoadRejectsMalformedInputs) {
       "EFD-DICT-V1\nmetrics m\nintervals 60:120\ndepth 4294967298\n"
       "combine 0\nkeys 0\n");                           // depth > int
 
+  // Row shapes a string_view tokenizer could get wrong.
+  expect_throws(header + "keys 1\nm|0|60:120|6000|ft_X=1|extra\n");
+  expect_throws(header + "keys 1\nm|0|60:120||ft_X=1\n");   // no means
+  expect_throws(header + "keys 1\nm|0|60:120|6000,|ft_X=1\n");
+  expect_throws(header + "keys 1\nm|0|60:120:180|6000|ft_X=1\n");
+  expect_throws(header + "keys 1\nm|0|60:120|6000|\n");    // no labels
+  expect_throws(header + "keys 1\nm|0|60:120|6000|ft_X=\n");
+  expect_throws(header + "keys 2\nm|0|60:120|6000|ft_X=1\n");
+  expect_throws(
+      "EFD-DICT-V1\r\nmetrics m\r\nintervals 60:120\r\ndepth 2\r\n"
+      "combine 0\r\nkeys 1\r\nm|0|60:120|6000|ft_X=1\r\n");
+  expect_throws(header + "keys 1\nm|0|60:120|6000|ft_X=1\r\n");
+  {
+    // A final row without its newline is still a row.
+    std::istringstream unterminated(header +
+                                    "keys 1\nm|0|60:120|6000|ft_X=1");
+    EXPECT_EQ(Dictionary::load(unterminated).size(), 1u);
+  }
+
   // The extremes that do fit still load.
   std::istringstream extremes(
       header + "keys 1\nm|4294967295|-2147483648:2147483647|6000|"
                "ft_X=4294967295\n");
   const Dictionary loaded = Dictionary::load(extremes);
   ASSERT_EQ(loaded.size(), 1u);
-  const auto [key, entry] = loaded.sorted_entries().front();
+  const auto& [key, entry] = *loaded.sorted_view().front();
   EXPECT_EQ(key.node_id, 4294967295u);
   EXPECT_EQ(key.interval.begin_seconds, std::numeric_limits<int>::min());
   EXPECT_EQ(key.interval.end_seconds, std::numeric_limits<int>::max());
   EXPECT_EQ(entry.counts, std::vector<std::uint32_t>{4294967295u});
+}
+
+// Checked-in EFD-DICT-V1: every mean rendering the writer must keep
+// (integral ".0", plain decimals, negatives, small and large exponents,
+// the full 10 significant digits, nan), multi-mean and multi-label rows,
+// and the key order (metric, begin, means, node).
+constexpr char kGoldenDictionary[] =
+    "EFD-DICT-V1\n"
+    "metrics m,n\n"
+    "intervals 60:120 120:180\n"
+    "depth 2\n"
+    "combine 0\n"
+    "keys 10\n"
+    "m|0|60:120|-2.0|ft_X=1\n"
+    "m|0|60:120|1e-05|ft_X=2\n"
+    "m|0|60:120|0.04|sp_X=1,bt_X=3\n"
+    "m|0|60:120|5.3|mg_Y=1\n"
+    "m|0|60:120|6000.0|ft_X=1\n"
+    "m|1|60:120|6000.0|ft_X=1\n"
+    "m|0|60:120|1.23456789e+10|cg_X=1\n"
+    "m|2|60:120|1.234567891e+21|lu_X=4294967295\n"
+    "m|3|120:180|5.3,6000.0|ft_X=1,mg_Y=2\n"
+    "n|0|60:120|nan|ep_X=1\n";
+
+TEST(Dictionary, GoldenTextLoadsAndResavesByteForByte) {
+  const Dictionary loaded = Dictionary::load(std::string_view(kGoldenDictionary));
+  EXPECT_EQ(loaded.size(), 10u);
+  std::string text;
+  loaded.save(text);
+  EXPECT_EQ(text, kGoldenDictionary);
+  std::ostringstream stream;
+  loaded.save(stream);
+  EXPECT_EQ(stream.str(), kGoldenDictionary);
+}
+
+TEST(Dictionary, WriterRendersMeansExactlyLikeFormatMean) {
+  // The writer renders means with to_chars; util::format_mean (%.10g via
+  // snprintf) is the reference it must match digit for digit.
+  std::mt19937_64 rng(20211);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_int_distribution<int> exponent(-30, 30);
+  std::vector<double> means;
+  means.reserve(100000);
+  while (means.size() < 100000) {
+    double value = 0.0;
+    switch (means.size() % 4) {
+      case 0: {  // arbitrary finite bit patterns
+        const std::uint64_t bits = rng();
+        std::memcpy(&value, &bits, sizeof(value));
+        if (!std::isfinite(value)) continue;
+        break;
+      }
+      case 1:  // any magnitude
+        value = (unit(rng) - 0.5) * std::pow(10.0, exponent(rng));
+        break;
+      case 2:  // integral values, where the ".0" rule applies
+        value = std::round((unit(rng) - 0.5) * 1e12);
+        break;
+      default:  // rounded means as training makes them
+        value = round_to_depth(unit(rng) * std::pow(10.0, exponent(rng)), 2);
+        break;
+    }
+    means.push_back(value);
+  }
+  means.push_back(-0.0);
+  means.push_back(std::numeric_limits<double>::max());
+  means.push_back(std::numeric_limits<double>::denorm_min());
+
+  // Eight means per key; each key's node is its ordinal so keys stay
+  // distinct whatever the values.
+  Dictionary dictionary(config_of());
+  constexpr std::size_t kMeansPerKey = 8;
+  for (std::size_t first = 0; first < means.size(); first += kMeansPerKey) {
+    FingerprintKey key = key_of(0.0, static_cast<std::uint32_t>(first));
+    key.rounded_means.assign(
+        means.begin() + static_cast<std::ptrdiff_t>(first),
+        means.begin() + static_cast<std::ptrdiff_t>(
+                            std::min(first + kMeansPerKey, means.size())));
+    dictionary.insert(key, "ft_X");
+  }
+  std::string text;
+  dictionary.save(text);
+
+  std::istringstream lines(text);
+  std::string line;
+  for (int header = 0; header < 6; ++header) std::getline(lines, line);
+  std::size_t rows = 0;
+  for (const Dictionary::Row* row : dictionary.sorted_view()) {
+    ASSERT_TRUE(std::getline(lines, line));
+    std::string expected;
+    for (std::size_t i = 0; i < row->first.rounded_means.size(); ++i) {
+      if (i != 0) expected += ',';
+      expected += efd::util::format_mean(row->first.rounded_means[i]);
+    }
+    const auto fields = efd::util::split(line, '|');
+    ASSERT_EQ(fields.size(), 5u) << line;
+    ASSERT_EQ(fields[3], expected) << "row " << rows;
+    ++rows;
+  }
+  EXPECT_EQ(rows, dictionary.size());
 }
 
 TEST(Dictionary, FileRoundTrip) {

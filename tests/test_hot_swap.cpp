@@ -148,6 +148,36 @@ TEST(HotSwap, IdenticalCandidateIsRejectedAsAlreadyActive) {
   EXPECT_EQ(stats.dictionary_swaps_noop, 2u);
 }
 
+TEST(HotSwap, EpochBytesAreTheCanonicalTextAndDecideAlreadyActive) {
+  const Dictionary base = train_levels({{"ft", 6000.0}, {"mg", 6100.0}});
+  RecognitionService service(base);
+  const auto initial = service.dictionary_handle().acquire();
+  std::string fresh;
+  initial->dictionary.save(fresh);
+  EXPECT_EQ(initial->bytes, fresh);
+
+  // One label count more on one key: same keys, same labels, different
+  // content, so not already-active.
+  Dictionary bumped = base;
+  const Dictionary::Row& row = *bumped.sorted_view().front();
+  const FingerprintKey key = row.first;
+  const std::string label = row.second.labels.front();
+  bumped.insert(key, label);
+  const auto outcome = service.swap_dictionary(bumped);
+  EXPECT_FALSE(outcome.already_active);
+  EXPECT_EQ(outcome.epoch, 2u);
+
+  const auto swapped = service.dictionary_handle().acquire();
+  fresh.clear();
+  swapped->dictionary.save(fresh);
+  EXPECT_EQ(swapped->bytes, fresh);
+  EXPECT_NE(swapped->bytes, initial->bytes);
+
+  // And the identical candidate is still caught.
+  EXPECT_TRUE(service.swap_dictionary(bumped).already_active);
+  EXPECT_EQ(service.stats().dictionary_epoch, 2u);
+}
+
 TEST(DictionaryHandle, SupersededEpochsAreReclaimedUnderChurn) {
   // N reader threads pin/release epochs in a loop while M writer threads
   // race swaps. Every superseded epoch must be freed exactly once (the

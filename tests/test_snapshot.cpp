@@ -771,6 +771,87 @@ TEST_F(SnapshotChainFixture, ClosedJobsTravelInDeltasAndEpochChangeForcesBase) {
   EXPECT_TRUE(service.snapshot_capture(forced_out, chain, true).base);
 }
 
+/// The EFD-DICT-V1 text a snapshot's Dictionary section carries (V1 file
+/// or V2 capture); empty when it has none.
+std::string dictionary_section_text(const std::string& snapshot) {
+  const bool v2 =
+      snapshot.compare(0, kSnapshotMagicBytes, kSnapshotMagicV2) == 0;
+  // A V2 capture's envelope: u8 kind | u64 capture_id | u64 parent_id.
+  std::size_t pos = kSnapshotMagicBytes + (v2 ? 17 : 0);
+  const auto* data = reinterpret_cast<const std::uint8_t*>(snapshot.data());
+  // Dictionary payload: u8 type | u64 epoch version | u64 swap count | text.
+  constexpr std::size_t kPrefix = 17;
+  while (pos + 8 <= snapshot.size()) {
+    util::ByteReader header(data + pos, 8);
+    std::uint32_t length = 0;
+    std::uint32_t crc = 0;
+    EXPECT_TRUE(header.read_u32(length) && header.read_u32(crc));
+    pos += 8;
+    if (length >= kPrefix && pos + length <= snapshot.size() &&
+        data[pos] == static_cast<std::uint8_t>(SnapshotSection::kDictionary)) {
+      return snapshot.substr(pos + kPrefix, length - kPrefix);
+    }
+    pos += length;
+  }
+  return {};
+}
+
+/// An epoch's cached bytes are exactly a fresh save() of its dictionary.
+void expect_bytes_coherent(const DictionaryHandle::Epoch& epoch,
+                           const std::string& context) {
+  std::string fresh;
+  epoch.dictionary.save(fresh);
+  EXPECT_EQ(epoch.bytes, fresh) << context;
+}
+
+TEST_F(SnapshotChainFixture, EpochBytesStayCoherentThroughSwapBaseAndRestores) {
+  RecognitionService service = make_service();
+  expect_bytes_coherent(*service.dictionary_handle().acquire(), "initial");
+  ASSERT_TRUE(service.open_job(1, 2));
+  stream_range(service, 1, 6030.0, 0, 40);
+
+  SnapshotChainState chain;
+  std::ostringstream first_base;
+  ASSERT_TRUE(service.snapshot_capture(first_base, chain).base);
+  EXPECT_EQ(dictionary_section_text(first_base.str()),
+            service.dictionary_handle().acquire()->bytes);
+
+  add(3, "lu", 9900.0);
+  ASSERT_FALSE(
+      service.swap_dictionary(train_dictionary(dataset_, config_of()))
+          .already_active);
+  const auto swapped = service.dictionary_handle().acquire();
+  EXPECT_EQ(swapped->version, 2u);
+  expect_bytes_coherent(*swapped, "swap");
+
+  // The base captured right after the swap embeds the new epoch's bytes.
+  std::vector<std::string> captures;
+  std::ostringstream rebase;
+  ASSERT_TRUE(service.snapshot_capture(rebase, chain).base);
+  captures.push_back(rebase.str());
+  EXPECT_EQ(dictionary_section_text(captures.back()), swapped->bytes);
+  stream_range(service, 1, 6030.0, 40, 60);
+  std::ostringstream delta;
+  ASSERT_FALSE(service.snapshot_capture(delta, chain).base);
+  captures.push_back(delta.str());
+
+  std::ostringstream v1;
+  service.snapshot(v1);
+  EXPECT_EQ(dictionary_section_text(v1.str()), swapped->bytes);
+  RecognitionService from_v1 = make_service();
+  std::istringstream v1_in(v1.str());
+  from_v1.restore(v1_in);
+  const auto v1_epoch = from_v1.dictionary_handle().acquire();
+  expect_bytes_coherent(*v1_epoch, "V1 restore");
+  EXPECT_EQ(v1_epoch->bytes, swapped->bytes);
+
+  RecognitionService from_chain = make_service();
+  restore_from(from_chain, captures, captures.size());
+  const auto chain_epoch = from_chain.dictionary_handle().acquire();
+  expect_bytes_coherent(*chain_epoch, "V2 chain restore");
+  EXPECT_EQ(chain_epoch->bytes, swapped->bytes);
+}
+
 TEST_F(SnapshotChainFixture, BrokenChainLinksAlwaysThrowWithServiceUntouched) {
   RecognitionService service = make_service();
   ASSERT_TRUE(service.open_job(1, 2));

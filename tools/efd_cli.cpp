@@ -306,7 +306,8 @@ int cmd_dump(const util::ArgParser& args) {
 
   util::TablePrinter table(
       {"Metric Name", "Node", "Interval", "Mean", "Application + Input Size"});
-  for (const auto& [key, entry] : dictionary.sorted_entries()) {
+  for (const core::Dictionary::Row* row : dictionary.sorted_view()) {
+    const auto& [key, entry] = *row;
     std::string labels;
     for (std::size_t i = 0; i < entry.labels.size(); ++i) {
       if (i != 0) labels += ", ";
