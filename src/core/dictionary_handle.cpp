@@ -23,17 +23,22 @@ DictionaryHandle::SwapOutcome DictionaryHandle::swap_if_changed(
   std::lock_guard lock(writer_mutex_);
   const std::shared_ptr<Epoch> active = acquire();
   auto candidate = std::make_shared<Epoch>(active->version + 1, std::move(next));
-  if (candidate->bytes == active->bytes) return {active->version, true};
+  if (candidate->bytes == active->bytes) {
+    noop_swaps_.fetch_add(1, std::memory_order_relaxed);
+    return {active->version, true};
+  }
   publish(std::move(candidate));
   swaps_.fetch_add(1, std::memory_order_relaxed);
   return {active->version + 1, false};
 }
 
 void DictionaryHandle::reset(std::shared_ptr<Epoch> epoch,
-                             std::uint64_t swap_count) {
+                             std::uint64_t swap_count,
+                             std::uint64_t noop_swap_count) {
   std::lock_guard lock(writer_mutex_);
   publish(std::move(epoch));
   swaps_.store(swap_count, std::memory_order_relaxed);
+  noop_swaps_.store(noop_swap_count, std::memory_order_relaxed);
 }
 
 void DictionaryHandle::publish(std::shared_ptr<Epoch> epoch) {

@@ -23,9 +23,9 @@
 ///  - Reclamation is reference-counted: a superseded epoch is freed the
 ///    moment the last in-flight stream pinned to it finishes.
 ///
-/// version()/swap_count() are lock-free atomic reads (monitoring/stats
-/// material). Thread-safety: all methods are safe to call concurrently;
-/// moving a handle while other threads use it is not.
+/// version()/swap_count()/noop_swap_count() are lock-free atomic reads
+/// (monitoring/stats material). Thread-safety: all methods are safe to
+/// call concurrently; moving a handle while other threads use it is not.
 
 #include <atomic>
 #include <cstdint>
@@ -100,6 +100,13 @@ class DictionaryHandle {
     return swaps_.load(std::memory_order_relaxed);
   }
 
+  /// Number of swap_if_changed() candidates dropped as identical to the
+  /// active epoch. Lock-free: the retrain worker's promotions bump it
+  /// from its own thread.
+  std::uint64_t noop_swap_count() const noexcept {
+    return noop_swaps_.load(std::memory_order_relaxed);
+  }
+
   /// Atomically publishes \p next as the new active epoch (version + 1)
   /// and returns that new version. In-flight pins keep their old epoch.
   std::uint64_t swap(Dictionary next);
@@ -111,11 +118,13 @@ class DictionaryHandle {
   /// published as is.
   SwapOutcome swap_if_changed(Dictionary next);
 
-  /// Restore path: installs a pre-built epoch (explicit version) with an
-  /// explicit swap-count — snapshot continuity across restarts. Taking
-  /// the epoch ready-made lets the restorer pin streams to it BEFORE
-  /// publication, so a failed restore never half-installs anything.
-  void reset(std::shared_ptr<Epoch> epoch, std::uint64_t swap_count);
+  /// Restore path: installs a pre-built epoch (explicit version) with
+  /// explicit swap and no-op swap counts — snapshot continuity across
+  /// restarts. Taking the epoch ready-made lets the restorer pin streams
+  /// to it BEFORE publication, so a failed restore never half-installs
+  /// anything.
+  void reset(std::shared_ptr<Epoch> epoch, std::uint64_t swap_count,
+             std::uint64_t noop_swap_count = 0);
 
  private:
   /// Installs \p epoch as current; caller holds writer_mutex_.
@@ -129,6 +138,7 @@ class DictionaryHandle {
   std::shared_ptr<Epoch> current_;
   std::atomic<std::uint64_t> version_;
   std::atomic<std::uint64_t> swaps_{0};
+  std::atomic<std::uint64_t> noop_swaps_{0};
   /// Serializes swap()/reset() so versions stay dense and monotone;
   /// readers never take it.
   std::mutex writer_mutex_;

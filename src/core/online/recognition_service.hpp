@@ -6,55 +6,47 @@
 /// A production cluster runs many jobs at once; each node's monitoring
 /// daemon pushes samples as they are taken. RecognitionService owns the
 /// trained dictionary (published as a const epoch) and multiplexes one
-/// OnlineRecognizer stream per job id, so pushes for different jobs
-/// proceed in parallel and a verdict fires the moment a job's last
-/// fingerprint window closes (t = 120 s in the paper's configuration).
+/// OnlineRecognizer stream per job id, so many jobs are recognized at
+/// once and a verdict fires the moment a job's last fingerprint window
+/// closes (t = 120 s in the paper's configuration).
 ///
 /// Production ingestion concerns (the scaling items PR 1 left open):
-///  - Every job stream buffers samples in a *bounded* queue. When the
-///    queue is full a BackpressurePolicy decides: block the producer
-///    until the drainer catches up, drop the oldest queued sample, or
-///    reject the new one. All three outcomes are observable in
-///    RecognitionServiceStats.
-///  - In the default (inline) mode the pushing thread drains the queue
-///    itself, so verdicts still fire inside push() — the simulator path.
-///    With config.deferred = true, push() only enqueues and marks the
-///    stream dirty, and process_pending() — called by the ingest
-///    pipeline at each poll boundary, optionally fanned across a thread
-///    pool (serve --threads N) — drains exactly the dirty streams and
-///    fires verdicts, so a poll costs O(streams pushed), not O(streams
-///    open). Verdicts queue in the order they fire.
+///  - Every job stream buffers samples in a *bounded* queue. When a
+///    deferred queue is full a BackpressurePolicy decides: drain the
+///    stream right there and keep the sample, drop the oldest queued
+///    sample, or reject the new one. All three outcomes are observable
+///    in RecognitionServiceStats.
+///  - In the default (inline) mode push() drains the queue itself, so
+///    verdicts still fire inside push() — the simulator path. With
+///    config.deferred = true, push() only enqueues and marks the stream
+///    dirty, and process_pending() — called by the ingest pipeline at
+///    each poll boundary, optionally fanned across a thread pool (serve
+///    --threads N) — drains exactly the dirty streams and fires
+///    verdicts, so a poll costs O(streams pushed), not O(streams open).
+///    Verdicts queue in the order they fire.
 ///  - Jobs that never complete (crashed daemons, killed executions)
 ///    stop consuming memory: sweep_stale_jobs() force-closes every
 ///    stream idle past the configured TTL, producing the paper's
 ///    unknown-application safeguard verdict.
 ///
-/// Thread-safety / locking discipline:
-///  - jobs map:      std::shared_mutex; push/has_job/stats/sweep take it
-///    shared, open_job and the drain-time reap take it exclusive. The
-///    reap visits only the ids of the verdicts being drained.
-///  - per-job state: its own std::mutex guarding the sample queue and the
-///    drain token (`draining`), only ever taken while holding no other
-///    lock. The recognizer itself is owned by whichever thread holds the
-///    drain token and is fed *outside* the stream mutex, so producers
-///    keep enqueueing while a batch is recognized. close/evict wait on
-///    `drained` for the token holder to finish before computing their
-///    verdict under the mutex.
-///  - verdict queue: its own std::mutex, leaf lock (acquired under a
-///    stream mutex when a verdict fires, never the other way round).
-///    Verdicts are queued BEFORE a stream's done flag is published, so
-///    a drained verdict's stream is done or about to be (reaped then, or
-///    on the next drain).
-///  - dirty list:    its own std::mutex, leaf lock (taken under a stream
-///    mutex by push); process_pending swaps it out whole.
-///  - dictionary:    the active dictionary lives behind a versioned
-///    DictionaryHandle. Each stream pins the epoch that was active when
-///    it opened and recognizes against it for its whole life;
-///    swap_dictionary() atomically publishes a retrained successor for
-///    new streams without touching in-flight ones. A published epoch
-///    is const, so recognition reads it without any dictionary lock on
-///    the index path; new keys ("learning new applications is as simple
-///    as adding new keys") reach the service as such a successor.
+/// Ownership: one thread owns a service, like an OnlineRecognizer. It
+/// calls every method, one at a time; the service holds no lock and no
+/// atomic of its own. Callers that share a service across threads
+/// serialize those calls themselves (the ingest pipeline and
+/// ldms::run_concurrent_jobs each hold one mutex for it). Two exceptions:
+///  - swap_dictionary() may run on any thread (the retrain worker's
+///    promotion) concurrently with the owner. It touches only the
+///    DictionaryHandle, which is thread-safe on its own: each stream
+///    pins the epoch that was active when it opened and recognizes
+///    against it for its whole life, so a swap never touches in-flight
+///    streams. A published epoch is const, so recognition reads it
+///    without any dictionary lock; new keys ("learning new applications
+///    is as simple as adding new keys") arrive as such a successor.
+///  - process_pending(pool) runs its first pass on the pool's workers.
+///    Each worker touches only its own dirty streams' recognizer and
+///    queue and one result slot; the owner then folds the slots in
+///    dirty-list order, so the pooled verdict order equals the
+///    unpooled one.
 ///
 /// Durability: snapshot() serializes the whole service — active
 /// dictionary epoch, every open stream's accumulators and queue, pending
@@ -62,17 +54,13 @@
 /// restore() rebuilds a fresh service from it, so a serve restart does
 /// not lose in-flight jobs (see core/online/service_snapshot.hpp).
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -106,10 +94,9 @@ struct JobVerdict {
 
 /// What happens to a push when a job's sample queue is full.
 enum class BackpressurePolicy : std::uint8_t {
-  /// Lossless: if another thread is draining, wait for space (true
-  /// back-pressure); with no active drainer, the pusher drains inline
-  /// itself — so kBlock can never deadlock a lone producer, even in
-  /// deferred mode.
+  /// Lossless: a deferred push into a full queue drains that stream on
+  /// the owner thread first, then enqueues. It never waits; each forced
+  /// drain counts in pushes_blocked.
   kBlock,
   kDropOldest, ///< evict the oldest queued sample (bounded, freshest-wins)
   kReject,     ///< refuse the new sample (bounded, caller sees false)
@@ -161,7 +148,7 @@ struct RecognitionServiceStats {
   std::uint64_t samples_late = 0;   ///< pushes after a job's verdict fired
   std::uint64_t samples_overflowed = 0; ///< evicted by kDropOldest
   std::uint64_t samples_rejected = 0;   ///< refused by kReject
-  std::uint64_t pushes_blocked = 0;     ///< kBlock waits (back-pressure)
+  std::uint64_t pushes_blocked = 0;     ///< kBlock forced drains
   std::uint64_t dictionary_epoch = 0;   ///< active dictionary version
   std::uint64_t dictionary_swaps = 0;   ///< swaps that published a new epoch
   /// swap_dictionary calls rejected because the candidate was
@@ -184,7 +171,7 @@ struct RecognitionServiceStats {
   /// open_job arrived (a single untagged source keeps this empty, so the
   /// legacy scrape is unchanged).
   std::vector<SourceIngressStats> by_source;
-};                                  ///< (healthy: jobs outlive their window)
+};
 
 /// One ingest source's resume point inside EFD-SNAP-V1 (opaque to the
 /// service, like replay_cursor): keyed by the mux registration name so
@@ -216,8 +203,9 @@ struct ServiceRestoreInfo {
   std::vector<SourceCursor> source_cursors;
 };
 
-/// Concurrent multi-job streaming recognizer. Non-copyable, non-movable
-/// (open streams hold pointers into the owned dictionary).
+/// Multi-job streaming recognizer with one owner thread (see the file
+/// comment). Non-copyable, non-movable (open streams hold pointers into
+/// the owned dictionary).
 class RecognitionService {
  public:
   /// Takes ownership of a trained dictionary; it becomes epoch 1.
@@ -247,16 +235,15 @@ class RecognitionService {
   /// The candidate's epoch (index and bytes) is built once; the
   /// comparison and the publication happen under the handle's writer
   /// lock, so a competing swap cannot slip between them.
-  /// Thread-safe against every other method (including concurrent swaps,
-  /// which serialize).
+  /// The one method callable from any thread, concurrently with the
+  /// owner and with other swaps (which serialize).
   SwapOutcome swap_dictionary(Dictionary next);
 
   /// Serializes the complete service state (active dictionary epoch,
   /// open streams, pending verdicts, lifetime counters) as EFD-SNAP-V1.
-  /// Safe against live traffic: each stream is captured at a consistent
-  /// point (waiting out an active drainer), and a job completing
-  /// mid-snapshot is captured at-least-once (as a stream, a pending
-  /// verdict, or both) — never lost. \p replay_cursor is an opaque
+  /// The owner calls it between other calls, so the capture is one
+  /// consistent point: a job is either an open stream or a pending
+  /// verdict. \p replay_cursor is an opaque
   /// caller-defined resume point stored verbatim (e.g. "messages
   /// applied"); restore() hands it back. \p retrain_state, when
   /// non-empty, travels as the optional Retrain section (opaque to the
@@ -285,7 +272,7 @@ class RecognitionService {
   /// differs from the chain's base, or when \p force_base is set
   /// (callers cap chain length with it); otherwise a delta chained to
   /// the previous capture by id. \p chain is caller-owned bookkeeping,
-  /// updated on success. Same live-traffic safety as snapshot().
+  /// updated on success.
   SnapshotCaptureInfo snapshot_capture(
       std::ostream& out, SnapshotChainState& chain, bool force_base = false,
       std::uint64_t replay_cursor = 0,
@@ -330,7 +317,8 @@ class RecognitionService {
   /// (counted as dropped), if the verdict already fired (late), or if
   /// the queue was full under kReject (rejected). In inline mode the
   /// sample is recognized here and the verdict may fire before this
-  /// returns; in deferred mode it waits for process_pending().
+  /// returns; in deferred mode it waits for process_pending() (or for a
+  /// kBlock forced drain of its full queue).
   bool push(std::uint64_t job_id, std::uint32_t node_id,
             std::string_view metric_name, int t, double value);
 
@@ -344,7 +332,7 @@ class RecognitionService {
   };
 
   /// Batched push for samples sharing one job (the ingest pipeline's
-  /// hot path): resolves the stream and takes its lock once for the
+  /// hot path): resolves the stream and reads the clock once for the
   /// whole batch instead of per sample. Per-sample semantics (policy,
   /// counters, verdict firing) are identical to push(). Returns the
   /// number of samples accepted.
@@ -354,9 +342,9 @@ class RecognitionService {
   /// Drains the queued samples of every stream marked dirty since the
   /// last call — pushed in deferred mode, or restored with a queue —
   /// and fans them out across \p pool when non-null. Idle streams are
-  /// never visited. Safe to call from any thread (callers serialize);
-  /// must be called from outside the pool's own workers. Returns the
-  /// number of samples recognized.
+  /// never visited. Verdicts queue in dirty-list order whether or not a
+  /// pool is given. Must be called from outside the pool's own workers.
+  /// Returns the number of samples recognized.
   std::size_t process_pending(util::ThreadPool* pool = nullptr);
 
   /// Force-closes a job, producing a verdict from whatever windows have
@@ -385,12 +373,10 @@ class RecognitionService {
   RecognitionServiceStats stats() const;
 
   /// Ids of every currently open job, ascending (observability /index
-  /// material; takes the jobs map shared).
+  /// material).
   std::vector<std::uint64_t> open_job_ids() const;
 
  private:
-  struct SourceIngress;
-
   /// One queued monitoring sample. POD: the metric travels as the
   /// recognizer's slot index (resolved once at enqueue, since the push
   /// caller's string_view does not outlive the call), so queue churn
@@ -418,78 +404,56 @@ class RecognitionService {
     const std::uint64_t job_id;
     /// The dictionary epoch pinned at open: the recognizer reads this
     /// epoch's dictionary for the stream's whole life, across any number
-    /// of swaps. Immutable after construction (safe to read lock-free).
+    /// of swaps.
     const std::shared_ptr<DictionaryHandle::Epoch> epoch;
-    std::mutex mutex;              ///< guards queue + draining (+ recognizer
-                                   ///< when draining == false)
-    std::condition_variable space; ///< kBlock producers wait here
-    std::condition_variable drained; ///< close/evict wait for the drainer
+    /// Reaches the queue-capacity high-water mark and then recycles its
+    /// storage, so steady-state enqueue and drain allocate nothing.
     std::vector<Sample> queue;
-    /// Drain-side twin of queue: the drainer swaps the full queue out
-    /// under the mutex and consumes it unlocked. Both vectors reach the
-    /// queue-capacity high-water mark and then recycle their storage —
-    /// the deque this replaces allocated a block every ~hundred samples
-    /// forever. Owned by the drain-token holder.
-    std::vector<Sample> drain_batch;
-    bool draining = false;         ///< drain token: holder owns recognizer
     OnlineRecognizer recognizer;
-    /// The source tag's ingress counters (shared with the service's
-    /// registry; never null once open_job assigns it). The pointer is
-    /// immutable after open, so hot-path increments are lock-free.
-    SourceIngress* ingress = nullptr;
-    /// Set (under mutex) when the verdict is queued; readable without
-    /// the mutex. Done streams linger until drain_verdicts reaps them,
-    /// so post-verdict pushes classify as "late" rather than "dropped".
-    std::atomic<bool> done{false};
-    std::atomic<std::size_t> queued{0}; ///< == queue.size(), for stats
-    std::atomic<std::int64_t> last_activity_ns{0}; ///< steady_clock epoch
-    /// True while a reference to this stream sits on the dirty list
-    /// process_pending consumes. Producers exchange it to true before
-    /// listing (so N pushes cost one slot); the drainer clears it BEFORE
-    /// draining, so a push landing mid-drain re-lists the stream and is
-    /// never lost.
-    std::atomic<bool> scheduled{false};
+    /// The source tag's ingress counters (an entry of source_ingress_);
+    /// null for snapshot-restored streams, which count under no tag.
+    SourceIngressStats* ingress = nullptr;
+    /// Set when the verdict is queued. Done streams linger until
+    /// drain_verdicts reaps them, so post-verdict pushes classify as
+    /// "late" rather than "dropped".
+    bool done = false;
+    /// True while the stream sits on dirty_ (so N pushes cost one slot).
+    bool scheduled = false;
+    std::int64_t last_activity_ns = 0;  ///< steady_clock epoch
   };
 
-  /// Lock-free-increment ingress counters of one source tag (by_source
-  /// material). Entries live for the service's lifetime.
-  struct SourceIngress {
-    std::uint32_t source = 0;
-    std::atomic<std::uint64_t> jobs_opened{0};
-    std::atomic<std::uint64_t> jobs_completed{0};
-    std::atomic<std::uint64_t> samples_pushed{0};
+  /// One stream's drain result: what the first pass of process_pending
+  /// leaves for the owner to fold into the counters and verdict queue.
+  struct Drained {
+    std::size_t fed = 0;   ///< samples that reached the recognizer
+    std::size_t late = 0;  ///< queued behind the sample that fired
+    std::optional<JobVerdict> verdict;
   };
 
-  /// Get-or-create the counters of \p source_tag (any thread).
-  SourceIngress* ingress_for(std::uint32_t source_tag);
+  /// Get-or-create the counters of \p source_tag.
+  SourceIngressStats* ingress_for(std::uint32_t source_tag);
 
-  std::shared_ptr<JobStream> find_stream(std::uint64_t job_id) const;
-  /// Applies the back-pressure policy and enqueues one sample; \p lock
-  /// holds stream->mutex (may be dropped and re-taken by a kBlock
-  /// self-drain). Returns false when the sample was not enqueued.
-  bool enqueue_locked(const std::shared_ptr<JobStream>& stream,
-                      std::unique_lock<std::mutex>& lock,
-                      const SamplePush& sample, std::int64_t enqueue_ns);
-  /// Drains the stream's queue with the drain token held; \p lock must
-  /// hold stream->mutex on entry and holds it again on return. Returns
-  /// samples recognized.
-  std::size_t drain_stream(JobStream& stream, std::unique_lock<std::mutex>& lock);
-  /// Computes and queues a force-close verdict; caller holds the mutex
-  /// and has waited out any drainer. Flushes queued samples first.
+  JobStream* find_stream(std::uint64_t job_id);
+  /// Applies the back-pressure policy and enqueues one sample. Returns
+  /// false when the sample was not enqueued.
+  bool enqueue(JobStream& stream, const SamplePush& sample,
+               std::int64_t enqueue_ns);
+  /// Feeds the stream's queue to its recognizer until the verdict fires
+  /// and empties the queue. Touches only \p stream and \p out, so
+  /// process_pending runs it on pool workers.
+  static void drain_queue(JobStream& stream, Drained& out);
+  /// Folds a drain result into the counters and, when it fired, queues
+  /// the verdict and marks the stream done. Returns samples recognized.
+  std::size_t settle(JobStream& stream, Drained& drained);
+  /// drain_queue + settle on the owner thread.
+  std::size_t drain_stream(JobStream& stream);
+  /// Computes and queues a force-close verdict. Flushes queued samples
+  /// first.
   void finish_stream(JobStream& stream);
-  /// \p enqueue_ns is the admission stamp of the sample that completed
-  /// the job (0 = unknown); the verdict's verdict_ns is stamped here.
-  void queue_verdict(std::uint64_t job_id, RecognitionResult result,
-                     std::uint32_t source, std::int64_t enqueue_ns);
+  /// The stream's verdict as of now; \p enqueue_ns is the admission
+  /// stamp of the sample that completed the job (0 = unknown).
+  static JobVerdict make_verdict(JobStream& stream, std::int64_t enqueue_ns);
   static std::int64_t now_ns();
-
-  /// Puts the stream on the dirty list process_pending consumes, unless
-  /// it is already there. Safe to call while holding stream->mutex.
-  void schedule_stream(const std::shared_ptr<JobStream>& stream);
-  /// Copy of the undrained verdicts in firing order (snapshot's verdict
-  /// section).
-  std::vector<JobVerdict> collect_pending_verdicts() const;
-  std::size_t pending_verdict_count() const;
 
   /// Snapshot/restore internals (service_snapshot.cpp): the section
   /// writer shared by the V1 full snapshot and the V2 base/delta
@@ -511,38 +475,27 @@ class RecognitionService {
   DictionaryHandle handle_;
   RecognitionServiceConfig config_;
 
-  mutable std::shared_mutex jobs_mutex_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<JobStream>> jobs_;
-
-  mutable std::mutex verdicts_mutex_;
+  /// Streams live in the map's nodes, so pointers to them (dirty_)
+  /// stay valid until the stream is reaped.
+  std::unordered_map<std::uint64_t, JobStream> jobs_;
   std::vector<JobVerdict> verdicts_;  ///< firing order
-  /// Serializes drain_verdicts; guards reap_retry_, the ids whose
-  /// stream was not yet visibly done when their verdict drained.
-  std::mutex drain_mutex_;
-  std::vector<std::uint64_t> reap_retry_;
+  /// Streams with work for process_pending, each listed once.
+  std::vector<JobStream*> dirty_;
+  /// process_pending's result slots, one per dirty stream (reused).
+  std::vector<Drained> drained_;
+  /// Source-tag → ingress counters. Map nodes are stable, so streams
+  /// keep a pointer to their entry.
+  std::map<std::uint32_t, SourceIngressStats> source_ingress_;
 
-  /// Streams with work for process_pending. The drain side swaps the
-  /// list into draining_ (guarded by process_mutex_).
-  std::mutex dirty_mutex_;
-  std::vector<std::shared_ptr<JobStream>> dirty_;
-  std::mutex process_mutex_;
-  std::vector<std::shared_ptr<JobStream>> draining_;
-
-  /// Source-tag → ingress counters. Touched once per open_job (and by
-  /// stats()); the hot push path goes through JobStream::ingress.
-  mutable std::mutex sources_mutex_;
-  std::map<std::uint32_t, std::unique_ptr<SourceIngress>> source_ingress_;
-
-  std::atomic<std::uint64_t> jobs_opened_{0};
-  std::atomic<std::uint64_t> jobs_completed_{0};
-  std::atomic<std::uint64_t> jobs_evicted_{0};
-  std::atomic<std::uint64_t> samples_pushed_{0};
-  std::atomic<std::uint64_t> samples_dropped_{0};
-  std::atomic<std::uint64_t> samples_late_{0};
-  std::atomic<std::uint64_t> samples_overflowed_{0};
-  std::atomic<std::uint64_t> samples_rejected_{0};
-  std::atomic<std::uint64_t> pushes_blocked_{0};
-  std::atomic<std::uint64_t> swaps_noop_{0};
+  std::uint64_t jobs_opened_ = 0;
+  std::uint64_t jobs_completed_ = 0;
+  std::uint64_t jobs_evicted_ = 0;
+  std::uint64_t samples_pushed_ = 0;
+  std::uint64_t samples_dropped_ = 0;
+  std::uint64_t samples_late_ = 0;
+  std::uint64_t samples_overflowed_ = 0;
+  std::uint64_t samples_rejected_ = 0;
+  std::uint64_t pushes_blocked_ = 0;
 };
 
 }  // namespace efd::core

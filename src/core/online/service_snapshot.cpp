@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
-#include <shared_mutex>
 #include <string_view>
 #include <unordered_set>
 #include <utility>
@@ -186,7 +185,7 @@ struct RecognitionService::RestoreStaging {
   std::uint64_t epoch_version = 0;
   std::uint64_t swap_count = 0;
   std::shared_ptr<DictionaryHandle::Epoch> epoch;
-  std::unordered_map<std::uint64_t, std::shared_ptr<JobStream>> jobs;
+  std::unordered_map<std::uint64_t, JobStream> jobs;
   std::vector<JobVerdict> verdicts;
   /// Job ids restored with fresh windows (layout-signature mismatch);
   /// a later capture replacing or closing the stream updates the set,
@@ -237,61 +236,48 @@ std::size_t RecognitionService::write_snapshot_sections(
     bytes += write_section(out, payload);
   }
 
-  // Open streams. Collect first (shared lock), then capture each at a
-  // consistent point: the stream mutex with any active drainer waited
-  // out, so the recognizer is exclusively ours for the export. Streams
-  // whose verdict already fired are skipped — their verdict travels in
-  // the Verdicts section (which is written AFTER the streams, so a job
-  // completing mid-snapshot appears at least once, never zero times).
-  // Chain mode digests each stream's serialized payload; a delta skips
-  // streams whose digest matches the previous capture.
-  std::vector<std::shared_ptr<JobStream>> streams;
-  {
-    std::shared_lock lock(jobs_mutex_);
-    streams.reserve(jobs_.size());
-    for (const auto& [job_id, stream] : jobs_) streams.push_back(stream);
-  }
+  // Open streams. Streams whose verdict already fired are skipped —
+  // their verdict travels in the Verdicts section. Chain mode digests
+  // each stream's serialized payload; a delta skips streams whose digest
+  // matches the previous capture.
   std::unordered_map<std::uint64_t, StreamDigest> new_digests;
-  for (const auto& stream : streams) {
-    std::unique_lock lock(stream->mutex);
-    stream->drained.wait(lock, [&] { return !stream->draining; });
-    if (stream->done.load(std::memory_order_acquire)) continue;
+  for (const auto& [job_id, stream] : jobs_) {
+    if (stream.done) continue;
 
     payload.clear();
     put_u8(payload, static_cast<std::uint8_t>(SnapshotSection::kStream));
-    put_u64(payload, stream->job_id);
-    put_u32(payload, stream->recognizer.node_count());
-    put_string(payload, config_signature(stream->epoch->dictionary.config()));
-    const auto states = stream->recognizer.export_state();
+    put_u64(payload, job_id);
+    put_u32(payload, stream.recognizer.node_count());
+    put_string(payload, config_signature(stream.epoch->dictionary.config()));
+    const auto states = stream.recognizer.export_state();
     put_u32(payload, static_cast<std::uint32_t>(states.size()));
     for (const auto& state : states) {
       put_f64(payload, state.sum);
       put_u64(payload, state.count);
       put_u32(payload, static_cast<std::uint32_t>(state.last_t));
     }
-    put_u32(payload, static_cast<std::uint32_t>(stream->queue.size()));
-    for (const Sample& sample : stream->queue) {
+    put_u32(payload, static_cast<std::uint32_t>(stream.queue.size()));
+    for (const Sample& sample : stream.queue) {
       put_u32(payload, sample.node_id);
       put_u32(payload, static_cast<std::uint32_t>(sample.t));
       put_f64(payload, sample.value);
       // The wire keeps the metric NAME (EFD-SNAP-V1 is slot-free); samples
       // carrying kNoMetricSlot encode as "" and restore as unknown.
-      put_string(payload, stream->recognizer.metric_name(sample.metric_slot));
+      put_string(payload, stream.recognizer.metric_name(sample.metric_slot));
     }
-    lock.unlock();
 
     bool write = true;
     if (chain != nullptr) {
       const StreamDigest digest{util::crc32(payload),
                                 static_cast<std::uint32_t>(payload.size())};
       if (delta) {
-        const auto it = chain->streams.find(stream->job_id);
+        const auto it = chain->streams.find(job_id);
         if (it != chain->streams.end() && it->second == digest) {
           write = false;
           if (info != nullptr) ++info->streams_unchanged;
         }
       }
-      new_digests.emplace(stream->job_id, digest);
+      new_digests.emplace(job_id, digest);
     }
     if (write) {
       bytes += write_section(out, payload);
@@ -321,28 +307,21 @@ std::size_t RecognitionService::write_snapshot_sections(
   // order.
   payload.clear();
   put_u8(payload, static_cast<std::uint8_t>(SnapshotSection::kVerdicts));
-  {
-    const std::vector<JobVerdict> pending = collect_pending_verdicts();
-    put_u32(payload, static_cast<std::uint32_t>(pending.size()));
-    for (const JobVerdict& verdict : pending) {
-      put_result(payload, verdict.job_id, verdict.result);
-    }
+  put_u32(payload, static_cast<std::uint32_t>(verdicts_.size()));
+  for (const JobVerdict& verdict : verdicts_) {
+    put_result(payload, verdict.job_id, verdict.result);
   }
   bytes += write_section(out, payload);
 
   // Lifetime counters (monitoring continuity across the restart).
   payload.clear();
   put_u8(payload, static_cast<std::uint8_t>(SnapshotSection::kStats));
-  put_u64(payload, jobs_opened_.load(std::memory_order_relaxed));
-  put_u64(payload, jobs_completed_.load(std::memory_order_relaxed));
-  put_u64(payload, jobs_evicted_.load(std::memory_order_relaxed));
-  put_u64(payload, samples_pushed_.load(std::memory_order_relaxed));
-  put_u64(payload, samples_dropped_.load(std::memory_order_relaxed));
-  put_u64(payload, samples_late_.load(std::memory_order_relaxed));
-  put_u64(payload, samples_overflowed_.load(std::memory_order_relaxed));
-  put_u64(payload, samples_rejected_.load(std::memory_order_relaxed));
-  put_u64(payload, pushes_blocked_.load(std::memory_order_relaxed));
-  put_u64(payload, swaps_noop_.load(std::memory_order_relaxed));
+  for (const std::uint64_t counter :
+       {jobs_opened_, jobs_completed_, jobs_evicted_, samples_pushed_,
+        samples_dropped_, samples_late_, samples_overflowed_,
+        samples_rejected_, pushes_blocked_, handle_.noop_swap_count()}) {
+    put_u64(payload, counter);
+  }
   bytes += write_section(out, payload);
 
   // Optional opaque retrain-subsystem state (trigger/train/gate/promote
@@ -429,13 +408,8 @@ SnapshotCaptureInfo RecognitionService::snapshot_capture(
 void RecognitionService::require_fresh_for_restore() const {
   // restore is a startup operation: refuse on a service that has
   // already seen traffic (open streams or undrained verdicts).
-  {
-    std::shared_lock lock(jobs_mutex_);
-    if (!jobs_.empty()) {
-      fail("restore requires a service with no open jobs");
-    }
-  }
-  if (pending_verdict_count() != 0) {
+  if (!jobs_.empty()) fail("restore requires a service with no open jobs");
+  if (!verdicts_.empty()) {
     fail("restore requires a service with no pending verdicts");
   }
 }
@@ -552,12 +526,18 @@ void RecognitionService::decode_snapshot_sections(std::istream& in,
           state.last_t = static_cast<std::int32_t>(last_t);
           states.push_back(state);
         }
-        auto stream =
-            std::make_shared<JobStream>(staging.epoch, job_id, node_count);
+        if (!streams_this_capture.insert(job_id).second) {
+          fail("duplicate stream job id");
+        }
+        // Across chain captures the newest serialization wins.
+        staging.jobs.erase(job_id);
+        JobStream& stream =
+            staging.jobs.try_emplace(job_id, staging.epoch, job_id, node_count)
+                .first->second;
         staging.reset_jobs.erase(job_id);
         if (signature == config_signature(staging.epoch->dictionary.config())) {
           try {
-            stream->recognizer.import_state(states);
+            stream.recognizer.import_state(states);
           } catch (const std::invalid_argument& error) {
             fail(std::string("stream state rejected: ") + error.what());
           }
@@ -583,16 +563,10 @@ void RecognitionService::decode_snapshot_sections(std::istream& in,
             fail("truncated queued sample");
           }
           sample.t = static_cast<int>(static_cast<std::int32_t>(t_bits));
-          sample.metric_slot = stream->recognizer.metric_slot(metric);
-          stream->queue.push_back(sample);
+          sample.metric_slot = stream.recognizer.metric_slot(metric);
+          stream.queue.push_back(sample);
         }
-        stream->queued.store(stream->queue.size(), std::memory_order_relaxed);
-        stream->last_activity_ns.store(now_ns(), std::memory_order_relaxed);
-        if (!streams_this_capture.insert(job_id).second) {
-          fail("duplicate stream job id");
-        }
-        // Across chain captures the newest serialization wins.
-        staging.jobs[job_id] = std::move(stream);
+        stream.last_activity_ns = now_ns();
         break;
       }
 
@@ -700,35 +674,26 @@ ServiceRestoreInfo RecognitionService::commit_staging(
   const std::size_t jobs_restored = staging.jobs.size();
   const std::size_t verdicts_restored = staging.verdicts.size();
   const std::size_t streams_reset = staging.reset_jobs.size();
-  handle_.reset(staging.epoch, staging.swap_count);
-  {
-    std::unique_lock lock(jobs_mutex_);
-    jobs_ = std::move(staging.jobs);
-  }
-  {
-    // The snapshot's verdict section IS the firing order.
-    std::lock_guard lock(verdicts_mutex_);
-    verdicts_ = std::move(staging.verdicts);
-  }
-  jobs_opened_.store(staging.counters[0], std::memory_order_relaxed);
-  jobs_completed_.store(staging.counters[1], std::memory_order_relaxed);
-  jobs_evicted_.store(staging.counters[2], std::memory_order_relaxed);
-  samples_pushed_.store(staging.counters[3], std::memory_order_relaxed);
-  samples_dropped_.store(staging.counters[4], std::memory_order_relaxed);
-  samples_late_.store(staging.counters[5], std::memory_order_relaxed);
-  samples_overflowed_.store(staging.counters[6], std::memory_order_relaxed);
-  samples_rejected_.store(staging.counters[7], std::memory_order_relaxed);
-  pushes_blocked_.store(staging.counters[8], std::memory_order_relaxed);
-  swaps_noop_.store(staging.counters[9], std::memory_order_relaxed);
+  handle_.reset(staging.epoch, staging.swap_count, staging.counters[9]);
+  jobs_ = std::move(staging.jobs);
+  // The snapshot's verdict section IS the firing order.
+  verdicts_ = std::move(staging.verdicts);
+  jobs_opened_ = staging.counters[0];
+  jobs_completed_ = staging.counters[1];
+  jobs_evicted_ = staging.counters[2];
+  samples_pushed_ = staging.counters[3];
+  samples_dropped_ = staging.counters[4];
+  samples_late_ = staging.counters[5];
+  samples_overflowed_ = staging.counters[6];
+  samples_rejected_ = staging.counters[7];
+  pushes_blocked_ = staging.counters[8];
 
   // Restored streams with queued samples would otherwise sit dirty
   // until their next push: list them for the next process_pending.
-  {
-    std::shared_lock lock(jobs_mutex_);
-    for (const auto& [job_id, stream] : jobs_) {
-      if (stream->queued.load(std::memory_order_relaxed) > 0) {
-        schedule_stream(stream);
-      }
+  for (auto& [job_id, stream] : jobs_) {
+    if (!stream.queue.empty()) {
+      stream.scheduled = true;
+      dirty_.push_back(&stream);
     }
   }
 

@@ -110,10 +110,16 @@ void IngestPipeline::init_observability() {
         obs::HttpResponse response;
         if (request.target == "/metrics") {
           response.content_type = "text/plain; version=0.0.4; charset=utf-8";
+          std::string stats_text;
+          {
+            const std::lock_guard lock(service_mutex_);
+            stats_text = render_stats_text();
+          }
           response.body =
-              obs::render_metrics(render_stats_text(), obs::global_metrics());
+              obs::render_metrics(stats_text, obs::global_metrics());
         } else if (request.target == "/index") {
           response.content_type = "application/json";
+          const std::lock_guard lock(service_mutex_);
           response.body = render_index_json();
         } else if (request.target == "/healthz") {
           response.content_type = "application/json";
@@ -549,9 +555,8 @@ std::string IngestPipeline::render_stats_text() const {
 }
 
 std::string IngestPipeline::render_index_json() const {
-  // Everything here reads thread-safe snapshots (service stats, mux
-  // stats, this pipeline's atomics) — callable from the HTTP thread
-  // while run() is mid-poll.
+  // The service is read under service_mutex_ (held by the caller); the
+  // rest are thread-safe snapshots (mux stats, this pipeline's atomics).
   constexpr std::size_t kMaxListedJobs = 256;
   const core::RecognitionServiceStats service = service_.stats();
   const std::vector<std::uint64_t> jobs = service_.open_job_ids();
@@ -883,6 +888,7 @@ std::uint64_t IngestPipeline::flush_verdicts() {
 }
 
 std::uint64_t IngestPipeline::run() {
+  std::unique_lock service_lock(service_mutex_);
   // Declare every registered source's tag to the service up front, so a
   // multi-listener deployment shows its service.source.* rows (even
   // all-zero ones) from the first scrape — not only once a job happens
@@ -964,7 +970,11 @@ std::uint64_t IngestPipeline::run() {
       break;
     }
     batch.clear();
+    // The only wait of the loop, and the only time the HTTP handlers
+    // may read the service.
+    service_lock.unlock();
     more = sources_->poll(batch, config_.poll_timeout);
+    service_lock.lock();
     if (!batch.empty()) {
       envelopes_.fetch_add(batch.size(), std::memory_order_relaxed);
       for (Envelope& envelope : batch) dispatch(envelope);

@@ -209,7 +209,8 @@ class IngestPipeline {
  public:
   /// \param service recognition service (borrowed; typically configured
   ///        with deferred = true so push() never blocks the poll loop on
-  ///        recognition work).
+  ///        recognition work). While run() is active the pipeline owns
+  ///        it: no other thread may call it except swap_dictionary().
   /// \param sources the registered source set to consume (borrowed;
   ///        must outlive run()). Register >= 1 source before run().
   /// \param pool workers for deferred recognition (null = inline).
@@ -243,14 +244,6 @@ class IngestPipeline {
   /// The registered source set (per-source counters live here).
   const SourceMux& sources() const noexcept { return *sources_; }
 
-  /// Flat "name value" text block (kStatsReply body / scrape source).
-  /// Thread-safe: reads only thread-safe stats snapshots and atomics.
-  std::string render_stats_text() const;
-
-  /// JSON inventory for GET /index: live jobs, sources, dictionary
-  /// epoch, snapshot-chain and follower state. Thread-safe.
-  std::string render_index_json() const;
-
   /// The HTTP listener's bound port; 0 when config.http_port was -1.
   std::uint16_t http_port() const noexcept;
 
@@ -261,6 +254,15 @@ class IngestPipeline {
     std::shared_ptr<VerdictSink> sink;
     SourceId source = 0;
   };
+
+  /// Flat "name value" text block (kStatsReply body / scrape source).
+  /// Reads the service: call with service_mutex_ held.
+  std::string render_stats_text() const;
+
+  /// JSON inventory for GET /index: live jobs, sources, dictionary
+  /// epoch, snapshot-chain and follower state. Reads the service: call
+  /// with service_mutex_ held.
+  std::string render_index_json() const;
 
   void dispatch(Envelope& envelope);
   /// Drains service verdicts to their reply sinks; returns count.
@@ -293,6 +295,10 @@ class IngestPipeline {
   void init_observability();
 
   core::RecognitionService& service_;
+  /// The service has one owner at a time: run() holds this except while
+  /// it waits in SourceMux::poll, and the HTTP /metrics and /index
+  /// handlers hold it while they read the service.
+  mutable std::mutex service_mutex_;
   /// Legacy single-source wrap (owned); sources_ points at it then.
   std::unique_ptr<SourceMux> owned_mux_;
   SourceMux* sources_;

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/online/recognition_service.hpp"
@@ -43,16 +44,20 @@ class JobSink : public SampleSink {
 };
 
 /// JobSink that forwards every collected sample into a service under a
-/// fixed job id (one instance per concurrently monitored job).
+/// fixed job id (one instance per concurrently monitored job). A service
+/// has one owner at a time, so every feed of one service shares
+/// \p service_mutex and holds it for each call into the service.
 class ServiceFeed final : public JobSink {
  public:
-  ServiceFeed(core::RecognitionService& service, std::uint64_t job_id)
-      : service_(&service), job_id_(job_id) {}
+  ServiceFeed(core::RecognitionService& service, std::mutex& service_mutex,
+              std::uint64_t job_id)
+      : service_(&service), service_mutex_(&service_mutex), job_id_(job_id) {}
 
   void job_opened(std::uint64_t job_id, std::uint32_t node_count) override;
 
   void publish(std::uint32_t node_id, std::string_view metric_name, int t,
                double value) override {
+    const std::lock_guard lock(*service_mutex_);
     service_->push(job_id_, node_id, metric_name, t, value);
   }
 
@@ -60,6 +65,7 @@ class ServiceFeed final : public JobSink {
 
  private:
   core::RecognitionService* service_;
+  std::mutex* service_mutex_;
   std::uint64_t job_id_;
 };
 
@@ -95,8 +101,10 @@ void stream_jobs(const telemetry::MetricRegistry& registry,
 
 /// Monitors every plan as a concurrent job directly against \p service
 /// (job id = plan.execution_id) and drains the verdicts — stream_jobs
-/// with a ServiceFeed factory. Jobs still open at the end (too short to
-/// fill every window) are force-closed so every plan yields a verdict.
+/// with a ServiceFeed factory whose feeds share one mutex, so the
+/// sampling loops run in parallel while service calls take turns. Jobs
+/// still open at the end (too short to fill every window) are
+/// force-closed so every plan yields a verdict.
 StreamingRunReport run_concurrent_jobs(
     core::RecognitionService& service,
     const telemetry::MetricRegistry& registry,

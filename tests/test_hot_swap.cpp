@@ -250,40 +250,43 @@ TEST(DictionaryHandle, SupersededEpochsAreReclaimedUnderChurn) {
 }
 
 TEST(HotSwap, StressManyJobsStreamingAcrossContinuousSwaps) {
-  // 32 jobs streaming from 4 producer threads while a writer hot-swaps
+  // The retrain worker's real pattern: one owner thread opens, streams,
+  // drains and reads stats for 32 jobs while a swapper thread hot-swaps
   // dictionaries in a loop. Both dictionaries map the streamed levels to
   // the same applications, so any torn read (a stream observing a
   // half-swapped dictionary) would surface as a wrong or missing
-  // verdict; epoch counters must climb monotonically. The writer
-  // alternates two content-different dictionaries (identical content
-  // would be rejected as already-active). Run under TSan in CI (the
-  // `tsan` CTest label).
+  // verdict; epoch counters must climb monotonically. The swapper
+  // alternates two content-different dictionaries and re-submits each
+  // one once, which must be rejected as already-active from its thread.
+  // Run under TSan in CI (the `tsan` CTest label).
   const Dictionary base =
       train_levels({{"ft", 6000.0}, {"mg", 6100.0}});
   // Same mapping for the streamed levels, plus one key no job streams:
   // content-different, verdict-identical.
   const Dictionary base_plus =
       train_levels({{"ft", 6000.0}, {"mg", 6100.0}, {"lu", 9900.0}});
-  RecognitionService service(base);
+  RecognitionServiceConfig config;
+  config.deferred = true;
+  RecognitionService service(base, config);
 
   constexpr std::uint64_t kJobs = 32;
+  constexpr std::uint64_t kWave = 8;
   constexpr int kSwaps = 40;
-  for (std::uint64_t job = 1; job <= kJobs; ++job) {
-    ASSERT_TRUE(service.open_job(job, 2));
-  }
 
-  std::atomic<bool> done_producing{false};
+  std::atomic<bool> done_streaming{false};
   std::thread swapper([&] {
-    std::uint64_t last_epoch = service.stats().dictionary_epoch;
+    std::uint64_t last_epoch = service.dictionary_handle().version();
     int swaps = 0;
-    while (swaps < kSwaps || !done_producing.load(std::memory_order_acquire)) {
+    while (swaps < kSwaps ||
+           !done_streaming.load(std::memory_order_acquire)) {
       if (swaps < kSwaps) {
-        const auto outcome =
-            service.swap_dictionary(swaps % 2 == 0 ? base_plus : base);
+        const Dictionary& next = swaps % 2 == 0 ? base_plus : base;
+        const auto outcome = service.swap_dictionary(next);
         EXPECT_FALSE(outcome.already_active);
         EXPECT_GT(outcome.epoch, last_epoch)
             << "epochs must increase monotonically";
         last_epoch = outcome.epoch;
+        EXPECT_TRUE(service.swap_dictionary(next).already_active);
         ++swaps;
       } else {
         std::this_thread::yield();
@@ -291,20 +294,28 @@ TEST(HotSwap, StressManyJobsStreamingAcrossContinuousSwaps) {
     }
   });
 
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&, p] {
-      for (std::uint64_t job = 1 + static_cast<std::uint64_t>(p);
-           job <= kJobs; job += 4) {
-        stream_range(service, job, job % 2 == 0 ? 6030.0 : 6080.0, 0, 130);
+  // Owner: jobs open in waves, so they pin whichever epoch is active at
+  // that moment, and stream in interleaved 10-tick slices.
+  std::vector<JobVerdict> verdicts;
+  std::vector<JobVerdict> drained;
+  for (std::uint64_t first = 1; first <= kJobs; first += kWave) {
+    for (std::uint64_t job = first; job < first + kWave; ++job) {
+      ASSERT_TRUE(service.open_job(job, 2));
+    }
+    for (int t = 0; t < 130; t += 10) {
+      for (std::uint64_t job = first; job < first + kWave; ++job) {
+        stream_range(service, job, job % 2 == 0 ? 6030.0 : 6080.0, t, t + 10);
       }
-    });
+      service.process_pending();
+      service.drain_verdicts(drained);
+      verdicts.insert(verdicts.end(), drained.begin(), drained.end());
+      const RecognitionServiceStats stats = service.stats();
+      EXPECT_LE(stats.jobs_on_stale_epoch, stats.active_jobs);
+    }
   }
-  for (auto& producer : producers) producer.join();
-  done_producing.store(true, std::memory_order_release);
+  done_streaming.store(true, std::memory_order_release);
   swapper.join();
 
-  const auto verdicts = service.drain_verdicts();
   ASSERT_EQ(verdicts.size(), kJobs);
   for (const JobVerdict& verdict : verdicts) {
     EXPECT_EQ(verdict.result.prediction(),
@@ -314,7 +325,9 @@ TEST(HotSwap, StressManyJobsStreamingAcrossContinuousSwaps) {
 
   const RecognitionServiceStats stats = service.stats();
   EXPECT_EQ(stats.dictionary_swaps, static_cast<std::uint64_t>(kSwaps));
+  EXPECT_EQ(stats.dictionary_swaps_noop, static_cast<std::uint64_t>(kSwaps));
   EXPECT_EQ(stats.dictionary_epoch, 1u + static_cast<std::uint64_t>(kSwaps));
+  EXPECT_EQ(stats.active_jobs, 0u);
   EXPECT_EQ(stats.jobs_on_stale_epoch, 0u);
 }
 

@@ -1,7 +1,9 @@
 /// \file test_obs_http.cpp
 /// \brief obs::HttpServer coverage via a raw loopback socket client:
 /// ephemeral binds, GET/HEAD dispatch, query stripping, handler status
-/// passthrough, 405/400 handling, and request counters.
+/// passthrough, 405/400 handling, request counters, and scrapes of a
+/// live IngestPipeline's /metrics and /index while it serves traffic
+/// (TSan material: the HTTP thread reads the pipeline's service).
 
 #include "obs/http_server.hpp"
 #include "ingest/tcp_transport.hpp"
@@ -13,8 +15,18 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
+#include <map>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <tuple>
+
+#include "core/trainer.hpp"
+#include "ingest/pipeline.hpp"
+#include "ingest/ring_transport.hpp"
+#include "ingest/transport_feed.hpp"
 
 namespace {
 
@@ -143,6 +155,98 @@ TEST(ObsHttp, ExplicitPortConflictThrows) {
   HttpServer server(0, echo_handler());
   EXPECT_THROW(HttpServer(server.port(), echo_handler()),
                efd::ingest::TransportError);
+}
+
+/// Verdicts a pipeline ships back, by job id (delivered on its thread).
+class VerdictCollector final : public efd::ingest::VerdictSink {
+ public:
+  void deliver(const efd::ingest::Message& verdict) override {
+    std::lock_guard lock(mutex_);
+    verdicts_[verdict.job_id] = verdict.verdict.application;
+  }
+
+  std::map<std::uint64_t, std::string> verdicts() const {
+    std::lock_guard lock(mutex_);
+    return verdicts_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::map<std::uint64_t, std::string> verdicts_;
+};
+
+TEST(ObsHttp, ScrapesALivePipelineWhileItServes) {
+  // A scraper GETs /metrics and /index in a loop on its own connections
+  // (served on the HTTP thread) while the pipeline thread streams 16
+  // jobs through its service; the emitter lets one scrape finish after
+  // each job, so scrapes overlap a live run(). Every scrape answers 200
+  // and every verdict is exact.
+  efd::core::FingerprintConfig fingerprint;
+  fingerprint.metrics = {"nr_mapped_vmstat"};
+  fingerprint.rounding_depth = 2;
+  efd::telemetry::Dataset dataset({"nr_mapped_vmstat"});
+  for (const auto& [id, app, level] :
+       {std::tuple{1, "ft", 6000.0}, std::tuple{2, "mg", 6100.0}}) {
+    efd::telemetry::ExecutionRecord record(id, {app, "X"}, 2, 1);
+    for (std::size_t node = 0; node < 2; ++node) {
+      for (int t = 0; t < 150; ++t) record.series(node, 0).push_back(level);
+    }
+    dataset.add(std::move(record));
+  }
+  efd::core::RecognitionServiceConfig service_config;
+  service_config.deferred = true;
+  efd::core::RecognitionService service(
+      efd::core::train_dictionary(dataset, fingerprint), service_config);
+
+  auto collector = std::make_shared<VerdictCollector>();
+  efd::ingest::RingTransport ring(256);
+  ring.set_verdict_sink(collector);
+  efd::ingest::IngestPipelineConfig config;
+  config.http_port = 0;
+  efd::ingest::IngestPipeline pipeline(service, ring, config);
+  ASSERT_NE(pipeline.http_port(), 0);
+  pipeline.start();
+
+  std::atomic<bool> serving{true};
+  std::atomic<std::size_t> scrapes{0};
+  std::thread scraper([&] {
+    while (serving.load(std::memory_order_acquire)) {
+      for (const char* target : {"/metrics", "/index"}) {
+        const std::string response = http_get(pipeline.http_port(), target);
+        EXPECT_EQ(response.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << target;
+        ++scrapes;
+      }
+    }
+  });
+
+  constexpr std::uint64_t kJobs = 16;
+  for (std::uint64_t job = 1; job <= kJobs; ++job) {
+    efd::ingest::TransportFeed feed(ring, /*batch_samples=*/32);
+    feed.job_opened(job, 2);
+    for (int t = 0; t < 130; ++t) {
+      for (std::uint32_t node = 0; node < 2; ++node) {
+        feed.publish(node, "nr_mapped_vmstat", t,
+                     job % 2 == 0 ? 6030.0 : 6080.0);
+      }
+    }
+    feed.job_closed(job);
+    const std::size_t seen = scrapes.load();
+    while (scrapes.load() == seen) std::this_thread::yield();
+  }
+  ring.close();
+  pipeline.join();
+  serving.store(false, std::memory_order_release);
+  scraper.join();
+
+  EXPECT_GE(scrapes.load(), kJobs);
+  const auto verdicts = collector->verdicts();
+  ASSERT_EQ(verdicts.size(), kJobs);
+  for (const auto& [job, application] : verdicts) {
+    EXPECT_EQ(application, job % 2 == 0 ? "ft" : "mg") << "job " << job;
+  }
+  // The last scrape after the pipeline finished sees the final counters.
+  const std::string metrics = http_get(pipeline.http_port(), "/metrics");
+  EXPECT_NE(metrics.find("jobs_completed"), std::string::npos);
 }
 
 }  // namespace

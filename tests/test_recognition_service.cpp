@@ -1,17 +1,19 @@
 /// \file test_recognition_service.cpp
 /// \brief Tests for the multi-job streaming service: per-job verdict
 /// correctness against the offline matcher, lifecycle edge cases, online
-/// learning, and a 64-job concurrent end-to-end run over the simulated
-/// LDMS path (exercised under ThreadSanitizer in CI).
+/// learning, back-pressure, the reap/dirty-list edge, pooled drain
+/// order, and 64-job runs over the simulated LDMS path whose sampling
+/// threads share one service through a feed lock (exercised under
+/// ThreadSanitizer in CI).
 
 #include "core/online/recognition_service.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <thread>
+#include <string>
+#include <utility>
 
 #include "core/matcher.hpp"
 #include "core/trainer.hpp"
@@ -149,36 +151,6 @@ TEST_F(ServiceFixture, OnlineLearningAddsRecognizableApplication) {
   const auto verdicts = service.drain_verdicts();
   ASSERT_EQ(verdicts.size(), 1u);
   EXPECT_EQ(verdicts[0].result.prediction(), "lu");
-}
-
-TEST_F(ServiceFixture, ManyConcurrentJobsFromManyThreads) {
-  // 64 jobs pushed from competing threads; every verdict must match the
-  // level each job streamed. TSan-validates service + dictionary locks.
-  RecognitionService service = make_service();
-  constexpr std::uint64_t kJobs = 64;
-  for (std::uint64_t job = 1; job <= kJobs; ++job) {
-    ASSERT_TRUE(service.open_job(job, 2));
-  }
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] {
-      for (std::uint64_t job = 1 + static_cast<std::uint64_t>(t);
-           job <= kJobs; job += 8) {
-        stream_job(service, job, job % 2 == 0 ? 6030.0 : 6080.0);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-
-  const auto verdicts = service.drain_verdicts();
-  ASSERT_EQ(verdicts.size(), kJobs);
-  for (const JobVerdict& verdict : verdicts) {
-    EXPECT_EQ(verdict.result.prediction(),
-              verdict.job_id % 2 == 0 ? "ft" : "mg")
-        << "job " << verdict.job_id;
-  }
-  EXPECT_EQ(service.stats().active_jobs, 0u);
 }
 
 TEST_F(ServiceFixture, DeferredModeBuffersUntilProcessPending) {
@@ -319,39 +291,50 @@ TEST_F(ServiceFixture, BlockPolicyIsLosslessAndDeadlockFree) {
   RecognitionService service = make_service(config);
   ASSERT_TRUE(service.open_job(1, 2));
 
-  // A lone producer against a full queue must NOT deadlock waiting for
-  // a consumer that does not exist: with no active drainer the pusher
-  // drains inline. Every sample survives — kBlock never loses data.
+  // A push into a full queue drains that stream right there, on the
+  // owner thread, and then enqueues: it never waits, and no sample is
+  // lost.
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(service.push(1, 0, "nr_mapped_vmstat", i, 6030.0));
   }
   EXPECT_EQ(service.stats().queued_samples, 4u);
-  ASSERT_TRUE(service.push(1, 0, "nr_mapped_vmstat", 4, 6030.0));
-
+  EXPECT_EQ(service.stats().pushes_blocked, 0u);
+  ASSERT_TRUE(service.push(1, 1, "nr_mapped_vmstat", 0, 6030.0));
   RecognitionServiceStats stats = service.stats();
+  EXPECT_EQ(stats.pushes_blocked, 1u);
+  EXPECT_EQ(stats.samples_pushed, 4u);
+  EXPECT_EQ(stats.queued_samples, 1u);
+
+  // A whole job through the capacity-4 queue, one sample at a time. The
+  // queue fills at every 4th push after the first, so pushes 5, 9, ...,
+  // 241 each force one drain. The drain at push 241 feeds sample 240
+  // (node 1, t=119), which closes the last window: the verdict fires
+  // inside that push, and the 20 samples from 241 on are late.
+  RecognitionService paced = make_service(config);
+  ASSERT_TRUE(paced.open_job(1, 2));
+  stream_job(paced, 1, 6030.0);
+  stats = paced.stats();
+  EXPECT_EQ(stats.pushes_blocked, 60u);
+  EXPECT_EQ(stats.samples_pushed, 240u);
+  EXPECT_EQ(stats.samples_late, 20u);
   EXPECT_EQ(stats.samples_rejected, 0u);
   EXPECT_EQ(stats.samples_overflowed, 0u);
-  EXPECT_EQ(stats.samples_pushed + stats.queued_samples, 5u);  // lossless
+  EXPECT_EQ(stats.queued_samples, 0u);
+  EXPECT_EQ(paced.process_pending(), 0u);  // nothing was left to drain
 
-  // Concurrent producers hammering one tiny queue stay lossless too
-  // (some wait on the active drainer, some drain themselves).
-  constexpr int kPerThread = 200;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerThread; ++i) {
-        service.push(1, 1, "nr_mapped_vmstat", p * kPerThread + i, 6030.0);
-      }
-    });
-  }
-  for (auto& producer : producers) producer.join();
-  service.process_pending();
-
-  stats = service.stats();
-  EXPECT_EQ(stats.samples_rejected, 0u);
-  EXPECT_EQ(stats.samples_overflowed, 0u);
-  EXPECT_EQ(stats.samples_pushed + stats.queued_samples + stats.samples_late,
-            5u + 4u * kPerThread);
+  // Lossless: the verdict equals the one an unbounded inline run fires.
+  RecognitionService reference = make_service();
+  ASSERT_TRUE(reference.open_job(1, 2));
+  stream_job(reference, 1, 6030.0);
+  const auto want = reference.drain_verdicts();
+  const auto got = paced.drain_verdicts();
+  ASSERT_EQ(got.size(), 1u);
+  ASSERT_EQ(want.size(), 1u);
+  EXPECT_EQ(got[0].result.prediction(), "ft");
+  EXPECT_EQ(got[0].result.votes, want[0].result.votes);
+  EXPECT_EQ(got[0].result.label_votes, want[0].result.label_votes);
+  EXPECT_EQ(got[0].result.fingerprint_count, want[0].result.fingerprint_count);
+  EXPECT_EQ(got[0].result.matched_count, want[0].result.matched_count);
 }
 
 TEST_F(ServiceFixture, InlinePushBatchLargerThanQueueStaysLossless) {
@@ -430,10 +413,59 @@ TEST_F(ServiceFixture, StaleSweepEvictsIdleStreamsAndBoundsMemory) {
   EXPECT_EQ(service.sweep_stale_jobs(std::chrono::hours(1)), 0u);
 }
 
-TEST_F(ServiceFixture, DeferredConcurrentProducersWithPooledProcessing) {
-  // Producers hammer deferred queues from competing threads while a
-  // consumer drives process_pending across a pool — the ingest
-  // pipeline's exact shape. TSan-validates queue + drain-token locking.
+TEST_F(ServiceFixture, ReapedStreamNeverReachedThroughTheDirtyList) {
+  // Deferred push marks a stream dirty; close_job then finishes it and
+  // drain_verdicts reaps it before the next process_pending. The reap
+  // must take the stream off the dirty list, or process_pending would
+  // touch freed memory (the ASan job runs this suite). Job 2 stays
+  // dirty throughout and must still drain exactly.
+  for (const bool reopen : {false, true}) {
+    const std::string context = reopen ? "reopen" : "no reopen";
+    RecognitionServiceConfig config;
+    config.deferred = true;
+    RecognitionService service = make_service(config);
+    ASSERT_TRUE(service.open_job(1, 2));
+    ASSERT_TRUE(service.open_job(2, 2));
+    stream_job(service, 2, 6080.0);  // dirty, left for process_pending
+    stream_job(service, 1, 6030.0, 50);  // dirty, closed before it drains
+
+    ASSERT_TRUE(service.close_job(1));
+    std::vector<JobVerdict> verdicts = service.drain_verdicts();
+    ASSERT_EQ(verdicts.size(), 1u) << context;
+    EXPECT_EQ(verdicts[0].job_id, 1u);
+    // 50 ticks close no window: the unknown-application safeguard.
+    EXPECT_FALSE(verdicts[0].result.recognized) << context;
+    EXPECT_EQ(verdicts[0].result.prediction(), kUnknownApplication);
+    EXPECT_EQ(service.stats().samples_pushed, 100u) << context;
+
+    if (reopen) {
+      ASSERT_TRUE(service.open_job(1, 2));
+    }
+    // Only job 2's 260 samples are left to drain; its verdict fires on
+    // the 240th.
+    EXPECT_EQ(service.process_pending(), 240u) << context;
+    verdicts = service.drain_verdicts();
+    ASSERT_EQ(verdicts.size(), 1u) << context;
+    EXPECT_EQ(verdicts[0].job_id, 2u);
+    EXPECT_EQ(verdicts[0].result.prediction(), "mg") << context;
+
+    if (reopen) {
+      // The reopened id is a fresh stream: it recognizes from scratch.
+      EXPECT_TRUE(service.has_job(1));
+      stream_job(service, 1, 6080.0);
+      EXPECT_EQ(service.process_pending(), 240u) << context;
+      verdicts = service.drain_verdicts();
+      ASSERT_EQ(verdicts.size(), 1u);
+      EXPECT_EQ(verdicts[0].job_id, 1u);
+      EXPECT_EQ(verdicts[0].result.prediction(), "mg");
+    }
+    EXPECT_EQ(service.stats().active_jobs, 0u) << context;
+  }
+}
+
+TEST_F(ServiceFixture, DeferredOwnerPushesWithPooledProcessing) {
+  // The ingest pipeline's shape: the owner pushes a slice of every job,
+  // then fans process_pending across a pool, until every job fired.
   RecognitionServiceConfig config;
   config.deferred = true;
   config.job_queue_capacity = 64;
@@ -445,26 +477,17 @@ TEST_F(ServiceFixture, DeferredConcurrentProducersWithPooledProcessing) {
   }
 
   util::ThreadPool pool(4);
-  std::atomic<bool> done_producing{false};
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&, p] {
-      for (std::uint64_t job = 1 + static_cast<std::uint64_t>(p);
-           job <= kJobs; job += 4) {
-        stream_job(service, job, job % 2 == 0 ? 6030.0 : 6080.0);
+  for (int t = 0; t < 130; t += 10) {
+    for (std::uint64_t job = 1; job <= kJobs; ++job) {
+      for (int tick = t; tick < t + 10; ++tick) {
+        for (std::uint32_t node = 0; node < 2; ++node) {
+          service.push(job, node, "nr_mapped_vmstat", tick,
+                       job % 2 == 0 ? 6030.0 : 6080.0);
+        }
       }
-    });
-  }
-  std::thread consumer([&] {
-    while (!done_producing.load()) {
-      service.process_pending(&pool);
-      std::this_thread::yield();
     }
     service.process_pending(&pool);
-  });
-  for (auto& producer : producers) producer.join();
-  done_producing.store(true);
-  consumer.join();
+  }
 
   const auto verdicts = service.drain_verdicts();
   ASSERT_EQ(verdicts.size(), kJobs);
@@ -473,113 +496,139 @@ TEST_F(ServiceFixture, DeferredConcurrentProducersWithPooledProcessing) {
               verdict.job_id % 2 == 0 ? "ft" : "mg")
         << "job " << verdict.job_id;
   }
+  const RecognitionServiceStats stats = service.stats();
+  EXPECT_EQ(stats.samples_pushed, kJobs * 240u);
+  EXPECT_EQ(stats.samples_late, kJobs * 20u);
+  EXPECT_EQ(stats.pushes_blocked, 0u);  // 20 samples per slice fit in 64
 }
 
-TEST_F(ServiceFixture, PooledDrainStressWithBackpressureAndConcurrentDrain) {
-  // TSan target: competing producers push 32 jobs through a queue small
-  // enough to force kBlock waits (producers parking on stream.space
-  // while a pool thread drains, or self-draining when no drainer holds
-  // the token), while one thread drives process_pending across a pool
-  // and another drains verdicts and polls stats concurrently. Lossless
-  // end state, and at every pool size the verdict table (job -> full
-  // recognition result) equals a sequential single-threaded drain's:
-  // the fan-out changes who scores, never what is scored.
-  constexpr std::uint64_t kJobs = 32;
-  const auto level = [](std::uint64_t job) {
-    return job % 2 == 0 ? 6030.0 : 6080.0;
+/// Pushes every job of \p jobs in slices of \p slice ticks, rotating
+/// the job order each slice and calling process_pending(pool) after
+/// each, and returns the verdicts in the order drain_verdicts yields
+/// them. Job j streams 130 - (j % 3) * 40 ticks, so some end unready
+/// and are force-closed at the end.
+std::vector<JobVerdict> drive_sliced(RecognitionService& service,
+                                     std::uint64_t jobs, int slice,
+                                     util::ThreadPool* pool) {
+  const auto ticks = [](std::uint64_t job) {
+    return 130 - static_cast<int>(job % 3) * 40;
   };
-  const auto by_job = [](std::vector<JobVerdict> verdicts) {
-    std::sort(verdicts.begin(), verdicts.end(),
-              [](const JobVerdict& a, const JobVerdict& b) {
-                return a.job_id < b.job_id;
-              });
-    return verdicts;
-  };
+  std::vector<JobVerdict> order;
+  std::vector<JobVerdict> drained;
+  for (std::uint64_t job = 1; job <= jobs; ++job) {
+    EXPECT_TRUE(service.open_job(job, 2));
+  }
+  for (int t = 0, round = 0; t < 130; t += slice, ++round) {
+    for (std::uint64_t i = 0; i < jobs; ++i) {
+      const std::uint64_t job =
+          1 + (i + static_cast<std::uint64_t>(round) * 5) % jobs;
+      for (int tick = t; tick < std::min(t + slice, ticks(job)); ++tick) {
+        for (std::uint32_t node = 0; node < 2; ++node) {
+          service.push(job, node, "nr_mapped_vmstat", tick,
+                       job % 2 == 0 ? 6030.0 : 6080.0);
+        }
+      }
+    }
+    service.process_pending(pool);
+    service.drain_verdicts(drained);
+    order.insert(order.end(), drained.begin(), drained.end());
+  }
+  for (std::uint64_t job = 1; job <= jobs; ++job) service.close_job(job);
+  service.drain_verdicts(drained);
+  order.insert(order.end(), drained.begin(), drained.end());
+  return order;
+}
+
+void expect_same_verdicts(const std::vector<JobVerdict>& got,
+                          const std::vector<JobVerdict>& want,
+                          const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const RecognitionResult& a = got[i].result;
+    const RecognitionResult& b = want[i].result;
+    EXPECT_EQ(got[i].job_id, want[i].job_id) << context << " at " << i;
+    EXPECT_EQ(got[i].source, want[i].source) << context;
+    EXPECT_EQ(a.recognized, b.recognized) << context;
+    EXPECT_EQ(a.applications, b.applications) << context;
+    EXPECT_EQ(a.votes, b.votes) << context;
+    EXPECT_EQ(a.label_votes, b.label_votes) << context;
+    EXPECT_EQ(a.matched_labels, b.matched_labels) << context;
+    EXPECT_EQ(a.fingerprint_count, b.fingerprint_count) << context;
+    EXPECT_EQ(a.matched_count, b.matched_count) << context;
+  }
+}
+
+TEST_F(ServiceFixture, PooledDrainOrderEqualsUnpooledOrder) {
+  // process_pending(&pool) folds its per-stream results in dirty-list
+  // order on the owner thread, so drain_verdicts returns the verdicts
+  // in exactly the process_pending(nullptr) order: no sort here.
+  RecognitionServiceConfig config;
+  config.deferred = true;
+  constexpr std::uint64_t kJobs = 24;
+  RecognitionService baseline_service = make_service(config);
+  const std::vector<JobVerdict> baseline =
+      drive_sliced(baseline_service, kJobs, 7, nullptr);
+  ASSERT_EQ(baseline.size(), kJobs);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    util::ThreadPool pool(threads);
+    RecognitionService service = make_service(config);
+    expect_same_verdicts(drive_sliced(service, kJobs, 7, &pool), baseline,
+                         "threads=" + std::to_string(threads));
+  }
+}
+
+TEST_F(ServiceFixture, PooledDrainWithBackpressureMatchesSequentialDrain) {
+  // A queue small enough that kBlock forces drains inside push, beside
+  // pooled process_pending passes: at every pool size the verdict
+  // sequence equals the unpooled one, nothing is shed, and every job
+  // completes.
   RecognitionServiceConfig config;
   config.deferred = true;
   config.job_queue_capacity = 16;
   config.policy = BackpressurePolicy::kBlock;
-
-  std::vector<JobVerdict> baseline;
-  {
-    RecognitionService service = make_service(config);
-    for (std::uint64_t job = 1; job <= kJobs; ++job) {
-      ASSERT_TRUE(service.open_job(job, 2));
-      stream_job(service, job, level(job));
-      service.process_pending(nullptr);
-    }
-    baseline = by_job(service.drain_verdicts());
-    ASSERT_EQ(baseline.size(), kJobs);
-  }
+  constexpr std::uint64_t kJobs = 32;
+  RecognitionService baseline_service = make_service(config);
+  const std::vector<JobVerdict> baseline =
+      drive_sliced(baseline_service, kJobs, 13, nullptr);
+  ASSERT_EQ(baseline.size(), kJobs);
+  const RecognitionServiceStats want = baseline_service.stats();
+  EXPECT_GT(want.pushes_blocked, 0u);
 
   for (const std::size_t threads : {1u, 2u, 3u}) {
-    RecognitionService service = make_service(config);
-    for (std::uint64_t job = 1; job <= kJobs; ++job) {
-      ASSERT_TRUE(service.open_job(job, 2));
-    }
-    util::ThreadPool pool(threads);
-    std::atomic<bool> done_producing{false};
-    std::atomic<bool> done_scoring{false};
-    std::vector<JobVerdict> verdicts;
-    std::thread scorer([&] {
-      while (!done_producing.load()) {
-        service.process_pending(&pool);
-        std::this_thread::yield();
-      }
-      service.process_pending(&pool);
-      done_scoring.store(true);
-    });
-    std::thread drainer([&] {
-      for (;;) {
-        // Read the flag BEFORE draining: an empty drain then proves the
-        // scorer's last process_pending had already queued everything.
-        const bool scored = done_scoring.load();
-        auto drained = service.drain_verdicts();
-        for (auto& verdict : drained) verdicts.push_back(std::move(verdict));
-        (void)service.stats();
-        if (scored && drained.empty()) break;
-        std::this_thread::yield();
-      }
-    });
-    std::vector<std::thread> producers;
-    for (int p = 0; p < 4; ++p) {
-      producers.emplace_back([&, p] {
-        for (std::uint64_t job = 1 + static_cast<std::uint64_t>(p);
-             job <= kJobs; job += 4) {
-          stream_job(service, job, level(job));
-        }
-      });
-    }
-    for (auto& producer : producers) producer.join();
-    done_producing.store(true);
-    scorer.join();
-    drainer.join();
-
     const std::string context = "threads=" + std::to_string(threads);
-    verdicts = by_job(std::move(verdicts));
-    ASSERT_EQ(verdicts.size(), kJobs) << context;
-    for (std::size_t i = 0; i < kJobs; ++i) {
-      const RecognitionResult& got = verdicts[i].result;
-      const RecognitionResult& want = baseline[i].result;
-      EXPECT_EQ(verdicts[i].job_id, baseline[i].job_id) << context;
-      EXPECT_EQ(got.prediction(), level(verdicts[i].job_id) == 6030.0 ? "ft"
-                                                                    : "mg")
-          << context << " job " << verdicts[i].job_id;
-      EXPECT_EQ(got.recognized, want.recognized) << context;
-      EXPECT_EQ(got.applications, want.applications) << context;
-      EXPECT_EQ(got.votes, want.votes) << context;
-      EXPECT_EQ(got.label_votes, want.label_votes) << context;
-      EXPECT_EQ(got.matched_labels, want.matched_labels) << context;
-      EXPECT_EQ(got.fingerprint_count, want.fingerprint_count) << context;
-      EXPECT_EQ(got.matched_count, want.matched_count) << context;
-    }
+    util::ThreadPool pool(threads);
+    RecognitionService service = make_service(config);
+    expect_same_verdicts(drive_sliced(service, kJobs, 13, &pool), baseline,
+                         context);
     const RecognitionServiceStats stats = service.stats();
     EXPECT_EQ(stats.samples_rejected, 0u) << context;
     EXPECT_EQ(stats.samples_overflowed, 0u) << context;
+    EXPECT_EQ(stats.pushes_blocked, want.pushes_blocked) << context;
+    EXPECT_EQ(stats.samples_pushed, want.samples_pushed) << context;
+    EXPECT_EQ(stats.samples_late, want.samples_late) << context;
     EXPECT_EQ(stats.active_jobs, 0u) << context;
     EXPECT_EQ(stats.pending_verdicts, 0u) << context;
     EXPECT_EQ(stats.jobs_completed, kJobs) << context;
   }
+}
+
+/// \p jobs plans cycling through the paper's applications, each run
+/// for \p duration seconds on 2 nodes (execution ids 1..jobs).
+std::vector<sim::ExecutionPlan> simulated_plans(
+    const std::vector<std::unique_ptr<sim::AppModel>>& apps,
+    std::size_t jobs, double duration) {
+  std::vector<sim::ExecutionPlan> plans;
+  plans.reserve(jobs);
+  for (std::size_t j = 0; j < jobs; ++j) {
+    sim::ExecutionPlan plan;
+    plan.app = apps[j % apps.size()].get();
+    plan.input_size = "X";
+    plan.node_count = 2;
+    plan.duration_seconds = duration;
+    plan.execution_id = j + 1;
+    plans.push_back(plan);
+  }
+  return plans;
 }
 
 TEST(RecognitionServiceStreaming, ConcurrentSimulatedClusterEndToEnd) {
@@ -591,20 +640,9 @@ TEST(RecognitionServiceStreaming, ConcurrentSimulatedClusterEndToEnd) {
       telemetry::MetricRegistry::standard_catalog();
   const auto apps = sim::make_paper_applications();
   constexpr std::uint64_t kSeed = 2021;
-  constexpr std::size_t kJobs = 64;
   constexpr double kDuration = 125.0;
-
-  std::vector<sim::ExecutionPlan> plans;
-  plans.reserve(kJobs);
-  for (std::size_t j = 0; j < kJobs; ++j) {
-    sim::ExecutionPlan plan;
-    plan.app = apps[j % apps.size()].get();
-    plan.input_size = "X";
-    plan.node_count = 2;
-    plan.duration_seconds = kDuration;
-    plan.execution_id = j + 1;
-    plans.push_back(plan);
-  }
+  const std::vector<sim::ExecutionPlan> plans =
+      simulated_plans(apps, 64, kDuration);
 
   // Bulk-generate the same executions and train on them.
   sim::ClusterSimulator simulator(registry, {"nr_mapped_vmstat"}, kSeed);
@@ -619,8 +657,8 @@ TEST(RecognitionServiceStreaming, ConcurrentSimulatedClusterEndToEnd) {
   const ldms::StreamingRunReport report = ldms::run_concurrent_jobs(
       service, registry, plans, samplers, kSeed, kDuration, &pool);
 
-  EXPECT_EQ(report.jobs_run, kJobs);
-  ASSERT_EQ(report.verdicts, kJobs);
+  EXPECT_EQ(report.jobs_run, plans.size());
+  ASSERT_EQ(report.verdicts, plans.size());
 
   const Matcher offline_matcher(service.dictionary());
   for (const JobVerdict& verdict : report.job_verdicts) {
@@ -633,6 +671,47 @@ TEST(RecognitionServiceStreaming, ConcurrentSimulatedClusterEndToEnd) {
     EXPECT_EQ(verdict.result.votes, offline.votes) << "job " << verdict.job_id;
   }
   EXPECT_EQ(service.stats().active_jobs, 0u);
+}
+
+TEST(RecognitionServiceStreaming, ManyConcurrentJobsFromManyThreads) {
+  // 64 jobs sampled on 8 competing threads whose feeds share one service
+  // through run_concurrent_jobs' feed mutex: the verdict table and the
+  // lifetime counters equal a run sampled on one thread. TSan-validates
+  // the feed lock.
+  const telemetry::MetricRegistry registry =
+      telemetry::MetricRegistry::standard_catalog();
+  const auto apps = sim::make_paper_applications();
+  constexpr std::uint64_t kSeed = 7;
+  constexpr double kDuration = 125.0;
+  const std::vector<sim::ExecutionPlan> plans =
+      simulated_plans(apps, 64, kDuration);
+  sim::ClusterSimulator simulator(registry, {"nr_mapped_vmstat"}, kSeed);
+  telemetry::Dataset dataset({"nr_mapped_vmstat"});
+  for (const sim::ExecutionPlan& plan : plans) dataset.add(simulator.run(plan));
+  const Dictionary dictionary = train_dictionary(dataset, config_of());
+  const auto samplers = ldms::make_standard_samplers(registry);
+
+  const auto run = [&](std::size_t threads) {
+    RecognitionService service(dictionary);
+    util::ThreadPool pool(threads);
+    ldms::StreamingRunReport report = ldms::run_concurrent_jobs(
+        service, registry, plans, samplers, kSeed, kDuration, &pool);
+    std::sort(report.job_verdicts.begin(), report.job_verdicts.end(),
+              [](const JobVerdict& a, const JobVerdict& b) {
+                return a.job_id < b.job_id;
+              });
+    return std::make_pair(std::move(report), service.stats());
+  };
+  const auto [want, want_stats] = run(1);
+  const auto [got, got_stats] = run(8);
+  ASSERT_EQ(want.verdicts, plans.size());
+  EXPECT_GT(want.recognized, 0u);
+  expect_same_verdicts(got.job_verdicts, want.job_verdicts, "8 threads");
+  EXPECT_EQ(got.recognized, want.recognized);
+  EXPECT_EQ(got_stats.samples_pushed, want_stats.samples_pushed);
+  EXPECT_EQ(got_stats.samples_late, want_stats.samples_late);
+  EXPECT_EQ(got_stats.jobs_completed, plans.size());
+  EXPECT_EQ(got_stats.active_jobs, 0u);
 }
 
 }  // namespace

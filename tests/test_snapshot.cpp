@@ -1,8 +1,8 @@
 /// \file test_snapshot.cpp
 /// \brief EFD-SNAP-V1 service snapshot/restore tests: mid-stream
 /// round-trips with verdict parity and stats continuity, pending-verdict
-/// survival, epoch continuity across hot-swaps, concurrent
-/// snapshot-under-traffic consistency (TSan material), and fuzz-style
+/// survival, epoch continuity across hot-swaps, captures interleaved
+/// with live traffic and pooled drains (TSan material), and fuzz-style
 /// hostile-input tests for the decoder — truncated, corrupted, and
 /// adversarial length-prefixed sections must never crash, over-read, or
 /// over-allocate, mirroring test_wire_format.cpp's fuzz discipline.
@@ -12,11 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <random>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "core/online/recognition_service.hpp"
@@ -508,63 +506,71 @@ TEST_F(SnapshotFixture, PooledDrainMidStreamRestoreYieldsIdenticalVerdicts) {
 }
 
 TEST_F(SnapshotFixture, SnapshotUnderLiveTrafficStaysRestorable) {
-  // Producers hammer the service while a snapshotter captures it in a
-  // loop: every capture must be internally consistent (restorable into
-  // a fresh service without error). TSan-validates snapshot() against
-  // the drain-token and verdict-queue locking, once with inline drains
-  // in push() and once deferred, with a scorer thread fanning
-  // process_pending across a pool (the serve --threads shape).
+  // The owner interleaves captures with live traffic: after every slice
+  // of pushes, and in deferred mode after every pooled drain too (the
+  // serve --threads shape). Each capture is one consistent point —
+  // every job is exactly one open stream or one pending verdict — and
+  // finishing any restored capture yields the uninterrupted run's
+  // verdict table.
+  const auto level = [](std::uint64_t job) {
+    return job % 2 == 0 ? 6030.0 : 6080.0;
+  };
+  const auto by_job = [](std::vector<JobVerdict> verdicts) {
+    std::sort(verdicts.begin(), verdicts.end(),
+              [](const JobVerdict& a, const JobVerdict& b) {
+                return a.job_id < b.job_id;
+              });
+    return verdicts;
+  };
+  constexpr std::uint64_t kJobs = 8;
   for (const bool deferred : {false, true}) {
+    const std::string mode = deferred ? "deferred" : "inline";
     RecognitionServiceConfig config;
     config.deferred = deferred;
+    util::ThreadPool pool(2);
     RecognitionService service = make_service(config);
-    constexpr std::uint64_t kJobs = 8;
-    constexpr int kRounds = 6;
     for (std::uint64_t job = 1; job <= kJobs; ++job) {
       ASSERT_TRUE(service.open_job(job, 2));
     }
 
     std::vector<std::string> captures;
-    std::atomic<bool> done{false};
-    std::thread snapshotter([&] {
-      while (!done.load(std::memory_order_acquire)) {
-        std::ostringstream out;
-        service.snapshot(out, captures.size());
-        captures.push_back(std::move(out).str());
-        std::this_thread::yield();
+    std::vector<int> streamed_to;  // ticks pushed when each was taken
+    const auto capture = [&](int to) {
+      std::ostringstream out;
+      service.snapshot(out, captures.size());
+      captures.push_back(std::move(out).str());
+      streamed_to.push_back(to);
+    };
+    for (int t = 0; t < 130; t += 10) {
+      for (std::uint64_t job = 1; job <= kJobs; ++job) {
+        stream_range(service, job, level(job), t, t + 10);
       }
-    });
-    util::ThreadPool pool(2);
-    std::thread scorer([&] {
-      while (deferred && !done.load(std::memory_order_acquire)) {
+      capture(t + 10);
+      if (deferred) {
         service.process_pending(&pool);
-        std::this_thread::yield();
+        capture(t + 10);
       }
-    });
-
-    std::vector<std::thread> producers;
-    for (int p = 0; p < 4; ++p) {
-      producers.emplace_back([&, p] {
-        for (int round = 0; round < kRounds; ++round) {
-          for (std::uint64_t job = 1 + static_cast<std::uint64_t>(p);
-               job <= kJobs; job += 4) {
-            stream_range(service, job, job % 2 == 0 ? 6030.0 : 6080.0, 0,
-                         130);
-          }
-        }
-      });
     }
-    for (auto& producer : producers) producer.join();
-    done.store(true, std::memory_order_release);
-    snapshotter.join();
-    scorer.join();
+    const std::vector<JobVerdict> want = by_job(service.drain_verdicts());
+    ASSERT_EQ(want.size(), kJobs) << mode;
 
-    ASSERT_FALSE(captures.empty());
     for (std::size_t i = 0; i < captures.size(); ++i) {
-      RecognitionService fresh = make_service();
+      const std::string context = mode + " capture " + std::to_string(i);
+      RecognitionService restored = make_service(config);
       std::istringstream in(captures[i]);
-      const ServiceRestoreInfo info = fresh.restore(in);
-      EXPECT_EQ(info.replay_cursor, i) << "deferred=" << deferred;
+      const ServiceRestoreInfo info = restored.restore(in);
+      EXPECT_EQ(info.replay_cursor, i) << context;
+      EXPECT_EQ(info.jobs_restored + info.verdicts_restored, kJobs) << context;
+      for (std::uint64_t job = 1; job <= kJobs; ++job) {
+        stream_range(restored, job, level(job), streamed_to[i], 130);
+      }
+      restored.process_pending(&pool);
+      const std::vector<JobVerdict> got = by_job(restored.drain_verdicts());
+      ASSERT_EQ(got.size(), kJobs) << context;
+      for (std::size_t j = 0; j < kJobs; ++j) {
+        EXPECT_EQ(got[j].job_id, want[j].job_id) << context;
+        expect_same_result(got[j].result, want[j].result, context);
+      }
     }
   }
 }

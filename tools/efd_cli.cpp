@@ -9,8 +9,8 @@
 ///   dump       print a dictionary in Table 4's layout
 ///   stats      dictionary statistics (exclusiveness, collisions)
 ///   evaluate   run one of the paper's five experiments
-///   serve-sim  run the concurrent RecognitionService over many
-///              simultaneously monitored simulated jobs
+///   serve-sim  run the RecognitionService over many simultaneously
+///              monitored simulated jobs
 ///   serve      serve a trained dictionary over TCP: node daemons (or
 ///              `replay`) stream EFD-WIRE-V1 frames in, verdicts flow
 ///              back over the same connection. --snapshot-path makes the
