@@ -160,7 +160,7 @@ void IngestPipeline::maybe_rebind_reply(
   if (reply == nullptr || replies_.contains(job_id)) return;
   if (!service_.has_job(job_id)) return;
   replies_[job_id] = ReplyRoute{reply, source};
-  jobs_rebound_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.jobs_rebound;
 }
 
 void IngestPipeline::deliver_parked(
@@ -172,7 +172,7 @@ void IngestPipeline::deliver_parked(
   reply->deliver(it->second);
   parked_verdicts_.erase(it);
   sources_->note_verdict(source);
-  verdicts_delivered_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.verdicts_delivered;
 }
 
 void IngestPipeline::observe_sink(const std::shared_ptr<VerdictSink>& reply) {
@@ -202,7 +202,7 @@ void IngestPipeline::dispatch(Envelope& envelope) {
       deliver_parked(message.job_id, envelope.reply, envelope.source);
       if (service_.open_job(message.job_id, message.node_count,
                             envelope.source)) {
-        jobs_opened_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.jobs_opened;
         replies_[message.job_id] =
             ReplyRoute{envelope.reply, envelope.source};
         if (config_.retrain != nullptr) {
@@ -210,7 +210,7 @@ void IngestPipeline::dispatch(Envelope& envelope) {
               message.job_id, message.node_count, envelope.source);
         }
       } else {
-        open_rejected_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.open_rejected;
         // Open for a job restored from a snapshot: the stream already
         // exists, but the new connection is its emitter now.
         maybe_rebind_reply(message.job_id, envelope.reply, envelope.source);
@@ -228,7 +228,7 @@ void IngestPipeline::dispatch(Envelope& envelope) {
                             std::string_view(sample.metric)});
       }
       service_.push_batch(message.job_id, scratch_);
-      samples_.fetch_add(message.samples.size(), std::memory_order_relaxed);
+      stats_.samples += message.samples.size();
       if (config_.retrain != nullptr) {
         // Zero-copy capture tap: this batch is fully dispatched; the
         // recorder moves the samples it wants out of the vector.
@@ -248,7 +248,7 @@ void IngestPipeline::dispatch(Envelope& envelope) {
       deliver_parked(message.job_id, envelope.reply, envelope.source);
       maybe_rebind_reply(message.job_id, envelope.reply, envelope.source);
       if (service_.close_job(message.job_id)) {
-        jobs_closed_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.jobs_closed;
       }
       break;
     case MessageType::kShutdown:
@@ -256,7 +256,7 @@ void IngestPipeline::dispatch(Envelope& envelope) {
       break;
     case MessageType::kSwapDictionary: {
       if (!config_.allow_dictionary_swap) {
-        swaps_rejected_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.swaps_rejected;
         if (envelope.reply != nullptr) {
           envelope.reply->deliver(make_swap_ack(
               false, service_.dictionary_handle().version(),
@@ -274,7 +274,7 @@ void IngestPipeline::dispatch(Envelope& envelope) {
           // A byte-identical candidate must not burn an epoch; tell the
           // operator their push was a no-op instead of acking a "new"
           // epoch that never existed.
-          swaps_rejected_.fetch_add(1, std::memory_order_relaxed);
+          ++stats_.swaps_rejected;
           if (envelope.reply != nullptr) {
             envelope.reply->deliver(make_swap_ack(
                 false, outcome.epoch,
@@ -283,12 +283,12 @@ void IngestPipeline::dispatch(Envelope& envelope) {
           }
           break;
         }
-        dictionary_swaps_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.dictionary_swaps;
         if (envelope.reply != nullptr) {
           envelope.reply->deliver(make_swap_ack(true, outcome.epoch));
         }
       } catch (const std::exception& error) {
-        swaps_rejected_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.swaps_rejected;
         if (envelope.reply != nullptr) {
           envelope.reply->deliver(
               make_swap_ack(false, service_.dictionary_handle().version(),
@@ -298,7 +298,7 @@ void IngestPipeline::dispatch(Envelope& envelope) {
       break;
     }
     case MessageType::kStatsRequest:
-      stats_requests_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.stats_requests;
       if (envelope.reply != nullptr) {
         envelope.reply->deliver(make_stats_reply(render_stats_text()));
       }
@@ -312,14 +312,14 @@ void IngestPipeline::dispatch(Envelope& envelope) {
     case MessageType::kSnapAck:
       // A follower's receipt: the capture is durable on ITS disk (or
       // was rejected — the follower re-handshakes on its own).
-      (envelope.message.snap_ack.ok ? snap_acks_ok_ : snap_acks_failed_)
-          .fetch_add(1, std::memory_order_relaxed);
+      ++(envelope.message.snap_ack.ok ? stats_.snap_acks_ok
+                                      : stats_.snap_acks_failed);
       break;
     case MessageType::kPromote:
       // Promotion is a follower-side operation; a leader politely
       // declines so `efd_cli promote` pointed at the wrong endpoint
       // fails loudly instead of hanging.
-      unexpected_messages_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.unexpected_messages;
       if (envelope.reply != nullptr) {
         envelope.reply->deliver(
             make_promote_ack(false, 0, "this endpoint is not a follower"));
@@ -337,7 +337,7 @@ void IngestPipeline::dispatch(Envelope& envelope) {
     default:
       // Verdicts, acks, stats replies, retrain reports, and replicated
       // captures flow outbound only; anything else is a peer bug.
-      unexpected_messages_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.unexpected_messages;
       break;
   }
 }
@@ -347,19 +347,17 @@ void IngestPipeline::handle_subscribe(Envelope& envelope) {
     // Fire-and-forget transport (UDP, replayed file): there is no
     // channel to stream events back on, so the subscription is a peer
     // bug, not a half-honorable request.
-    unexpected_messages_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.unexpected_messages;
     return;
   }
   if (hub_ == nullptr) {
     // Lazy: a pipeline nobody subscribes to never pays for the hub's
-    // dispatcher thread. Created on the run() thread; readers (stats,
-    // /metrics) see it only through the released pointer below.
+    // dispatcher thread.
     hub_ = std::make_unique<SubscriptionHub>(config_.subscriber_queue_capacity);
-    hub_ptr_.store(hub_.get(), std::memory_order_release);
   }
   const std::uint64_t id =
       hub_->subscribe(envelope.reply, std::move(envelope.message.subscribe));
-  subscribe_requests_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.subscribe_requests;
   envelope.reply->deliver(make_subscribe_ack(true, id));
 }
 
@@ -398,41 +396,40 @@ std::string IngestPipeline::render_stats_text() const {
         << prefix << "samples_pushed " << ingress.samples_pushed << "\n";
   }
 
-  const IngestPipelineStats pipeline = stats();
-  out << "ingest.envelopes " << pipeline.envelopes << "\n"
-      << "ingest.samples " << pipeline.samples << "\n"
-      << "ingest.jobs_opened " << pipeline.jobs_opened << "\n"
-      << "ingest.open_rejected " << pipeline.open_rejected << "\n"
-      << "ingest.jobs_closed " << pipeline.jobs_closed << "\n"
-      << "ingest.verdicts_delivered " << pipeline.verdicts_delivered << "\n"
-      << "ingest.unexpected_messages " << pipeline.unexpected_messages << "\n"
-      << "ingest.sweeps " << pipeline.sweeps << "\n"
-      << "ingest.evicted " << pipeline.evicted << "\n"
-      << "ingest.snapshots_written " << pipeline.snapshots_written << "\n"
-      << "ingest.snapshot_failures " << pipeline.snapshot_failures << "\n"
-      << "ingest.snapshot_bases " << pipeline.snapshot_bases << "\n"
-      << "ingest.snapshot_deltas " << pipeline.snapshot_deltas << "\n"
+  out << "ingest.envelopes " << stats_.envelopes << "\n"
+      << "ingest.samples " << stats_.samples << "\n"
+      << "ingest.jobs_opened " << stats_.jobs_opened << "\n"
+      << "ingest.open_rejected " << stats_.open_rejected << "\n"
+      << "ingest.jobs_closed " << stats_.jobs_closed << "\n"
+      << "ingest.verdicts_delivered " << stats_.verdicts_delivered << "\n"
+      << "ingest.unexpected_messages " << stats_.unexpected_messages << "\n"
+      << "ingest.sweeps " << stats_.sweeps << "\n"
+      << "ingest.evicted " << stats_.evicted << "\n"
+      << "ingest.snapshots_written " << stats_.snapshots_written << "\n"
+      << "ingest.snapshot_failures " << stats_.snapshot_failures << "\n"
+      << "ingest.snapshot_bases " << stats_.snapshot_bases << "\n"
+      << "ingest.snapshot_deltas " << stats_.snapshot_deltas << "\n"
       << "ingest.restore_deltas_discarded "
-      << pipeline.restore_deltas_discarded << "\n"
-      << "ingest.followers_accepted " << pipeline.followers_accepted << "\n"
-      << "ingest.follow_rejected " << pipeline.follow_rejected << "\n"
-      << "ingest.captures_replicated " << pipeline.captures_replicated << "\n"
-      << "ingest.captures_oversize " << pipeline.captures_oversize << "\n"
-      << "ingest.snap_acks_ok " << pipeline.snap_acks_ok << "\n"
-      << "ingest.snap_acks_failed " << pipeline.snap_acks_failed << "\n"
-      << "ingest.jobs_restored " << pipeline.jobs_restored << "\n"
-      << "ingest.jobs_rebound " << pipeline.jobs_rebound << "\n"
-      << "ingest.dictionary_swaps " << pipeline.dictionary_swaps << "\n"
-      << "ingest.swaps_rejected " << pipeline.swaps_rejected << "\n"
-      << "ingest.stats_requests " << pipeline.stats_requests << "\n"
-      << "ingest.retrain_reports " << pipeline.retrain_reports << "\n"
-      << "ingest.subscribe_requests " << pipeline.subscribe_requests << "\n"
-      << "ingest.verdict_events " << pipeline.verdict_events << "\n";
+      << stats_.restore_deltas_discarded << "\n"
+      << "ingest.followers_accepted " << stats_.followers_accepted << "\n"
+      << "ingest.follow_rejected " << stats_.follow_rejected << "\n"
+      << "ingest.captures_replicated " << stats_.captures_replicated << "\n"
+      << "ingest.captures_oversize " << stats_.captures_oversize << "\n"
+      << "ingest.snap_acks_ok " << stats_.snap_acks_ok << "\n"
+      << "ingest.snap_acks_failed " << stats_.snap_acks_failed << "\n"
+      << "ingest.jobs_restored " << stats_.jobs_restored << "\n"
+      << "ingest.jobs_rebound " << stats_.jobs_rebound << "\n"
+      << "ingest.dictionary_swaps " << stats_.dictionary_swaps << "\n"
+      << "ingest.swaps_rejected " << stats_.swaps_rejected << "\n"
+      << "ingest.stats_requests " << stats_.stats_requests << "\n"
+      << "ingest.retrain_reports " << stats_.retrain_reports << "\n"
+      << "ingest.subscribe_requests " << stats_.subscribe_requests << "\n"
+      << "ingest.verdict_events " << stats_.verdict_events << "\n";
 
   // The scrape format is one value token per line, so the reason text
   // is whitespace-folded; "none" keeps the row present (and diffable)
   // on healthy endpoints.
-  std::string snapshot_error = pipeline.snapshot_last_error;
+  std::string snapshot_error = stats_.snapshot_last_error;
   if (snapshot_error.empty()) {
     snapshot_error = "none";
   } else {
@@ -523,8 +520,8 @@ std::string IngestPipeline::render_stats_text() const {
 
   // One row block per live verdict subscriber: delivered/dropped tell an
   // operator WHICH consumer is too slow for the verdict rate.
-  if (const SubscriptionHub* hub = hub_ptr_.load(std::memory_order_acquire)) {
-    for (const SubscriptionHub::SubscriberStats& sub : hub->stats()) {
+  if (hub_ != nullptr) {
+    for (const SubscriptionHub::SubscriberStats& sub : hub_->stats()) {
       const std::string prefix = "subscriber." + std::to_string(sub.id) + ".";
       out << prefix << "delivered " << sub.delivered << "\n"
           << prefix << "dropped " << sub.dropped << "\n"
@@ -555,12 +552,11 @@ std::string IngestPipeline::render_stats_text() const {
 }
 
 std::string IngestPipeline::render_index_json() const {
-  // The service is read under service_mutex_ (held by the caller); the
-  // rest are thread-safe snapshots (mux stats, this pipeline's atomics).
+  // The caller holds service_mutex_, so the service and this pipeline's
+  // own state read as of the last poll boundary.
   constexpr std::size_t kMaxListedJobs = 256;
   const core::RecognitionServiceStats service = service_.stats();
   const std::vector<std::uint64_t> jobs = service_.open_job_ids();
-  const IngestPipelineStats pipeline = stats();
 
   std::ostringstream out;
   out << "{\"uptime_seconds\":"
@@ -594,23 +590,23 @@ std::string IngestPipeline::render_index_json() const {
   }
   out << "]";
 
-  out << ",\"snapshot_chain\":{\"length\":"
-      << chain_length_.load(std::memory_order_relaxed)
+  // The last capture written, not chain_.last_capture_id: a failed
+  // write zeroes that to force a fresh base.
+  out << ",\"snapshot_chain\":{\"length\":" << chain_records_.size()
       << ",\"last_capture_id\":"
-      << chain_last_capture_id_.load(std::memory_order_relaxed)
-      << ",\"written\":" << pipeline.snapshots_written
-      << ",\"failures\":" << pipeline.snapshot_failures
-      << ",\"last_error\":\"" << json_escape(pipeline.snapshot_last_error)
+      << (chain_records_.empty() ? 0 : chain_records_.back().capture_id)
+      << ",\"written\":" << stats_.snapshots_written
+      << ",\"failures\":" << stats_.snapshot_failures
+      << ",\"last_error\":\"" << json_escape(stats_.snapshot_last_error)
       << "\"}";
 
-  out << ",\"followers\":{\"live\":"
-      << followers_live_.load(std::memory_order_relaxed)
-      << ",\"accepted\":" << pipeline.followers_accepted << "}";
+  out << ",\"followers\":{\"live\":" << followers_.size()
+      << ",\"accepted\":" << stats_.followers_accepted << "}";
 
   out << ",\"subscribers\":[";
-  if (const SubscriptionHub* hub = hub_ptr_.load(std::memory_order_acquire)) {
+  if (hub_ != nullptr) {
     first = true;
-    for (const SubscriptionHub::SubscriberStats& sub : hub->stats()) {
+    for (const SubscriptionHub::SubscriberStats& sub : hub_->stats()) {
       if (!first) out << ',';
       first = false;
       out << "{\"id\":" << sub.id << ",\"delivered\":" << sub.delivered
@@ -640,18 +636,13 @@ void IngestPipeline::publish_retrain_reports() {
     for (auto it = observers_.begin(); it != observers_.end();) {
       if (const auto sink = it->second.lock()) {
         sink->deliver(message);
-        retrain_reports_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.retrain_reports;
         ++it;
       } else {
         it = observers_.erase(it);  // connection is gone
       }
     }
   }
-}
-
-void IngestPipeline::set_snapshot_error(std::string reason) {
-  const std::lock_guard<std::mutex> lock(error_mutex_);
-  snapshot_last_error_ = std::move(reason);
 }
 
 void IngestPipeline::write_snapshot() {
@@ -680,15 +671,14 @@ void IngestPipeline::write_snapshot() {
     const bool force_base =
         config_.snapshot_chain_limit == 0 ||
         chain_.deltas_since_base >= config_.snapshot_chain_limit;
-    info = service_.snapshot_capture(
-        buffer, chain_, force_base,
-        envelopes_.load(std::memory_order_relaxed), retrain_state, cursors);
+    info = service_.snapshot_capture(buffer, chain_, force_base,
+                                     stats_.envelopes, retrain_state, cursors);
   } catch (const std::exception& error) {
     // Durability is best-effort while serving: count it, surface the
     // reason in the scrape, keep going. The chain state is untouched
     // (snapshot_capture commits only on success).
-    snapshot_failures_.fetch_add(1, std::memory_order_relaxed);
-    set_snapshot_error(error.what());
+    ++stats_.snapshot_failures;
+    stats_.snapshot_last_error = error.what();
     return;
   }
 
@@ -698,8 +688,8 @@ void IngestPipeline::write_snapshot() {
                 : delta_path(config_.snapshot_path, info.capture_id);
   std::string error;
   if (!write_file_durable(target, blob.data(), blob.size(), &error)) {
-    snapshot_failures_.fetch_add(1, std::memory_order_relaxed);
-    set_snapshot_error(target + ": " + error);
+    ++stats_.snapshot_failures;
+    stats_.snapshot_last_error = target + ": " + error;
     // The capture id is burned but its bytes never became durable, so
     // the on-disk chain no longer links to the in-memory one: force
     // the next capture to start a fresh base.
@@ -712,10 +702,10 @@ void IngestPipeline::write_snapshot() {
     // longer chain — which restore detects and discards loudly in
     // favor of this (correct) base.
     remove_chain_deltas(config_.snapshot_path);
-    snapshot_bases_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.snapshot_bases;
     chain_records_.clear();
   } else {
-    snapshot_deltas_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.snapshot_deltas;
   }
 
   // Remember the capture for follower catch-up and stream it to every
@@ -731,7 +721,7 @@ void IngestPipeline::write_snapshot() {
   }
   if (!followers_.empty()) {
     if (record.bytes == nullptr) {
-      captures_oversize_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.captures_oversize;
     } else {
       const Message frame =
           make_snap_capture(record.base, record.capture_id, record.parent_id,
@@ -739,7 +729,7 @@ void IngestPipeline::write_snapshot() {
       for (auto it = followers_.begin(); it != followers_.end();) {
         if (const auto sink = it->lock()) {
           sink->deliver(frame);
-          captures_replicated_.fetch_add(1, std::memory_order_relaxed);
+          ++stats_.captures_replicated;
           ++it;
         } else {
           it = followers_.erase(it);  // follower is gone
@@ -748,16 +738,9 @@ void IngestPipeline::write_snapshot() {
     }
   }
   chain_records_.push_back(std::move(record));
-  // Mirror the run()-thread-only chain/follower bookkeeping into atomics
-  // for the HTTP /index handler.
-  chain_length_.store(chain_records_.size(), std::memory_order_relaxed);
-  chain_last_capture_id_.store(info.capture_id, std::memory_order_relaxed);
-  followers_live_.store(followers_.size(), std::memory_order_relaxed);
 
-  const std::uint64_t count =
-      snapshots_written_.fetch_add(1, std::memory_order_relaxed) + 1;
-  verdicts_at_last_snapshot_ =
-      verdicts_delivered_.load(std::memory_order_relaxed);
+  const std::uint64_t count = ++stats_.snapshots_written;
+  verdicts_at_last_snapshot_ = stats_.verdicts_delivered;
   if (config_.on_snapshot) config_.on_snapshot(count, target);
 }
 
@@ -765,7 +748,7 @@ void IngestPipeline::handle_follow_request(Envelope& envelope) {
   if (!config_.allow_followers || envelope.reply == nullptr) {
     // Gated off, or a fire-and-forget transport with no channel to
     // stream captures back on.
-    follow_rejected_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.follow_rejected;
     if (envelope.reply != nullptr) {
       envelope.reply->deliver(
           make_snap_ack(false, 0, "followers disabled on this endpoint"));
@@ -791,7 +774,7 @@ void IngestPipeline::handle_follow_request(Envelope& envelope) {
       // Too large for a wire frame (the kSwapDictionary limitation):
       // nothing after it can apply either. The follower re-syncs at
       // the next base small enough to travel.
-      captures_oversize_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.captures_oversize;
       envelope.reply->deliver(make_snap_ack(
           false, record.capture_id,
           "capture exceeds the wire frame limit; awaiting a smaller base"));
@@ -800,15 +783,14 @@ void IngestPipeline::handle_follow_request(Envelope& envelope) {
     envelope.reply->deliver(
         make_snap_capture(record.base, record.capture_id, record.parent_id,
                           std::vector<std::uint8_t>(*record.bytes)));
-    captures_replicated_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.captures_replicated;
   }
 
-  followers_accepted_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.followers_accepted;
   for (const std::weak_ptr<VerdictSink>& existing : followers_) {
     if (existing.lock() == envelope.reply) return;  // re-handshake, same link
   }
   followers_.push_back(envelope.reply);
-  followers_live_.store(followers_.size(), std::memory_order_relaxed);
 }
 
 std::uint64_t IngestPipeline::flush_verdicts() {
@@ -844,7 +826,7 @@ std::uint64_t IngestPipeline::flush_verdicts() {
       event.verdict_event.source = verdict.source;
       event.verdict_event.latency_ns = latency_ns;
       hub->publish(event, event.verdict.application);
-      verdict_events_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.verdict_events;
     }
     if (config_.retrain != nullptr) {
       // Capture tap: the verdict's label is what the captured samples
@@ -878,7 +860,7 @@ std::uint64_t IngestPipeline::flush_verdicts() {
   messages.clear();
   routes.clear();
   if (delivered > 0) {
-    verdicts_delivered_.fetch_add(delivered, std::memory_order_relaxed);
+    stats_.verdicts_delivered += delivered;
     // Only flushes that moved a verdict are observed — the poll loop
     // calls this every iteration and empty passes would swamp the
     // histogram with no-op timings.
@@ -910,11 +892,10 @@ std::uint64_t IngestPipeline::run() {
         // The base restored but its delta chain did not: the discard
         // is loud — stderr for the operator, the scrape for monitors —
         // never a silent rewind to older state.
-        restore_deltas_discarded_.store(restored.deltas_discarded,
-                                        std::memory_order_relaxed);
-        set_snapshot_error("restore discarded " +
-                           std::to_string(restored.deltas_discarded) +
-                           " delta(s): " + restored.fallback_error);
+        stats_.restore_deltas_discarded = restored.deltas_discarded;
+        stats_.snapshot_last_error =
+            "restore discarded " + std::to_string(restored.deltas_discarded) +
+            " delta(s): " + restored.fallback_error;
         std::fprintf(stderr,
                      "warning: snapshot chain at %s: discarded %zu delta(s) "
                      "and fell back to the base: %s\n",
@@ -926,7 +907,7 @@ std::uint64_t IngestPipeline::run() {
       // follower that held the old chain sees a reset, never a rewind.
       chain_.next_capture_id = restored.last_capture_id + 1;
       const core::ServiceRestoreInfo& info = restored.info;
-      jobs_restored_.store(info.jobs_restored, std::memory_order_relaxed);
+      stats_.jobs_restored = info.jobs_restored;
       // Seed per-source envelope counters from the snapshot's named
       // cursors, so lifetime source.<id>.* rows stay continuous across
       // the restart. A cursor whose name no longer matches a registered
@@ -976,7 +957,7 @@ std::uint64_t IngestPipeline::run() {
     more = sources_->poll(batch, config_.poll_timeout);
     service_lock.lock();
     if (!batch.empty()) {
-      envelopes_.fetch_add(batch.size(), std::memory_order_relaxed);
+      stats_.envelopes += batch.size();
       for (Envelope& envelope : batch) dispatch(envelope);
     }
 
@@ -989,9 +970,9 @@ std::uint64_t IngestPipeline::run() {
     const auto now = std::chrono::steady_clock::now();
     if (now - last_sweep >= config_.sweep_interval) {
       const std::size_t evicted = service_.sweep_stale_jobs();
-      sweeps_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.sweeps;
       if (evicted > 0) {
-        evicted_.fetch_add(evicted, std::memory_order_relaxed);
+        stats_.evicted += evicted;
         total_delivered += flush_verdicts();
       }
       last_sweep = now;
@@ -1012,8 +993,7 @@ std::uint64_t IngestPipeline::run() {
           now - last_snapshot >= config_.snapshot_interval;
       const bool verdicts_due =
           config_.snapshot_every_verdicts > 0 &&
-          verdicts_delivered_.load(std::memory_order_relaxed) -
-                  verdicts_at_last_snapshot_ >=
+          stats_.verdicts_delivered - verdicts_at_last_snapshot_ >=
               config_.snapshot_every_verdicts;
       if (interval_due || verdicts_due) {
         write_snapshot();
@@ -1022,8 +1002,7 @@ std::uint64_t IngestPipeline::run() {
     }
 
     if (config_.max_verdicts != 0 &&
-        verdicts_delivered_.load(std::memory_order_relaxed) >=
-            config_.max_verdicts) {
+        stats_.verdicts_delivered >= config_.max_verdicts) {
       break;
     }
   }
@@ -1037,7 +1016,7 @@ std::uint64_t IngestPipeline::run() {
     for (const auto& [job_id, route] : replies_) open_jobs.push_back(job_id);
     for (const std::uint64_t job_id : open_jobs) {
       if (service_.close_job(job_id)) {
-        jobs_closed_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.jobs_closed;
       }
     }
     total_delivered += flush_verdicts();
@@ -1057,49 +1036,6 @@ std::uint64_t IngestPipeline::run() {
     write_snapshot();
   }
   return total_delivered;
-}
-
-IngestPipelineStats IngestPipeline::stats() const {
-  IngestPipelineStats stats;
-  stats.envelopes = envelopes_.load(std::memory_order_relaxed);
-  stats.samples = samples_.load(std::memory_order_relaxed);
-  stats.jobs_opened = jobs_opened_.load(std::memory_order_relaxed);
-  stats.open_rejected = open_rejected_.load(std::memory_order_relaxed);
-  stats.jobs_closed = jobs_closed_.load(std::memory_order_relaxed);
-  stats.verdicts_delivered =
-      verdicts_delivered_.load(std::memory_order_relaxed);
-  stats.unexpected_messages =
-      unexpected_messages_.load(std::memory_order_relaxed);
-  stats.sweeps = sweeps_.load(std::memory_order_relaxed);
-  stats.evicted = evicted_.load(std::memory_order_relaxed);
-  stats.snapshots_written = snapshots_written_.load(std::memory_order_relaxed);
-  stats.snapshot_failures = snapshot_failures_.load(std::memory_order_relaxed);
-  stats.snapshot_bases = snapshot_bases_.load(std::memory_order_relaxed);
-  stats.snapshot_deltas = snapshot_deltas_.load(std::memory_order_relaxed);
-  stats.restore_deltas_discarded =
-      restore_deltas_discarded_.load(std::memory_order_relaxed);
-  stats.followers_accepted =
-      followers_accepted_.load(std::memory_order_relaxed);
-  stats.follow_rejected = follow_rejected_.load(std::memory_order_relaxed);
-  stats.captures_replicated =
-      captures_replicated_.load(std::memory_order_relaxed);
-  stats.captures_oversize = captures_oversize_.load(std::memory_order_relaxed);
-  stats.snap_acks_ok = snap_acks_ok_.load(std::memory_order_relaxed);
-  stats.snap_acks_failed = snap_acks_failed_.load(std::memory_order_relaxed);
-  {
-    const std::lock_guard<std::mutex> lock(error_mutex_);
-    stats.snapshot_last_error = snapshot_last_error_;
-  }
-  stats.jobs_restored = jobs_restored_.load(std::memory_order_relaxed);
-  stats.jobs_rebound = jobs_rebound_.load(std::memory_order_relaxed);
-  stats.dictionary_swaps = dictionary_swaps_.load(std::memory_order_relaxed);
-  stats.swaps_rejected = swaps_rejected_.load(std::memory_order_relaxed);
-  stats.stats_requests = stats_requests_.load(std::memory_order_relaxed);
-  stats.retrain_reports = retrain_reports_.load(std::memory_order_relaxed);
-  stats.subscribe_requests =
-      subscribe_requests_.load(std::memory_order_relaxed);
-  stats.verdict_events = verdict_events_.load(std::memory_order_relaxed);
-  return stats;
 }
 
 }  // namespace efd::ingest

@@ -68,7 +68,11 @@
 /// Threading: run() occupies the calling thread until the source is
 /// exhausted, a Shutdown message arrives (when configured), the verdict
 /// quota is reached, or stop() is called. start()/join() wrap run() in
-/// an internal thread. stats() is safe from any thread.
+/// an internal thread. The run() thread owns the pipeline: its counters
+/// are plain fields, written under service_mutex_. The HTTP handlers
+/// take that mutex to read them; every other reader calls stats() on
+/// the run() thread or after run() returns. stop() is safe from any
+/// thread.
 
 #include <atomic>
 #include <chrono>
@@ -239,7 +243,9 @@ class IngestPipeline {
   /// Joins the start() thread (no-op without start()).
   void join();
 
-  IngestPipelineStats stats() const;
+  /// The pipeline's counters. Call on the run() thread or after run()
+  /// returns (join()); the HTTP handlers read them under the lock.
+  const IngestPipelineStats& stats() const noexcept { return stats_; }
 
   /// The registered source set (per-source counters live here).
   const SourceMux& sources() const noexcept { return *sources_; }
@@ -256,12 +262,12 @@ class IngestPipeline {
   };
 
   /// Flat "name value" text block (kStatsReply body / scrape source).
-  /// Reads the service: call with service_mutex_ held.
+  /// Call with service_mutex_ held.
   std::string render_stats_text() const;
 
   /// JSON inventory for GET /index: live jobs, sources, dictionary
-  /// epoch, snapshot-chain and follower state. Reads the service: call
-  /// with service_mutex_ held.
+  /// epoch, snapshot-chain and follower state. Call with service_mutex_
+  /// held.
   std::string render_index_json() const;
 
   void dispatch(Envelope& envelope);
@@ -282,22 +288,21 @@ class IngestPipeline {
   void write_snapshot();
   /// Registers a follower and catches it up from its cursor.
   void handle_follow_request(Envelope& envelope);
-  /// Records the most recent snapshot/restore failure for the scrape.
-  void set_snapshot_error(std::string reason);
-  /// Remembers a connection for retrain-report fan-out (run() thread).
+  /// Remembers a connection for retrain-report fan-out.
   void observe_sink(const std::shared_ptr<VerdictSink>& reply);
   /// Ships finished retrain cycles to every live observed connection.
   void publish_retrain_reports();
-  /// Registers a kSubscribe peer with the hub and acks (run() thread).
+  /// Registers a kSubscribe peer with the hub and acks.
   void handle_subscribe(Envelope& envelope);
   /// Shared constructor tail: stamps the start time and starts the HTTP
   /// listener when configured (bind failure throws TransportError).
   void init_observability();
 
   core::RecognitionService& service_;
-  /// The service has one owner at a time: run() holds this except while
-  /// it waits in SourceMux::poll, and the HTTP /metrics and /index
-  /// handlers hold it while they read the service.
+  /// The service and this pipeline have one owner at a time: run()
+  /// holds this except while it waits in SourceMux::poll, and the HTTP
+  /// /metrics and /index handlers hold it while they read the service,
+  /// stats_, the snapshot chain, the followers and the hub.
   mutable std::mutex service_mutex_;
   /// Legacy single-source wrap (owned); sources_ points at it then.
   std::unique_ptr<SourceMux> owned_mux_;
@@ -306,32 +311,35 @@ class IngestPipeline {
   util::ThreadPool* pool_;
 
   std::thread thread_;
+  /// The one field other threads write (stop()).
   std::atomic<bool> stop_{false};
 
-  /// Reply route per open job (single-consumer state: only touched by
-  /// the run() thread).
+  // Everything below belongs to the run() thread. The HTTP handlers
+  // read stats_, chain_records_, followers_ and hub_ under
+  // service_mutex_.
+
+  /// Reply route per open job.
   std::unordered_map<std::uint64_t, ReplyRoute> replies_;
-  /// Restored pending verdicts awaiting their emitter's reconnect
-  /// (run() thread only).
+  /// Restored pending verdicts awaiting their emitter's reconnect.
   std::unordered_map<std::uint64_t, Message> parked_verdicts_;
   /// Every distinct reply channel seen, for retrain-report broadcast
-  /// (run() thread only; expired entries pruned on publish and by an
-  /// amortized sweep when the map doubles past its post-sweep size).
+  /// (expired entries pruned on publish and by an amortized sweep when
+  /// the map doubles past its post-sweep size).
   std::unordered_map<VerdictSink*, std::weak_ptr<VerdictSink>> observers_;
   std::size_t observers_sweep_at_ = 64;
-  /// Reused per-batch view buffer for push_batch (run() thread only).
+  /// Reused per-batch view buffer for push_batch.
   std::vector<core::RecognitionService::SamplePush> scratch_;
-  /// Reused per-flush staging for batched verdict delivery (run()
-  /// thread only): messages and their routes, index-aligned, so runs of
-  /// verdicts bound for the same connection collapse into one
-  /// deliver_many() — one writev-style syscall instead of N.
+  /// Reused per-flush staging for batched verdict delivery: messages
+  /// and their routes, index-aligned, so runs of verdicts bound for the
+  /// same connection collapse into one deliver_many() — one
+  /// writev-style syscall instead of N.
   std::vector<Message> outbound_verdicts_;
   std::vector<ReplyRoute> outbound_routes_;
-  /// Reused drain_verdicts() output (run() thread only).
+  /// Reused drain_verdicts() output.
   std::vector<core::JobVerdict> drained_verdicts_;
 
-  /// Snapshot-chain bookkeeping (run() thread only): capture ids and
-  /// per-stream digests the incremental writer diffs against.
+  /// Snapshot-chain bookkeeping: capture ids and per-stream digests the
+  /// incremental writer diffs against.
   core::SnapshotChainState chain_;
   /// In-memory copy of the live chain (current base + its deltas) for
   /// follower catch-up; bytes == nullptr marks a capture too large for
@@ -343,58 +351,19 @@ class IngestPipeline {
     std::shared_ptr<const std::vector<std::uint8_t>> bytes;
   };
   std::vector<ChainRecord> chain_records_;
-  /// Live follower reply channels (run() thread only; expired entries
-  /// pruned on every capture broadcast).
+  /// Live follower reply channels (expired entries pruned on every
+  /// capture broadcast).
   std::vector<std::weak_ptr<VerdictSink>> followers_;
 
-  std::atomic<std::uint64_t> envelopes_{0};
-  std::atomic<std::uint64_t> samples_{0};
-  std::atomic<std::uint64_t> jobs_opened_{0};
-  std::atomic<std::uint64_t> open_rejected_{0};
-  std::atomic<std::uint64_t> jobs_closed_{0};
-  std::atomic<std::uint64_t> verdicts_delivered_{0};
-  std::atomic<std::uint64_t> unexpected_messages_{0};
-  std::atomic<std::uint64_t> sweeps_{0};
-  std::atomic<std::uint64_t> evicted_{0};
-  std::atomic<std::uint64_t> snapshots_written_{0};
-  std::atomic<std::uint64_t> snapshot_failures_{0};
-  std::atomic<std::uint64_t> snapshot_bases_{0};
-  std::atomic<std::uint64_t> snapshot_deltas_{0};
-  std::atomic<std::uint64_t> restore_deltas_discarded_{0};
-  std::atomic<std::uint64_t> followers_accepted_{0};
-  std::atomic<std::uint64_t> follow_rejected_{0};
-  std::atomic<std::uint64_t> captures_replicated_{0};
-  std::atomic<std::uint64_t> captures_oversize_{0};
-  std::atomic<std::uint64_t> snap_acks_ok_{0};
-  std::atomic<std::uint64_t> snap_acks_failed_{0};
-  /// Guards snapshot_last_error_ (written on the run() thread, read by
-  /// stats() from anywhere).
-  mutable std::mutex error_mutex_;
-  std::string snapshot_last_error_;
-  std::atomic<std::uint64_t> jobs_restored_{0};
-  std::atomic<std::uint64_t> jobs_rebound_{0};
-  std::atomic<std::uint64_t> dictionary_swaps_{0};
-  std::atomic<std::uint64_t> swaps_rejected_{0};
-  std::atomic<std::uint64_t> stats_requests_{0};
-  std::atomic<std::uint64_t> retrain_reports_{0};
-  std::atomic<std::uint64_t> subscribe_requests_{0};
-  std::atomic<std::uint64_t> verdict_events_{0};
-  /// Verdicts delivered when the last snapshot was taken (run() thread).
+  IngestPipelineStats stats_;
+  /// Verdicts delivered when the last snapshot was taken.
   std::uint64_t verdicts_at_last_snapshot_ = 0;
-
-  /// Atomic mirrors of run()-thread-only chain/follower bookkeeping so
-  /// the HTTP threads can report them without touching chain_records_.
-  std::atomic<std::uint64_t> chain_length_{0};
-  std::atomic<std::uint64_t> chain_last_capture_id_{0};
-  std::atomic<std::uint64_t> followers_live_{0};
 
   /// Construction time (uptime.seconds scrape row).
   std::int64_t start_ns_ = 0;
 
-  /// Verdict pub/sub hub (created lazily on the first kSubscribe; the
-  /// pointer itself is published via atomic for stats readers).
+  /// Verdict pub/sub hub (created lazily on the first kSubscribe).
   std::unique_ptr<SubscriptionHub> hub_;
-  std::atomic<SubscriptionHub*> hub_ptr_{nullptr};
 
   /// HTTP observability listener (config.http_port >= 0). Declared last
   /// so it is destroyed first — its handler threads call back into the

@@ -6,37 +6,31 @@
 namespace efd::ingest {
 
 SourceId SourceMux::add_source(std::string name, SampleSource& source) {
-  std::lock_guard lock(mutex_);
-  auto entry = std::make_shared<Entry>();
-  entry->id = static_cast<SourceId>(entries_.size());
+  const auto id = static_cast<SourceId>(entries_.size());
   // Names key the snapshot cursors: a duplicate (e.g. `--listen tcp:0`
   // twice) would make seed_cursor misattribute one source's restored
   // count to the other. Disambiguate deterministically by id, so the
   // same command line re-derives the same names on restart.
   const auto taken = [this](const std::string& candidate) {
-    for (const auto& existing : entries_) {
-      if (existing->name == candidate) return true;
+    for (const Entry& existing : entries_) {
+      if (existing.name == candidate) return true;
     }
     return false;
   };
   if (taken(name)) {
     std::string candidate;
-    for (SourceId suffix = entry->id; ; ++suffix) {
+    for (SourceId suffix = id; ; ++suffix) {
       candidate = name + "#" + std::to_string(suffix);
       if (!taken(candidate)) break;
     }
     name = std::move(candidate);
   }
-  entry->name = std::move(name);
-  entry->source = &source;
-  entries_.push_back(std::move(entry));
-  generation_.fetch_add(1, std::memory_order_release);
-  return entries_.back()->id;
-}
-
-std::size_t SourceMux::source_count() const {
-  std::lock_guard lock(mutex_);
-  return entries_.size();
+  Entry& entry = entries_.emplace_back();
+  entry.id = id;
+  entry.name = std::move(name);
+  entry.source = &source;
+  live_scratch_.reserve(entries_.size());  // poll() never allocates
+  return id;
 }
 
 std::size_t SourceMux::poll_entry(Entry& entry, std::vector<Envelope>& out,
@@ -59,24 +53,15 @@ std::size_t SourceMux::poll_entry(Entry& entry, std::vector<Envelope>& out,
 
 bool SourceMux::poll(std::vector<Envelope>& out,
                      std::chrono::milliseconds timeout) {
-  // Refresh the consumer-thread entry cache only when a registration
-  // happened — the hot loop polls with zero allocation/refcounting.
-  if (cached_generation_ != generation_.load(std::memory_order_acquire)) {
-    std::lock_guard lock(mutex_);
-    cached_entries_.clear();
-    for (const auto& entry : entries_) cached_entries_.push_back(entry.get());
-    cached_generation_ = generation_.load(std::memory_order_relaxed);
-  }
-  const std::vector<Entry*>& entries = cached_entries_;
-  if (entries.empty()) return false;  // nothing registered: exhausted
+  if (entries_.empty()) return false;  // nothing registered: exhausted
 
   std::vector<Entry*>& live = live_scratch_;
   live.clear();
   // Rotate the sweep's starting index so a chatty low-id source cannot
   // structurally starve the others of the "first look".
   const std::size_t start = rotate_++;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    Entry& entry = *entries[(start + i) % entries.size()];
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    Entry& entry = entries_[(start + i) % entries_.size()];
     if (!entry.exhausted.load(std::memory_order_acquire)) {
       live.push_back(&entry);
     }
@@ -112,25 +97,23 @@ bool SourceMux::poll(std::vector<Envelope>& out,
   if (any_live) return true;
   // Everything retired this round; report exhaustion only when no
   // registered source can ever produce again.
-  for (const auto& entry : entries) {
-    if (!entry->exhausted.load(std::memory_order_acquire)) return true;
+  for (const Entry& entry : entries_) {
+    if (!entry.exhausted.load(std::memory_order_acquire)) return true;
   }
   return false;
 }
 
 void SourceMux::note_verdict(SourceId id) {
-  std::lock_guard lock(mutex_);
   if (id < entries_.size()) {
-    entries_[id]->verdicts.fetch_add(1, std::memory_order_relaxed);
+    entries_[id].verdicts.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 bool SourceMux::seed_cursor(const std::string& name, std::uint64_t cursor) {
-  std::lock_guard lock(mutex_);
-  for (const auto& entry : entries_) {
-    if (entry->name == name) {
-      entry->restored_cursor.store(cursor, std::memory_order_relaxed);
-      entry->envelopes.fetch_add(cursor, std::memory_order_relaxed);
+  for (Entry& entry : entries_) {
+    if (entry.name == name) {
+      entry.restored_cursor.store(cursor, std::memory_order_relaxed);
+      entry.envelopes.fetch_add(cursor, std::memory_order_relaxed);
       return true;
     }
   }
@@ -151,25 +134,20 @@ TransportCounters SourceMux::transport_counters() const {
 }
 
 std::vector<SourceMuxStats> SourceMux::stats() const {
-  std::vector<std::shared_ptr<Entry>> entries;
-  {
-    std::lock_guard lock(mutex_);
-    entries = entries_;
-  }
   std::vector<SourceMuxStats> out;
-  out.reserve(entries.size());
-  for (const auto& entry : entries) {
+  out.reserve(entries_.size());
+  for (const Entry& entry : entries_) {
     SourceMuxStats stats;
-    stats.id = entry->id;
-    stats.name = entry->name;
-    stats.envelopes = entry->envelopes.load(std::memory_order_relaxed);
-    stats.samples = entry->samples.load(std::memory_order_relaxed);
-    stats.verdicts = entry->verdicts.load(std::memory_order_relaxed);
+    stats.id = entry.id;
+    stats.name = entry.name;
+    stats.envelopes = entry.envelopes.load(std::memory_order_relaxed);
+    stats.samples = entry.samples.load(std::memory_order_relaxed);
+    stats.verdicts = entry.verdicts.load(std::memory_order_relaxed);
     stats.restored_cursor =
-        entry->restored_cursor.load(std::memory_order_relaxed);
-    stats.exhausted = entry->exhausted.load(std::memory_order_acquire);
-    stats.transport = entry->source->transport_counters();
-    if (const SampleBufferPool* pool = entry->source->buffer_pool()) {
+        entry.restored_cursor.load(std::memory_order_relaxed);
+    stats.exhausted = entry.exhausted.load(std::memory_order_acquire);
+    stats.transport = entry.source->transport_counters();
+    if (const SampleBufferPool* pool = entry.source->buffer_pool()) {
       stats.pool = pool->stats();
       stats.has_pool = true;
     }

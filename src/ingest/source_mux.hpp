@@ -36,14 +36,16 @@
 /// envelope counts carried by EFD-SNAP-V1) seed the envelope counter so
 /// monitoring stays continuous across a restart.
 ///
-/// Thread-safety: poll() belongs to one consumer thread; register/
-/// note_verdict/seed_cursor/stats are safe from any thread.
+/// Thread-safety: register every source before the IngestPipeline that
+/// consumes the mux is constructed (its HTTP listener starts there).
+/// poll(), note_verdict() and seed_cursor() belong to the pipeline
+/// thread; stats() and transport_counters() may also run on the HTTP
+/// thread under the pipeline's service lock.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <mutex>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -84,7 +86,7 @@ class SourceMux final : public SampleSource {
   /// dense id. \p source is borrowed and must outlive the mux.
   SourceId add_source(std::string name, SampleSource& source);
 
-  std::size_t source_count() const;
+  std::size_t source_count() const noexcept { return entries_.size(); }
 
   /// Polls the registered set (see the poll discipline above). Every
   /// appended envelope carries the id of the source it arrived on.
@@ -113,6 +115,9 @@ class SourceMux final : public SampleSource {
     SourceId id = 0;
     std::string name;
     SampleSource* source = nullptr;
+    // Relaxed atomics: poll() writes envelopes, samples and exhausted
+    // while the pipeline has released its service lock, so a /metrics
+    // scrape reads them mid-run.
     std::atomic<std::uint64_t> envelopes{0};
     std::atomic<std::uint64_t> samples{0};
     std::atomic<std::uint64_t> verdicts{0};
@@ -125,19 +130,10 @@ class SourceMux final : public SampleSource {
   std::size_t poll_entry(Entry& entry, std::vector<Envelope>& out,
                          std::chrono::milliseconds timeout);
 
-  mutable std::mutex mutex_;  ///< guards entries_ growth
-  std::vector<std::shared_ptr<Entry>> entries_;
-  std::atomic<std::uint64_t> generation_{0};  ///< bumped per registration
-
-  // Consumer-thread poll state. Entries are never removed and the
-  // shared_ptrs in entries_ pin them for the mux's lifetime, so the
-  // cached raw pointers stay valid; the cache refreshes (one brief
-  // lock) only when the registration generation moved — the hot poll
-  // loop pays no per-call allocation or refcount traffic.
-  std::vector<Entry*> cached_entries_;
-  std::uint64_t cached_generation_ = 0;
-  std::vector<Entry*> live_scratch_;
-  std::size_t rotate_ = 0;  ///< poll fairness cursor (consumer thread)
+  /// In id order; a deque because entries hold atomics and cannot move.
+  std::deque<Entry> entries_;
+  std::vector<Entry*> live_scratch_;  ///< reused by poll()
+  std::size_t rotate_ = 0;            ///< poll fairness cursor
 };
 
 }  // namespace efd::ingest

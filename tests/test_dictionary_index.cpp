@@ -405,11 +405,18 @@ TEST(DictionaryIndex, SwapStormConcurrentProbesStayCoherent) {
   DictionaryHandle handle(build_generation(0));
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> probes{0};
+  // A worker whose ASSERT fails returns early; the swapper stops waiting
+  // for probes once no worker is left to make them.
+  std::atomic<int> running{kWorkers};
 
   std::vector<std::thread> workers;
   workers.reserve(kWorkers);
   for (int w = 0; w < kWorkers; ++w) {
     workers.emplace_back([&] {
+      struct Exit {
+        std::atomic<int>& running;
+        ~Exit() { running.fetch_sub(1, std::memory_order_release); }
+      } exit{running};
       RecognitionScratch scratch;
       std::vector<FingerprintKey> keys;
       for (std::uint32_t node = 0; node < 4; ++node) {
@@ -440,8 +447,21 @@ TEST(DictionaryIndex, SwapStormConcurrentProbesStayCoherent) {
     });
   }
 
+  // Swaps and probes must interleave: the first swap waits for the first
+  // probe and every 10th swap waits for a probe after it, so the swapper
+  // can never finish before the workers have started.
+  const auto wait_for_probe_after = [&](std::size_t seen) {
+    while (probes.load(std::memory_order_relaxed) == seen &&
+           running.load(std::memory_order_acquire) > 0) {
+      std::this_thread::yield();
+    }
+  };
+  wait_for_probe_after(0);
   for (int swap = 1; swap <= kSwaps; ++swap) {
     handle.swap(build_generation(swap));
+    if (swap % 10 == 0) {
+      wait_for_probe_after(probes.load(std::memory_order_relaxed));
+    }
     std::this_thread::yield();
   }
   stop.store(true, std::memory_order_release);

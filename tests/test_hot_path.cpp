@@ -1,14 +1,16 @@
 /// \file test_hot_path.cpp
 /// \brief Hot-path guarantees behind bench_hot_path's numbers: the
-/// counting-allocator proof that steady-state recognition and pooled
-/// frame decode stop touching the heap, bit-exactness of the SIMD
-/// rounding kernel against both the scalar build and the legacy libm
-/// formula, pooled-decoder and online slot-path parity, UDP control
-/// retransmit bounds, and a concurrent-scratch case for the TSan job.
+/// counting-allocator proof that steady-state recognition, pooled frame
+/// decode and the source mux's poll/verdict path stop touching the heap,
+/// bit-exactness of the SIMD rounding kernel against both the scalar
+/// build and the legacy libm formula, pooled-decoder and online
+/// slot-path parity, UDP control retransmit bounds, and a
+/// concurrent-scratch case for the TSan job.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -29,6 +31,7 @@
 #include "ingest/buffer_pool.hpp"
 #include "ingest/pipeline.hpp"
 #include "ingest/shm_transport.hpp"
+#include "ingest/source_mux.hpp"
 #include "ingest/tcp_transport.hpp"
 #include "ingest/transport_feed.hpp"
 #include "ingest/udp_transport.hpp"
@@ -221,6 +224,50 @@ TEST_F(HotPathFixture, MillionSamplesThroughDecodeAndPushAreAllocationFree) {
   EXPECT_GE(stats.hits, static_cast<std::uint64_t>(kFrames));
   EXPECT_TRUE(recognizer.ready());
   EXPECT_EQ(recognizer.result()->prediction(), "ft");
+}
+
+// --- source mux direct path ---------------------------------------------
+
+/// A registered source that stays live but never has a message waiting.
+class IdleSource final : public SampleSource {
+ public:
+  bool poll(std::vector<Envelope>& /*out*/,
+            std::chrono::milliseconds /*timeout*/) override {
+    return true;
+  }
+};
+
+TEST(SourceMuxHotPath, EmptyPollsAndVerdictNotesAreAllocationFree) {
+  // The pipeline thread calls poll() every loop iteration and
+  // note_verdict() once per verdict: after registration neither may
+  // touch the heap.
+  IdleSource a;
+  IdleSource b;
+  IdleSource c;
+  SourceMux mux;
+  mux.add_source("a", a);
+  const SourceId id_b = mux.add_source("b", b);
+  mux.add_source("c", c);
+  std::vector<Envelope> out;
+  out.reserve(1);
+  bool live = true;
+  for (int i = 0; i < 3; ++i) {  // warmup
+    live &= mux.poll(out, std::chrono::milliseconds(0));
+  }
+  ASSERT_TRUE(live);
+
+  std::uint64_t before = allocations();
+  for (int i = 0; i < 1000; ++i) {
+    live &= mux.poll(out, std::chrono::milliseconds(0));
+  }
+  EXPECT_EQ(allocations(), before) << "empty SourceMux::poll allocated";
+  EXPECT_TRUE(live);
+  EXPECT_TRUE(out.empty());
+
+  before = allocations();
+  for (int i = 0; i < 1000; ++i) mux.note_verdict(id_b);
+  EXPECT_EQ(allocations(), before) << "SourceMux::note_verdict allocated";
+  EXPECT_EQ(mux.stats()[id_b].verdicts, 1000u);
 }
 
 // --- rounding kernel bit-exactness --------------------------------------

@@ -2,8 +2,9 @@
 /// \brief obs::HttpServer coverage via a raw loopback socket client:
 /// ephemeral binds, GET/HEAD dispatch, query stripping, handler status
 /// passthrough, 405/400 handling, request counters, and scrapes of a
-/// live IngestPipeline's /metrics and /index while it serves traffic
-/// (TSan material: the HTTP thread reads the pipeline's service).
+/// live IngestPipeline's /metrics and /index while it serves traffic,
+/// writes a snapshot chain and gains a subscriber (TSan material: the
+/// HTTP thread reads the pipeline's service and state under its lock).
 
 #include "obs/http_server.hpp"
 #include "ingest/tcp_transport.hpp"
@@ -17,6 +18,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <mutex>
 #include <string>
@@ -158,10 +160,13 @@ TEST(ObsHttp, ExplicitPortConflictThrows) {
 }
 
 /// Verdicts a pipeline ships back, by job id (delivered on its thread).
+/// Other frames on the same channel (subscribe acks, verdict events from
+/// the hub's dispatcher) are ignored.
 class VerdictCollector final : public efd::ingest::VerdictSink {
  public:
   void deliver(const efd::ingest::Message& verdict) override {
     std::lock_guard lock(mutex_);
+    if (verdict.type != efd::ingest::MessageType::kVerdict) return;
     verdicts_[verdict.job_id] = verdict.verdict.application;
   }
 
@@ -175,12 +180,9 @@ class VerdictCollector final : public efd::ingest::VerdictSink {
   std::map<std::uint64_t, std::string> verdicts_;
 };
 
-TEST(ObsHttp, ScrapesALivePipelineWhileItServes) {
-  // A scraper GETs /metrics and /index in a loop on its own connections
-  // (served on the HTTP thread) while the pipeline thread streams 16
-  // jobs through its service; the emitter lets one scrape finish after
-  // each job, so scrapes overlap a live run(). Every scrape answers 200
-  // and every verdict is exact.
+/// A deferred service over a two-application dictionary: "ft" at 6000,
+/// "mg" at 6100 (depth 2 rounds 6030 to ft and 6080 to mg).
+efd::core::RecognitionService two_application_service() {
   efd::core::FingerprintConfig fingerprint;
   fingerprint.metrics = {"nr_mapped_vmstat"};
   fingerprint.rounding_depth = 2;
@@ -195,8 +197,60 @@ TEST(ObsHttp, ScrapesALivePipelineWhileItServes) {
   }
   efd::core::RecognitionServiceConfig service_config;
   service_config.deferred = true;
-  efd::core::RecognitionService service(
+  return efd::core::RecognitionService(
       efd::core::train_dictionary(dataset, fingerprint), service_config);
+}
+
+/// Streams one complete job (130 ticks on 2 nodes) through \p ring:
+/// even ids recognize as "ft", odd ids as "mg".
+void stream_job(efd::ingest::RingTransport& ring, std::uint64_t job) {
+  efd::ingest::TransportFeed feed(ring, /*batch_samples=*/32);
+  feed.job_opened(job, 2);
+  for (int t = 0; t < 130; ++t) {
+    for (std::uint32_t node = 0; node < 2; ++node) {
+      feed.publish(node, "nr_mapped_vmstat", t,
+                   job % 2 == 0 ? 6030.0 : 6080.0);
+    }
+  }
+  feed.job_closed(job);
+}
+
+/// Loops GET /metrics and /index until \p serving clears, counting each
+/// answered scrape in \p scrapes; every one must be a 200.
+std::thread start_scraper(std::uint16_t port, std::atomic<bool>& serving,
+                          std::atomic<std::size_t>& scrapes) {
+  return std::thread([port, &serving, &scrapes] {
+    while (serving.load(std::memory_order_acquire)) {
+      for (const char* target : {"/metrics", "/index"}) {
+        const std::string response = http_get(port, target);
+        EXPECT_EQ(response.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << target;
+        ++scrapes;
+      }
+    }
+  });
+}
+
+/// Blocks until the scraper finishes at least one more scrape.
+void wait_for_scrape(const std::atomic<std::size_t>& scrapes) {
+  const std::size_t seen = scrapes.load();
+  while (scrapes.load() == seen) std::this_thread::yield();
+}
+
+/// The decimal number that follows \p key in \p text (after \p from).
+std::uint64_t number_after(const std::string& text, const std::string& key,
+                           std::size_t from = 0) {
+  const std::size_t at = text.find(key, from);
+  if (at == std::string::npos) return ~std::uint64_t{0};
+  return std::stoull(text.substr(at + key.size()));
+}
+
+TEST(ObsHttp, ScrapesALivePipelineWhileItServes) {
+  // A scraper GETs /metrics and /index in a loop on its own connections
+  // (served on the HTTP thread) while the pipeline thread streams 16
+  // jobs through its service; the emitter lets one scrape finish after
+  // each job, so scrapes overlap a live run(). Every scrape answers 200
+  // and every verdict is exact.
+  efd::core::RecognitionService service = two_application_service();
 
   auto collector = std::make_shared<VerdictCollector>();
   efd::ingest::RingTransport ring(256);
@@ -209,29 +263,12 @@ TEST(ObsHttp, ScrapesALivePipelineWhileItServes) {
 
   std::atomic<bool> serving{true};
   std::atomic<std::size_t> scrapes{0};
-  std::thread scraper([&] {
-    while (serving.load(std::memory_order_acquire)) {
-      for (const char* target : {"/metrics", "/index"}) {
-        const std::string response = http_get(pipeline.http_port(), target);
-        EXPECT_EQ(response.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << target;
-        ++scrapes;
-      }
-    }
-  });
+  std::thread scraper = start_scraper(pipeline.http_port(), serving, scrapes);
 
   constexpr std::uint64_t kJobs = 16;
   for (std::uint64_t job = 1; job <= kJobs; ++job) {
-    efd::ingest::TransportFeed feed(ring, /*batch_samples=*/32);
-    feed.job_opened(job, 2);
-    for (int t = 0; t < 130; ++t) {
-      for (std::uint32_t node = 0; node < 2; ++node) {
-        feed.publish(node, "nr_mapped_vmstat", t,
-                     job % 2 == 0 ? 6030.0 : 6080.0);
-      }
-    }
-    feed.job_closed(job);
-    const std::size_t seen = scrapes.load();
-    while (scrapes.load() == seen) std::this_thread::yield();
+    stream_job(ring, job);
+    wait_for_scrape(scrapes);
   }
   ring.close();
   pipeline.join();
@@ -247,6 +284,76 @@ TEST(ObsHttp, ScrapesALivePipelineWhileItServes) {
   // The last scrape after the pipeline finished sees the final counters.
   const std::string metrics = http_get(pipeline.http_port(), "/metrics");
   EXPECT_NE(metrics.find("jobs_completed"), std::string::npos);
+}
+
+TEST(ObsHttp, ScrapesOverlapSnapshotChainAndSubscriberChanges) {
+  // Every piece of pipeline state the /metrics and /index handlers read
+  // under the service lock changes while they scrape: each poll boundary
+  // that delivers a verdict adds a capture to the snapshot chain, and a
+  // kSubscribe sent mid-run creates the subscription hub. After join()
+  // the three views of the snapshot count agree and /index lists the
+  // subscriber.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("obs_http_chain_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  ASSERT_TRUE(fs::create_directories(dir));
+
+  efd::core::RecognitionService service = two_application_service();
+  auto collector = std::make_shared<VerdictCollector>();
+  efd::ingest::RingTransport ring(256);
+  ring.set_verdict_sink(collector);
+  efd::ingest::IngestPipelineConfig config;
+  config.http_port = 0;
+  config.snapshot_path = (dir / "chain.efds").string();
+  config.snapshot_every_verdicts = 1;
+  efd::ingest::IngestPipeline pipeline(service, ring, config);
+  ASSERT_NE(pipeline.http_port(), 0);
+  pipeline.start();
+
+  std::atomic<bool> serving{true};
+  std::atomic<std::size_t> scrapes{0};
+  std::thread scraper = start_scraper(pipeline.http_port(), serving, scrapes);
+
+  constexpr std::uint64_t kJobs = 16;
+  for (std::uint64_t job = 1; job <= kJobs; ++job) {
+    stream_job(ring, job);
+    wait_for_scrape(scrapes);
+    if (job == kJobs / 2) {
+      ring.send(efd::ingest::make_subscribe());
+      wait_for_scrape(scrapes);
+    }
+  }
+  ring.close();
+  pipeline.join();
+  serving.store(false, std::memory_order_release);
+  scraper.join();
+
+  const auto verdicts = collector->verdicts();
+  ASSERT_EQ(verdicts.size(), kJobs);
+  for (const auto& [job, application] : verdicts) {
+    EXPECT_EQ(application, job % 2 == 0 ? "ft" : "mg") << "job " << job;
+  }
+
+  const efd::ingest::IngestPipelineStats& stats = pipeline.stats();
+  // One capture per poll iteration that delivered a verdict, plus the
+  // final one on exit.
+  EXPECT_GE(stats.snapshots_written, 2u);
+  EXPECT_EQ(stats.subscribe_requests, 1u);
+  const std::string index = http_get(pipeline.http_port(), "/index");
+  const std::size_t chain = index.find("\"snapshot_chain\":");
+  ASSERT_NE(chain, std::string::npos) << index;
+  EXPECT_EQ(number_after(index, "\"written\":", chain),
+            stats.snapshots_written)
+      << index;
+  EXPECT_NE(index.find("\"subscribers\":[{\"id\":"), std::string::npos)
+      << index;
+  const std::string metrics = http_get(pipeline.http_port(), "/metrics");
+  EXPECT_EQ(number_after(metrics, "\nefd_ingest_snapshots_written "),
+            stats.snapshots_written)
+      << metrics;
+
+  fs::remove_all(dir);
 }
 
 }  // namespace
