@@ -13,7 +13,9 @@
 ///     `batch_scoring_speedup`;
 ///  3. frame decode — FrameDecoder with fresh sample vectors per frame
 ///     (set_buffer_pool(nullptr), the pre-pool behavior) vs. the
-///     recycling pool, in ns/sample;
+///     recycling pool, in ns/sample; plus, informational, serve's view
+///     decode (validate in place, read into the push scratch) over mixed
+///     batch sizes as `decode_view_ns_per_sample`;
 ///  4. observability overhead — the full RecognitionService open/push/
 ///     close loop with the obs::hot_path() stage timers enabled vs.
 ///     disabled, in ns/sample; `obs_overhead_ratio` (off/on) gates that
@@ -43,6 +45,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iostream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -59,6 +62,7 @@
 #include "core/rounding_kernel.hpp"
 #include "core/trainer.hpp"
 #include "ingest/buffer_pool.hpp"
+#include "ingest/pipeline.hpp"
 #include "ingest/wire_format.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
@@ -217,10 +221,47 @@ int main(int argc, char** argv) {
       (kSamplesPerFrame * kFrames);
   const double decode_speedup = fresh_ns / pooled_ns;
 
+  // Informational (no threshold reads it): serve's decode, a batch view
+  // validated in the decoder's buffer and read into the push scratch,
+  // over the fleet shape of mixed batch sizes.
+  constexpr std::size_t kMixedSizes[] = {1, 2, 5, 16, 32};
+  std::vector<std::uint8_t> mixed;
+  std::size_t mixed_samples = 0;
+  for (std::size_t i = 0; i < 400; ++i) {
+    ingest::Message small;
+    small.type = ingest::MessageType::kSampleBatch;
+    small.job_id = 1 + i % 8;
+    const std::size_t size = kMixedSizes[i % std::size(kMixedSizes)];
+    for (std::size_t s = 0; s < size; ++s) {
+      small.samples.push_back(batch.samples[(i + s) % kSamplesPerFrame]);
+    }
+    ingest::encode_frame(small, mixed);
+    mixed_samples += size;
+  }
+  std::vector<core::RecognitionService::SamplePush> pushes;
+  constexpr int kViewPasses = 16;
+  const double view_ns =
+      best_of(repetitions,
+              [&] {
+                for (int pass = 0; pass < kViewPasses; ++pass) {
+                  ingest::FrameDecoder decoder;
+                  decoder.feed(mixed);
+                  ingest::Message out;
+                  ingest::SampleBatchView view;
+                  while (decoder.next(out, view) ==
+                         ingest::DecodeStatus::kMessage) {
+                    ingest::read_sample_batch(view, pushes);
+                    g_sink = pushes.back().value;
+                  }
+                }
+              }) /
+      static_cast<double>(mixed_samples * kViewPasses);
+
   std::cout << "\n";
   util::TablePrinter decode({"frame decode", "ns/sample"});
   decode.add_row({"fresh vectors", util::format_mean(fresh_ns)});
   decode.add_row({"pooled", util::format_mean(pooled_ns)});
+  decode.add_row({"view, mixed sizes", util::format_mean(view_ns)});
   decode.print(std::cout);
   std::cout << "decode_pooled_speedup: " << util::format_mean(decode_speedup)
             << "x\n";
@@ -434,6 +475,7 @@ int main(int argc, char** argv) {
       .field("decode_fresh_ns_per_sample", fresh_ns)
       .field("decode_pooled_ns_per_sample", pooled_ns)
       .field("decode_pooled_speedup", decode_speedup)
+      .field("decode_view_ns_per_sample", view_ns)
       .field("obs_on_ns_per_sample", obs_on_ns)
       .field("obs_off_ns_per_sample", obs_off_ns)
       .field("obs_overhead_ratio", obs_overhead_ratio)

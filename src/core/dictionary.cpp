@@ -173,7 +173,10 @@ std::vector<const Dictionary::Row*> Dictionary::sorted_view() const {
     const Row* row;
   };
   std::map<std::string_view, std::uint32_t> metric_rank;
-  for (const Row& row : entries_) metric_rank.emplace(row.first.metric, 0);
+  // try_emplace builds a node only for a metric not yet in the map.
+  for (const Row& row : entries_) {
+    metric_rank.try_emplace(row.first.metric, 0);
+  }
   std::uint32_t next_rank = 0;
   for (auto& [metric, rank] : metric_rank) rank = next_rank++;
 

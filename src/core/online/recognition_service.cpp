@@ -132,12 +132,13 @@ bool RecognitionService::push(std::uint64_t job_id, std::uint32_t node_id,
 std::size_t RecognitionService::push_batch(
     std::uint64_t job_id, std::span<const SamplePush> samples) {
   if (samples.empty()) return 0;
-  JobStream* const stream = find_stream(job_id);
-  if (stream == nullptr) {
-    samples_dropped_ += samples.size();
-    return 0;
-  }
+  return push_unread_batch(job_id, samples.size(),
+                           [samples] { return samples; });
+}
 
+std::size_t RecognitionService::push_stream(
+    JobStream& stream, std::span<const SamplePush> samples) {
+  if (samples.empty()) return 0;
   std::size_t accepted = 0;
   // One clock read serves the whole batch: every accepted sample shares
   // this admission stamp (the e2e latency origin) and it doubles as the
@@ -147,17 +148,17 @@ std::size_t RecognitionService::push_batch(
   auto& hot = obs::hot_path();
   const bool timed = hot.sample_now();
   for (const SamplePush& sample : samples) {
-    if (enqueue(*stream, sample, batch_ns)) ++accepted;
+    if (enqueue(stream, sample, batch_ns)) ++accepted;
   }
   if (timed) hot.enqueue_ns.observe(now_ns() - batch_ns);
   if (accepted > 0) {
-    stream->last_activity_ns = batch_ns;
+    stream.last_activity_ns = batch_ns;
     if (!config_.deferred) {
-      drain_stream(*stream);
-    } else if (!stream->scheduled) {
+      drain_stream(stream);
+    } else if (!stream.scheduled) {
       // Mark the stream dirty for the next process_pending, once.
-      stream->scheduled = true;
-      dirty_.push_back(stream);
+      stream.scheduled = true;
+      dirty_.push_back(&stream);
     }
   }
   return accepted;
@@ -292,15 +293,23 @@ std::vector<JobVerdict> RecognitionService::drain_verdicts() {
 }
 
 void RecognitionService::drain_verdicts(std::vector<JobVerdict>& out) {
+  take_verdicts(out);
+  reap(out);
+}
+
+void RecognitionService::take_verdicts(std::vector<JobVerdict>& out) {
   // verdicts_ inherits out's cleared buffer: the two trade capacity.
   out.clear();
   out.swap(verdicts_);
+}
+
+void RecognitionService::reap(std::span<const JobVerdict> verdicts) {
   // Reap by the drained verdicts' job ids, so this visits the finished
   // streams only, never every open one. A restored verdict may name a
   // job that is open again (captured both ways by an older snapshot);
   // that stream is not done and stays. Reaped ids become reusable from
   // here, and a reaped stream leaves the dirty list with its storage.
-  for (const JobVerdict& verdict : out) {
+  for (const JobVerdict& verdict : verdicts) {
     const auto it = jobs_.find(verdict.job_id);
     if (it == jobs_.end() || !it->second.done) continue;
     if (it->second.scheduled) std::erase(dirty_, &it->second);

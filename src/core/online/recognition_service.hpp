@@ -339,6 +339,27 @@ class RecognitionService {
   std::size_t push_batch(std::uint64_t job_id,
                          std::span<const SamplePush> samples);
 
+  /// push_batch for a batch of \p count samples the caller has not read
+  /// yet (the ingest pipeline's wire views): resolves the job once and
+  /// calls \p read() — which returns the samples as a
+  /// std::span<const SamplePush> — only when the job is open. An unknown
+  /// job's samples count as dropped and a finished job's as late, both
+  /// unread; per sample, the counters move as push() moves them.
+  template <typename Read>
+  std::size_t push_unread_batch(std::uint64_t job_id, std::size_t count,
+                                Read&& read) {
+    JobStream* const stream = find_stream(job_id);
+    if (stream == nullptr) {
+      samples_dropped_ += count;
+      return 0;
+    }
+    if (stream->done) {
+      samples_late_ += count;
+      return 0;
+    }
+    return push_stream(*stream, read());
+  }
+
   /// Drains the queued samples of every stream marked dirty since the
   /// last call — pushed in deferred mode, or restored with a queue —
   /// and fans them out across \p pool when non-null. Idle streams are
@@ -368,7 +389,17 @@ class RecognitionService {
   std::vector<JobVerdict> drain_verdicts();
   /// drain_verdicts() into \p out (cleared first), reusing its capacity:
   /// a caller that keeps \p out drains with no steady-state allocation.
+  /// The same as take_verdicts(out) followed by reap(out).
   void drain_verdicts(std::vector<JobVerdict>& out);
+
+  /// The first half of drain_verdicts: moves the queued verdicts into
+  /// \p out (cleared first) and leaves their finished streams in place,
+  /// so a caller can ship the verdicts before it pays for the teardown.
+  /// Until reap(), those job ids stay taken and late pushes count late.
+  void take_verdicts(std::vector<JobVerdict>& out);
+  /// The second half: reaps the finished streams of \p verdicts (as
+  /// returned by take_verdicts). Their job ids are reusable afterwards.
+  void reap(std::span<const JobVerdict> verdicts);
 
   RecognitionServiceStats stats() const;
 
@@ -434,6 +465,10 @@ class RecognitionService {
   SourceIngressStats* ingress_for(std::uint32_t source_tag);
 
   JobStream* find_stream(std::uint64_t job_id);
+  /// Enqueues \p samples into the open \p stream (push_unread_batch
+  /// once the job is resolved).
+  std::size_t push_stream(JobStream& stream,
+                          std::span<const SamplePush> samples);
   /// Applies the back-pressure policy and enqueues one sample. Returns
   /// false when the sample was not enqueued.
   bool enqueue(JobStream& stream, const SamplePush& sample,

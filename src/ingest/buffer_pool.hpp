@@ -2,15 +2,15 @@
 /// \file buffer_pool.hpp
 /// \brief Fixed-budget recycler for decoded sample-batch buffers.
 ///
-/// Every kSampleBatch frame used to materialize a fresh
-/// std::vector<WireSample> (plus one heap string per long metric name)
-/// in the decoder and free it after dispatch — per-envelope churn on the
-/// ingest hot path. The pool closes that loop: FrameDecoder acquires a
-/// recycled buffer, decodes into it IN PLACE (strings keep their
-/// capacity across reuse — read_string assigns, never reallocates for
-/// names that fit), and the pipeline releases the buffer back once the
-/// batch is dispatched. Steady state: zero allocations per batch for
-/// metric names under the SSO limit or seen before.
+/// The owned decode (FrameDecoder::next(Message&)) materializes each
+/// kSampleBatch as a std::vector<WireSample>, plus one heap string per
+/// long metric name. The pool closes that loop for callers that decode
+/// batch after batch (e2ebench's in-process pass, bench_hot_path): the
+/// decoder acquires a recycled buffer, decodes into it IN PLACE (strings
+/// keep their capacity across reuse), and the caller releases the
+/// buffer back once it is done with the batch. Steady state: zero
+/// allocations per batch of a recurring size. The servers need none of
+/// this: they hand batches out as views into the frame bytes.
 ///
 /// The budget is fixed on both axes so the pool can never become a leak:
 /// at most kMaxPooledBuffers vectors are retained, and a buffer whose

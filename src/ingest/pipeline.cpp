@@ -149,16 +149,26 @@ void IngestPipeline::join() {
   if (thread_.joinable()) thread_.join();
 }
 
+void read_sample_batch(
+    const SampleBatchView& batch,
+    std::vector<core::RecognitionService::SamplePush>& out) {
+  out.resize(batch.count);
+  core::RecognitionService::SamplePush* push = out.data();
+  for_each_sample(batch, [&push](const SampleRef& sample) {
+    *push++ = {sample.node_id, sample.t, sample.value, sample.metric};
+  });
+}
+
 void IngestPipeline::maybe_rebind_reply(
     std::uint64_t job_id, const std::shared_ptr<VerdictSink>& reply,
-    SourceId source) {
+    SourceId source, bool known_open) {
   // A job restored from a snapshot is open in the service but has no
   // reply route (its emitter's connection died with the old process).
   // Bind it to the first (source, connection) that streams it, so a
   // reconnecting emitter — on whichever transport it comes back over —
   // receives the verdict it is still owed.
   if (reply == nullptr || replies_.contains(job_id)) return;
-  if (!service_.has_job(job_id)) return;
+  if (!known_open && !service_.has_job(job_id)) return;
   replies_[job_id] = ReplyRoute{reply, source};
   ++stats_.jobs_rebound;
 }
@@ -218,30 +228,40 @@ void IngestPipeline::dispatch(Envelope& envelope) {
       break;
     case MessageType::kSampleBatch: {
       deliver_parked(message.job_id, envelope.reply, envelope.source);
-      maybe_rebind_reply(message.job_id, envelope.reply, envelope.source);
-      // One stream resolution + lock cycle per wire batch, not per
-      // sample (the dispatch thread's hot path).
-      scratch_.clear();
-      scratch_.reserve(message.samples.size());
-      for (const WireSample& sample : message.samples) {
-        scratch_.push_back({sample.node_id, sample.t, sample.value,
-                            std::string_view(sample.metric)});
-      }
-      service_.push_batch(message.job_id, scratch_);
-      stats_.samples += message.samples.size();
+      const std::size_t count = envelope.sample_count();
+      // One job resolution per wire batch, and the samples are read only
+      // for an open job: a batch for an unknown, reaped or finished job
+      // (a third of fleet traffic arrives after its verdict) is counted
+      // unread.
+      service_.push_unread_batch(message.job_id, count, [&] {
+        maybe_rebind_reply(message.job_id, envelope.reply, envelope.source,
+                           /*known_open=*/true);
+        if (envelope.batch.data != nullptr) {
+          read_sample_batch(envelope.batch, scratch_);
+        } else {
+          scratch_.clear();
+          for (const WireSample& sample : message.samples) {
+            scratch_.push_back({sample.node_id, sample.t, sample.value,
+                                std::string_view(sample.metric)});
+          }
+        }
+        return std::span<const core::RecognitionService::SamplePush>(
+            scratch_);
+      });
+      stats_.samples += count;
       if (config_.retrain != nullptr) {
-        // Zero-copy capture tap: this batch is fully dispatched; the
-        // recorder moves the samples it wants out of the vector.
+        // Capture tap: the recorder keeps samples past this poll, so a
+        // wire view is copied out into WireSamples here; an owned batch
+        // is moved.
+        if (envelope.batch.data != nullptr) {
+          for_each_sample(envelope.batch, [&message](const SampleRef& sample) {
+            message.samples.push_back({sample.node_id, sample.t, sample.value,
+                                       std::string(sample.metric)});
+          });
+        }
         config_.retrain->recorder().record_batch(message.job_id,
                                                  std::move(message.samples));
       }
-      // The batch is consumed either way; recycle its backing buffer
-      // (and the string capacity of any samples the tap left behind)
-      // for the decoder's next acquire — back to the pool it came from
-      // (the owning server's, or the process-global default).
-      SampleBufferPool& pool =
-          envelope.pool != nullptr ? *envelope.pool : sample_buffer_pool();
-      pool.release(std::move(message.samples));
       break;
     }
     case MessageType::kCloseJob:
@@ -439,10 +459,9 @@ std::string IngestPipeline::render_stats_text() const {
   }
   out << "ingest.snapshot_last_error " << snapshot_error << "\n";
 
-  // Process-global sample-buffer pool (sources without their own pool
-  // recycle here). hits/misses gauge whether the allocation-free decode
-  // loop is actually closed; discards climbing = pool budget too small
-  // for the live batch sizes.
+  // Process-global sample-buffer pool of the owned decode
+  // (FrameDecoder::next(Message&)). The servers decode sample batches
+  // as views and take nothing from it.
   const SampleBufferPool::Stats pool = sample_buffer_pool().stats();
   out << "pool.hits " << pool.hits << "\n"
       << "pool.misses " << pool.misses << "\n"
@@ -466,13 +485,6 @@ std::string IngestPipeline::render_stats_text() const {
         << prefix << "retransmits " << source.transport.retransmits << "\n"
         << prefix << "restored_cursor " << source.restored_cursor << "\n"
         << prefix << "exhausted " << (source.exhausted ? 1 : 0) << "\n";
-    if (source.has_pool) {
-      // The source's own buffer pool (servers that decode frames).
-      out << prefix << "pool_hits " << source.pool.hits << "\n"
-          << prefix << "pool_misses " << source.pool.misses << "\n"
-          << prefix << "pool_returns " << source.pool.returns << "\n"
-          << prefix << "pool_discards " << source.pool.discards << "\n";
-    }
   }
 
   if (config_.retrain != nullptr) {
@@ -812,7 +824,9 @@ std::uint64_t IngestPipeline::flush_verdicts() {
   std::vector<ReplyRoute>& routes = outbound_routes_;
   messages.clear();
   routes.clear();
-  service_.drain_verdicts(drained_verdicts_);
+  // Take the verdicts now and reap their streams only after delivery:
+  // the teardown stays off every verdict's path to its peer.
+  service_.take_verdicts(drained_verdicts_);
   for (const core::JobVerdict& verdict : drained_verdicts_) {
     if (config_.on_verdict) config_.on_verdict(verdict);
     if (hub != nullptr) {
@@ -859,6 +873,7 @@ std::uint64_t IngestPipeline::flush_verdicts() {
   }
   messages.clear();
   routes.clear();
+  service_.reap(drained_verdicts_);
   if (delivered > 0) {
     stats_.verdicts_delivered += delivered;
     // Only flushes that moved a verdict are observed — the poll loop

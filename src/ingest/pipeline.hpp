@@ -53,8 +53,9 @@
 ///
 /// Closed-loop retraining: with a retrain::RetrainController attached
 /// (config.retrain), the pipeline taps its TrafficRecorder on every
-/// dispatched open/batch/verdict (sample batches are MOVED in — zero
-/// copy on the hot path), checks the retrain triggers at each poll
+/// dispatched open/batch/verdict (an owned sample batch is moved in, a
+/// wire view is copied out into WireSamples — only while retraining is
+/// attached), checks the retrain triggers at each poll
 /// boundary, broadcasts a kRetrainReport frame for every finished cycle
 /// to all connections it has seen, and carries the controller's durable
 /// state (EFD-RETRAIN-V1) inside the service snapshot's Retrain section
@@ -274,10 +275,11 @@ class IngestPipeline {
   /// Drains service verdicts to their reply sinks; returns count.
   std::uint64_t flush_verdicts();
   /// Points a restored (reply-less) job's verdict at the (source,
-  /// connection) now streaming it.
+  /// connection) now streaming it. \p known_open skips the service
+  /// lookup when the caller has already resolved the job as open.
   void maybe_rebind_reply(std::uint64_t job_id,
                           const std::shared_ptr<VerdictSink>& reply,
-                          SourceId source);
+                          SourceId source, bool known_open = false);
   /// Ships a parked (restored, completed-pre-crash) verdict to the first
   /// connection that mentions its job.
   void deliver_parked(std::uint64_t job_id,
@@ -335,7 +337,7 @@ class IngestPipeline {
   /// writev-style syscall instead of N.
   std::vector<Message> outbound_verdicts_;
   std::vector<ReplyRoute> outbound_routes_;
-  /// Reused drain_verdicts() output.
+  /// Reused take_verdicts() output, reaped at the end of each flush.
   std::vector<core::JobVerdict> drained_verdicts_;
 
   /// Snapshot-chain bookkeeping: capture ids and per-stream digests the
@@ -373,5 +375,11 @@ class IngestPipeline {
 
 /// Builds a kVerdict message from a finished job's result.
 Message make_verdict_message(const core::JobVerdict& verdict);
+
+/// Reads a validated wire batch into \p out (resized to the batch) as
+/// push_batch input, each metric a view into the frame's bytes: the one
+/// decode a served sample gets. Reuses out's capacity.
+void read_sample_batch(const SampleBatchView& batch,
+                       std::vector<core::RecognitionService::SamplePush>& out);
 
 }  // namespace efd::ingest

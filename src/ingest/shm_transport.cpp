@@ -246,7 +246,6 @@ ShmRingServer::ShmRingServer(const std::string& name, const Config& config)
                                           config.inbound_bytes,
                                           config.outbound_bytes)),
       reply_(std::make_shared<ReplySink>(region_)) {
-  decoder_.set_buffer_pool(&pool_);  // recycle within this server
   // Liveness is visible to producers from the first attach, not the
   // first poll.
   region_->header().consumer_heartbeat_ns.store(monotonic_ns(),
@@ -321,13 +320,16 @@ bool ShmRingServer::poll(std::vector<Envelope>& out,
                                        std::memory_order_relaxed);
     drain_inbound();
     if (dead_) return appended > 0;  // cursor corruption: source retired
-    Message message;
-    DecodeStatus status;
-    while (appended < config_.max_messages_per_poll &&
-           (status = decoder_.next(message)) == DecodeStatus::kMessage) {
-      out.push_back(Envelope{std::move(message), reply_, /*source=*/0,
-                             /*pool=*/&pool_});
-      message = Message();
+    // Decode after the feed above and return once anything decoded: the
+    // batch views stay valid until the next poll's feed.
+    while (appended < config_.max_messages_per_poll) {
+      Envelope& envelope = out.emplace_back();
+      if (decoder_.next(envelope.message, envelope.batch) !=
+          DecodeStatus::kMessage) {
+        out.pop_back();
+        break;
+      }
+      envelope.reply = reply_;
       ++appended;
       frames_.fetch_add(1, std::memory_order_relaxed);
     }

@@ -51,7 +51,6 @@
 #include <string>
 #include <vector>
 
-#include "ingest/buffer_pool.hpp"
 #include "ingest/tcp_transport.hpp"  // TransportError
 #include "ingest/transport.hpp"
 #include "ingest/wire_format.hpp"
@@ -157,10 +156,6 @@ class ShmRingServer final : public SampleSource {
   Stats stats() const;
   TransportCounters transport_counters() const override;
 
-  /// The server-owned sample buffer pool its decoder acquires from
-  /// (and the consumer releases back to).
-  const SampleBufferPool* buffer_pool() const override { return &pool_; }
-
  private:
   class ReplySink;
 
@@ -173,8 +168,8 @@ class ShmRingServer final : public SampleSource {
   Config config_;
   std::shared_ptr<ShmRegion> region_;
   std::shared_ptr<ReplySink> reply_;
-  /// Server-local sample buffer recycling (see TcpServer::pool_).
-  SampleBufferPool pool_;
+  /// Holds the bytes of the batch views poll() hands out; fed only at
+  /// the start of a poll (see the lifetime contract in transport.hpp).
   FrameDecoder decoder_;
   bool dead_ = false;  ///< corrupt stream: source retired
   /// in_head at the last session turnover; the producer has written

@@ -40,7 +40,7 @@ std::size_t SourceMux::poll_entry(Entry& entry, std::vector<Envelope>& out,
   for (std::size_t i = before; i < out.size(); ++i) {
     out[i].source = entry.id;
     entry.envelopes.fetch_add(1, std::memory_order_relaxed);
-    entry.samples.fetch_add(out[i].message.samples.size(),
+    entry.samples.fetch_add(out[i].sample_count(),
                             std::memory_order_relaxed);
   }
   if (!live) {
@@ -68,32 +68,36 @@ bool SourceMux::poll(std::vector<Envelope>& out,
   }
   if (live.empty()) return false;
 
-  // Pass 1: non-blocking sweep — drain whatever is already waiting on
-  // any source.
-  std::size_t appended = 0;
-  for (Entry* entry : live) {
-    appended += poll_entry(*entry, out, std::chrono::milliseconds(0));
-  }
-  if (appended > 0) return true;
-
-  // Pass 2: nothing ready anywhere — wait on each still-live source in
-  // turn for one short slice, round after round, returning as soon as
-  // one yields. Sources later in a round get the first look next call.
-  // A sole live source waits the whole timeout in one call.
-  constexpr std::chrono::milliseconds kSlice{1};
-  const bool sole = live.size() == 1;
-  const auto slice = sole ? std::max(kSlice, timeout) : kSlice;
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
   bool any_live = false;
-  do {
-    any_live = false;
+  if (live.size() == 1) {
+    // A sole live source waits in its own readiness wait, once, for the
+    // whole timeout: no empty non-blocking sweep first.
+    if (poll_entry(*live.front(), out, timeout) > 0) return true;
+    any_live = !live.front()->exhausted.load(std::memory_order_acquire);
+  } else {
+    // Pass 1: non-blocking sweep — drain whatever is already waiting on
+    // any source.
+    std::size_t appended = 0;
     for (Entry* entry : live) {
-      if (entry->exhausted.load(std::memory_order_acquire)) continue;
-      appended += poll_entry(*entry, out, slice);
-      any_live |= !entry->exhausted.load(std::memory_order_acquire);
-      if (appended > 0) return true;
+      appended += poll_entry(*entry, out, std::chrono::milliseconds(0));
     }
-  } while (!sole && any_live && std::chrono::steady_clock::now() < deadline);
+    if (appended > 0) return true;
+
+    // Pass 2: nothing ready anywhere — wait on each still-live source in
+    // turn for one short slice, round after round, returning as soon as
+    // one yields. Sources later in a round get the first look next call.
+    constexpr std::chrono::milliseconds kSlice{1};
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    do {
+      any_live = false;
+      for (Entry* entry : live) {
+        if (entry->exhausted.load(std::memory_order_acquire)) continue;
+        appended += poll_entry(*entry, out, kSlice);
+        any_live |= !entry->exhausted.load(std::memory_order_acquire);
+        if (appended > 0) return true;
+      }
+    } while (any_live && std::chrono::steady_clock::now() < deadline);
+  }
   if (any_live) return true;
   // Everything retired this round; report exhaustion only when no
   // registered source can ever produce again.
@@ -147,10 +151,6 @@ std::vector<SourceMuxStats> SourceMux::stats() const {
         entry.restored_cursor.load(std::memory_order_relaxed);
     stats.exhausted = entry.exhausted.load(std::memory_order_acquire);
     stats.transport = entry.source->transport_counters();
-    if (const SampleBufferPool* pool = entry.source->buffer_pool()) {
-      stats.pool = pool->stats();
-      stats.has_pool = true;
-    }
     out.push_back(std::move(stats));
   }
   return out;

@@ -13,15 +13,21 @@
 /// stats scrape all stay per-source after the merge.
 ///
 /// Poll discipline (one consumer — the pipeline):
-///  1. A non-blocking sweep over every live source, starting at a
-///     rotating index so no source is structurally favored. Anything
-///     ready is tagged and returned immediately.
-///  2. Only if nothing was ready anywhere, the live sources are waited
-///     on in turn, 1 ms each, round after round until one yields or the
-///     caller's timeout runs out (a sole live source waits the whole
-///     timeout at once). A message on ANY source is picked up within
-///     one round: a UDP socket has no flow control, so a long wait on
-///     another source would overflow its kernel receive buffer.
+///  - A sole live source is polled once with the caller's whole
+///    timeout: it waits in its own readiness wait, with no empty sweep
+///    first.
+///  - With two or more live sources:
+///    1. A non-blocking sweep over every live source, starting at a
+///       rotating index so no source is structurally favored. Anything
+///       ready is tagged and returned immediately.
+///    2. Only if nothing was ready anywhere, the live sources are
+///       waited on in turn, 1 ms each, round after round until one
+///       yields or the caller's timeout runs out. A message on ANY
+///       source is picked up within one round: a UDP socket has no flow
+///       control, so a long wait on another source would overflow its
+///       kernel receive buffer.
+/// Either way a source that has yielded is not polled again in the same
+/// call, which keeps its batch views valid (transport.hpp).
 ///
 /// Exhaustion is collective: a source whose poll() returns false is
 /// retired (its final batch is still delivered), and the mux reports
@@ -49,7 +55,6 @@
 #include <string>
 #include <vector>
 
-#include "ingest/buffer_pool.hpp"
 #include "ingest/transport.hpp"
 
 namespace efd::ingest {
@@ -64,11 +69,6 @@ struct SourceMuxStats {
   std::uint64_t restored_cursor = 0; ///< envelope count seeded from a snapshot
   bool exhausted = false;          ///< source retired (closed and drained)
   TransportCounters transport;     ///< the source's own loss/pressure view
-  /// Sample-buffer recycling effectiveness of the source's own pool
-  /// (hit/miss/discard); meaningful only when has_pool (servers that
-  /// decode frames own one; has_pool false = global-pool source).
-  SampleBufferPool::Stats pool{};
-  bool has_pool = false;
 };
 
 class SourceMux final : public SampleSource {

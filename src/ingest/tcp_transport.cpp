@@ -66,11 +66,9 @@ int epoll_timeout_ms(std::chrono::steady_clock::duration left) {
 /// channel, so a Connection outlives its place in the reactor for as
 /// long as undelivered verdicts reference it.
 struct TcpServer::Connection final : VerdictSink {
-  Connection(int fd, SampleBufferPool* pool,
+  Connection(int fd,
              std::shared_ptr<std::atomic<std::uint64_t>> write_failures)
-      : fd(fd), write_failures(std::move(write_failures)) {
-    decoder.set_buffer_pool(pool);  // recycle within the owning server
-  }
+      : fd(fd), write_failures(std::move(write_failures)) {}
   ~Connection() override { close_socket(); }
 
   void deliver(const Message& verdict) override {
@@ -175,7 +173,8 @@ struct TcpServer::Connection final : VerdictSink {
   /// deliver_many scratch (guarded by write_mutex).
   std::vector<std::vector<std::uint8_t>> write_slots;
   std::vector<iovec> write_iov;
-  /// Reactor-side stream state (poll()/stop() only).
+  /// Reactor-side stream state (poll()/stop() only). Holds the bytes
+  /// of the batch views decoded from this connection.
   FrameDecoder decoder;
 };
 
@@ -245,7 +244,7 @@ void TcpServer::accept_ready() {
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
                  sizeof(send_timeout));
     auto connection =
-        std::make_shared<Connection>(fd, &pool_, verdict_write_failures_);
+        std::make_shared<Connection>(fd, verdict_write_failures_);
     epoll_event event{};
     event.events = EPOLLIN;
     event.data.ptr = connection.get();
@@ -282,13 +281,12 @@ bool TcpServer::read_connection(const std::shared_ptr<Connection>& connection,
   DecodeStatus status;
   for (;;) {
     Envelope& envelope = out.emplace_back();
-    status = decoder.next(envelope.message);
+    status = decoder.next(envelope.message, envelope.batch);
     if (status != DecodeStatus::kMessage) {
       out.pop_back();
       break;
     }
     envelope.reply = connection;
-    envelope.pool = &pool_;
     ++frames;
   }
   frames_.fetch_add(frames, std::memory_order_relaxed);
@@ -331,7 +329,9 @@ bool TcpServer::poll(std::vector<Envelope>& out,
       if (!read_connection(it->second, out)) retire(it);
     }
     // Accepts and partial frames are not progress: keep waiting until a
-    // message decodes or the caller's timeout runs out.
+    // message decodes or the caller's timeout runs out. Returning after
+    // the first round that decodes anything keeps its batch views valid:
+    // no decoder is fed again before the caller dispatches them.
     if (out.size() > before ||
         std::chrono::steady_clock::now() >= deadline) {
       return true;

@@ -9,12 +9,14 @@
 /// flooding peer cannot starve the others), and decoding with that
 /// connection's own FrameDecoder straight into the caller's envelope
 /// vector, each envelope tagged with its connection as the verdict
-/// reply channel. There is no accept thread, no reader thread, and no
-/// internal queue. Back-pressure is end-to-end by construction: bytes
-/// the pipeline has not polled stay in the kernel receive buffer, whose
-/// window stalls the remote sender. A connection whose byte stream
-/// fails to decode is dropped (corrupted framing is unrecoverable) and
-/// counted.
+/// reply channel. Sample batches stay in the decoder's buffer as views
+/// (see the lifetime contract in transport.hpp); the envelope's reply
+/// pointer keeps the connection, and with it those bytes, alive. There
+/// is no accept thread, no reader thread, and no internal queue.
+/// Back-pressure is end-to-end by construction: bytes the pipeline has
+/// not polled stay in the kernel receive buffer, whose window stalls
+/// the remote sender. A connection whose byte stream fails to decode is
+/// dropped (corrupted framing is unrecoverable) and counted.
 ///
 /// TcpClient is the emitter side: connect, send() frames, receive()
 /// verdict messages. Used by `efd_cli replay` and by TransportFeed for
@@ -40,7 +42,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "ingest/buffer_pool.hpp"
 #include "ingest/transport.hpp"
 
 namespace efd::ingest {
@@ -93,10 +94,6 @@ class TcpServer final : public SampleSource {
   /// failed verdict writes as drops.
   TransportCounters transport_counters() const override;
 
-  /// The server-owned sample buffer pool every connection's decoder
-  /// acquires from (and the consumer releases back to).
-  const SampleBufferPool* buffer_pool() const override { return &pool_; }
-
  private:
   struct Connection;
 
@@ -119,11 +116,6 @@ class TcpServer final : public SampleSource {
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  ///< eventfd: stop() wakes epoll_wait through it
   std::uint16_t port_ = 0;
-  /// Server-local sample buffer recycling: connection decoders acquire
-  /// here, envelopes carry the provenance, dispatch releases back. Keeps
-  /// the hot acquire/release cycle off the process-global pool's shared
-  /// free list.
-  SampleBufferPool pool_;
   std::atomic<bool> stopping_{false};
 
   /// Serializes poll() and stop(); guards the connection map, the read

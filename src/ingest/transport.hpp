@@ -13,6 +13,24 @@
 /// number of registered sources into one polled stream with per-source
 /// accounting — so new transports (RDMA, ...) slot in without touching
 /// recognition code.
+///
+/// Batch view lifetime: the servers (TCP, UDP, shm) hand out each
+/// kSampleBatch as a SampleBatchView into their own buffer instead of
+/// copying it into WireSamples. A batch view points into its source's
+/// buffer and stays valid until that source's next poll(). The contract
+/// holds at every layer:
+///  - IngestPipeline dispatches every envelope of a poll before it polls
+///    again, and keeps no view past dispatch;
+///  - SourceMux never re-polls a source after that source has yielded
+///    within one mux poll;
+///  - TcpServer feeds each ready connection's decoder once per
+///    epoll_wait round and ends the poll after the first round that
+///    decodes anything, so no decoder is fed after it made a view;
+///    ShmRingServer feeds its decoder before it decodes; UdpServer
+///    reuses its receive buffers only after a receive that yielded
+///    nothing.
+/// A consumer that keeps samples past the next poll copies them out
+/// (the retrain recorder receives WireSamples built from the view).
 
 #include <chrono>
 #include <cstdint>
@@ -49,22 +67,24 @@ class VerdictSink {
   }
 };
 
-class SampleBufferPool;
-
 /// One inbound message plus the reply channel it arrived on (null for
 /// fire-and-forget emitters). The mux stamps `source` so verdict
-/// routing and per-source accounting survive the fan-in. `pool` is the
-/// buffer pool the message's sample vector was acquired from (null =
-/// the process-global pool): the consumer returns the vector there
-/// after dispatch, so each server's buffers recycle without crossing a
-/// shared global free list. Provenance rides the Envelope, NOT the
-/// Message — Message stays a pure wire value (its defaulted equality
-/// is load-bearing in round-trip tests).
+/// routing and per-source accounting survive the fan-in. A kSampleBatch
+/// arrives either owned (message.samples) or, from the servers, as
+/// `batch`, a view into the source's buffer (message.samples empty; see
+/// the lifetime contract above). Provenance rides the Envelope, NOT the
+/// Message — Message stays a pure wire value (its defaulted equality is
+/// load-bearing in round-trip tests).
 struct Envelope {
   Message message;
   std::shared_ptr<VerdictSink> reply;
   SourceId source = 0;
-  SampleBufferPool* pool = nullptr;
+  SampleBatchView batch{};
+
+  /// Samples this envelope carries, in whichever form.
+  std::size_t sample_count() const noexcept {
+    return message.samples.size() + batch.count;
+  }
 };
 
 /// Transport-level health counters a source exposes to the mux/stats
@@ -88,7 +108,8 @@ class SampleSource {
   virtual ~SampleSource() = default;
 
   /// Waits up to \p timeout for inbound messages and appends them to
-  /// \p out (bounded by the transport's internal batch size). Returns
+  /// \p out (bounded by the transport's internal batch size). Batch
+  /// views appended by an earlier call are invalid from here on. Returns
   /// false once the source is exhausted — closed AND fully drained —
   /// after which no more messages will ever appear. A true return with
   /// an empty \p out is a normal timeout.
@@ -98,12 +119,6 @@ class SampleSource {
   /// Transport-level loss/back-pressure counters (see TransportCounters).
   /// Safe from any thread; default is all-zero.
   virtual TransportCounters transport_counters() const { return {}; }
-
-  /// The source-owned sample buffer pool, when the transport has one
-  /// (servers that decode frames); nullptr for sources that borrow the
-  /// process-global pool. The mux scrapes hit/miss/discard stats off it
-  /// per source.
-  virtual const SampleBufferPool* buffer_pool() const { return nullptr; }
 };
 
 /// Producer side of a transport: samplers/replayers send through this.

@@ -61,24 +61,17 @@ void encode_datagram(std::uint64_t seq, const Message& message,
 
 bool decode_datagram(const std::uint8_t* data, std::size_t size,
                      std::uint64_t& seq, Message& out,
-                     SampleBufferPool* pool) {
+                     SampleBatchView* batch) {
   if (size < kUdpHeaderBytes) return false;
   util::ByteReader reader(data, size);
   std::uint32_t magic = 0;
   if (!reader.read_u32(magic) || magic != kUdpMagic) return false;
   if (!reader.read_u64(seq)) return false;
-  // One datagram = exactly one EFD-WIRE-V1 frame, decoded by the same
-  // fuzz-hardened decoder the stream transports use. A fresh decoder per
-  // datagram: datagrams are independent — corruption cannot poison a
-  // stream, only fail its own datagram.
-  FrameDecoder decoder;
-  if (pool != nullptr) decoder.set_buffer_pool(pool);
-  decoder.feed(data + kUdpHeaderBytes, size - kUdpHeaderBytes);
-  Message message;
-  if (decoder.next(message) != DecodeStatus::kMessage) return false;
-  if (decoder.buffered_bytes() != 0) return false;  // trailing bytes
-  out = std::move(message);
-  return true;
+  // One datagram = exactly one EFD-WIRE-V1 frame, validated by the same
+  // routine the stream decoder runs, in place: datagrams are independent
+  // — corruption cannot poison a stream, only fail its own datagram.
+  return decode_frame(data + kUdpHeaderBytes, size - kUdpHeaderBytes, out,
+                      batch) == nullptr;
 }
 
 struct UdpServer::SharedSocket {
@@ -181,24 +174,31 @@ std::size_t UdpServer::receive_ready(std::vector<Envelope>& out) {
                                   kPollDatagramBudget, MSG_DONTWAIT, nullptr);
   if (received <= 0) return 0;  // nothing waiting (EAGAIN) or EINTR
   for (std::size_t i = 0; i < static_cast<std::size_t>(received); ++i) {
-    handle_datagram(peers[i], static_cast<std::uint8_t*>(iovs[i].iov_base),
-                    headers[i].msg_len, out);
+    Envelope& envelope = out.emplace_back();
+    if (handle_datagram(peers[i],
+                        static_cast<std::uint8_t*>(iovs[i].iov_base),
+                        headers[i].msg_len, envelope)) {
+      frames_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      out.pop_back();
+    }
   }
   return static_cast<std::size_t>(received);
 }
 
-void UdpServer::handle_datagram(const sockaddr_in& peer,
+bool UdpServer::handle_datagram(const sockaddr_in& peer,
                                 const std::uint8_t* data, std::size_t size,
-                                std::vector<Envelope>& out) {
+                                Envelope& envelope) {
   datagrams_.fetch_add(1, std::memory_order_relaxed);
 
   std::uint64_t seq = 0;
-  Message message;
-  if (!decode_datagram(data, size, seq, message, &pool_) || seq == 0) {
+  const Message& message = envelope.message;
+  if (!decode_datagram(data, size, seq, envelope.message, &envelope.batch) ||
+      seq == 0) {
     // One bad datagram fails alone: datagrams are independent, so the
     // peer's later traffic still flows (unlike a corrupted TCP stream).
     decode_errors_.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return false;
   }
 
   const auto now = std::chrono::steady_clock::now();
@@ -235,7 +235,7 @@ void UdpServer::handle_datagram(const sockaddr_in& peer,
     // Duplicate or reordered-behind-delivery: re-dispatching would
     // double-count its samples, so it is shed — and counted.
     duplicates_.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return false;
   } else if (seq > state.last_seq + 1) {
     gaps_.fetch_add(seq - state.last_seq - 1, std::memory_order_relaxed);
   }
@@ -253,16 +253,15 @@ void UdpServer::handle_datagram(const sockaddr_in& peer,
     for (const ControlSeen& seen : state.control_seen) {
       if (seen.job_id == message.job_id && seen.close == close) {
         control_retransmits_.fetch_add(1, std::memory_order_relaxed);
-        return;
+        return false;
       }
     }
     state.control_seen[state.control_next] = ControlSeen{message.job_id, close};
     state.control_next = (state.control_next + 1) % kControlHistorySize;
   }
 
-  out.push_back(Envelope{std::move(message), state.sink, /*source=*/0,
-                         /*pool=*/&pool_});
-  frames_.fetch_add(1, std::memory_order_relaxed);
+  envelope.reply = state.sink;
+  return true;
 }
 
 void UdpServer::sweep_idle_peers(std::chrono::steady_clock::time_point now) {
@@ -294,7 +293,9 @@ bool UdpServer::poll(std::vector<Envelope>& out,
   if (receive_ready(out) == 0) {
     // Nothing waiting: sleep until a datagram (or stop()) arrives. A
     // wake whose datagrams are all shed returns empty-handed, which the
-    // SampleSource contract reads as a normal timeout.
+    // SampleSource contract reads as a normal timeout. Only this second
+    // receive reuses the buffers, and only after the first read nothing,
+    // so no batch view of this poll is overwritten.
     pollfd fds[] = {{socket_->fd, POLLIN, 0}, {wake_fd_, POLLIN, 0}};
     const auto ms = std::clamp<long long>(timeout.count(), 0, INT_MAX);
     if (::poll(fds, 2, static_cast<int>(ms)) > 0) receive_ready(out);

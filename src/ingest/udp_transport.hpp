@@ -14,7 +14,9 @@
 /// UdpServer is a reactor that runs on the caller's thread, shaped like
 /// TcpServer: poll() reads at most kPollDatagramBudget datagrams with
 /// one non-blocking recvmmsg, then sequences, dedups and decodes each
-/// straight into the caller's envelope vector; when nothing is waiting
+/// straight into the caller's envelope vector, sample batches as views
+/// into the receive buffer (see the lifetime contract in transport.hpp);
+/// when nothing is waiting
 /// it waits for readiness up to its timeout. There is no receiver thread
 /// and no internal queue: datagrams the pipeline has not polled wait in
 /// the kernel receive buffer, and when that overflows the kernel sheds
@@ -27,7 +29,8 @@
 ///   datagram := u32 magic ("EFDU") | u64 seq | frame
 ///
 /// where `frame` is exactly one EFD-WIRE-V1 frame (wire_format.hpp) —
-/// the same fuzz-hardened decoder, fed one datagram at a time; trailing
+/// the same fuzz-hardened validation, run on the datagram where it was
+/// received (decode_frame); trailing
 /// bytes after the frame, a truncated frame, or a bad magic fail that
 /// datagram alone (decode_errors), never a stream. seq starts at 1 and
 /// increments per datagram per emitter socket; the server tracks the
@@ -56,7 +59,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "ingest/buffer_pool.hpp"
 #include "ingest/tcp_transport.hpp"  // TransportError
 #include "ingest/transport.hpp"
 
@@ -75,14 +77,14 @@ void encode_datagram(std::uint64_t seq, const Message& message,
                      std::vector<std::uint8_t>& out);
 
 /// Decodes one datagram. Defensive against arbitrary bytes: returns
-/// false (out/seq untouched or partial) on bad magic, truncation, a
+/// false (seq possibly set, out untouched) on bad magic, truncation, a
 /// frame that fails the wire decoder, or trailing bytes — never throws,
-/// crashes, or over-allocates beyond the bytes that arrived. \p pool,
-/// when non-null, supplies the decoder's sample buffers (the server
-/// passes its own pool; standalone callers default to the global one).
+/// crashes, or over-allocates beyond the bytes that arrived. With
+/// \p batch non-null a kSampleBatch stays in \p data as a view (see
+/// decode_frame in wire_format.hpp).
 bool decode_datagram(const std::uint8_t* data, std::size_t size,
                      std::uint64_t& seq, Message& out,
-                     SampleBufferPool* pool = nullptr);
+                     SampleBatchView* batch = nullptr);
 
 class UdpServer final : public SampleSource {
  public:
@@ -139,10 +141,6 @@ class UdpServer final : public SampleSource {
   Stats stats() const;
   TransportCounters transport_counters() const override;
 
-  /// The server-owned sample buffer pool poll()'s decoders acquire
-  /// from (and the consumer releases back to).
-  const SampleBufferPool* buffer_pool() const override { return &pool_; }
-
  private:
   struct SharedSocket;  ///< mutex-guarded fd holder (outlives stop())
   struct PeerSink;
@@ -168,9 +166,11 @@ class UdpServer final : public SampleSource {
   /// One non-blocking recvmmsg, each datagram handled into \p out;
   /// returns the datagrams read (0 when none was waiting).
   std::size_t receive_ready(std::vector<Envelope>& out);
-  /// Sequencing, dedup, and decode of one received datagram into \p out.
-  void handle_datagram(const sockaddr_in& peer, const std::uint8_t* data,
-                       std::size_t size, std::vector<Envelope>& out);
+  /// Sequencing, dedup, and decode of one received datagram into
+  /// \p envelope; false when the datagram is shed (corrupt, duplicate,
+  /// or a retransmitted control frame).
+  bool handle_datagram(const sockaddr_in& peer, const std::uint8_t* data,
+                       std::size_t size, Envelope& envelope);
   /// Amortized eviction of peers idle past the TTL.
   void sweep_idle_peers(std::chrono::steady_clock::time_point now);
 
@@ -180,14 +180,13 @@ class UdpServer final : public SampleSource {
   std::shared_ptr<SharedSocket> socket_;
   int wake_fd_ = -1;  ///< eventfd: stop() wakes a blocked poll() through it
   std::uint16_t port_ = 0;
-  /// Server-local sample buffer recycling (see TcpServer::pool_).
-  SampleBufferPool pool_;
   std::atomic<bool> stopping_{false};
 
   /// Serializes poll() and stop(); guards everything below up to the
   /// counters.
   std::mutex reactor_mutex_;
   /// recvmmsg scratch: kPollDatagramBudget slots of one datagram each.
+  /// Batch views point into it until the next receive that yields.
   std::unique_ptr<std::uint8_t[]> receive_buffer_;
   /// Per-peer sequencing state.
   std::unordered_map<std::uint64_t, PeerState> peers_;

@@ -323,107 +323,72 @@ std::vector<std::uint8_t> encode(const Message& message) {
   return out;
 }
 
-FrameDecoder::FrameDecoder() : pool_(&sample_buffer_pool()) {}
+namespace {
 
-void FrameDecoder::feed(const std::uint8_t* data, std::size_t size) {
-  if (failed_ || size == 0) return;
-  // Compact the consumed prefix before growing (keeps the buffer bounded
-  // by one frame plus one read's worth of bytes).
-  if (offset_ > 0 && offset_ >= buffer_.size() / 2) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(offset_));
-    offset_ = 0;
-  }
-  buffer_.insert(buffer_.end(), data, data + size);
+/// The length-prefix checks every frame passes before its payload is
+/// looked at. Returns nullptr or the error text.
+const char* check_payload_length(std::uint32_t payload_len) {
+  if (payload_len < kHeaderBytes) return "frame shorter than header";
+  if (payload_len > kMaxFrameBytes) return "frame exceeds size limit";
+  return nullptr;
 }
 
-DecodeStatus FrameDecoder::fail(std::string reason) {
-  failed_ = true;
-  error_ = std::move(reason);
-  buffer_.clear();
-  offset_ = 0;
-  return DecodeStatus::kError;
+/// The one validation of a kSampleBatch body (`u64 job_id | u32 count |
+/// count * sample`): the prefix, the count against the bytes that
+/// arrived, every sample's fixed fields and metric length, and no
+/// trailing bytes. Fills \p job_id and \p batch and returns nullptr, or
+/// returns the error text.
+const char* check_sample_batch(const std::uint8_t* body, std::size_t size,
+                               std::uint64_t& job_id,
+                               SampleBatchView& batch) {
+  if (size < kBatchPrefix) return "malformed sample-batch prefix";
+  const auto count = detail::load_le<std::uint32_t>(body + 8);
+  // Never trust the count field: the body that actually arrived bounds
+  // how many samples can exist.
+  std::size_t left = size - kBatchPrefix;
+  if (static_cast<std::size_t>(count) * kSampleFixed > left) {
+    return "sample count inconsistent with frame length";
+  }
+  const std::uint8_t* at = body + kBatchPrefix;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    if (left < kSampleFixed) return "truncated sample in batch";
+    // The u16 metric length closes the sample's fixed fields.
+    const std::size_t sample =
+        kSampleFixed + detail::load_le<std::uint16_t>(at + kSampleFixed - 2);
+    if (sample > left) return "truncated sample in batch";
+    at += sample;
+    left -= sample;
+  }
+  if (left != 0) return "trailing bytes in batch";
+  job_id = detail::load_le<std::uint64_t>(body);
+  batch = SampleBatchView{count, body + kBatchPrefix, size - kBatchPrefix};
+  return nullptr;
 }
 
-DecodeStatus FrameDecoder::next(Message& out) {
-  if (failed_) return DecodeStatus::kError;
-
-  // Decode-stage timer: one steady_clock pair per sampled frame (1 in
-  // HotPathMetrics::kSampleEvery); gated so bench_hot_path can measure
-  // the instrumentation on/off.
-  const bool timed = obs::hot_path().sample_now();
-  const auto decode_start = timed ? std::chrono::steady_clock::now()
-                                  : std::chrono::steady_clock::time_point{};
-
-  const std::size_t available = buffer_.size() - offset_;
-  if (available < 4) return DecodeStatus::kNeedMore;
-  const std::uint8_t* head = buffer_.data() + offset_;
-  std::uint32_t payload_len = 0;
-  for (int i = 0; i < 4; ++i) {
-    payload_len |= static_cast<std::uint32_t>(head[i]) << (8 * i);
-  }
-  if (payload_len < kHeaderBytes) return fail("frame shorter than header");
-  if (payload_len > kMaxFrameBytes) return fail("frame exceeds size limit");
-  if (available - 4 < payload_len) return DecodeStatus::kNeedMore;
-
-  ByteReader reader(head + 4, payload_len);
-  std::uint8_t version = 0, type = 0;
-  reader.read_u8(version);
-  reader.read_u8(type);
-  if (version != kWireVersion) return fail("unsupported wire version");
-
-  Message message;
-  switch (static_cast<MessageType>(type)) {
+/// Decodes the body of every type but kSampleBatch into \p message.
+/// Returns nullptr or the error text.
+const char* decode_body(MessageType type, ByteReader& reader,
+                        Message& message) {
+  switch (type) {
     case MessageType::kOpenJob:
       message.type = MessageType::kOpenJob;
       if (reader.remaining() != kOpenJobBody ||
           !reader.read_u64(message.job_id) ||
           !reader.read_u32(message.node_count)) {
-        return fail("malformed open-job body");
+        return "malformed open-job body";
       }
       break;
     case MessageType::kCloseJob:
       message.type = MessageType::kCloseJob;
       if (reader.remaining() != kCloseJobBody ||
           !reader.read_u64(message.job_id)) {
-        return fail("malformed close-job body");
+        return "malformed close-job body";
       }
       break;
     case MessageType::kShutdown:
       message.type = MessageType::kShutdown;
-      if (reader.remaining() != 0) return fail("malformed shutdown body");
+      if (reader.remaining() != 0) return "malformed shutdown body";
       break;
-    case MessageType::kSampleBatch: {
-      message.type = MessageType::kSampleBatch;
-      std::uint32_t count = 0;
-      if (reader.remaining() < kBatchPrefix ||
-          !reader.read_u64(message.job_id) || !reader.read_u32(count)) {
-        return fail("malformed sample-batch prefix");
-      }
-      // Never trust the count field for allocation: the body that
-      // actually arrived bounds how many samples can exist.
-      if (static_cast<std::size_t>(count) * kSampleFixed >
-          reader.remaining()) {
-        return fail("sample count inconsistent with frame length");
-      }
-      // Decode IN PLACE into a recycled buffer: every field of every
-      // element is overwritten below, and read_string assigns into the
-      // element's string, reusing its capacity from the previous batch.
-      if (pool_ != nullptr) message.samples = pool_->acquire();
-      message.samples.resize(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        WireSample& sample = message.samples[i];
-        std::uint32_t t_bits = 0;
-        if (!reader.read_u32(sample.node_id) || !reader.read_u32(t_bits) ||
-            !reader.read_f64(sample.value) ||
-            !reader.read_string(sample.metric)) {
-          return fail("truncated sample in batch");
-        }
-        sample.t = static_cast<std::int32_t>(t_bits);
-      }
-      if (reader.remaining() != 0) return fail("trailing bytes in batch");
-      break;
-    }
     case MessageType::kVerdict: {
       message.type = MessageType::kVerdict;
       std::uint8_t recognized = 0;
@@ -433,10 +398,10 @@ DecodeStatus FrameDecoder::next(Message& out) {
           !reader.read_u32(message.verdict.fingerprints) ||
           !reader.read_string(message.verdict.application) ||
           !reader.read_string(message.verdict.label)) {
-        return fail("malformed verdict body");
+        return "malformed verdict body";
       }
       message.verdict.recognized = recognized != 0;
-      if (reader.remaining() != 0) return fail("trailing bytes in verdict");
+      if (reader.remaining() != 0) return "trailing bytes in verdict";
       break;
     }
     case MessageType::kSwapDictionary:
@@ -451,27 +416,27 @@ DecodeStatus FrameDecoder::next(Message& out) {
       if (reader.remaining() < kSwapAckFixed || !reader.read_u8(ok) ||
           !reader.read_u64(message.swap_ack.epoch) ||
           !reader.read_string(message.swap_ack.error)) {
-        return fail("malformed swap-ack body");
+        return "malformed swap-ack body";
       }
       message.swap_ack.ok = ok != 0;
-      if (reader.remaining() != 0) return fail("trailing bytes in swap-ack");
+      if (reader.remaining() != 0) return "trailing bytes in swap-ack";
       break;
     }
     case MessageType::kStatsRequest:
       message.type = MessageType::kStatsRequest;
-      if (reader.remaining() != 0) return fail("malformed stats-request body");
+      if (reader.remaining() != 0) return "malformed stats-request body";
       break;
     case MessageType::kStatsReply: {
       message.type = MessageType::kStatsReply;
       std::uint32_t text_len = 0;
       if (reader.remaining() < kStatsReplyPrefix ||
           !reader.read_u32(text_len)) {
-        return fail("malformed stats-reply prefix");
+        return "malformed stats-reply prefix";
       }
       // The declared length must match the bytes that actually arrived —
       // never an allocation source beyond them.
       if (text_len != reader.remaining()) {
-        return fail("stats text length inconsistent with frame length");
+        return "stats text length inconsistent with frame length";
       }
       std::vector<std::uint8_t> text;
       reader.read_bytes(text, text_len);
@@ -488,20 +453,20 @@ DecodeStatus FrameDecoder::next(Message& out) {
           !reader.read_f64(message.retrain_report.incumbent_score) ||
           !reader.read_u64(message.retrain_report.window_jobs) ||
           !reader.read_u64(message.retrain_report.holdout_jobs)) {
-        return fail("malformed retrain-report body");
+        return "malformed retrain-report body";
       }
       break;
     }
     case MessageType::kSnapBase:
     case MessageType::kSnapDelta: {
-      message.type = static_cast<MessageType>(type);
+      message.type = type;
       if (reader.remaining() < kSnapCapturePrefix ||
           !reader.read_u64(message.capture_id) ||
           !reader.read_u64(message.parent_id)) {
-        return fail("malformed snap-capture prefix");
+        return "malformed snap-capture prefix";
       }
       if (message.type == MessageType::kSnapBase && message.parent_id != 0) {
-        return fail("snap-base with nonzero parent");
+        return "snap-base with nonzero parent";
       }
       // Whatever the body holds IS the capture blob: allocation is
       // bounded by the bytes that actually arrived (<= kMaxFrameBytes).
@@ -511,58 +476,58 @@ DecodeStatus FrameDecoder::next(Message& out) {
     }
     case MessageType::kSnapAck:
     case MessageType::kPromoteAck: {
-      message.type = static_cast<MessageType>(type);
+      message.type = type;
       std::uint8_t ok = 0;
       if (reader.remaining() < kSnapAckFixed || !reader.read_u8(ok) ||
           !reader.read_u64(message.snap_ack.capture_id) ||
           !reader.read_string(message.snap_ack.error)) {
-        return fail("malformed snap-ack body");
+        return "malformed snap-ack body";
       }
       message.snap_ack.ok = ok != 0;
-      if (reader.remaining() != 0) return fail("trailing bytes in snap-ack");
+      if (reader.remaining() != 0) return "trailing bytes in snap-ack";
       break;
     }
     case MessageType::kFollowRequest:
       message.type = MessageType::kFollowRequest;
       if (reader.remaining() != kFollowRequestBody ||
           !reader.read_u64(message.capture_id)) {
-        return fail("malformed follow-request body");
+        return "malformed follow-request body";
       }
       break;
     case MessageType::kPromote:
       message.type = MessageType::kPromote;
-      if (reader.remaining() != 0) return fail("malformed promote body");
+      if (reader.remaining() != 0) return "malformed promote body";
       break;
     case MessageType::kSubscribe: {
       message.type = MessageType::kSubscribe;
       std::uint32_t app_count = 0;
       if (reader.remaining() < kSubscribePrefix ||
           !reader.read_u32(app_count)) {
-        return fail("malformed subscribe prefix");
+        return "malformed subscribe prefix";
       }
       // Each filter name costs at least its u16 length prefix; the body
       // that actually arrived bounds the allocation, never the count.
       if (static_cast<std::size_t>(app_count) * 2 > reader.remaining()) {
-        return fail("subscribe app count inconsistent with frame length");
+        return "subscribe app count inconsistent with frame length";
       }
       message.subscribe.applications.resize(app_count);
       for (std::uint32_t i = 0; i < app_count; ++i) {
         if (!reader.read_string(message.subscribe.applications[i])) {
-          return fail("truncated subscribe application filter");
+          return "truncated subscribe application filter";
         }
       }
       std::uint32_t source_count = 0;
       if (!reader.read_u32(source_count) ||
           static_cast<std::size_t>(source_count) * 4 > reader.remaining()) {
-        return fail("subscribe source count inconsistent with frame length");
+        return "subscribe source count inconsistent with frame length";
       }
       message.subscribe.sources.resize(source_count);
       for (std::uint32_t i = 0; i < source_count; ++i) {
         if (!reader.read_u32(message.subscribe.sources[i])) {
-          return fail("truncated subscribe source filter");
+          return "truncated subscribe source filter";
         }
       }
-      if (reader.remaining() != 0) return fail("trailing bytes in subscribe");
+      if (reader.remaining() != 0) return "trailing bytes in subscribe";
       break;
     }
     case MessageType::kSubscribeAck: {
@@ -571,11 +536,11 @@ DecodeStatus FrameDecoder::next(Message& out) {
       if (reader.remaining() < kSnapAckFixed || !reader.read_u8(ok) ||
           !reader.read_u64(message.snap_ack.capture_id) ||
           !reader.read_string(message.snap_ack.error)) {
-        return fail("malformed subscribe-ack body");
+        return "malformed subscribe-ack body";
       }
       message.snap_ack.ok = ok != 0;
       if (reader.remaining() != 0) {
-        return fail("trailing bytes in subscribe-ack");
+        return "trailing bytes in subscribe-ack";
       }
       break;
     }
@@ -591,27 +556,142 @@ DecodeStatus FrameDecoder::next(Message& out) {
           !reader.read_u32(message.verdict.fingerprints) ||
           !reader.read_string(message.verdict.application) ||
           !reader.read_string(message.verdict.label)) {
-        return fail("malformed verdict-event body");
+        return "malformed verdict-event body";
       }
       message.verdict.recognized = recognized != 0;
       if (reader.remaining() != 0) {
-        return fail("trailing bytes in verdict-event");
+        return "trailing bytes in verdict-event";
       }
       break;
     }
     default:
-      return fail("unknown message type");
+      return "unknown message type";
+  }
+  return nullptr;
+}
+
+/// Decodes one whole frame payload (`version | type | body`). A
+/// kSampleBatch passes check_sample_batch and is then either left in
+/// place (\p batch non-null: out gets the type and job id) or built
+/// into out.samples from \p pool (null = fresh vectors). Returns nullptr
+/// or the error text; \p out is untouched on error.
+const char* decode_payload(const std::uint8_t* payload, std::size_t size,
+                           Message& out, SampleBatchView* batch,
+                           SampleBufferPool* pool) {
+  // Decode-stage timer: one steady_clock pair per sampled frame (1 in
+  // HotPathMetrics::kSampleEvery); gated so bench_hot_path can measure
+  // the instrumentation on/off.
+  const bool timed = obs::hot_path().sample_now();
+  const auto decode_start = timed ? std::chrono::steady_clock::now()
+                                  : std::chrono::steady_clock::time_point{};
+
+  if (payload[0] != kWireVersion) return "unsupported wire version";
+  const auto type = static_cast<MessageType>(payload[1]);
+  if (type == MessageType::kSampleBatch) {
+    std::uint64_t job_id = 0;
+    SampleBatchView view;
+    if (const char* error = check_sample_batch(
+            payload + kHeaderBytes, size - kHeaderBytes, job_id, view)) {
+      return error;
+    }
+    if (batch != nullptr) {
+      out.type = MessageType::kSampleBatch;
+      out.job_id = job_id;
+      out.samples.clear();
+      *batch = view;
+    } else {
+      Message message;
+      message.type = MessageType::kSampleBatch;
+      message.job_id = job_id;
+      // Decode IN PLACE into a recycled buffer: every field of every
+      // element is overwritten below, and assign() reuses each metric
+      // string's capacity from the buffer's previous batch.
+      if (pool != nullptr) message.samples = pool->acquire();
+      message.samples.resize(view.count);
+      WireSample* sample = message.samples.data();
+      for_each_sample(view, [&sample](const SampleRef& ref) {
+        sample->node_id = ref.node_id;
+        sample->t = ref.t;
+        sample->value = ref.value;
+        sample->metric.assign(ref.metric);
+        ++sample;
+      });
+      out = std::move(message);
+    }
+  } else {
+    Message message;
+    ByteReader reader(payload + kHeaderBytes, size - kHeaderBytes);
+    if (const char* error = decode_body(type, reader, message)) return error;
+    out = std::move(message);
+    if (batch != nullptr) *batch = SampleBatchView{};
   }
 
-  offset_ += 4 + payload_len;
-  ++frames_decoded_;
-  out = std::move(message);
   if (timed) {
     obs::hot_path().decode_ns.observe(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - decode_start)
             .count());
   }
+  return nullptr;
+}
+
+}  // namespace
+
+const char* decode_frame(const std::uint8_t* frame, std::size_t size,
+                         Message& out, SampleBatchView* batch) {
+  if (size < 4) return "truncated frame";
+  const auto payload_len = detail::load_le<std::uint32_t>(frame);
+  if (const char* error = check_payload_length(payload_len)) return error;
+  if (size - 4 < payload_len) return "truncated frame";
+  if (size - 4 > payload_len) return "trailing bytes after frame";
+  return decode_payload(frame + 4, payload_len, out, batch,
+                        &sample_buffer_pool());
+}
+
+FrameDecoder::FrameDecoder() : pool_(&sample_buffer_pool()) {}
+
+void FrameDecoder::feed(const std::uint8_t* data, std::size_t size) {
+  if (failed_ || size == 0) return;
+  // Compact the consumed prefix before growing (keeps the buffer bounded
+  // by one frame plus one read's worth of bytes).
+  if (offset_ > 0 && offset_ >= buffer_.size() / 2) {
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(offset_));
+    offset_ = 0;
+  }
+  buffer_.insert(buffer_.end(), data, data + size);
+}
+
+DecodeStatus FrameDecoder::fail(const char* reason) {
+  failed_ = true;
+  error_ = reason;
+  return DecodeStatus::kError;
+}
+
+DecodeStatus FrameDecoder::next(Message& out) {
+  return next_frame(out, nullptr);
+}
+
+DecodeStatus FrameDecoder::next(Message& out, SampleBatchView& batch) {
+  return next_frame(out, &batch);
+}
+
+DecodeStatus FrameDecoder::next_frame(Message& out, SampleBatchView* batch) {
+  if (failed_) return DecodeStatus::kError;
+  const std::size_t available = buffer_.size() - offset_;
+  if (available < 4) return DecodeStatus::kNeedMore;
+  const std::uint8_t* head = buffer_.data() + offset_;
+  const auto payload_len = detail::load_le<std::uint32_t>(head);
+  if (const char* error = check_payload_length(payload_len)) {
+    return fail(error);
+  }
+  if (available - 4 < payload_len) return DecodeStatus::kNeedMore;
+  if (const char* error =
+          decode_payload(head + 4, payload_len, out, batch, pool_)) {
+    return fail(error);
+  }
+  offset_ += 4 + payload_len;
+  ++frames_decoded_;
   return DecodeStatus::kMessage;
 }
 

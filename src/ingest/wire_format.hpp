@@ -95,10 +95,17 @@
 /// the connection). Allocation is bounded by what actually arrived:
 /// sample vectors reserve at most payload-implied counts, never the raw
 /// count field.
+///
+/// A kSampleBatch has two decoded forms behind one validation: owned
+/// WireSamples (Message::samples, for callers that keep them) or a
+/// SampleBatchView over the frame's own bytes (the servers' form, which
+/// the ingest pipeline reads straight into the service's push buffer).
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace efd::ingest {
@@ -154,6 +161,56 @@ struct WireSample {
 
   bool operator==(const WireSample&) const = default;
 };
+
+/// A kSampleBatch validated where it arrived instead of copied into
+/// WireSamples: `count` samples packed in [data, data + size), each
+/// `u32 node_id | i32 t | f64 value | u16 metric_len | metric`. It
+/// borrows its source's buffer; see the lifetime contract in
+/// transport.hpp. A default view (data == nullptr) holds no batch.
+struct SampleBatchView {
+  std::uint32_t count = 0;
+  const std::uint8_t* data = nullptr;
+  std::size_t size = 0;
+};
+
+/// One sample read out of a SampleBatchView; `metric` points into the
+/// frame's bytes.
+struct SampleRef {
+  std::uint32_t node_id = 0;
+  std::int32_t t = 0;
+  double value = 0.0;
+  std::string_view metric;
+};
+
+namespace detail {
+/// Little-endian load of a T (one plain load on little-endian hosts).
+template <typename T>
+T load_le(const std::uint8_t* at) noexcept {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    value |= static_cast<std::uint64_t>(at[i]) << (8 * i);
+  }
+  return static_cast<T>(value);
+}
+}  // namespace detail
+
+/// Calls \p fn(const SampleRef&) for each sample of \p batch in wire
+/// order. The decoder checked every length when it made the view, so
+/// this reads without checks.
+template <typename Fn>
+void for_each_sample(const SampleBatchView& batch, Fn&& fn) {
+  const std::uint8_t* at = batch.data;
+  for (std::uint32_t i = 0; i < batch.count; ++i) {
+    const std::uint16_t metric_len = detail::load_le<std::uint16_t>(at + 16);
+    fn(SampleRef{
+        detail::load_le<std::uint32_t>(at),
+        static_cast<std::int32_t>(detail::load_le<std::uint32_t>(at + 4)),
+        std::bit_cast<double>(detail::load_le<std::uint64_t>(at + 8)),
+        std::string_view(reinterpret_cast<const char*>(at + 18),
+                         metric_len)});
+    at += 18 + metric_len;
+  }
+}
 
 /// A finished job's verdict as it travels back to the emitter.
 struct WireVerdict {
@@ -287,6 +344,16 @@ enum class DecodeStatus {
 
 class SampleBufferPool;
 
+/// Decodes exactly one frame that fills [frame, frame + size): the
+/// datagram path, where a short or over-long frame is an error, never
+/// "need more". Returns nullptr on success, else the error text (the
+/// same texts FrameDecoder::error() reports); \p out is untouched on
+/// error. With \p batch non-null, a kSampleBatch is left in place as
+/// FrameDecoder::next(Message&, SampleBatchView&) leaves it, and any
+/// other type resets \p batch.
+const char* decode_frame(const std::uint8_t* frame, std::size_t size,
+                         Message& out, SampleBatchView* batch = nullptr);
+
 /// Incremental frame decoder over an arbitrary byte stream (partial
 /// frames across feeds are the normal case for TCP reads).
 class FrameDecoder {
@@ -294,13 +361,22 @@ class FrameDecoder {
   FrameDecoder();
 
   /// Appends raw bytes. Accepts anything; errors surface in next().
+  /// Invalidates every SampleBatchView this decoder has returned.
   void feed(const std::uint8_t* data, std::size_t size);
   void feed(const std::vector<std::uint8_t>& data) {
     feed(data.data(), data.size());
   }
 
-  /// Tries to decode the next buffered frame into \p out.
+  /// Tries to decode the next buffered frame into \p out; a
+  /// kSampleBatch lands in out.samples.
   DecodeStatus next(Message& out);
+
+  /// next(), but a kSampleBatch passes the same validation and stays in
+  /// this decoder's buffer: out gets its type and job id (out.samples is
+  /// left empty) and \p batch views its samples until the next feed().
+  /// Any other type decodes into \p out as next() does and resets
+  /// \p batch.
+  DecodeStatus next(Message& out, SampleBatchView& batch);
 
   /// True after the first kError; all further next() calls return kError.
   bool failed() const noexcept { return failed_; }
@@ -309,17 +385,21 @@ class FrameDecoder {
   const std::string& error() const noexcept { return error_; }
 
   std::uint64_t frames_decoded() const noexcept { return frames_decoded_; }
+  /// Undecoded bytes (0 once failed: a failed stream has none to offer).
   std::size_t buffered_bytes() const noexcept {
-    return buffer_.size() - offset_;
+    return failed_ ? 0 : buffer_.size() - offset_;
   }
 
-  /// Overrides where kSampleBatch buffers come from: nullptr decodes
-  /// into fresh vectors (the pre-pool behavior — the bench baseline).
-  /// Default: the process-global sample_buffer_pool().
+  /// Overrides where next(Message&)'s kSampleBatch buffers come from:
+  /// nullptr decodes into fresh vectors (the pre-pool behavior — the
+  /// bench baseline). Default: the process-global sample_buffer_pool().
   void set_buffer_pool(SampleBufferPool* pool) noexcept { pool_ = pool; }
 
  private:
-  DecodeStatus fail(std::string reason);
+  DecodeStatus next_frame(Message& out, SampleBatchView* batch);
+  /// Marks the stream failed. The buffered bytes stay: views decoded
+  /// before the corrupt frame remain readable until the decoder dies.
+  DecodeStatus fail(const char* reason);
 
   std::vector<std::uint8_t> buffer_;
   std::size_t offset_ = 0;  ///< consumed prefix of buffer_

@@ -139,7 +139,7 @@ struct HotPathMetrics {
 
   std::atomic<bool> enabled{true};
   std::atomic<std::uint64_t> tick{0};
-  Histogram& decode_ns;    // wire bytes -> Message (FrameDecoder::next)
+  Histogram& decode_ns;    // one frame's validation + decode (views too)
   Histogram& enqueue_ns;   // sample batch admission (push_batch)
   Histogram& score_ns;     // drained batch scoring (drain_stream)
   Histogram& flush_ns;     // verdict flush pass (flush_verdicts)

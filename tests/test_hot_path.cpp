@@ -18,6 +18,7 @@
 #include <limits>
 #include <map>
 #include <new>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -224,6 +225,74 @@ TEST_F(HotPathFixture, MillionSamplesThroughDecodeAndPushAreAllocationFree) {
   EXPECT_GE(stats.hits, static_cast<std::uint64_t>(kFrames));
   EXPECT_TRUE(recognizer.ready());
   EXPECT_EQ(recognizer.result()->prediction(), "ft");
+}
+
+TEST_F(HotPathFixture, MixedSizeBatchesThroughTheViewDecodeAreAllocationFree) {
+  // serve's per-sample path as dispatch runs it: the view decode, the
+  // read into the push scratch, push_unread_batch and process_pending.
+  // Eight jobs rotate through batch sizes 1, 2, 5, 16 and 32, so batch
+  // sizes change from frame to frame (the fleet shape, one sample per
+  // node). Ticks stay inside the first window, so no job completes.
+  constexpr std::uint64_t kJobs = 8;
+  const std::size_t sizes[] = {1, 2, 5, 16, 32};
+  constexpr std::size_t kDistinct = 40;  // lcm(8 jobs, 5 sizes)
+  std::vector<std::vector<std::uint8_t>> frames(kDistinct);
+  for (std::size_t i = 0; i < kDistinct; ++i) {
+    Message batch;
+    batch.type = MessageType::kSampleBatch;
+    batch.job_id = 1 + i % kJobs;
+    for (std::size_t s = 0; s < sizes[i % 5]; ++s) {
+      batch.samples.push_back({static_cast<std::uint32_t>(s % 2),
+                               static_cast<std::int32_t>((i + s) % 50),
+                               6000.0, "nr_mapped_vmstat"});
+    }
+    encode_frame(batch, frames[i]);
+  }
+
+  RecognitionService service = make_service();
+  for (std::uint64_t job = 1; job <= kJobs; ++job) {
+    ASSERT_TRUE(service.open_job(job, 2));
+  }
+  FrameDecoder decoder;
+  Message message;
+  SampleBatchView batch;
+  std::vector<RecognitionService::SamplePush> scratch;
+  std::size_t accepted = 0;
+  bool decode_failed = false;
+  // No gtest assertions inside: the loop body is the measured window.
+  const auto pump = [&](std::size_t count, std::size_t first) {
+    for (std::size_t i = first; i < first + count; ++i) {
+      decoder.feed(frames[i % kDistinct]);
+      if (decoder.next(message, batch) != DecodeStatus::kMessage) {
+        decode_failed = true;
+        return;
+      }
+      accepted += service.push_unread_batch(
+          message.job_id, batch.count, [&] {
+            read_sample_batch(batch, scratch);
+            return std::span<const RecognitionService::SamplePush>(scratch);
+          });
+      if (i % 4 == 3) service.process_pending();  // one poll's worth
+    }
+  };
+
+  pump(4 * kDistinct, 0);  // warmup: decoder buffer, scratch, queues
+  ASSERT_FALSE(decode_failed);
+  const std::size_t warm_accepted = accepted;
+  const std::uint64_t before = allocations();
+  pump(10000, 4 * kDistinct);
+  const std::uint64_t allocated = allocations() - before;
+  ASSERT_FALSE(decode_failed);
+  EXPECT_EQ(allocated, 0u)
+      << "view decode + push_unread_batch allocated in steady state";
+  // Every sample is accepted: the 10,000 frames cycle the five sizes
+  // 2,000 times each.
+  EXPECT_EQ(accepted - warm_accepted, 10000u / 5 * (1 + 2 + 5 + 16 + 32));
+  service.process_pending();
+  const core::RecognitionServiceStats stats = service.stats();
+  EXPECT_EQ(stats.active_jobs, kJobs);
+  EXPECT_EQ(stats.samples_dropped, 0u);
+  EXPECT_EQ(stats.samples_late, 0u);
 }
 
 // --- source mux direct path ---------------------------------------------

@@ -218,6 +218,70 @@ TEST(SourceMux, NoteVerdictCreditsTheRightSource) {
   b.close();
 }
 
+/// A live source that never has a message and records how it is polled.
+class CountingSource final : public SampleSource {
+ public:
+  bool poll(std::vector<Envelope>& /*out*/,
+            std::chrono::milliseconds timeout) override {
+    ++polls;
+    timeouts.push_back(timeout);
+    return live;
+  }
+
+  bool live = true;
+  int polls = 0;
+  std::vector<std::chrono::milliseconds> timeouts;
+};
+
+TEST(SourceMux, ASoleLiveSourceIsPolledOnceWithTheWholeTimeout) {
+  // No empty non-blocking sweep before the real wait: one mux poll is
+  // one source poll, and the source waits the caller's full timeout.
+  CountingSource only;
+  SourceMux mux;
+  mux.add_source("only", only);
+  std::vector<Envelope> out;
+  for (int i = 1; i <= 5; ++i) {
+    EXPECT_TRUE(mux.poll(out, std::chrono::milliseconds(37)));
+    EXPECT_EQ(only.polls, i);
+  }
+  EXPECT_EQ(only.timeouts,
+            std::vector<std::chrono::milliseconds>(
+                5, std::chrono::milliseconds(37)));
+  EXPECT_TRUE(mux.poll(out, std::chrono::milliseconds(0)));
+  EXPECT_EQ(only.polls, 6);
+  EXPECT_EQ(only.timeouts.back(), std::chrono::milliseconds(0));
+  EXPECT_TRUE(out.empty());
+
+  // Exhaustion is unchanged: the source's own false retires it, and the
+  // mux reports exhaustion in that same call.
+  only.live = false;
+  EXPECT_FALSE(mux.poll(out, std::chrono::milliseconds(37)));
+  EXPECT_EQ(only.polls, 7);
+  EXPECT_FALSE(mux.poll(out, std::chrono::milliseconds(37)));
+  EXPECT_EQ(only.polls, 7);  // retired sources are never polled again
+}
+
+TEST(SourceMux, TheLastLiveSourceAfterARetirementIsPolledOnce) {
+  CountingSource retiring;
+  CountingSource survivor;
+  SourceMux mux;
+  mux.add_source("retiring", retiring);
+  mux.add_source("survivor", survivor);
+  retiring.live = false;
+  std::vector<Envelope> out;
+  // Two live sources: the sweep retires one, then the 1 ms rounds run.
+  EXPECT_TRUE(mux.poll(out, std::chrono::milliseconds(3)));
+  ASSERT_EQ(retiring.polls, 1);
+  // From here on the survivor is the sole live source.
+  const int before = survivor.polls;
+  for (int i = 1; i <= 3; ++i) {
+    EXPECT_TRUE(mux.poll(out, std::chrono::milliseconds(20)));
+    EXPECT_EQ(survivor.polls, before + i);
+    EXPECT_EQ(survivor.timeouts.back(), std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(retiring.polls, 1);
+}
+
 TEST_F(SourceMuxFixture, ServiceShowsEverySourceTagEvenWhenOneIsIdle) {
   // Two listeners, traffic only on the first: the service must still
   // report both tags (the idle one all-zero) — a quiet listener is a

@@ -10,6 +10,7 @@
 
 #include "ingest/udp_transport.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <stdexcept>
@@ -673,6 +674,246 @@ TEST(UdpDatagram, EncodeRejectsFramesTooLargeForADatagram) {
   std::vector<std::uint8_t> out;
   EXPECT_THROW(encode_datagram(1, big, out), std::invalid_argument);
   EXPECT_TRUE(out.empty());  // nothing half-written
+}
+
+// --- Owned vs view decode parity (FrameDecoder::next's two outputs) -----
+
+/// The samples a view reads back, as WireSamples.
+std::vector<WireSample> read_back(const SampleBatchView& batch) {
+  std::vector<WireSample> samples;
+  for_each_sample(batch, [&samples](const SampleRef& sample) {
+    samples.push_back({sample.node_id, sample.t, sample.value,
+                       std::string(sample.metric)});
+  });
+  return samples;
+}
+
+/// One frame decoded both ways must be the same message: a batch view
+/// reads back the owned samples, and every other type decodes equal.
+void expect_same_decode(const Message& owned, const Message& viewed,
+                        const SampleBatchView& batch) {
+  ASSERT_EQ(owned.type, viewed.type);
+  if (owned.type != MessageType::kSampleBatch) {
+    EXPECT_EQ(owned, viewed);
+    EXPECT_EQ(batch.data, nullptr);
+    return;
+  }
+  EXPECT_EQ(owned.job_id, viewed.job_id);
+  EXPECT_TRUE(viewed.samples.empty());
+  ASSERT_NE(batch.data, nullptr);
+  EXPECT_EQ(batch.count, owned.samples.size());
+  EXPECT_EQ(read_back(batch), owned.samples);
+}
+
+/// Feeds \p bytes in \p chunk-byte pieces to two decoders, one asked for
+/// owned batches and one for views; after every feed both must report
+/// the same DecodeStatus and error() frame by frame. Returns the frames
+/// decoded.
+std::size_t expect_decoder_parity(const std::vector<std::uint8_t>& bytes,
+                                  std::size_t chunk = SIZE_MAX) {
+  FrameDecoder owned;
+  FrameDecoder viewed;
+  Message owned_out;
+  Message view_out;
+  SampleBatchView batch;
+  std::size_t frames = 0;
+  for (std::size_t at = 0; at < bytes.size(); at += chunk) {
+    const std::size_t size = std::min(chunk, bytes.size() - at);
+    owned.feed(bytes.data() + at, size);
+    viewed.feed(bytes.data() + at, size);
+    for (;;) {
+      const DecodeStatus owned_status = owned.next(owned_out);
+      const DecodeStatus view_status = viewed.next(view_out, batch);
+      EXPECT_EQ(owned_status, view_status) << "frame " << frames;
+      EXPECT_EQ(owned.error(), viewed.error()) << "frame " << frames;
+      if (owned_status != DecodeStatus::kMessage ||
+          view_status != DecodeStatus::kMessage) {
+        break;
+      }
+      expect_same_decode(owned_out, view_out, batch);
+      ++frames;
+    }
+  }
+  EXPECT_EQ(owned.failed(), viewed.failed());
+  return frames;
+}
+
+/// decode_datagram's two outputs on \p size bytes: the same verdict, the
+/// same frame error text, and the same message when it decodes.
+void expect_datagram_parity(const std::uint8_t* data, std::size_t size) {
+  std::uint64_t owned_seq = 0;
+  std::uint64_t view_seq = 0;
+  Message owned;
+  Message viewed;
+  SampleBatchView batch;
+  const bool owned_ok = decode_datagram(data, size, owned_seq, owned);
+  const bool view_ok = decode_datagram(data, size, view_seq, viewed, &batch);
+  ASSERT_EQ(owned_ok, view_ok) << "size=" << size;
+  if (size >= kUdpHeaderBytes) {
+    Message frame_owned;
+    Message frame_viewed;
+    SampleBatchView frame_batch;
+    const char* owned_error = decode_frame(data + kUdpHeaderBytes,
+                                           size - kUdpHeaderBytes,
+                                           frame_owned);
+    const char* view_error =
+        decode_frame(data + kUdpHeaderBytes, size - kUdpHeaderBytes,
+                     frame_viewed, &frame_batch);
+    EXPECT_EQ(std::string(owned_error != nullptr ? owned_error : ""),
+              std::string(view_error != nullptr ? view_error : ""));
+  }
+  if (!owned_ok) return;
+  EXPECT_EQ(owned_seq, view_seq);
+  expect_same_decode(owned, viewed, batch);
+}
+
+/// Rewrites the u32 length prefix of a single-frame buffer to match it.
+void fix_length_prefix(std::vector<std::uint8_t>& bytes) {
+  const auto payload = static_cast<std::uint32_t>(bytes.size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    bytes[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(payload >> (8 * i));
+  }
+}
+
+TEST(WireFormatParity, HostileBatchFramesFailTheSameWayInBothOutputs) {
+  std::vector<std::vector<std::uint8_t>> cases;
+  {
+    // RejectsHostileSampleCount: count = 2^31 with a tiny body.
+    std::vector<std::uint8_t> bytes = encode(sample_batch(5, 1));
+    bytes[14] = 0x00;
+    bytes[15] = 0x00;
+    bytes[16] = 0x00;
+    bytes[17] = 0x80;
+    cases.push_back(bytes);
+  }
+  {
+    // RejectsMetricLengthOverrunningBody.
+    std::vector<std::uint8_t> bytes = encode(sample_batch(5, 1));
+    bytes[34] = 0xFF;
+    bytes[35] = 0xFF;
+    cases.push_back(bytes);
+  }
+  {
+    // RejectsBadVersionTypeAndShortFrames, on batch frames: version,
+    // type, a payload shorter than the header, a truncated body.
+    std::vector<std::uint8_t> version = encode(sample_batch(1, 3));
+    version[4] = 9;
+    cases.push_back(version);
+    std::vector<std::uint8_t> type = encode(sample_batch(1, 3));
+    type[5] = 200;
+    cases.push_back(type);
+    cases.push_back({1, 0, 0, 0, 1});
+    std::vector<std::uint8_t> truncated = encode(sample_batch(1, 3));
+    truncated.resize(truncated.size() - 7);
+    fix_length_prefix(truncated);
+    cases.push_back(truncated);
+    std::vector<std::uint8_t> short_prefix = encode(sample_batch(1, 0));
+    short_prefix.resize(4 + 2 + 10);
+    fix_length_prefix(short_prefix);
+    cases.push_back(short_prefix);
+    std::vector<std::uint8_t> trailing = encode(sample_batch(1, 2));
+    trailing.push_back(0x00);
+    fix_length_prefix(trailing);
+    cases.push_back(trailing);
+  }
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    EXPECT_EQ(expect_decoder_parity(cases[i]), 0u);
+    FrameDecoder decoder;
+    decoder.feed(cases[i]);
+    Message message;
+    EXPECT_EQ(decoder.next(message), DecodeStatus::kError);
+  }
+}
+
+TEST(WireFormatParity, ValidStreamsReadBackTheSameSamples) {
+  // DecodesAcrossArbitraryFeedBoundaries' stream, one byte per feed and
+  // whole, plus batches of every shape (empty, long metric names).
+  std::vector<std::uint8_t> bytes;
+  encode_frame(make_open_job(7, 2), bytes);
+  encode_frame(sample_batch(7, 25), bytes);
+  encode_frame(make_close_job(7), bytes);
+  EXPECT_EQ(expect_decoder_parity(bytes, 1), 3u);
+  EXPECT_EQ(expect_decoder_parity(bytes), 3u);
+
+  Message wide = sample_batch(9, 3);
+  wide.samples[1].metric.assign(300, 'm');
+  wide.samples[2].metric.clear();
+  wide.samples[2].t = -5;
+  wide.samples[2].value = -0.0;
+  std::vector<std::uint8_t> shapes;
+  encode_frame(sample_batch(8, 0), shapes);
+  encode_frame(wide, shapes);
+  encode_frame(verdict_message(), shapes);
+  EXPECT_EQ(expect_decoder_parity(shapes), 3u);
+  EXPECT_EQ(expect_decoder_parity(shapes, 7), 3u);
+}
+
+TEST(WireFormatParity, StreamFuzzLoopsAgreeInBothOutputs) {
+  // FuzzTruncationNeverCrashesOrOverAllocates' prefixes.
+  std::vector<std::uint8_t> bytes;
+  encode_frame(make_open_job(3, 8), bytes);
+  encode_frame(sample_batch(3, 10), bytes);
+  encode_frame(verdict_message(), bytes);
+  encode_frame(make_close_job(3), bytes);
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    SCOPED_TRACE("cut=" + std::to_string(cut));
+    expect_decoder_parity(
+        std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + cut));
+  }
+
+  // FuzzRandomCorruptionNeverCrashes' flipped streams and garbage.
+  std::vector<std::uint8_t> valid;
+  encode_frame(make_open_job(11, 2), valid);
+  encode_frame(sample_batch(11, 30), valid);
+  encode_frame(make_close_job(11), valid);
+  std::mt19937 rng(2021);
+  std::uniform_int_distribution<std::size_t> pos(0, valid.size() - 1);
+  std::uniform_int_distribution<int> byte(0, 255);
+  for (int round = 0; round < 500; ++round) {
+    std::vector<std::uint8_t> corrupted = valid;
+    const int flips = 1 + round % 8;
+    for (int f = 0; f < flips; ++f) {
+      corrupted[pos(rng)] = static_cast<std::uint8_t>(byte(rng));
+    }
+    SCOPED_TRACE("round " + std::to_string(round));
+    expect_decoder_parity(corrupted);
+  }
+  for (int round = 0; round < 200; ++round) {
+    std::vector<std::uint8_t> garbage(1 + round % 256);
+    for (auto& b : garbage) b = static_cast<std::uint8_t>(byte(rng));
+    expect_decoder_parity(garbage);
+  }
+}
+
+TEST(WireFormatParity, DatagramFuzzLoopsAgreeInBothOutputs) {
+  // UdpDatagram.FuzzTruncationNeverDecodesAndNeverCrashes' prefixes.
+  std::vector<std::uint8_t> datagram;
+  encode_datagram(3, sample_batch(5, 20), datagram);
+  for (std::size_t cut = 0; cut <= datagram.size(); ++cut) {
+    expect_datagram_parity(datagram.data(), cut);
+  }
+
+  // UdpDatagram.FuzzRandomCorruptionNeverCrashes' flips and garbage.
+  std::vector<std::uint8_t> valid;
+  encode_datagram(9, sample_batch(2, 16), valid);
+  std::mt19937 rng(1337);
+  std::uniform_int_distribution<std::size_t> pos(0, valid.size() - 1);
+  std::uniform_int_distribution<int> byte(0, 255);
+  for (int round = 0; round < 500; ++round) {
+    std::vector<std::uint8_t> corrupted = valid;
+    const int flips = 1 + round % 8;
+    for (int f = 0; f < flips; ++f) {
+      corrupted[pos(rng)] = static_cast<std::uint8_t>(byte(rng));
+    }
+    expect_datagram_parity(corrupted.data(), corrupted.size());
+  }
+  for (int round = 0; round < 200; ++round) {
+    std::vector<std::uint8_t> garbage(round % 128);
+    for (auto& b : garbage) b = static_cast<std::uint8_t>(byte(rng));
+    expect_datagram_parity(garbage.data(), garbage.size());
+  }
 }
 
 }  // namespace

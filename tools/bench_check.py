@@ -30,9 +30,9 @@ any machine.
 --compare sidesteps thresholds entirely: it prints each metric's median
 (with n and min-max) in two JSONL files captured on the SAME machine
 (typically the base and head of one PR, runs interleaved) and the change
-between the medians. Fields ending in _ns/_ns_per_* or _seconds are
-lower-is-better; everything else numeric is reported as
-higher-is-better. Always exits 0 on well-formed input: the deltas
+between the medians. Fields ending in _seconds/_s/_ms/_us/_ns/_mb or
+holding _ns_per_ are lower-is-better; everything else numeric is
+reported as higher-is-better. Always exits 0 on well-formed input: the deltas
 inform, the thresholds gate.
 """
 
@@ -84,7 +84,11 @@ def spread(values):
 
 
 def lower_is_better(field):
-    return (field.endswith("_seconds") or field.endswith("_ns")
+    # Costs: times (any unit, but not rates like samples_per_s),
+    # per-item times and sizes in MB.
+    if field.endswith("_per_s"):
+        return False
+    return (field.endswith(("_seconds", "_s", "_ms", "_us", "_ns", "_mb"))
             or "_ns_per_" in field)
 
 
