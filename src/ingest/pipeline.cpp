@@ -19,7 +19,6 @@
 #include "ingest/buffer_pool.hpp"
 #include "ingest/snapshot_chain.hpp"
 #include "ingest/subscription.hpp"
-#include "obs/exposition.hpp"
 #include "obs/http_server.hpp"
 #include "obs/metrics.hpp"
 #include "retrain/retrain_controller.hpp"
@@ -110,13 +109,12 @@ void IngestPipeline::init_observability() {
         obs::HttpResponse response;
         if (request.target == "/metrics") {
           response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-          std::string stats_text;
+          obs::ScrapeRows rows;
           {
             const std::lock_guard lock(service_mutex_);
-            stats_text = render_stats_text();
+            rows = scrape_rows();
           }
-          response.body =
-              obs::render_metrics(stats_text, obs::global_metrics());
+          response.body = rows.exposition(obs::global_metrics());
         } else if (request.target == "/index") {
           response.content_type = "application/json";
           const std::lock_guard lock(service_mutex_);
@@ -320,7 +318,7 @@ void IngestPipeline::dispatch(Envelope& envelope) {
     case MessageType::kStatsRequest:
       ++stats_.stats_requests;
       if (envelope.reply != nullptr) {
-        envelope.reply->deliver(make_stats_reply(render_stats_text()));
+        envelope.reply->deliver(make_stats_reply(scrape_rows().flat()));
       }
       break;
     case MessageType::kFollowRequest:
@@ -381,186 +379,166 @@ void IngestPipeline::handle_subscribe(Envelope& envelope) {
   envelope.reply->deliver(make_subscribe_ack(true, id));
 }
 
-std::string IngestPipeline::render_stats_text() const {
-  // One "name value" line per counter — the grep/awk-able precursor of a
-  // Prometheus-style endpoint. Names are stable: downstream tooling
-  // diffs them across scrapes.
-  std::ostringstream out;
+obs::ScrapeRows IngestPipeline::scrape_rows() const {
+  // Names are stable: downstream tooling diffs them across scrapes. Both
+  // formats sort the rows, so the blocks below may come in any order.
+  obs::ScrapeRows rows;
   const core::RecognitionServiceStats service = service_.stats();
-  out << "service.active_jobs " << service.active_jobs << "\n"
-      << "service.pending_verdicts " << service.pending_verdicts << "\n"
-      << "service.queued_samples " << service.queued_samples << "\n"
-      << "service.jobs_opened " << service.jobs_opened << "\n"
-      << "service.jobs_completed " << service.jobs_completed << "\n"
-      << "service.jobs_evicted " << service.jobs_evicted << "\n"
-      << "service.samples_pushed " << service.samples_pushed << "\n"
-      << "service.samples_dropped " << service.samples_dropped << "\n"
-      << "service.samples_late " << service.samples_late << "\n"
-      << "service.samples_overflowed " << service.samples_overflowed << "\n"
-      << "service.samples_rejected " << service.samples_rejected << "\n"
-      << "service.pushes_blocked " << service.pushes_blocked << "\n"
-      << "service.dictionary_epoch " << service.dictionary_epoch << "\n"
-      << "service.dictionary_swaps " << service.dictionary_swaps << "\n"
-      << "service.dictionary_swaps_noop " << service.dictionary_swaps_noop
-      << "\n"
-      << "service.jobs_on_stale_epoch " << service.jobs_on_stale_epoch
-      << "\n"
-      << "dictionary.index_build_seconds " << service.index_build_seconds
-      << "\n"
-      << "dictionary.index_bytes " << service.index_bytes << "\n";
+  rows.block("service.", "efd_service_");
+  rows.gauge("active_jobs", service.active_jobs);
+  rows.gauge("pending_verdicts", service.pending_verdicts);
+  rows.gauge("queued_samples", service.queued_samples);
+  rows.counter("jobs_opened", service.jobs_opened);
+  rows.counter("jobs_completed", service.jobs_completed);
+  rows.counter("jobs_evicted", service.jobs_evicted);
+  rows.counter("samples_pushed", service.samples_pushed);
+  rows.counter("samples_dropped", service.samples_dropped);
+  rows.counter("samples_late", service.samples_late);
+  rows.counter("samples_overflowed", service.samples_overflowed);
+  rows.counter("samples_rejected", service.samples_rejected);
+  rows.counter("pushes_blocked", service.pushes_blocked);
+  rows.gauge("dictionary_epoch", service.dictionary_epoch);
+  rows.counter("dictionary_swaps", service.dictionary_swaps);
+  rows.counter("dictionary_swaps_noop", service.dictionary_swaps_noop);
+  rows.gauge("jobs_on_stale_epoch", service.jobs_on_stale_epoch);
+  rows.block("dictionary.", "efd_dictionary_");
+  rows.gauge("index_build_seconds", service.index_build_seconds);
+  rows.gauge("index_bytes", service.index_bytes);
   for (const core::SourceIngressStats& ingress : service.by_source) {
-    const std::string prefix =
-        "service.source." + std::to_string(ingress.source) + ".";
-    out << prefix << "jobs_opened " << ingress.jobs_opened << "\n"
-        << prefix << "jobs_completed " << ingress.jobs_completed << "\n"
-        << prefix << "samples_pushed " << ingress.samples_pushed << "\n";
+    const std::string id = std::to_string(ingress.source);
+    rows.block("service.source." + id + ".", "efd_service_source_",
+               obs::label("source", id));
+    rows.counter("jobs_opened", ingress.jobs_opened);
+    rows.counter("jobs_completed", ingress.jobs_completed);
+    rows.counter("samples_pushed", ingress.samples_pushed);
   }
 
-  out << "ingest.envelopes " << stats_.envelopes << "\n"
-      << "ingest.samples " << stats_.samples << "\n"
-      << "ingest.jobs_opened " << stats_.jobs_opened << "\n"
-      << "ingest.open_rejected " << stats_.open_rejected << "\n"
-      << "ingest.jobs_closed " << stats_.jobs_closed << "\n"
-      << "ingest.verdicts_delivered " << stats_.verdicts_delivered << "\n"
-      << "ingest.unexpected_messages " << stats_.unexpected_messages << "\n"
-      << "ingest.sweeps " << stats_.sweeps << "\n"
-      << "ingest.evicted " << stats_.evicted << "\n"
-      << "ingest.snapshots_written " << stats_.snapshots_written << "\n"
-      << "ingest.snapshot_failures " << stats_.snapshot_failures << "\n"
-      << "ingest.snapshot_bases " << stats_.snapshot_bases << "\n"
-      << "ingest.snapshot_deltas " << stats_.snapshot_deltas << "\n"
-      << "ingest.restore_deltas_discarded "
-      << stats_.restore_deltas_discarded << "\n"
-      << "ingest.followers_accepted " << stats_.followers_accepted << "\n"
-      << "ingest.follow_rejected " << stats_.follow_rejected << "\n"
-      << "ingest.captures_replicated " << stats_.captures_replicated << "\n"
-      << "ingest.captures_oversize " << stats_.captures_oversize << "\n"
-      << "ingest.snap_acks_ok " << stats_.snap_acks_ok << "\n"
-      << "ingest.snap_acks_failed " << stats_.snap_acks_failed << "\n"
-      << "ingest.jobs_restored " << stats_.jobs_restored << "\n"
-      << "ingest.jobs_rebound " << stats_.jobs_rebound << "\n"
-      << "ingest.dictionary_swaps " << stats_.dictionary_swaps << "\n"
-      << "ingest.swaps_rejected " << stats_.swaps_rejected << "\n"
-      << "ingest.stats_requests " << stats_.stats_requests << "\n"
-      << "ingest.retrain_reports " << stats_.retrain_reports << "\n"
-      << "ingest.subscribe_requests " << stats_.subscribe_requests << "\n"
-      << "ingest.verdict_events " << stats_.verdict_events << "\n";
-
-  // The scrape format is one value token per line, so the reason text
-  // is whitespace-folded; "none" keeps the row present (and diffable)
-  // on healthy endpoints.
+  rows.block("ingest.", "efd_ingest_");
+  rows.counter("envelopes", stats_.envelopes);
+  rows.counter("samples", stats_.samples);
+  rows.counter("jobs_opened", stats_.jobs_opened);
+  rows.counter("open_rejected", stats_.open_rejected);
+  rows.counter("jobs_closed", stats_.jobs_closed);
+  rows.counter("verdicts_delivered", stats_.verdicts_delivered);
+  rows.counter("unexpected_messages", stats_.unexpected_messages);
+  rows.counter("sweeps", stats_.sweeps);
+  rows.counter("evicted", stats_.evicted);
+  rows.counter("snapshots_written", stats_.snapshots_written);
+  rows.counter("snapshot_failures", stats_.snapshot_failures);
+  rows.counter("snapshot_bases", stats_.snapshot_bases);
+  rows.counter("snapshot_deltas", stats_.snapshot_deltas);
+  rows.counter("restore_deltas_discarded", stats_.restore_deltas_discarded);
+  rows.counter("followers_accepted", stats_.followers_accepted);
+  rows.counter("follow_rejected", stats_.follow_rejected);
+  rows.counter("captures_replicated", stats_.captures_replicated);
+  rows.counter("captures_oversize", stats_.captures_oversize);
+  rows.counter("snap_acks_ok", stats_.snap_acks_ok);
+  rows.counter("snap_acks_failed", stats_.snap_acks_failed);
+  rows.counter("jobs_restored", stats_.jobs_restored);
+  rows.counter("jobs_rebound", stats_.jobs_rebound);
+  rows.counter("dictionary_swaps", stats_.dictionary_swaps);
+  rows.counter("swaps_rejected", stats_.swaps_rejected);
+  rows.counter("stats_requests", stats_.stats_requests);
+  rows.counter("retrain_reports", stats_.retrain_reports);
+  rows.counter("subscribe_requests", stats_.subscribe_requests);
+  rows.counter("verdict_events", stats_.verdict_events);
+  // The flat scrape is one value token per line, so the reason text is
+  // whitespace-folded; "none" keeps the row present (and diffable) on
+  // healthy endpoints, and only a real error becomes an info series.
   std::string snapshot_error = stats_.snapshot_last_error;
+  std::replace_if(
+      snapshot_error.begin(), snapshot_error.end(),
+      [](unsigned char c) { return std::isspace(c) != 0; }, '_');
   if (snapshot_error.empty()) {
-    snapshot_error = "none";
+    rows.text("snapshot_last_error", "none");
   } else {
-    std::replace_if(
-        snapshot_error.begin(), snapshot_error.end(),
-        [](unsigned char c) { return std::isspace(c) != 0; }, '_');
+    rows.info("snapshot_last_error", std::move(snapshot_error),
+              "efd_ingest_snapshot_last_error_info", "reason");
   }
-  out << "ingest.snapshot_last_error " << snapshot_error << "\n";
 
   // Process-global sample-buffer pool of the owned decode
   // (FrameDecoder::next(Message&)). The servers decode sample batches
   // as views and take nothing from it.
   const SampleBufferPool::Stats pool = sample_buffer_pool().stats();
-  out << "pool.hits " << pool.hits << "\n"
-      << "pool.misses " << pool.misses << "\n"
-      << "pool.returns " << pool.returns << "\n"
-      << "pool.discards " << pool.discards << "\n";
+  rows.block("pool.", "efd_pool_");
+  rows.counter("hits", pool.hits);
+  rows.counter("misses", pool.misses);
+  rows.counter("returns", pool.returns);
+  rows.counter("discards", pool.discards);
 
   // One row block per registered source: the operator's view of WHERE
   // traffic (and loss — drops/gaps on lossy transports) comes from.
   for (const SourceMuxStats& source : sources_->stats()) {
-    const std::string prefix = "source." + std::to_string(source.id) + ".";
-    out << prefix << "name " << source.name << "\n"
-        << prefix << "envelopes " << source.envelopes << "\n"
-        << prefix << "samples " << source.samples << "\n"
-        << prefix << "verdicts " << source.verdicts << "\n"
-        << prefix << "frames " << source.transport.frames << "\n"
-        << prefix << "decode_errors " << source.transport.decode_errors
-        << "\n"
-        << prefix << "drops " << source.transport.drops << "\n"
-        << prefix << "gaps " << source.transport.gaps << "\n"
-        << prefix << "blocked " << source.transport.blocked << "\n"
-        << prefix << "retransmits " << source.transport.retransmits << "\n"
-        << prefix << "restored_cursor " << source.restored_cursor << "\n"
-        << prefix << "exhausted " << (source.exhausted ? 1 : 0) << "\n";
+    const std::string id = std::to_string(source.id);
+    rows.block("source." + id + ".", "efd_source_",
+               obs::label("source", id) + "," +
+                   obs::label("name", source.name));
+    rows.text("name", source.name);
+    rows.counter("envelopes", source.envelopes);
+    rows.counter("samples", source.samples);
+    rows.counter("verdicts", source.verdicts);
+    rows.counter("frames", source.transport.frames);
+    rows.counter("decode_errors", source.transport.decode_errors);
+    rows.counter("drops", source.transport.drops);
+    rows.counter("gaps", source.transport.gaps);
+    rows.counter("blocked", source.transport.blocked);
+    rows.counter("retransmits", source.transport.retransmits);
+    rows.gauge("restored_cursor", source.restored_cursor);
+    rows.gauge("exhausted", std::uint64_t{source.exhausted});
   }
 
   if (config_.retrain != nullptr) {
     const retrain::RetrainStats retrain = config_.retrain->stats();
-    out << "retrain.cycles_triggered " << retrain.cycles_triggered << "\n"
-        << "retrain.cycles_trained " << retrain.cycles_trained << "\n"
-        << "retrain.cycles_promoted " << retrain.cycles_promoted << "\n"
-        << "retrain.cycles_gated_out " << retrain.cycles_gated_out << "\n"
-        << "retrain.cycles_already_active " << retrain.cycles_already_active
-        << "\n"
-        << "retrain.cycles_skipped_no_data "
-        << retrain.cycles_skipped_no_data << "\n"
-        << "retrain.cycles_failed " << retrain.cycles_failed << "\n"
-        << "retrain.cycles_dry_run " << retrain.cycles_dry_run << "\n"
-        << "retrain.last_cycle " << retrain.last_cycle << "\n"
-        << "retrain.last_promoted_epoch " << retrain.last_promoted_epoch
-        << "\n"
-        << "retrain.last_candidate_score " << retrain.last_candidate_score
-        << "\n"
-        << "retrain.last_incumbent_score " << retrain.last_incumbent_score
-        << "\n";
+    rows.block("retrain.", "efd_retrain_");
+    rows.counter("cycles_triggered", retrain.cycles_triggered);
+    rows.counter("cycles_trained", retrain.cycles_trained);
+    rows.counter("cycles_promoted", retrain.cycles_promoted);
+    rows.counter("cycles_gated_out", retrain.cycles_gated_out);
+    rows.counter("cycles_already_active", retrain.cycles_already_active);
+    rows.counter("cycles_skipped_no_data", retrain.cycles_skipped_no_data);
+    rows.counter("cycles_failed", retrain.cycles_failed);
+    rows.counter("cycles_dry_run", retrain.cycles_dry_run);
+    rows.gauge("last_cycle", retrain.last_cycle);
+    rows.gauge("last_promoted_epoch", retrain.last_promoted_epoch);
+    rows.gauge("last_candidate_score", retrain.last_candidate_score);
+    rows.gauge("last_incumbent_score", retrain.last_incumbent_score);
     const retrain::TrafficRecorderStats recorder =
         config_.retrain->recorder().stats();
-    out << "retrain.window_jobs " << recorder.window_jobs << "\n"
-        << "retrain.window_samples " << recorder.window_samples << "\n"
-        << "retrain.window_applications " << recorder.applications << "\n"
-        << "retrain.jobs_captured " << recorder.jobs_captured << "\n"
-        << "retrain.jobs_admitted " << recorder.jobs_admitted << "\n"
-        << "retrain.jobs_replaced " << recorder.jobs_replaced << "\n"
-        << "retrain.jobs_sampled_out " << recorder.jobs_sampled_out << "\n"
-        << "retrain.jobs_unrecognized " << recorder.jobs_unrecognized << "\n"
-        << "retrain.jobs_untracked " << recorder.jobs_untracked << "\n"
-        << "retrain.samples_recorded " << recorder.samples_recorded << "\n"
-        << "retrain.samples_filtered " << recorder.samples_filtered << "\n"
-        << "retrain.window_resets " << recorder.window_resets << "\n";
+    rows.gauge("window_jobs", recorder.window_jobs);
+    rows.gauge("window_samples", recorder.window_samples);
+    rows.gauge("window_applications", recorder.applications);
+    rows.counter("jobs_captured", recorder.jobs_captured);
+    rows.counter("jobs_admitted", recorder.jobs_admitted);
+    rows.counter("jobs_replaced", recorder.jobs_replaced);
+    rows.counter("jobs_sampled_out", recorder.jobs_sampled_out);
+    rows.counter("jobs_unrecognized", recorder.jobs_unrecognized);
+    rows.counter("jobs_untracked", recorder.jobs_untracked);
+    rows.counter("samples_recorded", recorder.samples_recorded);
+    rows.counter("samples_filtered", recorder.samples_filtered);
+    rows.counter("window_resets", recorder.window_resets);
   }
 
-  // Process identity and age — folded into efd_build_info /
-  // efd_uptime_seconds by the Prometheus exposition.
-  out << "uptime.seconds "
-      << (steady_now_ns() - start_ns_) / 1'000'000'000 << "\n"
-      << "build.version " << obs::build_version() << "\n"
-      << "build.sha " << obs::build_sha() << "\n"
-      << "build.kernel " << core::kernel_name() << "\n";
+  // Process identity and age.
+  rows.block("build.", "");
+  rows.info("version", obs::build_version(), "efd_build_info", "version");
+  rows.info("sha", obs::build_sha(), "efd_build_info", "sha");
+  rows.info("kernel", core::kernel_name(), "efd_build_info", "kernel");
+  rows.uptime(
+      static_cast<std::uint64_t>((steady_now_ns() - start_ns_) / 1'000'000'000));
 
   // One row block per live verdict subscriber: delivered/dropped tell an
   // operator WHICH consumer is too slow for the verdict rate.
   if (hub_ != nullptr) {
     for (const SubscriptionHub::SubscriberStats& sub : hub_->stats()) {
-      const std::string prefix = "subscriber." + std::to_string(sub.id) + ".";
-      out << prefix << "delivered " << sub.delivered << "\n"
-          << prefix << "dropped " << sub.dropped << "\n"
-          << prefix << "queued " << sub.queued << "\n";
+      const std::string id = std::to_string(sub.id);
+      rows.block("subscriber." + id + ".", "efd_subscriber_",
+                 obs::label("subscriber", id));
+      rows.counter("delivered", sub.delivered);
+      rows.counter("dropped", sub.dropped);
+      rows.gauge("queued", sub.queued);
     }
   }
-
-  // Deterministic row order: the blocks above are emitted in code order,
-  // but consumers diff scrapes and the Prometheus renderer groups rows
-  // into families — a global lexicographic sort makes both stable no
-  // matter how the blocks above grow or reorder.
-  std::string text = std::move(out).str();
-  std::vector<std::string_view> rows;
-  for (std::size_t at = 0; at < text.size();) {
-    std::size_t end = text.find('\n', at);
-    if (end == std::string::npos) end = text.size();
-    rows.push_back(std::string_view(text).substr(at, end - at));
-    at = end + 1;
-  }
-  std::sort(rows.begin(), rows.end());
-  std::string sorted;
-  sorted.reserve(text.size());
-  for (const std::string_view row : rows) {
-    sorted.append(row);
-    sorted.push_back('\n');
-  }
-  return sorted;
+  return rows;
 }
 
 std::string IngestPipeline::render_index_json() const {

@@ -88,6 +88,7 @@
 #include "core/online/recognition_service.hpp"
 #include "ingest/source_mux.hpp"
 #include "ingest/transport.hpp"
+#include "obs/exposition.hpp"
 
 namespace efd::util {
 class ThreadPool;
@@ -248,6 +249,11 @@ class IngestPipeline {
   /// returns (join()); the HTTP handlers read them under the lock.
   const IngestPipelineStats& stats() const noexcept { return stats_; }
 
+  /// Every row the scrapes report (kStatsReply's flat text, /metrics),
+  /// declared once with its kind. Same threading rule as stats(); the
+  /// /metrics handler collects them under the lock.
+  obs::ScrapeRows scrape_rows() const;
+
   /// The registered source set (per-source counters live here).
   const SourceMux& sources() const noexcept { return *sources_; }
 
@@ -261,10 +267,6 @@ class IngestPipeline {
     std::shared_ptr<VerdictSink> sink;
     SourceId source = 0;
   };
-
-  /// Flat "name value" text block (kStatsReply body / scrape source).
-  /// Call with service_mutex_ held.
-  std::string render_stats_text() const;
 
   /// JSON inventory for GET /index: live jobs, sources, dictionary
   /// epoch, snapshot-chain and follower state. Call with service_mutex_

@@ -10,13 +10,13 @@
 #include <fstream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <thread>
 #include <utility>
 
 #include "core/online/service_snapshot.hpp"
 #include "ingest/snapshot_chain.hpp"
 #include "ingest/tcp_transport.hpp"
+#include "obs/exposition.hpp"
 
 namespace efd::ingest {
 
@@ -77,14 +77,15 @@ void ReplicationFollower::note(const std::string& line) const {
 }
 
 std::string ReplicationFollower::stats_text() const {
-  std::ostringstream out;
-  out << "follower.captures_applied " << stats_.captures_applied << "\n"
-      << "follower.bases_applied " << stats_.bases_applied << "\n"
-      << "follower.captures_rejected " << stats_.captures_rejected << "\n"
-      << "follower.reconnects " << stats_.reconnects << "\n"
-      << "follower.messages_shed " << stats_.messages_shed << "\n"
-      << "follower.last_capture_id " << stats_.last_capture_id << "\n";
-  return out.str();
+  obs::ScrapeRows rows;
+  rows.block("follower.", "efd_follower_");
+  rows.counter("captures_applied", stats_.captures_applied);
+  rows.counter("bases_applied", stats_.bases_applied);
+  rows.counter("captures_rejected", stats_.captures_rejected);
+  rows.counter("reconnects", stats_.reconnects);
+  rows.counter("messages_shed", stats_.messages_shed);
+  rows.gauge("last_capture_id", stats_.last_capture_id);
+  return rows.flat();
 }
 
 bool ReplicationFollower::poll_control(std::chrono::milliseconds timeout) {

@@ -1,14 +1,32 @@
 #include "obs/exposition.hpp"
 
 #include <algorithm>
-#include <map>
-#include <sstream>
+#include <cstdio>
 #include <utility>
-#include <vector>
 
 #include "obs/metrics.hpp"
 
 namespace efd::obs {
+
+namespace {
+
+// The process-age row's family: the exposition renders it last, after
+// the info series.
+constexpr std::string_view kUptimeFamily = "efd_uptime_seconds";
+
+std::vector<const ScrapeRow*> sorted_by_name(
+    const std::vector<ScrapeRow>& rows) {
+  std::vector<const ScrapeRow*> sorted;
+  sorted.reserve(rows.size());
+  for (const ScrapeRow& row : rows) sorted.push_back(&row);
+  std::sort(sorted.begin(), sorted.end(),
+            [](const ScrapeRow* a, const ScrapeRow* b) {
+              return a->name < b->name;
+            });
+  return sorted;
+}
+
+}  // namespace
 
 std::string escape_label_value(std::string_view raw) {
   std::string out;
@@ -32,160 +50,118 @@ std::string escape_label_value(std::string_view raw) {
   return out;
 }
 
-bool is_gauge_metric(const std::string& name) {
-  static const char* kGaugeSuffixes[] = {
-      "active_jobs", "pending_verdicts", "queued_samples",
-      "jobs_on_stale_epoch", "dictionary_epoch", "window_jobs",
-      "window_samples", "window_applications", "exhausted",
-      "restored_cursor", "last_cycle", "last_promoted_epoch",
-      "last_candidate_score", "last_incumbent_score", ".queued",
-      "index_build_seconds", "index_bytes"};
-  for (const char* suffix : kGaugeSuffixes) {
-    const std::string_view view(suffix);
-    if (name.size() >= view.size() &&
-        name.compare(name.size() - view.size(), view.size(), view) == 0) {
-      return true;
-    }
-  }
-  return false;
+std::string label(std::string_view name, std::string_view value) {
+  return std::string(name) + "=\"" + escape_label_value(value) + "\"";
 }
 
-std::string prometheus_exposition(const std::string& flat) {
-  // Pass 1: split rows, learn the source id -> registration-name labels,
-  // and pull out the rows that fold into special series (snapshot error,
-  // build info, uptime).
-  std::map<std::string, std::string> source_names;
-  std::vector<std::pair<std::string, std::string>> rows;
-  std::string snapshot_error;
-  std::string build_version;
-  std::string build_sha;
-  std::string build_kernel;
-  std::string uptime_seconds;
-  std::istringstream in(flat);
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t space = line.find(' ');
-    if (space == std::string::npos || space == 0) continue;
-    std::string name = line.substr(0, space);
-    std::string value = line.substr(space + 1);
-    if (name.rfind("source.", 0) == 0) {
-      const std::size_t dot = name.find('.', 7);
-      if (dot != std::string::npos && name.substr(dot + 1) == "name") {
-        source_names[name.substr(7, dot - 7)] = value;
-        continue;  // becomes a label, not a series
-      }
-    }
-    if (name == "ingest.snapshot_last_error") {
-      // Text, not a number: folded into an info-style labeled gauge
-      // below ("none" = healthy, no series at all).
-      if (value != "none") snapshot_error = value;
-      continue;
-    }
-    if (name == "build.version") {
-      build_version = value;
-      continue;
-    }
-    if (name == "build.sha") {
-      build_sha = value;
-      continue;
-    }
-    if (name == "build.kernel") {
-      build_kernel = value;
-      continue;
-    }
-    if (name == "uptime.seconds") {
-      uptime_seconds = value;
-      continue;
-    }
-    rows.emplace_back(std::move(name), std::move(value));
-  }
+void ScrapeRows::block(std::string flat_prefix, std::string family_prefix,
+                       std::string labels) {
+  flat_prefix_ = std::move(flat_prefix);
+  family_prefix_ = std::move(family_prefix);
+  labels_ = std::move(labels);
+}
 
-  // Pass 2: emit, grouping every row of one metric family under a
-  // single # TYPE header (Prometheus rejects duplicate TYPE lines).
-  // Sample lines within a family are sorted so the scrape is
-  // byte-deterministic regardless of producer iteration order.
-  std::ostringstream out;
-  std::map<std::string, std::vector<std::string>> families;  // name -> lines
-  std::vector<std::string> family_order;
-  const auto add = [&](const std::string& family, std::string sample,
-                       const std::string& type_hint) {
-    auto it = families.find(family);
-    if (it == families.end()) {
-      family_order.push_back(family);
-      it = families.emplace(family, std::vector<std::string>{}).first;
-      it->second.push_back("# TYPE " + family + " " + type_hint);
-    }
-    it->second.push_back(std::move(sample));
+ScrapeRow& ScrapeRows::add(std::string_view name, RowKind kind,
+                           std::string value) {
+  return rows_.emplace_back(flat_prefix_ + std::string(name),
+                            family_prefix_ + std::string(name), labels_,
+                            kind, std::move(value));
+}
+
+void ScrapeRows::counter(std::string_view name, std::uint64_t value) {
+  add(name, RowKind::kCounter, std::to_string(value));
+}
+
+void ScrapeRows::gauge(std::string_view name, std::uint64_t value) {
+  add(name, RowKind::kGauge, std::to_string(value));
+}
+
+void ScrapeRows::gauge(std::string_view name, double value) {
+  // "%g" is what `operator<<` prints for a double with default flags.
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", value);
+  add(name, RowKind::kGauge, buf);
+}
+
+void ScrapeRows::text(std::string_view name, std::string value) {
+  add(name, RowKind::kText, std::move(value)).family.clear();
+}
+
+void ScrapeRows::info(std::string_view name, std::string value,
+                      std::string family, std::string_view label_name) {
+  ScrapeRow& row = add(name, RowKind::kText, std::move(value));
+  row.family = std::move(family);
+  row.labels = label(label_name, row.value);
+}
+
+void ScrapeRows::uptime(std::uint64_t seconds) {
+  block("uptime.", "efd_uptime_");
+  gauge("seconds", seconds);
+}
+
+std::string ScrapeRows::flat() const {
+  std::string out;
+  for (const ScrapeRow* row : sorted_by_name(rows_)) {
+    out += row->name;
+    out += ' ';
+    out += row->value;
+    out += '\n';
+  }
+  return out;
+}
+
+std::string ScrapeRows::exposition(const MetricsRegistry& registry) const {
+  // One entry per family: its `# TYPE` line, then its sample lines.
+  std::vector<std::pair<std::string_view, std::vector<std::string>>> families;
+  const auto family_of = [&families](std::string_view name,
+                                     const char* type) -> auto& {
+    const auto it = std::find_if(
+        families.begin(), families.end(),
+        [name](const auto& family) { return family.first == name; });
+    if (it != families.end()) return it->second;
+    families.emplace_back(name, std::vector<std::string>{});
+    families.back().second.push_back("# TYPE " + std::string(name) + " " +
+                                     type);
+    return families.back().second;
   };
-  for (const auto& [name, value] : rows) {
-    const std::string type_hint = is_gauge_metric(name) ? "gauge" : "counter";
-    if (name.rfind("source.", 0) == 0) {
-      const std::size_t dot = name.find('.', 7);
-      if (dot != std::string::npos) {
-        const std::string id = name.substr(7, dot - 7);
-        const std::string family = "efd_source_" + name.substr(dot + 1);
-        std::string labels = "source=\"" + escape_label_value(id) + "\"";
-        const auto label = source_names.find(id);
-        if (label != source_names.end()) {
-          labels += ",name=\"" + escape_label_value(label->second) + "\"";
-        }
-        add(family, family + "{" + labels + "} " + value, type_hint);
-        continue;
-      }
+  for (const ScrapeRow* row : sorted_by_name(rows_)) {
+    if (row->kind == RowKind::kText) continue;
+    std::string sample = row->family;
+    if (!row->labels.empty()) sample += "{" + row->labels + "}";
+    sample += " " + row->value;
+    family_of(row->family,
+              row->kind == RowKind::kCounter ? "counter" : "gauge")
+        .push_back(std::move(sample));
+  }
+  // Text rows fold into info gauges, one series per family.
+  std::vector<std::pair<std::string_view, std::string>> infos;
+  for (const ScrapeRow& row : rows_) {
+    if (row.kind != RowKind::kText || row.family.empty()) continue;
+    const auto it = std::find_if(
+        infos.begin(), infos.end(),
+        [&row](const auto& info) { return info.first == row.family; });
+    if (it == infos.end()) {
+      infos.emplace_back(row.family, row.labels);
+    } else {
+      it->second += "," + row.labels;
     }
-    if (name.rfind("service.source.", 0) == 0) {
-      const std::size_t dot = name.find('.', 15);
-      if (dot != std::string::npos) {
-        const std::string family =
-            "efd_service_source_" + name.substr(dot + 1);
-        add(family,
-            family + "{source=\"" +
-                escape_label_value(name.substr(15, dot - 15)) + "\"} " + value,
-            type_hint);
-        continue;
-      }
-    }
-    if (name.rfind("subscriber.", 0) == 0) {
-      const std::size_t dot = name.find('.', 11);
-      if (dot != std::string::npos) {
-        const std::string family = "efd_subscriber_" + name.substr(dot + 1);
-        add(family,
-            family + "{subscriber=\"" +
-                escape_label_value(name.substr(11, dot - 11)) + "\"} " + value,
-            type_hint);
-        continue;
-      }
-    }
-    std::string family = "efd_" + name;
-    std::replace(family.begin(), family.end(), '.', '_');
-    add(family, family + " " + value, type_hint);
   }
-  for (const std::string& family : family_order) {
-    std::vector<std::string>& lines = families[family];
-    std::sort(lines.begin() + 1, lines.end());
-    for (const std::string& emitted : lines) out << emitted << "\n";
-  }
-  if (!snapshot_error.empty()) {
-    out << "# TYPE efd_ingest_snapshot_last_error_info gauge\n"
-        << "efd_ingest_snapshot_last_error_info{reason=\""
-        << escape_label_value(snapshot_error) << "\"} 1\n";
-  }
-  if (!build_version.empty() || !build_sha.empty() || !build_kernel.empty()) {
-    out << "# TYPE efd_build_info gauge\n"
-        << "efd_build_info{version=\"" << escape_label_value(build_version)
-        << "\",sha=\"" << escape_label_value(build_sha) << "\",kernel=\""
-        << escape_label_value(build_kernel) << "\"} 1\n";
-  }
-  if (!uptime_seconds.empty()) {
-    out << "# TYPE efd_uptime_seconds gauge\n"
-        << "efd_uptime_seconds " << uptime_seconds << "\n";
-  }
-  return std::move(out).str();
-}
 
-std::string render_metrics(const std::string& flat,
-                           const MetricsRegistry& registry) {
-  std::string out = prometheus_exposition(flat);
+  std::string out;
+  const auto emit = [&out](std::vector<std::string>& lines) {
+    std::sort(lines.begin() + 1, lines.end());
+    for (const std::string& line : lines) out += line + "\n";
+  };
+  for (auto& [family, lines] : families) {
+    if (family != kUptimeFamily) emit(lines);
+  }
+  for (const auto& [family, labels] : infos) {
+    out += "# TYPE " + std::string(family) + " gauge\n" +
+           std::string(family) + "{" + labels + "} 1\n";
+  }
+  for (auto& [family, lines] : families) {
+    if (family == kUptimeFamily) emit(lines);
+  }
   out += registry.render();
   return out;
 }

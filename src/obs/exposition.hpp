@@ -1,13 +1,14 @@
 #pragma once
 
-// Prometheus text exposition shared by `efd_cli stats --prometheus` and the
-// HTTP `/metrics` endpoint.  Renders the flat `name value` stats scrape into
-// labeled families and appends the native registry families (latency
-// histograms, build info, uptime), so `/metrics` is a byte-compatible
-// superset of the CLI output.
+// The scrape row list.  Every row a scrape reports is declared once, with
+// its flat name, its Prometheus family and labels, and its kind; the flat
+// `name value` text (kStatsReply, `efd_cli stats --port`) and the `/metrics`
+// exposition both render from the same list.
 
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace efd::obs {
 
@@ -18,23 +19,59 @@ class MetricsRegistry;
 /// and \n.
 std::string escape_label_value(std::string_view raw);
 
-/// True for scrape rows that describe a current level rather than a
-/// lifetime total — they render as `gauge`, everything else as `counter`.
-bool is_gauge_metric(const std::string& name);
+/// One label pair, `name="value"`, with the value escaped.
+std::string label(std::string_view name, std::string_view value);
 
-/// Renders the flat `name value` scrape as Prometheus text exposition:
-/// dots become underscores under an `efd_` prefix, every metric family gets
-/// a single `# TYPE` line, per-source rows (`source.<id>.*`,
-/// `service.source.<tag>.*`) and per-subscriber rows (`subscriber.<id>.*`)
-/// fold into labeled series, and rows within a family are emitted sorted so
-/// scrape diffs are deterministic.  `build.*` rows fold into one
-/// `efd_build_info` gauge and `uptime.seconds` renders as
-/// `efd_uptime_seconds`.
-std::string prometheus_exposition(const std::string& flat);
+enum class RowKind { kCounter, kGauge, kText };
 
-/// Full `/metrics` payload: the flat-derived exposition plus every family
-/// registered in `registry` (histograms, build info, uptime).
-std::string render_metrics(const std::string& flat,
-                           const MetricsRegistry& registry);
+struct ScrapeRow {
+  std::string name;    ///< flat name, e.g. `source.0.drops`
+  std::string family;  ///< Prometheus family; empty for a flat-only text row
+  std::string labels;  ///< escaped label body without braces
+  RowKind kind = RowKind::kCounter;
+  std::string value;   ///< printed as `operator<<` prints the number
+};
+
+class ScrapeRows {
+ public:
+  /// Rows declared after this call are named `flat_prefix` + name, belong
+  /// to the family `family_prefix` + name and carry `labels`.
+  void block(std::string flat_prefix, std::string family_prefix,
+             std::string labels = {});
+
+  void counter(std::string_view name, std::uint64_t value);
+  void gauge(std::string_view name, std::uint64_t value);
+  void gauge(std::string_view name, double value);
+  /// A text row: printed in the flat scrape only.
+  void text(std::string_view name, std::string value);
+  /// A text row that is also the label `label_name` of the info gauge
+  /// `family` (`family{label_name="value",...} 1`); rows of one family
+  /// share its one series, labels in declaration order.
+  void info(std::string_view name, std::string value, std::string family,
+            std::string_view label_name);
+
+  /// The process-age row `uptime.seconds` (`efd_uptime_seconds`), in a
+  /// block of its own.
+  void uptime(std::uint64_t seconds);
+
+  const std::vector<ScrapeRow>& rows() const noexcept { return rows_; }
+
+  /// Sorted `name value` lines.
+  std::string flat() const;
+
+  /// Prometheus text exposition: counter and gauge families in
+  /// first-appearance order of the sorted rows, each under one `# TYPE`
+  /// line with its sample lines sorted; then one info gauge per family of
+  /// text rows; then `efd_uptime_seconds`; then `registry.render()`.
+  std::string exposition(const MetricsRegistry& registry) const;
+
+ private:
+  ScrapeRow& add(std::string_view name, RowKind kind, std::string value);
+
+  std::string flat_prefix_;
+  std::string family_prefix_;
+  std::string labels_;
+  std::vector<ScrapeRow> rows_;
+};
 
 }  // namespace efd::obs

@@ -2,7 +2,6 @@
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -86,6 +85,9 @@ HttpServer::~HttpServer() { stop(); }
 
 void HttpServer::stop() {
   stopping_.store(true, std::memory_order_release);
+  // Wakes the accept thread blocked in accept(2): a shut-down listener
+  // fails every accept from now on.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -99,10 +101,9 @@ HttpServer::Stats HttpServer::stats() const noexcept {
 }
 
 void HttpServer::accept_loop() {
+  // Blocks until a client connects or stop() shuts the listener down, so
+  // an idle endpoint never wakes.
   while (!stopping_.load(std::memory_order_acquire)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 100);
-    if (ready <= 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
     serve_connection(fd);
@@ -130,6 +131,7 @@ void HttpServer::serve_connection(int fd) {
   }
 
   HttpResponse response;
+  bool head = false;
   const std::size_t line_end = request.find("\r\n");
   std::size_t method_end = std::string::npos;
   std::size_t target_end = std::string::npos;
@@ -156,17 +158,19 @@ void HttpServer::serve_connection(int fd) {
       response.body = "method not allowed\n";
     } else {
       response = handler_(parsed);
-      if (parsed.method == "HEAD") response.body.clear();
+      head = parsed.method == "HEAD";
     }
   }
 
+  // A HEAD reply reports the length its GET body would have (RFC 9110
+  // 9.3.2) and sends no body.
   std::string reply = "HTTP/1.1 " + std::to_string(response.status) + " " +
                       status_text(response.status) +
                       "\r\nContent-Type: " + response.content_type +
                       "\r\nContent-Length: " +
                       std::to_string(response.body.size()) +
                       "\r\nConnection: close\r\n\r\n";
-  reply += response.body;
+  if (!head) reply += response.body;
   write_all(fd, reply.data(), reply.size());
 }
 

@@ -47,7 +47,8 @@ class HttpServer {
 
   Stats stats() const noexcept;
 
-  /// Stops accepting and joins the accept thread.  Idempotent.
+  /// Shuts the listener down, which wakes the accept thread blocked in
+  /// accept(2), and joins it.  Idempotent.
   void stop();
 
  private:

@@ -21,7 +21,6 @@
 #include "core/matcher.hpp"
 #include "core/online/recognition_service.hpp"
 #include "core/recognition_scratch.hpp"
-#include "obs/exposition.hpp"
 
 namespace {
 
@@ -365,20 +364,6 @@ TEST(DictionaryIndex, ServiceStatsExposeBuildCostAndFootprint) {
   const RecognitionServiceStats stats = service.stats();
   EXPECT_GT(stats.index_bytes, 0u);
   EXPECT_GE(stats.index_build_seconds, 0.0);
-}
-
-TEST(DictionaryIndex, ExpositionTypesIndexRowsAsGauges) {
-  const std::string exposition = obs::prometheus_exposition(
-      "dictionary.index_build_seconds 0.0012\ndictionary.index_bytes 4096\n");
-  EXPECT_NE(exposition.find("# TYPE efd_dictionary_index_build_seconds gauge"),
-            std::string::npos)
-      << exposition;
-  EXPECT_NE(exposition.find("# TYPE efd_dictionary_index_bytes gauge"),
-            std::string::npos)
-      << exposition;
-  EXPECT_NE(exposition.find("efd_dictionary_index_bytes 4096"),
-            std::string::npos)
-      << exposition;
 }
 
 /// The TSan target: four workers batch-probe pinned epochs while a

@@ -3,12 +3,16 @@
 /// binary: one `serve` process with three listeners (TCP + UDP + shared
 /// memory), the replay workload split into thirds across them, and the
 /// merged verdict table diffed against a single-TCP-source baseline —
-/// the ISSUE's acceptance gate. Also exercises the live stats scrape
-/// (`stats --port`, flat and --prometheus) with its per-source rows.
+/// the acceptance gate. Also exercises the live scrapes with their
+/// per-source rows: the flat `stats --port` and `serve --http`'s GET
+/// /metrics.
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -104,6 +108,37 @@ std::vector<std::string> verdict_rows(const std::string& output) {
   return rows;
 }
 
+/// One blocking GET against 127.0.0.1:<port>; returns headers + body.
+std::string http_get(int port, const std::string& target) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return {};
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    ::close(fd);
+    return {};
+  }
+  const std::string request =
+      "GET " + target + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
+  std::size_t sent = 0;
+  while (sent < request.size()) {
+    const ssize_t n = ::send(fd, request.data() + sent, request.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string response;
+  char chunk[4096];
+  ssize_t got = 0;
+  while ((got = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    response.append(chunk, static_cast<std::size_t>(got));
+  }
+  ::close(fd);
+  return response;
+}
+
 struct ServeGuard {
   std::string pid_file;
   ~ServeGuard() {
@@ -176,12 +211,15 @@ TEST_F(MultiSourceE2e, SplitWorkloadAcrossThreeTransportsMatchesBaseline) {
   spawn(cli() + " serve --dict " + dict_path_ +
             " --listen tcp:0 --listen udp:0 --listen shm:" + shm_name +
             " --threads 2 --max-jobs " + std::to_string(executions_) +
-            " --quiet",
+            " --http 0 --quiet",
         serve_log, serve_pid);
   const int tcp_port = await_marker_int(serve_log, "listening on port ");
   const int udp_port = await_marker_int(serve_log, "listening on udp port ");
+  const int http_port =
+      await_marker_int(serve_log, "http: listening on 127.0.0.1:");
   ASSERT_GT(tcp_port, 0) << slurp(serve_log);
   ASSERT_GT(udp_port, 0) << slurp(serve_log);
+  ASSERT_GT(http_port, 0) << slurp(serve_log);
 
   auto [tcp_status, tcp_output] =
       run(cli() + " replay --data " + data_path_ + " --port " +
@@ -218,11 +256,10 @@ TEST_F(MultiSourceE2e, SplitWorkloadAcrossThreeTransportsMatchesBaseline) {
       << stats_output;
   EXPECT_EQ(stats_output.find(".pool_"), std::string::npos) << stats_output;
 
-  // The same scrape as Prometheus text exposition.
-  auto [prometheus_status, prometheus_output] =
-      run(cli() + " stats --port " + std::to_string(tcp_port) +
-          " --prometheus");
-  EXPECT_EQ(prometheus_status, 0) << prometheus_output;
+  // The same rows as Prometheus text exposition, on GET /metrics.
+  const std::string prometheus_output = http_get(http_port, "/metrics");
+  EXPECT_EQ(prometheus_output.rfind("HTTP/1.1 200 OK\r\n", 0), 0u)
+      << prometheus_output;
   EXPECT_NE(prometheus_output.find("# TYPE efd_service_jobs_opened counter"),
             std::string::npos)
       << prometheus_output;

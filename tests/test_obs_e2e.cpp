@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -152,6 +153,33 @@ long metric_value(const std::string& exposition, const std::string& prefix) {
   return -1;
 }
 
+/// The /metrics family a flat scrape row renders into, or "" for a row
+/// that only labels others (`source.<id>.name`) or a healthy snapshot
+/// error ("none").
+std::string flat_row_family(const std::string& name,
+                            const std::string& value) {
+  const auto after_id = [&name](std::size_t prefix) {
+    return name.substr(name.find('.', prefix) + 1);
+  };
+  if (name.rfind("source.", 0) == 0) {
+    const std::string rest = after_id(7);
+    return rest == "name" ? "" : "efd_source_" + rest;
+  }
+  if (name.rfind("service.source.", 0) == 0) {
+    return "efd_service_source_" + after_id(15);
+  }
+  if (name.rfind("subscriber.", 0) == 0) {
+    return "efd_subscriber_" + after_id(11);
+  }
+  if (name == "ingest.snapshot_last_error") {
+    return value == "none" ? "" : "efd_ingest_snapshot_last_error_info";
+  }
+  if (name.rfind("build.", 0) == 0) return "efd_build_info";
+  std::string family = "efd_" + name;
+  std::replace(family.begin(), family.end(), '.', '_');
+  return family;
+}
+
 struct ProcessGuard {
   std::string pid_file;
   ~ProcessGuard() {
@@ -286,17 +314,24 @@ TEST_F(ObsE2e, HttpPlaneAndVerdictStreamEndToEnd) {
             0)
       << metrics;
 
-  // Every family the CLI flat scrape exposes also appears on /metrics.
+  // Every row of the CLI flat scrape maps to a family on /metrics.
   auto [stats_status, stats_output] =
-      run(cli() + " stats --port " + std::to_string(tcp_port) +
-          " --prometheus");
+      run(cli() + " stats --port " + std::to_string(tcp_port));
   EXPECT_EQ(stats_status, 0) << stats_output;
-  std::istringstream families(stats_output);
+  std::istringstream rows(stats_output);
   std::string line;
-  while (std::getline(families, line)) {
-    if (line.rfind("# TYPE ", 0) != 0) continue;
-    EXPECT_NE(metrics.find(line), std::string::npos) << line;
+  std::size_t mapped = 0;
+  while (std::getline(rows, line)) {
+    const std::size_t space = line.find(' ');
+    ASSERT_NE(space, std::string::npos) << line;
+    const std::string family =
+        flat_row_family(line.substr(0, space), line.substr(space + 1));
+    if (family.empty()) continue;
+    EXPECT_NE(metrics.find("\n# TYPE " + family + " "), std::string::npos)
+        << line;
+    ++mapped;
   }
+  EXPECT_GT(mapped, 50u) << stats_output;
 
   // /index reflects the live subscribers and source traffic.
   const std::string index = http_get(http_port, "/index");

@@ -17,18 +17,26 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <vector>
 
 #include "core/trainer.hpp"
 #include "ingest/pipeline.hpp"
 #include "ingest/ring_transport.hpp"
 #include "ingest/transport_feed.hpp"
+#include "obs/exposition.hpp"
+#include "obs/metrics.hpp"
+#include "retrain/retrain_controller.hpp"
 
 namespace {
 
@@ -113,12 +121,23 @@ TEST(ObsHttp, PropagatesHandlerStatus) {
 }
 
 TEST(ObsHttp, HeadOmitsBody) {
+  // The headers are the GET response's, Content-Length included (RFC
+  // 9110: it reports the length the GET body would have); only the body
+  // is missing.
   HttpServer server(0, echo_handler());
-  const std::string response = http_get(server.port(), "/healthz", "HEAD");
-  EXPECT_EQ(response.rfind("HTTP/1.1 200 OK\r\n", 0), 0u);
-  const std::size_t end = response.find("\r\n\r\n");
+  const std::string head = http_get(server.port(), "/healthz", "HEAD");
+  const std::string get = http_get(server.port(), "/healthz");
+  EXPECT_EQ(head.rfind("HTTP/1.1 200 OK\r\n", 0), 0u);
+  const std::size_t end = head.find("\r\n\r\n");
   ASSERT_NE(end, std::string::npos);
-  EXPECT_EQ(response.substr(end + 4), "");
+  EXPECT_EQ(head.substr(end + 4), "");
+  const std::size_t get_end = get.find("\r\n\r\n");
+  ASSERT_NE(get_end, std::string::npos);
+  EXPECT_EQ(head.substr(0, end), get.substr(0, get_end));
+  EXPECT_NE(head.find("Content-Length: " +
+                      std::to_string(get.size() - get_end - 4) + "\r\n"),
+            std::string::npos)
+      << head;
 }
 
 TEST(ObsHttp, RejectsOtherMethods) {
@@ -151,6 +170,48 @@ TEST(ObsHttp, StopIsIdempotent) {
   server.stop();
   server.stop();
   EXPECT_TRUE(http_get(server.port(), "/healthz").empty());
+}
+
+/// The ids of this process's threads.
+std::set<std::string> thread_ids() {
+  std::set<std::string> ids;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    ids.insert(entry.path().filename().string());
+  }
+  return ids;
+}
+
+/// A thread's voluntary context switches so far (its wakeups).
+long voluntary_switches(const std::string& tid) {
+  std::ifstream status("/proc/self/task/" + tid + "/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("voluntary_ctxt_switches:", 0) == 0) {
+      return std::atol(line.c_str() + line.find(':') + 1);
+    }
+  }
+  return -1;
+}
+
+TEST(ObsHttp, IdleServerSleepsAndStopsPromptly) {
+  // The accept thread blocks until a client connects: over an idle
+  // second it does not wake, and stop() wakes it at once instead of
+  // waiting out a poll timeout.
+  const std::set<std::string> before = thread_ids();
+  HttpServer server(0, echo_handler());
+  std::vector<std::string> started;
+  for (const std::string& tid : thread_ids()) {
+    if (before.count(tid) == 0) started.push_back(tid);
+  }
+  ASSERT_EQ(started.size(), 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const long switches = voluntary_switches(started[0]);
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  EXPECT_LE(voluntary_switches(started[0]) - switches, 2);
+  const auto stop_begin = std::chrono::steady_clock::now();
+  server.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_begin,
+            std::chrono::milliseconds(50));
 }
 
 TEST(ObsHttp, ExplicitPortConflictThrows) {
@@ -284,6 +345,8 @@ TEST(ObsHttp, ScrapesALivePipelineWhileItServes) {
   // The last scrape after the pipeline finished sees the final counters.
   const std::string metrics = http_get(pipeline.http_port(), "/metrics");
   EXPECT_NE(metrics.find("jobs_completed"), std::string::npos);
+  // No snapshot error: the "none" row stays out of the exposition.
+  EXPECT_EQ(metrics.find("snapshot_last_error"), std::string::npos);
 }
 
 TEST(ObsHttp, ScrapesOverlapSnapshotChainAndSubscriberChanges) {
@@ -354,6 +417,114 @@ TEST(ObsHttp, ScrapesOverlapSnapshotChainAndSubscriberChanges) {
       << metrics;
 
   fs::remove_all(dir);
+}
+
+/// Occurrences of \p needle in \p text.
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(ObsScrapeRows, EveryDeclaredRowRendersOnceInBothFormats) {
+  // A real pipeline with two sources, one subscriber, a retrain
+  // controller and a failing snapshot path declares every row block.
+  // Each row is one line of the flat scrape, and one sample of the
+  // exposition under its declared # TYPE.
+  namespace fs = std::filesystem;
+  efd::core::RecognitionService service = two_application_service();
+  efd::retrain::RetrainConfig retrain_config;
+  retrain_config.background = false;
+  efd::retrain::RetrainController retrain(service, retrain_config);
+  auto collector = std::make_shared<VerdictCollector>();
+  efd::ingest::RingTransport first(256);
+  efd::ingest::RingTransport second(256);
+  first.set_verdict_sink(collector);
+  second.set_verdict_sink(collector);
+  efd::ingest::SourceMux mux;
+  mux.add_source("first", first);
+  mux.add_source("second \"quoted\"", second);
+  efd::ingest::IngestPipelineConfig config;
+  config.retrain = &retrain;
+  config.snapshot_path = (fs::path(::testing::TempDir()) / "no_such_dir" /
+                          ("rows_" + std::to_string(::getpid())) /
+                          "chain.efds")
+                             .string();
+  config.snapshot_every_verdicts = 1;
+  efd::ingest::IngestPipeline pipeline(service, mux, config);
+  pipeline.start();
+  first.send(efd::ingest::make_subscribe());
+  stream_job(first, 2);
+  stream_job(second, 3);
+  first.close();
+  second.close();
+  pipeline.join();
+  ASSERT_EQ(collector->verdicts().size(), 2u);
+  ASSERT_GT(pipeline.stats().snapshot_failures, 0u);
+
+  const efd::obs::ScrapeRows rows = pipeline.scrape_rows();
+  const efd::obs::MetricsRegistry empty;
+  const std::string flat = "\n" + rows.flat();
+  const std::string exposition = "\n" + rows.exposition(empty);
+  EXPECT_EQ(count_of(flat, "\n") - 1, rows.rows().size());
+
+  // The type each series family is declared with: a current level is a
+  // gauge, every lifetime total a counter.
+  const std::set<std::string> gauges = {
+      "efd_service_active_jobs", "efd_service_pending_verdicts",
+      "efd_service_queued_samples", "efd_service_dictionary_epoch",
+      "efd_service_jobs_on_stale_epoch",
+      "efd_dictionary_index_build_seconds", "efd_dictionary_index_bytes",
+      "efd_source_restored_cursor", "efd_source_exhausted",
+      "efd_retrain_last_cycle", "efd_retrain_last_promoted_epoch",
+      "efd_retrain_last_candidate_score",
+      "efd_retrain_last_incumbent_score", "efd_retrain_window_jobs",
+      "efd_retrain_window_samples", "efd_retrain_window_applications",
+      "efd_subscriber_queued", "efd_uptime_seconds"};
+  std::set<std::string> blocks;
+  for (const efd::obs::ScrapeRow& row : rows.rows()) {
+    SCOPED_TRACE(row.name);
+    blocks.insert(row.name.substr(0, row.name.find('.')));
+    EXPECT_EQ(count_of(flat, "\n" + row.name + " " + row.value + "\n"), 1u);
+    if (row.kind == efd::obs::RowKind::kText) {
+      if (row.family.empty()) continue;  // flat only
+      // Folded into its family's one info series, as a label.
+      const std::string type = "\n# TYPE " + row.family + " gauge\n";
+      EXPECT_EQ(count_of(exposition, type), 1u);
+      const std::size_t series =
+          exposition.find("\n" + row.family + "{", exposition.find(type));
+      ASSERT_NE(series, std::string::npos);
+      const std::string line = exposition.substr(
+          series, exposition.find('\n', series + 1) - series);
+      EXPECT_EQ(count_of(line, row.labels), 1u) << line;
+      continue;
+    }
+    const bool gauge = row.kind == efd::obs::RowKind::kGauge;
+    EXPECT_EQ(gauge, gauges.count(row.family) == 1);
+    const std::string type = "\n# TYPE " + row.family +
+                             (gauge ? " gauge\n" : " counter\n");
+    EXPECT_EQ(count_of(exposition, type), 1u);
+    const std::string sample =
+        "\n" + row.family +
+        (row.labels.empty() ? "" : "{" + row.labels + "}") + " " +
+        row.value + "\n";
+    EXPECT_EQ(count_of(exposition, sample), 1u);
+    EXPECT_LT(exposition.find(type), exposition.find(sample));
+  }
+  EXPECT_EQ(blocks, (std::set<std::string>{"build", "dictionary", "ingest",
+                                           "pool", "retrain", "service",
+                                           "source", "subscriber",
+                                           "uptime"}));
+  // Both sources carry their (escaped) names as labels; no name series.
+  EXPECT_NE(exposition.find("{source=\"1\",name=\"second \\\"quoted\\\"\"}"),
+            std::string::npos)
+      << exposition;
+  EXPECT_EQ(exposition.find("efd_source_name"), std::string::npos);
+  EXPECT_NE(exposition.find("\nefd_ingest_snapshot_last_error_info{reason="),
+            std::string::npos);
 }
 
 }  // namespace

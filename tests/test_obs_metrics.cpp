@@ -1,8 +1,9 @@
 /// \file test_obs_metrics.cpp
 /// \brief obs metrics + exposition coverage: log2 histogram bucket math,
 /// registry series identity and deterministic rendering, label escaping,
-/// and the flat-scrape -> Prometheus folding rules (source/subscriber
-/// labels, build info, snapshot-error info series).
+/// and golden renders of a fixed scrape row list in both formats (flat
+/// text, and Prometheus with source/subscriber labels, build info,
+/// uptime and the snapshot-error info series).
 
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
@@ -113,91 +114,101 @@ TEST(ObsExposition, EscapesLabelValues) {
   EXPECT_EQ(escape_label_value("a\nb"), "a\\nb");
 }
 
-TEST(ObsExposition, ClassifiesGauges) {
-  EXPECT_TRUE(is_gauge_metric("service.active_jobs"));
-  EXPECT_TRUE(is_gauge_metric("ingest.dictionary_epoch"));
-  EXPECT_TRUE(is_gauge_metric("subscriber.1.queued"));
-  EXPECT_FALSE(is_gauge_metric("ingest.envelopes"));
-  EXPECT_FALSE(is_gauge_metric("subscriber.1.delivered"));
+/// A small fixed row list covering every exposition rule: a counter and
+/// a gauge (one a double printed like `operator<<`), two labelled source
+/// rows with and without a name, a subscriber, the snapshot error, build
+/// info and uptime. Rows are declared out of order; both formats sort.
+ScrapeRows golden_rows() {
+  ScrapeRows rows;
+  rows.uptime(42);
+  rows.block("source.1.", "efd_source_", label("source", "1"));
+  rows.counter("envelopes", 3);
+  rows.block("source.0.", "efd_source_",
+             label("source", "0") + "," + label("name", "replay"));
+  rows.text("name", "replay");
+  rows.counter("envelopes", 12);
+  rows.counter("drops", 1);
+  rows.block("ingest.", "efd_ingest_");
+  rows.counter("envelopes", 8);
+  rows.info("snapshot_last_error", "open(\"/tmp/x\")_failed",
+            "efd_ingest_snapshot_last_error_info", "reason");
+  rows.block("dictionary.", "efd_dictionary_");
+  rows.gauge("index_build_seconds", 1.36e-05);
+  rows.gauge("index_bytes", std::uint64_t{4096});
+  rows.block("subscriber.2.", "efd_subscriber_", label("subscriber", "2"));
+  rows.counter("delivered", 10);
+  rows.gauge("queued", std::uint64_t{1});
+  rows.block("build.", "");
+  rows.info("version", "0.9.0", "efd_build_info", "version");
+  rows.info("sha", "abc123", "efd_build_info", "sha");
+  rows.info("kernel", "avx2", "efd_build_info", "kernel");
+  return rows;
 }
 
-TEST(ObsExposition, FoldsSourceRowsIntoLabeledSeries) {
-  const std::string flat =
-      "source.0.name replay\n"
-      "source.0.envelopes 12\n"
-      "source.1.envelopes 3\n"
-      "service.source.7.samples 99\n";
-  const std::string text = prometheus_exposition(flat);
-  // One # TYPE line even though the family's rows are interleaved with
-  // other sources.
-  EXPECT_EQ(text.find("# TYPE efd_source_envelopes counter"),
-            text.rfind("# TYPE efd_source_envelopes counter"));
-  EXPECT_NE(
-      text.find("efd_source_envelopes{source=\"0\",name=\"replay\"} 12"),
-      std::string::npos);
-  EXPECT_NE(text.find("efd_source_envelopes{source=\"1\"} 3"),
-            std::string::npos);
-  EXPECT_NE(text.find("efd_service_source_samples{source=\"7\"} 99"),
-            std::string::npos);
-  // The name row becomes a label, never its own series.
-  EXPECT_EQ(text.find("efd_source_name"), std::string::npos);
+TEST(ObsExposition, GoldenFlatScrape) {
+  EXPECT_EQ(golden_rows().flat(),
+            "build.kernel avx2\n"
+            "build.sha abc123\n"
+            "build.version 0.9.0\n"
+            "dictionary.index_build_seconds 1.36e-05\n"
+            "dictionary.index_bytes 4096\n"
+            "ingest.envelopes 8\n"
+            "ingest.snapshot_last_error open(\"/tmp/x\")_failed\n"
+            "source.0.drops 1\n"
+            "source.0.envelopes 12\n"
+            "source.0.name replay\n"
+            "source.1.envelopes 3\n"
+            "subscriber.2.delivered 10\n"
+            "subscriber.2.queued 1\n"
+            "uptime.seconds 42\n");
 }
 
-TEST(ObsExposition, FoldsSubscriberRows) {
-  const std::string flat =
-      "subscriber.2.delivered 10\n"
-      "subscriber.2.dropped 4\n"
-      "subscriber.2.queued 1\n";
-  const std::string text = prometheus_exposition(flat);
-  EXPECT_NE(text.find("efd_subscriber_delivered{subscriber=\"2\"} 10"),
-            std::string::npos);
-  EXPECT_NE(text.find("efd_subscriber_dropped{subscriber=\"2\"} 4"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE efd_subscriber_queued gauge"),
-            std::string::npos);
+TEST(ObsExposition, GoldenExposition) {
+  // One # TYPE line per family even where its rows interleave with other
+  // rows (source.0.name sits between the two envelopes rows); the name
+  // row is a label, never a series; the snapshot error's reason is
+  // escaped; build and uptime rows fold into efd_build_info and
+  // efd_uptime_seconds after the counters and gauges; the registry's
+  // families follow byte-for-byte.
+  MetricsRegistry registry;
+  registry.histogram("efd_lat_ns", "latency").observe(5000);
+  const std::string text = golden_rows().exposition(registry);
+  const std::string rows =
+      "# TYPE efd_dictionary_index_build_seconds gauge\n"
+      "efd_dictionary_index_build_seconds 1.36e-05\n"
+      "# TYPE efd_dictionary_index_bytes gauge\n"
+      "efd_dictionary_index_bytes 4096\n"
+      "# TYPE efd_ingest_envelopes counter\n"
+      "efd_ingest_envelopes 8\n"
+      "# TYPE efd_source_drops counter\n"
+      "efd_source_drops{source=\"0\",name=\"replay\"} 1\n"
+      "# TYPE efd_source_envelopes counter\n"
+      "efd_source_envelopes{source=\"0\",name=\"replay\"} 12\n"
+      "efd_source_envelopes{source=\"1\"} 3\n"
+      "# TYPE efd_subscriber_delivered counter\n"
+      "efd_subscriber_delivered{subscriber=\"2\"} 10\n"
+      "# TYPE efd_subscriber_queued gauge\n"
+      "efd_subscriber_queued{subscriber=\"2\"} 1\n"
+      "# TYPE efd_ingest_snapshot_last_error_info gauge\n"
+      "efd_ingest_snapshot_last_error_info{reason="
+      "\"open(\\\"/tmp/x\\\")_failed\"} 1\n"
+      "# TYPE efd_build_info gauge\n"
+      "efd_build_info{version=\"0.9.0\",sha=\"abc123\",kernel=\"avx2\"} 1\n"
+      "# TYPE efd_uptime_seconds gauge\n"
+      "efd_uptime_seconds 42\n";
+  EXPECT_EQ(text, rows + registry.render());
+  EXPECT_NE(text.find("# TYPE efd_lat_ns histogram"), std::string::npos);
 }
 
-TEST(ObsExposition, SnapshotErrorBecomesEscapedInfoSeries) {
-  EXPECT_EQ(prometheus_exposition("ingest.snapshot_last_error none\n")
-                .find("snapshot_last_error"),
-            std::string::npos);
-  const std::string text = prometheus_exposition(
-      "ingest.snapshot_last_error open(\"/tmp/x\")_failed\n");
-  EXPECT_NE(text.find("# TYPE efd_ingest_snapshot_last_error_info gauge"),
-            std::string::npos);
-  EXPECT_NE(
-      text.find("efd_ingest_snapshot_last_error_info{reason="
-                "\"open(\\\"/tmp/x\\\")_failed\"} 1"),
-      std::string::npos);
-}
-
-TEST(ObsExposition, FoldsBuildInfoAndUptime) {
-  const std::string flat =
-      "build.version 0.9.0\n"
-      "build.sha abc123\n"
-      "build.kernel avx2\n"
-      "uptime.seconds 42\n";
-  const std::string text = prometheus_exposition(flat);
-  EXPECT_NE(text.find("efd_build_info{version=\"0.9.0\",sha=\"abc123\","
-                      "kernel=\"avx2\"} 1"),
-            std::string::npos);
-  EXPECT_NE(text.find("efd_uptime_seconds 42"), std::string::npos);
-  // Folded rows never leak through as plain series.
-  EXPECT_EQ(text.find("efd_build_version"), std::string::npos);
-  EXPECT_EQ(text.find("efd_uptime_seconds 42\nefd_uptime_seconds"),
-            std::string::npos);
-}
-
-TEST(ObsExposition, RenderMetricsIsSupersetOfFlatExposition) {
-  hot_path().verdict_e2e_ns.observe(5000);  // ensure the family exists
-  const std::string flat = "ingest.envelopes 8\n";
-  const std::string text = render_metrics(flat, global_metrics());
-  const std::string flat_only = prometheus_exposition(flat);
-  EXPECT_EQ(text.rfind(flat_only, 0), 0u);  // flat rows lead, byte-identical
-  EXPECT_NE(text.find("# TYPE efd_verdict_latency_ns histogram"),
-            std::string::npos);
-  EXPECT_NE(text.find("efd_stage_duration_ns_bucket{stage=\"decode\","),
-            std::string::npos);
+TEST(ObsExposition, FlatOnlyTextRowsRenderNoSeries) {
+  // A healthy endpoint's snapshot error row is flat-only text: present
+  // in the flat scrape, absent from the exposition.
+  ScrapeRows rows;
+  rows.block("ingest.", "efd_ingest_");
+  rows.text("snapshot_last_error", "none");
+  EXPECT_EQ(rows.flat(), "ingest.snapshot_last_error none\n");
+  MetricsRegistry empty;
+  EXPECT_EQ(rows.exposition(empty), "");
 }
 
 }  // namespace

@@ -75,7 +75,6 @@
 #include "eval/efd_experiment.hpp"
 #include "ingest/pipeline.hpp"
 #include "ingest/replication.hpp"
-#include "obs/exposition.hpp"
 #include "obs/http_server.hpp"
 #include "ingest/shm_transport.hpp"
 #include "ingest/snapshot_chain.hpp"
@@ -135,9 +134,10 @@ int usage() {
       "             [--threads N]\n"
       "  recognize  --data FILE --dict FILE [--verbose] [--threads N]\n"
       "  dump       --dict FILE\n"
-      "  stats      --dict FILE | --port P [--host H] [--prometheus]\n"
+      "  stats      --dict FILE | --port P [--host H]\n"
       "             (remote: scrape a running serve endpoint's counters as\n"
-      "             `name value` lines, or Prometheus text exposition)\n"
+      "             sorted `name value` lines; serve --http serves them as\n"
+      "             Prometheus text at GET /metrics)\n"
       "  coverage   --data FILE --dict FILE\n"
       "  evaluate   --data FILE --experiment normal-fold|soft-input|\n"
       "             soft-unknown|hard-input|hard-unknown [--metrics a,b]\n"
@@ -329,8 +329,8 @@ int cmd_dump(const util::ArgParser& args) {
 
 int cmd_stats(const util::ArgParser& args) {
   // Remote mode: scrape a running serve endpoint (kStatsRequest →
-  // kStatsReply) and print its flat `name value` block verbatim, or —
-  // with --prometheus — as Prometheus text exposition.
+  // kStatsReply) and print its flat `name value` block verbatim. The
+  // Prometheus text exposition is `serve --http`'s GET /metrics.
   if (args.has("port")) {
     const auto port = args.get_int("port", 0);
     if (port <= 0 || port > 65535) return usage();
@@ -343,11 +343,7 @@ int cmd_stats(const util::ArgParser& args) {
     while (std::chrono::steady_clock::now() < deadline) {
       if (!client.receive(reply, std::chrono::milliseconds(250))) continue;
       if (reply.type != ingest::MessageType::kStatsReply) continue;
-      if (args.has("prometheus")) {
-        std::cout << obs::prometheus_exposition(reply.stats_text);
-      } else {
-        std::cout << reply.stats_text;
-      }
+      std::cout << reply.stats_text;
       return 0;
     }
     std::cerr << "error: no stats reply from " << host << ":" << port << "\n";
