@@ -17,14 +17,13 @@
 ///     p99 and throughput vs. steady state (the ISSUE's "within 20%"
 ///     health check, printed as a ratio and emitted as JSONL).
 ///
-/// Phase 2b sizes the durable-capture formats: one EFD-SNAP-V1 full
-/// snapshot vs an EFD-SNAP-V2 base + steady-state delta — the
-/// delta-to-base byte ratio is the serving pipeline's per-cadence
-/// durability bandwidth saving.
+/// Phase 2b sizes the durable captures: an EFD-SNAP-V2 base (the
+/// complete snapshot) vs a steady-state delta — the delta-to-base byte
+/// ratio is the serving pipeline's per-cadence durability bandwidth
+/// saving.
 ///
 /// JSONL fields (stable names): jobs, window_jobs, window_samples,
-/// snapshot_ms, train_ms, gate_ms, swap_us, snapshot_full_bytes,
-/// snapshot_base_bytes, snapshot_delta_bytes, snapshot_chain_ratio,
+/// snapshot_ms, train_ms, gate_ms, swap_us, snapshot_base_bytes, snapshot_delta_bytes, snapshot_chain_ratio,
 /// p99_steady_us, p99_retrain_us, throughput_steady, throughput_retrain,
 /// throughput_ratio.
 
@@ -158,15 +157,12 @@ int main(int argc, char** argv) {
           .count() /
       kSnapshotRounds;
 
-  // ---- Phase 2b: durable capture sizes — EFD-SNAP-V1 full snapshot
-  // vs an EFD-SNAP-V2 steady-state delta. Between cadence ticks only a
-  // handful of streams move, so the delta (changed streams + counters,
-  // no Dictionary) must be a small fraction of the base; the serving
-  // pipeline writes these at --snapshot-every cadence, so this ratio IS
-  // the steady-state durability bandwidth saving. ----
-  std::ostringstream full_snap;
-  service.snapshot(full_snap);
-  const std::size_t snapshot_full_bytes = full_snap.str().size();
+  // ---- Phase 2b: durable capture sizes — an EFD-SNAP-V2 base (the
+  // complete snapshot) vs a steady-state delta. Between cadence ticks
+  // only a handful of streams move, so the delta (changed streams +
+  // counters, no Dictionary) must be a small fraction of the base; the
+  // serving pipeline writes these at --snapshot-every cadence, so this
+  // ratio IS the steady-state durability bandwidth saving. ----
   core::SnapshotChainState chain_state;
   std::ostringstream base_capture;
   const core::SnapshotCaptureInfo base_info =
@@ -240,7 +236,6 @@ int main(int argc, char** argv) {
                  util::format_fixed(cycle.gate_seconds * 1e3, 3) + " ms"});
   table.add_row({"epoch swap", util::format_fixed(swap_us, 1) + " us" +
                                    (outcome.already_active ? " (noop)" : "")});
-  table.add_row({"full snapshot", std::to_string(snapshot_full_bytes) + " B"});
   table.add_row({"chain base", std::to_string(base_info.bytes) + " B"});
   table.add_row({"chain delta",
                  std::to_string(delta_info.bytes) + " B (" +
@@ -282,7 +277,6 @@ int main(int argc, char** argv) {
       .field("train_ms", cycle.train_seconds * 1e3)
       .field("gate_ms", cycle.gate_seconds * 1e3)
       .field("swap_us", swap_us)
-      .field("snapshot_full_bytes", snapshot_full_bytes)
       .field("snapshot_base_bytes", base_info.bytes)
       .field("snapshot_delta_bytes", delta_info.bytes)
       .field("snapshot_chain_ratio", chain_ratio)

@@ -48,11 +48,14 @@
 ///    dirty-list order, so the pooled verdict order equals the
 ///    unpooled one.
 ///
-/// Durability: snapshot() serializes the whole service — active
-/// dictionary epoch, every open stream's accumulators and queue, pending
-/// verdicts, lifetime counters — into the EFD-SNAP-V1 format, and
-/// restore() rebuilds a fresh service from it, so a serve restart does
-/// not lose in-flight jobs (see core/online/service_snapshot.hpp).
+/// Durability: snapshot_capture() is the one snapshot writer. It
+/// serializes the service — active dictionary epoch, every open stream's
+/// accumulators and queue, pending verdicts, lifetime counters — as an
+/// EFD-SNAP-V2 base or delta capture, and restore_chain() is the one
+/// restore: it rebuilds a fresh service from a base → delta chain, or
+/// from a legacy EFD-SNAP-V1 file read as a one-part chain, so a serve
+/// restart does not lose in-flight jobs (see
+/// core/online/service_snapshot.hpp).
 
 #include <chrono>
 #include <cstddef>
@@ -144,8 +147,14 @@ struct RecognitionServiceStats {
   std::uint64_t jobs_completed = 0; ///< lifetime total (incl. force-closed)
   std::uint64_t jobs_evicted = 0;   ///< force-closed by the stale sweep
   std::uint64_t samples_pushed = 0; ///< accepted and recognized
-  std::uint64_t samples_dropped = 0;///< pushes for unknown job ids
-  std::uint64_t samples_late = 0;   ///< pushes after a job's verdict fired
+  /// Pushes for a job the service does not hold: never opened, or
+  /// already reaped after its verdict (drain_verdicts / reap).
+  std::uint64_t samples_dropped = 0;
+  /// Pushes for a job whose verdict fired but whose stream is not yet
+  /// reaped. A post-verdict sample counts late or dropped depending on
+  /// when the owner reaped, so only the sum of the two is stable across
+  /// runs.
+  std::uint64_t samples_late = 0;
   std::uint64_t samples_overflowed = 0; ///< evicted by kDropOldest
   std::uint64_t samples_rejected = 0;   ///< refused by kReject
   std::uint64_t pushes_blocked = 0;     ///< kBlock forced drains
@@ -173,9 +182,10 @@ struct RecognitionServiceStats {
   std::vector<SourceIngressStats> by_source;
 };
 
-/// One ingest source's resume point inside EFD-SNAP-V1 (opaque to the
-/// service, like replay_cursor): keyed by the mux registration name so
-/// it survives restarts where transport ids could be re-assigned.
+/// One ingest source's resume point inside a capture's Meta section
+/// (opaque to the service, like replay_cursor): keyed by the mux
+/// registration name so it survives restarts where transport ids could
+/// be re-assigned.
 struct SourceCursor {
   std::string name;
   std::uint64_t cursor = 0;
@@ -183,9 +193,11 @@ struct SourceCursor {
   bool operator==(const SourceCursor&) const = default;
 };
 
-/// What RecognitionService::restore() rebuilt from a snapshot.
+/// What RecognitionService::restore_chain() rebuilt.
 struct ServiceRestoreInfo {
   std::uint64_t replay_cursor = 0;    ///< caller-defined resume point
+  /// Id of the newest capture applied (0 for an EFD-SNAP-V1 file).
+  std::uint64_t last_capture_id = 0;
   std::uint64_t dictionary_epoch = 0; ///< restored active epoch version
   std::size_t jobs_restored = 0;      ///< open streams rebuilt
   std::size_t verdicts_restored = 0;  ///< pending (undrained) verdicts
@@ -216,8 +228,9 @@ class RecognitionService {
   RecognitionService& operator=(const RecognitionService&) = delete;
 
   /// The ACTIVE dictionary. Borrowed reference: valid until the next
-  /// swap_dictionary()/restore() publishes a successor epoch — callers
-  /// that must survive swaps should pin via dictionary_handle().acquire().
+  /// swap_dictionary()/restore_chain() publishes a successor epoch —
+  /// callers that must survive swaps should pin via
+  /// dictionary_handle().acquire().
   const Dictionary& dictionary() const;
   const DictionaryHandle& dictionary_handle() const noexcept { return handle_; }
   const RecognitionServiceConfig& config() const noexcept { return config_; }
@@ -239,31 +252,6 @@ class RecognitionService {
   /// owner and with other swaps (which serialize).
   SwapOutcome swap_dictionary(Dictionary next);
 
-  /// Serializes the complete service state (active dictionary epoch,
-  /// open streams, pending verdicts, lifetime counters) as EFD-SNAP-V1.
-  /// The owner calls it between other calls, so the capture is one
-  /// consistent point: a job is either an open stream or a pending
-  /// verdict. \p replay_cursor is an opaque
-  /// caller-defined resume point stored verbatim (e.g. "messages
-  /// applied"); restore() hands it back. \p retrain_state, when
-  /// non-empty, travels as the optional Retrain section (opaque to the
-  /// service) and comes back in ServiceRestoreInfo::retrain_state.
-  /// \p source_cursors, when non-empty, extends the Meta section with
-  /// one named resume point per ingest source (multi-source pipelines);
-  /// decoders accept both the legacy single-cursor and extended bodies.
-  void snapshot(std::ostream& out, std::uint64_t replay_cursor = 0,
-                std::span<const std::uint8_t> retrain_state = {},
-                std::span<const SourceCursor> source_cursors = {}) const;
-
-  /// Rebuilds service state from an EFD-SNAP-V1 stream produced by
-  /// snapshot(). Only valid on a service with no open jobs and no
-  /// pending verdicts (a fresh restart); throws SnapshotError (see
-  /// service_snapshot.hpp) on format/CRC violations — all-or-nothing:
-  /// a failed restore leaves the service untouched. The restored
-  /// dictionary replaces the constructor's; restored streams' TTL clocks
-  /// restart at "now".
-  ServiceRestoreInfo restore(std::istream& in);
-
   /// Writes one EFD-SNAP-V2 capture — a BASE (complete snapshot,
   /// Dictionary included) or a DELTA (only streams whose serialized
   /// state changed since \p chain's last capture, plus closed jobs and
@@ -273,6 +261,15 @@ class RecognitionService {
   /// (callers cap chain length with it); otherwise a delta chained to
   /// the previous capture by id. \p chain is caller-owned bookkeeping,
   /// updated on success.
+  /// The owner calls it between other calls, so the capture is one
+  /// consistent point: a job is either an open stream or a pending
+  /// verdict. \p replay_cursor is an opaque caller-defined resume point
+  /// stored verbatim (e.g. "messages applied"); restore_chain() hands it
+  /// back. \p retrain_state, when non-empty, travels as the optional
+  /// Retrain section (opaque to the service) and comes back in
+  /// ServiceRestoreInfo::retrain_state. \p source_cursors, when
+  /// non-empty, extends the Meta section with one named resume point per
+  /// ingest source (multi-source pipelines).
   SnapshotCaptureInfo snapshot_capture(
       std::ostream& out, SnapshotChainState& chain, bool force_base = false,
       std::uint64_t replay_cursor = 0,
@@ -281,13 +278,17 @@ class RecognitionService {
 
   /// Rebuilds service state from an EFD-SNAP-V2 capture chain: the
   /// first stream must be a base, each subsequent one a delta whose
-  /// parent_id equals the previous capture_id. Replay is all-or-nothing
-  /// across the WHOLE chain — any broken link, CRC mismatch, or format
-  /// violation throws SnapshotError with the service untouched (the
-  /// caller decides whether to retry with a shorter chain). Latest
-  /// capture wins for Meta/Verdicts/Stats/Retrain; stream sections
-  /// add/replace by job id and ClosedJobs removes. Same preconditions
-  /// as restore().
+  /// parent_id equals the previous capture_id. A legacy EFD-SNAP-V1 file
+  /// restores as a one-part chain; a V1 part in a longer chain is
+  /// rejected. Replay is all-or-nothing across the WHOLE chain — any
+  /// broken link, CRC mismatch, or format violation throws SnapshotError
+  /// with the service untouched (the caller decides whether to retry
+  /// with a shorter chain). Latest capture wins for
+  /// Meta/Verdicts/Stats/Retrain; stream sections add/replace by job id
+  /// and ClosedJobs removes. Only valid on a service with no open jobs
+  /// and no pending verdicts (a fresh restart). The restored dictionary
+  /// replaces the constructor's; restored streams' TTL clocks restart at
+  /// "now".
   ServiceRestoreInfo restore_chain(std::span<std::istream* const> parts);
 
   /// Declares an ingest source tag up front so its (possibly all-zero)
@@ -313,12 +314,13 @@ class RecognitionService {
   /// reaping do not count).
   bool has_job(std::uint64_t job_id) const;
 
-  /// Feeds one monitoring sample. Returns false if no such job is open
-  /// (counted as dropped), if the verdict already fired (late), or if
-  /// the queue was full under kReject (rejected). In inline mode the
-  /// sample is recognized here and the verdict may fire before this
-  /// returns; in deferred mode it waits for process_pending() (or for a
-  /// kBlock forced drain of its full queue).
+  /// Feeds one monitoring sample. Returns false if the service holds no
+  /// such job (counted as dropped), if the verdict already fired but the
+  /// stream is not yet reaped (late), or if the queue was full under
+  /// kReject (rejected). In inline mode the sample is recognized here
+  /// and the verdict may fire before this returns; in deferred mode it
+  /// waits for process_pending() (or for a kBlock forced drain of its
+  /// full queue).
   bool push(std::uint64_t job_id, std::uint32_t node_id,
             std::string_view metric_name, int t, double value);
 
@@ -491,21 +493,19 @@ class RecognitionService {
   static std::int64_t now_ns();
 
   /// Snapshot/restore internals (service_snapshot.cpp): the section
-  /// writer shared by the V1 full snapshot and the V2 base/delta
-  /// capture encoders, and the staged all-or-nothing decoder shared by
-  /// restore() and restore_chain().
+  /// writer behind snapshot_capture(), and the staged all-or-nothing
+  /// decoder that restore_chain() runs once per part.
   struct RestoreStaging;
   std::size_t write_snapshot_sections(
       std::ostream& out,
       const std::shared_ptr<DictionaryHandle::Epoch>& dict_epoch,
-      std::uint64_t dict_swap_count, SnapshotChainState* chain, bool delta,
-      SnapshotCaptureInfo* info, std::uint64_t replay_cursor,
+      std::uint64_t dict_swap_count, SnapshotChainState& chain, bool delta,
+      SnapshotCaptureInfo& info, std::uint64_t replay_cursor,
       std::span<const std::uint8_t> retrain_state,
       std::span<const SourceCursor> source_cursors) const;
   void decode_snapshot_sections(std::istream& in, RestoreStaging& staging,
                                 bool delta) const;
   ServiceRestoreInfo commit_staging(RestoreStaging&& staging);
-  void require_fresh_for_restore() const;
 
   DictionaryHandle handle_;
   RecognitionServiceConfig config_;

@@ -1,11 +1,10 @@
 /// \file service_snapshot.cpp
-/// \brief RecognitionService::snapshot() / restore() — the EFD-SNAP-V1
-/// encoder and its defensive decoder — plus the EFD-SNAP-V2 base+delta
-/// capture chain (snapshot_capture() / restore_chain()). Formats:
-/// service_snapshot.hpp. Both encoders share one section writer and
-/// both decoders share one staged all-or-nothing section reader, so V1
-/// output stays byte-identical while deltas reuse every defensive
-/// check.
+/// \brief RecognitionService::snapshot_capture() — the EFD-SNAP-V2
+/// base/delta encoder — and restore_chain(), its defensive decoder, which
+/// also reads legacy EFD-SNAP-V1 files. Formats: service_snapshot.hpp.
+/// Bases and deltas share one section writer, and every part (V1 file,
+/// base, delta) goes through one staged all-or-nothing section reader,
+/// so deltas reuse every defensive check.
 
 #include "core/online/service_snapshot.hpp"
 
@@ -45,8 +44,6 @@ constexpr std::size_t kClosedJobBytes = 8;
 constexpr std::size_t kStatsCounters = 10;
 constexpr std::size_t kStatsBytes = kStatsCounters * 8;
 constexpr std::size_t kLegacyStatsBytes = 9 * 8;
-/// V2 chain envelope after the magic: u8 kind | u64 id | u64 parent.
-constexpr std::size_t kCaptureEnvelopeBytes = 1 + 8 + 8;
 
 std::size_t write_section(std::ostream& out,
                           const std::vector<std::uint8_t>& payload) {
@@ -95,7 +92,7 @@ void put_result(std::vector<std::uint8_t>& out, std::uint64_t job_id,
 /// exported under: the fingerprinted metrics (names and order) and the
 /// intervals. A stream pinned to an epoch whose layout differs from the
 /// snapshot's active dictionary (a crash inside a hot-swap window)
-/// cannot transfer its sums — restore() gives such streams fresh
+/// cannot transfer its sums — restore_chain() gives such streams fresh
 /// windows instead of misattributing state or refusing to boot.
 /// Rounding depth and metric combination are deliberately excluded:
 /// they shape keys, not accumulators, so state transfers across them.
@@ -176,6 +173,24 @@ std::vector<std::uint8_t> read_exact(std::istream& in, std::size_t size,
 
 }  // namespace
 
+std::optional<CaptureEnvelope> read_capture_envelope(
+    std::span<const std::uint8_t> bytes) {
+  if (bytes.size() < kCaptureHeadBytes ||
+      !std::equal(kSnapshotMagicV2, kSnapshotMagicV2 + kSnapshotMagicBytes,
+                  bytes.begin())) {
+    return std::nullopt;
+  }
+  ByteReader reader(bytes.data() + kSnapshotMagicBytes,
+                    kCaptureHeadBytes - kSnapshotMagicBytes);
+  std::uint8_t kind = 0;
+  CaptureEnvelope envelope;
+  reader.read_u8(kind);
+  reader.read_u64(envelope.capture_id);
+  reader.read_u64(envelope.parent_id);
+  envelope.kind = static_cast<CaptureKind>(kind);
+  return envelope;
+}
+
 /// Everything a decode stages before commit_staging() mutates the
 /// service. Chain replay feeds multiple captures into one staging:
 /// latest capture wins for cursor/verdicts/stats/retrain, stream
@@ -199,8 +214,8 @@ struct RecognitionService::RestoreStaging {
 std::size_t RecognitionService::write_snapshot_sections(
     std::ostream& out,
     const std::shared_ptr<DictionaryHandle::Epoch>& dict_epoch,
-    std::uint64_t dict_swap_count, SnapshotChainState* chain, bool delta,
-    SnapshotCaptureInfo* info, std::uint64_t replay_cursor,
+    std::uint64_t dict_swap_count, SnapshotChainState& chain, bool delta,
+    SnapshotCaptureInfo& info, std::uint64_t replay_cursor,
     std::span<const std::uint8_t> retrain_state,
     std::span<const SourceCursor> source_cursors) const {
   std::size_t bytes = 0;
@@ -237,8 +252,8 @@ std::size_t RecognitionService::write_snapshot_sections(
   }
 
   // Open streams. Streams whose verdict already fired are skipped —
-  // their verdict travels in the Verdicts section. Chain mode digests
-  // each stream's serialized payload; a delta skips streams whose digest
+  // their verdict travels in the Verdicts section. Each stream's
+  // serialized payload is digested; a delta skips streams whose digest
   // matches the previous capture.
   std::unordered_map<std::uint64_t, StreamDigest> new_digests;
   for (const auto& [job_id, stream] : jobs_) {
@@ -266,30 +281,25 @@ std::size_t RecognitionService::write_snapshot_sections(
       put_string(payload, stream.recognizer.metric_name(sample.metric_slot));
     }
 
-    bool write = true;
-    if (chain != nullptr) {
-      const StreamDigest digest{util::crc32(payload),
-                                static_cast<std::uint32_t>(payload.size())};
-      if (delta) {
-        const auto it = chain->streams.find(job_id);
-        if (it != chain->streams.end() && it->second == digest) {
-          write = false;
-          if (info != nullptr) ++info->streams_unchanged;
-        }
+    const StreamDigest digest{util::crc32(payload),
+                              static_cast<std::uint32_t>(payload.size())};
+    new_digests.emplace(job_id, digest);
+    if (delta) {
+      const auto it = chain.streams.find(job_id);
+      if (it != chain.streams.end() && it->second == digest) {
+        ++info.streams_unchanged;
+        continue;
       }
-      new_digests.emplace(job_id, digest);
     }
-    if (write) {
-      bytes += write_section(out, payload);
-      if (info != nullptr) ++info->streams_written;
-    }
+    bytes += write_section(out, payload);
+    ++info.streams_written;
   }
 
   // Deltas name the streams that vanished since the parent capture so
   // replay reaps them (their last verdict rides the Verdicts section).
   if (delta) {
     std::vector<std::uint64_t> closed;
-    for (const auto& [job_id, digest] : chain->streams) {
+    for (const auto& [job_id, digest] : chain.streams) {
       if (new_digests.find(job_id) == new_digests.end()) {
         closed.push_back(job_id);
       }
@@ -300,7 +310,7 @@ std::size_t RecognitionService::write_snapshot_sections(
     put_u32(payload, static_cast<std::uint32_t>(closed.size()));
     for (const std::uint64_t job_id : closed) put_u64(payload, job_id);
     bytes += write_section(out, payload);
-    if (info != nullptr) info->jobs_closed = closed.size();
+    info.jobs_closed = closed.size();
   }
 
   // Pending (undrained) verdicts — non-destructive copy, in firing
@@ -333,7 +343,7 @@ std::size_t RecognitionService::write_snapshot_sections(
     bytes += write_section(out, payload);
   }
 
-  // Terminator: its presence is how restore() distinguishes a complete
+  // Terminator: its presence is how the decoder distinguishes a complete
   // snapshot from one truncated at a section boundary.
   payload.clear();
   put_u8(payload, static_cast<std::uint8_t>(SnapshotSection::kEnd));
@@ -343,19 +353,8 @@ std::size_t RecognitionService::write_snapshot_sections(
 
   // Commit the digest bookkeeping only once every byte landed: a failed
   // capture must leave the chain state describing the last GOOD capture.
-  if (chain != nullptr) chain->streams = std::move(new_digests);
+  chain.streams = std::move(new_digests);
   return bytes;
-}
-
-void RecognitionService::snapshot(
-    std::ostream& out, std::uint64_t replay_cursor,
-    std::span<const std::uint8_t> retrain_state,
-    std::span<const SourceCursor> source_cursors) const {
-  out.write(kSnapshotMagic, kSnapshotMagicBytes);
-  const auto epoch = handle_.acquire();
-  write_snapshot_sections(out, epoch, handle_.swap_count(),
-                          /*chain=*/nullptr, /*delta=*/false, /*info=*/nullptr,
-                          replay_cursor, retrain_state, source_cursors);
 }
 
 SnapshotCaptureInfo RecognitionService::snapshot_capture(
@@ -376,19 +375,18 @@ SnapshotCaptureInfo RecognitionService::snapshot_capture(
   info.parent_id = base ? 0 : chain.last_capture_id;
   info.base = base;
 
-  out.write(kSnapshotMagicV2, kSnapshotMagicBytes);
-  std::vector<std::uint8_t> envelope;
-  envelope.reserve(kCaptureEnvelopeBytes);
-  put_u8(envelope, static_cast<std::uint8_t>(base ? CaptureKind::kBase
-                                                  : CaptureKind::kDelta));
-  put_u64(envelope, info.capture_id);
-  put_u64(envelope, info.parent_id);
-  out.write(reinterpret_cast<const char*>(envelope.data()),
-            static_cast<std::streamsize>(envelope.size()));
+  std::vector<std::uint8_t> head(kSnapshotMagicV2,
+                                 kSnapshotMagicV2 + kSnapshotMagicBytes);
+  put_u8(head, static_cast<std::uint8_t>(base ? CaptureKind::kBase
+                                              : CaptureKind::kDelta));
+  put_u64(head, info.capture_id);
+  put_u64(head, info.parent_id);
+  out.write(reinterpret_cast<const char*>(head.data()),
+            static_cast<std::streamsize>(head.size()));
 
   info.bytes =
-      kSnapshotMagicBytes + envelope.size() +
-      write_snapshot_sections(out, epoch, swap_count, &chain, !base, &info,
+      head.size() +
+      write_snapshot_sections(out, epoch, swap_count, chain, !base, info,
                               replay_cursor, retrain_state, source_cursors);
 
   // Chain bookkeeping commits only on success (write failures threw).
@@ -403,15 +401,6 @@ SnapshotCaptureInfo RecognitionService::snapshot_capture(
     ++chain.deltas_since_base;
   }
   return info;
-}
-
-void RecognitionService::require_fresh_for_restore() const {
-  // restore is a startup operation: refuse on a service that has
-  // already seen traffic (open streams or undrained verdicts).
-  if (!jobs_.empty()) fail("restore requires a service with no open jobs");
-  if (!verdicts_.empty()) {
-    fail("restore requires a service with no pending verdicts");
-  }
 }
 
 void RecognitionService::decode_snapshot_sections(std::istream& in,
@@ -708,75 +697,59 @@ ServiceRestoreInfo RecognitionService::commit_staging(
   return info;
 }
 
-ServiceRestoreInfo RecognitionService::restore(std::istream& in) {
-  require_fresh_for_restore();
-
-  {
-    const auto magic = read_exact(in, kSnapshotMagicBytes, "magic");
-    if (!std::equal(magic.begin(), magic.end(), kSnapshotMagic)) {
-      fail("bad magic");
-    }
-  }
-
-  RestoreStaging staging;
-  decode_snapshot_sections(in, staging, /*delta=*/false);
-  if (in.peek() != std::istream::traits_type::eof()) {
-    fail("trailing bytes after end section");
-  }
-  return commit_staging(std::move(staging));
-}
-
 ServiceRestoreInfo RecognitionService::restore_chain(
     std::span<std::istream* const> parts) {
-  require_fresh_for_restore();
+  // Restore is a startup operation: refuse on a service that has
+  // already seen traffic (open streams or undrained verdicts).
+  if (!jobs_.empty()) fail("restore requires a service with no open jobs");
+  if (!verdicts_.empty()) {
+    fail("restore requires a service with no pending verdicts");
+  }
   if (parts.empty()) fail("empty capture chain");
 
   RestoreStaging staging;
   std::uint64_t previous_id = 0;
-  bool first = true;
-  for (std::istream* part : parts) {
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    std::istream* part = parts[i];
     if (part == nullptr) fail("null capture stream");
-    {
-      const auto magic = read_exact(*part, kSnapshotMagicBytes, "magic");
-      if (!std::equal(magic.begin(), magic.end(), kSnapshotMagicV2)) {
-        fail("bad capture magic");
-      }
-    }
-    const auto envelope =
-        read_exact(*part, kCaptureEnvelopeBytes, "capture envelope");
-    ByteReader reader(envelope.data(), envelope.size());
-    std::uint8_t kind_byte = 0;
-    std::uint64_t capture_id = 0, parent_id = 0;
-    reader.read_u8(kind_byte);
-    reader.read_u64(capture_id);
-    reader.read_u64(parent_id);
-    const auto kind = static_cast<CaptureKind>(kind_byte);
-    if (kind != CaptureKind::kBase && kind != CaptureKind::kDelta) {
-      fail("unknown capture kind");
-    }
-    if (capture_id == 0) fail("capture id must be nonzero");
-    if (first) {
-      if (kind != CaptureKind::kBase) {
-        fail("chain must start with a base capture");
-      }
-      if (parent_id != 0) fail("base capture with nonzero parent");
+    std::vector<std::uint8_t> head =
+        read_exact(*part, kSnapshotMagicBytes, "magic");
+    bool delta = false;
+    if (std::equal(head.begin(), head.end(), kSnapshotMagic)) {
+      // A legacy V1 file is a complete snapshot with no chain identity.
+      if (parts.size() != 1) fail("EFD-SNAP-V1 file inside a capture chain");
     } else {
-      if (kind != CaptureKind::kDelta) {
-        fail("unexpected base capture mid-chain");
+      const auto rest = read_exact(*part, kCaptureHeadBytes - head.size(),
+                                   "capture envelope");
+      head.insert(head.end(), rest.begin(), rest.end());
+      const auto envelope = read_capture_envelope(head);
+      if (!envelope) fail("bad capture magic");
+      if (envelope->kind != CaptureKind::kBase &&
+          envelope->kind != CaptureKind::kDelta) {
+        fail("unknown capture kind");
       }
-      if (parent_id != previous_id) {
-        fail("broken chain link: delta parent does not match the previous "
-             "capture");
+      if (envelope->capture_id == 0) fail("capture id must be nonzero");
+      delta = envelope->kind == CaptureKind::kDelta;
+      if (i == 0) {
+        if (delta) fail("chain must start with a base capture");
+        if (envelope->parent_id != 0) fail("base capture with nonzero parent");
+      } else {
+        if (!delta) fail("unexpected base capture mid-chain");
+        if (envelope->parent_id != previous_id) {
+          fail("broken chain link: delta parent does not match the previous "
+               "capture");
+        }
       }
+      previous_id = envelope->capture_id;
     }
-    decode_snapshot_sections(*part, staging, kind == CaptureKind::kDelta);
+    decode_snapshot_sections(*part, staging, delta);
     if (part->peek() != std::istream::traits_type::eof()) {
       fail("trailing bytes after end section");
     }
-    previous_id = capture_id;
-    first = false;
   }
-  return commit_staging(std::move(staging));
+  ServiceRestoreInfo info = commit_staging(std::move(staging));
+  info.last_capture_id = previous_id;
+  return info;
 }
 
 }  // namespace efd::core

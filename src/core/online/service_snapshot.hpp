@@ -1,18 +1,20 @@
 #pragma once
 /// \file service_snapshot.hpp
-/// \brief EFD-SNAP-V1 (full snapshots) and EFD-SNAP-V2 (incremental
-/// base+delta capture chains) — the durable service-state formats behind
-/// RecognitionService::snapshot() / restore() / snapshot_capture() /
-/// restore_chain().
+/// \brief EFD-SNAP-V2 capture chains (base + deltas) and the read-only
+/// EFD-SNAP-V1 single-file format — the durable service-state formats
+/// behind RecognitionService::snapshot_capture() (the one writer) and
+/// RecognitionService::restore_chain() (the one restore).
 ///
-/// A `serve` restart must not lose in-flight jobs: the snapshot captures
+/// A `serve` restart must not lose in-flight jobs: a capture holds
 /// everything a fresh process needs to carry on — the active dictionary
 /// epoch, every open stream's window accumulators and queued samples,
 /// verdicts that completed but were not yet drained, and the lifetime
 /// counters (so monitoring stays continuous across the restart).
 ///
-/// File layout (all integers little-endian, same primitive vocabulary as
-/// EFD-WIRE-V1 via util/binary_io.hpp):
+/// Section stream (all integers little-endian, same primitive vocabulary
+/// as EFD-WIRE-V1 via util/binary_io.hpp). An EFD-SNAP-V1 file is this
+/// stream behind its own magic; nothing writes V1 any more, and
+/// restore_chain() reads a V1 file as a one-part chain:
 ///
 ///   file     := magic "EFDSNAP1" | section*
 ///   section  := u32 payload_len | u32 crc32(payload) | payload
@@ -56,11 +58,12 @@
 ///                      closed-loop retraining subsystem's durable state
 ///                      (EFD-RETRAIN-V1, see retrain/retrain_controller
 ///                      .hpp). The service treats it as an uninterpreted
-///                      blob: snapshot() writes whatever extension bytes
-///                      the caller hands it, restore() hands them back in
-///                      ServiceRestoreInfo::retrain_state — so a crash
-///                      mid-retrain-cycle restores the attempt lineage
-///                      without core depending on the retrain layer.
+///                      blob: snapshot_capture() writes whatever extension
+///                      bytes the caller hands it, restore_chain() hands
+///                      them back in ServiceRestoreInfo::retrain_state —
+///                      so a crash mid-retrain-cycle restores the attempt
+///                      lineage without core depending on the retrain
+///                      layer.
 ///   End        body := (empty; REQUIRED terminator)
 ///
 /// Sections appear in exactly this order: Meta, Dictionary, Stream*,
@@ -74,7 +77,8 @@
 ///   kind     := 1 (base) | 2 (delta)
 ///
 /// A BASE capture (parent_id = 0) carries the exact V1 section stream —
-/// Dictionary included — and is a complete snapshot on its own. A DELTA
+/// Dictionary included — and is a complete snapshot on its own: "EFDSNAP1"
+/// plus a base minus its 25-byte head is a V1 file. A DELTA
 /// carries only what changed since its parent capture: Meta (always —
 /// the cursor moved), Stream sections only for streams whose serialized
 /// state differs from the parent capture (tracked by CRC+length
@@ -89,10 +93,9 @@
 /// restore_chain() replays base → deltas all-or-nothing: every link's
 /// parent_id must equal the previous capture_id, every section is
 /// CRC-checked, and any violation throws SnapshotError with the service
-/// untouched (callers fall back to the last complete base, loudly).
-/// The decoder is defensive by
-/// construction — it
-/// is fed files that may have been truncated by a crashing writer or
+/// untouched (callers fall back to the last complete base, loudly). A V1
+/// file restores only as the sole part of a chain. The decoder is
+/// defensive by construction — it is fed files that may have been truncated by a crashing writer or
 /// corrupted at rest, and must never crash, read out of bounds, or
 /// over-allocate: every section is CRC-checked before parsing, hostile
 /// length fields are rejected from the 8-byte section header alone,
@@ -103,6 +106,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -111,6 +116,8 @@ namespace efd::core {
 inline constexpr std::size_t kSnapshotMagicBytes = 8;
 inline constexpr char kSnapshotMagic[kSnapshotMagicBytes + 1] = "EFDSNAP1";
 inline constexpr char kSnapshotMagicV2[kSnapshotMagicBytes + 1] = "EFDSNAP2";
+/// A V2 capture's head: magic | u8 kind | u64 capture_id | u64 parent_id.
+inline constexpr std::size_t kCaptureHeadBytes = kSnapshotMagicBytes + 1 + 8 + 8;
 
 /// Decode guard: a section whose length prefix exceeds this fails the
 /// restore before anything is allocated. The dictionary section is the
@@ -135,11 +142,25 @@ enum class CaptureKind : std::uint8_t {
   kDelta = 2,  ///< changes since the parent capture only
 };
 
+/// The envelope at the head of a V2 capture.
+struct CaptureEnvelope {
+  CaptureKind kind = CaptureKind::kBase;
+  std::uint64_t capture_id = 0;
+  std::uint64_t parent_id = 0;
+};
+
+/// Parses the V2 envelope from the first kCaptureHeadBytes of \p bytes
+/// (a capture blob, or the head of a capture file). nullopt when fewer
+/// bytes arrived or the magic is not EFD-SNAP-V2. The kind byte is
+/// returned as stored; callers check it.
+std::optional<CaptureEnvelope> read_capture_envelope(
+    std::span<const std::uint8_t> bytes);
+
 /// Any EFD-SNAP violation: bad magic, truncation, CRC mismatch,
 /// hostile lengths, out-of-order or unknown sections, a broken chain
 /// link, or stream state inconsistent with the embedded dictionary.
-/// restore() / restore_chain() guarantee the service is untouched when
-/// this is thrown.
+/// restore_chain() guarantees the service is untouched when this is
+/// thrown.
 class SnapshotError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

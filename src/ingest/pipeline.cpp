@@ -673,13 +673,13 @@ void IngestPipeline::write_snapshot() {
   }
 
   const std::string blob = std::move(buffer).str();
-  const std::string target =
-      info.base ? config_.snapshot_path
-                : delta_path(config_.snapshot_path, info.capture_id);
+  const std::span<const std::uint8_t> bytes(
+      reinterpret_cast<const std::uint8_t*>(blob.data()), blob.size());
   std::string error;
-  if (!write_file_durable(target, blob.data(), blob.size(), &error)) {
+  if (!persist_capture(config_.snapshot_path, info.base, info.capture_id,
+                       bytes, &error)) {
     ++stats_.snapshot_failures;
-    stats_.snapshot_last_error = target + ": " + error;
+    stats_.snapshot_last_error = error;
     // The capture id is burned but its bytes never became durable, so
     // the on-disk chain no longer links to the in-memory one: force
     // the next capture to start a fresh base.
@@ -687,11 +687,6 @@ void IngestPipeline::write_snapshot() {
     return;
   }
   if (info.base) {
-    // The new base supersedes every delta. Deleting AFTER the rename
-    // means a crash in between leaves stale deltas whose parent ids no
-    // longer chain — which restore detects and discards loudly in
-    // favor of this (correct) base.
-    remove_chain_deltas(config_.snapshot_path);
     ++stats_.snapshot_bases;
     chain_records_.clear();
   } else {
@@ -731,7 +726,10 @@ void IngestPipeline::write_snapshot() {
 
   const std::uint64_t count = ++stats_.snapshots_written;
   verdicts_at_last_snapshot_ = stats_.verdicts_delivered;
-  if (config_.on_snapshot) config_.on_snapshot(count, target);
+  if (config_.on_snapshot) {
+    config_.on_snapshot(count, capture_path(config_.snapshot_path, info.base,
+                                            info.capture_id));
+  }
 }
 
 void IngestPipeline::handle_follow_request(Envelope& envelope) {
@@ -898,7 +896,7 @@ std::uint64_t IngestPipeline::run() {
       // Continue the restored capture lineage: the next capture is a
       // fresh base whose id follows everything already on disk, so a
       // follower that held the old chain sees a reset, never a rewind.
-      chain_.next_capture_id = restored.last_capture_id + 1;
+      chain_.next_capture_id = restored.info.last_capture_id + 1;
       const core::ServiceRestoreInfo& info = restored.info;
       stats_.jobs_restored = info.jobs_restored;
       // Seed per-source envelope counters from the snapshot's named

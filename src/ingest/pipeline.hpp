@@ -22,15 +22,18 @@
 /// limit. Back-pressure propagates producer-ward at each boundary.
 ///
 /// Durability hooks: with snapshot_path configured, run() periodically
-/// captures the service as an EFD-SNAP-V2 base + delta chain (see
-/// service_snapshot.hpp and snapshot_chain.hpp): a full base — the
-/// Dictionary included — only when the dictionary epoch moved or the
-/// chain hit snapshot_chain_limit, an incremental delta otherwise.
-/// Every file lands via fsync + atomic rename + parent-directory fsync
-/// (write_file_durable), so the chain on disk survives power loss, not
+/// captures the service with snapshot_capture(), its one writer, as an
+/// EFD-SNAP-V2 base + delta chain (see service_snapshot.hpp and
+/// snapshot_chain.hpp): a full base — the Dictionary included — only
+/// when the dictionary epoch moved or the chain hit
+/// snapshot_chain_limit, an incremental delta otherwise.
+/// persist_capture() lands every file via fsync + atomic rename +
+/// parent-directory fsync, so the chain on disk survives power loss, not
 /// just process death. restore_on_start replays base → deltas
-/// all-or-nothing before the first poll (legacy V1 files restore too);
-/// a broken delta link falls back to the last complete base, loudly.
+/// all-or-nothing through restore_chain(), the one restore, before the
+/// first poll (a legacy, read-only EFD-SNAP-V1 file at the snapshot path
+/// restores as a one-part chain); a broken delta link falls back to the
+/// last complete base, loudly.
 /// With allow_followers set, kFollowRequest peers become warm standbys:
 /// every capture that fits a wire frame is streamed to them as
 /// kSnapBase/kSnapDelta and acked once durable on their disk

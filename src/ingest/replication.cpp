@@ -3,11 +3,9 @@
 
 #include "ingest/replication.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <exception>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -21,30 +19,7 @@
 namespace efd::ingest {
 
 namespace {
-
 using Clock = std::chrono::steady_clock;
-
-/// The EFD-SNAP-V2 envelope at the head of an in-memory capture blob —
-/// the frame's ids must agree with it before anything touches disk.
-std::optional<CaptureEnvelope> blob_envelope(
-    const std::vector<std::uint8_t>& blob) {
-  constexpr std::size_t kHead = core::kSnapshotMagicBytes + 1 + 8 + 8;
-  if (blob.size() < kHead) return std::nullopt;
-  if (!std::equal(core::kSnapshotMagicV2,
-                  core::kSnapshotMagicV2 + core::kSnapshotMagicBytes,
-                  blob.begin())) {
-    return std::nullopt;
-  }
-  CaptureEnvelope out;
-  out.kind = static_cast<core::CaptureKind>(blob[core::kSnapshotMagicBytes]);
-  for (int i = 0; i < 8; ++i) {
-    const std::size_t at = core::kSnapshotMagicBytes + 1;
-    out.capture_id |= static_cast<std::uint64_t>(blob[at + i]) << (8 * i);
-    out.parent_id |= static_cast<std::uint64_t>(blob[at + 8 + i]) << (8 * i);
-  }
-  return out;
-}
-
 }  // namespace
 
 ReplicationFollower::ReplicationFollower(FollowerConfig config)
@@ -66,10 +41,7 @@ bool ReplicationFollower::should_stop() const {
 }
 
 bool ReplicationFollower::promotable() const {
-  // A V1 base is promotable too — the chain restore dispatches on magic.
-  if (peek_capture_envelope(config_.snapshot_path).has_value()) return true;
-  std::ifstream probe(config_.snapshot_path, std::ios::binary);
-  return static_cast<bool>(probe);
+  return peek_capture_envelope(config_.snapshot_path).has_value();
 }
 
 void ReplicationFollower::note(const std::string& line) const {
@@ -215,7 +187,7 @@ bool ReplicationFollower::apply_capture(const Message& message, bool base,
   // 1. The blob must be a well-formed V2 envelope agreeing with the
   //    frame's routing fields — never persist a capture the leader
   //    itself is confused about.
-  const auto envelope = blob_envelope(message.snapshot_blob);
+  const auto envelope = core::read_capture_envelope(message.snapshot_blob);
   if (!envelope) {
     *error = "capture blob is not EFD-SNAP-V2";
     return false;
@@ -235,22 +207,22 @@ bool ReplicationFollower::apply_capture(const Message& message, bool base,
     return false;
   }
 
-  // 2. Durable persist. A base resets the local chain: superseded
-  //    deltas are deleted AFTER the base replaces the file, so a crash
-  //    in between leaves stale deltas that no longer chain — which the
-  //    restore detects and discards loudly in favor of the new base.
-  const std::string target =
-      base ? config_.snapshot_path
-           : delta_path(config_.snapshot_path, message.capture_id);
-  if (!write_file_durable(target, message.snapshot_blob.data(),
-                          message.snapshot_blob.size(), error)) {
+  // 2. Durable persist into the local chain (a base resets it).
+  if (!persist_capture(config_.snapshot_path, base, message.capture_id,
+                       message.snapshot_blob, error)) {
     return false;
   }
-  if (base) remove_chain_deltas(config_.snapshot_path);
 
   // 3. Shadow validation: restore the WHOLE durable local chain into a
   //    throwaway service. This proves the bytes on disk — not the bytes
-  //    in memory — replay end to end before we ack.
+  //    in memory — replay end to end before we ack. A delta that fails
+  //    it is removed again.
+  const auto drop_delta = [&] {
+    if (base) return;
+    const std::string target =
+        capture_path(config_.snapshot_path, false, message.capture_id);
+    std::remove(target.c_str());
+  };
   if (config_.shadow_factory) {
     try {
       auto shadow = config_.shadow_factory();
@@ -258,12 +230,12 @@ bool ReplicationFollower::apply_capture(const Message& message, bool base,
           restore_service_from_chain(*shadow, config_.snapshot_path);
       if (!check.fallback_error.empty()) {
         *error = "chain validation fell back: " + check.fallback_error;
-        if (!base) std::remove(target.c_str());
+        drop_delta();
         return false;
       }
     } catch (const std::exception& failure) {
       *error = std::string("chain validation failed: ") + failure.what();
-      if (!base) std::remove(target.c_str());
+      drop_delta();
       return false;
     }
   }

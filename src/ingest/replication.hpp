@@ -14,9 +14,10 @@
 ///  1. envelope check — the frame's capture/parent ids must match the
 ///     EFD-SNAP-V2 envelope inside the blob (a disagreement means the
 ///     leader is confused; the capture is rejected, never persisted);
-///  2. durable persist — write_file_durable() to the local snapshot
-///     path (base) or `<path>.delta.<id>` (delta); a base resets the
-///     chain, deleting superseded local deltas;
+///  2. durable persist — persist_capture() places it in the local
+///     chain exactly as the leader's pipeline places its own captures:
+///     a base at the snapshot path (deleting superseded local deltas),
+///     a delta at `<path>.delta.<id>`;
 ///  3. shadow validation — a throwaway RecognitionService restores the
 ///     full local chain from disk, proving the bytes that just became
 ///     durable actually replay (torn or incoherent captures are

@@ -91,9 +91,9 @@ bool write_file_durable(const std::string& path, const void* data,
   return true;
 }
 
-std::string delta_path(const std::string& base_path,
-                       std::uint64_t capture_id) {
-  return base_path + ".delta." + std::to_string(capture_id);
+std::string capture_path(const std::string& base_path, bool base,
+                         std::uint64_t capture_id) {
+  return base ? base_path : base_path + ".delta." + std::to_string(capture_id);
 }
 
 std::vector<ChainFile> list_chain_deltas(const std::string& base_path) {
@@ -133,23 +133,30 @@ std::size_t remove_chain_deltas(const std::string& base_path) {
   return removed;
 }
 
-std::optional<CaptureEnvelope> peek_capture_envelope(const std::string& path) {
+bool persist_capture(const std::string& base_path, bool base,
+                     std::uint64_t capture_id,
+                     std::span<const std::uint8_t> bytes, std::string* error) {
+  const std::string target = capture_path(base_path, base, capture_id);
+  std::string reason;
+  if (!write_file_durable(target, bytes.data(), bytes.size(), &reason)) {
+    if (error != nullptr) *error = target + ": " + reason;
+    return false;
+  }
+  // The new base supersedes every delta. Deleting AFTER the rename
+  // means a crash in between leaves stale deltas whose parent ids no
+  // longer chain — which restore detects and discards loudly in favor
+  // of this (correct) base.
+  if (base) remove_chain_deltas(base_path);
+  return true;
+}
+
+std::optional<core::CaptureEnvelope> peek_capture_envelope(
+    const std::string& path) {
   std::ifstream in(path, std::ios::binary);
+  std::uint8_t head[core::kCaptureHeadBytes] = {};
+  in.read(reinterpret_cast<char*>(head), sizeof(head));
   if (!in) return std::nullopt;
-  char magic[core::kSnapshotMagicBytes] = {};
-  std::uint8_t envelope[1 + 8 + 8] = {};
-  in.read(magic, sizeof(magic));
-  in.read(reinterpret_cast<char*>(envelope), sizeof(envelope));
-  if (!in || !std::equal(magic, magic + sizeof(magic), core::kSnapshotMagicV2)) {
-    return std::nullopt;
-  }
-  CaptureEnvelope out;
-  out.kind = static_cast<core::CaptureKind>(envelope[0]);
-  for (int i = 0; i < 8; ++i) {
-    out.capture_id |= static_cast<std::uint64_t>(envelope[1 + i]) << (8 * i);
-    out.parent_id |= static_cast<std::uint64_t>(envelope[9 + i]) << (8 * i);
-  }
-  return out;
+  return core::read_capture_envelope(head);
 }
 
 ChainRestoreResult restore_service_from_chain(
@@ -160,20 +167,6 @@ ChainRestoreResult restore_service_from_chain(
   if (!base) {
     throw core::SnapshotError("EFD-SNAP-V1: cannot open snapshot file " +
                               base_path);
-  }
-  char magic[core::kSnapshotMagicBytes] = {};
-  base.read(magic, sizeof(magic));
-  const bool v2 =
-      base.gcount() == static_cast<std::streamsize>(sizeof(magic)) &&
-      std::equal(magic, magic + sizeof(magic), core::kSnapshotMagicV2);
-  base.clear();
-  base.seekg(0);
-
-  if (!v2) {
-    // EFD-SNAP-V1 (or garbage — restore() throws loudly either way).
-    result.info = service.restore(base);
-    result.legacy_v1 = true;
-    return result;
   }
 
   const auto deltas = list_chain_deltas(base_path);
@@ -195,8 +188,6 @@ ChainRestoreResult restore_service_from_chain(
     if (!open_failed) {
       try {
         result.info = service.restore_chain(parts);
-        result.deltas_applied = deltas.size();
-        result.last_capture_id = deltas.back().capture_id;
         return result;
       } catch (const core::SnapshotError& error) {
         result.fallback_error = error.what();
@@ -215,9 +206,6 @@ ChainRestoreResult restore_service_from_chain(
   // snapshots must fail the boot, not silently start empty.
   std::istream* base_only[] = {&base};
   result.info = service.restore_chain(base_only);
-  if (const auto envelope = peek_capture_envelope(base_path)) {
-    result.last_capture_id = envelope->capture_id;
-  }
   return result;
 }
 

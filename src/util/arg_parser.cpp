@@ -1,5 +1,7 @@
 #include "util/arg_parser.hpp"
 
+#include <algorithm>
+
 #include "util/string_utils.hpp"
 
 namespace efd::util {
@@ -44,6 +46,17 @@ std::vector<std::string> ArgParser::get_all(const std::string& name) const {
     if (key == name) values.push_back(value);
   }
   return values;
+}
+
+std::vector<std::string> ArgParser::unknown_options(
+    const std::vector<std::string>& known) const {
+  std::vector<std::string> unknown;
+  for (const auto& [key, value] : ordered_) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      unknown.push_back(key);
+    }
+  }
+  return unknown;
 }
 
 long long ArgParser::get_int(const std::string& name, long long fallback) const {

@@ -12,7 +12,8 @@
 namespace efd::util {
 
 /// Parsed command line. Unknown options are collected, not rejected, so
-/// google-benchmark flags pass through harmlessly.
+/// google-benchmark flags pass through harmlessly; a program that wants
+/// to reject them asks unknown_options().
 class ArgParser {
  public:
   ArgParser(int argc, const char* const* argv);
@@ -35,6 +36,10 @@ class ArgParser {
 
   /// Double value of --name, or fallback on absence/parse failure.
   double get_double(const std::string& name, double fallback) const;
+
+  /// Every option given that is not in \p known, in command-line order.
+  std::vector<std::string> unknown_options(
+      const std::vector<std::string>& known) const;
 
   /// Positional (non --option) arguments in order.
   const std::vector<std::string>& positional() const noexcept { return positional_; }

@@ -5,10 +5,10 @@
 ///
 /// The harness drives a scripted workload (an ordered list of EFD-WIRE
 /// messages: opens, sample batches, closes) into a RecognitionService
-/// one message at a time, snapshotting every N messages (EFD-SNAP-V1
-/// full snapshots, or EFD-SNAP-V2 base+delta chains in chain_mode, with
-/// the message index as the snapshot's replay cursor), and "kills"
-/// the service at scripted points: the service object is destroyed —
+/// one message at a time, capturing an EFD-SNAP-V2 base+delta chain
+/// every N messages (with the message index as the capture's replay
+/// cursor), and "kills" the service at scripted points: the service
+/// object is destroyed —
 /// everything since the last snapshot is lost, exactly like a SIGKILL —
 /// a fresh service is built from the factory, restored from the last
 /// snapshot, and the workload resumes from the restored cursor
@@ -54,11 +54,9 @@ struct FaultPlan {
   /// Must be increasing. A crash rewinds the cursor to the last
   /// snapshot, so later points fire after the rewound section replays.
   std::vector<std::size_t> crash_after_messages;
-  /// Persist EFD-SNAP-V2 base+delta chains (snapshot_capture /
-  /// restore_chain) instead of V1 full snapshots.
-  bool chain_mode = false;
-  /// Chain-mode rebase cadence: force a fresh base after this many
-  /// deltas (0 = only rebase on dictionary change / after recovery).
+  /// Rebase cadence, read like IngestPipelineConfig::snapshot_chain_limit:
+  /// force a fresh base once the chain holds this many deltas; 0 = every
+  /// capture is a base (the store then holds one complete file).
   std::size_t chain_limit = 0;
   /// Torn-write injection: the Nth snapshot write (1-based, counted
   /// across the whole run) persists only a PREFIX of its bytes and the
@@ -77,8 +75,8 @@ struct HarnessRun {
   std::size_t snapshots = 0;
   std::size_t restores = 0;            ///< crashes recovered from a snapshot
   std::size_t restarts_from_scratch = 0;  ///< crashes with no snapshot yet
-  std::size_t chain_bases = 0;   ///< chain mode: base captures written
-  std::size_t chain_deltas = 0;  ///< chain mode: delta captures written
+  std::size_t chain_bases = 0;   ///< base captures written
+  std::size_t chain_deltas = 0;  ///< delta captures written
   std::size_t torn_writes = 0;   ///< injected torn snapshot writes
   /// Recoveries that had to DISCARD a persisted file (torn/corrupt) and
   /// fall back to an older restore point — each one was a loud
@@ -139,10 +137,9 @@ class FaultHarness {
   HarnessRun run(const Workload& workload, const FaultPlan& plan) {
     HarnessRun out;
     std::unique_ptr<core::RecognitionService> service = factory_();
-    // The simulated durable store: one file in V1 mode, a base + delta
-    // file list in chain mode (a new base replaces the whole list, like
-    // the on-disk layout's rebase-then-prune).
-    std::string last_snapshot;  // empty = none taken yet
+    // The simulated durable store: a base + delta file list (a new base
+    // replaces the whole list, like the on-disk layout's
+    // rebase-then-prune).
     std::vector<std::string> chain_files;
     core::SnapshotChainState chain_state;
     auto next_crash = plan.crash_after_messages.begin();
@@ -158,19 +155,7 @@ class FaultHarness {
           std::find(plan.torn_snapshot_writes.begin(),
                     plan.torn_snapshot_writes.end(),
                     snapshot_ordinal) != plan.torn_snapshot_writes.end();
-      if (!plan.chain_mode) {
-        std::ostringstream snap;
-        service->snapshot(snap, cursor);
-        std::string bytes = std::move(snap).str();
-        if (torn) {
-          ++out.torn_writes;
-          last_snapshot = bytes.substr(0, bytes.size() / 2);
-          return false;
-        }
-        last_snapshot = std::move(bytes);
-        return true;
-      }
-      const bool force_base = plan.chain_limit != 0 &&
+      const bool force_base = plan.chain_limit == 0 ||
                               chain_state.deltas_since_base >= plan.chain_limit;
       std::ostringstream snap;
       const core::SnapshotCaptureInfo info =
@@ -201,25 +186,6 @@ class FaultHarness {
     // pipeline's loud chain fallback.
     const auto recover = [&]() {
       service = factory_();
-      if (!plan.chain_mode) {
-        if (!last_snapshot.empty()) {
-          std::istringstream in(last_snapshot);
-          try {
-            const core::ServiceRestoreInfo info = service->restore(in);
-            cursor = static_cast<std::size_t>(info.replay_cursor);
-            ++out.restores;
-            collect(*service, out);  // verdicts the snapshot carried
-            return;
-          } catch (const core::SnapshotError&) {
-            ++out.fallbacks;
-            last_snapshot.clear();  // one file: nothing older to try
-            service = factory_();
-          }
-        }
-        cursor = 0;
-        ++out.restarts_from_scratch;
-        return;
-      }
       while (!chain_files.empty()) {
         std::vector<std::istringstream> streams;
         streams.reserve(chain_files.size());
@@ -232,7 +198,7 @@ class FaultHarness {
               service->restore_chain(pointers);
           cursor = static_cast<std::size_t>(info.replay_cursor);
           ++out.restores;
-          collect(*service, out);
+          collect(*service, out);  // verdicts the capture carried
           // A restarted writer has no digest memory: the next capture
           // is a fresh base (mirrors the serving pipeline).
           chain_state = core::SnapshotChainState{};

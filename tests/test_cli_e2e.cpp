@@ -200,18 +200,22 @@ TEST_F(CliWorkflow, MissingArgumentsFail) {
 }
 
 TEST_F(CliWorkflow, ServeRejectsRemovedAndOutOfRangeFlags) {
-  // The flag parser ignores unknown options, so serve validates these
-  // itself before binding anything. `timeout` bounds a regression that
+  // Every command names its options, so a removed or misspelt flag fails
+  // before serve binds anything. `timeout` bounds a regression that
   // would otherwise start serving and never exit.
   const std::string serve =
       "timeout 20 " + cli() + " serve --dict " + *dict_path_ + " --port 0 ";
   const auto [workers_status, workers_output] = run(serve + "--workers 2");
   EXPECT_NE(workers_status, 0);
-  EXPECT_NE(workers_output.find("--workers is no longer supported"),
+  EXPECT_NE(workers_output.find("unknown option --workers for serve"),
             std::string::npos)
       << workers_output;
-  EXPECT_NE(workers_output.find("--threads N"), std::string::npos)
-      << workers_output;
+
+  const auto [bogus_status, bogus_output] = run(serve + "--bogus-flag 1");
+  EXPECT_NE(bogus_status, 0);
+  EXPECT_NE(bogus_output.find("unknown option --bogus-flag for serve"),
+            std::string::npos)
+      << bogus_output;
 
   const auto [queue_status, queue_output] = run(serve + "--queue-capacity -1");
   EXPECT_NE(queue_status, 0);
@@ -223,6 +227,18 @@ TEST_F(CliWorkflow, ServeRejectsRemovedAndOutOfRangeFlags) {
   EXPECT_NE(ttl_status, 0);
   EXPECT_NE(ttl_output.find("--ttl-seconds must be >= 1"), std::string::npos)
       << ttl_output;
+}
+
+TEST_F(CliWorkflow, RemovedStatsPrometheusFlagFails) {
+  // The Prometheus text lives at serve --http's GET /metrics; the old
+  // flag must fail, not print the flat scrape with exit 0. The option
+  // check runs before any connection, so no server is needed.
+  const auto [status, output] =
+      run("timeout 20 " + cli() + " stats --port 1 --prometheus");
+  EXPECT_NE(status, 0);
+  EXPECT_NE(output.find("unknown option --prometheus for stats"),
+            std::string::npos)
+      << output;
 }
 
 TEST_F(CliWorkflow, MissingFileReportsError) {

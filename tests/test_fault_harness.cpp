@@ -1,10 +1,12 @@
 /// \file test_fault_harness.cpp
 /// \brief Deterministic crash/recovery tests built on fault_harness.hpp:
 /// a service killed at scripted points (with everything since the last
-/// snapshot lost) and restored from EFD-SNAP-V1 must produce exactly the
-/// verdicts of an uninterrupted run — across single crashes, crashes
-/// before the first snapshot, repeated crashes, every-position crash
-/// sweeps, and deferred-mode services.
+/// capture lost) and restored from its EFD-SNAP-V2 chain must produce
+/// exactly the verdicts of an uninterrupted run — across single crashes,
+/// crashes before the first capture, repeated crashes, every-position
+/// crash sweeps, torn writes, and deferred-mode services. A plan with
+/// chain_limit 0 writes every capture as a base; a larger limit writes
+/// base + delta chains.
 
 #include "fault_harness.hpp"
 
@@ -179,16 +181,15 @@ TEST_F(FaultHarnessTest, DeferredServiceRecoversQueuedSamples) {
   EXPECT_TRUE(verdict_parity(faulted, baseline));
 }
 
-TEST_F(FaultHarnessTest, ChainModeCrashSweepMatchesBaseline) {
-  // The V2 twin of CrashSweepAcrossTheWholeTrace: persistence is a
-  // base+delta chain (rebased every 3 deltas), recovery replays
+TEST_F(FaultHarnessTest, DeltaChainCrashSweepMatchesBaseline) {
+  // The delta-chain twin of CrashSweepAcrossTheWholeTrace: persistence
+  // is a base+delta chain (rebased every 3 deltas), recovery replays
   // base -> deltas. Every crash position must land on exact parity.
   FaultHarness harness(factory());
   const HarnessRun baseline = harness.run_baseline(workload_);
 
   for (std::size_t crash_at = 1; crash_at < workload_.size(); crash_at += 6) {
     FaultPlan plan;
-    plan.chain_mode = true;
     plan.chain_limit = 3;
     plan.snapshot_every_messages = 8;
     plan.crash_after_messages = {crash_at};
@@ -199,12 +200,11 @@ TEST_F(FaultHarnessTest, ChainModeCrashSweepMatchesBaseline) {
   }
 }
 
-TEST_F(FaultHarnessTest, ChainModeRepeatedCrashesRebaseAndConverge) {
+TEST_F(FaultHarnessTest, DeltaChainRepeatedCrashesRebaseAndConverge) {
   FaultHarness harness(factory());
   const HarnessRun baseline = harness.run_baseline(workload_);
 
   FaultPlan plan;
-  plan.chain_mode = true;
   plan.chain_limit = 2;
   plan.snapshot_every_messages = 7;
   plan.crash_after_messages = {9, 23, 40, workload_.size() - 1};
@@ -227,7 +227,7 @@ TEST_F(FaultHarnessTest, TornDeltaWriteFallsBackToThePreviousCapture) {
   const HarnessRun baseline = harness.run_baseline(workload_);
 
   FaultPlan plan;
-  plan.chain_mode = true;
+  plan.chain_limit = 16;
   plan.snapshot_every_messages = 5;
   plan.torn_snapshot_writes = {3};  // third capture: a delta
   const HarnessRun faulted = harness.run(workload_, plan);
@@ -248,7 +248,7 @@ TEST_F(FaultHarnessTest, TornBaseWriteRestartsFromScratch) {
   const HarnessRun baseline = harness.run_baseline(workload_);
 
   FaultPlan plan;
-  plan.chain_mode = true;
+  plan.chain_limit = 16;
   plan.snapshot_every_messages = 6;
   plan.torn_snapshot_writes = {1};
   const HarnessRun faulted = harness.run(workload_, plan);
@@ -259,9 +259,9 @@ TEST_F(FaultHarnessTest, TornBaseWriteRestartsFromScratch) {
   EXPECT_TRUE(verdict_parity(faulted, baseline));
 }
 
-TEST_F(FaultHarnessTest, TornFullSnapshotWriteFailsLoudlyThenReplays) {
-  // V1 mode torn final file: the lone snapshot file is a torn prefix,
-  // restore throws, recovery replays the trace from the beginning.
+TEST_F(FaultHarnessTest, TornLoneBaseWriteFailsLoudlyThenReplays) {
+  // Every capture a base: the lone file is a torn prefix, restore
+  // throws, recovery replays the trace from the beginning.
   FaultHarness harness(factory());
   const HarnessRun baseline = harness.run_baseline(workload_);
 
@@ -277,23 +277,23 @@ TEST_F(FaultHarnessTest, TornFullSnapshotWriteFailsLoudlyThenReplays) {
   expect_expected_predictions(faulted);
 }
 
-TEST_F(FaultHarnessTest, ChainModeEqualsFullSnapshotModeAtEveryCadence) {
-  // The two persistence formats must be interchangeable: for a spread
-  // of cadences and one fixed crash point, chain-mode recovery and
-  // V1-mode recovery produce identical verdict tables.
+TEST_F(FaultHarnessTest, DeltaChainEqualsAllBasePlanAtEveryCadence) {
+  // Deltas must change nothing a restore sees: for a spread of
+  // cadences and one fixed crash point, recovery from a base+delta
+  // chain and from a lone base produce identical verdict tables.
   FaultHarness harness(factory());
   const HarnessRun baseline = harness.run_baseline(workload_);
 
   for (const std::size_t cadence : {3u, 5u, 8u, 13u}) {
-    FaultPlan v1;
-    v1.snapshot_every_messages = cadence;
-    v1.crash_after_messages = {workload_.size() / 2};
-    FaultPlan chain = v1;
-    chain.chain_mode = true;
+    FaultPlan all_bases;
+    all_bases.snapshot_every_messages = cadence;
+    all_bases.crash_after_messages = {workload_.size() / 2};
+    FaultPlan chain = all_bases;
     chain.chain_limit = 4;
-    const HarnessRun v1_run = harness.run(workload_, v1);
+    const HarnessRun bases_run = harness.run(workload_, all_bases);
     const HarnessRun chain_run = harness.run(workload_, chain);
-    EXPECT_TRUE(verdict_parity(chain_run, v1_run)) << "cadence=" << cadence;
+    EXPECT_EQ(bases_run.chain_deltas, 0u) << "cadence=" << cadence;
+    EXPECT_TRUE(verdict_parity(chain_run, bases_run)) << "cadence=" << cadence;
     EXPECT_TRUE(verdict_parity(chain_run, baseline)) << "cadence=" << cadence;
   }
 }

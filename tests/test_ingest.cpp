@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -192,29 +193,20 @@ TEST_F(IngestFixture, PipelineRunsJobsFromTransportToVerdict) {
 }
 
 TEST_F(IngestFixture, PipelineRestoreParksRebindsAndSnapshots) {
-  // The crash-recovery vertical slice at pipeline level: a snapshot
-  // holding one pending verdict (job 1 completed, never shipped) and one
-  // in-flight stream (job 2 mid-window); a restarted pipeline restores
-  // it, parks job 1's verdict until a connection mentions the job,
-  // re-binds job 2 to the reconnecting emitter (whose re-open is
-  // rejected but whose replayed ticks dedupe into the restored
-  // accumulators), and writes snapshots on the verdict cadence.
+  // The crash-recovery vertical slice at pipeline level, booted from the
+  // checked-in legacy EFD-SNAP-V1 file (see test_snapshot): it holds one
+  // pending verdict (job 1 completed, never shipped) and one in-flight
+  // stream (job 2 mid-window, ticks [50, 80) still queued). A restarted
+  // pipeline restores it, parks job 1's verdict until a connection
+  // mentions the job, re-binds job 2 to the reconnecting emitter (whose
+  // re-open is rejected but whose replayed ticks dedupe into the
+  // restored accumulators), and writes snapshots on the verdict cadence
+  // — over a copy, so the fixture itself stays as checked in.
   const std::string snap_path =
       ::testing::TempDir() + "/pipeline_restore_snap.efds";
-  {
-    RecognitionService before = make_service();
-    ASSERT_TRUE(before.open_job(1, 2));
-    ASSERT_TRUE(before.open_job(2, 2));
-    for (int t = 0; t < 130; ++t) {
-      for (std::uint32_t node = 0; node < 2; ++node) {
-        before.push(1, node, "nr_mapped_vmstat", t, 6030.0);
-        if (t < 80) before.push(2, node, "nr_mapped_vmstat", t, 6080.0);
-      }
-    }
-    ASSERT_EQ(before.stats().pending_verdicts, 1u);  // job 1, undrained
-    std::ofstream out(snap_path, std::ios::binary);
-    before.snapshot(out);
-  }
+  std::filesystem::copy_file(
+      std::string(EFD_TEST_DATA_DIR) + "/legacy_v1.efds", snap_path,
+      std::filesystem::copy_options::overwrite_existing);
 
   RecognitionService service = make_service();
   auto collector = std::make_shared<VerdictCollector>();

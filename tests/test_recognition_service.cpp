@@ -413,6 +413,34 @@ TEST_F(ServiceFixture, StaleSweepEvictsIdleStreamsAndBoundsMemory) {
   EXPECT_EQ(service.sweep_stale_jobs(std::chrono::hours(1)), 0u);
 }
 
+TEST_F(ServiceFixture, PostVerdictBatchCountsLateUntilReapedThenDropped) {
+  // A batch for a decided job counts late while its finished stream is
+  // still held, and dropped once reap() removed it. Which one a run
+  // reports follows the reap timing; the sum of the two does not.
+  const std::vector<RecognitionService::SamplePush> batch = {
+      {0, 130, 6030.0, "nr_mapped_vmstat"},
+      {1, 130, 6030.0, "nr_mapped_vmstat"}};
+  std::uint64_t totals[2] = {};
+  for (const bool reaped : {false, true}) {
+    RecognitionService service = make_service();
+    ASSERT_TRUE(service.open_job(1, 2));
+    stream_job(service, 1, 6030.0);
+    std::vector<JobVerdict> verdicts;
+    service.take_verdicts(verdicts);
+    ASSERT_EQ(verdicts.size(), 1u);
+    if (reaped) service.reap(verdicts);
+
+    const RecognitionServiceStats before = service.stats();
+    EXPECT_EQ(service.push_batch(1, batch), 0u);
+    const RecognitionServiceStats after = service.stats();
+    EXPECT_EQ(after.samples_late - before.samples_late, reaped ? 0u : 2u);
+    EXPECT_EQ(after.samples_dropped - before.samples_dropped,
+              reaped ? 2u : 0u);
+    totals[reaped ? 1 : 0] = after.samples_late + after.samples_dropped;
+  }
+  EXPECT_EQ(totals[0], totals[1]);
+}
+
 TEST_F(ServiceFixture, ReapedStreamNeverReachedThroughTheDirtyList) {
   // Deferred push marks a stream dirty; close_job then finishes it and
   // drain_verdicts reaps it before the next process_pending. The reap

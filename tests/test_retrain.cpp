@@ -15,6 +15,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -53,6 +54,25 @@ Dictionary train_levels(
     dataset.add(std::move(record));
   }
   return train_dictionary(dataset, config_of());
+}
+
+/// A base capture of \p service, the first of its own fresh chain.
+std::string base_capture(const RecognitionService& service,
+                         std::uint64_t replay_cursor,
+                         std::span<const std::uint8_t> retrain_state = {}) {
+  SnapshotChainState chain;
+  std::ostringstream out;
+  service.snapshot_capture(out, chain, /*force_base=*/true, replay_cursor,
+                           retrain_state);
+  return std::move(out).str();
+}
+
+/// restore_chain() over one part (a base capture or a V1 file).
+ServiceRestoreInfo restore_one(RecognitionService& service,
+                               const std::string& bytes) {
+  std::istringstream in(bytes);
+  std::istream* parts[] = {&in};
+  return service.restore_chain(parts);
 }
 
 /// Simulates the ingest pipeline's taps for one complete job: open,
@@ -476,10 +496,8 @@ TEST_F(RetrainCycle, CrashBetweenTrainAndPromoteRestoresWithoutDoublePromotion) 
     RecognitionService* service_ptr = &service;
     config.after_train = [&crash_snapshot, &controller_ptr, &service_ptr] {
       if (!crash_snapshot.empty()) return;  // only the first cycle crashes
-      std::ostringstream out;
-      service_ptr->snapshot(out, /*replay_cursor=*/16,
-                            controller_ptr->encode_state());
-      crash_snapshot = std::move(out).str();
+      crash_snapshot = base_capture(*service_ptr, /*replay_cursor=*/16,
+                                    controller_ptr->encode_state());
     };
     RetrainController controller(service, config);
     controller_ptr = &controller;
@@ -499,8 +517,7 @@ TEST_F(RetrainCycle, CrashBetweenTrainAndPromoteRestoresWithoutDoublePromotion) 
   config.gate.margin = 0.0;
   RetrainController controller(service, config);
   {
-    std::istringstream in(crash_snapshot);
-    const ServiceRestoreInfo info = service.restore(in);
+    const ServiceRestoreInfo info = restore_one(service, crash_snapshot);
     EXPECT_EQ(info.replay_cursor, 16u);
     EXPECT_EQ(info.dictionary_epoch, 1u);  // pre-promote state
     ASSERT_FALSE(info.retrain_state.empty());
@@ -634,30 +651,26 @@ TEST(RetrainState, SnapshotCarriesRetrainSectionAndLegacyStatsRestore) {
   // Round trip: the Retrain section travels opaquely and is optional.
   RecognitionService service(train_levels({{"ft", 6000.0}}));
   const std::vector<std::uint8_t> blob = {9, 8, 7, 6, 5};
-  std::ostringstream with_section;
-  service.snapshot(with_section, 1, blob);
-  std::ostringstream without_section;
-  service.snapshot(without_section, 1);
-
   {
     RecognitionService restored(train_levels({{"ft", 6000.0}}));
-    std::istringstream in(std::move(with_section).str());
-    EXPECT_EQ(restored.restore(in).retrain_state, blob);
+    EXPECT_EQ(restore_one(restored, base_capture(service, 1, blob))
+                  .retrain_state,
+              blob);
   }
-  const std::string plain = std::move(without_section).str();
+  const std::string plain = base_capture(service, 1);
   {
     RecognitionService restored(train_levels({{"ft", 6000.0}}));
-    std::istringstream in(plain);
-    EXPECT_TRUE(restored.restore(in).retrain_state.empty());
+    EXPECT_TRUE(restore_one(restored, plain).retrain_state.empty());
   }
 
-  // Legacy compatibility: a pre-retrain snapshot whose Stats section has
-  // only 9 counters (no dictionary_swaps_noop) must still restore.
-  // Rewrite the Stats section of a fresh snapshot down to 9 counters.
+  // Legacy compatibility: a pre-retrain EFD-SNAP-V1 file whose Stats
+  // section has only 9 counters (no dictionary_swaps_noop) must still
+  // restore. Rewrite a fresh base's sections behind the V1 magic, with
+  // the Stats section cut down to 9 counters.
   std::string legacy;
   {
-    std::size_t at = core::kSnapshotMagicBytes;
-    legacy = plain.substr(0, at);
+    std::size_t at = core::kCaptureHeadBytes;
+    legacy.assign(core::kSnapshotMagic, core::kSnapshotMagicBytes);
     while (at < plain.size()) {
       std::uint32_t length = 0;
       std::memcpy(&length, plain.data() + at, 4);
@@ -677,8 +690,7 @@ TEST(RetrainState, SnapshotCarriesRetrainSectionAndLegacyStatsRestore) {
     }
   }
   RecognitionService restored(train_levels({{"ft", 6000.0}}));
-  std::istringstream in(legacy);
-  const ServiceRestoreInfo info = restored.restore(in);
+  const ServiceRestoreInfo info = restore_one(restored, legacy);
   EXPECT_EQ(info.replay_cursor, 1u);
   EXPECT_EQ(restored.stats().dictionary_swaps_noop, 0u);
 }

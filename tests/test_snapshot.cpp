@@ -1,10 +1,12 @@
 /// \file test_snapshot.cpp
-/// \brief EFD-SNAP-V1 service snapshot/restore tests: mid-stream
-/// round-trips with verdict parity and stats continuity, pending-verdict
-/// survival, epoch continuity across hot-swaps, captures interleaved
-/// with live traffic and pooled drains (TSan material), and fuzz-style
-/// hostile-input tests for the decoder — truncated, corrupted, and
-/// adversarial length-prefixed sections must never crash, over-read, or
+/// \brief Service snapshot/restore tests (snapshot_capture() and
+/// restore_chain()): mid-stream round-trips with verdict parity and stats
+/// continuity, pending-verdict survival, epoch continuity across
+/// hot-swaps, captures interleaved with live traffic and pooled drains
+/// (TSan material), base+delta chains, golden capture bytes, the
+/// checked-in legacy EFD-SNAP-V1 file, and fuzz-style hostile-input tests
+/// for the decoder — truncated, corrupted, and adversarial
+/// length-prefixed sections must never crash, over-read, or
 /// over-allocate, mirroring test_wire_format.cpp's fuzz discipline.
 
 #include "core/online/service_snapshot.hpp"
@@ -13,12 +15,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <fstream>
 #include <random>
+#include <span>
 #include <sstream>
 #include <vector>
 
 #include "core/online/recognition_service.hpp"
 #include "core/trainer.hpp"
+#include "ingest/snapshot_chain.hpp"
 #include "util/binary_io.hpp"
 #include "util/thread_pool.hpp"
 
@@ -54,6 +59,45 @@ class SnapshotFixture : public ::testing::Test {
     return RecognitionService(dictionary_, config);
   }
 
+  /// A base capture of \p service, the first of its own fresh chain.
+  static std::string base_capture(
+      const RecognitionService& service, std::uint64_t replay_cursor = 0,
+      std::span<const std::uint8_t> retrain_state = {},
+      std::span<const SourceCursor> source_cursors = {}) {
+    SnapshotChainState chain;
+    std::ostringstream out;
+    service.snapshot_capture(out, chain, /*force_base=*/true, replay_cursor,
+                             retrain_state, source_cursors);
+    return std::move(out).str();
+  }
+
+  /// The EFD-SNAP-V1 file of the same state: a base already is the V1
+  /// section stream, so V1 is "EFDSNAP1" plus the base minus its head.
+  static std::string as_v1(const std::string& base) {
+    return std::string(kSnapshotMagic, kSnapshotMagicBytes) +
+           base.substr(kCaptureHeadBytes);
+  }
+
+  /// restore_chain() takes a span of istream pointers; build one over a
+  /// vector of capture byte strings.
+  static ServiceRestoreInfo restore_from(RecognitionService& service,
+                                         const std::vector<std::string>& parts,
+                                         std::size_t count) {
+    std::vector<std::istringstream> streams;
+    streams.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) streams.emplace_back(parts[i]);
+    std::vector<std::istream*> pointers;
+    pointers.reserve(count);
+    for (auto& stream : streams) pointers.push_back(&stream);
+    return service.restore_chain(pointers);
+  }
+
+  /// restore_chain() over one part: a base capture or a V1 file.
+  static ServiceRestoreInfo restore_one(RecognitionService& service,
+                                        const std::string& bytes) {
+    return restore_from(service, {bytes}, 1);
+  }
+
   /// Streams ticks [from, to) of a constant-level job into a service.
   static void stream_range(RecognitionService& service, std::uint64_t job,
                            double level, int from, int to) {
@@ -79,7 +123,8 @@ class SnapshotFixture : public ::testing::Test {
   }
 
   /// A valid snapshot of a mid-stream service (two open jobs, one
-  /// pending verdict) — the fuzz corpus seed.
+  /// pending verdict) — the fuzz corpus seed. It is a V1 file, so the
+  /// legacy reader stays fuzzed.
   std::string mid_stream_snapshot() {
     RecognitionService service = make_service();
     EXPECT_TRUE(service.open_job(1, 2));
@@ -88,9 +133,7 @@ class SnapshotFixture : public ::testing::Test {
     stream_range(service, 1, 6030.0, 0, 80);
     stream_range(service, 2, 6080.0, 0, 100);
     stream_range(service, 3, 6030.0, 0, 130);  // completed, undrained
-    std::ostringstream out;
-    service.snapshot(out, 4242);
-    return std::move(out).str();
+    return as_v1(base_capture(service, 4242));
   }
 
   telemetry::Dataset dataset_;
@@ -104,13 +147,10 @@ TEST_F(SnapshotFixture, MidStreamRoundTripYieldsIdenticalVerdicts) {
   stream_range(original, 1, 6030.0, 0, 80);  // ft, mid-window
   stream_range(original, 2, 6080.0, 0, 95);  // mg, mid-window
 
-  std::ostringstream out;
-  original.snapshot(out, 777);
-  const std::string bytes = std::move(out).str();
+  const std::string bytes = base_capture(original, 777);
 
   RecognitionService restored = make_service();
-  std::istringstream in(bytes);
-  const ServiceRestoreInfo info = restored.restore(in);
+  const ServiceRestoreInfo info = restore_one(restored, bytes);
   EXPECT_EQ(info.replay_cursor, 777u);
   EXPECT_EQ(info.jobs_restored, 2u);
   EXPECT_EQ(info.verdicts_restored, 0u);
@@ -151,11 +191,9 @@ TEST_F(SnapshotFixture, PerSourceCursorsRoundTripAndLegacyBodyRestores) {
     RecognitionService original = make_service();
     const std::vector<core::SourceCursor> cursors = {
         {"tcp:7411", 120}, {"udp:7412", 77}, {"shm:node0", 3}};
-    std::ostringstream out;
-    original.snapshot(out, 200, {}, cursors);
     RecognitionService restored = make_service();
-    std::istringstream in(std::move(out).str());
-    const ServiceRestoreInfo info = restored.restore(in);
+    const ServiceRestoreInfo info =
+        restore_one(restored, base_capture(original, 200, {}, cursors));
     EXPECT_EQ(info.replay_cursor, 200u);
     EXPECT_EQ(info.source_cursors, cursors);
   }
@@ -163,23 +201,20 @@ TEST_F(SnapshotFixture, PerSourceCursorsRoundTripAndLegacyBodyRestores) {
   // source list — old snapshots stay readable.
   {
     RecognitionService original = make_service();
-    std::ostringstream out;
-    original.snapshot(out, 99);
     RecognitionService restored = make_service();
-    std::istringstream in(std::move(out).str());
-    const ServiceRestoreInfo info = restored.restore(in);
+    const ServiceRestoreInfo info =
+        restore_one(restored, base_capture(original, 99));
     EXPECT_EQ(info.replay_cursor, 99u);
     EXPECT_TRUE(info.source_cursors.empty());
   }
   // A cursor count inconsistent with the section length must fail the
-  // restore, not allocate: flip the count field up. Layout after the
-  // 8-byte magic: u32 len | u32 crc | u8 type | u64 cursor | u32 count.
+  // restore, not allocate: flip the count field up. Layout of the V1
+  // file after its 8-byte magic: u32 len | u32 crc | u8 type | u64
+  // cursor | u32 count.
   {
     RecognitionService original = make_service();
-    std::ostringstream out;
     const std::vector<core::SourceCursor> one = {{"a", 1}};
-    original.snapshot(out, 1, {}, one);
-    std::string bytes = std::move(out).str();
+    std::string bytes = as_v1(base_capture(original, 1, {}, one));
     const std::size_t count_at = 8 + 4 + 4 + 1 + 8;
     bytes[count_at] = '\x7F';
     // Re-seal the CRC so ONLY the count lie is on trial.
@@ -198,8 +233,7 @@ TEST_F(SnapshotFixture, PerSourceCursorsRoundTripAndLegacyBodyRestores) {
           static_cast<char>((crc >> (8 * i)) & 0xFF);
     }
     RecognitionService restored = make_service();
-    std::istringstream in(bytes);
-    EXPECT_THROW(restored.restore(in), SnapshotError);
+    EXPECT_THROW(restore_one(restored, bytes), SnapshotError);
   }
 }
 
@@ -212,12 +246,10 @@ TEST_F(SnapshotFixture, DeferredQueuesSurviveRestore) {
   ASSERT_EQ(original.stats().samples_pushed, 0u);
   ASSERT_EQ(original.stats().queued_samples, 2u * 130u);
 
-  std::ostringstream out;
-  original.snapshot(out);
+  const std::string bytes = base_capture(original);
 
   RecognitionService restored = make_service(config);
-  std::istringstream in(std::move(out).str());
-  const ServiceRestoreInfo info = restored.restore(in);
+  const ServiceRestoreInfo info = restore_one(restored, bytes);
   EXPECT_EQ(info.jobs_restored, 1u);
   EXPECT_EQ(restored.stats().queued_samples, 2u * 130u);
 
@@ -237,12 +269,10 @@ TEST_F(SnapshotFixture, RestoredQueuedStreamDrainsOnProcessPendingWithoutPush) {
   ASSERT_TRUE(original.open_job(5, 2));  // idle: nothing queued
   stream_range(original, 4, 6080.0, 0, 40);
 
-  std::ostringstream out;
-  original.snapshot(out);
+  const std::string bytes = base_capture(original);
 
   RecognitionService restored = make_service(config);
-  std::istringstream in(std::move(out).str());
-  ASSERT_EQ(restored.restore(in).jobs_restored, 2u);
+  ASSERT_EQ(restore_one(restored, bytes).jobs_restored, 2u);
   ASSERT_EQ(restored.stats().queued_samples, 2u * 40u);
 
   // No push after the restore: the restore itself marked the queued
@@ -264,16 +294,15 @@ TEST_F(SnapshotFixture, PendingVerdictsSurviveRestore) {
   ASSERT_TRUE(original.open_job(5, 2));
   stream_range(original, 5, 6080.0, 0, 130);  // verdict fired, undrained
 
-  std::ostringstream out;
-  original.snapshot(out);
+  const std::string bytes = base_capture(original);
 
   RecognitionService restored = make_service();
-  std::istringstream in(std::move(out).str());
-  const ServiceRestoreInfo info = restored.restore(in);
+  const ServiceRestoreInfo info = restore_one(restored, bytes);
   EXPECT_EQ(info.jobs_restored, 0u);  // done stream travels as a verdict
   EXPECT_EQ(info.verdicts_restored, 1u);
 
-  // snapshot() is non-destructive: BOTH services deliver the verdict.
+  // snapshot_capture() is non-destructive: BOTH services deliver the
+  // verdict.
   auto original_verdicts = original.drain_verdicts();
   auto restored_verdicts = restored.drain_verdicts();
   ASSERT_EQ(original_verdicts.size(), 1u);
@@ -290,12 +319,10 @@ TEST_F(SnapshotFixture, SwappedEpochSurvivesRestore) {
   const Dictionary retrained = train_dictionary(dataset_, config_of());
   EXPECT_EQ(original.swap_dictionary(retrained), 2u);
 
-  std::ostringstream out;
-  original.snapshot(out);
+  const std::string bytes = base_capture(original);
 
   RecognitionService restored = make_service();  // boots with the OLD dict
-  std::istringstream in(std::move(out).str());
-  const ServiceRestoreInfo info = restored.restore(in);
+  const ServiceRestoreInfo info = restore_one(restored, bytes);
   EXPECT_EQ(info.dictionary_epoch, 2u);
   EXPECT_EQ(restored.stats().dictionary_epoch, 2u);
   EXPECT_EQ(restored.stats().dictionary_swaps, 1u);
@@ -327,12 +354,10 @@ TEST_F(SnapshotFixture, StaleEpochStreamRestoresWithFreshWindows) {
   original.swap_dictionary(train_dictionary(dataset_, two_windows));
   ASSERT_EQ(original.stats().jobs_on_stale_epoch, 1u);
 
-  std::ostringstream out;
-  original.snapshot(out);
+  const std::string bytes = base_capture(original);
 
   RecognitionService restored = make_service();
-  std::istringstream in(std::move(out).str());
-  const ServiceRestoreInfo info = restored.restore(in);
+  const ServiceRestoreInfo info = restore_one(restored, bytes);
   EXPECT_EQ(info.jobs_restored, 1u);
   EXPECT_EQ(info.streams_reset, 1u);
   EXPECT_TRUE(restored.has_job(1));
@@ -350,16 +375,14 @@ TEST_F(SnapshotFixture, RestoreRefusesUsedService) {
 
   RecognitionService used = make_service();
   ASSERT_TRUE(used.open_job(77, 2));
-  std::istringstream in(bytes);
-  EXPECT_THROW(used.restore(in), SnapshotError);
+  EXPECT_THROW(restore_one(used, bytes), SnapshotError);
   EXPECT_TRUE(used.has_job(77));  // untouched
 
   RecognitionService undrained = make_service();
   ASSERT_TRUE(undrained.open_job(78, 2));
   stream_range(undrained, 78, 6030.0, 0, 130);
   ASSERT_GT(undrained.stats().pending_verdicts, 0u);
-  std::istringstream in2(bytes);
-  EXPECT_THROW(undrained.restore(in2), SnapshotError);
+  EXPECT_THROW(restore_one(undrained, bytes), SnapshotError);
 }
 
 TEST_F(SnapshotFixture, RejectsBadMagicHostileLengthsAndTrailingBytes) {
@@ -368,8 +391,7 @@ TEST_F(SnapshotFixture, RejectsBadMagicHostileLengthsAndTrailingBytes) {
     std::string bytes = valid;
     bytes[0] = 'X';
     RecognitionService service = make_service();
-    std::istringstream in(bytes);
-    EXPECT_THROW(service.restore(in), SnapshotError);
+    EXPECT_THROW(restore_one(service, bytes), SnapshotError);
   }
   {
     // A hostile 0xFFFFFFFF section length must be rejected from the
@@ -377,28 +399,24 @@ TEST_F(SnapshotFixture, RejectsBadMagicHostileLengthsAndTrailingBytes) {
     std::string bytes = valid.substr(0, 8);
     bytes += std::string("\xFF\xFF\xFF\xFF\x00\x00\x00\x00", 8);
     RecognitionService service = make_service();
-    std::istringstream in(bytes);
-    EXPECT_THROW(service.restore(in), SnapshotError);
+    EXPECT_THROW(restore_one(service, bytes), SnapshotError);
   }
   {
     // A zero-length section cannot even hold its type byte.
     std::string bytes = valid.substr(0, 8);
     bytes += std::string(8, '\0');
     RecognitionService service = make_service();
-    std::istringstream in(bytes);
-    EXPECT_THROW(service.restore(in), SnapshotError);
+    EXPECT_THROW(restore_one(service, bytes), SnapshotError);
   }
   {
     std::string bytes = valid + "garbage";
     RecognitionService service = make_service();
-    std::istringstream in(bytes);
-    EXPECT_THROW(service.restore(in), SnapshotError);
+    EXPECT_THROW(restore_one(service, bytes), SnapshotError);
   }
   {
     // The valid corpus itself restores (the fuzz baseline).
     RecognitionService service = make_service();
-    std::istringstream in(valid);
-    const ServiceRestoreInfo info = service.restore(in);
+    const ServiceRestoreInfo info = restore_one(service, valid);
     EXPECT_EQ(info.replay_cursor, 4242u);
     EXPECT_EQ(info.jobs_restored, 2u);
     EXPECT_EQ(info.verdicts_restored, 1u);
@@ -413,8 +431,8 @@ TEST_F(SnapshotFixture, FuzzTruncationAlwaysThrowsNeverCrashes) {
   for (std::size_t cut = 0; cut < valid.size();
        cut += (cut < 128 ? 1 : 7)) {  // dense early, strided in the body
     RecognitionService service = make_service();
-    std::istringstream in(valid.substr(0, cut));
-    EXPECT_THROW(service.restore(in), SnapshotError) << "cut=" << cut;
+    EXPECT_THROW(restore_one(service, valid.substr(0, cut)), SnapshotError)
+        << "cut=" << cut;
     EXPECT_EQ(service.stats().active_jobs, 0u) << "cut=" << cut;
     EXPECT_EQ(service.stats().jobs_opened, 0u) << "cut=" << cut;
   }
@@ -440,8 +458,8 @@ TEST_F(SnapshotFixture, FuzzCorruptionAlwaysDetected) {
           static_cast<std::uint8_t>(delta(rng)));
     }
     RecognitionService service = make_service();
-    std::istringstream in(corrupted);
-    EXPECT_THROW(service.restore(in), SnapshotError) << "round=" << round;
+    EXPECT_THROW(restore_one(service, corrupted), SnapshotError)
+        << "round=" << round;
   }
 }
 
@@ -466,9 +484,7 @@ TEST_F(SnapshotFixture, PooledDrainMidStreamRestoreYieldsIdenticalVerdicts) {
   for (std::uint64_t job = 1; job <= kJobs; ++job) {
     stream_range(service, job, level(job), 70, 80);  // left queued
   }
-  std::ostringstream out;
-  service.snapshot(out);
-  const std::string snapshot = std::move(out).str();
+  const std::string snapshot = base_capture(service);
 
   // Finish a service's jobs and return its verdicts sorted by job id.
   const auto finish = [&](RecognitionService& target, util::ThreadPool* with) {
@@ -490,8 +506,7 @@ TEST_F(SnapshotFixture, PooledDrainMidStreamRestoreYieldsIdenticalVerdicts) {
                                  &pool}) {
     const std::string context = with == nullptr ? "inline" : "pooled";
     RecognitionService restored = make_service(config);
-    std::istringstream in(snapshot);
-    const ServiceRestoreInfo info = restored.restore(in);
+    const ServiceRestoreInfo info = restore_one(restored, snapshot);
     EXPECT_EQ(info.jobs_restored, kJobs) << context;
     EXPECT_EQ(restored.stats().queued_samples, kJobs * 20) << context;
     const std::vector<JobVerdict> verdicts = finish(restored, with);
@@ -536,9 +551,7 @@ TEST_F(SnapshotFixture, SnapshotUnderLiveTrafficStaysRestorable) {
     std::vector<std::string> captures;
     std::vector<int> streamed_to;  // ticks pushed when each was taken
     const auto capture = [&](int to) {
-      std::ostringstream out;
-      service.snapshot(out, captures.size());
-      captures.push_back(std::move(out).str());
+      captures.push_back(base_capture(service, captures.size()));
       streamed_to.push_back(to);
     };
     for (int t = 0; t < 130; t += 10) {
@@ -557,8 +570,7 @@ TEST_F(SnapshotFixture, SnapshotUnderLiveTrafficStaysRestorable) {
     for (std::size_t i = 0; i < captures.size(); ++i) {
       const std::string context = mode + " capture " + std::to_string(i);
       RecognitionService restored = make_service(config);
-      std::istringstream in(captures[i]);
-      const ServiceRestoreInfo info = restored.restore(in);
+      const ServiceRestoreInfo info = restore_one(restored, captures[i]);
       EXPECT_EQ(info.replay_cursor, i) << context;
       EXPECT_EQ(info.jobs_restored + info.verdicts_restored, kJobs) << context;
       for (std::uint64_t job = 1; job <= kJobs; ++job) {
@@ -579,20 +591,6 @@ TEST_F(SnapshotFixture, SnapshotUnderLiveTrafficStaysRestorable) {
 
 class SnapshotChainFixture : public SnapshotFixture {
  protected:
-  /// restore_chain() takes a span of istream pointers; build one over a
-  /// vector of capture byte strings.
-  static ServiceRestoreInfo restore_from(RecognitionService& service,
-                                         const std::vector<std::string>& parts,
-                                         std::size_t count) {
-    std::vector<std::istringstream> streams;
-    streams.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) streams.emplace_back(parts[i]);
-    std::vector<std::istream*> pointers;
-    pointers.reserve(count);
-    for (auto& stream : streams) pointers.push_back(&stream);
-    return service.restore_chain(pointers);
-  }
-
   /// Drains and sorts a finished service's verdicts for table diffs.
   static std::vector<JobVerdict> sorted_verdicts(RecognitionService& service) {
     auto verdicts = service.drain_verdicts();
@@ -604,7 +602,7 @@ class SnapshotChainFixture : public SnapshotFixture {
   }
 };
 
-TEST_F(SnapshotChainFixture, FirstCaptureIsABaseAndRestoresLikeV1) {
+TEST_F(SnapshotChainFixture, FirstCaptureIsABaseAndRestoresAlone) {
   RecognitionService original = make_service();
   ASSERT_TRUE(original.open_job(1, 2));
   ASSERT_TRUE(original.open_job(2, 2));
@@ -644,8 +642,8 @@ TEST_F(SnapshotChainFixture, FirstCaptureIsABaseAndRestoresLikeV1) {
 
 TEST_F(SnapshotChainFixture, ChainRestoreEqualsFullSnapshotAtEveryLength) {
   // Grow a chain one capture at a time; after EVERY capture, the chain
-  // restore and a plain V1 snapshot of the same instant must finish the
-  // replay with identical verdict tables.
+  // restore and a lone base of the same instant must finish the replay
+  // with identical verdict tables.
   RecognitionService service = make_service();
   ASSERT_TRUE(service.open_job(1, 2));
   ASSERT_TRUE(service.open_job(2, 2));
@@ -668,15 +666,12 @@ TEST_F(SnapshotChainFixture, ChainRestoreEqualsFullSnapshotAtEveryLength) {
                              static_cast<std::uint64_t>(upto));
     captures.push_back(std::move(capture_out).str());
 
-    std::ostringstream full_out;
-    service.snapshot(full_out, static_cast<std::uint64_t>(upto));
-
     RecognitionService from_chain = make_service();
     const ServiceRestoreInfo chain_info =
         restore_from(from_chain, captures, captures.size());
     RecognitionService from_full = make_service();
-    std::istringstream full_in(std::move(full_out).str());
-    const ServiceRestoreInfo full_info = from_full.restore(full_in);
+    const ServiceRestoreInfo full_info = restore_one(
+        from_full, base_capture(service, static_cast<std::uint64_t>(upto)));
     EXPECT_EQ(chain_info.replay_cursor, full_info.replay_cursor);
     EXPECT_EQ(chain_info.jobs_restored, full_info.jobs_restored);
     EXPECT_EQ(chain_info.verdicts_restored, full_info.verdicts_restored);
@@ -777,13 +772,167 @@ TEST_F(SnapshotChainFixture, ClosedJobsTravelInDeltasAndEpochChangeForcesBase) {
   EXPECT_TRUE(service.snapshot_capture(forced_out, chain, true).base);
 }
 
+TEST_F(SnapshotChainFixture, GoldenCaptureBytesStayIdentical) {
+  // One fixed state (two streams, a hot-swap, a third stream on the new
+  // epoch, a Retrain blob and two source cursors), captured as a base
+  // and then as a delta after one job completes. Length and CRC32 pin
+  // every byte of both captures: files already on disk must keep
+  // restoring, so a writer change that moves a byte needs a new format
+  // version, not a new golden value.
+  RecognitionService service = make_service();
+  ASSERT_TRUE(service.open_job(1, 2));
+  ASSERT_TRUE(service.open_job(2, 2));
+  stream_range(service, 1, 6030.0, 0, 40);
+  stream_range(service, 2, 6080.0, 0, 100);
+  add(3, "lu", 9900.0);
+  ASSERT_EQ(service.swap_dictionary(train_dictionary(dataset_, config_of())),
+            2u);
+  ASSERT_TRUE(service.open_job(3, 2));
+  stream_range(service, 3, 9870.0, 0, 30);
+  const std::string blob_text = "golden-retrain";
+  const std::vector<std::uint8_t> blob(blob_text.begin(), blob_text.end());
+  const std::vector<SourceCursor> cursors = {{"tcp:7411", 120},
+                                             {"udp:7412", 77}};
+
+  SnapshotChainState chain;
+  std::ostringstream base_out;
+  const SnapshotCaptureInfo base =
+      service.snapshot_capture(base_out, chain, false, 500, blob, cursors);
+  stream_range(service, 1, 6030.0, 40, 60);
+  stream_range(service, 2, 6080.0, 100, 130);  // job 2's verdict fires
+  std::ostringstream delta_out;
+  const SnapshotCaptureInfo delta =
+      service.snapshot_capture(delta_out, chain, false, 600, blob, cursors);
+  ASSERT_TRUE(base.base);
+  ASSERT_FALSE(delta.base);
+  EXPECT_EQ(delta.jobs_closed, 1u);
+
+  const auto crc_of = [](const std::string& bytes) {
+    return util::crc32(reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                       bytes.size());
+  };
+  const std::string base_bytes = std::move(base_out).str();
+  const std::string delta_bytes = std::move(delta_out).str();
+  EXPECT_EQ(base_bytes.size(), 848u);
+  EXPECT_EQ(crc_of(base_bytes), 0x3cde4827u);
+  EXPECT_EQ(delta_bytes.size(), 402u);
+  EXPECT_EQ(crc_of(delta_bytes), 0xa606bd4bu);
+  EXPECT_EQ(base.bytes, base_bytes.size());
+  EXPECT_EQ(delta.bytes, delta_bytes.size());
+}
+
+/// The checked-in EFD-SNAP-V1 file. It was written by the V1 writer
+/// itself (RecognitionService::snapshot, since deleted), not derived from
+/// a base capture, so it stands for files already on disk. Its state, a
+/// deferred service over this fixture's dictionary: job 1 (ft) completed
+/// with its verdict pending, job 2 (mg) open after ticks [0, 50) were
+/// drained and [50, 80) still queued, replay cursor 4242, a 21-byte
+/// Retrain blob and two named source cursors.
+std::string legacy_v1_path() {
+  return std::string(EFD_TEST_DATA_DIR) + "/legacy_v1.efds";
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << path;
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// What the V1 writer's own restore() returned for the legacy file.
+void expect_legacy_v1_info(const ServiceRestoreInfo& info) {
+  EXPECT_EQ(info.replay_cursor, 4242u);
+  EXPECT_EQ(info.last_capture_id, 0u);
+  EXPECT_EQ(info.dictionary_epoch, 1u);
+  EXPECT_EQ(info.jobs_restored, 1u);
+  EXPECT_EQ(info.verdicts_restored, 1u);
+  EXPECT_EQ(info.streams_reset, 0u);
+  const std::string blob = "retrain-state-fixture";
+  EXPECT_EQ(info.retrain_state,
+            std::vector<std::uint8_t>(blob.begin(), blob.end()));
+  const std::vector<SourceCursor> cursors = {{"tcp:7411", 120},
+                                             {"udp:7412", 77}};
+  EXPECT_EQ(info.source_cursors, cursors);
+}
+
+TEST_F(SnapshotChainFixture, LegacyV1FileRestoresThroughBothEntries) {
+  RecognitionServiceConfig deferred;
+  deferred.deferred = true;
+  const std::string v1 = read_file(legacy_v1_path());
+  ASSERT_EQ(v1.compare(0, kSnapshotMagicBytes, kSnapshotMagic), 0);
+
+  // restore_chain() on the file alone, and the ingest layer's on-disk
+  // chain restore, each rebuild what the V1 writer's restore() did.
+  RecognitionService from_chain = make_service(deferred);
+  expect_legacy_v1_info(restore_one(from_chain, v1));
+  RecognitionService from_disk = make_service(deferred);
+  const ingest::ChainRestoreResult disk =
+      ingest::restore_service_from_chain(from_disk, legacy_v1_path());
+  expect_legacy_v1_info(disk.info);
+  EXPECT_EQ(disk.deltas_discarded, 0u);
+  EXPECT_TRUE(disk.fallback_error.empty());
+
+  for (RecognitionService* service : {&from_chain, &from_disk}) {
+    EXPECT_EQ(service->stats().queued_samples, 2u * 30u);
+    // Closing the jobs gives the verdicts the V1 restore gave: job 1's
+    // pending ft verdict, and job 2 force-closed before its window.
+    EXPECT_FALSE(service->close_job(1));
+    EXPECT_TRUE(service->close_job(2));
+    const auto verdicts = sorted_verdicts(*service);
+    ASSERT_EQ(verdicts.size(), 2u);
+    EXPECT_EQ(verdicts[0].job_id, 1u);
+    EXPECT_TRUE(verdicts[0].result.recognized);
+    EXPECT_EQ(verdicts[0].result.prediction(), "ft");
+    EXPECT_EQ(verdicts[0].result.fingerprint_count, 2u);
+    EXPECT_EQ(verdicts[0].result.matched_count, 2u);
+    EXPECT_EQ(verdicts[1].job_id, 2u);
+    EXPECT_FALSE(verdicts[1].result.recognized);
+    EXPECT_EQ(verdicts[1].result.fingerprint_count, 0u);
+  }
+
+  // The restored window state is live: finishing job 2 recognizes mg.
+  RecognitionService finished = make_service(deferred);
+  restore_one(finished, v1);
+  stream_range(finished, 2, 6080.0, 80, 130);
+  finished.process_pending();
+  const auto verdicts = sorted_verdicts(finished);
+  ASSERT_EQ(verdicts.size(), 2u);
+  EXPECT_EQ(verdicts[1].result.prediction(), "mg");
+  EXPECT_EQ(verdicts[1].result.matched_count, 2u);
+}
+
+TEST_F(SnapshotChainFixture, LegacyV1FileInsideAChainIsRejected) {
+  const std::string v1 = read_file(legacy_v1_path());
+  RecognitionService service = make_service();
+  ASSERT_TRUE(service.open_job(1, 2));
+  stream_range(service, 1, 6030.0, 0, 40);
+  SnapshotChainState chain;
+  std::vector<std::string> captures;
+  for (int round = 0; round < 2; ++round) {
+    stream_range(service, 1, 6030.0, 40 + round * 10, 50 + round * 10);
+    std::ostringstream out;
+    service.snapshot_capture(out, chain);
+    captures.push_back(std::move(out).str());
+  }
+  ASSERT_EQ(chain.deltas_since_base, 1u);
+
+  // A V1 part has no chain identity: followed by a delta, or following
+  // a base, the whole restore fails with the service untouched.
+  for (const std::vector<std::string>& parts :
+       {std::vector<std::string>{v1, captures[1]},
+        std::vector<std::string>{captures[0], v1}}) {
+    RecognitionService fresh = make_service();
+    EXPECT_THROW(restore_from(fresh, parts, parts.size()), SnapshotError);
+    EXPECT_EQ(fresh.stats().active_jobs, 0u);
+    EXPECT_EQ(fresh.stats().pending_verdicts, 0u);
+  }
+}
+
 /// The EFD-DICT-V1 text a snapshot's Dictionary section carries (V1 file
 /// or V2 capture); empty when it has none.
 std::string dictionary_section_text(const std::string& snapshot) {
   const bool v2 =
       snapshot.compare(0, kSnapshotMagicBytes, kSnapshotMagicV2) == 0;
-  // A V2 capture's envelope: u8 kind | u64 capture_id | u64 parent_id.
-  std::size_t pos = kSnapshotMagicBytes + (v2 ? 17 : 0);
+  std::size_t pos = v2 ? kCaptureHeadBytes : kSnapshotMagicBytes;
   const auto* data = reinterpret_cast<const std::uint8_t*>(snapshot.data());
   // Dictionary payload: u8 type | u64 epoch version | u64 swap count | text.
   constexpr std::size_t kPrefix = 17;
@@ -841,12 +990,10 @@ TEST_F(SnapshotChainFixture, EpochBytesStayCoherentThroughSwapBaseAndRestores) {
   ASSERT_FALSE(service.snapshot_capture(delta, chain).base);
   captures.push_back(delta.str());
 
-  std::ostringstream v1;
-  service.snapshot(v1);
-  EXPECT_EQ(dictionary_section_text(v1.str()), swapped->bytes);
+  const std::string v1 = as_v1(base_capture(service));
+  EXPECT_EQ(dictionary_section_text(v1), swapped->bytes);
   RecognitionService from_v1 = make_service();
-  std::istringstream v1_in(v1.str());
-  from_v1.restore(v1_in);
+  restore_one(from_v1, v1);
   const auto v1_epoch = from_v1.dictionary_handle().acquire();
   expect_bytes_coherent(*v1_epoch, "V1 restore");
   EXPECT_EQ(v1_epoch->bytes, swapped->bytes);

@@ -561,13 +561,6 @@ int cmd_serve(const util::ArgParser& args) {
     std::cerr << "unknown policy: " << policy << "\n";
     return usage();
   }
-  // The parser ignores unknown flags, so the removed --workers must fail
-  // loudly rather than quietly serve single-threaded.
-  if (args.has("workers")) {
-    std::cerr << "error: --workers is no longer supported; use --threads N "
-                 "to fan recognition out across N threads\n";
-    return usage();
-  }
   // A negative capacity would wrap to an effectively unbounded queue
   // (no back-pressure); a TTL <= 0 would evict every stream at the
   // first sweep.
@@ -1184,6 +1177,48 @@ int cmd_replay(const util::ArgParser& args) {
   return verdicts.size() == records.size() ? 0 : 1;
 }
 
+/// One subcommand and every option it reads; any other option is an
+/// error, so a typo or a removed flag fails instead of being ignored.
+struct Command {
+  const char* name;
+  int (*run)(const util::ArgParser&);
+  std::vector<std::string> options;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"generate", cmd_generate,
+       {"out", "repetitions", "seed", "metrics", "no-large", "noise-scale"}},
+      {"train", cmd_train,
+       {"data", "out", "metrics", "depth", "intervals", "combine", "threads"}},
+      {"recognize", cmd_recognize, {"data", "dict", "verbose", "threads"}},
+      {"dump", cmd_dump, {"dict"}},
+      {"stats", cmd_stats, {"dict", "port", "host"}},
+      {"coverage", cmd_coverage, {"data", "dict"}},
+      {"evaluate", cmd_evaluate,
+       {"data", "experiment", "metrics", "depth", "folds", "seed", "verbose"}},
+      {"serve-sim", cmd_serve_sim,
+       {"dict", "jobs", "threads", "seed", "duration"}},
+      {"serve", cmd_serve,
+       {"dict", "port", "threads", "listen", "policy", "queue-capacity",
+        "ttl-seconds", "max-jobs", "quiet", "allow-shutdown", "allow-swap",
+        "http", "snapshot-path", "snapshot-interval-ms", "snapshot-every",
+        "restore", "snapshot-chain-limit", "allow-followers", "follow",
+        "promote-grace-ms", "die-after-snapshots", "auto-retrain",
+        "retrain-interval-ms", "retrain-min-jobs", "retrain-window",
+        "retrain-window-ttl-ms", "retrain-holdout", "retrain-margin",
+        "retrain-dry-run", "retrain-exclude-source"}},
+      {"replay", cmd_replay,
+       {"data", "port", "udp", "shm", "host", "batch", "stride", "offset",
+        "pace-us"}},
+      {"swap-dict", cmd_swap_dict, {"dict", "port", "host"}},
+      {"promote", cmd_promote, {"port", "host"}},
+      {"watch", cmd_watch,
+       {"port", "host", "app", "source", "count", "timeout-ms"}},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1191,23 +1226,21 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   const util::ArgParser args(argc - 1, argv + 1);
 
-  try {
-    if (command == "generate") return cmd_generate(args);
-    if (command == "train") return cmd_train(args);
-    if (command == "recognize") return cmd_recognize(args);
-    if (command == "dump") return cmd_dump(args);
-    if (command == "stats") return cmd_stats(args);
-    if (command == "coverage") return cmd_coverage(args);
-    if (command == "evaluate") return cmd_evaluate(args);
-    if (command == "serve-sim") return cmd_serve_sim(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "replay") return cmd_replay(args);
-    if (command == "swap-dict") return cmd_swap_dict(args);
-    if (command == "promote") return cmd_promote(args);
-    if (command == "watch") return cmd_watch(args);
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << "\n";
-    return 1;
+  for (const Command& entry : commands()) {
+    if (command != entry.name) continue;
+    const std::vector<std::string> unknown =
+        args.unknown_options(entry.options);
+    if (!unknown.empty()) {
+      std::cerr << "error: unknown option --" << unknown.front() << " for "
+                << command << "\n";
+      return usage();
+    }
+    try {
+      return entry.run(args);
+    } catch (const std::exception& error) {
+      std::cerr << "error: " << error.what() << "\n";
+      return 1;
+    }
   }
   return usage();
 }
