@@ -9,13 +9,16 @@
 ///     per-batch push latencies — the baseline p99.
 ///  2. Window snapshot: the deep copy a cycle starts with (the only
 ///     retrain step that runs on the scheduler thread).
-///  3. One full cycle: background train + validation-gate replay
-///     (timings from the controller's own report).
-///  4. Swap latency: publishing a retrained epoch via the RCU handle.
-///  5. Retrain-under-traffic: a background thread runs cycles
-///     continuously while the other half of the workload streams —
-///     p99 and throughput vs. steady state (the ISSUE's "within 20%"
-///     health check, printed as a ratio and emitted as JSONL).
+///  3. One full cycle: train + validation-gate replay (timings from the
+///     controller's own report).
+///  4. Swap latency: publishing a retrained epoch through the service's
+///     handle (what the owner pays when it promotes a candidate).
+///  5. Retrain-under-traffic: the other half of the workload streams
+///     while the controller's worker trains and gates cycles back to
+///     back (each job boundary is a poll boundary: the owner promotes a
+///     finished cycle and triggers the next) — p99 and throughput vs.
+///     steady state (the "within 20%" health check, printed as a ratio
+///     and emitted as JSONL).
 ///
 /// Phase 2b sizes the durable captures: an EFD-SNAP-V2 base (the
 /// complete snapshot) vs a steady-state delta — the delta-to-base byte
@@ -28,7 +31,6 @@
 /// throughput_ratio.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <sstream>
 #include <thread>
@@ -123,7 +125,8 @@ int main(int argc, char** argv) {
       core::train_dictionary(dataset.dataset, config));
 
   retrain::RetrainConfig retrain_config;
-  retrain_config.background = false;  // timings measured per call
+  // Phase 5 starts a cycle at every job boundary where none is in flight.
+  retrain_config.min_new_jobs = 1;
   // The bench measures cost, not drift: an impossible margin keeps every
   // cycle on the train+gate path without mutating the epoch mid-phase.
   retrain_config.gate.margin = 2.0;
@@ -193,27 +196,22 @@ int main(int argc, char** argv) {
   const auto outcome = service.swap_dictionary(std::move(candidate));
   const double swap_us = micros_since(swap_start);
 
-  // ---- Phase 5: stream the other half while cycles run continuously
-  // on a background thread. ----
-  std::atomic<bool> stop{false};
-  std::uint64_t background_cycles = 0;
-  std::thread churn([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      controller.run_cycle();
-      ++background_cycles;
-    }
-  });
+  // ---- Phase 5: stream the other half while the worker runs cycles
+  // back to back. ----
+  const std::uint64_t cycles_before = controller.stats().cycles_triggered;
   std::vector<double> retrain_us;
   std::uint64_t retrain_samples = 0;
   const auto retrain_start = Clock::now();
   for (std::size_t i = half; i < dataset.dataset.size(); ++i) {
     stream_job(service, recorder, i + 1, dataset.dataset,
                dataset.dataset.record(i), retrain_us, retrain_samples);
+    controller.maybe_trigger(Clock::now());
   }
   const double retrain_seconds =
       std::chrono::duration<double>(Clock::now() - retrain_start).count();
-  stop.store(true, std::memory_order_release);
-  churn.join();
+  controller.join();
+  const std::uint64_t background_cycles =
+      controller.stats().cycles_triggered - cycles_before;
 
   const retrain::TrafficRecorderStats wstats = recorder.stats();
   const double throughput_steady =
@@ -230,7 +228,7 @@ int main(int argc, char** argv) {
   util::TablePrinter table({"stage", "cost"});
   table.add_row({"window snapshot", util::format_fixed(snapshot_ms, 3) + " ms (" +
                                         std::to_string(window_jobs) + " jobs)"});
-  table.add_row({"background train",
+  table.add_row({"train",
                  util::format_fixed(cycle.train_seconds * 1e3, 3) + " ms"});
   table.add_row({"gate replay",
                  util::format_fixed(cycle.gate_seconds * 1e3, 3) + " ms"});

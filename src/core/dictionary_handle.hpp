@@ -9,28 +9,25 @@
 ///
 ///  - The active dictionary lives inside an immutable Epoch: a const
 ///    Dictionary with its flat probe index compiled before
-///    publication. New keys arrive as a successor epoch via swap(),
-///    never by mutating a published one. Readers pin an epoch once
-///    per stream via acquire() — one shared_ptr copy under a leaf mutex
-///    — and then touch only the pinned epoch for the stream's whole
-///    life: the per-sample recognition hot path never revisits the
-///    handle.
-///  - swap() builds the successor Epoch (version + 1) outside that
-///    mutex and publishes it with one pointer exchange under it.
-///    In-flight streams keep recognizing against the epoch they pinned
-///    at open; streams opened after the swap see the new one. No stream
-///    ever observes a half-swapped dictionary.
+///    publication. New keys arrive as a successor epoch via
+///    swap_if_changed(), never by mutating a published one. Readers pin
+///    an epoch once per stream via acquire() — one shared_ptr copy —
+///    and then touch only the pinned epoch for the stream's whole life:
+///    the per-sample recognition hot path never revisits the handle.
+///  - swap_if_changed() builds the successor Epoch (version + 1) and
+///    publishes it with one pointer exchange. In-flight streams keep
+///    recognizing against the epoch they pinned at open; streams opened
+///    after the swap see the new one. No stream ever observes a
+///    half-swapped dictionary.
 ///  - Reclamation is reference-counted: a superseded epoch is freed the
 ///    moment the last in-flight stream pinned to it finishes.
 ///
-/// version()/swap_count()/noop_swap_count() are lock-free atomic reads
-/// (monitoring/stats material). Thread-safety: all methods are safe to
-/// call concurrently; moving a handle while other threads use it is not.
+/// Thread-safety: one thread owns a handle (the service's owner) and
+/// calls every method. A pinned epoch is const, so other threads may
+/// read it — and drop their pin — while the owner publishes successors.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "core/dictionary_index.hpp"
@@ -46,10 +43,10 @@ class DictionaryHandle {
     /// forms: one sorted pass compiles the flat probe index
     /// (dictionary_index.hpp) and writes the canonical EFD-DICT-V1 text,
     /// both before the const members exist. So every path that publishes
-    /// an epoch — initial handle construction (train completion), swap(),
-    /// and the snapshot restorer's pre-built epoch for reset() — ships
-    /// structure, index and bytes together, and none can change
-    /// afterwards. In-flight streams keep their pinned epoch's index.
+    /// an epoch — initial handle construction (train completion),
+    /// swap_if_changed(), and the snapshot restorer's pre-built epoch for
+    /// reset() — ships structure, index and bytes together, and none can
+    /// change afterwards. In-flight streams keep their pinned epoch's index.
     /// (`bytes` is declared before `dictionary`, so it is initialised
     /// from the parameter before the parameter is moved from.)
     Epoch(std::uint64_t version, Dictionary dictionary)
@@ -70,9 +67,6 @@ class DictionaryHandle {
   struct SwapOutcome {
     std::uint64_t epoch = 0;     ///< active epoch after the call
     bool already_active = false; ///< candidate identical to the active one
-
-    /// Legacy call sites compare the outcome against an epoch number.
-    bool operator==(std::uint64_t version) const { return epoch == version; }
   };
 
   /// The initial dictionary becomes epoch 1.
@@ -83,39 +77,25 @@ class DictionaryHandle {
 
   /// Pins the active epoch: the returned pointer (and the dictionary
   /// inside it) stays valid until the caller drops it, across any number
-  /// of concurrent swaps. Never waits for a swap's epoch build, only
-  /// for a pointer exchange.
-  std::shared_ptr<Epoch> acquire() const {
-    std::lock_guard lock(current_mutex_);
-    return current_;
-  }
+  /// of swaps.
+  std::shared_ptr<Epoch> acquire() const { return current_; }
 
-  /// Version of the active epoch (starts at 1). Lock-free.
-  std::uint64_t version() const noexcept {
-    return version_.load(std::memory_order_acquire);
-  }
+  /// Version of the active epoch (starts at 1).
+  std::uint64_t version() const noexcept { return current_->version; }
 
-  /// Number of swap()/reset() publications since construction. Lock-free.
-  std::uint64_t swap_count() const noexcept {
-    return swaps_.load(std::memory_order_relaxed);
-  }
+  /// Number of swap_if_changed()/reset() publications since construction.
+  std::uint64_t swap_count() const noexcept { return swaps_; }
 
   /// Number of swap_if_changed() candidates dropped as identical to the
-  /// active epoch. Lock-free: the retrain worker's promotions bump it
-  /// from its own thread.
-  std::uint64_t noop_swap_count() const noexcept {
-    return noop_swaps_.load(std::memory_order_relaxed);
-  }
+  /// active epoch.
+  std::uint64_t noop_swap_count() const noexcept { return noop_swaps_; }
 
-  /// Atomically publishes \p next as the new active epoch (version + 1)
-  /// and returns that new version. In-flight pins keep their old epoch.
-  std::uint64_t swap(Dictionary next);
-
-  /// swap(), except that a candidate whose EFD-DICT-V1 bytes equal the
-  /// active epoch's is dropped without burning a version. Byte equality
-  /// is content identity: the text is deterministic and carries the
-  /// config. The candidate epoch is built once, compared, and then
-  /// published as is.
+  /// Publishes \p next as the new active epoch (version + 1), unless its
+  /// EFD-DICT-V1 bytes equal the active epoch's: such a candidate is
+  /// dropped without burning a version. Byte equality is content
+  /// identity: the text is deterministic and carries the config. The
+  /// candidate epoch is built once, compared, and then published as is.
+  /// In-flight pins keep their old epoch.
   SwapOutcome swap_if_changed(Dictionary next);
 
   /// Restore path: installs a pre-built epoch (explicit version) with
@@ -127,21 +107,9 @@ class DictionaryHandle {
              std::uint64_t noop_swap_count = 0);
 
  private:
-  /// Installs \p epoch as current; caller holds writer_mutex_.
-  void publish(std::shared_ptr<Epoch> epoch);
-
-  /// A plain mutex, not std::atomic<std::shared_ptr>: libstdc++ 12
-  /// implements that with an internal lock bit whose load() unlocks
-  /// with relaxed ordering, which ThreadSanitizer reports as a race on
-  /// every concurrent swap. The cost is the same one short lock.
-  mutable std::mutex current_mutex_;
   std::shared_ptr<Epoch> current_;
-  std::atomic<std::uint64_t> version_;
-  std::atomic<std::uint64_t> swaps_{0};
-  std::atomic<std::uint64_t> noop_swaps_{0};
-  /// Serializes swap()/reset() so versions stay dense and monotone;
-  /// readers never take it.
-  std::mutex writer_mutex_;
+  std::uint64_t swaps_ = 0;
+  std::uint64_t noop_swaps_ = 0;
 };
 
 }  // namespace efd::core

@@ -33,20 +33,19 @@
 /// calls every method, one at a time; the service holds no lock and no
 /// atomic of its own. Callers that share a service across threads
 /// serialize those calls themselves (the ingest pipeline and
-/// ldms::run_concurrent_jobs each hold one mutex for it). Two exceptions:
-///  - swap_dictionary() may run on any thread (the retrain worker's
-///    promotion) concurrently with the owner. It touches only the
-///    DictionaryHandle, which is thread-safe on its own: each stream
-///    pins the epoch that was active when it opened and recognizes
-///    against it for its whole life, so a swap never touches in-flight
-///    streams. A published epoch is const, so recognition reads it
-///    without any dictionary lock; new keys ("learning new applications
-///    is as simple as adding new keys") arrive as such a successor.
-///  - process_pending(pool) runs its first pass on the pool's workers.
-///    Each worker touches only its own dirty streams' recognizer and
-///    queue and one result slot; the owner then folds the slots in
-///    dirty-list order, so the pooled verdict order equals the
-///    unpooled one.
+/// ldms::run_concurrent_jobs each hold one mutex for it).
+/// swap_dictionary() is an owner call too: the retrain loop promotes a
+/// certified candidate on the owner thread, at a poll boundary. Each
+/// stream pins the epoch that was active when it opened and recognizes
+/// against it for its whole life, so a swap never touches in-flight
+/// streams. A published epoch is const, so recognition reads it without
+/// any dictionary lock; new keys ("learning new applications is as
+/// simple as adding new keys") arrive as such a successor.
+/// One exception: process_pending(pool) runs its first pass on the
+/// pool's workers. Each worker touches only its own dirty streams'
+/// recognizer and queue and one result slot; the owner then folds the
+/// slots in dirty-list order, so the pooled verdict order equals the
+/// unpooled one.
 ///
 /// Durability: snapshot_capture() is the one snapshot writer. It
 /// serializes the service — active dictionary epoch, every open stream's
@@ -245,11 +244,8 @@ class RecognitionService {
   /// epoch's (config AND content) is rejected as already-active: the
   /// epoch does not advance, the outcome reports the current version,
   /// and the attempt is counted in ServiceStats::dictionary_swaps_noop.
-  /// The candidate's epoch (index and bytes) is built once; the
-  /// comparison and the publication happen under the handle's writer
-  /// lock, so a competing swap cannot slip between them.
-  /// The one method callable from any thread, concurrently with the
-  /// owner and with other swaps (which serialize).
+  /// The candidate's epoch (index and bytes) is built once, on the
+  /// calling (owner) thread.
   SwapOutcome swap_dictionary(Dictionary next);
 
   /// Writes one EFD-SNAP-V2 capture — a BASE (complete snapshot,

@@ -84,8 +84,9 @@ void put_result(std::vector<std::uint8_t>& out, std::uint64_t job_id,
 }
 
 /// Throws SnapshotError(reason) — the decoder's single failure path.
+/// restore_chain() prefixes the format of the part being decoded.
 [[noreturn]] void fail(const std::string& reason) {
-  throw SnapshotError("EFD-SNAP-V1: " + reason);
+  throw SnapshotError(reason);
 }
 
 /// Identity of the accumulator layout a stream's window state was
@@ -349,7 +350,7 @@ std::size_t RecognitionService::write_snapshot_sections(
   put_u8(payload, static_cast<std::uint8_t>(SnapshotSection::kEnd));
   bytes += write_section(out, payload);
 
-  if (!out) fail("snapshot write failed");
+  if (!out) fail("EFD-SNAP-V2: snapshot write failed");
 
   // Commit the digest bookkeeping only once every byte landed: a failed
   // capture must leave the chain state describing the last GOOD capture.
@@ -712,39 +713,48 @@ ServiceRestoreInfo RecognitionService::restore_chain(
   for (std::size_t i = 0; i < parts.size(); ++i) {
     std::istream* part = parts[i];
     if (part == nullptr) fail("null capture stream");
-    std::vector<std::uint8_t> head =
-        read_exact(*part, kSnapshotMagicBytes, "magic");
-    bool delta = false;
-    if (std::equal(head.begin(), head.end(), kSnapshotMagic)) {
-      // A legacy V1 file is a complete snapshot with no chain identity.
-      if (parts.size() != 1) fail("EFD-SNAP-V1 file inside a capture chain");
-    } else {
-      const auto rest = read_exact(*part, kCaptureHeadBytes - head.size(),
-                                   "capture envelope");
-      head.insert(head.end(), rest.begin(), rest.end());
-      const auto envelope = read_capture_envelope(head);
-      if (!envelope) fail("bad capture magic");
-      if (envelope->kind != CaptureKind::kBase &&
-          envelope->kind != CaptureKind::kDelta) {
-        fail("unknown capture kind");
-      }
-      if (envelope->capture_id == 0) fail("capture id must be nonzero");
-      delta = envelope->kind == CaptureKind::kDelta;
-      if (i == 0) {
-        if (delta) fail("chain must start with a base capture");
-        if (envelope->parent_id != 0) fail("base capture with nonzero parent");
+    // Every error names the format of the part it was found in.
+    const char* format = "EFD-SNAP-V2";
+    try {
+      std::vector<std::uint8_t> head =
+          read_exact(*part, kSnapshotMagicBytes, "magic");
+      bool delta = false;
+      if (std::equal(head.begin(), head.end(), kSnapshotMagic)) {
+        // A legacy V1 file is a complete snapshot with no chain identity.
+        format = "EFD-SNAP-V1";
+        if (parts.size() != 1) fail("file inside a capture chain");
       } else {
-        if (!delta) fail("unexpected base capture mid-chain");
-        if (envelope->parent_id != previous_id) {
-          fail("broken chain link: delta parent does not match the previous "
-               "capture");
+        const auto rest = read_exact(*part, kCaptureHeadBytes - head.size(),
+                                     "capture envelope");
+        head.insert(head.end(), rest.begin(), rest.end());
+        const auto envelope = read_capture_envelope(head);
+        if (!envelope) fail("bad capture magic");
+        if (envelope->kind != CaptureKind::kBase &&
+            envelope->kind != CaptureKind::kDelta) {
+          fail("unknown capture kind");
         }
+        if (envelope->capture_id == 0) fail("capture id must be nonzero");
+        delta = envelope->kind == CaptureKind::kDelta;
+        if (i == 0) {
+          if (delta) fail("chain must start with a base capture");
+          if (envelope->parent_id != 0) {
+            fail("base capture with nonzero parent");
+          }
+        } else {
+          if (!delta) fail("unexpected base capture mid-chain");
+          if (envelope->parent_id != previous_id) {
+            fail("broken chain link: delta parent does not match the "
+                 "previous capture");
+          }
+        }
+        previous_id = envelope->capture_id;
       }
-      previous_id = envelope->capture_id;
-    }
-    decode_snapshot_sections(*part, staging, delta);
-    if (part->peek() != std::istream::traits_type::eof()) {
-      fail("trailing bytes after end section");
+      decode_snapshot_sections(*part, staging, delta);
+      if (part->peek() != std::istream::traits_type::eof()) {
+        fail("trailing bytes after end section");
+      }
+    } catch (const SnapshotError& error) {
+      throw SnapshotError(std::string(format) + ": " + error.what());
     }
   }
   ServiceRestoreInfo info = commit_staging(std::move(staging));

@@ -1,6 +1,5 @@
 #include "core/rounding_kernel.hpp"
 
-#include <atomic>
 #include <cstdlib>
 #include <string>
 

@@ -970,10 +970,10 @@ std::uint64_t IngestPipeline::run() {
     }
 
     if (config_.retrain != nullptr) {
-      // Closed loop: check the retrain triggers at the poll boundary
-      // (the cycle itself runs on the controller's background thread —
-      // recognition keeps flowing) and fan finished cycles out to every
-      // connection as kRetrainReport frames.
+      // Closed loop, at the poll boundary: promote a finished cycle's
+      // candidate, check the retrain triggers (train + gate run on the
+      // controller's worker thread — recognition keeps flowing), and fan
+      // finished cycles out to every connection as kRetrainReport frames.
       config_.retrain->maybe_trigger(now);
       publish_retrain_reports();
     }
@@ -1013,9 +1013,9 @@ std::uint64_t IngestPipeline::run() {
     total_delivered += flush_verdicts();
   }
   if (config_.retrain != nullptr) {
-    // Wind the loop down cleanly: wait out an in-flight cycle so the
-    // final snapshot (below) carries its outcome, and ship the last
-    // reports to whoever is still connected.
+    // Wind the loop down cleanly: wait out an in-flight cycle and
+    // promote it, so the final snapshot (below) carries its outcome, and
+    // ship the last reports to whoever is still connected.
     config_.retrain->join();
     publish_retrain_reports();
   }

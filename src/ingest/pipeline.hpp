@@ -58,8 +58,8 @@
 /// (config.retrain), the pipeline taps its TrafficRecorder on every
 /// dispatched open/batch/verdict (an owned sample batch is moved in, a
 /// wire view is copied out into WireSamples — only while retraining is
-/// attached), checks the retrain triggers at each poll
-/// boundary, broadcasts a kRetrainReport frame for every finished cycle
+/// attached), checks the retrain triggers and promotes a finished
+/// cycle's certified candidate at each poll boundary, broadcasts a kRetrainReport frame for every finished cycle
 /// to all connections it has seen, and carries the controller's durable
 /// state (EFD-RETRAIN-V1) inside the service snapshot's Retrain section
 /// so a crash mid-cycle restores the attempt lineage.
@@ -219,7 +219,7 @@ class IngestPipeline {
   /// \param service recognition service (borrowed; typically configured
   ///        with deferred = true so push() never blocks the poll loop on
   ///        recognition work). While run() is active the pipeline owns
-  ///        it: no other thread may call it except swap_dictionary().
+  ///        it: no other thread may call it.
   /// \param sources the registered source set to consume (borrowed;
   ///        must outlive run()). Register >= 1 source before run().
   /// \param pool workers for deferred recognition (null = inline).

@@ -165,8 +165,7 @@ ChainRestoreResult restore_service_from_chain(
 
   std::ifstream base(base_path, std::ios::binary);
   if (!base) {
-    throw core::SnapshotError("EFD-SNAP-V1: cannot open snapshot file " +
-                              base_path);
+    throw core::SnapshotError("cannot open snapshot file " + base_path);
   }
 
   const auto deltas = list_chain_deltas(base_path);

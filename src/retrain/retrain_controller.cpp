@@ -46,38 +46,32 @@ RetrainController::RetrainController(core::RecognitionService& service,
       config_(std::move(config)),
       recorder_(service.dictionary().config(), config_.recorder) {}
 
-RetrainController::~RetrainController() { join(); }
-
 void RetrainController::join() {
-  if (worker_.joinable()) worker_.join();
+  if (cycle_.valid()) finish_cycle(cycle_.get());
 }
 
-void RetrainController::reap_worker() {
-  if (!busy_.load(std::memory_order_acquire) && worker_.joinable()) {
-    worker_.join();
-  }
-}
-
-bool RetrainController::maybe_rebind_layout() {
-  const auto incumbent = service_.dictionary_handle().acquire();
-  const core::FingerprintConfig& live = incumbent->dictionary.config();
+void RetrainController::maybe_rebind_layout() {
+  const core::FingerprintConfig& live = service_.dictionary().config();
   const core::FingerprintConfig& captured = recorder_.layout();
-  if (live.metrics == captured.metrics &&
-      live.intervals == captured.intervals) {
-    return false;
-  }
   // A restore or manual swap-dict installed a different layout: the
   // captured window filters the wrong metrics/horizon and would train
   // every future candidate on systematically truncated data. Reset and
   // refill from live traffic instead of silently degrading.
-  recorder_.rebind_layout(live);
-  return true;
+  if (live.metrics != captured.metrics ||
+      live.intervals != captured.intervals) {
+    recorder_.rebind_layout(live);
+  }
 }
 
 bool RetrainController::maybe_trigger(
     std::chrono::steady_clock::time_point now) {
-  reap_worker();
-  if (busy_.load(std::memory_order_acquire)) return false;
+  if (cycle_.valid()) {
+    if (cycle_.wait_for(std::chrono::seconds(0)) !=
+        std::future_status::ready) {
+      return false;
+    }
+    join();
+  }
   maybe_rebind_layout();
 
   if (!timer_armed_) {
@@ -101,79 +95,67 @@ bool RetrainController::maybe_trigger(
 
   last_trigger_ = now;
   captured_at_last_trigger_ = captured;
-  std::uint64_t cycle = 0;
-  {
-    std::lock_guard lock(mutex_);
-    cycle = ++stats_.cycles_triggered;
-  }
-  if (!config_.background) {
-    finish_cycle(execute_cycle(cycle));
-    return true;
-  }
-  busy_.store(true, std::memory_order_release);
-  worker_ = std::thread([this, cycle] {
-    finish_cycle(execute_cycle(cycle));
-    busy_.store(false, std::memory_order_release);
-  });
+  // The worker's two inputs, taken here on the owner: the incumbent
+  // pinned NOW (the gate compares against the epoch serving when the
+  // cycle started, even if a manual swap-dict lands mid-train) and the
+  // frozen window.
+  cycle_ = std::async(std::launch::async, &RetrainController::train_and_gate,
+                      std::cref(config_), ++stats_.cycles_triggered,
+                      service_.dictionary_handle().acquire(),
+                      recorder_.snapshot_window());
   return true;
 }
 
 RetrainReport RetrainController::run_cycle() {
+  join();
   maybe_rebind_layout();
-  std::uint64_t cycle = 0;
-  {
-    std::lock_guard lock(mutex_);
-    cycle = ++stats_.cycles_triggered;
-  }
   captured_at_last_trigger_ = recorder_.jobs_captured();
-  RetrainReport report = execute_cycle(cycle);
-  finish_cycle(report);
-  return report;
+  return finish_cycle(train_and_gate(
+      config_, ++stats_.cycles_triggered,
+      service_.dictionary_handle().acquire(), recorder_.snapshot_window()));
 }
 
-RetrainReport RetrainController::execute_cycle(std::uint64_t cycle) {
-  RetrainReport report;
+RetrainController::CycleResult RetrainController::train_and_gate(
+    const RetrainConfig& config, std::uint64_t cycle,
+    std::shared_ptr<const core::DictionaryHandle::Epoch> incumbent,
+    const WindowSnapshot& window) {
+  CycleResult result;
+  RetrainReport& report = result.report;
   report.cycle = cycle;
-  // Pin the incumbent NOW: the gate must compare against the epoch that
-  // was serving when the cycle started, even if a manual swap-dict lands
-  // mid-train.
-  const auto incumbent = service_.dictionary_handle().acquire();
   report.epoch = incumbent->version;
+  report.window_jobs = window.size();
   try {
-    const WindowSnapshot window = recorder_.snapshot_window();
-    report.window_jobs = window.size();
     const core::FingerprintConfig layout = incumbent->dictionary.config();
-    WindowSlices slices =
-        slice_window(window, layout, config_.holdout_fraction);
+    WindowSlices slices = slice_window(window, layout, config.holdout_fraction);
     report.holdout_jobs = slices.holdout.size();
     if (slices.train.empty()) {
       report.outcome = RetrainOutcome::kSkippedNoData;
       report.detail = "window has no trainable slice";
-      return report;
+      return result;
     }
-    if (slices.holdout.size() < config_.gate.min_holdout_jobs) {
+    if (slices.holdout.size() < config.gate.min_holdout_jobs) {
       // The gate could never certify this cycle — skip BEFORE paying for
       // the training run, and report it as a data problem (skipped), not
       // a quality verdict (gated-out).
       report.outcome = RetrainOutcome::kSkippedNoData;
       report.detail = "holdout too small to certify (" +
                       std::to_string(slices.holdout.size()) + " < " +
-                      std::to_string(config_.gate.min_holdout_jobs) +
+                      std::to_string(config.gate.min_holdout_jobs) +
                       " jobs)";
-      return report;
+      return result;
     }
 
     const auto train_start = std::chrono::steady_clock::now();
     core::Dictionary candidate = core::train_dictionary(
         slices.train, layout, {},
-        config_.pool != nullptr ? config_.pool : &util::global_pool());
+        config.pool != nullptr ? config.pool : &util::global_pool());
     report.train_seconds = seconds_since(train_start);
 
-    if (config_.after_train) config_.after_train();
+    if (config.after_train) config.after_train();
 
     const auto gate_start = std::chrono::steady_clock::now();
     const GateDecision decision = evaluate_gate(
-        candidate, incumbent->dictionary, slices.holdout, config_.gate);
+        candidate, incumbent->dictionary, slices.holdout, config.gate);
     report.gate_seconds = seconds_since(gate_start);
     report.candidate_score = decision.candidate.score;
     report.incumbent_score = decision.incumbent.score;
@@ -181,95 +163,89 @@ RetrainReport RetrainController::execute_cycle(std::uint64_t cycle) {
 
     if (!decision.promote) {
       report.outcome = RetrainOutcome::kGatedOut;
-      return report;
-    }
-    if (config_.dry_run) {
+    } else if (config.dry_run) {
       report.outcome = RetrainOutcome::kDryRun;
       report.detail = "dry-run withheld promotion: " + decision.reason;
-      return report;
-    }
-    const auto swap = service_.swap_dictionary(std::move(candidate));
-    report.epoch = swap.epoch;
-    if (swap.already_active) {
-      // The no-op guard doubles as double-promotion protection: an
-      // at-least-once replay after a crash retrains the same window and
-      // arrives here with a byte-identical candidate.
-      report.outcome = RetrainOutcome::kAlreadyActive;
-      report.detail = "candidate identical to the active dictionary";
     } else {
-      report.outcome = RetrainOutcome::kPromoted;
+      result.candidate = std::move(candidate);
     }
   } catch (const std::exception& error) {
     report.outcome = RetrainOutcome::kFailed;
     report.detail = error.what();
   }
+  return result;
+}
+
+RetrainReport RetrainController::finish_cycle(CycleResult result) {
+  RetrainReport& report = result.report;
+  if (result.candidate) {
+    try {
+      const auto swap =
+          service_.swap_dictionary(std::move(*result.candidate));
+      report.epoch = swap.epoch;
+      if (swap.already_active) {
+        // The no-op guard doubles as double-promotion protection: an
+        // at-least-once replay after a crash retrains the same window
+        // and arrives here with a byte-identical candidate.
+        report.outcome = RetrainOutcome::kAlreadyActive;
+        report.detail = "candidate identical to the active dictionary";
+      } else {
+        report.outcome = RetrainOutcome::kPromoted;
+      }
+    } catch (const std::exception& error) {
+      report.outcome = RetrainOutcome::kFailed;
+      report.detail = error.what();
+    }
+  }
+  switch (report.outcome) {
+    case RetrainOutcome::kPromoted:
+      ++stats_.cycles_trained;
+      ++stats_.cycles_promoted;
+      stats_.last_promoted_epoch = report.epoch;
+      break;
+    case RetrainOutcome::kGatedOut:
+      ++stats_.cycles_trained;
+      ++stats_.cycles_gated_out;
+      break;
+    case RetrainOutcome::kAlreadyActive:
+      ++stats_.cycles_trained;
+      ++stats_.cycles_already_active;
+      break;
+    case RetrainOutcome::kSkippedNoData:
+      ++stats_.cycles_skipped_no_data;
+      break;
+    case RetrainOutcome::kFailed:
+      ++stats_.cycles_failed;
+      break;
+    case RetrainOutcome::kDryRun:
+      ++stats_.cycles_trained;
+      ++stats_.cycles_dry_run;
+      break;
+  }
+  stats_.last_cycle = report.cycle;
+  stats_.last_candidate_score = report.candidate_score;
+  stats_.last_incumbent_score = report.incumbent_score;
+
+  lineage_.push_back({report.cycle, report.outcome, report.epoch,
+                      report.candidate_score, report.incumbent_score});
+  if (lineage_.size() > kMaxRetrainLineage) {
+    lineage_.erase(lineage_.begin(),
+                   lineage_.begin() +
+                       static_cast<std::ptrdiff_t>(lineage_.size() -
+                                                   kMaxRetrainLineage));
+  }
+  pending_reports_.push_back(report);
+  if (config_.on_report) config_.on_report(report);
   return report;
 }
 
-void RetrainController::finish_cycle(RetrainReport report) {
-  {
-    std::lock_guard lock(mutex_);
-    switch (report.outcome) {
-      case RetrainOutcome::kPromoted:
-        ++stats_.cycles_trained;
-        ++stats_.cycles_promoted;
-        stats_.last_promoted_epoch = report.epoch;
-        break;
-      case RetrainOutcome::kGatedOut:
-        ++stats_.cycles_trained;
-        ++stats_.cycles_gated_out;
-        break;
-      case RetrainOutcome::kAlreadyActive:
-        ++stats_.cycles_trained;
-        ++stats_.cycles_already_active;
-        break;
-      case RetrainOutcome::kSkippedNoData:
-        ++stats_.cycles_skipped_no_data;
-        break;
-      case RetrainOutcome::kFailed:
-        ++stats_.cycles_failed;
-        break;
-      case RetrainOutcome::kDryRun:
-        ++stats_.cycles_trained;
-        ++stats_.cycles_dry_run;
-        break;
-    }
-    stats_.last_cycle = report.cycle;
-    stats_.last_candidate_score = report.candidate_score;
-    stats_.last_incumbent_score = report.incumbent_score;
-
-    lineage_.push_back({report.cycle, report.outcome, report.epoch,
-                        report.candidate_score, report.incumbent_score});
-    if (lineage_.size() > kMaxRetrainLineage) {
-      lineage_.erase(lineage_.begin(),
-                     lineage_.begin() +
-                         static_cast<std::ptrdiff_t>(lineage_.size() -
-                                                     kMaxRetrainLineage));
-    }
-    pending_reports_.push_back(report);
-  }
-  if (config_.on_report) config_.on_report(report);
-}
-
 std::vector<RetrainReport> RetrainController::drain_reports() {
-  std::lock_guard lock(mutex_);
   std::vector<RetrainReport> drained;
   drained.swap(pending_reports_);
   return drained;
 }
 
-RetrainStats RetrainController::stats() const {
-  std::lock_guard lock(mutex_);
-  return stats_;
-}
-
-std::vector<RetrainAttempt> RetrainController::lineage() const {
-  std::lock_guard lock(mutex_);
-  return lineage_;
-}
-
 std::vector<std::uint8_t> RetrainController::encode_state() const {
-  std::lock_guard lock(mutex_);
   std::vector<std::uint8_t> out;
   util::put_u8(out, kRetrainStateVersion);
   util::put_u64(out, stats_.cycles_triggered);
@@ -341,7 +317,6 @@ bool RetrainController::restore_state(const std::vector<std::uint8_t>& blob) {
   }
   if (reader.remaining() != 0) return false;
 
-  std::lock_guard lock(mutex_);
   stats_ = staged;
   lineage_ = std::move(staged_lineage);
   return true;

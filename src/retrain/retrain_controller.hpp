@@ -1,7 +1,7 @@
 #pragma once
 /// \file retrain_controller.hpp
 /// \brief The closed retraining loop: rolling traffic capture →
-/// background retrain → validation gate → self-swap.
+/// retrain and validation gate on a worker → promotion on the owner.
 ///
 /// PR 3's DictionaryHandle made a retrained dictionary publishable
 /// mid-traffic, but only an operator hand-shipping bytes over swap-dict
@@ -13,24 +13,26 @@
 ///  1. Trigger: a wall-clock interval and/or a captured-job count (both
 ///     checked at the pipeline's poll boundary, maybe_trigger()). A
 ///     cycle never starts while another is in flight.
-///  2. Snapshot: the TrafficRecorder window is deep-copied at a
-///     consistent point and sliced per application into train (older)
-///     and holdout (newest) datasets. Capture continues concurrently.
-///  3. Train: train_dictionary() builds the candidate on a background
-///     thread (fingerprints fanned out across a worker pool), under the
-///     incumbent epoch's fingerprint layout — recognition never stalls;
-///     the trainer inserts in record order, so the candidate is
-///     byte-identical to a sequential retrain.
-///  4. Gate: the ValidationGate replays the holdout through candidate
-///     AND incumbent (the epoch pinned in step 2 — a concurrent manual
-///     swap cannot slip under the comparison) and only certifies a
-///     candidate that clears the margin.
-///  5. Promote: RecognitionService::swap_dictionary publishes the
-///     candidate as a new epoch; in-flight streams finish against the
-///     epoch they pinned at open. A candidate byte-identical to the
-///     active dictionary reports already-active WITHOUT burning an
-///     epoch — this is also what makes an at-least-once replay after a
-///     crash unable to double-promote.
+///  2. Inputs: the owner pins the incumbent epoch and freezes the
+///     TrafficRecorder window (pointer copies of immutable jobs) — the
+///     worker's only two inputs. Capture continues on the owner.
+///  3. Train: on a worker thread, the window is sliced per application
+///     into train (older) and holdout (newest) datasets and
+///     train_dictionary() builds the candidate (fingerprints fanned out
+///     across a worker pool) under the incumbent's fingerprint layout —
+///     recognition never stalls; the trainer inserts in record order, so
+///     the candidate is byte-identical to a sequential retrain.
+///  4. Gate: the worker replays the holdout through candidate AND the
+///     pinned incumbent, and certifies only a candidate that clears the
+///     margin. It returns the report and the certified candidate; it
+///     never publishes.
+///  5. Promote: at the owner's next maybe_trigger() (or join()),
+///     RecognitionService::swap_dictionary publishes the candidate as a
+///     new epoch; in-flight streams finish against the epoch they
+///     pinned at open. A candidate byte-identical to the active
+///     dictionary reports already-active WITHOUT burning an epoch — this
+///     is also what makes an at-least-once replay after a crash unable
+///     to double-promote.
 ///
 /// Durability: every attempt (outcome, scores, epoch) lands in
 /// RetrainStats and a bounded lineage, serialized as the EFD-RETRAIN-V1
@@ -39,19 +41,19 @@
 /// itself is deliberately NOT persisted (it re-fills from live traffic,
 /// and a snapshot that embedded it would dwarf the dictionary).
 ///
-/// Threading: maybe_trigger()/drain_reports() belong to one scheduler
-/// thread (the ingest pipeline's run() loop); the cycle body runs on an
-/// internal background thread (or inline with background = false — the
-/// deterministic-test mode). stats()/encode_state() are safe from any
-/// thread. The recorder taps are internally synchronized.
+/// Threading: one owner thread (the ingest pipeline's run() loop) calls
+/// every method; the controller and its recorder hold no lock. Only the
+/// train + gate step of a maybe_trigger() cycle runs on a worker
+/// thread, and it touches nothing but its two inputs and the immutable
+/// config. run_cycle() runs all of it on the caller.
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <mutex>
+#include <future>
+#include <memory>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/online/recognition_service.hpp"
@@ -103,21 +105,17 @@ struct RetrainConfig {
   /// Run the full cycle but never promote (report kDryRun instead) —
   /// the operator's shadow-mode knob.
   bool dry_run = false;
-  /// Run cycles on an internal background thread (the serving mode).
-  /// false runs them inline inside maybe_trigger()/run_cycle() — the
-  /// deterministic mode tests and benches use.
-  bool background = true;
   /// Worker pool for the trainer's fingerprint construction (borrowed;
   /// null = global pool).
   util::ThreadPool* pool = nullptr;
   TrafficRecorderConfig recorder;
-  /// Test/fault hook: invoked on the cycle thread after the candidate is
-  /// trained, before the gate runs — the scripted crash point between
-  /// train and promote.
+  /// Test/fault hook: invoked on the thread that trains (the worker, or
+  /// run_cycle()'s caller) after the candidate is trained, before the
+  /// gate runs — the scripted crash point between train and promote.
   std::function<void()> after_train;
-  /// Observer invoked (on the cycle thread, outside the controller's
-  /// lock) for every finished cycle — operator logging. Wire fan-out
-  /// happens separately via drain_reports().
+  /// Observer invoked on the owner thread for every finished cycle —
+  /// operator logging. Wire fan-out happens separately via
+  /// drain_reports().
   std::function<void(const RetrainReport&)> on_report;
 };
 
@@ -161,7 +159,6 @@ class RetrainController {
   ///        recorder (dropping the now-unusable window, counted in
   ///        TrafficRecorderStats::window_resets).
   RetrainController(core::RecognitionService& service, RetrainConfig config);
-  ~RetrainController();
 
   RetrainController(const RetrainController&) = delete;
   RetrainController& operator=(const RetrainController&) = delete;
@@ -170,30 +167,32 @@ class RetrainController {
   const TrafficRecorder& recorder() const noexcept { return recorder_; }
   const RetrainConfig& config() const noexcept { return config_; }
 
-  /// Scheduler-thread poll: starts a cycle when a trigger condition
-  /// holds and none is in flight. Returns true when a cycle was started
-  /// (background) or completed (inline).
+  /// Owner poll: promotes a finished cycle's candidate, then starts a
+  /// cycle on a worker thread when a trigger condition holds and none is
+  /// in flight. Returns true when a cycle was started.
   bool maybe_trigger(std::chrono::steady_clock::time_point now);
 
   /// Runs one full cycle synchronously on the calling thread, regardless
   /// of trigger state (tests, benches, an operator's "retrain now").
-  /// Must not be called concurrently with a background cycle.
+  /// Finishes an in-flight cycle first.
   RetrainReport run_cycle();
 
   /// Moves out reports finished since the last drain (completion order).
   std::vector<RetrainReport> drain_reports();
 
-  bool cycle_in_flight() const noexcept {
-    return busy_.load(std::memory_order_acquire);
-  }
+  /// True from a maybe_trigger() that started a cycle until the owner
+  /// promotes its outcome.
+  bool cycle_in_flight() const noexcept { return cycle_.valid(); }
 
-  /// Waits for an in-flight background cycle to finish.
+  /// Waits for an in-flight cycle, then promotes and records it.
   void join();
 
-  RetrainStats stats() const;
+  const RetrainStats& stats() const noexcept { return stats_; }
 
   /// Finished attempts, oldest first (bounded by kMaxRetrainLineage).
-  std::vector<RetrainAttempt> lineage() const;
+  const std::vector<RetrainAttempt>& lineage() const noexcept {
+    return lineage_;
+  }
 
   /// EFD-RETRAIN-V1: serializes stats + lineage for the snapshot's
   /// Retrain section.
@@ -204,29 +203,40 @@ class RetrainController {
   bool restore_state(const std::vector<std::uint8_t>& blob);
 
  private:
-  RetrainReport execute_cycle(std::uint64_t cycle);
-  void finish_cycle(RetrainReport report);
-  /// Reaps a finished background thread (scheduler thread only).
-  void reap_worker();
+  /// The worker's result: the gate's report, and the candidate when it
+  /// was certified for promotion.
+  struct CycleResult {
+    RetrainReport report;
+    std::optional<core::Dictionary> candidate;
+  };
+
+  /// Train + gate: a pure function of the config and the two inputs the
+  /// owner took when the cycle triggered. Never publishes.
+  static CycleResult train_and_gate(
+      const RetrainConfig& config, std::uint64_t cycle,
+      std::shared_ptr<const core::DictionaryHandle::Epoch> incumbent,
+      const WindowSnapshot& window);
+  /// Owner side of a cycle: promotes a certified candidate, then records
+  /// the outcome (stats, lineage, pending reports, on_report).
+  RetrainReport finish_cycle(CycleResult result);
   /// Rebinds the recorder when the active epoch's fingerprint layout no
-  /// longer matches the capture filter (scheduler/cycle thread only).
-  /// Returns true when a rebind (window reset) happened.
-  bool maybe_rebind_layout();
+  /// longer matches the capture filter.
+  void maybe_rebind_layout();
 
   core::RecognitionService& service_;
   RetrainConfig config_;
   TrafficRecorder recorder_;
 
-  std::thread worker_;
-  std::atomic<bool> busy_{false};
   bool timer_armed_ = false;
   std::chrono::steady_clock::time_point last_trigger_{};
   std::uint64_t captured_at_last_trigger_ = 0;
 
-  mutable std::mutex mutex_;  ///< stats_, lineage_, pending_reports_
   RetrainStats stats_;
   std::vector<RetrainAttempt> lineage_;
   std::vector<RetrainReport> pending_reports_;
+  /// The in-flight cycle; declared last so that it is destroyed (and its
+  /// worker waited for) before the config the worker reads.
+  std::future<CycleResult> cycle_;
 };
 
 }  // namespace efd::retrain

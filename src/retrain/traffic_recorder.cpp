@@ -26,10 +26,10 @@ TrafficRecorder::TrafficRecorder(core::FingerprintConfig layout,
     : layout_(std::move(layout)), config_(config), rng_(config.seed) {
   if (config_.window_jobs_per_app == 0) config_.window_jobs_per_app = 1;
   if (config_.max_applications == 0) config_.max_applications = 1;
-  adopt_layout_locked();
+  adopt_layout();
 }
 
-void TrafficRecorder::adopt_layout_locked() {
+void TrafficRecorder::adopt_layout() {
   horizon_ = config_.capture_horizon_seconds;
   if (horizon_ <= 0) {
     for (const telemetry::Interval& interval : layout_.intervals) {
@@ -45,9 +45,8 @@ void TrafficRecorder::adopt_layout_locked() {
 }
 
 void TrafficRecorder::rebind_layout(core::FingerprintConfig layout) {
-  std::lock_guard lock(mutex_);
   layout_ = std::move(layout);
-  adopt_layout_locked();
+  adopt_layout();
   // Old-layout captures cannot mix with the new filter: drop them and
   // refill from live traffic (observable, never silent).
   pending_.clear();
@@ -61,7 +60,7 @@ std::int64_t TrafficRecorder::now_ns() {
       .count();
 }
 
-void TrafficRecorder::prune_expired_locked(std::int64_t now) {
+void TrafficRecorder::prune_expired(std::int64_t now) {
   if (config_.window_ttl.count() <= 0) return;
   const std::int64_t horizon =
       now - std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -87,7 +86,6 @@ void TrafficRecorder::prune_expired_locked(std::int64_t now) {
 void TrafficRecorder::job_opened(std::uint64_t job_id,
                                  std::uint32_t node_count,
                                  std::uint32_t source) {
-  std::lock_guard lock(mutex_);
   PendingCapture& capture = pending_[job_id];
   capture.node_count = std::max<std::uint32_t>(node_count, 1);
   capture.source = source;
@@ -97,7 +95,6 @@ void TrafficRecorder::job_opened(std::uint64_t job_id,
 
 void TrafficRecorder::record_batch(std::uint64_t job_id,
                                    std::vector<ingest::WireSample>&& samples) {
-  std::lock_guard lock(mutex_);
   const auto it = pending_.find(job_id);
   if (it == pending_.end()) return;  // restored or already-finished job
   PendingCapture& capture = it->second;
@@ -126,7 +123,6 @@ void TrafficRecorder::record_batch(std::uint64_t job_id,
 
 void TrafficRecorder::job_finished(std::uint64_t job_id, bool recognized,
                                    const std::string& label_prediction) {
-  std::lock_guard lock(mutex_);
   const auto it = pending_.find(job_id);
   if (it == pending_.end()) {
     ++stats_.jobs_untracked;
@@ -151,7 +147,7 @@ void TrafficRecorder::job_finished(std::uint64_t job_id, bool recognized,
   }
   ++stats_.jobs_captured;
   const std::int64_t now = now_ns();
-  prune_expired_locked(now);
+  prune_expired(now);
 
   const telemetry::ExecutionLabel label =
       telemetry::parse_label(label_prediction);
@@ -195,9 +191,8 @@ void TrafficRecorder::job_finished(std::uint64_t job_id, bool recognized,
 }
 
 WindowSnapshot TrafficRecorder::snapshot_window() const {
-  std::lock_guard lock(mutex_);
-  // Pointer copies only: the dispatch thread is never blocked behind a
-  // data copy. Deterministic order: applications sorted by name, jobs
+  // Pointer copies only: the dispatch thread never pays for a data
+  // copy. Deterministic order: applications sorted by name, jobs
   // by capture sequence — identical histories snapshot identically.
   // TTL-expired entries are excluded here even before an admission has
   // pruned them, so a retrain during a quiet spell never trains on
@@ -226,12 +221,10 @@ WindowSnapshot TrafficRecorder::snapshot_window() const {
 }
 
 std::uint64_t TrafficRecorder::jobs_captured() const {
-  std::lock_guard lock(mutex_);
   return stats_.jobs_captured;
 }
 
 TrafficRecorderStats TrafficRecorder::stats() const {
-  std::lock_guard lock(mutex_);
   TrafficRecorderStats stats = stats_;
   stats.applications = windows_.size();
   stats.window_jobs = 0;

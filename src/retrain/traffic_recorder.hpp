@@ -26,22 +26,23 @@
 ///    stays a uniform sample of the app's served history at O(capacity)
 ///    memory no matter how much traffic flows.
 ///  - Captured jobs are immutable once admitted and shared-owned, so
-///    snapshot_window() is pointer copies under the lock — a background
-///    retrain works on frozen data while capture (including reservoir
-///    replacement) continues without ever stalling the dispatch thread
-///    behind a deep copy.
+///    snapshot_window() is pointer copies — the retrain worker works on
+///    frozen data while capture (including reservoir replacement)
+///    continues without ever stalling the dispatch thread behind a deep
+///    copy.
 ///
 /// slice_window() turns a window snapshot into train/holdout datasets:
 /// per application, the most recent ceil(fraction * n) jobs are held
 /// out (validate on the freshest traffic — that is where drift shows),
 /// the rest train the candidate.
 ///
-/// Thread-safety: all methods are safe from any thread (one mutex; every
-/// operation is O(batch) or O(window)).
+/// Thread-safety: one thread owns a recorder (the pipeline's run()
+/// thread) and calls every method. A WindowSnapshot's jobs are const and
+/// shared-owned, so another thread may read them while capture goes on.
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -151,7 +152,7 @@ class TrafficRecorder {
                     const std::string& label_prediction);
 
   /// Freezes the current window (all applications, capture order):
-  /// O(window) pointer copies under the lock, never a data copy.
+  /// O(window) pointer copies, never a data copy.
   WindowSnapshot snapshot_window() const;
 
   /// Adopts a new fingerprint layout (a restore or manual swap-dict can
@@ -181,10 +182,10 @@ class TrafficRecorder {
   };
 
   /// Recomputes horizon/caps from layout_ (constructor + rebind_layout).
-  void adopt_layout_locked();
+  void adopt_layout();
   /// Evicts window entries older than the TTL (no-op when disabled).
   /// Resets each pruned window's reservoir odds to its survivors.
-  void prune_expired_locked(std::int64_t now_ns);
+  void prune_expired(std::int64_t now_ns);
   static std::int64_t now_ns();
 
   core::FingerprintConfig layout_;
@@ -192,7 +193,6 @@ class TrafficRecorder {
   int horizon_ = 0;
   std::size_t max_samples_per_job_ = 0;
 
-  mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, PendingCapture> pending_;
   std::unordered_map<std::string, AppWindow> windows_;
   util::Rng rng_;

@@ -229,16 +229,23 @@ TEST_F(CliWorkflow, ServeRejectsRemovedAndOutOfRangeFlags) {
       << ttl_output;
 }
 
-TEST_F(CliWorkflow, RemovedStatsPrometheusFlagFails) {
-  // The Prometheus text lives at serve --http's GET /metrics; the old
-  // flag must fail, not print the flat scrape with exit 0. The option
-  // check runs before any connection, so no server is needed.
-  const auto [status, output] =
-      run("timeout 20 " + cli() + " stats --port 1 --prometheus");
-  EXPECT_NE(status, 0);
-  EXPECT_NE(output.find("unknown option --prometheus for stats"),
-            std::string::npos)
-      << output;
+TEST_F(CliWorkflow, RemovedFlagsFail) {
+  // A removed flag must fail, not be silently ignored. The Prometheus
+  // text lives at serve --http's GET /metrics, so `stats --prometheus`
+  // must not print the flat scrape with exit 0; `recognize --verbose`
+  // never changed the output. The option check runs before any
+  // connection or file read, so no server or data is needed.
+  for (const auto& [command, flag] :
+       {std::pair<std::string, std::string>{"stats --port 1", "prometheus"},
+        {"recognize --data none.csv --dict none.efd", "verbose"}}) {
+    const auto [status, output] =
+        run("timeout 20 " + cli() + " " + command + " --" + flag);
+    EXPECT_NE(status, 0) << command;
+    const std::string verb = command.substr(0, command.find(' '));
+    EXPECT_NE(output.find("unknown option --" + flag + " for " + verb),
+              std::string::npos)
+        << output;
+  }
 }
 
 TEST_F(CliWorkflow, MissingFileReportsError) {

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <mutex>
 #include <random>
 #include <sstream>
 #include <thread>
@@ -339,7 +341,7 @@ TEST(DictionaryIndex, EpochPublicationCompilesAtConstructionSwapAndReset) {
   Dictionary next(config_of());
   next.insert(key_of(6000.0), "ft_X");
   next.insert(key_of(8000.0), "lu_X");
-  handle.swap(std::move(next));
+  EXPECT_FALSE(handle.swap_if_changed(std::move(next)).already_active);
   const std::shared_ptr<DictionaryHandle::Epoch> second = handle.acquire();
   ASSERT_NE(second->dictionary.probe_index(), nullptr);
   EXPECT_EQ(second->dictionary.probe_index()->key_count(), 2u);
@@ -366,10 +368,13 @@ TEST(DictionaryIndex, ServiceStatsExposeBuildCostAndFootprint) {
   EXPECT_GE(stats.index_build_seconds, 0.0);
 }
 
-/// The TSan target: four workers batch-probe pinned epochs while a
-/// swapper churns publications. Every pinned epoch must expose its fully
-/// built index, never a torn or missing one, and verdicts must match the
-/// pinned epoch's content.
+/// The TSan target: the owner churns publications and hands each new
+/// pinned epoch to four workers, which batch-probe it while the owner
+/// publishes the next (as process_pending(pool) workers read the epochs
+/// their streams pinned). Every pinned epoch must expose its fully built
+/// index, never a torn or missing one, verdicts must match the pinned
+/// epoch's content, and a superseded epoch is freed by whichever thread
+/// drops the last pin.
 TEST(DictionaryIndex, SwapStormConcurrentProbesStayCoherent) {
   constexpr int kWorkers = 4;
   constexpr int kSwaps = 60;
@@ -388,9 +393,17 @@ TEST(DictionaryIndex, SwapStormConcurrentProbesStayCoherent) {
   };
 
   DictionaryHandle handle(build_generation(0));
+  // The owner's hand-off: the newest pinned epoch. Workers copy the pin
+  // under the mutex and probe outside it.
+  std::mutex handoff_mutex;
+  std::shared_ptr<DictionaryHandle::Epoch> handoff = handle.acquire();
+  const auto take_pin = [&] {
+    const std::lock_guard lock(handoff_mutex);
+    return handoff;
+  };
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> probes{0};
-  // A worker whose ASSERT fails returns early; the swapper stops waiting
+  // A worker whose ASSERT fails returns early; the owner stops waiting
   // for probes once no worker is left to make them.
   std::atomic<int> running{kWorkers};
 
@@ -411,8 +424,7 @@ TEST(DictionaryIndex, SwapStormConcurrentProbesStayCoherent) {
       }
       while (!stop.load(std::memory_order_acquire)) {
         // Pin once, probe many — the stream lifecycle in miniature.
-        const std::shared_ptr<DictionaryHandle::Epoch> epoch =
-            handle.acquire();
+        const std::shared_ptr<DictionaryHandle::Epoch> epoch = take_pin();
         ASSERT_NE(epoch->dictionary.probe_index(), nullptr);
         const Matcher matcher(epoch->dictionary);
         for (int probe = 0; probe < kProbesPerPin; ++probe) {
@@ -433,7 +445,7 @@ TEST(DictionaryIndex, SwapStormConcurrentProbesStayCoherent) {
   }
 
   // Swaps and probes must interleave: the first swap waits for the first
-  // probe and every 10th swap waits for a probe after it, so the swapper
+  // probe and every 10th swap waits for a probe after it, so the owner
   // can never finish before the workers have started.
   const auto wait_for_probe_after = [&](std::size_t seen) {
     while (probes.load(std::memory_order_relaxed) == seen &&
@@ -443,7 +455,11 @@ TEST(DictionaryIndex, SwapStormConcurrentProbesStayCoherent) {
   };
   wait_for_probe_after(0);
   for (int swap = 1; swap <= kSwaps; ++swap) {
-    handle.swap(build_generation(swap));
+    EXPECT_FALSE(handle.swap_if_changed(build_generation(swap)).already_active);
+    {
+      const std::lock_guard lock(handoff_mutex);
+      handoff = handle.acquire();
+    }
     if (swap % 10 == 0) {
       wait_for_probe_after(probes.load(std::memory_order_relaxed));
     }
@@ -453,6 +469,7 @@ TEST(DictionaryIndex, SwapStormConcurrentProbesStayCoherent) {
   for (std::thread& worker : workers) worker.join();
 
   EXPECT_EQ(handle.version(), static_cast<std::uint64_t>(1 + kSwaps));
+  EXPECT_EQ(take_pin()->version, handle.version());
   EXPECT_GT(probes.load(), 0u);
 }
 

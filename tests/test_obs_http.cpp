@@ -436,9 +436,7 @@ TEST(ObsScrapeRows, EveryDeclaredRowRendersOnceInBothFormats) {
   // exposition under its declared # TYPE.
   namespace fs = std::filesystem;
   efd::core::RecognitionService service = two_application_service();
-  efd::retrain::RetrainConfig retrain_config;
-  retrain_config.background = false;
-  efd::retrain::RetrainController retrain(service, retrain_config);
+  efd::retrain::RetrainController retrain(service, {});
   auto collector = std::make_shared<VerdictCollector>();
   efd::ingest::RingTransport first(256);
   efd::ingest::RingTransport second(256);

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <span>
@@ -341,12 +342,12 @@ TEST(ValidationGate, MarginRuleAndScores) {
 }
 
 /// Fixture for full-cycle tests: a service serving `ft` at level 6000,
-/// plus a controller in deterministic inline mode (margin 0.05).
+/// plus a controller (margin 0.05). run_cycle() runs a cycle inline;
+/// maybe_trigger() trains it on the controller's worker thread.
 class RetrainCycle : public ::testing::Test {
  protected:
   static RetrainConfig controller_config() {
     RetrainConfig config;
-    config.background = false;  // deterministic inline cycles
     config.min_new_jobs = 8;
     config.holdout_fraction = 0.25;
     config.gate.margin = 0.05;
@@ -458,6 +459,7 @@ TEST_F(RetrainCycle, TriggersRequireFreshJobsAndHonorThresholds) {
   serve_phase(service, controller.recorder(), 11, 1, false);
   EXPECT_TRUE(controller.maybe_trigger(now));   // 4 fresh jobs
   EXPECT_FALSE(controller.maybe_trigger(now));  // nothing new since
+  controller.join();
   const auto reports = controller.drain_reports();
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].cycle, 1u);
@@ -587,12 +589,11 @@ TEST_F(RetrainCycle, LayoutChangeRebindsTheCaptureWindow) {
 }
 
 TEST_F(RetrainCycle, BackgroundCycleRunsOffTheSchedulerThread) {
-  // Serving mode: the cycle body runs on the controller's own thread
+  // Serving mode: train + gate run on the controller's worker thread
   // while the scheduler thread keeps dispatching traffic — TSan-covered
   // via the `tsan` CTest label.
   RecognitionService service = make_service();
   RetrainConfig config = controller_config();
-  config.background = true;
   config.min_new_jobs = 4;
   RetrainController controller(service, config);
 
@@ -614,10 +615,51 @@ TEST_F(RetrainCycle, BackgroundCycleRunsOffTheSchedulerThread) {
   controller.join();
 }
 
+TEST_F(RetrainCycle, WorkerCertifiesAndTheOwnerPromotesAtItsNextPoll) {
+  // The worker trains and gates but never publishes: its certified
+  // candidate waits, unpublished and unrecorded, until the owner's next
+  // maybe_trigger() promotes it on the owner thread.
+  RecognitionService service = make_service();
+  RetrainConfig config = controller_config();
+  config.min_new_jobs = 4;
+  std::atomic<bool> trained{false};
+  config.after_train = [&trained] { trained.store(true); };
+  RetrainController controller(service, config);
+
+  serve_phase(service, controller.recorder(), 1, 4, /*drifted=*/true);
+  ASSERT_TRUE(controller.maybe_trigger(std::chrono::steady_clock::now()));
+  for (int ms = 0; ms < 5000 && !trained.load(); ++ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(trained.load());
+  // The gate replays one holdout job: ample time for the worker to
+  // finish. Nothing below depends on it having finished.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(service.stats().dictionary_epoch, 1u);
+  EXPECT_EQ(service.stats().dictionary_swaps, 0u);
+  EXPECT_EQ(controller.stats().cycles_promoted, 0u);
+  EXPECT_EQ(controller.stats().last_cycle, 0u);
+  EXPECT_TRUE(controller.drain_reports().empty());
+  EXPECT_TRUE(controller.cycle_in_flight());
+
+  // No fresh jobs since the trigger: each poll only reaps the cycle.
+  while (controller.cycle_in_flight()) {
+    EXPECT_FALSE(controller.maybe_trigger(std::chrono::steady_clock::now()));
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(service.stats().dictionary_epoch, 2u);
+  EXPECT_EQ(controller.stats().cycles_promoted, 1u);
+  EXPECT_EQ(controller.stats().last_promoted_epoch, 2u);
+  const auto reports = controller.drain_reports();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].outcome, RetrainOutcome::kPromoted)
+      << reports[0].detail;
+  EXPECT_EQ(reports[0].epoch, 2u);
+}
+
 TEST(RetrainState, BlobRoundTripAndRejection) {
   RecognitionService service(train_levels({{"ft", 6000.0}}));
   RetrainConfig config;
-  config.background = false;
   RetrainController controller(service, config);
   const RetrainReport report = controller.run_cycle();  // skipped: no data
   EXPECT_EQ(report.outcome, RetrainOutcome::kSkippedNoData);

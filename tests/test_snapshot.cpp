@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <random>
 #include <span>
@@ -317,7 +318,7 @@ TEST_F(SnapshotFixture, SwappedEpochSurvivesRestore) {
   // Retrain with a third application and hot-swap it in.
   add(3, "lu", 9900.0);
   const Dictionary retrained = train_dictionary(dataset_, config_of());
-  EXPECT_EQ(original.swap_dictionary(retrained), 2u);
+  EXPECT_EQ(original.swap_dictionary(retrained).epoch, 2u);
 
   const std::string bytes = base_capture(original);
 
@@ -785,8 +786,9 @@ TEST_F(SnapshotChainFixture, GoldenCaptureBytesStayIdentical) {
   stream_range(service, 1, 6030.0, 0, 40);
   stream_range(service, 2, 6080.0, 0, 100);
   add(3, "lu", 9900.0);
-  ASSERT_EQ(service.swap_dictionary(train_dictionary(dataset_, config_of())),
-            2u);
+  ASSERT_EQ(
+      service.swap_dictionary(train_dictionary(dataset_, config_of())).epoch,
+      2u);
   ASSERT_TRUE(service.open_job(3, 2));
   stream_range(service, 3, 9870.0, 0, 30);
   const std::string blob_text = "golden-retrain";
@@ -1038,6 +1040,48 @@ TEST_F(SnapshotChainFixture, BrokenChainLinksAlwaysThrowWithServiceUntouched) {
     const ServiceRestoreInfo info = restore_from(fresh, captures, 3);
     EXPECT_EQ(info.jobs_restored, 1u);
   }
+}
+
+TEST_F(SnapshotChainFixture, BrokenDeltaLinkOnDiskRestoresBaseOnlyAndNamesV2) {
+  RecognitionService service = make_service();
+  ASSERT_TRUE(service.open_job(1, 2));
+  stream_range(service, 1, 6030.0, 0, 40);
+  SnapshotChainState chain;
+  std::vector<std::pair<SnapshotCaptureInfo, std::string>> captures;
+  for (int round = 0; round < 3; ++round) {
+    stream_range(service, 1, 6030.0, 40 + round * 10, 50 + round * 10);
+    std::ostringstream out;
+    const SnapshotCaptureInfo info =
+        service.snapshot_capture(out, chain, false, 100 + round);
+    captures.emplace_back(info, std::move(out).str());
+  }
+
+  // The middle delta never landed, so the last one's parent is missing.
+  const std::string path =
+      ::testing::TempDir() + "/test_snapshot_broken_link.efds";
+  for (const std::size_t i : {0u, 2u}) {
+    const auto& [info, bytes] = captures[i];
+    std::string error;
+    ASSERT_TRUE(ingest::persist_capture(
+        path, info.base, info.capture_id,
+        {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()},
+        &error))
+        << error;
+  }
+  RecognitionService restored = make_service();
+  const ingest::ChainRestoreResult result =
+      ingest::restore_service_from_chain(restored, path);
+  EXPECT_EQ(result.deltas_discarded, 1u);
+  EXPECT_EQ(result.info.last_capture_id, captures[0].first.capture_id);
+  EXPECT_EQ(result.info.replay_cursor, 100u);
+  EXPECT_EQ(result.info.jobs_restored, 1u);
+  EXPECT_NE(result.fallback_error.find("EFD-SNAP-V2: broken chain link"),
+            std::string::npos)
+      << result.fallback_error;
+  EXPECT_EQ(result.fallback_error.find("EFD-SNAP-V1"), std::string::npos)
+      << result.fallback_error;
+  ingest::remove_chain_deltas(path);
+  std::filesystem::remove(path);
 }
 
 TEST_F(SnapshotChainFixture, FuzzDeltaCorruptionAlwaysDetected) {

@@ -132,7 +132,7 @@ int usage() {
       "  train      --data FILE --out FILE [--metrics a,b] [--depth N|auto]\n"
       "             [--intervals 60:120[,120:180]] [--combine]\n"
       "             [--threads N]\n"
-      "  recognize  --data FILE --dict FILE [--verbose] [--threads N]\n"
+      "  recognize  --data FILE --dict FILE [--threads N]\n"
       "  dump       --dict FILE\n"
       "  stats      --dict FILE | --port P [--host H]\n"
       "             (remote: scrape a running serve endpoint's counters as\n"
@@ -1191,7 +1191,7 @@ const std::vector<Command>& commands() {
        {"out", "repetitions", "seed", "metrics", "no-large", "noise-scale"}},
       {"train", cmd_train,
        {"data", "out", "metrics", "depth", "intervals", "combine", "threads"}},
-      {"recognize", cmd_recognize, {"data", "dict", "verbose", "threads"}},
+      {"recognize", cmd_recognize, {"data", "dict", "threads"}},
       {"dump", cmd_dump, {"dict"}},
       {"stats", cmd_stats, {"dict", "port", "host"}},
       {"coverage", cmd_coverage, {"data", "dict"}},
