@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
       best_rate = std::max(
           best_rate, static_cast<double>(samples_per_run) / elapsed);
       verdicts = sink->count();
-      blocked = ring.blocked_sends();
+      blocked = ring.transport_counters().blocked;
     }
     table.add_row({std::to_string(threads), std::to_string(jobs),
                    util::format_fixed(best_rate, 0), std::to_string(verdicts),

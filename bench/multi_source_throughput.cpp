@@ -4,8 +4,9 @@
 /// of one pipeline, against the single-source baseline (sources=1 IS
 /// the baseline — identical path, mux with one entry). Reports
 /// samples/s and verdicts/s per fan-in width, so regressions in the
-/// mux's poll discipline (sweep overhead, slice waits) show up as a
-/// throughput cliff at high source counts.
+/// mux's poll discipline (a poll of every fd-less source per loop round,
+/// waits capped at 1 ms) show up as a throughput cliff at high source
+/// counts.
 ///
 /// Flags: --jobs N (default 96)   --ticks N (default 130)  --nodes N (2)
 ///        --batch N (128)         --ring N (512)

@@ -28,6 +28,11 @@ namespace efd::ingest {
 
 namespace {
 
+/// Max wait per poll: bounds the sweep and snapshot cadence jitter.
+/// stop() and the HTTP plane ring or ride the loop, so they never wait
+/// it out.
+constexpr std::chrono::milliseconds kPollTimeout{50};
+
 std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -100,25 +105,20 @@ IngestPipeline::IngestPipeline(core::RecognitionService& service,
 void IngestPipeline::init_observability() {
   start_ns_ = steady_now_ns();
   if (config_.http_port < 0) return;
-  // Started here, not in run(): readiness probes should see the endpoint
-  // as soon as the process constructed its pipeline, and a bind conflict
-  // should fail construction loudly instead of surfacing mid-serve.
+  // Bound here, not in run(): probes can connect as soon as the process
+  // constructed its pipeline, and a bind conflict fails construction
+  // loudly instead of surfacing mid-serve. The handler runs on the run()
+  // thread, inside SourceMux::poll.
   http_ = std::make_unique<obs::HttpServer>(
-      static_cast<std::uint16_t>(config_.http_port),
+      sources_->loop(), static_cast<std::uint16_t>(config_.http_port),
       [this](const obs::HttpRequest& request) {
         obs::HttpResponse response;
         if (request.target == "/metrics") {
           response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-          obs::ScrapeRows rows;
-          {
-            const std::lock_guard lock(service_mutex_);
-            rows = scrape_rows();
-          }
-          response.body = rows.exposition(obs::global_metrics());
+          response.body = scrape_rows().exposition(obs::global_metrics());
         } else if (request.target == "/index") {
           response.content_type = "application/json";
-          const std::lock_guard lock(service_mutex_);
-          response.body = render_index_json();
+          response.body = index_json();
         } else if (request.target == "/healthz") {
           response.content_type = "application/json";
           response.body = "{\"status\":\"ok\",\"role\":\"leader\"}\n";
@@ -141,6 +141,11 @@ IngestPipeline::~IngestPipeline() {
 
 void IngestPipeline::start() {
   thread_ = std::thread([this] { run(); });
+}
+
+void IngestPipeline::stop() {
+  stop_.store(true, std::memory_order_release);
+  sources_->loop()->wake();
 }
 
 void IngestPipeline::join() {
@@ -371,7 +376,7 @@ void IngestPipeline::handle_subscribe(Envelope& envelope) {
   if (hub_ == nullptr) {
     // Lazy: a pipeline nobody subscribes to never pays for the hub's
     // dispatcher thread.
-    hub_ = std::make_unique<SubscriptionHub>(config_.subscriber_queue_capacity);
+    hub_ = std::make_unique<SubscriptionHub>();
   }
   const std::uint64_t id =
       hub_->subscribe(envelope.reply, std::move(envelope.message.subscribe));
@@ -541,9 +546,10 @@ obs::ScrapeRows IngestPipeline::scrape_rows() const {
   return rows;
 }
 
-std::string IngestPipeline::render_index_json() const {
-  // The caller holds service_mutex_, so the service and this pipeline's
-  // own state read as of the last poll boundary.
+std::string IngestPipeline::index_json() const {
+  // Runs on the run() thread (inside SourceMux::poll) or after run()
+  // returns, so the service and this pipeline read as of the last poll
+  // boundary.
   constexpr std::size_t kMaxListedJobs = 256;
   const core::RecognitionServiceStats service = service_.stats();
   const std::vector<std::uint64_t> jobs = service_.open_job_ids();
@@ -861,7 +867,6 @@ std::uint64_t IngestPipeline::flush_verdicts() {
 }
 
 std::uint64_t IngestPipeline::run() {
-  std::unique_lock service_lock(service_mutex_);
   // Declare every registered source's tag to the service up front, so a
   // multi-listener deployment shows its service.source.* rows (even
   // all-zero ones) from the first scrape — not only once a job happens
@@ -942,11 +947,8 @@ std::uint64_t IngestPipeline::run() {
       break;
     }
     batch.clear();
-    // The only wait of the loop, and the only time the HTTP handlers
-    // may read the service.
-    service_lock.unlock();
-    more = sources_->poll(batch, config_.poll_timeout);
-    service_lock.lock();
+    // The only wait of the loop; HTTP requests are answered inside it.
+    more = sources_->poll(batch, kPollTimeout);
     if (!batch.empty()) {
       stats_.envelopes += batch.size();
       for (Envelope& envelope : batch) dispatch(envelope);

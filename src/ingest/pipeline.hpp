@@ -72,18 +72,19 @@
 /// Threading: run() occupies the calling thread until the source is
 /// exhausted, a Shutdown message arrives (when configured), the verdict
 /// quota is reached, or stop() is called. start()/join() wrap run() in
-/// an internal thread. The run() thread owns the pipeline: its counters
-/// are plain fields, written under service_mutex_. The HTTP handlers
-/// take that mutex to read them; every other reader calls stats() on
-/// the run() thread or after run() returns. stop() is safe from any
-/// thread.
+/// an internal thread. The run() thread owns the pipeline, the service
+/// and the mux, and it is the only thread: every fd, the HTTP listener
+/// and its connections included, sits on the mux's one loop, so the
+/// /metrics and /index handlers run inside SourceMux::poll on the run()
+/// thread and take no lock. Any other reader calls stats() after run()
+/// returns; no thread serves HTTP then. stop() is safe from any thread:
+/// it sets a flag and rings the loop's wake fd.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -108,8 +109,6 @@ namespace efd::ingest {
 class SubscriptionHub;
 
 struct IngestPipelineConfig {
-  /// Max wait per poll; bounds stop() latency and sweep cadence jitter.
-  std::chrono::milliseconds poll_timeout{50};
   /// Cadence of RecognitionService::sweep_stale_jobs().
   std::chrono::milliseconds sweep_interval{1000};
   /// Stop after delivering this many verdicts (0 = unlimited) — lets
@@ -167,14 +166,10 @@ struct IngestPipelineConfig {
   /// HTTP observability plane (`serve --http PORT`): -1 disables it,
   /// 0 binds an ephemeral port (tests), otherwise the given port on
   /// 127.0.0.1. Serves GET /metrics (Prometheus text), /index (JSON
-  /// inventory), and /healthz. The listener starts in the constructor —
-  /// before run() — so probes see the endpoint as soon as the process
-  /// is up; a bind failure throws out of the constructor.
+  /// inventory), and /healthz. The listener binds in the constructor,
+  /// so a bind failure throws out of it and probes can connect as soon
+  /// as the process is up; run() answers them from its first poll.
   int http_port = -1;
-
-  /// Per-subscriber outbound queue bound for verdict pub/sub
-  /// (kSubscribe). Full queues drop-and-count; see subscription.hpp.
-  std::size_t subscriber_queue_capacity = 1024;
 };
 
 struct IngestPipelineStats {
@@ -243,25 +238,33 @@ class IngestPipeline {
 
   /// run() on an internal thread.
   void start();
-  /// Requests run() to wind down at the next poll boundary.
-  void stop() { stop_.store(true, std::memory_order_release); }
+  /// Requests run() to wind down at once: sets the flag and rings the
+  /// loop's wake fd. Any thread.
+  void stop();
   /// Joins the start() thread (no-op without start()).
   void join();
 
-  /// The pipeline's counters. Call on the run() thread or after run()
-  /// returns (join()); the HTTP handlers read them under the lock.
+  /// The pipeline's counters. Call on the run() thread (the HTTP
+  /// handlers run there) or after run() returns (join()).
   const IngestPipelineStats& stats() const noexcept { return stats_; }
 
   /// Every row the scrapes report (kStatsReply's flat text, /metrics),
-  /// declared once with its kind. Same threading rule as stats(); the
-  /// /metrics handler collects them under the lock.
+  /// declared once with its kind. Same threading rule as stats().
   obs::ScrapeRows scrape_rows() const;
+
+  /// JSON inventory served as GET /index: live jobs, sources, dictionary
+  /// epoch, snapshot-chain and follower state. Same threading rule as
+  /// stats().
+  std::string index_json() const;
 
   /// The registered source set (per-source counters live here).
   const SourceMux& sources() const noexcept { return *sources_; }
 
   /// The HTTP listener's bound port; 0 when config.http_port was -1.
   std::uint16_t http_port() const noexcept;
+  /// The HTTP listener (null when config.http_port was -1). Same
+  /// threading rule as stats().
+  const obs::HttpServer* http() const noexcept { return http_.get(); }
 
  private:
   /// Where a job's verdict goes back: the connection it arrived on plus
@@ -270,11 +273,6 @@ class IngestPipeline {
     std::shared_ptr<VerdictSink> sink;
     SourceId source = 0;
   };
-
-  /// JSON inventory for GET /index: live jobs, sources, dictionary
-  /// epoch, snapshot-chain and follower state. Call with service_mutex_
-  /// held.
-  std::string render_index_json() const;
 
   void dispatch(Envelope& envelope);
   /// Drains service verdicts to their reply sinks; returns count.
@@ -306,11 +304,6 @@ class IngestPipeline {
   void init_observability();
 
   core::RecognitionService& service_;
-  /// The service and this pipeline have one owner at a time: run()
-  /// holds this except while it waits in SourceMux::poll, and the HTTP
-  /// /metrics and /index handlers hold it while they read the service,
-  /// stats_, the snapshot chain, the followers and the hub.
-  mutable std::mutex service_mutex_;
   /// Legacy single-source wrap (owned); sources_ points at it then.
   std::unique_ptr<SourceMux> owned_mux_;
   SourceMux* sources_;
@@ -321,9 +314,7 @@ class IngestPipeline {
   /// The one field other threads write (stop()).
   std::atomic<bool> stop_{false};
 
-  // Everything below belongs to the run() thread. The HTTP handlers
-  // read stats_, chain_records_, followers_ and hub_ under
-  // service_mutex_.
+  // Everything below belongs to the run() thread.
 
   /// Reply route per open job.
   std::unordered_map<std::uint64_t, ReplyRoute> replies_;
@@ -372,9 +363,9 @@ class IngestPipeline {
   /// Verdict pub/sub hub (created lazily on the first kSubscribe).
   std::unique_ptr<SubscriptionHub> hub_;
 
-  /// HTTP observability listener (config.http_port >= 0). Declared last
-  /// so it is destroyed first — its handler threads call back into the
-  /// pipeline's render methods.
+  /// HTTP observability listener (config.http_port >= 0), on the mux's
+  /// loop. Declared last so it is destroyed first: its handler calls
+  /// back into the pipeline's render methods.
   std::unique_ptr<obs::HttpServer> http_;
 };
 

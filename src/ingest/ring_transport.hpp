@@ -7,9 +7,11 @@
 /// Messages into a fixed-capacity ldms::RingBuffer, the pipeline polls
 /// them out. The ring is consumed via pop_front — push-time eviction
 /// never fires — so a full ring *blocks* the producer: back-pressure,
-/// not sample loss. Designed for one consumer (the pipeline); any number
-/// of producers may send (a mutex serializes them — at monitoring rates
-/// the lock is uncontended; the bound, not the lock, is the point).
+/// not sample loss. Designed for one consumer (the pipeline) and any
+/// number of producer threads: a mutex serializes them (at monitoring
+/// rates the lock is uncontended; the bound, not the lock, is the
+/// point). The ring has no fd, so the SourceMux polls it on every loop
+/// round, waiting at most 1 ms between rounds while it is live.
 
 #include <condition_variable>
 #include <cstdint>
@@ -53,8 +55,6 @@ class RingTransport final : public SampleSource, public MessageSender {
     buffered_samples_ += message.samples.size();
     ++accepted_;
     ring_.push(Envelope{std::move(message), verdict_sink_});
-    lock.unlock();
-    not_empty_.notify_one();
   }
 
   /// Marks the producer side finished; poll() drains what remains and
@@ -65,14 +65,10 @@ class RingTransport final : public SampleSource, public MessageSender {
       closed_ = true;
     }
     not_full_.notify_all();
-    not_empty_.notify_all();
   }
 
-  bool poll(std::vector<Envelope>& out,
-            std::chrono::milliseconds timeout) override {
+  bool poll(std::vector<Envelope>& out) override {
     std::unique_lock lock(mutex_);
-    not_empty_.wait_for(lock, timeout,
-                        [this] { return !ring_.empty() || closed_; });
     Envelope envelope;
     bool popped = false;
     while (ring_.pop_front(envelope)) {
@@ -86,18 +82,11 @@ class RingTransport final : public SampleSource, public MessageSender {
     return !exhausted;
   }
 
-  /// Times a producer hit a full ring — the transport-level
-  /// back-pressure signal (stats/monitoring).
-  std::uint64_t blocked_sends() const {
-    std::lock_guard lock(mutex_);
-    return blocked_sends_;
-  }
-
   TransportCounters transport_counters() const override {
     std::lock_guard lock(mutex_);
     TransportCounters counters;
     counters.frames = accepted_;
-    counters.blocked = blocked_sends_;
+    counters.blocked = blocked_sends_;  // a producer hit a full ring
     return counters;
   }
 
@@ -108,7 +97,6 @@ class RingTransport final : public SampleSource, public MessageSender {
 
   mutable std::mutex mutex_;
   std::condition_variable not_full_;
-  std::condition_variable not_empty_;
   ldms::RingBuffer<Envelope> ring_;
   std::size_t sample_capacity_;
   std::size_t buffered_samples_ = 0;

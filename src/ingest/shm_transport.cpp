@@ -280,7 +280,7 @@ void ShmRingServer::retire() {
   // a poisoned TCP connection: retire the source, keep the service, and
   // close at once so the producer fails instead of blocking on a ring
   // nobody drains.
-  decode_errors_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.decode_errors;
   dead_ = true;
   region_->header().consumer_closed.store(1, std::memory_order_release);
 }
@@ -305,64 +305,57 @@ std::size_t ShmRingServer::drain_inbound() {
             scratch_.data(), available);
   header.in_tail.store(tail + available, std::memory_order_release);
   decoder_.feed(scratch_.data(), available);
-  bytes_.fetch_add(available, std::memory_order_relaxed);
+  stats_.bytes += available;
   return available;
 }
 
-bool ShmRingServer::poll(std::vector<Envelope>& out,
-                         std::chrono::milliseconds timeout) {
-  if (dead_) return false;
+bool ShmRingServer::poll(std::vector<Envelope>& out) {
   ShmHeader& header = region_->header();
-  const auto deadline = Clock::now() + timeout;
-  std::size_t appended = 0;
-  for (;;) {
-    header.consumer_heartbeat_ns.store(monotonic_ns(),
-                                       std::memory_order_relaxed);
-    drain_inbound();
-    if (dead_) return appended > 0;  // cursor corruption: source retired
-    // Decode after the feed above and return once anything decoded: the
-    // batch views stay valid until the next poll's feed.
-    while (appended < config_.max_messages_per_poll) {
-      Envelope& envelope = out.emplace_back();
-      if (decoder_.next(envelope.message, envelope.batch) !=
-          DecodeStatus::kMessage) {
-        out.pop_back();
-        break;
-      }
-      envelope.reply = reply_;
-      ++appended;
-      frames_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (decoder_.failed()) {
-      retire();
-      return appended > 0;
-    }
-    if (appended > 0) return true;
-    const bool producer_done =
-        header.producer_closed.load(std::memory_order_acquire) != 0;
-    const bool drained =
-        header.in_head.load(std::memory_order_acquire) ==
-            header.in_tail.load(std::memory_order_relaxed) &&
-        decoder_.buffered_bytes() == 0;
-    if (producer_done && drained) {
-      // Session turnover, the TCP-hangup analog: this emitter finished
-      // and is fully drained, so re-open the segment for the next one
-      // instead of retiring the listener — a sole shm listener must not
-      // shut the endpoint down because one replay ended. Only a corrupt
-      // stream (dead_) retires the source.
-      header.producer_closed.store(0, std::memory_order_release);
-      session_start_ = header.in_head.load(std::memory_order_acquire);
-    }
-    if (Clock::now() >= deadline) return true;  // normal timeout
-    wait_tick();
+  // Retired by a corrupt stream, or stopped.
+  if (dead_ || header.consumer_closed.load(std::memory_order_acquire) != 0) {
+    return false;
   }
+  header.consumer_heartbeat_ns.store(monotonic_ns(),
+                                     std::memory_order_relaxed);
+  drain_inbound();
+  if (dead_) return false;  // cursor corruption: source retired
+  // Decode after the feed above: the batch views stay valid until the
+  // next poll's feed.
+  for (std::size_t appended = 0; appended < config_.max_messages_per_poll;
+       ++appended) {
+    Envelope& envelope = out.emplace_back();
+    if (decoder_.next(envelope.message, envelope.batch) !=
+        DecodeStatus::kMessage) {
+      out.pop_back();
+      break;
+    }
+    envelope.reply = reply_;
+    ++stats_.frames;
+  }
+  if (decoder_.failed()) {
+    retire();
+    return false;
+  }
+  const bool producer_done =
+      header.producer_closed.load(std::memory_order_acquire) != 0;
+  const bool drained =
+      header.in_head.load(std::memory_order_acquire) ==
+          header.in_tail.load(std::memory_order_relaxed) &&
+      decoder_.buffered_bytes() == 0;
+  if (producer_done && drained) {
+    // Session turnover, the TCP-hangup analog: this emitter finished
+    // and is fully drained, so re-open the segment for the next one
+    // instead of retiring the listener — a sole shm listener must not
+    // shut the endpoint down because one replay ended. Only a corrupt
+    // stream (dead_) or stop() retires the source.
+    header.producer_closed.store(0, std::memory_order_release);
+    session_start_ = header.in_head.load(std::memory_order_acquire);
+  }
+  return true;
 }
 
 ShmRingServer::Stats ShmRingServer::stats() const {
-  Stats stats;
-  stats.bytes = bytes_.load(std::memory_order_relaxed);
-  stats.frames = frames_.load(std::memory_order_relaxed);
-  stats.decode_errors = decode_errors_.load(std::memory_order_relaxed);
+  Stats stats = stats_;
   const ShmHeader& header = region_->header();
   stats.producer_blocked =
       header.producer_blocked.load(std::memory_order_relaxed);

@@ -35,15 +35,18 @@
 /// consumer (crashed without closing) via a heartbeat the server
 /// refreshes every poll; a send blocked against a stale heartbeat fails
 /// loudly instead of waiting on an orphaned segment forever.
-/// Shutdown drains like TcpServer::stop(): a producer in mid-session
+/// Shutdown drains like a stopping TcpServer: a producer in mid-session
 /// keeps sending (its bytes discarded) until it finishes or kStopGrace
 /// ends, and only then is the consumer side closed.
 ///
-/// Synchronization is purely acquire/release on the head/tail cursors;
-/// waiting sides sleep-poll at millisecond granularity (monitoring
-/// cadence, not a microsecond bus). One producer process/thread and one
-/// consumer each side — this is a point-to-point transport; register
-/// several segments on the SourceMux for several co-located daemons.
+/// Synchronization is purely acquire/release on the head/tail cursors.
+/// The segment has no fd to wait on: the consumer is polled on every
+/// round of the SourceMux loop, which waits at most 1 ms while it is
+/// live, and a blocked producer sleep-polls at the same cadence
+/// (monitoring cadence, not a microsecond bus). One producer
+/// process/thread and one consumer each side — this is a point-to-point
+/// transport; register several segments on the SourceMux for several
+/// co-located daemons.
 
 #include <atomic>
 #include <cstdint>
@@ -51,7 +54,6 @@
 #include <string>
 #include <vector>
 
-#include "ingest/tcp_transport.hpp"  // TransportError
 #include "ingest/transport.hpp"
 #include "ingest/wire_format.hpp"
 
@@ -143,14 +145,17 @@ class ShmRingServer final : public SampleSource {
 
   const std::string& name() const noexcept { return name_; }
 
-  bool poll(std::vector<Envelope>& out,
-            std::chrono::milliseconds timeout) override;
+  /// One look at the inbound ring: refreshes the heartbeat, drains and
+  /// decodes what is there, never waits. The source has no fd, so the
+  /// mux polls it on every loop round (at least once a millisecond).
+  bool poll(std::vector<Envelope>& out) override;
 
   /// Graceful shutdown: while a producer is in mid-session, keeps
   /// reading and discarding its bytes until it finishes or kStopGrace
   /// ends, then marks the consumer side closed (producers error instead
-  /// of blocking forever). Idempotent; the destructor calls it. Call it
-  /// from the polling thread or once polling has ended.
+  /// of blocking forever); poll() reports exhaustion from then on.
+  /// Idempotent; the destructor calls it. Call it from the polling
+  /// thread or once polling has ended.
   void stop();
 
   Stats stats() const;
@@ -176,9 +181,8 @@ class ShmRingServer final : public SampleSource {
   /// since when in_head moved past it.
   std::uint64_t session_start_ = 0;
   std::vector<std::uint8_t> scratch_;
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> frames_{0};
-  std::atomic<std::uint64_t> decode_errors_{0};
+  /// bytes, frames and decode_errors; the other two live in the segment.
+  Stats stats_;
 };
 
 /// Emitter side: attaches to a server's segment; send() blocks on a

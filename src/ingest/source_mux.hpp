@@ -8,26 +8,25 @@
 /// shared-memory ring, remote replayers over TCP. SourceMux is the
 /// fan-in: any number of SampleSources register under a stable name,
 /// each gets a dense SourceId, and the mux presents them to the ingest
-/// pipeline as one SampleSource whose envelopes are stamped with the
+/// pipeline as one polled stream whose envelopes are stamped with the
 /// source they arrived on — so verdict routing, traffic capture, and the
 /// stats scrape all stay per-source after the merge.
 ///
-/// Poll discipline (one consumer — the pipeline):
-///  - A sole live source is polled once with the caller's whole
-///    timeout: it waits in its own readiness wait, with no empty sweep
-///    first.
-///  - With two or more live sources:
-///    1. A non-blocking sweep over every live source, starting at a
-///       rotating index so no source is structurally favored. Anything
-///       ready is tagged and returned immediately.
-///    2. Only if nothing was ready anywhere, the live sources are
-///       waited on in turn, 1 ms each, round after round until one
-///       yields or the caller's timeout runs out. A message on ANY
-///       source is picked up within one round: a UDP socket has no flow
-///       control, so a long wait on another source would overflow its
-///       kernel receive buffer.
-/// Either way a source that has yielded is not polled again in the same
-/// call, which keeps its batch views valid (transport.hpp).
+/// The loop: the mux owns the serve loop's one EventLoop (an epoll set
+/// plus a wake eventfd, event_loop.hpp). add_source() attaches each
+/// source to it: a source with fds (TCP, UDP) registers them there, and
+/// the HTTP plane registers its listener on the same loop().
+/// poll() runs rounds until one yields or the timeout runs out:
+///  1. every live source's poll() runs once without waiting: an fd-less
+///     source (shm, the in-process ring) reads what is ready, a source
+///     with fds notices stop() and tears down;
+///  2. one wait on the loop, then each ready fd's watcher once and each
+///     due timer. The wait is the caller's remaining timeout, 0 when
+///     round 1 yielded, and at most 1 ms while an fd-less source is
+///     live (the cadence a shm producer sleep-polls at).
+/// An idle mux of fd sources thus sleeps in one epoll_wait for the whole
+/// timeout. Returning after the first round that yields keeps every
+/// batch view valid (transport.hpp).
 ///
 /// Exhaustion is collective: a source whose poll() returns false is
 /// retired (its final batch is still delivered), and the mux reports
@@ -42,19 +41,18 @@
 /// envelope counts carried by EFD-SNAP-V1) seed the envelope counter so
 /// monitoring stays continuous across a restart.
 ///
-/// Thread-safety: register every source before the IngestPipeline that
-/// consumes the mux is constructed (its HTTP listener starts there).
-/// poll(), note_verdict() and seed_cursor() belong to the pipeline
-/// thread; stats() and transport_counters() may also run on the HTTP
-/// thread under the pipeline's service lock.
+/// Thread-safety: one owner thread (the pipeline's) calls everything;
+/// a source's stop() may come from another thread and rings the loop's
+/// wake fd. Register every source before the IngestPipeline that
+/// consumes the mux is constructed.
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "ingest/event_loop.hpp"
 #include "ingest/transport.hpp"
 
 namespace efd::ingest {
@@ -71,9 +69,9 @@ struct SourceMuxStats {
   TransportCounters transport;     ///< the source's own loss/pressure view
 };
 
-class SourceMux final : public SampleSource {
+class SourceMux {
  public:
-  SourceMux() = default;
+  SourceMux();
 
   SourceMux(const SourceMux&) = delete;
   SourceMux& operator=(const SourceMux&) = delete;
@@ -83,15 +81,21 @@ class SourceMux final : public SampleSource {
   /// disambiguated deterministically ("name#<id>"), so duplicate
   /// registrations (e.g. `--listen tcp:0` twice) cannot make cursor
   /// restore misattribute one source's history to another. Returns the
-  /// dense id. \p source is borrowed and must outlive the mux.
+  /// dense id. \p source is borrowed, must outlive the mux, and is
+  /// attached to loop() here.
   SourceId add_source(std::string name, SampleSource& source);
 
   std::size_t source_count() const noexcept { return entries_.size(); }
 
-  /// Polls the registered set (see the poll discipline above). Every
-  /// appended envelope carries the id of the source it arrived on.
-  bool poll(std::vector<Envelope>& out,
-            std::chrono::milliseconds timeout) override;
+  /// Runs loop rounds (see above) until one yields or \p timeout runs
+  /// out. Every appended envelope carries the id of the source it
+  /// arrived on. Returns false, without waiting, once every registered
+  /// source has retired.
+  bool poll(std::vector<Envelope>& out, std::chrono::milliseconds timeout);
+
+  /// The serve loop. Shared with the sources and HTTP servers attached
+  /// to it, so it outlives whichever of them is destroyed last.
+  const std::shared_ptr<EventLoop>& loop() const noexcept { return loop_; }
 
   /// Pipeline report: one verdict was delivered for a job that arrived
   /// on \p id. Unknown ids are ignored.
@@ -104,36 +108,18 @@ class SourceMux final : public SampleSource {
   /// cursor is dropped, never misattributed).
   bool seed_cursor(const std::string& name, std::uint64_t cursor);
 
-  /// Aggregated TransportCounters across every registered source.
-  TransportCounters transport_counters() const override;
-
   /// Per-source snapshot, in registration (id) order.
   std::vector<SourceMuxStats> stats() const;
 
  private:
   struct Entry {
-    SourceId id = 0;
-    std::string name;
+    SourceMuxStats stats;  ///< transport is sampled by stats()
     SampleSource* source = nullptr;
-    // Relaxed atomics: poll() writes envelopes, samples and exhausted
-    // while the pipeline has released its service lock, so a /metrics
-    // scrape reads them mid-run.
-    std::atomic<std::uint64_t> envelopes{0};
-    std::atomic<std::uint64_t> samples{0};
-    std::atomic<std::uint64_t> verdicts{0};
-    std::atomic<std::uint64_t> restored_cursor{0};
-    std::atomic<bool> exhausted{false};
+    bool has_fds = false;  ///< attach() registered fds on the loop
   };
 
-  /// Polls one entry, tags + counts its envelopes, retires it on
-  /// exhaustion. Returns the number of envelopes appended.
-  std::size_t poll_entry(Entry& entry, std::vector<Envelope>& out,
-                         std::chrono::milliseconds timeout);
-
-  /// In id order; a deque because entries hold atomics and cannot move.
-  std::deque<Entry> entries_;
-  std::vector<Entry*> live_scratch_;  ///< reused by poll()
-  std::size_t rotate_ = 0;            ///< poll fairness cursor
+  std::shared_ptr<EventLoop> loop_;
+  std::vector<Entry> entries_;  ///< in id order
 };
 
 }  // namespace efd::ingest

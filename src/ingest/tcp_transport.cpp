@@ -6,7 +6,6 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/uio.h>
@@ -26,17 +25,6 @@ namespace efd::ingest {
 
 namespace {
 
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw TransportError(what + ": " + std::strerror(errno));
-}
-
-void close_fd(int& fd) {
-  if (fd >= 0) {
-    ::close(fd);
-    fd = -1;
-  }
-}
-
 /// Writes the whole buffer; returns false on a broken connection.
 bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
   while (size > 0) {
@@ -51,25 +39,22 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
-constexpr int kMaxEvents = 64;
-
-/// epoll_wait timeout for \p left, rounded up so a sub-millisecond
-/// remainder still sleeps instead of spinning.
-int epoll_timeout_ms(std::chrono::steady_clock::duration left) {
-  const auto ms = std::chrono::ceil<std::chrono::milliseconds>(left).count();
-  return static_cast<int>(std::clamp<long long>(ms, 0, INT_MAX));
-}
-
 }  // namespace
 
 /// One accepted connection. The shared_ptr doubles as the Envelope reply
-/// channel, so a Connection outlives its place in the reactor for as
-/// long as undelivered verdicts reference it.
-struct TcpServer::Connection final : VerdictSink {
-  Connection(int fd,
+/// channel, so a Connection outlives its place on the loop for as long
+/// as undelivered verdicts reference it.
+struct TcpServer::Connection final : VerdictSink, EventLoop::Watcher {
+  Connection(TcpServer& server, int fd,
              std::shared_ptr<std::atomic<std::uint64_t>> write_failures)
-      : fd(fd), write_failures(std::move(write_failures)) {}
+      : server(server), fd(fd), write_failures(std::move(write_failures)) {}
   ~Connection() override { close_socket(); }
+
+  /// Registered only while the server's live map holds it, so the
+  /// server is alive whenever this runs.
+  void ready(std::uint32_t /*events*/, std::vector<Envelope>& out) override {
+    server.read_connection(*this, out);
+  }
 
   void deliver(const Message& verdict) override {
     std::vector<std::uint8_t> frame;
@@ -165,68 +150,49 @@ struct TcpServer::Connection final : VerdictSink {
     close_fd(fd);
   }
 
+  TcpServer& server;
   std::mutex write_mutex;
-  /// -1 once closed. Only the reactor (under its mutex) and the
-  /// destructor close it, so reactor-side reads need no write_mutex.
+  /// -1 once closed. Only the loop's owner and the destructor close it,
+  /// so the owner's reads need no write_mutex.
   int fd;
   std::shared_ptr<std::atomic<std::uint64_t>> write_failures;
   /// deliver_many scratch (guarded by write_mutex).
   std::vector<std::vector<std::uint8_t>> write_slots;
   std::vector<iovec> write_iov;
-  /// Reactor-side stream state (poll()/stop() only). Holds the bytes
-  /// of the batch views decoded from this connection.
+  /// Owner-side stream state. Holds the bytes of the batch views
+  /// decoded from this connection.
   FrameDecoder decoder;
 };
 
 TcpServer::TcpServer(const Config& config)
     : config_(config),
-      read_buffer_(std::max<std::size_t>(config.read_chunk, 1)) {
-  const auto fail = [this](const std::string& what) {
-    const int saved = errno;
-    close_fd(listen_fd_);
-    close_fd(epoll_fd_);
-    close_fd(wake_fd_);
-    errno = saved;
-    throw_errno(what);
-  };
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-  if (listen_fd_ < 0) fail("socket");
-  const int reuse = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
+      listen_fd_(
+          bind_loopback(SOCK_STREAM | SOCK_NONBLOCK, config.port, port_)),
+      read_buffer_(std::max<std::size_t>(config.read_chunk, 1)) {}
 
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  address.sin_port = htons(config.port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&address),
-             sizeof(address)) < 0) {
-    fail("bind");
+TcpServer::~TcpServer() {
+  if (loop_ != nullptr) {
+    loop_->cancel(*this);
+    if (listen_fd_ >= 0) loop_->remove(listen_fd_);
   }
-  socklen_t length = sizeof(address);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&address),
-                    &length) < 0) {
-    fail("getsockname");
-  }
-  port_ = ntohs(address.sin_port);
-  if (::listen(listen_fd_, 64) < 0) fail("listen");
-
-  epoll_fd_ = ::epoll_create1(0);
-  if (epoll_fd_ < 0) fail("epoll_create1");
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
-  if (wake_fd_ < 0) fail("eventfd");
-  // The listener and the wake fd are tagged by their members' addresses;
-  // every other event carries its Connection.
-  for (int* tagged : {&listen_fd_, &wake_fd_}) {
-    epoll_event event{};
-    event.events = EPOLLIN;
-    event.data.ptr = tagged;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, *tagged, &event) < 0) {
-      fail("epoll_ctl");
-    }
-  }
+  close_fd(listen_fd_);
+  close_all();
 }
 
-TcpServer::~TcpServer() { stop(); }
+bool TcpServer::attach(const std::shared_ptr<EventLoop>& loop, SourceId id) {
+  loop_ = loop;
+  id_ = id;
+  if (!loop_->add(listen_fd_, *this, EPOLLIN)) throw_errno("epoll_ctl");
+  return true;
+}
+
+void TcpServer::ready(std::uint32_t events, std::vector<Envelope>& /*out*/) {
+  if (events == 0) {
+    close_all();  // the drain grace ran out
+  } else {
+    accept_ready();
+  }
+}
 
 void TcpServer::accept_ready() {
   for (;;) {
@@ -244,15 +210,10 @@ void TcpServer::accept_ready() {
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
                  sizeof(send_timeout));
     auto connection =
-        std::make_shared<Connection>(fd, verdict_write_failures_);
-    epoll_event event{};
-    event.events = EPOLLIN;
-    event.data.ptr = connection.get();
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event) < 0) {
-      continue;  // the connection's destructor closes the socket
-    }
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    active_connections_.fetch_add(1, std::memory_order_relaxed);
+        std::make_shared<Connection>(*this, fd, verdict_write_failures_);
+    // On failure the connection's destructor closes the socket.
+    if (!loop_->add(fd, *connection, EPOLLIN)) continue;
+    ++stats_.connections_accepted;
     connections_.emplace(connection.get(), std::move(connection));
   }
 }
@@ -268,16 +229,20 @@ ssize_t TcpServer::read_some(const Connection& connection) {
   return -1;  // EOF or a socket error: the peer is finished
 }
 
-bool TcpServer::read_connection(const std::shared_ptr<Connection>& connection,
+void TcpServer::read_connection(Connection& connection,
                                 std::vector<Envelope>& out) {
-  // One recv per call is the per-connection read budget: the remainder
-  // stays readable (level-triggered) for the next poll.
-  const ssize_t received = read_some(*connection);
-  if (received <= 0) return received == 0;
-  FrameDecoder& decoder = connection->decoder;
+  // One recv per round is the per-connection read budget: the remainder
+  // stays readable (level-triggered) for the next round.
+  const ssize_t received = read_some(connection);
+  if (draining_ || received <= 0) {
+    // Draining reads and discards until the peer's EOF.
+    if (received < 0) retire(connection);
+    return;
+  }
+  FrameDecoder& decoder = connection.decoder;
   decoder.feed(read_buffer_.data(), static_cast<std::size_t>(received));
 
-  std::uint64_t frames = 0;
+  const std::shared_ptr<Connection>& reply = connections_.at(&connection);
   DecodeStatus status;
   for (;;) {
     Envelope& envelope = out.emplace_back();
@@ -286,110 +251,65 @@ bool TcpServer::read_connection(const std::shared_ptr<Connection>& connection,
       out.pop_back();
       break;
     }
-    envelope.reply = connection;
-    ++frames;
+    envelope.reply = reply;
+    envelope.source = id_;
+    ++stats_.frames;
   }
-  frames_.fetch_add(frames, std::memory_order_relaxed);
   if (status == DecodeStatus::kError) {
     // Corrupted framing is unrecoverable; drop the connection.
-    connections_dropped_.fetch_add(1, std::memory_order_relaxed);
-    connection->shutdown_socket(SHUT_RDWR);
-    return false;
+    ++stats_.connections_dropped;
+    connection.shutdown_socket(SHUT_RDWR);
+    retire(connection);
   }
-  return true;
 }
 
-void TcpServer::retire(ConnectionMap::iterator it) {
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second->fd, nullptr);
-  connections_.erase(it);
-  active_connections_.fetch_sub(1, std::memory_order_relaxed);
+void TcpServer::retire(Connection& connection) {
+  loop_->remove(connection.fd);
+  if (draining_) connection.close_socket();
+  connections_.erase(&connection);  // may destroy the connection: last
 }
 
-bool TcpServer::poll(std::vector<Envelope>& out,
-                     std::chrono::milliseconds timeout) {
-  std::lock_guard lock(reactor_mutex_);
-  const std::size_t before = out.size();
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  epoll_event events[kMaxEvents];
-  for (;;) {
-    // stop() sets the flag before it writes the wake fd, so a stop that
-    // lands after this check still ends the epoll_wait below at once.
-    if (stopping_.load(std::memory_order_acquire)) return false;
-    const int ready = ::epoll_wait(
-        epoll_fd_, events, kMaxEvents,
-        epoll_timeout_ms(deadline - std::chrono::steady_clock::now()));
-    for (int i = 0; i < ready; ++i) {
-      void* const tag = events[i].data.ptr;
-      if (tag == &listen_fd_) {
-        accept_ready();
-        continue;
-      }
-      const auto it = connections_.find(static_cast<Connection*>(tag));
-      if (it == connections_.end()) continue;  // the wake fd
-      if (!read_connection(it->second, out)) retire(it);
+void TcpServer::close_all() {
+  for (const auto& entry : connections_) {
+    loop_->remove(entry.second->fd);
+    entry.second->close_socket();
+  }
+  connections_.clear();
+}
+
+bool TcpServer::poll(std::vector<Envelope>& /*out*/) {
+  if (!draining_ && stopping_.load(std::memory_order_acquire)) {
+    // Graceful drain: closing a socket that still holds unread bytes
+    // makes the kernel answer the peer with a reset, failing a sender
+    // that is still streaming a job's tail. Stop accepting (peers still
+    // in the backlog are refused by the close) and half-close so peers
+    // see the server is done; their watchers then read and discard until
+    // each peer's EOF or the grace ends.
+    draining_ = true;
+    if (loop_ != nullptr) loop_->remove(listen_fd_);
+    close_fd(listen_fd_);
+    for (const auto& entry : connections_) {
+      entry.second->shutdown_socket(SHUT_WR);
     }
-    // Accepts and partial frames are not progress: keep waiting until a
-    // message decodes or the caller's timeout runs out. Returning after
-    // the first round that decodes anything keeps its batch views valid:
-    // no decoder is fed again before the caller dispatches them.
-    if (out.size() > before ||
-        std::chrono::steady_clock::now() >= deadline) {
-      return true;
+    if (!connections_.empty()) {
+      loop_->call_at(*this, EventLoop::Clock::now() + kStopGrace);
     }
   }
+  if (!draining_) return true;
+  if (connections_.empty() && loop_ != nullptr) loop_->cancel(*this);
+  return !connections_.empty();
 }
 
 void TcpServer::stop() {
-  if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t woke = ::write(wake_fd_, &one, sizeof(one));
-  std::lock_guard lock(reactor_mutex_);
-  // Stop accepting (peers still in the backlog are refused by the close)
-  // and silence the wake fd, which stays readable from here on.
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-  close_fd(listen_fd_);
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, wake_fd_, nullptr);
-
-  // Graceful drain: closing a socket that still holds unread bytes makes
-  // the kernel answer the peer with a reset, failing a sender that is
-  // still streaming a job's tail. Half-close so peers see the server is
-  // done, then read and discard until each peer's EOF or the grace ends.
-  for (const auto& entry : connections_) {
-    entry.second->shutdown_socket(SHUT_WR);
-  }
-  const auto deadline = std::chrono::steady_clock::now() + kStopGrace;
-  epoll_event events[kMaxEvents];
-  while (!connections_.empty()) {
-    const auto left = deadline - std::chrono::steady_clock::now();
-    if (left <= std::chrono::steady_clock::duration::zero()) break;
-    const int ready =
-        ::epoll_wait(epoll_fd_, events, kMaxEvents, epoll_timeout_ms(left));
-    for (int i = 0; i < ready; ++i) {
-      const auto it =
-          connections_.find(static_cast<Connection*>(events[i].data.ptr));
-      if (it == connections_.end() || read_some(*it->second) >= 0) continue;
-      it->second->close_socket();
-      retire(it);
-    }
-  }
-  for (const auto& entry : connections_) entry.second->close_socket();
-  connections_.clear();
-  active_connections_.store(0, std::memory_order_relaxed);
-  close_fd(epoll_fd_);
-  close_fd(wake_fd_);
+  stopping_.store(true, std::memory_order_release);
+  if (loop_ != nullptr) loop_->wake();
 }
 
 TcpServer::Stats TcpServer::stats() const {
-  Stats stats;
-  stats.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  stats.connections_dropped =
-      connections_dropped_.load(std::memory_order_relaxed);
-  stats.frames = frames_.load(std::memory_order_relaxed);
+  Stats stats = stats_;
+  stats.active_connections = connections_.size();
   stats.verdict_write_failures =
       verdict_write_failures_->load(std::memory_order_relaxed);
-  stats.active_connections =
-      active_connections_.load(std::memory_order_relaxed);
   return stats;
 }
 

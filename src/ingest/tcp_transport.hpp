@@ -2,34 +2,35 @@
 /// \file tcp_transport.hpp
 /// \brief TCP transport: the network ingestion front end.
 ///
-/// TcpServer is an epoll reactor that runs on the caller's thread: the
-/// non-blocking listener, every accepted connection, and a wake eventfd
-/// sit in one epoll set, and poll() does all the work — epoll_wait,
-/// accept, one bounded recv(MSG_DONTWAIT) per ready connection (so a
-/// flooding peer cannot starve the others), and decoding with that
+/// TcpServer runs on the loop of the SourceMux it is registered with
+/// (event_loop.hpp): the non-blocking listener and every accepted
+/// connection sit on that one epoll, each with its own watcher. A ready
+/// connection gets one bounded recv(MSG_DONTWAIT) per loop round (so a
+/// flooding peer cannot starve the others), decoded with that
 /// connection's own FrameDecoder straight into the caller's envelope
 /// vector, each envelope tagged with its connection as the verdict
 /// reply channel. Sample batches stay in the decoder's buffer as views
 /// (see the lifetime contract in transport.hpp); the envelope's reply
 /// pointer keeps the connection, and with it those bytes, alive. There
-/// is no accept thread, no reader thread, and no internal queue.
-/// Back-pressure is end-to-end by construction: bytes the pipeline has
-/// not polled stay in the kernel receive buffer, whose window stalls
-/// the remote sender. A connection whose byte stream fails to decode is
-/// dropped (corrupted framing is unrecoverable) and counted.
+/// is no thread and no internal queue. Back-pressure is end-to-end by
+/// construction: bytes the pipeline has not polled stay in the kernel
+/// receive buffer, whose window stalls the remote sender. A connection
+/// whose byte stream fails to decode is dropped (corrupted framing is
+/// unrecoverable) and counted.
 ///
 /// TcpClient is the emitter side: connect, send() frames, receive()
 /// verdict messages. Used by `efd_cli replay` and by TransportFeed for
 /// sampling loops that emit to a remote service.
 ///
-/// Threading: poll() and stop() serialize on one reactor mutex; stop()
-/// may come from any thread — it wakes a blocked poll() through the
-/// eventfd. Shutdown is graceful: stop() closes the listener, half-closes
-/// every live connection, and keeps reading and discarding each peer's
-/// bytes until its EOF or a fixed grace of about a second before closing
-/// it, so a peer still sending never sees a reset. Verdict writes
-/// (Connection::deliver) stay blocking with a send timeout and may run
-/// on any thread; they are serialized by a per-connection mutex.
+/// Threading: the loop's owner thread runs everything except stop(),
+/// which any thread may call: it sets a flag and rings the loop's wake
+/// fd. The owner's next poll() tears down gracefully: it closes the
+/// listener, half-closes every live connection, and keeps reading and
+/// discarding each peer's bytes until its EOF or kStopGrace, so a peer
+/// still sending never sees a reset; poll() reports exhaustion once the
+/// last connection is gone. Verdict writes (Connection::deliver) stay
+/// blocking with a send timeout; the subscription hub's dispatcher
+/// thread also writes them, so they serialize on a per-connection mutex.
 
 #include <sys/types.h>
 
@@ -37,22 +38,16 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "ingest/event_loop.hpp"
 #include "ingest/transport.hpp"
 
 namespace efd::ingest {
 
-/// Thrown on socket-level failures (bind, connect, write).
-class TransportError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-class TcpServer final : public SampleSource {
+class TcpServer final : public SampleSource, private EventLoop::Watcher {
  public:
   struct Config {
     std::uint16_t port = 0;          ///< 0 = ephemeral (see port())
@@ -81,11 +76,14 @@ class TcpServer final : public SampleSource {
   /// The bound port (resolves ephemeral requests).
   std::uint16_t port() const noexcept { return port_; }
 
-  bool poll(std::vector<Envelope>& out,
-            std::chrono::milliseconds timeout) override;
+  /// Registers the listener on \p loop; connections are accepted from
+  /// the loop's next wait on.
+  bool attach(const std::shared_ptr<EventLoop>& loop, SourceId id) override;
 
-  /// Graceful shutdown (see the file comment); wakes a blocked poll(),
-  /// which then reports exhaustion. Idempotent; any thread.
+  bool poll(std::vector<Envelope>& out) override;
+
+  /// Requests the graceful shutdown described above. Idempotent; any
+  /// thread.
   void stop();
 
   Stats stats() const;
@@ -100,39 +98,42 @@ class TcpServer final : public SampleSource {
   using ConnectionMap =
       std::unordered_map<Connection*, std::shared_ptr<Connection>>;
 
+  /// The listener is ready (accept), or the drain grace ran out (0).
+  void ready(std::uint32_t events, std::vector<Envelope>& out) override;
   void accept_ready();
   /// One non-blocking recv into read_buffer_: the byte count, 0 when
   /// nothing is waiting, -1 once the peer is finished (EOF or error).
   ssize_t read_some(const Connection& connection);
-  /// One bounded read + decode into \p out; false once the connection
-  /// is finished (EOF, socket error, or corrupt framing).
-  bool read_connection(const std::shared_ptr<Connection>& connection,
-                       std::vector<Envelope>& out);
-  /// Removes a finished connection from the epoll set and the live map.
-  void retire(ConnectionMap::iterator it);
+  /// One bounded read + decode into \p out, or, while draining, one
+  /// read discarded. Retires the connection once it is finished (EOF,
+  /// socket error, or corrupt framing).
+  void read_connection(Connection& connection, std::vector<Envelope>& out);
+  /// Removes a finished connection from the loop and the live map.
+  void retire(Connection& connection);
+  /// Closes every live connection (the drain grace ran out, or the
+  /// server is destroyed).
+  void close_all();
 
   Config config_;
+  std::shared_ptr<EventLoop> loop_;
+  SourceId id_ = 0;
+  std::uint16_t port_ = 0;  ///< before listen_fd_: its initializer sets it
   int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;  ///< eventfd: stop() wakes epoll_wait through it
-  std::uint16_t port_ = 0;
+  /// The one field other threads write (stop()).
   std::atomic<bool> stopping_{false};
+  /// Set once the owner saw stopping_: the listener is closed and the
+  /// live connections are being drained.
+  bool draining_ = false;
 
-  /// Serializes poll() and stop(); guards the connection map, the read
-  /// buffer, and the teardown of the three fds above.
-  std::mutex reactor_mutex_;
   /// Live (registered, not yet finished) connections. A finished one
   /// leaves the map but stays open while undelivered verdicts reference
   /// it — a peer that half-closed still reads its verdicts.
   ConnectionMap connections_;
   std::vector<std::uint8_t> read_buffer_;
-
-  std::atomic<std::uint64_t> connections_accepted_{0};
-  std::atomic<std::uint64_t> connections_dropped_{0};
-  std::atomic<std::uint64_t> frames_{0};
-  std::atomic<std::size_t> active_connections_{0};
-  /// Shared with every Connection (a connection — held alive by
-  /// undelivered Envelopes — can outlive the server).
+  Stats stats_;
+  /// Shared with every Connection: the hub's dispatcher thread writes
+  /// verdict events through them, and a connection (held alive by
+  /// undelivered Envelopes) can outlive the server.
   std::shared_ptr<std::atomic<std::uint64_t>> verdict_write_failures_ =
       std::make_shared<std::atomic<std::uint64_t>>(0);
 };

@@ -16,19 +16,17 @@
 ///
 /// Batch view lifetime: the servers (TCP, UDP, shm) hand out each
 /// kSampleBatch as a SampleBatchView into their own buffer instead of
-/// copying it into WireSamples. A batch view points into its source's
-/// buffer and stays valid until that source's next poll(). The contract
-/// holds at every layer:
+/// copying it into WireSamples. A view stays valid until the loop's
+/// next wait, that is, until SourceMux::poll() is called again. The
+/// contract holds at every layer:
 ///  - IngestPipeline dispatches every envelope of a poll before it polls
 ///    again, and keeps no view past dispatch;
-///  - SourceMux never re-polls a source after that source has yielded
-///    within one mux poll;
-///  - TcpServer feeds each ready connection's decoder once per
-///    epoll_wait round and ends the poll after the first round that
-///    decodes anything, so no decoder is fed after it made a view;
-///    ShmRingServer feeds its decoder before it decodes; UdpServer
-///    reuses its receive buffers only after a receive that yielded
-///    nothing.
+///  - SourceMux returns after the first loop round that yields anything,
+///    and in one round it polls each fd-less source once and calls each
+///    ready fd's watcher once (event_loop.hpp);
+///  - so a TcpServer connection's decoder, the UdpServer's receive
+///    buffers and the ShmRingServer's decoder are each fed at most once
+///    per mux poll, before anything of theirs was handed out.
 /// A consumer that keeps samples past the next poll copies them out
 /// (the retrain recorder receives WireSamples built from the view).
 
@@ -36,11 +34,18 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "ingest/wire_format.hpp"
 
 namespace efd::ingest {
+
+/// Thrown on socket-level failures (bind, connect, write, epoll).
+class TransportError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /// How long a stopping server keeps draining a peer that is still
 /// sending before it closes on it (TcpServer, ShmRingServer).
@@ -102,22 +107,33 @@ struct TransportCounters {
   std::uint64_t retransmits = 0;
 };
 
-/// Consumer side of a transport: the pipeline polls this.
+class EventLoop;
+
+/// Consumer side of a transport: a SourceMux polls this.
 class SampleSource {
  public:
   virtual ~SampleSource() = default;
 
-  /// Waits up to \p timeout for inbound messages and appends them to
-  /// \p out (bounded by the transport's internal batch size). Batch
-  /// views appended by an earlier call are invalid from here on. Returns
-  /// false once the source is exhausted — closed AND fully drained —
-  /// after which no more messages will ever appear. A true return with
-  /// an empty \p out is a normal timeout.
-  virtual bool poll(std::vector<Envelope>& out,
-                    std::chrono::milliseconds timeout) = 0;
+  /// Joins the loop of the SourceMux the source is registered with
+  /// (called once, by SourceMux::add_source). A source with fds
+  /// registers each on \p loop and stamps \p id on the envelopes its
+  /// watchers append; it returns true. An fd-less source returns false
+  /// and is polled on every loop round instead.
+  virtual bool attach(const std::shared_ptr<EventLoop>& /*loop*/,
+                      SourceId /*id*/) {
+    return false;
+  }
+
+  /// Never waits. An fd-less source appends the messages that are ready
+  /// (bounded by its batch size); a source with fds reads in its
+  /// watchers and uses this call, once per loop round, to notice stop()
+  /// and tear down. Batch views appended by an earlier call are invalid
+  /// from here on. Returns false once the source is exhausted (closed
+  /// AND drained), after which no more messages will ever appear.
+  virtual bool poll(std::vector<Envelope>& out) = 0;
 
   /// Transport-level loss/back-pressure counters (see TransportCounters).
-  /// Safe from any thread; default is all-zero.
+  /// Owner thread; default is all-zero.
   virtual TransportCounters transport_counters() const { return {}; }
 };
 

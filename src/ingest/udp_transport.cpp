@@ -1,10 +1,9 @@
 #include "ingest/udp_transport.hpp"
 
 #include <arpa/inet.h>
-#include <limits.h>
 #include <netinet/in.h>
 #include <poll.h>
-#include <sys/eventfd.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -22,17 +21,6 @@
 namespace efd::ingest {
 
 namespace {
-
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw TransportError(what + ": " + std::strerror(errno));
-}
-
-void close_fd(int& fd) {
-  if (fd >= 0) {
-    ::close(fd);
-    fd = -1;
-  }
-}
 
 /// One receive slot: any datagram fits (EFD-DGRAM-V1 caps well below).
 constexpr std::size_t kDatagramBytes = 64 * 1024;
@@ -120,45 +108,37 @@ UdpServer::UdpServer(const Config& config)
       socket_(std::make_shared<SharedSocket>()),
       receive_buffer_(std::make_unique_for_overwrite<std::uint8_t[]>(
           kPollDatagramBudget * kDatagramBytes)) {
-  int& fd = socket_->fd;
-  const auto fail = [&](const std::string& what) {
-    const int saved = errno;
-    close_fd(fd);
-    close_fd(wake_fd_);
-    errno = saved;
-    throw_errno(what);
-  };
-  fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd < 0) fail("socket");
-
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  address.sin_port = htons(config.port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&address), sizeof(address)) <
-      0) {
-    fail("bind");
-  }
-  socklen_t length = sizeof(address);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&address), &length) <
-      0) {
-    fail("getsockname");
-  }
-  port_ = ntohs(address.sin_port);
+  const int fd = socket_->fd = bind_loopback(SOCK_DGRAM, config.port, port_);
   // Best-effort: the kernel clamps to rmem_max. The buffer absorbs
   // bursts between polls; what overflows it is shed by the kernel and
   // counted as gaps.
   ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &kReceiveBufferBytes,
                sizeof(kReceiveBufferBytes));
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
-  if (wake_fd_ < 0) fail("eventfd");
 }
 
-UdpServer::~UdpServer() { stop(); }
+UdpServer::~UdpServer() { close_socket(); }
 
-std::size_t UdpServer::receive_ready(std::vector<Envelope>& out) {
+bool UdpServer::attach(const std::shared_ptr<EventLoop>& loop, SourceId id) {
+  loop_ = loop;
+  id_ = id;
+  if (!loop_->add(socket_->fd, *this, EPOLLIN)) throw_errno("epoll_ctl");
+  return true;
+}
+
+void UdpServer::close_socket() {
+  // Sinks held by undelivered envelopes observe fd < 0 under the
+  // shared mutex from here on.
+  std::lock_guard socket_lock(socket_->mutex);
+  if (loop_ != nullptr && socket_->fd >= 0) loop_->remove(socket_->fd);
+  close_fd(socket_->fd);
+}
+
+void UdpServer::ready(std::uint32_t /*events*/, std::vector<Envelope>& out) {
   // Batched receive: one non-blocking recvmmsg() takes whatever the
-  // kernel has queued, up to the per-poll budget.
+  // kernel has queued, up to the per-round budget. Only a round that
+  // finds the socket readable reuses the buffers, and the mux returns
+  // after the first round that yields, so no view of a poll is
+  // overwritten.
   std::array<sockaddr_in, kPollDatagramBudget> peers{};
   std::array<iovec, kPollDatagramBudget> iovs{};
   std::array<mmsghdr, kPollDatagramBudget> headers{};
@@ -172,24 +152,25 @@ std::size_t UdpServer::receive_ready(std::vector<Envelope>& out) {
   }
   const int received = ::recvmmsg(socket_->fd, headers.data(),
                                   kPollDatagramBudget, MSG_DONTWAIT, nullptr);
-  if (received <= 0) return 0;  // nothing waiting (EAGAIN) or EINTR
-  for (std::size_t i = 0; i < static_cast<std::size_t>(received); ++i) {
+  // A wake whose datagrams are all shed yields nothing, which the mux
+  // reads as a normal timeout.
+  for (int i = 0; i < received; ++i) {
     Envelope& envelope = out.emplace_back();
     if (handle_datagram(peers[i],
                         static_cast<std::uint8_t*>(iovs[i].iov_base),
                         headers[i].msg_len, envelope)) {
-      frames_.fetch_add(1, std::memory_order_relaxed);
+      envelope.source = id_;
+      ++stats_.frames;
     } else {
       out.pop_back();
     }
   }
-  return static_cast<std::size_t>(received);
 }
 
 bool UdpServer::handle_datagram(const sockaddr_in& peer,
                                 const std::uint8_t* data, std::size_t size,
                                 Envelope& envelope) {
-  datagrams_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.datagrams;
 
   std::uint64_t seq = 0;
   const Message& message = envelope.message;
@@ -197,7 +178,7 @@ bool UdpServer::handle_datagram(const sockaddr_in& peer,
       seq == 0) {
     // One bad datagram fails alone: datagrams are independent, so the
     // peer's later traffic still flows (unlike a corrupted TCP stream).
-    decode_errors_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.decode_errors;
     return false;
   }
 
@@ -212,7 +193,6 @@ bool UdpServer::handle_datagram(const sockaddr_in& peer,
     // Stamp activity BEFORE the sweep: the new entry must not look
     // epoch-old and get erased out from under this reference.
     state.last_activity = now;
-    peer_count_.fetch_add(1, std::memory_order_relaxed);
     sweep_idle_peers(now);
   } else if (config_.peer_ttl.count() > 0 &&
              now - state.last_activity > config_.peer_ttl) {
@@ -234,10 +214,10 @@ bool UdpServer::handle_datagram(const sockaddr_in& peer,
   } else if (seq <= state.last_seq) {
     // Duplicate or reordered-behind-delivery: re-dispatching would
     // double-count its samples, so it is shed — and counted.
-    duplicates_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.duplicates;
     return false;
   } else if (seq > state.last_seq + 1) {
-    gaps_.fetch_add(seq - state.last_seq - 1, std::memory_order_relaxed);
+    stats_.gaps += seq - state.last_seq - 1;
   }
   state.last_seq = seq;
 
@@ -252,7 +232,7 @@ bool UdpServer::handle_datagram(const sockaddr_in& peer,
     const bool close = message.type == MessageType::kCloseJob;
     for (const ControlSeen& seen : state.control_seen) {
       if (seen.job_id == message.job_id && seen.close == close) {
-        control_retransmits_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.control_retransmits;
         return false;
       }
     }
@@ -271,64 +251,29 @@ void UdpServer::sweep_idle_peers(std::chrono::steady_clock::time_point now) {
   if (config_.peer_ttl.count() <= 0 || peers_.size() < peers_sweep_at_) {
     return;
   }
-  std::size_t evicted = 0;
-  for (auto it = peers_.begin(); it != peers_.end();) {
-    if (now - it->second.last_activity > config_.peer_ttl) {
-      it = peers_.erase(it);  // the sink stays alive via live envelopes
-      ++evicted;
-    } else {
-      ++it;
-    }
-  }
-  peer_count_.fetch_sub(evicted, std::memory_order_relaxed);
+  // An erased peer's sink stays alive via live envelopes.
+  std::erase_if(peers_, [&](const auto& peer) {
+    return now - peer.second.last_activity > config_.peer_ttl;
+  });
   peers_sweep_at_ = std::max<std::size_t>(64, peers_.size() * 2);
 }
 
-bool UdpServer::poll(std::vector<Envelope>& out,
-                     std::chrono::milliseconds timeout) {
-  std::lock_guard lock(reactor_mutex_);
-  // stop() sets the flag before it writes the wake fd, so a stop that
-  // lands after this check still ends the wait below at once.
-  if (stopping_.load(std::memory_order_acquire)) return false;
-  if (receive_ready(out) == 0) {
-    // Nothing waiting: sleep until a datagram (or stop()) arrives. A
-    // wake whose datagrams are all shed returns empty-handed, which the
-    // SampleSource contract reads as a normal timeout. Only this second
-    // receive reuses the buffers, and only after the first read nothing,
-    // so no batch view of this poll is overwritten.
-    pollfd fds[] = {{socket_->fd, POLLIN, 0}, {wake_fd_, POLLIN, 0}};
-    const auto ms = std::clamp<long long>(timeout.count(), 0, INT_MAX);
-    if (::poll(fds, 2, static_cast<int>(ms)) > 0) receive_ready(out);
-  }
-  return !stopping_.load(std::memory_order_acquire);
+bool UdpServer::poll(std::vector<Envelope>& /*out*/) {
+  if (!stopping_.load(std::memory_order_acquire)) return true;
+  close_socket();
+  return false;
 }
 
 void UdpServer::stop() {
-  if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t woke = ::write(wake_fd_, &one, sizeof(one));
-  std::lock_guard lock(reactor_mutex_);
-  {
-    // Sinks held by undelivered envelopes observe fd < 0 under the
-    // shared mutex from here on.
-    std::lock_guard socket_lock(socket_->mutex);
-    close_fd(socket_->fd);
-  }
-  close_fd(wake_fd_);
+  stopping_.store(true, std::memory_order_release);
+  if (loop_ != nullptr) loop_->wake();
 }
 
 UdpServer::Stats UdpServer::stats() const {
-  Stats stats;
-  stats.datagrams = datagrams_.load(std::memory_order_relaxed);
-  stats.frames = frames_.load(std::memory_order_relaxed);
-  stats.decode_errors = decode_errors_.load(std::memory_order_relaxed);
-  stats.gaps = gaps_.load(std::memory_order_relaxed);
-  stats.duplicates = duplicates_.load(std::memory_order_relaxed);
+  Stats stats = stats_;
+  stats.peers = peers_.size();
   stats.verdict_send_failures =
       verdict_send_failures_->load(std::memory_order_relaxed);
-  stats.control_retransmits =
-      control_retransmits_.load(std::memory_order_relaxed);
-  stats.peers = peer_count_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -384,7 +329,7 @@ void UdpClient::send(Message message) {
   };
   for (auto it = pending_control_.begin(); it != pending_control_.end();) {
     add_datagram(it->message);
-    retransmits_.fetch_add(1, std::memory_order_relaxed);
+    ++retransmits_;
     if (--it->remaining <= 0) {
       it = pending_control_.erase(it);  // budget exhausted: give up
     } else {
@@ -424,6 +369,11 @@ void UdpClient::send(Message message) {
     }
     pending_control_.push_back(PendingControl{std::move(message)});
   }
+}
+
+std::uint64_t UdpClient::retransmits() const {
+  std::lock_guard lock(write_mutex_);
+  return retransmits_;
 }
 
 std::size_t UdpClient::pending_control() const {

@@ -11,18 +11,18 @@
 /// in the `source.<id>.*` stats rows — never correctness or liveness of
 /// the jobs that did arrive.
 ///
-/// UdpServer is a reactor that runs on the caller's thread, shaped like
-/// TcpServer: poll() reads at most kPollDatagramBudget datagrams with
-/// one non-blocking recvmmsg, then sequences, dedups and decodes each
-/// straight into the caller's envelope vector, sample batches as views
-/// into the receive buffer (see the lifetime contract in transport.hpp);
-/// when nothing is waiting
-/// it waits for readiness up to its timeout. There is no receiver thread
-/// and no internal queue: datagrams the pipeline has not polled wait in
-/// the kernel receive buffer, and when that overflows the kernel sheds
-/// them, which the next datagram's sequence number books as a gap. stop()
-/// may come from any thread; it wakes a blocked poll() through an
-/// eventfd.
+/// UdpServer runs on the loop of the SourceMux it is registered with,
+/// like TcpServer: its socket sits on that one epoll, and each loop
+/// round that finds it readable reads at most kPollDatagramBudget
+/// datagrams with one non-blocking recvmmsg, then sequences, dedups and
+/// decodes each straight into the caller's envelope vector, sample
+/// batches as views into the receive buffer (see the lifetime contract
+/// in transport.hpp). There is no receiver thread and no internal
+/// queue: datagrams the pipeline has not polled wait in the kernel
+/// receive buffer, and when that overflows the kernel sheds them, which
+/// the next datagram's sequence number books as a gap. stop() may come
+/// from any thread; it sets a flag and rings the loop's wake fd, and the
+/// owner's next poll() closes the socket.
 ///
 /// Datagram layout (EFD-DGRAM-V1; integers little-endian):
 ///
@@ -59,7 +59,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "ingest/tcp_transport.hpp"  // TransportError
+#include "ingest/event_loop.hpp"
 #include "ingest/transport.hpp"
 
 namespace efd::ingest {
@@ -86,7 +86,7 @@ bool decode_datagram(const std::uint8_t* data, std::size_t size,
                      std::uint64_t& seq, Message& out,
                      SampleBatchView* batch = nullptr);
 
-class UdpServer final : public SampleSource {
+class UdpServer final : public SampleSource, private EventLoop::Watcher {
  public:
   struct Config {
     std::uint16_t port = 0;            ///< 0 = ephemeral (see port())
@@ -103,9 +103,9 @@ class UdpServer final : public SampleSource {
     std::chrono::milliseconds peer_ttl{60 * 1000};
   };
 
-  /// Datagrams one poll() reads at most (one recvmmsg): a flooding
-  /// peer cannot make a poll return more, and the rest stays queued in
-  /// the kernel for the next poll.
+  /// Datagrams one loop round reads at most (one recvmmsg): a flooding
+  /// peer cannot make a round return more, and the rest stays queued in
+  /// the kernel for the next round.
   static constexpr std::size_t kPollDatagramBudget = 32;
 
   struct Stats {
@@ -131,11 +131,14 @@ class UdpServer final : public SampleSource {
 
   std::uint16_t port() const noexcept { return port_; }
 
-  bool poll(std::vector<Envelope>& out,
-            std::chrono::milliseconds timeout) override;
+  /// Registers the socket on \p loop.
+  bool attach(const std::shared_ptr<EventLoop>& loop, SourceId id) override;
 
-  /// Wakes a blocked poll(), which then reports exhaustion, and closes
-  /// the socket. Idempotent; any thread.
+  /// Closes the socket once stop() was called and reports exhaustion.
+  bool poll(std::vector<Envelope>& out) override;
+
+  /// Requests shutdown: the owner's next poll() closes the socket and
+  /// reports exhaustion. Idempotent; any thread.
   void stop();
 
   Stats stats() const;
@@ -163,9 +166,11 @@ class UdpServer final : public SampleSource {
     std::shared_ptr<PeerSink> sink;
   };
 
-  /// One non-blocking recvmmsg, each datagram handled into \p out;
-  /// returns the datagrams read (0 when none was waiting).
-  std::size_t receive_ready(std::vector<Envelope>& out);
+  /// The socket is readable: one non-blocking recvmmsg, each datagram
+  /// handled into \p out.
+  void ready(std::uint32_t events, std::vector<Envelope>& out) override;
+  /// Closes the socket; sinks see fd < 0 from here on.
+  void close_socket();
   /// Sequencing, dedup, and decode of one received datagram into
   /// \p envelope; false when the datagram is shed (corrupt, duplicate,
   /// or a retransmitted control frame).
@@ -175,30 +180,24 @@ class UdpServer final : public SampleSource {
   void sweep_idle_peers(std::chrono::steady_clock::time_point now);
 
   Config config_;
-  /// The socket; the reactor reads it under reactor_mutex_, verdict
-  /// sinks write it under its own mutex, and stop() closes it under both.
+  /// The socket; the owner reads it, verdict sinks (also on the hub's
+  /// dispatcher thread) write it under its mutex, and the owner closes
+  /// it under that mutex.
   std::shared_ptr<SharedSocket> socket_;
-  int wake_fd_ = -1;  ///< eventfd: stop() wakes a blocked poll() through it
+  std::shared_ptr<EventLoop> loop_;
+  SourceId id_ = 0;
   std::uint16_t port_ = 0;
+  /// The one field other threads write (stop()).
   std::atomic<bool> stopping_{false};
 
-  /// Serializes poll() and stop(); guards everything below up to the
-  /// counters.
-  std::mutex reactor_mutex_;
   /// recvmmsg scratch: kPollDatagramBudget slots of one datagram each.
-  /// Batch views point into it until the next receive that yields.
+  /// Batch views point into it until the next round that reads.
   std::unique_ptr<std::uint8_t[]> receive_buffer_;
   /// Per-peer sequencing state.
   std::unordered_map<std::uint64_t, PeerState> peers_;
   std::size_t peers_sweep_at_ = 64;
 
-  std::atomic<std::uint64_t> datagrams_{0};
-  std::atomic<std::uint64_t> frames_{0};
-  std::atomic<std::uint64_t> decode_errors_{0};
-  std::atomic<std::uint64_t> gaps_{0};
-  std::atomic<std::uint64_t> duplicates_{0};
-  std::atomic<std::uint64_t> control_retransmits_{0};
-  std::atomic<std::size_t> peer_count_{0};
+  Stats stats_;
   /// Shared with every PeerSink (a sink held by undelivered envelopes
   /// can outlive the server).
   std::shared_ptr<std::atomic<std::uint64_t>> verdict_send_failures_ =
@@ -246,9 +245,7 @@ class UdpClient final : public MessageSender {
   void finish_sending() {}
 
   /// Control-frame copies re-sent so far (monotonic).
-  std::uint64_t retransmits() const noexcept {
-    return retransmits_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t retransmits() const;
 
   /// Unacked control frames currently pending (test/monitoring view).
   std::size_t pending_control() const;
@@ -268,7 +265,7 @@ class UdpClient final : public MessageSender {
   std::vector<PendingControl> pending_control_;
   /// sendmmsg scratch: one datagram buffer per bundled message.
   std::vector<std::vector<std::uint8_t>> datagram_buffers_;
-  std::atomic<std::uint64_t> retransmits_{0};
+  std::uint64_t retransmits_ = 0;  ///< guarded by write_mutex_
 };
 
 }  // namespace efd::ingest

@@ -8,7 +8,7 @@
 namespace efd::ldms {
 
 void ServiceFeed::job_opened(std::uint64_t job_id, std::uint32_t node_count) {
-  const std::lock_guard lock(*service_mutex_);
+  const std::lock_guard lock(*feed_mutex_);
   if (!service_->open_job(job_id, node_count)) {
     throw std::invalid_argument("duplicate job id in plans");
   }
@@ -17,7 +17,7 @@ void ServiceFeed::job_opened(std::uint64_t job_id, std::uint32_t node_count) {
 void ServiceFeed::job_closed(std::uint64_t job_id) {
   // Short executions never fill the last window; flush them so every
   // job resolves (to "unknown", the paper's safeguard).
-  const std::lock_guard lock(*service_mutex_);
+  const std::lock_guard lock(*feed_mutex_);
   service_->close_job(job_id);
 }
 
@@ -54,11 +54,11 @@ StreamingRunReport run_concurrent_jobs(
     const std::vector<sim::ExecutionPlan>& plans,
     const std::vector<std::unique_ptr<Sampler>>& samplers, std::uint64_t seed,
     double duration_seconds, util::ThreadPool* pool) {
-  std::mutex service_mutex;
+  std::mutex feed_mutex;
   stream_jobs(
       registry, plans, samplers, seed, duration_seconds,
-      [&service, &service_mutex](const sim::ExecutionPlan& plan) {
-        return std::make_unique<ServiceFeed>(service, service_mutex,
+      [&service, &feed_mutex](const sim::ExecutionPlan& plan) {
+        return std::make_unique<ServiceFeed>(service, feed_mutex,
                                              plan.execution_id);
       },
       pool);

@@ -46,18 +46,18 @@ class JobSink : public SampleSink {
 /// JobSink that forwards every collected sample into a service under a
 /// fixed job id (one instance per concurrently monitored job). A service
 /// has one owner at a time, so every feed of one service shares
-/// \p service_mutex and holds it for each call into the service.
+/// \p feed_mutex and holds it for each call into the service.
 class ServiceFeed final : public JobSink {
  public:
-  ServiceFeed(core::RecognitionService& service, std::mutex& service_mutex,
+  ServiceFeed(core::RecognitionService& service, std::mutex& feed_mutex,
               std::uint64_t job_id)
-      : service_(&service), service_mutex_(&service_mutex), job_id_(job_id) {}
+      : service_(&service), feed_mutex_(&feed_mutex), job_id_(job_id) {}
 
   void job_opened(std::uint64_t job_id, std::uint32_t node_count) override;
 
   void publish(std::uint32_t node_id, std::string_view metric_name, int t,
                double value) override {
-    const std::lock_guard lock(*service_mutex_);
+    const std::lock_guard lock(*feed_mutex_);
     service_->push(job_id_, node_id, metric_name, t, value);
   }
 
@@ -65,7 +65,7 @@ class ServiceFeed final : public JobSink {
 
  private:
   core::RecognitionService* service_;
-  std::mutex* service_mutex_;
+  std::mutex* feed_mutex_;
   std::uint64_t job_id_;
 };
 

@@ -1,158 +1,181 @@
 #include "obs/http_server.hpp"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <cstring>
-
-#include "ingest/tcp_transport.hpp"  // TransportError
+#include <string_view>
 
 namespace efd::obs {
 
 namespace {
 
-constexpr std::size_t kMaxRequestBytes = 8192;
+using Clock = ingest::EventLoop::Clock;
 
 const char* status_text(int status) {
   switch (status) {
-    case 200:
-      return "OK";
-    case 400:
-      return "Bad Request";
-    case 404:
-      return "Not Found";
-    case 405:
-      return "Method Not Allowed";
-    case 503:
-      return "Service Unavailable";
-    default:
-      return "Internal Server Error";
+    case 200: return "OK";
+    case 400: return "Bad Request";
+    case 404: return "Not Found";
+    case 405: return "Method Not Allowed";
+    case 503: return "Service Unavailable";
+    default: return "Internal Server Error";
   }
 }
 
-bool write_all(int fd, const char* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t written = ::send(fd, data, size, MSG_NOSIGNAL);
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += written;
-    size -= static_cast<std::size_t>(written);
-  }
-  return true;
+bool would_block() {
+  return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
 }
 
 }  // namespace
 
-HttpServer::HttpServer(std::uint16_t port, Handler handler)
-    : handler_(std::move(handler)) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw ingest::TransportError(std::string("http socket: ") +
-                                 std::strerror(errno));
+/// One accepted connection: it reads its request, then writes its
+/// response, then lingers (reads and discards) until the client's EOF,
+/// so closing never resets a client that is still sending.
+struct HttpServer::Connection final : ingest::EventLoop::Watcher {
+  Connection(HttpServer& server, int fd)
+      : server(server), fd(fd), deadline(Clock::now() + kDeadline) {}
+
+  void ready(std::uint32_t /*events*/,
+             std::vector<ingest::Envelope>& /*out*/) override {
+    server.serve(*this);
   }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-          0 ||
-      ::listen(listen_fd_, 16) < 0) {
-    const std::string error = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw ingest::TransportError("http bind 127.0.0.1:" +
-                                 std::to_string(port) + ": " + error);
+
+  HttpServer& server;
+  int fd;
+  Clock::time_point deadline;
+  std::string request;
+  bool answered = false;  ///< reply holds the whole response
+  std::string reply;
+  std::size_t sent = 0;
+};
+
+HttpServer::HttpServer(std::shared_ptr<ingest::EventLoop> loop,
+                       std::uint16_t port, Handler handler)
+    : loop_(std::move(loop)),
+      handler_(std::move(handler)),
+      listen_fd_(ingest::bind_loopback(SOCK_STREAM | SOCK_NONBLOCK, port,
+                                       port_)) {
+  if (!loop_->add(listen_fd_, *this, EPOLLIN)) {
+    ingest::throw_errno("http epoll_ctl");
   }
-  socklen_t addr_len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                    &addr_len) == 0) {
-    port_ = ntohs(addr.sin_port);
-  } else {
-    port_ = port;
-  }
-  accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
 HttpServer::~HttpServer() { stop(); }
 
 void HttpServer::stop() {
-  stopping_.store(true, std::memory_order_release);
-  // Wakes the accept thread blocked in accept(2): a shut-down listener
-  // fails every accept from now on.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+  if (listen_fd_ < 0) return;
+  loop_->cancel(*this);
+  loop_->remove(listen_fd_);
+  ingest::close_fd(listen_fd_);
+  while (!connections_.empty()) close(*connections_.back());
+}
+
+void HttpServer::ready(std::uint32_t events,
+                       std::vector<ingest::Envelope>& /*out*/) {
+  if (events != 0) {
+    accept_ready();
+    return;
+  }
+  // The oldest connections' deadlines passed: drop them, counting those
+  // that never completed a request.
+  const auto now = Clock::now();
+  while (!connections_.empty() && connections_.front()->deadline <= now) {
+    if (!connections_.front()->answered) ++stats_.bad_requests;
+    close(*connections_.front());
+  }
+  if (!connections_.empty()) {
+    loop_->call_at(*this, connections_.front()->deadline);
   }
 }
 
-HttpServer::Stats HttpServer::stats() const noexcept {
-  return Stats{requests_.load(std::memory_order_relaxed),
-               bad_requests_.load(std::memory_order_relaxed)};
-}
-
-void HttpServer::accept_loop() {
-  // Blocks until a client connects or stop() shuts the listener down, so
-  // an idle endpoint never wakes.
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    serve_connection(fd);
-    ::close(fd);
-  }
-}
-
-void HttpServer::serve_connection(int fd) {
-  // Bound how long one client can hold the accept loop: slow or silent
-  // peers hit the receive timeout and get dropped.
-  timeval timeout{2, 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
-
-  std::string request;
-  char chunk[1024];
-  while (request.find("\r\n\r\n") == std::string::npos &&
-         request.size() < kMaxRequestBytes) {
-    const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (got <= 0) {
-      if (got < 0 && errno == EINTR) continue;
-      break;
+void HttpServer::accept_ready() {
+  for (;;) {
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
+    if (fd < 0) {
+      if (errno == EINTR) continue;
+      return;  // EAGAIN: the backlog is empty
     }
-    request.append(chunk, static_cast<std::size_t>(got));
+    auto connection = std::make_unique<Connection>(*this, fd);
+    if (!loop_->add(fd, *connection, EPOLLIN)) {
+      ::close(fd);
+      continue;
+    }
+    connections_.push_back(std::move(connection));
+    // Any timer still pending is a closed connection's; the new one is
+    // the oldest now.
+    if (connections_.size() == 1) {
+      loop_->call_at(*this, connections_.front()->deadline);
+    }
   }
+}
 
+void HttpServer::serve(Connection& connection) {
+  char chunk[4096];
+  if (!connection.answered) {
+    const ssize_t got = ::recv(connection.fd, chunk, sizeof(chunk), 0);
+    if (got < 0) {
+      if (!would_block()) close(connection);
+      return;
+    }
+    connection.request.append(chunk, static_cast<std::size_t>(got));
+    if (got > 0 &&
+        connection.request.find("\r\n\r\n") == std::string::npos &&
+        connection.request.size() < kMaxRequestBytes) {
+      return;  // incomplete: wait for more
+    }
+    respond(connection);
+  }
+  if (connection.sent < connection.reply.size()) {
+    const ssize_t wrote =
+        ::send(connection.fd, connection.reply.data() + connection.sent,
+               connection.reply.size() - connection.sent, MSG_NOSIGNAL);
+    if (wrote < 0 && !would_block()) {
+      close(connection);
+      return;
+    }
+    connection.sent += static_cast<std::size_t>(std::max<ssize_t>(wrote, 0));
+    if (connection.sent < connection.reply.size()) {
+      loop_->modify(connection.fd, connection, EPOLLOUT);
+      return;
+    }
+    // The whole response is out: half-close so the client sees its EOF,
+    // then linger until the client's own EOF.
+    ::shutdown(connection.fd, SHUT_WR);
+    loop_->modify(connection.fd, connection, EPOLLIN);
+    return;
+  }
+  const ssize_t got = ::recv(connection.fd, chunk, sizeof(chunk), 0);
+  if (got == 0 || (got < 0 && !would_block())) close(connection);
+}
+
+void HttpServer::respond(Connection& connection) {
+  constexpr auto npos = std::string_view::npos;
+  const std::string_view request = connection.request;
+  const bool oversized = request.size() >= kMaxRequestBytes &&
+                         request.find("\r\n\r\n") == npos;
+  // The request line: "METHOD TARGET VERSION", ended by CRLF.
+  const std::string_view line =
+      oversized ? "" : request.substr(0, request.find("\r\n"));
+  const std::size_t method_end =
+      line.size() < request.size() ? line.find(' ') : npos;
+  const std::size_t target_end =
+      method_end == npos ? npos : line.find(' ', method_end + 1);
   HttpResponse response;
   bool head = false;
-  const std::size_t line_end = request.find("\r\n");
-  std::size_t method_end = std::string::npos;
-  std::size_t target_end = std::string::npos;
-  if (line_end != std::string::npos) {
-    method_end = request.find(' ');
-    if (method_end != std::string::npos && method_end < line_end) {
-      target_end = request.find(' ', method_end + 1);
-    }
-  }
-  if (target_end == std::string::npos || target_end > line_end) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
+  if (target_end == npos) {
+    ++stats_.bad_requests;
     response.status = 400;
     response.body = "bad request\n";
   } else {
     HttpRequest parsed;
-    parsed.method = request.substr(0, method_end);
-    parsed.target =
-        request.substr(method_end + 1, target_end - method_end - 1);
-    const std::size_t query = parsed.target.find('?');
-    if (query != std::string::npos) parsed.target.resize(query);
-    requests_.fetch_add(1, std::memory_order_relaxed);
+    parsed.method = line.substr(0, method_end);
+    parsed.target = line.substr(method_end + 1, target_end - method_end - 1);
+    parsed.target.resize(
+        std::min(parsed.target.find('?'), parsed.target.size()));
+    ++stats_.requests;
     if (parsed.method != "GET" && parsed.method != "HEAD") {
       response.status = 405;
       response.body = "method not allowed\n";
@@ -164,14 +187,22 @@ void HttpServer::serve_connection(int fd) {
 
   // A HEAD reply reports the length its GET body would have (RFC 9110
   // 9.3.2) and sends no body.
-  std::string reply = "HTTP/1.1 " + std::to_string(response.status) + " " +
-                      status_text(response.status) +
-                      "\r\nContent-Type: " + response.content_type +
-                      "\r\nContent-Length: " +
-                      std::to_string(response.body.size()) +
-                      "\r\nConnection: close\r\n\r\n";
-  if (!head) reply += response.body;
-  write_all(fd, reply.data(), reply.size());
+  connection.reply = "HTTP/1.1 " + std::to_string(response.status) + " " +
+                     status_text(response.status) +
+                     "\r\nContent-Type: " + response.content_type +
+                     "\r\nContent-Length: " +
+                     std::to_string(response.body.size()) +
+                     "\r\nConnection: close\r\n\r\n";
+  if (!head) connection.reply += response.body;
+  connection.answered = true;
+}
+
+void HttpServer::close(Connection& connection) {
+  loop_->remove(connection.fd);
+  ::close(connection.fd);
+  std::erase_if(connections_, [&](const std::unique_ptr<Connection>& held) {
+    return held.get() == &connection;
+  });
 }
 
 }  // namespace efd::obs

@@ -300,10 +300,7 @@ TEST_F(HotPathFixture, MixedSizeBatchesThroughTheViewDecodeAreAllocationFree) {
 /// A registered source that stays live but never has a message waiting.
 class IdleSource final : public SampleSource {
  public:
-  bool poll(std::vector<Envelope>& /*out*/,
-            std::chrono::milliseconds /*timeout*/) override {
-    return true;
-  }
+  bool poll(std::vector<Envelope>& /*out*/) override { return true; }
 };
 
 TEST(SourceMuxHotPath, EmptyPollsAndVerdictNotesAreAllocationFree) {

@@ -120,13 +120,13 @@ TEST(RingTransport, DeliversInOrderAndReportsExhaustion) {
   // The final poll delivers what remains AND reports exhaustion (false):
   // a closed, fully drained source is finished the moment it empties.
   std::vector<Envelope> batch;
-  EXPECT_FALSE(ring.poll(batch, std::chrono::milliseconds(10)));
+  EXPECT_FALSE(ring.poll(batch));
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0].message.type, MessageType::kOpenJob);
   EXPECT_EQ(batch[1].message.type, MessageType::kCloseJob);
 
   batch.clear();
-  EXPECT_FALSE(ring.poll(batch, std::chrono::milliseconds(1)));  // drained
+  EXPECT_FALSE(ring.poll(batch));  // drained
   EXPECT_TRUE(batch.empty());
   EXPECT_THROW(ring.send(make_shutdown()), std::runtime_error);
 }
@@ -145,13 +145,13 @@ TEST(RingTransport, FullRingBlocksProducerUntilConsumed) {
   EXPECT_FALSE(delivered.load());
 
   std::vector<Envelope> batch;
-  EXPECT_TRUE(ring.poll(batch, std::chrono::milliseconds(100)));
+  EXPECT_TRUE(ring.poll(batch));
   producer.join();
   EXPECT_TRUE(delivered.load());
-  EXPECT_GE(ring.blocked_sends(), 1u);
+  EXPECT_GE(ring.transport_counters().blocked, 1u);
 
   batch.clear();
-  ring.poll(batch, std::chrono::milliseconds(10));
+  ring.poll(batch);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].message.job_id, 3u);
 }
@@ -439,6 +439,8 @@ TEST_F(IngestFixture, TcpServerRoundTripOverLocalhost) {
 TEST(TcpServer, DropsConnectionOnCorruptFraming) {
   TcpServer::Config server_config;
   TcpServer server(server_config);
+  SourceMux mux;
+  mux.add_source("tcp", server);
 
   // A healthy connection delivers a frame...
   TcpClient good("127.0.0.1", server.port());
@@ -460,13 +462,16 @@ TEST(TcpServer, DropsConnectionOnCorruptFraming) {
   ASSERT_GT(::send(fd, garbage, sizeof(garbage), 0), 0);
 
   // The healthy frame still arrives; the hostile connection is counted
-  // dropped. Decoding happens inside poll(), so the wait loop polls.
+  // dropped. Decoding happens inside the mux's poll, so the wait loop
+  // polls.
   std::vector<Envelope> drained;
-  server.poll(drained, std::chrono::milliseconds(200));
+  for (int i = 0; i < 100 && drained.empty(); ++i) {
+    mux.poll(drained, std::chrono::milliseconds(200));
+  }
   ASSERT_GE(drained.size(), 1u);
   EXPECT_EQ(drained[0].message.type, MessageType::kOpenJob);
   for (int i = 0; i < 100 && server.stats().connections_dropped == 0; ++i) {
-    server.poll(drained, std::chrono::milliseconds(10));
+    mux.poll(drained, std::chrono::milliseconds(10));
   }
   EXPECT_EQ(server.stats().connections_dropped, 1u);
   EXPECT_EQ(drained.size(), 1u);  // nothing decoded from the garbage
@@ -477,10 +482,12 @@ TEST(TcpServer, DropsConnectionOnCorruptFraming) {
 
 TEST(TcpServer, ConnectSendEofCyclesLeaveNoLiveConnections) {
   TcpServer server({});
+  SourceMux mux;
+  mux.add_source("tcp", server);
   constexpr std::uint64_t kCycles = 200;
   std::atomic<bool> done{false};
   std::vector<Envelope> received;
-  // The reactor runs on its caller's thread: this one stands in for the
+  // The loop runs on its caller's thread: this one stands in for the
   // pipeline while the main thread churns connections.
   std::thread poller([&] {
     const auto deadline =
@@ -488,7 +495,7 @@ TEST(TcpServer, ConnectSendEofCyclesLeaveNoLiveConnections) {
     while (std::chrono::steady_clock::now() < deadline &&
            !(received.size() >= kCycles &&
              server.stats().active_connections == 0)) {
-      server.poll(received, std::chrono::milliseconds(10));
+      mux.poll(received, std::chrono::milliseconds(10));
     }
     done.store(true);
   });
@@ -519,11 +526,13 @@ TEST(TcpServer, ConnectSendEofCyclesLeaveNoLiveConnections) {
 
 TEST(TcpServer, StopFromAnotherThreadWakesABlockedPoll) {
   TcpServer server({});
+  SourceMux mux;
+  mux.add_source("tcp", server);
   std::atomic<std::int64_t> returned_ns{0};
   std::atomic<bool> alive{true};
   std::thread poller([&] {
     std::vector<Envelope> out;
-    alive.store(server.poll(out, std::chrono::seconds(10)));
+    alive.store(mux.poll(out, std::chrono::seconds(10)));
     returned_ns.store(std::chrono::steady_clock::now().time_since_epoch() /
                       std::chrono::nanoseconds(1));
   });
@@ -541,6 +550,8 @@ TEST(TcpServer, FloodingPeerDoesNotStarveATricklingOne) {
   TcpServer::Config config;
   config.read_chunk = 16 * 1024;
   TcpServer server(config);
+  SourceMux mux;
+  mux.add_source("tcp", server);
   // The flooder streams 256-sample batches for job 1 as fast as the
   // socket takes them, so far more than one read budget is always
   // waiting in the kernel.
@@ -570,7 +581,7 @@ TEST(TcpServer, FloodingPeerDoesNotStarveATricklingOne) {
 
   std::vector<Envelope> out;
   for (int i = 0; i < 100 && server.stats().connections_accepted < 2; ++i) {
-    server.poll(out, std::chrono::milliseconds(10));
+    mux.poll(out, std::chrono::milliseconds(10));
   }
   ASSERT_EQ(server.stats().connections_accepted, 2u);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));  // backlog
@@ -583,7 +594,7 @@ TEST(TcpServer, FloodingPeerDoesNotStarveATricklingOne) {
     bool trickled = false;
     for (int attempt = 0; attempt < 3 && !trickled; ++attempt) {
       out.clear();
-      server.poll(out, std::chrono::milliseconds(100));
+      mux.poll(out, std::chrono::milliseconds(100));
       std::size_t flooded = 0;
       for (const Envelope& envelope : out) {
         if (envelope.message.type == MessageType::kOpenJob) {
@@ -601,7 +612,7 @@ TEST(TcpServer, FloodingPeerDoesNotStarveATricklingOne) {
   flooding.store(false);
   while (!flood_done.load()) {  // unblock a sender stuck on a full window
     out.clear();
-    server.poll(out, std::chrono::milliseconds(10));
+    mux.poll(out, std::chrono::milliseconds(10));
   }
   flood.join();
   flooder.finish_sending();
@@ -614,9 +625,11 @@ TEST_F(IngestFixture, StopDrainsPeersThatAreStillSending) {
   service_config.deferred = true;
   RecognitionService service = make_service(service_config);
   TcpServer server({});
+  SourceMux mux;
+  mux.add_source("tcp", server);
   IngestPipelineConfig pipeline_config;
   pipeline_config.max_verdicts = 1;
-  IngestPipeline pipeline(service, server, pipeline_config);
+  IngestPipeline pipeline(service, mux, pipeline_config);
   pipeline.start();
 
   TcpClient client("127.0.0.1", server.port());
@@ -628,8 +641,15 @@ TEST_F(IngestFixture, StopDrainsPeersThatAreStillSending) {
 
   // Shut the listener down, as serve does after run(), while the emitter
   // is still streaming its next job: the bytes must be drained, never
-  // answered with a reset.
-  std::thread stopper([&] { server.stop(); });
+  // answered with a reset. The pipeline has returned, so this thread
+  // takes over the loop and runs it until the server retires.
+  std::thread stopper([&] {
+    server.stop();
+    std::vector<Envelope> discarded;
+    while (mux.poll(discarded, std::chrono::milliseconds(100))) {
+      discarded.clear();
+    }
+  });
   EXPECT_NO_THROW({
     TransportFeed feed(client, /*batch_samples=*/64);
     feed.job_opened(2, 2);

@@ -1,10 +1,12 @@
 /// \file test_obs_http.cpp
-/// \brief obs::HttpServer coverage via a raw loopback socket client:
+/// \brief obs::HttpServer coverage via a raw loopback socket client on
+/// the test thread, with the server's EventLoop driven by a loop thread:
 /// ephemeral binds, GET/HEAD dispatch, query stripping, handler status
-/// passthrough, 405/400 handling, request counters, and scrapes of a
-/// live IngestPipeline's /metrics and /index while it serves traffic,
-/// writes a snapshot chain and gains a subscriber (TSan material: the
-/// HTTP thread reads the pipeline's service and state under its lock).
+/// passthrough, 405/400 handling, request counters, the 8 KiB cap and
+/// the 2 s deadline, and scrapes of a live IngestPipeline's /metrics and
+/// /index while it serves traffic, writes a snapshot chain and gains a
+/// subscriber (TSan material: the handlers run on the pipeline thread,
+/// inside its poll, and read the pipeline without a lock).
 
 #include "obs/http_server.hpp"
 #include "ingest/tcp_transport.hpp"
@@ -31,37 +33,36 @@
 #include <vector>
 
 #include "core/trainer.hpp"
+#include "ingest/event_loop.hpp"
 #include "ingest/pipeline.hpp"
 #include "ingest/ring_transport.hpp"
 #include "ingest/transport_feed.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "retrain/retrain_controller.hpp"
+#include "thread_probe.hpp"
 
 namespace {
 
 using namespace efd::obs;
 
-/// Sends one raw request to 127.0.0.1:<port> and returns the full
-/// response (headers + body). Empty string on connect failure.
-std::string raw_request(std::uint16_t port, const std::string& request) {
+/// A connected loopback client socket, or -1.
+int connect_to(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
     ::close(fd);
-    return {};
+    return -1;
   }
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n = ::send(fd, request.data() + sent, request.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n <= 0) break;
-    sent += static_cast<std::size_t>(n);
-  }
+  return fd;
+}
+
+/// Reads until the server closes, then closes \p fd.
+std::string read_to_eof(int fd) {
   std::string response;
   char chunk[1024];
   ssize_t got = 0;
@@ -70,6 +71,21 @@ std::string raw_request(std::uint16_t port, const std::string& request) {
   }
   ::close(fd);
   return response;
+}
+
+/// Sends one raw request to 127.0.0.1:<port> and returns the full
+/// response (headers + body). Empty string on connect failure.
+std::string raw_request(std::uint16_t port, const std::string& request) {
+  const int fd = connect_to(port);
+  if (fd < 0) return {};
+  std::size_t sent = 0;
+  while (sent < request.size()) {
+    const ssize_t n = ::send(fd, request.data() + sent, request.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  return read_to_eof(fd);
 }
 
 std::string http_get(std::uint16_t port, const std::string& target,
@@ -92,30 +108,70 @@ HttpServer::Handler echo_handler() {
   };
 }
 
+using efd::test::thread_ids;
+using efd::test::voluntary_switches;
+
+/// Drives an EventLoop on its own thread, as the pipeline thread does,
+/// until destroyed. Read the server's state only after that: the loop
+/// thread owns it while it runs.
+class LoopThread {
+ public:
+  explicit LoopThread(std::shared_ptr<efd::ingest::EventLoop> loop)
+      : loop_(std::move(loop)), thread_([this] {
+          std::vector<efd::ingest::Envelope> none;
+          while (!done_.load(std::memory_order_acquire)) {
+            loop_->run_once(std::chrono::seconds(10), none);
+          }
+        }) {}
+  ~LoopThread() {
+    done_.store(true, std::memory_order_release);
+    loop_->wake();
+    thread_.join();
+  }
+
+ private:
+  std::shared_ptr<efd::ingest::EventLoop> loop_;
+  std::atomic<bool> done_{false};
+  std::thread thread_;
+};
+
+/// A server on a fresh loop.
+struct ServedLoop {
+  std::shared_ptr<efd::ingest::EventLoop> loop =
+      std::make_shared<efd::ingest::EventLoop>();
+  HttpServer server{loop, 0, echo_handler()};
+};
+
 TEST(ObsHttp, BindsEphemeralPortAndDispatchesGet) {
-  HttpServer server(0, echo_handler());
-  ASSERT_NE(server.port(), 0);
-  const std::string response = http_get(server.port(), "/healthz");
+  ServedLoop served;
+  ASSERT_NE(served.server.port(), 0);
+  std::string response;
+  {
+    LoopThread running(served.loop);
+    response = http_get(served.server.port(), "/healthz");
+  }
   EXPECT_EQ(response.rfind("HTTP/1.1 200 OK\r\n", 0), 0u);
   EXPECT_NE(response.find("Content-Type: application/json\r\n"),
             std::string::npos);
   EXPECT_NE(response.find("Connection: close\r\n"), std::string::npos);
   EXPECT_NE(response.find("{\"target\":\"/healthz\"}"), std::string::npos);
-  const HttpServer::Stats stats = server.stats();
+  const HttpServer::Stats stats = served.server.stats();
   EXPECT_EQ(stats.requests, 1u);
   EXPECT_EQ(stats.bad_requests, 0u);
 }
 
 TEST(ObsHttp, StripsQueryString) {
-  HttpServer server(0, echo_handler());
+  ServedLoop served;
+  LoopThread running(served.loop);
   const std::string response =
-      http_get(server.port(), "/metrics?debug=1&verbose=yes");
+      http_get(served.server.port(), "/metrics?debug=1&verbose=yes");
   EXPECT_NE(response.find("{\"target\":\"/metrics\"}"), std::string::npos);
 }
 
 TEST(ObsHttp, PropagatesHandlerStatus) {
-  HttpServer server(0, echo_handler());
-  const std::string response = http_get(server.port(), "/missing");
+  ServedLoop served;
+  LoopThread running(served.loop);
+  const std::string response = http_get(served.server.port(), "/missing");
   EXPECT_EQ(response.rfind("HTTP/1.1 404 Not Found\r\n", 0), 0u);
   EXPECT_NE(response.find("not found\n"), std::string::npos);
 }
@@ -124,9 +180,10 @@ TEST(ObsHttp, HeadOmitsBody) {
   // The headers are the GET response's, Content-Length included (RFC
   // 9110: it reports the length the GET body would have); only the body
   // is missing.
-  HttpServer server(0, echo_handler());
-  const std::string head = http_get(server.port(), "/healthz", "HEAD");
-  const std::string get = http_get(server.port(), "/healthz");
+  ServedLoop served;
+  LoopThread running(served.loop);
+  const std::string head = http_get(served.server.port(), "/healthz", "HEAD");
+  const std::string get = http_get(served.server.port(), "/healthz");
   EXPECT_EQ(head.rfind("HTTP/1.1 200 OK\r\n", 0), 0u);
   const std::size_t end = head.find("\r\n\r\n");
   ASSERT_NE(end, std::string::npos);
@@ -141,64 +198,102 @@ TEST(ObsHttp, HeadOmitsBody) {
 }
 
 TEST(ObsHttp, RejectsOtherMethods) {
-  HttpServer server(0, echo_handler());
-  const std::string response = http_get(server.port(), "/metrics", "POST");
+  ServedLoop served;
+  std::string response;
+  {
+    LoopThread running(served.loop);
+    response = http_get(served.server.port(), "/metrics", "POST");
+  }
   EXPECT_EQ(response.rfind("HTTP/1.1 405 Method Not Allowed\r\n", 0), 0u);
-  EXPECT_EQ(server.stats().requests, 1u);  // parsed, counted, rejected
+  EXPECT_EQ(served.server.stats().requests, 1u);  // parsed, counted, rejected
 }
 
 TEST(ObsHttp, CountsMalformedRequests) {
-  HttpServer server(0, echo_handler());
-  const std::string response = raw_request(server.port(), "garbage\r\n\r\n");
+  ServedLoop served;
+  std::string response;
+  {
+    LoopThread running(served.loop);
+    response = raw_request(served.server.port(), "garbage\r\n\r\n");
+  }
   EXPECT_EQ(response.rfind("HTTP/1.1 400 Bad Request\r\n", 0), 0u);
-  const HttpServer::Stats stats = server.stats();
+  const HttpServer::Stats stats = served.server.stats();
   EXPECT_EQ(stats.requests, 0u);
   EXPECT_EQ(stats.bad_requests, 1u);
 }
 
 TEST(ObsHttp, ServesSequentialConnections) {
-  HttpServer server(0, echo_handler());
-  for (int i = 0; i < 5; ++i) {
-    const std::string response = http_get(server.port(), "/healthz");
-    EXPECT_EQ(response.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << i;
+  ServedLoop served;
+  {
+    LoopThread running(served.loop);
+    for (int i = 0; i < 5; ++i) {
+      const std::string response = http_get(served.server.port(), "/healthz");
+      EXPECT_EQ(response.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << i;
+    }
   }
-  EXPECT_EQ(server.stats().requests, 5u);
+  EXPECT_EQ(served.server.stats().requests, 5u);
+}
+
+TEST(ObsHttp, AnswersARequestSentInPieces) {
+  // The request parses incrementally: bytes that trickle in over several
+  // reads make one request.
+  ServedLoop served;
+  std::string response;
+  {
+    LoopThread running(served.loop);
+    const int fd = connect_to(served.server.port());
+    ASSERT_GE(fd, 0);
+    for (const char* piece :
+         {"GET /hea", "lthz HTTP/1.1\r\nHost: x", "\r\n\r\n"}) {
+      ASSERT_GT(::send(fd, piece, std::strlen(piece), MSG_NOSIGNAL), 0);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    response = read_to_eof(fd);
+  }
+  EXPECT_EQ(response.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << response;
+  EXPECT_NE(response.find("{\"target\":\"/healthz\"}"), std::string::npos);
+  EXPECT_EQ(served.server.stats().requests, 1u);
+}
+
+TEST(ObsHttp, ResumesAResponseLargerThanTheSocketBuffer) {
+  // A 4 MiB body does not fit the socket buffer: the loop writes what
+  // fits and resumes on each writable event while the client reads
+  // slowly.
+  const std::string big(4u << 20, 'x');
+  auto loop = std::make_shared<efd::ingest::EventLoop>();
+  HttpServer server(loop, 0, [&big](const HttpRequest&) {
+    HttpResponse response;
+    response.body = big;
+    return response;
+  });
+  std::string response;
+  {
+    LoopThread running(loop);
+    const int fd = connect_to(server.port());
+    ASSERT_GE(fd, 0);
+    const std::string request = "GET / HTTP/1.1\r\n\r\n";
+    ASSERT_GT(::send(fd, request.data(), request.size(), MSG_NOSIGNAL), 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    response = read_to_eof(fd);
+  }
+  const std::size_t end = response.find("\r\n\r\n");
+  ASSERT_NE(end, std::string::npos);
+  EXPECT_EQ(response.substr(end + 4), big);
 }
 
 TEST(ObsHttp, StopIsIdempotent) {
-  HttpServer server(0, echo_handler());
-  server.stop();
-  server.stop();
-  EXPECT_TRUE(http_get(server.port(), "/healthz").empty());
+  ServedLoop served;
+  served.server.stop();
+  served.server.stop();
+  EXPECT_TRUE(http_get(served.server.port(), "/healthz").empty());
 }
 
-/// The ids of this process's threads.
-std::set<std::string> thread_ids() {
-  std::set<std::string> ids;
-  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
-    ids.insert(entry.path().filename().string());
-  }
-  return ids;
-}
-
-/// A thread's voluntary context switches so far (its wakeups).
-long voluntary_switches(const std::string& tid) {
-  std::ifstream status("/proc/self/task/" + tid + "/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("voluntary_ctxt_switches:", 0) == 0) {
-      return std::atol(line.c_str() + line.find(':') + 1);
-    }
-  }
-  return -1;
-}
-
-TEST(ObsHttp, IdleServerSleepsAndStopsPromptly) {
-  // The accept thread blocks until a client connects: over an idle
-  // second it does not wake, and stop() wakes it at once instead of
-  // waiting out a poll timeout.
+TEST(ObsHttp, AnIdleLoopSleepsAndWakesPromptly) {
+  // No thread of its own: the loop thread blocks in one epoll_wait until
+  // a client connects, so over an idle second it does not wake, and a
+  // wake() ends the wait at once.
+  ServedLoop served;
   const std::set<std::string> before = thread_ids();
-  HttpServer server(0, echo_handler());
+  auto running = std::make_unique<LoopThread>(served.loop);
   std::vector<std::string> started;
   for (const std::string& tid : thread_ids()) {
     if (before.count(tid) == 0) started.push_back(tid);
@@ -209,14 +304,14 @@ TEST(ObsHttp, IdleServerSleepsAndStopsPromptly) {
   std::this_thread::sleep_for(std::chrono::seconds(1));
   EXPECT_LE(voluntary_switches(started[0]) - switches, 2);
   const auto stop_begin = std::chrono::steady_clock::now();
-  server.stop();
+  running.reset();
   EXPECT_LT(std::chrono::steady_clock::now() - stop_begin,
             std::chrono::milliseconds(50));
 }
 
 TEST(ObsHttp, ExplicitPortConflictThrows) {
-  HttpServer server(0, echo_handler());
-  EXPECT_THROW(HttpServer(server.port(), echo_handler()),
+  ServedLoop served;
+  EXPECT_THROW(HttpServer(served.loop, served.server.port(), echo_handler()),
                efd::ingest::TransportError);
 }
 
@@ -331,10 +426,12 @@ TEST(ObsHttp, ScrapesALivePipelineWhileItServes) {
     stream_job(ring, job);
     wait_for_scrape(scrapes);
   }
-  ring.close();
-  pipeline.join();
+  // The scraper stops first: its requests are answered only while run()
+  // polls.
   serving.store(false, std::memory_order_release);
   scraper.join();
+  ring.close();
+  pipeline.join();
 
   EXPECT_GE(scrapes.load(), kJobs);
   const auto verdicts = collector->verdicts();
@@ -342,8 +439,10 @@ TEST(ObsHttp, ScrapesALivePipelineWhileItServes) {
   for (const auto& [job, application] : verdicts) {
     EXPECT_EQ(application, job % 2 == 0 ? "ft" : "mg") << "job " << job;
   }
-  // The last scrape after the pipeline finished sees the final counters.
-  const std::string metrics = http_get(pipeline.http_port(), "/metrics");
+  // No thread serves HTTP once run() returned: the final counters are
+  // read from the rows /metrics renders.
+  const std::string metrics =
+      pipeline.scrape_rows().exposition(efd::obs::global_metrics());
   EXPECT_NE(metrics.find("jobs_completed"), std::string::npos);
   // No snapshot error: the "none" row stays out of the exposition.
   EXPECT_EQ(metrics.find("snapshot_last_error"), std::string::npos);
@@ -351,7 +450,7 @@ TEST(ObsHttp, ScrapesALivePipelineWhileItServes) {
 
 TEST(ObsHttp, ScrapesOverlapSnapshotChainAndSubscriberChanges) {
   // Every piece of pipeline state the /metrics and /index handlers read
-  // under the service lock changes while they scrape: each poll boundary
+  // changes while they scrape: each poll boundary
   // that delivers a verdict adds a capture to the snapshot chain, and a
   // kSubscribe sent mid-run creates the subscription hub. After join()
   // the three views of the snapshot count agree and /index lists the
@@ -387,10 +486,12 @@ TEST(ObsHttp, ScrapesOverlapSnapshotChainAndSubscriberChanges) {
       wait_for_scrape(scrapes);
     }
   }
-  ring.close();
-  pipeline.join();
+  // The scraper stops first: its requests are answered only while run()
+  // polls.
   serving.store(false, std::memory_order_release);
   scraper.join();
+  ring.close();
+  pipeline.join();
 
   const auto verdicts = collector->verdicts();
   ASSERT_EQ(verdicts.size(), kJobs);
@@ -403,7 +504,9 @@ TEST(ObsHttp, ScrapesOverlapSnapshotChainAndSubscriberChanges) {
   // final one on exit.
   EXPECT_GE(stats.snapshots_written, 2u);
   EXPECT_EQ(stats.subscribe_requests, 1u);
-  const std::string index = http_get(pipeline.http_port(), "/index");
+  // No thread serves HTTP once run() returned: read what /index and
+  // /metrics render.
+  const std::string index = pipeline.index_json();
   const std::size_t chain = index.find("\"snapshot_chain\":");
   ASSERT_NE(chain, std::string::npos) << index;
   EXPECT_EQ(number_after(index, "\"written\":", chain),
@@ -411,12 +514,84 @@ TEST(ObsHttp, ScrapesOverlapSnapshotChainAndSubscriberChanges) {
       << index;
   EXPECT_NE(index.find("\"subscribers\":[{\"id\":"), std::string::npos)
       << index;
-  const std::string metrics = http_get(pipeline.http_port(), "/metrics");
+  const std::string metrics =
+      pipeline.scrape_rows().exposition(efd::obs::global_metrics());
   EXPECT_EQ(number_after(metrics, "\nefd_ingest_snapshots_written "),
             stats.snapshots_written)
       << metrics;
 
   fs::remove_all(dir);
+}
+
+TEST(ObsHttp, APipelineWithHttpRunsOneThread) {
+  // The HTTP listener sits on the pipeline's loop: starting the pipeline
+  // adds its run() thread and no other.
+  efd::core::RecognitionService service = two_application_service();
+  efd::ingest::RingTransport ring(16);
+  const std::size_t before = thread_ids().size();
+  efd::ingest::IngestPipelineConfig config;
+  config.http_port = 0;
+  efd::ingest::IngestPipeline pipeline(service, ring, config);
+  EXPECT_EQ(thread_ids().size(), before);
+  pipeline.start();
+  const std::string health = http_get(pipeline.http_port(), "/healthz");
+  EXPECT_EQ(health.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << health;
+  EXPECT_EQ(thread_ids().size(), before + 1);
+  ring.close();
+  pipeline.join();
+  EXPECT_EQ(pipeline.http()->stats().requests, 1u);
+}
+
+TEST(ObsHttp, VerdictsFlowWhileHttpClientsMisbehave) {
+  // Two clients misbehave on the pipeline's own loop: one sends half a
+  // request line and goes silent, one sends more than 8 KiB without a
+  // blank line. Neither delays a verdict; the second gets a 400 and its
+  // EOF at once, the first is dropped at its 2 s deadline.
+  efd::core::RecognitionService service = two_application_service();
+  auto collector = std::make_shared<VerdictCollector>();
+  efd::ingest::RingTransport ring(256);
+  ring.set_verdict_sink(collector);
+  efd::ingest::IngestPipelineConfig config;
+  config.http_port = 0;
+  efd::ingest::IngestPipeline pipeline(service, ring, config);
+  pipeline.start();
+
+  const int silent = connect_to(pipeline.http_port());
+  ASSERT_GE(silent, 0);
+  const auto silent_since = std::chrono::steady_clock::now();
+  ASSERT_GT(::send(silent, "GET /metr", 9, MSG_NOSIGNAL), 0);
+
+  const std::string oversized =
+      raw_request(pipeline.http_port(), std::string(9000, 'a'));
+  EXPECT_EQ(oversized.rfind("HTTP/1.1 400 Bad Request\r\n", 0), 0u)
+      << oversized;
+
+  constexpr std::uint64_t kJobs = 8;
+  for (std::uint64_t job = 1; job <= kJobs; ++job) {
+    const auto sent = std::chrono::steady_clock::now();
+    stream_job(ring, job);
+    while (collector->verdicts().size() < job &&
+           std::chrono::steady_clock::now() - sent < std::chrono::seconds(5)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(collector->verdicts().size(), job);
+    EXPECT_LT(std::chrono::steady_clock::now() - sent,
+              std::chrono::milliseconds(500))
+        << "job " << job;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - silent_since,
+            std::chrono::milliseconds(1500));
+
+  // The silent client is closed at its deadline, without a response.
+  EXPECT_EQ(read_to_eof(silent), "");
+  const auto silent_for = std::chrono::steady_clock::now() - silent_since;
+  EXPECT_GE(silent_for, std::chrono::milliseconds(1900));
+  EXPECT_LT(silent_for, std::chrono::milliseconds(3500));
+
+  ring.close();
+  pipeline.join();
+  EXPECT_EQ(pipeline.http()->stats().bad_requests, 2u);
+  EXPECT_EQ(pipeline.http()->stats().requests, 0u);
 }
 
 /// Occurrences of \p needle in \p text.

@@ -1,9 +1,10 @@
 /// \file test_source_mux.cpp
 /// \brief Multi-source ingestion tests: SourceMux fan-in semantics
 /// (tagging, fairness, collective exhaustion, per-source counters,
-/// cursor seeding), the UDP transport's lossy-tolerant sequencing
-/// (gaps/duplicates counted, never fatal) and caller-thread reactor
-/// (per-poll budget, cross-thread stop), the cross-process-shaped
+/// cursor seeding, one wait per idle poll), the UDP transport's
+/// lossy-tolerant sequencing (gaps/duplicates counted, never fatal) on
+/// the mux's loop (per-round budget, cross-thread stop), the
+/// cross-process-shaped
 /// shared-memory ring, and the acceptance gate — the same workload
 /// split across TCP+UDP+shm sources of one pipeline must produce the
 /// verdict table of a single-source run. The concurrent mixed-transport
@@ -14,6 +15,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -29,6 +31,7 @@
 #include "ingest/tcp_transport.hpp"
 #include "ingest/transport_feed.hpp"
 #include "ingest/udp_transport.hpp"
+#include "thread_probe.hpp"
 
 namespace {
 
@@ -218,50 +221,51 @@ TEST(SourceMux, NoteVerdictCreditsTheRightSource) {
   b.close();
 }
 
-/// A live source that never has a message and records how it is polled.
+/// A live fd-less source that never has a message and counts its polls.
 class CountingSource final : public SampleSource {
  public:
-  bool poll(std::vector<Envelope>& /*out*/,
-            std::chrono::milliseconds timeout) override {
+  bool poll(std::vector<Envelope>& /*out*/) override {
     ++polls;
-    timeouts.push_back(timeout);
     return live;
   }
 
   bool live = true;
   int polls = 0;
-  std::vector<std::chrono::milliseconds> timeouts;
 };
 
-TEST(SourceMux, ASoleLiveSourceIsPolledOnceWithTheWholeTimeout) {
-  // No empty non-blocking sweep before the real wait: one mux poll is
-  // one source poll, and the source waits the caller's full timeout.
+TEST(SourceMux, AnFdlessSourceIsPolledEveryRoundAtMostAMillisecondApart) {
+  // The source has no fd to wait on, so the mux looks at it on every
+  // loop round and caps each round's wait at 1 ms.
   CountingSource only;
   SourceMux mux;
   mux.add_source("only", only);
   std::vector<Envelope> out;
-  for (int i = 1; i <= 5; ++i) {
-    EXPECT_TRUE(mux.poll(out, std::chrono::milliseconds(37)));
-    EXPECT_EQ(only.polls, i);
-  }
-  EXPECT_EQ(only.timeouts,
-            std::vector<std::chrono::milliseconds>(
-                5, std::chrono::milliseconds(37)));
-  EXPECT_TRUE(mux.poll(out, std::chrono::milliseconds(0)));
-  EXPECT_EQ(only.polls, 6);
-  EXPECT_EQ(only.timeouts.back(), std::chrono::milliseconds(0));
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(mux.poll(out, std::chrono::milliseconds(40)));
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(40));
+  EXPECT_GE(only.polls, 5);   // ~40 rounds of at most 1 ms each
+  EXPECT_LE(only.polls, 45);  // each round does wait
   EXPECT_TRUE(out.empty());
 
-  // Exhaustion is unchanged: the source's own false retires it, and the
-  // mux reports exhaustion in that same call.
+  // A zero timeout is one round, without a wait.
+  const int before = only.polls;
+  EXPECT_TRUE(mux.poll(out, std::chrono::milliseconds(0)));
+  EXPECT_EQ(only.polls, before + 1);
+
+  // The source's own false retires it, the mux reports exhaustion in
+  // that same call, and a retired source is never polled again.
   only.live = false;
-  EXPECT_FALSE(mux.poll(out, std::chrono::milliseconds(37)));
-  EXPECT_EQ(only.polls, 7);
-  EXPECT_FALSE(mux.poll(out, std::chrono::milliseconds(37)));
-  EXPECT_EQ(only.polls, 7);  // retired sources are never polled again
+  EXPECT_FALSE(mux.poll(out, std::chrono::milliseconds(40)));
+  EXPECT_EQ(only.polls, before + 2);
+  const auto exhausted_at = std::chrono::steady_clock::now();
+  EXPECT_FALSE(mux.poll(out, std::chrono::seconds(10)));
+  EXPECT_EQ(only.polls, before + 2);
+  EXPECT_LT(std::chrono::steady_clock::now() - exhausted_at,
+            std::chrono::milliseconds(100));  // no wait once exhausted
 }
 
-TEST(SourceMux, TheLastLiveSourceAfterARetirementIsPolledOnce) {
+TEST(SourceMux, ARetiredSourceIsNotPolledWhileAnotherStaysLive) {
   CountingSource retiring;
   CountingSource survivor;
   SourceMux mux;
@@ -269,17 +273,34 @@ TEST(SourceMux, TheLastLiveSourceAfterARetirementIsPolledOnce) {
   mux.add_source("survivor", survivor);
   retiring.live = false;
   std::vector<Envelope> out;
-  // Two live sources: the sweep retires one, then the 1 ms rounds run.
   EXPECT_TRUE(mux.poll(out, std::chrono::milliseconds(3)));
-  ASSERT_EQ(retiring.polls, 1);
-  // From here on the survivor is the sole live source.
-  const int before = survivor.polls;
-  for (int i = 1; i <= 3; ++i) {
-    EXPECT_TRUE(mux.poll(out, std::chrono::milliseconds(20)));
-    EXPECT_EQ(survivor.polls, before + i);
-    EXPECT_EQ(survivor.timeouts.back(), std::chrono::milliseconds(20));
-  }
   EXPECT_EQ(retiring.polls, 1);
+  const int before = survivor.polls;
+  EXPECT_GE(before, 1);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(mux.poll(out, std::chrono::milliseconds(5)));
+  }
+  EXPECT_GT(survivor.polls, before);
+  EXPECT_EQ(retiring.polls, 1);
+}
+
+TEST(SourceMux, AnIdleMuxOfTcpAndUdpSleepsInOneWait) {
+  // Both servers sit on the mux's one epoll: an idle poll is one
+  // epoll_wait for the whole timeout, not a round of short waits over
+  // the sources.
+  TcpServer tcp({});
+  UdpServer udp({});
+  SourceMux mux;
+  mux.add_source("tcp", tcp);
+  mux.add_source("udp", udp);
+  std::vector<Envelope> out;
+  const std::string tid = std::to_string(::syscall(SYS_gettid));
+  const long before = test::voluntary_switches(tid);
+  EXPECT_TRUE(mux.poll(out, std::chrono::milliseconds(500)));
+  const long switches = test::voluntary_switches(tid) - before;
+  EXPECT_TRUE(out.empty());
+  EXPECT_GE(before, 0);
+  EXPECT_LE(switches, 3);
 }
 
 TEST_F(SourceMuxFixture, ServiceShowsEverySourceTagEvenWhenOneIsIdle) {
@@ -344,6 +365,8 @@ class RawUdpPeer {
 TEST(UdpTransport, CountsGapsDuplicatesAndDecodeErrorsWithoutDying) {
   UdpServer server({});
   ASSERT_GT(server.port(), 0);
+  SourceMux mux;
+  mux.add_source("udp", server);
   RawUdpPeer peer(server.port());
 
   peer.send(1, make_open_job(1, 1));
@@ -354,12 +377,12 @@ TEST(UdpTransport, CountsGapsDuplicatesAndDecodeErrorsWithoutDying) {
   const std::uint8_t garbage[] = {0xDE, 0xAD, 0xBE, 0xEF, 0x01};
   peer.send_bytes(garbage, sizeof(garbage));
 
-  // The in-order + gapped messages arrive; the rest is counted. poll()
-  // does all the work on this thread, so once it has read all six
-  // datagrams the counters are exact.
+  // The in-order + gapped messages arrive; the rest is counted. The
+  // mux's poll does all the work on this thread, so once it has read all
+  // six datagrams the counters are exact.
   std::vector<Envelope> drained;
   for (int i = 0; i < 100 && server.stats().datagrams < 6; ++i) {
-    server.poll(drained, std::chrono::milliseconds(20));
+    mux.poll(drained, std::chrono::milliseconds(20));
   }
   ASSERT_EQ(drained.size(), 3u);
   EXPECT_EQ(drained[0].message.type, MessageType::kOpenJob);
@@ -383,13 +406,15 @@ TEST(UdpTransport, PeerTtlStartsAFreshSessionAfterSilence) {
   UdpServer::Config config;
   config.peer_ttl = std::chrono::milliseconds(50);
   UdpServer server(config);
+  SourceMux mux;
+  mux.add_source("udp", server);
   RawUdpPeer peer(server.port());  // one peer identity across the "reboot"
 
   peer.send(1, make_open_job(1, 1));
   peer.send(2, make_close_job(1));
   std::vector<Envelope> drained;
   for (int i = 0; i < 100 && drained.size() < 2; ++i) {
-    server.poll(drained, std::chrono::milliseconds(20));
+    mux.poll(drained, std::chrono::milliseconds(20));
   }
   ASSERT_EQ(drained.size(), 2u);
 
@@ -401,7 +426,7 @@ TEST(UdpTransport, PeerTtlStartsAFreshSessionAfterSilence) {
   peer.send(7, make_open_job(2, 1));
   drained.clear();
   for (int i = 0; i < 100 && drained.empty(); ++i) {
-    server.poll(drained, std::chrono::milliseconds(20));
+    mux.poll(drained, std::chrono::milliseconds(20));
   }
   ASSERT_EQ(drained.size(), 1u);
   EXPECT_EQ(drained[0].message.job_id, 2u);
@@ -414,11 +439,13 @@ TEST(UdpTransport, PeerTtlStartsAFreshSessionAfterSilence) {
 
 TEST(UdpTransport, StopFromAnotherThreadWakesABlockedPoll) {
   UdpServer server({});
+  SourceMux mux;
+  mux.add_source("udp", server);
   std::vector<Envelope> drained;
   bool alive = true;
   std::chrono::steady_clock::time_point returned_at;
   std::thread poller([&] {
-    alive = server.poll(drained, std::chrono::seconds(10));
+    alive = mux.poll(drained, std::chrono::seconds(10));
     returned_at = std::chrono::steady_clock::now();
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));  // let it block
@@ -429,11 +456,17 @@ TEST(UdpTransport, StopFromAnotherThreadWakesABlockedPoll) {
   EXPECT_FALSE(alive);
   EXPECT_TRUE(drained.empty());
   // Exhausted from here on: no wait, no datagrams.
-  EXPECT_FALSE(server.poll(drained, std::chrono::seconds(10)));
+  const auto exhausted_at = std::chrono::steady_clock::now();
+  EXPECT_FALSE(mux.poll(drained, std::chrono::seconds(10)));
+  EXPECT_LT(std::chrono::steady_clock::now() - exhausted_at,
+            std::chrono::milliseconds(100));
+  EXPECT_TRUE(drained.empty());
 }
 
 TEST(UdpTransport, OnePollReadsAtMostItsBudgetAndOtherPeersStillArrive) {
   UdpServer server({});
+  SourceMux mux;
+  mux.add_source("udp", server);
   RawUdpPeer flooder(server.port());
   RawUdpPeer quiet(server.port());
   constexpr std::size_t kBudget = UdpServer::kPollDatagramBudget;
@@ -450,7 +483,7 @@ TEST(UdpTransport, OnePollReadsAtMostItsBudgetAndOtherPeersStillArrive) {
   bool quiet_arrived = false;
   while (!quiet_arrived && polls < 100) {
     drained.clear();
-    server.poll(drained, std::chrono::milliseconds(20));
+    mux.poll(drained, std::chrono::milliseconds(20));
     ++polls;
     EXPECT_LE(drained.size(), kBudget);
     if (polls == 1) {
@@ -587,7 +620,7 @@ TEST(ShmTransport, CorruptStreamRetiresTheSourceNotTheProcess) {
   // The source retires (like a dropped TCP connection) instead of
   // crashing or spinning; the error is counted once.
   std::vector<Envelope> drained;
-  EXPECT_FALSE(server.poll(drained, std::chrono::milliseconds(200)));
+  EXPECT_FALSE(server.poll(drained));
   EXPECT_TRUE(drained.empty());
   EXPECT_EQ(server.stats().decode_errors, 1u);
 
@@ -608,7 +641,7 @@ TEST(ShmTransport, HostileCursorRetiresTheSourceWithoutAllocating) {
       header.in_tail.load(std::memory_order_relaxed) + (1ull << 40),
       std::memory_order_release);
   std::vector<Envelope> drained;
-  EXPECT_FALSE(server.poll(drained, std::chrono::milliseconds(100)));
+  EXPECT_FALSE(server.poll(drained));
   EXPECT_TRUE(drained.empty());
   EXPECT_EQ(server.stats().decode_errors, 1u);
 }
@@ -622,7 +655,7 @@ TEST(ShmTransport, SecondServerRefusesToHijackALiveSegment) {
   ShmRingClient client("mux_hijack_ring");
   client.send(make_open_job(1, 1));
   std::vector<Envelope> drained;
-  EXPECT_TRUE(live.poll(drained, std::chrono::milliseconds(200)));
+  EXPECT_TRUE(live.poll(drained));
   ASSERT_EQ(drained.size(), 1u);
 }
 

@@ -601,6 +601,16 @@ int cmd_serve(const util::ArgParser& args) {
     listeners.push_back(make_listener(spec));
     sources.add_source(spec, listeners.back().source());
   }
+  // Stops every listener, then runs the loop until each has retired: a
+  // TCP peer still sending is read to its EOF (up to kStopGrace), so a
+  // shutdown never resets a sender mid-stream.
+  const auto stop_listeners = [&] {
+    for (Listener& listener : listeners) listener.stop();
+    std::vector<ingest::Envelope> discarded;
+    while (sources.poll(discarded, std::chrono::milliseconds(100))) {
+      discarded.clear();
+    }
+  };
 
   ingest::IngestPipelineConfig pipeline_config;
   pipeline_config.max_verdicts =
@@ -757,9 +767,12 @@ int cmd_serve(const util::ArgParser& args) {
     // load balancer never routes traffic here pre-promotion. The standby
     // listener is torn down before the promoted pipeline binds its own
     // (same port when --http was explicit; a fresh ephemeral one for 0).
+    // It sits on the listeners' loop, answered whenever the follower
+    // polls its control listeners.
     std::unique_ptr<obs::HttpServer> standby_http;
     if (pipeline_config.http_port >= 0) {
       standby_http = std::make_unique<obs::HttpServer>(
+          sources.loop(),
           static_cast<std::uint16_t>(pipeline_config.http_port),
           [](const obs::HttpRequest& request) {
             obs::HttpResponse response;
@@ -789,7 +802,7 @@ int cmd_serve(const util::ArgParser& args) {
               << fstats.reconnects << " reconnects, newest capture "
               << fstats.last_capture_id << std::endl;
     if (outcome == ingest::ReplicationFollower::Outcome::kStopped) {
-      for (Listener& listener : listeners) listener.stop();
+      stop_listeners();
       return 0;
     }
     std::cout << "promoted: serving from the local chain" << std::endl;
@@ -806,7 +819,7 @@ int cmd_serve(const util::ArgParser& args) {
               << std::endl;
   }
   const std::uint64_t delivered = pipeline.run();
-  for (Listener& listener : listeners) listener.stop();
+  stop_listeners();
 
   const core::RecognitionServiceStats stats = service.stats();
   const ingest::IngestPipelineStats pstats = pipeline.stats();
