@@ -2,7 +2,7 @@
 /// \brief Prices each stage of the recognition hot path and emits one
 /// JSONL record for regression tracking.
 ///
-/// Three stages, each timed as best-of-R over a fixed work unit:
+/// Six stages, each timed as best-of-R over a fixed work unit:
 ///
 ///  1. rounding kernel — legacy libm round_to_depth vs. the table-driven
 ///     scalar kernel vs. the dispatched round_lanes() (AVX2 where the
@@ -21,17 +21,17 @@
 ///     disabled, in ns/sample; `obs_overhead_ratio` (off/on) gates that
 ///     instrumentation stays within the CI budget (>= 0.95 means the
 ///     timers cost at most ~5%);
-///  5. dictionary lookup — batch probes resolved through an uncompiled
-///     Dictionary (the Matcher's Dictionary::lookup fallback over the
-///     node-based hash map) vs. its compiled flat probe index
-///     (dictionary_index.hpp), in ns/key over identical pre-built key
-///     sets; the ratio is `lookup_speedup`;
+///  5. dictionary lookup — batch probes through the dictionary's tag
+///     table (dictionary_index.hpp), in ns/key over pre-built key sets
+///     (`lookup_index_ns_per_key`, informational);
 ///  6. dictionary publication — the trained dictionary plus 10k decoy
 ///     keys (the shape of e2ebench's churn-tcp B1/B2 dictionaries): load
-///     of its EFD-DICT-V1 text, write, sort + index compile, an
+///     of its EFD-DICT-V1 text, write, the writer's key sort, an
 ///     in-process swap_dictionary (epoch build included), a no-op swap
-///     of an identical candidate, and the snapshot base captured right
-///     after a swap, in ms. Informational: no threshold reads it.
+///     of an identical candidate, a no-op swap of the active epoch's own
+///     bytes (the wire path, refused before any parse), and the snapshot
+///     base captured right after a swap, in ms. Informational: no
+///     threshold reads it.
 ///
 /// CI runs this via the hot-path-smoke job and feeds the JSONL line to
 /// tools/bench_check.py, which compares the ratio fields against the
@@ -326,52 +326,35 @@ int main(int argc, char** argv) {
   std::cout << "obs_overhead_ratio: " << util::format_mean(obs_overhead_ratio)
             << " (off/on; 1.0 = free instrumentation)\n";
 
-  // --- Stage 5: dictionary lookup (hash map vs flat index) -----------
-  // The trained dictionary and a copy of it; only the copy compiles the
-  // probe index. Keys are pre-built once so the stage prices exactly the
-  // lookup+tally loop the serve path runs per verdict, nothing else.
-  core::Dictionary indexed_dict = dictionary;
-  indexed_dict.compile_probe_index();
+  // --- Stage 5: dictionary lookup -------------------------------------
+  // Keys are pre-built once so the stage prices exactly the lookup+tally
+  // loop the serve path runs per verdict, nothing else.
   std::vector<std::vector<core::FingerprintKey>> key_sets;
   std::size_t key_total = 0;
   for (const telemetry::ExecutionRecord& record : dataset.records()) {
     key_sets.push_back(core::build_fingerprints(record, config, slots));
     key_total += key_sets.back().size();
   }
-  const core::Matcher map_matcher(dictionary);
-  const core::Matcher indexed_matcher(indexed_dict);
+  const core::Matcher lookup_matcher(dictionary);
   core::RecognitionScratch lookup_scratch;
   constexpr int kLookupPasses = 16;  // amortize timer granularity
-  const auto lookup_loop = [&](const core::Matcher& matcher) {
-    std::size_t matched = 0;
-    for (int pass = 0; pass < kLookupPasses; ++pass) {
-      for (const std::vector<core::FingerprintKey>& keys : key_sets) {
-        matcher.recognize_keys_into(keys, lookup_scratch);
-        matched += lookup_scratch.result().matched_count;
-      }
-    }
-    g_sink = static_cast<double>(matched);
-  };
-  const double lookup_map_ns =
-      best_of(repetitions, [&] { lookup_loop(map_matcher); }) /
-      (key_total * kLookupPasses);
   const double lookup_index_ns =
-      best_of(repetitions, [&] { lookup_loop(indexed_matcher); }) /
+      best_of(repetitions, [&] {
+        std::size_t matched = 0;
+        for (int pass = 0; pass < kLookupPasses; ++pass) {
+          for (const std::vector<core::FingerprintKey>& keys : key_sets) {
+            lookup_matcher.recognize_keys_into(keys, lookup_scratch);
+            matched += lookup_scratch.result().matched_count;
+          }
+        }
+        g_sink = static_cast<double>(matched);
+      }) /
       (key_total * kLookupPasses);
-  const double lookup_speedup = lookup_map_ns / lookup_index_ns;
 
-  std::cout << "\n";
-  util::TablePrinter lookup({"dictionary lookup", "ns/key"});
-  lookup.add_row({"hash map (uncompiled)", util::format_mean(lookup_map_ns)});
-  lookup.add_row({std::string("flat index (") + core::index_kernel_name() +
-                      " tag scan)",
-                  util::format_mean(lookup_index_ns)});
-  lookup.print(std::cout);
-  std::cout << "lookup_speedup: " << util::format_mean(lookup_speedup)
-            << "x over " << key_total << " keys (index "
-            << indexed_dict.index_resident_bytes() << " bytes, built in "
-            << util::format_mean(indexed_dict.index_build_seconds() * 1e3)
-            << " ms)\n";
+  std::cout << "\ndictionary lookup (" << core::index_kernel_name()
+            << " tag scan): " << util::format_mean(lookup_index_ns)
+            << " ns/key over " << key_total << " keys (table "
+            << dictionary.probe_index()->resident_bytes() << " bytes)\n";
 
   // --- Stage 6: dictionary publication -------------------------------
   // Two decoy variants, so consecutive swaps alternate real content
@@ -408,12 +391,10 @@ int main(int argc, char** argv) {
         b1.save(text);
         g_sink = static_cast<double>(text.size());
       }) / kNsPerMs;
-  // Sort + compile on fresh copies: a compiled index is never rebuilt.
-  std::vector<core::Dictionary> uncompiled(static_cast<std::size_t>(repetitions), b1);
-  std::size_t next_copy = 0;
-  const double publish_compile_ms =
+  // The key order the writer sorts (write includes it).
+  const double publish_sort_ms =
       best_of(repetitions, [&] {
-        uncompiled[next_copy++].compile_probe_index();
+        g_sink = static_cast<double>(b1.sorted_order().size());
       }) / kNsPerMs;
 
   // Candidates are parsed before the clock starts, as the wire handler's
@@ -447,14 +428,24 @@ int main(int argc, char** argv) {
             publisher.swap_dictionary(std::move(identical[next_identical++]))
                 .already_active);
       }) / kNsPerMs;
+  // The wire's no-op: the active epoch's own bytes, refused unparsed.
+  const std::string active_text = publisher.dictionary_handle().acquire()->bytes;
+  const double publish_noop_wire_swap_ms =
+      best_of(repetitions, [&] {
+        g_sink = static_cast<double>(
+            publisher.swap_dictionary(std::string_view(active_text))
+                .already_active);
+      }) / kNsPerMs;
 
   std::cout << "\n";
   util::TablePrinter publish({"dictionary publication", "ms"});
   publish.add_row({"load", util::format_mean(publish_load_ms)});
   publish.add_row({"write", util::format_mean(publish_write_ms)});
-  publish.add_row({"sort + compile", util::format_mean(publish_compile_ms)});
+  publish.add_row({"sort", util::format_mean(publish_sort_ms)});
   publish.add_row({"swap", util::format_mean(publish_swap_ms)});
   publish.add_row({"no-op swap", util::format_mean(publish_noop_swap_ms)});
+  publish.add_row({"no-op wire swap (unparsed)",
+                   util::format_mean(publish_noop_wire_swap_ms)});
   publish.add_row({"base capture after swap",
                    util::format_mean(publish_capture_ms)});
   publish.print(std::cout);
@@ -479,20 +470,19 @@ int main(int argc, char** argv) {
       .field("obs_on_ns_per_sample", obs_on_ns)
       .field("obs_off_ns_per_sample", obs_off_ns)
       .field("obs_overhead_ratio", obs_overhead_ratio)
-      .field("lookup_map_ns_per_key", lookup_map_ns)
       .field("lookup_index_ns_per_key", lookup_index_ns)
-      .field("lookup_speedup", lookup_speedup)
       .field("index_kernel", core::index_kernel_name())
       .field("index_bytes",
-             static_cast<long long>(indexed_dict.index_resident_bytes()))
-      .field("index_build_seconds", indexed_dict.index_build_seconds())
+             static_cast<long long>(dictionary.probe_index()->resident_bytes()))
+      .field("index_build_seconds", b1.index_build_seconds())
       .field("publish_keys", static_cast<long long>(b1.size()))
       .field("publish_bytes", static_cast<long long>(b1_text.size()))
       .field("publish_load_ms", publish_load_ms)
       .field("publish_write_ms", publish_write_ms)
-      .field("publish_compile_ms", publish_compile_ms)
+      .field("publish_sort_ms", publish_sort_ms)
       .field("publish_swap_ms", publish_swap_ms)
       .field("publish_noop_swap_ms", publish_noop_swap_ms)
+      .field("publish_noop_wire_swap_ms", publish_noop_wire_swap_ms)
       .field("publish_base_capture_ms", publish_capture_ms)
       .field("records", dataset.size());
   bench::emit_json(args, record);

@@ -25,12 +25,13 @@ void print_dictionary(const efd::core::Dictionary& dictionary) {
   table.set_alignments({efd::util::Align::kLeft, efd::util::Align::kRight,
                         efd::util::Align::kLeft, efd::util::Align::kRight,
                         efd::util::Align::kLeft});
-  for (const efd::core::Dictionary::Row* row : dictionary.sorted_view()) {
-    const auto& [key, entry] = *row;
+  for (const std::uint32_t ordinal : dictionary.sorted_order()) {
+    const efd::core::DictionaryEntry entry = dictionary.entry(ordinal);
+    const efd::core::FingerprintKey key = entry.key();
     std::string labels;
-    for (std::size_t i = 0; i < entry.labels.size(); ++i) {
+    for (std::size_t i = 0; i < entry.size(); ++i) {
       if (i != 0) labels += ", ";
-      labels += entry.labels[i];
+      labels += entry.label(i);
     }
     table.add_row({key.metric, std::to_string(key.node_id),
                    "[" + std::to_string(key.interval.begin_seconds) + ":" +
@@ -43,10 +44,11 @@ void print_dictionary(const efd::core::Dictionary& dictionary) {
 /// True if any key's entry contains labels of both applications.
 bool applications_collide(const efd::core::Dictionary& dictionary,
                           const std::string& a, const std::string& b) {
-  for (const auto& [key, entry] : dictionary) {
+  for (std::size_t ordinal = 0; ordinal < dictionary.size(); ++ordinal) {
+    const efd::core::DictionaryEntry entry = dictionary.entry(ordinal);
     bool has_a = false, has_b = false;
-    for (const auto& label : entry.labels) {
-      const auto parsed = efd::telemetry::parse_label(label);
+    for (std::size_t i = 0; i < entry.size(); ++i) {
+      const auto parsed = efd::telemetry::parse_label(entry.label(i));
       has_a |= parsed.application == a;
       has_b |= parsed.application == b;
     }

@@ -49,7 +49,7 @@ CoverageReport analyze_coverage(const Dictionary& dictionary,
     const auto keys = build_fingerprints(record, dictionary.config(), slots);
     std::size_t matched = 0;
     for (const auto& key : keys) {
-      if (dictionary.lookup(key) != nullptr) ++matched;
+      if (dictionary.lookup(key)) ++matched;
     }
     const double fraction =
         keys.empty() ? 0.0
@@ -72,10 +72,11 @@ CoverageReport analyze_coverage(const Dictionary& dictionary,
   }
 
   // Bucket spread per application, from the dictionary side.
-  for (const auto& [key, entry] : dictionary) {
+  for (std::size_t ordinal = 0; ordinal < dictionary.size(); ++ordinal) {
+    const DictionaryEntry entry = dictionary.entry(ordinal);
     std::set<std::string> applications;
-    for (const auto& label : entry.labels) {
-      applications.insert(telemetry::parse_label(label).application);
+    for (std::size_t i = 0; i < entry.size(); ++i) {
+      applications.insert(telemetry::parse_label(entry.label(i)).application);
     }
     for (const auto& application : applications) {
       ++report.keys_by_application[application];

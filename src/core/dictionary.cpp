@@ -3,96 +3,79 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
+#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <limits>
-#include <map>
 #include <numeric>
 #include <optional>
 #include <ostream>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
 
-#include "core/dictionary_index.hpp"
-#include "telemetry/execution_record.hpp"
 #include "util/string_utils.hpp"
 
 namespace efd::core {
 
 bool DictionaryEntry::contains(const std::string& label) const {
-  return std::find(labels.begin(), labels.end(), label) != labels.end();
+  // No run holds kNoLabelId, the id of a label never interned.
+  const std::span<const std::uint32_t> ids = label_ids();
+  return std::find(ids.begin(), ids.end(), labels_->id_of(label)) != ids.end();
 }
 
 std::uint64_t DictionaryEntry::total_count() const noexcept {
-  return std::accumulate(counts.begin(), counts.end(), std::uint64_t{0});
+  const std::span<const std::uint32_t> observed = counts();
+  return std::accumulate(observed.begin(), observed.end(), std::uint64_t{0});
 }
 
 void Dictionary::insert(const FingerprintKey& key, const std::string& label,
                         std::uint32_t count) {
   if (count == 0) return;
   // Only an unpublished dictionary is ever mutated (epochs are const), so
-  // nothing probes the index this drops.
-  index_.reset();
-  observe(entries_[key], label, count);
+  // nothing probes the table while it grows.
+  index_.add_label(index_.find_or_add(key), labels_.intern(label), count);
 }
 
-void Dictionary::observe(DictionaryEntry& entry, const std::string& label,
-                         std::uint32_t count) {
-  const std::size_t interned = labels_.label_count();
-  const std::uint32_t label_id = labels_.intern(label);
-  if (labels_.label_count() != interned) {
-    // A label's application was ranked when the label was first interned,
-    // so only a new label can introduce a new application.
-    application_first_seen_.emplace(telemetry::parse_label(label).application,
-                                    application_first_seen_.size());
-  }
-  // label_ids is aligned with labels, so matching ids finds the label
-  // without string compares.
-  for (std::size_t i = 0; i < entry.label_ids.size(); ++i) {
-    if (entry.label_ids[i] == label_id) {
-      entry.counts[i] += count;
-      return;
-    }
-  }
-  entry.labels.push_back(label);
-  entry.counts.push_back(count);
-  entry.label_ids.push_back(label_id);
-}
-
-const DictionaryEntry* Dictionary::lookup(const FingerprintKey& key) const {
-  const auto it = entries_.find(key);
-  return it != entries_.end() ? &it->second : nullptr;
+std::optional<DictionaryEntry> Dictionary::lookup(
+    const FingerprintKey& key) const {
+  const DictionaryIndex::Entry* row = index_.find(key);
+  if (row == nullptr) return std::nullopt;
+  return DictionaryEntry(index_, labels_, *row);
 }
 
 std::size_t Dictionary::application_order(const std::string& application) const {
-  const auto it = application_first_seen_.find(application);
-  return it != application_first_seen_.end()
-             ? it->second
-             : application_first_seen_.size();  // unknowns sort last
+  std::uint32_t id = 0;
+  while (id < labels_.application_count() &&
+         labels_.application_name(id) != application) {
+    ++id;
+  }
+  return id;  // unknowns rank last
 }
 
 std::vector<std::string> Dictionary::applications_in_order() const {
-  std::vector<std::string> ordered(application_first_seen_.size());
-  for (const auto& [application, rank] : application_first_seen_) {
-    ordered[rank] = application;
+  std::vector<std::string> ordered;
+  for (std::uint32_t id = 0; id < labels_.application_count(); ++id) {
+    ordered.push_back(labels_.application_name(id));
   }
   return ordered;
 }
 
 std::size_t Dictionary::prune_rare(std::uint32_t min_observations) {
-  index_.reset();
-  std::size_t removed = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.total_count() < min_observations) {
-      it = entries_.erase(it);
-      ++removed;
-    } else {
-      ++it;
+  // The kept rows, re-appended in their order into a fresh table; label
+  // ids stay valid because the label table is untouched.
+  DictionaryIndex kept;
+  for (std::size_t i = 0; i < size(); ++i) {
+    const DictionaryEntry row = entry(i);
+    if (row.total_count() < min_observations) continue;
+    const std::uint32_t ordinal = kept.find_or_add(row.key());
+    for (std::size_t l = 0; l < row.size(); ++l) {
+      kept.add_label(ordinal, row.label_ids()[l], row.counts()[l]);
     }
   }
+  const std::size_t removed = size() - kept.key_count();
+  index_ = std::move(kept);
   return removed;
 }
 
@@ -107,111 +90,79 @@ void Dictionary::merge(const Dictionary& other) {
   if (!same_config()) {
     throw std::invalid_argument("cannot merge dictionaries with different configs");
   }
-  // Adopt the source's application epoch order first so tie-breaking
-  // stays deterministic regardless of entry iteration order below.
-  for (const std::string& application : other.applications_in_order()) {
-    application_first_seen_.emplace(application,
-                                    application_first_seen_.size());
+  // Intern the source's labels in its own id order first: its new
+  // applications then rank after ours in its order, whatever the entry
+  // order below.
+  std::vector<std::uint32_t> ids_here(other.labels_.label_count());
+  for (std::uint32_t id = 0; id < ids_here.size(); ++id) {
+    ids_here[id] = labels_.intern(other.labels_.label_name(id));
   }
-  for (const auto& [key, entry] : other.entries_) {
-    for (std::size_t i = 0; i < entry.labels.size(); ++i) {
-      insert(key, entry.labels[i], entry.counts[i]);
+  for (const DictionaryIndex::Entry& row : other.index_.entries_) {
+    const auto ids = other.index_.label_ids(row);
+    const auto counts = other.index_.counts(row);
+    std::optional<std::uint32_t> ordinal;  // insert() skips zero counts
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (counts[i] == 0) continue;
+      if (!ordinal) ordinal = index_.find_or_add(other.index_.key_of(row));
+      index_.add_label(*ordinal, ids_here[ids[i]], counts[i]);
     }
   }
 }
 
 DictionaryStats Dictionary::stats() const {
   DictionaryStats stats;
-  stats.key_count = entries_.size();
+  stats.key_count = size();
   std::size_t label_total = 0;
-  for (const auto& [key, entry] : entries_) {
-    std::set<std::string> applications;
-    for (const auto& label : entry.labels) {
-      applications.insert(telemetry::parse_label(label).application);
-    }
-    if (applications.size() <= 1) ++stats.exclusive_keys;
-    else ++stats.colliding_keys;
-    label_total += entry.labels.size();
-    stats.total_observations += entry.total_count();
+  for (std::size_t i = 0; i < size(); ++i) {
+    const DictionaryEntry row = entry(i);
+    const auto ids = row.label_ids();
+    const bool exclusive = std::all_of(ids.begin(), ids.end(), [&](std::uint32_t id) {
+      return labels_.application_of(id) == labels_.application_of(ids.front());
+    });
+    ++(exclusive ? stats.exclusive_keys : stats.colliding_keys);
+    label_total += row.size();
+    stats.total_observations += row.total_count();
   }
   stats.mean_labels_per_key =
-      entries_.empty() ? 0.0
-                       : static_cast<double>(label_total) /
-                             static_cast<double>(entries_.size());
+      empty() ? 0.0
+              : static_cast<double>(label_total) / static_cast<double>(size());
   return stats;
 }
 
-namespace {
-
-/// Table-4 key ordering of sorted_view() and the serialization (metric,
-/// interval begin, means, node; the interval end only splits keys that
-/// agree on everything else, so the order is total).
-bool fingerprint_key_before(const FingerprintKey& a, const FingerprintKey& b) {
-  if (a.metric != b.metric) return a.metric < b.metric;
-  if (a.interval.begin_seconds != b.interval.begin_seconds) {
-    return a.interval.begin_seconds < b.interval.begin_seconds;
-  }
-  if (a.rounded_means != b.rounded_means) {
-    return a.rounded_means < b.rounded_means;
-  }
-  if (a.node_id != b.node_id) return a.node_id < b.node_id;
-  return a.interval.end_seconds < b.interval.end_seconds;
-}
-
-}  // namespace
-
-std::vector<const Dictionary::Row*> Dictionary::sorted_view() const {
-  // Most comparisons are settled by the metric, the interval begin and
-  // the first mean. Copying those into flat records keeps the sort off
-  // the map's nodes and each key's heap-held metric and means; only ties
-  // on all three fall back to fingerprint_key_before. The metric becomes
-  // its rank among the distinct metric names, which orders like the name.
-  struct SortRecord {
-    std::uint32_t metric_rank;
-    int begin;
-    double first_mean;  ///< -inf for no means: the empty vector sorts first
-    const Row* row;
-  };
-  std::map<std::string_view, std::uint32_t> metric_rank;
-  // try_emplace builds a node only for a metric not yet in the map.
-  for (const Row& row : entries_) {
-    metric_rank.try_emplace(row.first.metric, 0);
-  }
-  std::uint32_t next_rank = 0;
-  for (auto& [metric, rank] : metric_rank) rank = next_rank++;
-
-  std::vector<SortRecord> records;
-  records.reserve(entries_.size());
-  for (const Row& row : entries_) {
-    const FingerprintKey& key = row.first;
-    records.push_back({metric_rank.find(key.metric)->second,
-                       key.interval.begin_seconds,
-                       key.rounded_means.empty()
-                           ? -std::numeric_limits<double>::infinity()
-                           : key.rounded_means.front(),
-                       &row});
-  }
-  std::sort(records.begin(), records.end(),
-            [](const SortRecord& a, const SortRecord& b) {
-              if (a.metric_rank != b.metric_rank) {
-                return a.metric_rank < b.metric_rank;
-              }
-              if (a.begin != b.begin) return a.begin < b.begin;
-              if (a.first_mean < b.first_mean) return true;
-              if (b.first_mean < a.first_mean) return false;
-              return fingerprint_key_before(a.row->first, b.row->first);
-            });
-  std::vector<const Row*> rows;
-  rows.reserve(records.size());
-  for (const SortRecord& record : records) rows.push_back(record.row);
-  return rows;
+std::vector<std::uint32_t> Dictionary::sorted_order() const {
+  // Table-4 key ordering: metric, interval begin, means, node; the
+  // interval end only splits keys that agree on everything else, so the
+  // order is total. Distinct metric ids name distinct metrics.
+  const std::span<const DictionaryIndex::Entry> rows = index_.entries_;
+  std::vector<std::uint32_t> order(rows.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    const DictionaryIndex::Entry& x = rows[a];
+    const DictionaryIndex::Entry& y = rows[b];
+    if (x.metric_id != y.metric_id) {
+      return index_.metric_names_[x.metric_id] < index_.metric_names_[y.metric_id];
+    }
+    if (x.begin_seconds != y.begin_seconds) {
+      return x.begin_seconds < y.begin_seconds;
+    }
+    const double* mx = index_.means_.data() + x.means_begin;
+    const double* my = index_.means_.data() + y.means_begin;
+    if (!std::equal(mx, mx + x.means_count, my, my + y.means_count)) {
+      return std::lexicographical_compare(mx, mx + x.means_count, my,
+                                          my + y.means_count);
+    }
+    if (x.node_id != y.node_id) return x.node_id < y.node_id;
+    return x.end_seconds < y.end_seconds;
+  });
+  return order;
 }
 
 std::vector<FingerprintKey> Dictionary::keys_for_label(
     const std::string& label) const {
   std::vector<FingerprintKey> keys;
-  for (const Row* row : sorted_view()) {
-    if (row->second.contains(label)) keys.push_back(row->first);
+  for (const std::uint32_t ordinal : sorted_order()) {
+    const DictionaryEntry row = entry(ordinal);
+    if (row.contains(label)) keys.push_back(row.key());
   }
   return keys;
 }
@@ -303,12 +254,10 @@ class LineReader {
 
 }  // namespace
 
-void Dictionary::save(std::string& out) const { save(out, sorted_view()); }
-
-void Dictionary::save(std::string& out,
-                      const std::vector<const Row*>& rows) const {
+void Dictionary::save(std::string& out) const {
+  const std::vector<std::uint32_t> order = sorted_order();
   // ~40 bytes per row in practice; one reservation covers most of it.
-  out.reserve(out.size() + 64 + rows.size() * 48);
+  out.reserve(out.size() + 64 + order.size() * 48);
   out += kFormatTag;
   out += "\nmetrics ";
   out += util::join(config_.metrics, ",");
@@ -324,28 +273,31 @@ void Dictionary::save(std::string& out,
   out += "\ncombine ";
   out += config_.combine_metrics ? '1' : '0';
   out += "\nkeys ";
-  append_int(out, static_cast<long long>(rows.size()));
+  append_int(out, static_cast<long long>(order.size()));
   out += '\n';
-  for (const Row* row : rows) {
-    const auto& [key, entry] = *row;
-    out += key.metric;
+  const std::span<const DictionaryIndex::Entry> rows = index_.entries_;
+  for (const std::uint32_t ordinal : order) {
+    const DictionaryIndex::Entry& row = rows[ordinal];
+    out += index_.metric_names_[row.metric_id];
     out += '|';
-    append_int(out, key.node_id);
+    append_int(out, row.node_id);
     out += '|';
-    append_int(out, key.interval.begin_seconds);
+    append_int(out, row.begin_seconds);
     out += ':';
-    append_int(out, key.interval.end_seconds);
+    append_int(out, row.end_seconds);
     out += '|';
-    for (std::size_t i = 0; i < key.rounded_means.size(); ++i) {
+    for (std::uint32_t i = 0; i < row.means_count; ++i) {
       if (i != 0) out += ',';
-      append_mean(out, key.rounded_means[i]);
+      append_mean(out, index_.means_[row.means_begin + i]);
     }
     out += '|';
-    for (std::size_t i = 0; i < entry.labels.size(); ++i) {
+    const std::span<const std::uint32_t> ids = index_.label_ids(row);
+    const std::span<const std::uint32_t> counts = index_.counts(row);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
       if (i != 0) out += ',';
-      out += entry.labels[i];
+      out += labels_.label_name(ids[i]);
       out += '=';
-      append_int(out, entry.counts[i]);
+      append_int(out, counts[i]);
     }
     out += '\n';
   }
@@ -365,6 +317,7 @@ void Dictionary::save_file(const std::string& path) const {
 }
 
 Dictionary Dictionary::load(std::string_view text) {
+  const auto start = std::chrono::steady_clock::now();
   LineReader lines(text);
   std::string_view line;
 
@@ -406,17 +359,30 @@ Dictionary Dictionary::load(std::string_view text) {
   if (!key_count || *key_count < 0) fail("bad key count");
 
   Dictionary dictionary(config);
-  // A row is at least 14 bytes ("m|0|0:0|0|a=1\n"), so the text bounds
-  // how much a hostile key count can make this reserve.
-  dictionary.entries_.reserve(static_cast<std::size_t>(
-      std::min<long long>(*key_count, static_cast<long long>(text.size() / 14))));
+  // A row is at least 14 bytes ("m|0|0:0|0|a=1\n") and a mean at least
+  // 2 ("0,"), so the text bounds how much a hostile header can make this
+  // reserve. One label per key is the common shape.
+  const std::size_t rows = static_cast<std::size_t>(
+      std::min<long long>(*key_count, static_cast<long long>(text.size() / 14)));
+  DictionaryIndex& index = dictionary.index_;
+  index.entries_.reserve(rows);
+  index.hashes_.reserve(rows);
+  index.means_.reserve(config.combine_metrics
+                           ? std::min(rows * config.metrics.size(), text.size() / 2)
+                           : rows);
+  index.label_ids_.reserve(rows);
+  index.counts_.reserve(rows);
+  if (rows != 0) index.resize_table(rows);
+  // Rows of one label are common (all of B1's decoys): the previous
+  // token's id is reused without hashing the name again.
   std::string label;
+  std::uint32_t label_id = kNoLabelId;
+  FingerprintKey key;  // its buffers are reused row after row
   for (long long k = 0; k < *key_count; ++k) {
     if (!lines.next(line)) fail("truncated key list");
     std::array<std::string_view, 5> fields;
     if (!split_exact(line, '|', fields)) fail("bad key row");
-    FingerprintKey key;
-    key.metric = fields[0];
+    key.metric.assign(fields[0]);
     const auto node = parse_as<std::uint32_t>(fields[1]);
     if (!node) fail("bad node id");
     key.node_id = *node;
@@ -426,21 +392,29 @@ Dictionary Dictionary::load(std::string_view text) {
     const auto ie = parse_as<int>(bounds[1]);
     if (!ib || !ie) fail("bad key interval numbers");
     key.interval = {*ib, *ie};
+    key.rounded_means.clear();
     for_each_token(fields[3], ',', [&](std::string_view mean_text) {
       const auto mean = util::parse_double(mean_text);
       if (!mean) fail("bad mean");
       key.rounded_means.push_back(*mean);
     });
-    DictionaryEntry& entry = dictionary.entries_[std::move(key)];
+    const std::uint32_t ordinal = index.find_or_add(key);
     for_each_token(fields[4], ',', [&](std::string_view label_token) {
       const std::size_t eq = label_token.rfind('=');
       if (eq == std::string_view::npos) fail("bad label token");
       const auto count = parse_as<std::uint32_t>(label_token.substr(eq + 1));
       if (!count || *count < 1) fail("bad label count");
-      label.assign(label_token.substr(0, eq));
-      dictionary.observe(entry, label, *count);
+      const std::string_view name = label_token.substr(0, eq);
+      if (label_id == kNoLabelId || name != label) {
+        label.assign(name);
+        label_id = dictionary.labels_.intern(label);
+      }
+      index.add_label(ordinal, label_id, *count);
     });
   }
+  index.build_seconds_ =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
   return dictionary;
 }
 
@@ -454,26 +428,6 @@ Dictionary Dictionary::load_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open dictionary: " + path);
   return load(in);
-}
-
-void Dictionary::compile_probe_index() {
-  index_ = DictionaryIndex::compile(sorted_view());
-}
-
-std::string Dictionary::compile_for_publication() {
-  const std::vector<const Row*> rows = sorted_view();
-  index_ = DictionaryIndex::compile(rows);
-  std::string text;
-  save(text, rows);
-  return text;
-}
-
-double Dictionary::index_build_seconds() const noexcept {
-  return index_ != nullptr ? index_->build_seconds() : 0.0;
-}
-
-std::uint64_t Dictionary::index_resident_bytes() const noexcept {
-  return index_ != nullptr ? index_->resident_bytes() : 0;
 }
 
 }  // namespace efd::core

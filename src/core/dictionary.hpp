@@ -13,37 +13,57 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "core/dictionary_index.hpp"
 #include "core/fingerprint.hpp"
 #include "core/label_table.hpp"
 
 namespace efd::core {
 
-class DictionaryIndex;
+/// One key's row, viewed in place in its dictionary's flat arrays: the
+/// key and its labels, in first-observation order, with their
+/// observation counts. Valid until the dictionary is mutated or
+/// destroyed.
+class DictionaryEntry {
+ public:
+  DictionaryEntry(const DictionaryIndex& index, const LabelTable& labels,
+                  const DictionaryIndex::Entry& row) noexcept
+      : index_(&index), labels_(&labels), row_(&row) {}
 
-/// Value of one dictionary entry.
-struct DictionaryEntry {
-  /// Distinct full labels ("ft_X"), in first-observation order.
-  std::vector<std::string> labels;
+  /// The key, rebuilt as a FingerprintKey.
+  FingerprintKey key() const { return index_->key_of(*row_); }
+
+  /// Number of distinct labels.
+  std::size_t size() const noexcept { return row_->labels_count; }
+  /// Full label ("ft_X") \p i, named through the dictionary's LabelTable.
+  const std::string& label(std::size_t i) const noexcept {
+    return labels_->label_name(label_ids()[i]);
+  }
+  /// Interned label ids — the allocation-free scoring path votes on these.
+  std::span<const std::uint32_t> label_ids() const noexcept {
+    return index_->label_ids(*row_);
+  }
   /// How many training executions contributed each label (aligned with
-  /// labels). Used for pruning statistics and the ablation benches.
-  std::vector<std::uint32_t> counts;
-  /// Interned id per label (aligned with labels) in the owning
-  /// dictionary's LabelTable — the allocation-free scoring path votes on
-  /// these instead of re-parsing label strings. Not serialized: id values
-  /// depend on interning order, the durable content is labels/counts.
-  std::vector<std::uint32_t> label_ids;
+  /// label_ids()). Used for pruning statistics and the ablation benches.
+  std::span<const std::uint32_t> counts() const noexcept {
+    return index_->counts(*row_);
+  }
 
   /// True if the entry contains the label.
   bool contains(const std::string& label) const;
 
   /// Total observations across labels.
   std::uint64_t total_count() const noexcept;
+
+ private:
+  const DictionaryIndex* index_;
+  const LabelTable* labels_;
+  const DictionaryIndex::Entry* row_;
 };
 
 /// Exclusiveness/pruning statistics (Section 5 discussion).
@@ -55,11 +75,12 @@ struct DictionaryStats {
   std::uint64_t total_observations = 0;
 };
 
-/// The dictionary proper: the one trained form of the EFD. Built
-/// single-threaded (train_dictionary, load, merge), then published as a
-/// const epoch (dictionary_handle.hpp) with its compiled probe index;
-/// a published dictionary is never mutated, so any number of threads
-/// may read it.
+/// The dictionary proper: the one form of the EFD. Its rows live flat
+/// in a DictionaryIndex (dictionary_index.hpp), which is also its only
+/// lookup structure. Built single-threaded (train_dictionary, load,
+/// merge), then published as a const epoch (dictionary_handle.hpp); a
+/// published dictionary is never mutated, so any number of threads may
+/// read it.
 class Dictionary {
  public:
   Dictionary() = default;
@@ -71,14 +92,14 @@ class Dictionary {
 
   const FingerprintConfig& config() const noexcept { return config_; }
 
-  /// The label interner entries' label_ids index into. insert() interns
-  /// every label before it writes the entry, so every entry's label_ids
+  /// The label interner entries' label ids index into. insert() interns
+  /// every label before it writes the entry, so every entry's label ids
   /// resolve here; a copy of the dictionary copies the table.
   const LabelTable& label_table() const noexcept { return labels_; }
 
   /// Number of unique keys.
-  std::size_t size() const noexcept { return entries_.size(); }
-  bool empty() const noexcept { return entries_.empty(); }
+  std::size_t size() const noexcept { return index_.key_count(); }
+  bool empty() const noexcept { return size() == 0; }
 
   /// Adds one (key, label) observation. Creates the key if absent.
   void insert(const FingerprintKey& key, const std::string& label) {
@@ -89,12 +110,18 @@ class Dictionary {
   void insert(const FingerprintKey& key, const std::string& label,
               std::uint32_t count);
 
-  /// Entry for a key, or nullptr if absent. O(1) expected.
-  const DictionaryEntry* lookup(const FingerprintKey& key) const;
+  /// Entry for a key, or nullopt if absent. O(1) expected.
+  std::optional<DictionaryEntry> lookup(const FingerprintKey& key) const;
+
+  /// The entry of key ordinal \p ordinal (< size()), in insertion order.
+  DictionaryEntry entry(std::size_t ordinal) const noexcept {
+    return {index_, labels_, index_.entries_[ordinal]};
+  }
 
   /// Application-name first-seen rank (for deterministic tie arrays):
-  /// applications are indexed in the order their first key was inserted;
-  /// unknown applications rank last.
+  /// applications are indexed in the order their first label was
+  /// interned, which is their LabelTable id; unknown applications rank
+  /// last.
   std::size_t application_order(const std::string& application) const;
 
   /// Application names in first-seen order (the tie-break epoch order).
@@ -113,14 +140,10 @@ class Dictionary {
   /// Aggregate statistics over keys.
   DictionaryStats stats() const;
 
-  /// One stored (key, entry) row.
-  using Row = std::pair<const FingerprintKey, DictionaryEntry>;
-
-  /// Every row, sorted by key (metric, interval begin, means, node,
-  /// interval end): the order of the Table 4 dump, of the EFD-DICT-V1 key
-  /// list and of the probe index's entries. The pointers are into this
-  /// dictionary and stay valid until it is mutated or destroyed.
-  std::vector<const Row*> sorted_view() const;
+  /// Every key ordinal, sorted by key (metric, interval begin, means,
+  /// node, interval end): the order of the Table 4 dump and of the
+  /// EFD-DICT-V1 key list.
+  std::vector<std::uint32_t> sorted_order() const;
 
   /// Reverse lookup (Section 6: "using the dictionary in reverse"): every
   /// key observed for a full label, e.g. to predict a known application's
@@ -128,65 +151,38 @@ class Dictionary {
   std::vector<FingerprintKey> keys_for_label(const std::string& label) const;
 
   /// Serializes to the line-oriented EFD-DICT-V1 text, appended to
-  /// \p out. Deterministic: keys are written in sorted_view() order.
+  /// \p out. Deterministic: keys are written in sorted_order().
   void save(std::string& out) const;
   /// The same bytes, written to a stream.
   void save(std::ostream& out) const;
   void save_file(const std::string& path) const;
 
-  /// Deserializes EFD-DICT-V1 text; throws std::runtime_error on
-  /// malformed input, including CRLF line endings and integers that do
-  /// not fit their field (a node id or label count outside u32, an
-  /// interval bound or depth outside int). Text after the declared key
-  /// rows is ignored.
+  /// Deserializes EFD-DICT-V1 text straight into the flat rows; throws
+  /// std::runtime_error on malformed input, including CRLF line endings
+  /// and integers that do not fit their field (a node id or label count
+  /// outside u32, an interval bound or depth outside int). A key on
+  /// several rows, or a label repeated within a row, merges as insert()
+  /// would. Text after the declared key rows is ignored.
   static Dictionary load(std::string_view text);
   /// Reads \p in to its end, then load(text).
   static Dictionary load(std::istream& in);
   static Dictionary load_file(const std::string& path);
 
-  /// Compiles the flat probe index (dictionary_index.hpp) from the
-  /// current content. DictionaryHandle::Epoch's constructor is the
-  /// production call site (train completion, epoch swap, snapshot
-  /// restore); it compiles before the epoch's const member exists. The
-  /// index is derived state: never serialized, and dropped again if
-  /// insert()/merge()/prune_rare() later mutate this (unpublished)
-  /// dictionary.
-  void compile_probe_index();
+  /// The table is built as rows arrive, so there is nothing left to
+  /// compile: a no-op, kept for callers written against the compiled
+  /// index.
+  void compile_probe_index() noexcept {}
 
-  /// Publication in one pass: sorts once, compiles the probe index from
-  /// that view and returns the canonical EFD-DICT-V1 text (save()'s
-  /// bytes) written from the same view. DictionaryHandle::Epoch's
-  /// constructor calls it and keeps the text beside the dictionary.
-  std::string compile_for_publication();
+  /// The rows and their tag table; never null.
+  const DictionaryIndex* probe_index() const noexcept { return &index_; }
 
-  /// The compiled index, or nullptr when none is compiled (a dictionary
-  /// that was never published, or one mutated since its compile: the
-  /// Matcher then probes lookup()). A published epoch is const, so its
-  /// index lives as long as the epoch pin.
-  const DictionaryIndex* probe_index() const noexcept { return index_.get(); }
-
-  /// Build cost / footprint of the compiled index (0 when none).
-  double index_build_seconds() const noexcept;
-  std::uint64_t index_resident_bytes() const noexcept;
-
-  /// Iteration support (unordered).
-  auto begin() const { return entries_.begin(); }
-  auto end() const { return entries_.end(); }
+  /// Build cost of the table (see DictionaryIndex::build_seconds).
+  double index_build_seconds() const noexcept { return index_.build_seconds(); }
 
  private:
-  /// Adds \p count observations of \p label to \p entry (a row of this
-  /// dictionary): interns the label, ranks its application on the
-  /// label's first sight, and keeps label_ids aligned with labels.
-  void observe(DictionaryEntry& entry, const std::string& label,
-               std::uint32_t count);
-  /// save() over an already sorted view.
-  void save(std::string& out, const std::vector<const Row*>& rows) const;
-
   FingerprintConfig config_;
-  std::unordered_map<FingerprintKey, DictionaryEntry, FingerprintKeyHash> entries_;
-  std::unordered_map<std::string, std::size_t> application_first_seen_;
   LabelTable labels_;
-  std::shared_ptr<const DictionaryIndex> index_;
+  DictionaryIndex index_;
 };
 
 }  // namespace efd::core

@@ -22,6 +22,13 @@ DictionaryHandle::SwapOutcome DictionaryHandle::swap_if_changed(
   return {current_->version, false};
 }
 
+DictionaryHandle::SwapOutcome DictionaryHandle::swap_if_changed(
+    std::string_view text) {
+  if (text != current_->bytes) return swap_if_changed(Dictionary::load(text));
+  ++noop_swaps_;
+  return {current_->version, true};
+}
+
 void DictionaryHandle::reset(std::shared_ptr<Epoch> epoch,
                              std::uint64_t swap_count,
                              std::uint64_t noop_swap_count) {

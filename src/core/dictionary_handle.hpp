@@ -8,8 +8,8 @@
 /// that safe:
 ///
 ///  - The active dictionary lives inside an immutable Epoch: a const
-///    Dictionary with its flat probe index compiled before
-///    publication. New keys arrive as a successor epoch via
+///    Dictionary (whose flat rows are its probe table) and its
+///    EFD-DICT-V1 bytes. New keys arrive as a successor epoch via
 ///    swap_if_changed(), never by mutating a published one. Readers pin
 ///    an epoch once per stream via acquire() — one shared_ptr copy —
 ///    and then touch only the pinned epoch for the stream's whole life:
@@ -29,8 +29,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
-#include "core/dictionary_index.hpp"
+#include "core/dictionary.hpp"
 
 namespace efd::core {
 
@@ -39,19 +40,22 @@ class DictionaryHandle {
  public:
   /// One published dictionary generation, immutable as a whole.
   struct Epoch {
-    /// Construction is the publication point for the dictionary's derived
-    /// forms: one sorted pass compiles the flat probe index
-    /// (dictionary_index.hpp) and writes the canonical EFD-DICT-V1 text,
-    /// both before the const members exist. So every path that publishes
-    /// an epoch — initial handle construction (train completion),
-    /// swap_if_changed(), and the snapshot restorer's pre-built epoch for
-    /// reset() — ships structure, index and bytes together, and none can
-    /// change afterwards. In-flight streams keep their pinned epoch's index.
-    /// (`bytes` is declared before `dictionary`, so it is initialised
-    /// from the parameter before the parameter is moved from.)
+    /// Construction is the publication point: the dictionary's rows are
+    /// already its probe table (dictionary_index.hpp), so publishing
+    /// writes the canonical EFD-DICT-V1 text from one sorted pass and
+    /// moves the rows in. Every path that publishes an epoch — initial
+    /// handle construction (train completion), swap_if_changed(), and
+    /// the snapshot restorer's pre-built epoch for reset() — ships rows
+    /// and bytes together, and neither can change afterwards.
+    /// (`bytes` is declared before `dictionary`, so it is written from
+    /// the parameter before the parameter is moved from.)
     Epoch(std::uint64_t version, Dictionary dictionary)
         : version(version),
-          bytes(dictionary.compile_for_publication()),
+          bytes([&] {
+            std::string text;
+            dictionary.save(text);
+            return text;
+          }()),
           dictionary(std::move(dictionary)) {}
 
     const std::uint64_t version;
@@ -97,6 +101,12 @@ class DictionaryHandle {
   /// candidate epoch is built once, compared, and then published as is.
   /// In-flight pins keep their old epoch.
   SwapOutcome swap_if_changed(Dictionary next);
+
+  /// The same for a candidate still in EFD-DICT-V1 text (a wire swap):
+  /// text byte-equal to the active epoch's bytes is refused as a no-op
+  /// before any parse; other text is loaded (Dictionary::load throws on
+  /// malformed input) and goes through swap_if_changed(Dictionary).
+  SwapOutcome swap_if_changed(std::string_view text);
 
   /// Restore path: installs a pre-built epoch (explicit version) with
   /// explicit swap and no-op swap counts — snapshot continuity across

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdlib>
-#include <unordered_map>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -109,6 +107,13 @@ std::uint64_t DictionaryIndex::hash_key(const FingerprintKey& key) noexcept {
   return h;
 }
 
+FingerprintKey DictionaryIndex::key_of(const Entry& entry) const {
+  const double* means = means_.data() + entry.means_begin;
+  return {metric_names_[entry.metric_id], entry.node_id,
+          {entry.begin_seconds, entry.end_seconds},
+          {means, means + entry.means_count}};
+}
+
 bool DictionaryIndex::key_matches(const Entry& entry,
                                   const FingerprintKey& key) const noexcept {
   if (entry.node_id != key.node_id) return false;
@@ -152,77 +157,84 @@ const DictionaryIndex::Entry* DictionaryIndex::find_hashed(
   return nullptr;
 }
 
-std::shared_ptr<const DictionaryIndex> DictionaryIndex::compile(
-    std::span<const Dictionary::Row* const> rows) {
-  const auto start = std::chrono::steady_clock::now();
-  std::size_t means_total = 0;
-  std::size_t labels_total = 0;
-  for (const Dictionary::Row* row : rows) {
-    means_total += row->first.rounded_means.size();
-    labels_total += row->second.label_ids.size();
+std::uint32_t DictionaryIndex::find_or_add(const FingerprintKey& key) {
+  const std::uint64_t hash = hash_key(key);
+  if (const Entry* found = find_hashed(key, hash)) {
+    return static_cast<std::uint32_t>(found - entries_.data());
   }
+  if (2 * (entries_.size() + 1) > slots_) resize_table(entries_.size() + 1);
+  // Only a metric not seen before builds a string.
+  const auto [it, added] = metric_ids_.try_emplace(
+      key.metric, static_cast<std::uint32_t>(metric_names_.size()));
+  if (added) metric_names_.push_back(key.metric);
+  const auto ordinal = static_cast<std::uint32_t>(entries_.size());
+  entries_.push_back({key.node_id, it->second, key.interval.begin_seconds,
+                      key.interval.end_seconds,
+                      static_cast<std::uint32_t>(means_.size()),
+                      static_cast<std::uint32_t>(key.rounded_means.size()),
+                      static_cast<std::uint32_t>(label_ids_.size()), 0});
+  hashes_.push_back(hash);
+  means_.insert(means_.end(), key.rounded_means.begin(), key.rounded_means.end());
+  place(ordinal);
+  return ordinal;
+}
 
-  std::shared_ptr<DictionaryIndex> index(new DictionaryIndex());
-  index->entries_.reserve(rows.size());
-  index->means_.reserve(means_total);
-  index->label_ids_.reserve(labels_total);
-  std::unordered_map<std::string, std::uint32_t> metric_ids;
-  for (const Dictionary::Row* row : rows) {
-    const auto& [key, dict_entry] = *row;
-    Entry entry;
-    entry.node_id = key.node_id;
-    entry.begin_seconds = key.interval.begin_seconds;
-    entry.end_seconds = key.interval.end_seconds;
-    const auto [it, inserted] = metric_ids.try_emplace(
-        key.metric, static_cast<std::uint32_t>(index->metric_names_.size()));
-    if (inserted) index->metric_names_.push_back(key.metric);
-    entry.metric_id = it->second;
-    entry.means_begin = static_cast<std::uint32_t>(index->means_.size());
-    entry.means_count = static_cast<std::uint32_t>(key.rounded_means.size());
-    index->means_.insert(index->means_.end(), key.rounded_means.begin(),
-                         key.rounded_means.end());
-    entry.labels_begin = static_cast<std::uint32_t>(index->label_ids_.size());
-    entry.labels_count =
-        static_cast<std::uint32_t>(dict_entry.label_ids.size());
-    index->label_ids_.insert(index->label_ids_.end(),
-                             dict_entry.label_ids.begin(),
-                             dict_entry.label_ids.end());
-    index->entries_.push_back(entry);
-  }
-
-  if (!rows.empty()) {
-    // Power-of-two slots at load factor <= 0.5: probe chains stay short
-    // and the tag bytes cost 1/16th of what they save in entry touches.
-    std::size_t slots = kTagScanWindow;
-    while (slots < 2 * rows.size()) slots <<= 1;
-    index->slots_ = slots;
-    index->mask_ = slots - 1;
-    index->tags_.assign(slots + kTagScanWindow, 0);
-    index->slot_entry_.assign(slots, 0);
-    for (std::uint32_t e = 0; e < index->entries_.size(); ++e) {
-      const std::uint64_t hash = hash_key(rows[e]->first);
-      std::size_t pos = static_cast<std::size_t>(hash) & index->mask_;
-      while (index->tags_[pos] != 0) pos = (pos + 1) & index->mask_;
-      index->tags_[pos] = tag_of(hash);
-      index->slot_entry_[pos] = e;
+void DictionaryIndex::add_label(std::uint32_t ordinal, std::uint32_t label_id,
+                                std::uint32_t count) {
+  Entry& entry = entries_[ordinal];
+  for (std::uint32_t i = 0; i < entry.labels_count; ++i) {
+    if (label_ids_[entry.labels_begin + i] == label_id) {
+      counts_[entry.labels_begin + i] += count;
+      return;
     }
-    // Mirror tail: a window starting at the last slot reads the first
-    // kTagScanWindow-1 tags again instead of branching on wraparound.
-    std::copy_n(index->tags_.begin(), kTagScanWindow,
-                index->tags_.begin() + static_cast<std::ptrdiff_t>(slots));
   }
+  if (entry.labels_begin + entry.labels_count != label_ids_.size()) {
+    // Another key's run follows this one: move this run to the end.
+    const std::uint32_t from = entry.labels_begin;
+    entry.labels_begin = static_cast<std::uint32_t>(label_ids_.size());
+    for (std::uint32_t i = 0; i < entry.labels_count; ++i) {
+      const std::uint32_t id = label_ids_[from + i];
+      const std::uint32_t observed = counts_[from + i];
+      label_ids_.push_back(id);
+      counts_.push_back(observed);
+    }
+  }
+  label_ids_.push_back(label_id);
+  counts_.push_back(count);
+  ++entry.labels_count;
+}
 
-  std::uint64_t bytes = index->tags_.size();
-  bytes += index->slot_entry_.size() * sizeof(std::uint32_t);
-  bytes += index->entries_.size() * sizeof(Entry);
-  bytes += index->means_.size() * sizeof(double);
-  bytes += index->label_ids_.size() * sizeof(std::uint32_t);
-  for (const std::string& name : index->metric_names_) bytes += name.size();
-  index->resident_bytes_ = bytes;
-  index->build_seconds_ =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return index;
+void DictionaryIndex::resize_table(std::size_t keys) {
+  // Power-of-two slots at load factor <= 0.5: probe chains stay short
+  // and the tag bytes cost 1/16th of what they save in entry touches.
+  std::size_t slots = kTagScanWindow;
+  while (slots < 2 * keys) slots <<= 1;
+  slots_ = slots;
+  mask_ = slots - 1;
+  tags_.assign(slots + kTagScanWindow, 0);
+  slot_entry_.assign(slots, 0);
+  for (std::uint32_t e = 0; e < entries_.size(); ++e) place(e);
+}
+
+void DictionaryIndex::place(std::uint32_t ordinal) noexcept {
+  const std::uint64_t hash = hashes_[ordinal];
+  std::size_t pos = static_cast<std::size_t>(hash) & mask_;
+  while (tags_[pos] != 0) pos = (pos + 1) & mask_;
+  tags_[pos] = tag_of(hash);
+  slot_entry_[pos] = ordinal;
+  // Mirror tail: a window starting near the last slot reads the first
+  // kTagScanWindow-1 tags again instead of branching on wraparound.
+  if (pos < kTagScanWindow) tags_[slots_ + pos] = tags_[pos];
+}
+
+std::uint64_t DictionaryIndex::resident_bytes() const noexcept {
+  std::uint64_t bytes = tags_.size();
+  bytes += slot_entry_.size() * sizeof(std::uint32_t);
+  bytes += entries_.size() * (sizeof(Entry) + sizeof(std::uint64_t));
+  bytes += means_.size() * sizeof(double);
+  bytes += (label_ids_.size() + counts_.size()) * sizeof(std::uint32_t);
+  for (const std::string& name : metric_names_) bytes += name.size();
+  return bytes;
 }
 
 }  // namespace efd::core

@@ -15,10 +15,9 @@
 /// the dictionary is built (training, load), before it is published as a
 /// const epoch; every reader after publication sees a frozen table.
 ///
-/// Note the table's application ids are its own dense space for vote
-/// arrays; the tie-break epoch order remains the dictionary's
-/// application first-seen order — ranks are queried by name at verdict
-/// time.
+/// Application ids are assigned in first-seen order, so they are also
+/// the dictionary's tie-break order (paper §3: the first application
+/// learned wins a tie).
 
 #include <cstddef>
 #include <cstdint>

@@ -1,9 +1,9 @@
 #include "core/matcher.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
-#include "core/dictionary_index.hpp"
 #include "core/recognition_scratch.hpp"
 #include "util/thread_pool.hpp"
 
@@ -39,15 +39,16 @@ RecognitionResult Matcher::recognize_key_span(
 
   std::set<std::string> seen_labels;  // dedup while preserving first-seen order
   for (const FingerprintKey& key : keys) {
-    const DictionaryEntry* entry = dictionary_->lookup(key);
-    if (entry == nullptr) continue;
+    const std::optional<DictionaryEntry> entry = dictionary_->lookup(key);
+    if (!entry) continue;
     ++result.matched_count;
 
     // One vote per matched fingerprint per distinct application name in
     // the entry (an entry listing sp_X, sp_Y, bt_X yields one sp vote and
     // one bt vote for this fingerprint).
     std::set<std::string> applications_in_entry;
-    for (const std::string& label : entry->labels) {
+    for (std::size_t i = 0; i < entry->size(); ++i) {
+      const std::string& label = entry->label(i);
       applications_in_entry.insert(telemetry::parse_label(label).application);
       ++result.label_votes[label];
       if (seen_labels.insert(label).second) {
@@ -94,34 +95,26 @@ RecognitionResult Matcher::recognize(const telemetry::ExecutionRecord& record,
 void Matcher::recognize_keys_into(std::span<const FingerprintKey> keys,
                                   RecognitionScratch& scratch) const {
   scratch.begin(dictionary_->label_table());
-  if (const DictionaryIndex* index = dictionary_->probe_index()) {
-    // Flat-index batch probe: every key's hash first (one pass of pure
-    // arithmetic over the arena), then a software-pipelined probe loop —
-    // prefetch probe i+K's bucket while resolving probe i, so the
-    // random-access cache miss of each lookup overlaps the tag scan and
-    // vote tally of an earlier one instead of serializing behind it.
-    std::vector<std::uint64_t>& hashes = scratch.hash_buffer();
-    hashes.resize(keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      hashes[i] = DictionaryIndex::hash_key(keys[i]);
-    }
-    constexpr std::size_t kPrefetchDistance = 8;
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      if (i + kPrefetchDistance < keys.size()) {
-        index->prefetch(hashes[i + kPrefetchDistance]);
-      }
-      const DictionaryIndex::Entry* entry =
-          index->find_hashed(keys[i], hashes[i]);
-      if (entry != nullptr) scratch.score_entry_ids(index->label_ids(*entry));
-    }
-  } else {
-    for (const FingerprintKey& key : keys) {
-      if (const DictionaryEntry* entry = dictionary_->lookup(key)) {
-        scratch.score_entry_ids(entry->label_ids);
-      }
-    }
+  // Batch probe: every key's hash first (one pass of pure arithmetic over
+  // the arena), then a software-pipelined probe loop — prefetch probe
+  // i+K's bucket while resolving probe i, so the random-access cache miss
+  // of each lookup overlaps the tag scan and vote tally of an earlier one
+  // instead of serializing behind it.
+  const DictionaryIndex& index = *dictionary_->probe_index();
+  std::vector<std::uint64_t>& hashes = scratch.hash_buffer();
+  hashes.resize(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    hashes[i] = DictionaryIndex::hash_key(keys[i]);
   }
-  scratch.finish(*dictionary_, keys.size());
+  constexpr std::size_t kPrefetchDistance = 8;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (i + kPrefetchDistance < keys.size()) {
+      index.prefetch(hashes[i + kPrefetchDistance]);
+    }
+    const DictionaryIndex::Entry* entry = index.find_hashed(keys[i], hashes[i]);
+    if (entry != nullptr) scratch.score_entry_ids(index.label_ids(*entry));
+  }
+  scratch.finish(keys.size());
 }
 
 void Matcher::recognize_into(const telemetry::ExecutionRecord& record,

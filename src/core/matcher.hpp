@@ -3,10 +3,11 @@
 /// \brief The testing phase: looks up an unlabeled execution's fingerprints
 /// and votes — the paper's Figure 1 steps (2) and (3).
 ///
-/// A published dictionary is probed through its compiled DictionaryIndex;
-/// one that was never compiled (an offline or freshly trained dictionary)
-/// is probed through Dictionary::lookup by pointer. Both tally votes with
-/// the same RecognitionScratch::score_entry_ids, so they agree exactly.
+/// Every dictionary is probed through its flat rows' tag table
+/// (DictionaryIndex); the id-space scorer tallies votes with
+/// RecognitionScratch::score_entry_ids, and the string scorer behind
+/// recognize_keys names the same label ids through the LabelTable, so
+/// the two agree exactly.
 
 #include <map>
 #include <span>
@@ -94,8 +95,7 @@ class Matcher {
   /// Allocation-free scoring into a worker-local scratch: votes are
   /// tallied in interned-id space (recognition_scratch.hpp) and read via
   /// scratch.result(), or rendered to a RecognitionResult with
-  /// scratch.render_result(). Probes the dictionary's compiled index when
-  /// it has one, else Dictionary::lookup(); both yield the same votes.
+  /// scratch.render_result().
   void recognize_keys_into(std::span<const FingerprintKey> keys,
                            RecognitionScratch& scratch) const;
 

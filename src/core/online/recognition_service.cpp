@@ -43,6 +43,11 @@ RecognitionService::SwapOutcome RecognitionService::swap_dictionary(
   return handle_.swap_if_changed(std::move(next));
 }
 
+RecognitionService::SwapOutcome RecognitionService::swap_dictionary(
+    std::string_view text) {
+  return handle_.swap_if_changed(text);
+}
+
 std::int64_t RecognitionService::now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -325,7 +330,7 @@ RecognitionServiceStats RecognitionService::stats() const {
   {
     const std::shared_ptr<DictionaryHandle::Epoch> epoch = handle_.acquire();
     stats.index_build_seconds = epoch->dictionary.index_build_seconds();
-    stats.index_bytes = epoch->dictionary.index_resident_bytes();
+    stats.index_bytes = epoch->dictionary.probe_index()->resident_bytes();
   }
   for (const auto& [job_id, stream] : jobs_) {
     if (!stream.done) {

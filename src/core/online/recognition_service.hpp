@@ -168,10 +168,9 @@ struct RecognitionServiceStats {
   /// Open streams still pinned to a superseded dictionary epoch (they
   /// finish against it; drops to 0 once pre-swap streams drain).
   std::size_t jobs_on_stale_epoch = 0;
-  /// Flat probe index (dictionary_index.hpp) of the active epoch: compile
-  /// wall-clock cost and resident footprint. Every epoch compiles its
-  /// index at publication and never changes after, so both describe the
-  /// index every new stream probes (index_bytes is 0 only for an empty
+  /// The active epoch's flat rows and tag table (dictionary_index.hpp):
+  /// the wall-clock cost of the load() that built them (0 for a trained
+  /// dictionary) and their resident footprint (0 only for an empty
   /// dictionary).
   double index_build_seconds = 0.0;
   std::uint64_t index_bytes = 0;
@@ -247,6 +246,12 @@ class RecognitionService {
   /// The candidate's epoch (index and bytes) is built once, on the
   /// calling (owner) thread.
   SwapOutcome swap_dictionary(Dictionary next);
+
+  /// The wire form: \p text is a candidate's EFD-DICT-V1 bytes. Text
+  /// byte-equal to the active epoch's is refused as already-active (and
+  /// counted) without a parse; other text is loaded, then published as
+  /// above. Throws std::runtime_error on malformed text.
+  SwapOutcome swap_dictionary(std::string_view text);
 
   /// Writes one EFD-SNAP-V2 capture — a BASE (complete snapshot,
   /// Dictionary included) or a DELTA (only streams whose serialized

@@ -83,8 +83,7 @@ void RecognitionScratch::score_entry_ids(
   }
 }
 
-void RecognitionScratch::finish(const Dictionary& dictionary,
-                                std::size_t fingerprint_count) {
+void RecognitionScratch::finish(std::size_t fingerprint_count) {
   result_.fingerprint_count = fingerprint_count;
   if (result_.matched_count == 0) return;  // recognized stays false
 
@@ -102,14 +101,9 @@ void RecognitionScratch::finish(const Dictionary& dictionary,
   for (const std::uint32_t app : touched_apps_) {
     if (app_votes_[app] == best_votes) result_.applications.push_back(app);
   }
-  // Tie array ordered by the dictionary's first-seen epoch, exactly like
-  // the legacy path (ranks are distinct for every registered app, so the
-  // initial touch order never shows through).
-  std::sort(result_.applications.begin(), result_.applications.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return dictionary.application_order(table_->application_name(a)) <
-                     dictionary.application_order(table_->application_name(b));
-            });
+  // Tie array in the dictionary's first-seen order, which is the label
+  // table's application id order (Dictionary::application_order).
+  std::sort(result_.applications.begin(), result_.applications.end());
   result_.recognized = true;
 }
 

@@ -113,16 +113,13 @@ class RecognitionScratch {
   /// the table and advances the generation stamp (O(1) logical clear).
   void begin(const LabelTable& table);
 
-  /// Tallies one matched entry's votes from its interned label ids,
-  /// shared verbatim by the map path (DictionaryEntry's label_ids) and
-  /// the flat-index path (DictionaryIndex::label_ids spans) — vote
-  /// parity between the two probe paths holds by construction, not by
-  /// testing alone.
+  /// Tallies one matched entry's votes from its interned label ids
+  /// (a DictionaryIndex::label_ids span).
   void score_entry_ids(std::span<const std::uint32_t> label_ids);
 
   /// Finalizes result(): copies touched votes out and computes the tied
-  /// winner array in \p dictionary first-seen order.
-  void finish(const Dictionary& dictionary, std::size_t fingerprint_count);
+  /// winner array in the dictionary's first-seen order.
+  void finish(std::size_t fingerprint_count);
 
   /// The id-space result of the last scoring pass.
   const IdRecognitionResult& result() const noexcept { return result_; }

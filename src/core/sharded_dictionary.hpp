@@ -2,7 +2,7 @@
 /// \file sharded_dictionary.hpp
 /// \brief Kept only so e2ebench/ builds unchanged; new code names Dictionary.
 
-#include "core/dictionary_index.hpp"
+#include "core/dictionary.hpp"
 
 namespace efd::core {
 

@@ -291,10 +291,10 @@ void IngestPipeline::dispatch(Envelope& envelope) {
         const std::string_view blob(
             reinterpret_cast<const char*>(message.dictionary_blob.data()),
             message.dictionary_blob.size());
-        const auto outcome =
-            service_.swap_dictionary(core::Dictionary::load(blob));
+        const auto outcome = service_.swap_dictionary(blob);
         if (outcome.already_active) {
-          // A byte-identical candidate must not burn an epoch; tell the
+          // A byte-identical candidate must not burn an epoch (nor, when
+          // its bytes equal the active epoch's, a parse); tell the
           // operator their push was a no-op instead of acking a "new"
           // epoch that never existed.
           ++stats_.swaps_rejected;

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string_view>
@@ -32,6 +33,16 @@ FingerprintKey key_of(double mean, std::uint32_t node = 0,
   return key;
 }
 
+std::vector<std::string> labels_of(const DictionaryEntry& entry) {
+  std::vector<std::string> labels;
+  for (std::size_t i = 0; i < entry.size(); ++i) labels.push_back(entry.label(i));
+  return labels;
+}
+
+std::vector<std::uint32_t> counts_of(const DictionaryEntry& entry) {
+  return {entry.counts().begin(), entry.counts().end()};
+}
+
 FingerprintConfig config_of(int depth = 2) {
   FingerprintConfig config;
   config.metrics = {"nr_mapped_vmstat"};
@@ -44,12 +55,12 @@ TEST(DictionaryEntry, InsertAccumulatesCountsPerLabel) {
   dictionary.insert(key_of(6000.0), "ft_X");
   dictionary.insert(key_of(6000.0), "ft_Y");
   dictionary.insert(key_of(6000.0), "ft_X", 2);
-  const DictionaryEntry& entry = *dictionary.lookup(key_of(6000.0));
-  ASSERT_EQ(entry.labels, (std::vector<std::string>{"ft_X", "ft_Y"}));
-  EXPECT_EQ(entry.counts, (std::vector<std::uint32_t>{3, 1}));
-  ASSERT_EQ(entry.label_ids.size(), 2u);
-  EXPECT_EQ(dictionary.label_table().label_name(entry.label_ids[0]), "ft_X");
-  EXPECT_EQ(dictionary.label_table().label_name(entry.label_ids[1]), "ft_Y");
+  const DictionaryEntry entry = *dictionary.lookup(key_of(6000.0));
+  ASSERT_EQ(labels_of(entry), (std::vector<std::string>{"ft_X", "ft_Y"}));
+  EXPECT_EQ(counts_of(entry), (std::vector<std::uint32_t>{3, 1}));
+  ASSERT_EQ(entry.label_ids().size(), 2u);
+  EXPECT_EQ(dictionary.label_table().label_name(entry.label_ids()[0]), "ft_X");
+  EXPECT_EQ(dictionary.label_table().label_name(entry.label_ids()[1]), "ft_Y");
   EXPECT_EQ(entry.total_count(), 4u);
   EXPECT_TRUE(entry.contains("ft_Y"));
   EXPECT_FALSE(entry.contains("mg_X"));
@@ -60,10 +71,11 @@ TEST(Dictionary, InsertAndLookup) {
   dictionary.insert(key_of(6000.0), "ft_X");
   EXPECT_EQ(dictionary.size(), 1u);
 
-  const DictionaryEntry* entry = dictionary.lookup(key_of(6000.0));
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->labels.front(), "ft_X");
-  EXPECT_EQ(dictionary.lookup(key_of(6100.0)), nullptr);
+  const std::optional<DictionaryEntry> entry = dictionary.lookup(key_of(6000.0));
+  ASSERT_TRUE(entry);
+  EXPECT_EQ(entry->label(0), "ft_X");
+  EXPECT_EQ(entry->key(), key_of(6000.0));
+  EXPECT_FALSE(dictionary.lookup(key_of(6100.0)));
 }
 
 TEST(Dictionary, KeysAreUnique) {
@@ -97,7 +109,7 @@ TEST(Dictionary, PruneRareRemovesLowCountKeys) {
   dictionary.insert(key_of(9999.0), "ft_X");  // a one-off noise key
   EXPECT_EQ(dictionary.prune_rare(2), 1u);
   EXPECT_EQ(dictionary.size(), 1u);
-  EXPECT_NE(dictionary.lookup(key_of(6000.0)), nullptr);
+  EXPECT_TRUE(dictionary.lookup(key_of(6000.0)));
 }
 
 TEST(Dictionary, MergeCombinesObservations) {
@@ -110,7 +122,7 @@ TEST(Dictionary, MergeCombinesObservations) {
   a.merge(b);
   EXPECT_EQ(a.size(), 2u);
   EXPECT_EQ(a.lookup(key_of(6000.0))->total_count(), 2u);
-  EXPECT_NE(a.lookup(key_of(6100.0)), nullptr);
+  EXPECT_TRUE(a.lookup(key_of(6100.0)));
 }
 
 TEST(Dictionary, MergeRejectsDifferentConfigs) {
@@ -145,16 +157,21 @@ TEST(Dictionary, SortedViewDeterministicOrder) {
   long_window.interval = {60, 180};
   dictionary.insert(long_window, "c_X");
 
-  const auto sorted = dictionary.sorted_view();
-  ASSERT_EQ(sorted.size(), 4u);
-  EXPECT_DOUBLE_EQ(sorted[0]->first.rounded_means[0], 6000.0);
-  EXPECT_EQ(sorted[0]->first.node_id, 0u);
-  EXPECT_EQ(sorted[1]->first.node_id, 1u);
-  EXPECT_EQ(sorted[1]->first.interval.end_seconds, 120);
-  EXPECT_EQ(sorted[2]->first.interval.end_seconds, 180);
-  EXPECT_DOUBLE_EQ(sorted[3]->first.rounded_means[0], 8000.0);
-  // The view points at the dictionary's own rows.
-  EXPECT_EQ(&sorted[3]->second, dictionary.lookup(key_of(8000.0, 1)));
+  const auto order = dictionary.sorted_order();
+  ASSERT_EQ(order.size(), 4u);
+  std::vector<FingerprintKey> sorted;
+  for (const std::uint32_t ordinal : order) {
+    sorted.push_back(dictionary.entry(ordinal).key());
+  }
+  EXPECT_DOUBLE_EQ(sorted[0].rounded_means[0], 6000.0);
+  EXPECT_EQ(sorted[0].node_id, 0u);
+  EXPECT_EQ(sorted[1].node_id, 1u);
+  EXPECT_EQ(sorted[1].interval.end_seconds, 120);
+  EXPECT_EQ(sorted[2].interval.end_seconds, 180);
+  EXPECT_DOUBLE_EQ(sorted[3].rounded_means[0], 8000.0);
+  // The order names the dictionary's own ordinals (insertion order).
+  EXPECT_EQ(order[3], 0u);
+  EXPECT_EQ(sorted[3], key_of(8000.0, 1));
 }
 
 TEST(Dictionary, KeysForLabelReverseLookup) {
@@ -184,13 +201,13 @@ TEST(Dictionary, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded.config().rounding_depth, 3);
   EXPECT_EQ(loaded.config().metrics, original.config().metrics);
 
-  const auto* entry = loaded.lookup(key_of(6000.0, 0));
-  ASSERT_NE(entry, nullptr);
+  const auto entry = loaded.lookup(key_of(6000.0, 0));
+  ASSERT_TRUE(entry);
   EXPECT_EQ(entry->total_count(), 2u);
 
-  const auto* shared = loaded.lookup(key_of(7500.0, 2));
-  ASSERT_NE(shared, nullptr);
-  EXPECT_EQ(shared->labels, (std::vector<std::string>{"sp_X", "bt_X"}));
+  const auto shared = loaded.lookup(key_of(7500.0, 2));
+  ASSERT_TRUE(shared);
+  EXPECT_EQ(labels_of(*shared), (std::vector<std::string>{"sp_X", "bt_X"}));
 }
 
 TEST(Dictionary, SaveLoadPreservesMultiInterval) {
@@ -213,7 +230,7 @@ TEST(Dictionary, SaveLoadPreservesMultiInterval) {
   const Dictionary loaded = Dictionary::load(stream);
   EXPECT_EQ(loaded.config().intervals.size(), 2u);
   EXPECT_TRUE(loaded.config().combine_metrics);
-  ASSERT_NE(loaded.lookup(key), nullptr);
+  ASSERT_TRUE(loaded.lookup(key));
 }
 
 TEST(Dictionary, LoadRejectsMalformedInputs) {
@@ -274,11 +291,12 @@ TEST(Dictionary, LoadRejectsMalformedInputs) {
                "ft_X=4294967295\n");
   const Dictionary loaded = Dictionary::load(extremes);
   ASSERT_EQ(loaded.size(), 1u);
-  const auto& [key, entry] = *loaded.sorted_view().front();
+  const DictionaryEntry entry = loaded.entry(0);
+  const FingerprintKey key = entry.key();
   EXPECT_EQ(key.node_id, 4294967295u);
   EXPECT_EQ(key.interval.begin_seconds, std::numeric_limits<int>::min());
   EXPECT_EQ(key.interval.end_seconds, std::numeric_limits<int>::max());
-  EXPECT_EQ(entry.counts, std::vector<std::uint32_t>{4294967295u});
+  EXPECT_EQ(counts_of(entry), std::vector<std::uint32_t>{4294967295u});
 }
 
 // Checked-in EFD-DICT-V1: every mean rendering the writer must keep
@@ -366,12 +384,13 @@ TEST(Dictionary, WriterRendersMeansExactlyLikeFormatMean) {
   std::string line;
   for (int header = 0; header < 6; ++header) std::getline(lines, line);
   std::size_t rows = 0;
-  for (const Dictionary::Row* row : dictionary.sorted_view()) {
+  for (const std::uint32_t ordinal : dictionary.sorted_order()) {
     ASSERT_TRUE(std::getline(lines, line));
+    const std::vector<double> means = dictionary.entry(ordinal).key().rounded_means;
     std::string expected;
-    for (std::size_t i = 0; i < row->first.rounded_means.size(); ++i) {
+    for (std::size_t i = 0; i < means.size(); ++i) {
       if (i != 0) expected += ',';
-      expected += efd::util::format_mean(row->first.rounded_means[i]);
+      expected += efd::util::format_mean(means[i]);
     }
     const auto fields = efd::util::split(line, '|');
     ASSERT_EQ(fields.size(), 5u) << line;
@@ -395,7 +414,7 @@ TEST(Dictionary, FileRoundTrip) {
 TEST(Dictionary, EmptyDictionaryBehaviour) {
   Dictionary dictionary(config_of());
   EXPECT_TRUE(dictionary.empty());
-  EXPECT_EQ(dictionary.lookup(key_of(1.0)), nullptr);
+  EXPECT_FALSE(dictionary.lookup(key_of(1.0)));
   EXPECT_EQ(dictionary.stats().key_count, 0u);
   EXPECT_DOUBLE_EQ(dictionary.stats().mean_labels_per_key, 0.0);
   std::stringstream stream;
@@ -412,10 +431,10 @@ TEST(Dictionary, SaveLoadRoundTripPreservesLabelOrderAndCounts) {
   std::stringstream stream;
   original.save(stream);
   const Dictionary loaded = Dictionary::load(stream);
-  const DictionaryEntry* entry = loaded.lookup(key_of(7500.0));
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->labels, (std::vector<std::string>{"sp_X", "bt_X"}));
-  EXPECT_EQ(entry->counts, (std::vector<std::uint32_t>{1, 2}));
+  const auto entry = loaded.lookup(key_of(7500.0));
+  ASSERT_TRUE(entry);
+  EXPECT_EQ(labels_of(*entry), (std::vector<std::string>{"sp_X", "bt_X"}));
+  EXPECT_EQ(counts_of(*entry), (std::vector<std::uint32_t>{1, 2}));
   EXPECT_LT(loaded.application_order("sp"), loaded.application_order("bt"));
 }
 
@@ -433,10 +452,10 @@ TEST(Dictionary, SaveLoadRoundTripKeepsTieOrder) {
   const Dictionary loaded = Dictionary::load(stream);
 
   EXPECT_EQ(loaded.size(), original.size());
-  const DictionaryEntry* entry = loaded.lookup(key_of(7500.0));
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->labels, (std::vector<std::string>{"sp_X", "bt_X"}));
-  EXPECT_EQ(entry->counts, (std::vector<std::uint32_t>{2, 1}));
+  const auto entry = loaded.lookup(key_of(7500.0));
+  ASSERT_TRUE(entry);
+  EXPECT_EQ(labels_of(*entry), (std::vector<std::string>{"sp_X", "bt_X"}));
+  EXPECT_EQ(counts_of(*entry), (std::vector<std::uint32_t>{2, 1}));
 
   const RecognitionResult result =
       Matcher(loaded).recognize_keys({key_of(7500.0)});
@@ -461,7 +480,7 @@ TEST(Dictionary, PruneRareAndStatsOverMixedKeys) {
 
   EXPECT_EQ(dictionary.prune_rare(2), 1u);  // only the one-off 9999 key
   EXPECT_EQ(dictionary.size(), 2u);
-  EXPECT_EQ(dictionary.lookup(key_of(9999.0)), nullptr);
+  EXPECT_FALSE(dictionary.lookup(key_of(9999.0)));
 }
 
 TEST(Dictionary, KeysForLabelFollowSortedEntryOrder) {

@@ -1,11 +1,11 @@
 /// \file test_dictionary_index.cpp
-/// \brief Flat probe index suite: verdict parity between the index and
-/// map probe paths (randomized dictionaries, tie order, empty and
-/// collision-heavy tables), restored-snapshot == live-training index
-/// equivalence, index drop on mutation of an unpublished dictionary,
-/// publication at every epoch point, scalar/AVX2 tag-scan mask identity,
-/// and a TSan-facing swap-storm test (workers probing while epochs
-/// churn).
+/// \brief Flat row store suite: verdict parity between the id-space and
+/// string scorers and across a save/load round trip (randomized
+/// dictionaries, tie order, empty and collision-heavy tables),
+/// restored == live-training table equivalence, a table that grows in
+/// place under insert/prune/merge, publication at every epoch point,
+/// scalar/AVX2 tag-scan mask identity, and a TSan-facing swap-storm test
+/// (workers probing while epochs churn).
 
 #include "core/dictionary_index.hpp"
 
@@ -124,28 +124,26 @@ RecognitionResult scored_via(const Dictionary& dictionary,
   return result;
 }
 
-TEST(DictionaryIndex, CompileFindAndMiss) {
+TEST(DictionaryIndex, FindAndMiss) {
   Dictionary dictionary(config_of());
   dictionary.insert(key_of(6000.0), "ft_X");
   dictionary.insert(key_of(6000.0), "mg_X");
   dictionary.insert(key_of(7000.0, 3), "mg_X");
-  dictionary.compile_probe_index();
 
   const DictionaryIndex* index = dictionary.probe_index();
   ASSERT_NE(index, nullptr);
   EXPECT_EQ(index->key_count(), 2u);
   EXPECT_GT(index->resident_bytes(), 0u);
-  EXPECT_GE(index->build_seconds(), 0.0);
+  EXPECT_EQ(index->build_seconds(), 0.0);  // grown by insert(), not loaded
 
   const DictionaryIndex::Entry* entry = index->find(key_of(6000.0));
   ASSERT_NE(entry, nullptr);
-  const DictionaryEntry* reference = dictionary.lookup(key_of(6000.0));
-  ASSERT_NE(reference, nullptr);
   const auto ids = index->label_ids(*entry);
-  ASSERT_EQ(ids.size(), reference->label_ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(ids[i], reference->label_ids[i]);
-  }
+  ASSERT_EQ(ids.size(), 2u);
+  EXPECT_EQ(dictionary.label_table().label_name(ids[0]), "ft_X");
+  EXPECT_EQ(dictionary.label_table().label_name(ids[1]), "mg_X");
+  EXPECT_EQ(index->key_of(*entry).metric, "nr_mapped_vmstat");
+  EXPECT_EQ(dictionary.lookup(key_of(6000.0))->label_ids().data(), ids.data());
 
   EXPECT_EQ(index->find(key_of(9999.0)), nullptr);
   EXPECT_EQ(index->find(key_of(6000.0, 1)), nullptr);       // node differs
@@ -155,9 +153,8 @@ TEST(DictionaryIndex, CompileFindAndMiss) {
   EXPECT_EQ(index->find(wrong_interval), nullptr);
 }
 
-TEST(DictionaryIndex, EmptyDictionaryCompilesAndMisses) {
+TEST(DictionaryIndex, EmptyDictionaryMisses) {
   Dictionary dictionary(config_of());
-  dictionary.compile_probe_index();
   const DictionaryIndex* index = dictionary.probe_index();
   ASSERT_NE(index, nullptr);
   EXPECT_EQ(index->key_count(), 0u);
@@ -169,28 +166,24 @@ TEST(DictionaryIndex, EmptyDictionaryCompilesAndMisses) {
   EXPECT_EQ(result.prediction(), kUnknownApplication);
 }
 
-TEST(DictionaryIndex, RandomizedVerdictParityWithMapPath) {
+TEST(DictionaryIndex, RandomizedVerdictParityAcrossScorersAndReload) {
   for (const std::uint64_t seed : {1ULL, 7ULL, 99ULL, 1234ULL}) {
     std::mt19937_64 rng(seed);
     const auto observations = random_observations(rng, 400);
-    // Two dictionaries from the same scripted sequence: identical
-    // content and epoch order, but only one compiles an index.
-    Dictionary indexed = dictionary_from(observations);
-    const Dictionary map = dictionary_from(observations);
-    indexed.compile_probe_index();
-    ASSERT_NE(indexed.probe_index(), nullptr);
-    ASSERT_EQ(map.probe_index(), nullptr);
+    const Dictionary trained = dictionary_from(observations);
+    std::string text;
+    trained.save(text);
+    const Dictionary loaded = Dictionary::load(text);
 
     const std::vector<FingerprintKey> keys = probe_batch(observations);
-    const RecognitionResult via_index = scored_via(indexed, keys);
-    const RecognitionResult via_map = scored_via(map, keys);
-    expect_same_result(via_index, via_map, "index vs map scratch");
-
-    // And against the string-keyed legacy scorer — three paths, one
-    // verdict table.
-    const RecognitionResult via_legacy = Matcher(map).recognize_keys(keys);
-    expect_same_result(via_index, via_legacy, "index vs legacy strings");
-    EXPECT_GT(via_index.matched_count, 0u) << "degenerate seed " << seed;
+    const RecognitionResult via_ids = scored_via(trained, keys);
+    // The string-keyed scorer names the same label ids through the
+    // label table; the reloaded rows interned their labels in text
+    // order — three paths, one verdict table.
+    expect_same_result(via_ids, Matcher(trained).recognize_keys(keys),
+                       "ids vs strings");
+    expect_same_result(via_ids, scored_via(loaded, keys), "trained vs loaded");
+    EXPECT_GT(via_ids.matched_count, 0u) << "degenerate seed " << seed;
   }
 }
 
@@ -201,16 +194,13 @@ TEST(DictionaryIndex, TieOrderMatchesDictionaryFirstSeenOrder) {
       {key_of(7500.0), "sp_X"},
       {key_of(7500.0), "bt_X"},
   };
-  Dictionary indexed = dictionary_from(observations);
-  const Dictionary map = dictionary_from(observations);
-  indexed.compile_probe_index();
-  ASSERT_NE(indexed.probe_index(), nullptr);
+  const Dictionary dictionary = dictionary_from(observations);
 
   const std::vector<FingerprintKey> keys = {key_of(7500.0)};
-  const RecognitionResult via_index = scored_via(indexed, keys);
-  expect_same_result(via_index, scored_via(map, keys), "tie order");
-  EXPECT_EQ(via_index.applications,
-            (std::vector<std::string>{"sp", "bt"}));
+  const RecognitionResult via_ids = scored_via(dictionary, keys);
+  expect_same_result(via_ids, Matcher(dictionary).recognize_keys(keys),
+                     "tie order");
+  EXPECT_EQ(via_ids.applications, (std::vector<std::string>{"sp", "bt"}));
 }
 
 TEST(DictionaryIndex, CollisionHeavyTableFindsEveryKey) {
@@ -225,7 +215,6 @@ TEST(DictionaryIndex, CollisionHeavyTableFindsEveryKey) {
       present.push_back(std::move(key));
     }
   }
-  dictionary.compile_probe_index();
   const DictionaryIndex* index = dictionary.probe_index();
   ASSERT_NE(index, nullptr);
   EXPECT_EQ(index->key_count(), present.size());
@@ -262,67 +251,74 @@ TEST(DictionaryIndex, ScalarAndAvx2TagScansProduceIdenticalMasks) {
   }
 }
 
-TEST(DictionaryIndex, RestoredSnapshotIndexEqualsLiveTrainingIndex) {
+TEST(DictionaryIndex, RestoredTableEqualsLiveTrainingTable) {
   std::mt19937_64 rng(2024);
   const auto observations = random_observations(rng, 300);
   Dictionary live = dictionary_from(observations);
 
-  // EFD-DICT-V1 round-trip: the serialized bytes carry no index (it is
-  // derived state), yet the restored dictionary must compile an index
-  // with the identical shape and identical probe behavior.
+  // EFD-DICT-V1 round-trip: the serialized bytes carry no tag table,
+  // yet the restored dictionary's table has the identical key set and
+  // slot count, and probes alike. (Its label runs are packed, while
+  // training may have left moved runs behind, so the bytes held differ.)
   std::stringstream bytes;
   live.save(bytes);
   Dictionary restored = Dictionary::load(bytes);
 
-  live.compile_probe_index();
-  restored.compile_probe_index();
   const DictionaryIndex* live_index = live.probe_index();
   const DictionaryIndex* restored_index = restored.probe_index();
-  ASSERT_NE(live_index, nullptr);
-  ASSERT_NE(restored_index, nullptr);
   EXPECT_EQ(live_index->key_count(), restored_index->key_count());
   EXPECT_EQ(live_index->slot_count(), restored_index->slot_count());
-  EXPECT_EQ(live_index->resident_bytes(), restored_index->resident_bytes());
+  EXPECT_LE(restored_index->resident_bytes(), live_index->resident_bytes());
+  EXPECT_GT(restored.index_build_seconds(), 0.0);
+  std::string resaved;
+  restored.save(resaved);
+  EXPECT_EQ(resaved, bytes.str());
 
   const std::vector<FingerprintKey> keys = probe_batch(observations);
   expect_same_result(scored_via(live, keys), scored_via(restored, keys),
                      "live vs restored");
 }
 
-TEST(DictionaryIndex, MutatingAnUnpublishedDictionaryDropsItsIndex) {
+TEST(DictionaryIndex, InsertPruneAndMergeKeepTheTableCurrent) {
   Dictionary dictionary(config_of());
   dictionary.insert(key_of(6000.0), "ft_X");
-  dictionary.compile_probe_index();
-  ASSERT_NE(dictionary.probe_index(), nullptr);
-  EXPECT_GT(dictionary.index_resident_bytes(), 0u);
+  const DictionaryIndex* index = dictionary.probe_index();
+  EXPECT_GT(dictionary.probe_index()->resident_bytes(), 0u);
 
-  // The index is a snapshot of the content it was compiled from, so a
-  // mutation drops it rather than leaving it to answer for stale keys...
+  // The rows are the table: an insert is visible to the next probe, with
+  // no compile step and no second structure to fall back on.
   dictionary.insert(key_of(8000.0), "lu_X");
-  EXPECT_EQ(dictionary.probe_index(), nullptr);
-  EXPECT_EQ(dictionary.index_resident_bytes(), 0u);
-
-  // ...and the map path (Dictionary::lookup) sees the new observation.
+  dictionary.compile_probe_index();  // a no-op, however often it runs
+  dictionary.compile_probe_index();
+  EXPECT_EQ(dictionary.probe_index(), index);
+  EXPECT_EQ(index->key_count(), 2u);
+  EXPECT_NE(index->find(key_of(8000.0)), nullptr);
   const std::vector<FingerprintKey> keys = {key_of(8000.0)};
   EXPECT_EQ(scored_via(dictionary, keys).prediction(), "lu");
 
-  // Recompiling (what publishing the dictionary as an epoch does)
-  // restores the index with the new key included.
-  dictionary.compile_probe_index();
-  ASSERT_NE(dictionary.probe_index(), nullptr);
-  EXPECT_EQ(dictionary.probe_index()->key_count(), 2u);
-  EXPECT_NE(dictionary.probe_index()->find(key_of(8000.0)), nullptr);
-  EXPECT_EQ(scored_via(dictionary, keys).prediction(), "lu");
+  // A key that gains a label after another key's run moves its run to
+  // the end; both runs stay whole.
+  dictionary.insert(key_of(6000.0), "mg_X");
+  const auto moved = index->label_ids(*index->find(key_of(6000.0)));
+  ASSERT_EQ(moved.size(), 2u);
+  EXPECT_EQ(dictionary.label_table().label_name(moved[0]), "ft_X");
+  EXPECT_EQ(dictionary.label_table().label_name(moved[1]), "mg_X");
+  EXPECT_EQ(index->label_ids(*index->find(key_of(8000.0))).size(), 1u);
 
-  // prune_rare and merge are mutators too.
-  EXPECT_EQ(dictionary.prune_rare(1), 0u);
-  EXPECT_EQ(dictionary.probe_index(), nullptr);
-  EXPECT_EQ(dictionary.index_build_seconds(), 0.0);
+  // prune_rare and merge rebuild or grow the same table.
+  dictionary.insert(key_of(8000.0), "lu_X");
+  EXPECT_EQ(dictionary.prune_rare(2), 0u);
   Dictionary more(config_of());
   more.insert(key_of(9000.0), "sp_X");
-  dictionary.compile_probe_index();
+  more.insert(key_of(6000.0), "ft_X", 2);
   dictionary.merge(more);
-  EXPECT_EQ(dictionary.probe_index(), nullptr);
+  EXPECT_EQ(dictionary.probe_index()->key_count(), 3u);
+  EXPECT_NE(dictionary.probe_index()->find(key_of(9000.0)), nullptr);
+  EXPECT_EQ(dictionary.lookup(key_of(6000.0))->total_count(), 4u);
+  EXPECT_EQ(dictionary.prune_rare(2), 1u);  // 9000 (1 observation)
+  EXPECT_EQ(dictionary.size(), 2u);
+  EXPECT_EQ(dictionary.probe_index()->find(key_of(9000.0)), nullptr);
+  EXPECT_NE(dictionary.probe_index()->find(key_of(8000.0)), nullptr);
 }
 
 TEST(DictionaryIndex, EpochPublicationCompilesAtConstructionSwapAndReset) {

@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/dictionary_handle.hpp"
 #include "core/fingerprint.hpp"
 #include "core/matcher.hpp"
 #include "core/online_recognizer.hpp"
@@ -40,12 +41,14 @@
 #include "util/rng.hpp"
 
 // --- counting allocator ------------------------------------------------
-// Global new/delete replacements: every heap allocation in this binary
-// bumps one relaxed counter. Tests snapshot the counter around a warmed
-// steady-state window and assert it does not move.
+// Global new/delete replacements: every heap allocation (and every free)
+// in this binary bumps one relaxed counter. Tests snapshot the counters
+// around a warmed steady-state window and assert they do not move, or
+// around a dictionary publication step and bound them.
 
 namespace {
 std::atomic<std::uint64_t> g_allocation_count{0};
+std::atomic<std::uint64_t> g_free_count{0};
 
 void* counted_allocate(std::size_t size) {
   g_allocation_count.fetch_add(1, std::memory_order_relaxed);
@@ -65,6 +68,14 @@ void* counted_allocate(std::size_t size, std::align_val_t alignment) {
 std::uint64_t allocations() {
   return g_allocation_count.load(std::memory_order_relaxed);
 }
+
+void counted_free(void* pointer) noexcept {
+  if (pointer == nullptr) return;
+  g_free_count.fetch_add(1, std::memory_order_relaxed);
+  std::free(pointer);
+}
+
+std::uint64_t frees() { return g_free_count.load(std::memory_order_relaxed); }
 }  // namespace
 
 void* operator new(std::size_t size) { return counted_allocate(size); }
@@ -75,17 +86,19 @@ void* operator new(std::size_t size, std::align_val_t alignment) {
 void* operator new[](std::size_t size, std::align_val_t alignment) {
   return counted_allocate(size, alignment);
 }
-void operator delete(void* pointer) noexcept { std::free(pointer); }
-void operator delete[](void* pointer) noexcept { std::free(pointer); }
-void operator delete(void* pointer, std::size_t) noexcept { std::free(pointer); }
+void operator delete(void* pointer) noexcept { counted_free(pointer); }
+void operator delete[](void* pointer) noexcept { counted_free(pointer); }
+void operator delete(void* pointer, std::size_t) noexcept {
+  counted_free(pointer);
+}
 void operator delete[](void* pointer, std::size_t) noexcept {
-  std::free(pointer);
+  counted_free(pointer);
 }
 void operator delete(void* pointer, std::align_val_t) noexcept {
-  std::free(pointer);
+  counted_free(pointer);
 }
 void operator delete[](void* pointer, std::align_val_t) noexcept {
-  std::free(pointer);
+  counted_free(pointer);
 }
 
 namespace {
@@ -671,6 +684,113 @@ TEST_F(HotPathFixture, PooledPipelineParityAcrossTransports) {
     EXPECT_EQ(verdicts.at(1), "ft");
     EXPECT_EQ(verdicts.at(2), "mg");
   }
+}
+
+// --- dictionary publication ----------------------------------------------
+
+/// The fixture's trained dictionary plus \p decoys distinct depth-2 keys,
+/// as EFD-DICT-V1 text: e2ebench churn-tcp's B1 shape.
+std::string b1_text(const core::Dictionary& base, std::size_t decoys) {
+  core::Dictionary dictionary = base;
+  for (std::size_t k = 0; k < decoys; ++k) {
+    core::FingerprintKey key;
+    key.metric = "nr_mapped_vmstat";
+    key.node_id = static_cast<std::uint32_t>(k % 32);
+    key.interval = telemetry::kPaperInterval;
+    key.rounded_means = {static_cast<double>(10 + k % 90) *
+                         std::pow(10.0, 13 + static_cast<int>(k / 90))};
+    dictionary.insert(key, "decoy_D");
+  }
+  std::string text;
+  dictionary.save(text);
+  return text;
+}
+
+TEST_F(HotPathFixture, DictionaryLoadEpochAndFreeAllocateIndependentlyOfKeyCount) {
+  struct Cost {
+    std::uint64_t load = 0;   ///< allocations of Dictionary::load
+    std::uint64_t epoch = 0;  ///< allocations of building its Epoch
+    std::uint64_t freed = 0;  ///< frees of dropping a superseded Epoch
+  };
+  const auto measure = [&](std::size_t decoys) {
+    const std::string text = b1_text(dictionary_, decoys);
+    Cost cost;
+    std::uint64_t before = allocations();
+    core::Dictionary loaded = core::Dictionary::load(text);
+    cost.load = allocations() - before;
+    EXPECT_EQ(loaded.size(), dictionary_.size() + decoys);
+
+    core::DictionaryHandle handle(dictionary_);
+    before = allocations();
+    const auto outcome = handle.swap_if_changed(std::move(loaded));
+    cost.epoch = allocations() - before;
+    EXPECT_FALSE(outcome.already_active);
+    EXPECT_EQ(handle.acquire()->bytes, text);
+
+    // Publishing the base again supersedes the loaded epoch; the last
+    // pin's release frees it.
+    std::shared_ptr<core::DictionaryHandle::Epoch> superseded = handle.acquire();
+    handle.swap_if_changed(core::Dictionary(dictionary_));
+    before = frees();
+    superseded.reset();
+    cost.freed = frees() - before;
+    return cost;
+  };
+  // A load tokenizes into flat arrays reserved from the declared key
+  // count, so 1k and 10k decoy keys cost the same handful: the config,
+  // the arrays, the tag table, one string per distinct metric and label.
+  const Cost small = measure(1000);
+  const Cost large = measure(10000);
+  EXPECT_EQ(large.load, small.load);
+  EXPECT_LE(large.load, 64u);
+  EXPECT_EQ(large.epoch, small.epoch);
+  EXPECT_LE(large.epoch, 16u);
+  EXPECT_EQ(large.freed, small.freed);
+  EXPECT_LE(large.freed, 64u);
+}
+
+TEST_F(HotPathFixture, IdenticalWireSwapIsRefusedBeforeAnyParse) {
+  const std::string text = b1_text(dictionary_, 10000);
+  RecognitionServiceConfig service_config;
+  service_config.deferred = true;
+  RecognitionService service(core::Dictionary::load(text), service_config);
+  ASSERT_EQ(service.dictionary_handle().acquire()->bytes, text);
+
+  // In process: the active epoch's own bytes are refused with no parse,
+  // which would allocate at least the rows' arrays.
+  const std::uint64_t before = allocations();
+  const auto outcome = service.swap_dictionary(std::string_view(text));
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_TRUE(outcome.already_active);
+  EXPECT_EQ(outcome.epoch, 1u);
+  EXPECT_EQ(service.stats().dictionary_swaps_noop, 1u);
+
+  // Over the wire: the same already-active ack and counters as a parsed
+  // no-op swap.
+  TcpServer server({});
+  IngestPipelineConfig config;
+  config.allow_dictionary_swap = true;
+  IngestPipeline pipeline(service, server, config);
+  pipeline.start();
+  TcpClient client("127.0.0.1", server.port());
+  client.send(make_swap_dictionary(
+      std::vector<std::uint8_t>(text.begin(), text.end())));
+  Message ack;
+  while (client.receive(ack, std::chrono::seconds(10)) &&
+         ack.type != MessageType::kSwapAck) {
+  }
+  client.finish_sending();
+  pipeline.stop();
+  pipeline.join();
+  server.stop();
+  ASSERT_EQ(ack.type, MessageType::kSwapAck);
+  EXPECT_FALSE(ack.swap_ack.ok);
+  EXPECT_EQ(ack.swap_ack.epoch, 1u);
+  EXPECT_NE(ack.swap_ack.error.find("already-active"), std::string::npos);
+  EXPECT_EQ(pipeline.stats().swaps_rejected, 1u);
+  EXPECT_EQ(pipeline.stats().dictionary_swaps, 0u);
+  EXPECT_EQ(service.stats().dictionary_swaps_noop, 2u);
+  EXPECT_EQ(service.dictionary_handle().version(), 1u);
 }
 
 // --- UDP control retransmit ----------------------------------------------

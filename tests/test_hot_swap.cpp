@@ -158,9 +158,9 @@ TEST(HotSwap, EpochBytesAreTheCanonicalTextAndDecideAlreadyActive) {
   // One label count more on one key: same keys, same labels, different
   // content, so not already-active.
   Dictionary bumped = base;
-  const Dictionary::Row& row = *bumped.sorted_view().front();
-  const FingerprintKey key = row.first;
-  const std::string label = row.second.labels.front();
+  const DictionaryEntry row = bumped.entry(bumped.sorted_order().front());
+  const FingerprintKey key = row.key();
+  const std::string label = row.label(0);
   bumped.insert(key, label);
   const auto outcome = service.swap_dictionary(bumped);
   EXPECT_FALSE(outcome.already_active);

@@ -306,12 +306,13 @@ int cmd_dump(const util::ArgParser& args) {
 
   util::TablePrinter table(
       {"Metric Name", "Node", "Interval", "Mean", "Application + Input Size"});
-  for (const core::Dictionary::Row* row : dictionary.sorted_view()) {
-    const auto& [key, entry] = *row;
+  for (const std::uint32_t ordinal : dictionary.sorted_order()) {
+    const core::DictionaryEntry entry = dictionary.entry(ordinal);
+    const core::FingerprintKey key = entry.key();
     std::string labels;
-    for (std::size_t i = 0; i < entry.labels.size(); ++i) {
+    for (std::size_t i = 0; i < entry.size(); ++i) {
       if (i != 0) labels += ", ";
-      labels += entry.labels[i] + " (x" + std::to_string(entry.counts[i]) + ")";
+      labels += entry.label(i) + " (x" + std::to_string(entry.counts()[i]) + ")";
     }
     std::string means;
     for (std::size_t i = 0; i < key.rounded_means.size(); ++i) {
