@@ -29,7 +29,9 @@
 ///     of its EFD-DICT-V1 text, write, the writer's key sort, an
 ///     in-process swap_dictionary (epoch build included), a no-op swap
 ///     of an identical candidate, a no-op swap of the active epoch's own
-///     bytes (the wire path, refused before any parse), and the snapshot
+///     bytes (the wire path, refused before any parse), a wire swap of
+///     the other variant's text (one parse, its canonical text adopted
+///     as the epoch's bytes: `publish_text_swap_ms`), and the snapshot
 ///     base captured right after a swap, in ms. Informational: no
 ///     threshold reads it.
 ///
@@ -437,6 +439,18 @@ int main(int argc, char** argv) {
                 .already_active);
       }) / kNsPerMs;
 
+  // A wire swap from text: the other decoy variant's bytes each time, so
+  // every swap parses, certifies and adopts a real change.
+  const double publish_text_swap_ms =
+      best_of(repetitions, [&] {
+        const bool b1_active =
+            publisher.dictionary_handle().acquire()->bytes == b1_text;
+        g_sink = static_cast<double>(
+            publisher.swap_dictionary(std::string_view(b1_active ? b2_text
+                                                                 : b1_text))
+                .epoch);
+      }) / kNsPerMs;
+
   std::cout << "\n";
   util::TablePrinter publish({"dictionary publication", "ms"});
   publish.add_row({"load", util::format_mean(publish_load_ms)});
@@ -446,6 +460,8 @@ int main(int argc, char** argv) {
   publish.add_row({"no-op swap", util::format_mean(publish_noop_swap_ms)});
   publish.add_row({"no-op wire swap (unparsed)",
                    util::format_mean(publish_noop_wire_swap_ms)});
+  publish.add_row({"wire swap (parse, adopt)",
+                   util::format_mean(publish_text_swap_ms)});
   publish.add_row({"base capture after swap",
                    util::format_mean(publish_capture_ms)});
   publish.print(std::cout);
@@ -483,6 +499,7 @@ int main(int argc, char** argv) {
       .field("publish_swap_ms", publish_swap_ms)
       .field("publish_noop_swap_ms", publish_noop_swap_ms)
       .field("publish_noop_wire_swap_ms", publish_noop_wire_swap_ms)
+      .field("publish_text_swap_ms", publish_text_swap_ms)
       .field("publish_base_capture_ms", publish_capture_ms)
       .field("records", dataset.size());
   bench::emit_json(args, record);

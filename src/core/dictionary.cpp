@@ -5,6 +5,7 @@
 #include <charconv>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <numeric>
@@ -130,29 +131,12 @@ DictionaryStats Dictionary::stats() const {
 }
 
 std::vector<std::uint32_t> Dictionary::sorted_order() const {
-  // Table-4 key ordering: metric, interval begin, means, node; the
-  // interval end only splits keys that agree on everything else, so the
-  // order is total. Distinct metric ids name distinct metrics.
+  // Table-4 key ordering (DictionaryIndex::key_less), total over keys.
   const std::span<const DictionaryIndex::Entry> rows = index_.entries_;
   std::vector<std::uint32_t> order(rows.size());
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    const DictionaryIndex::Entry& x = rows[a];
-    const DictionaryIndex::Entry& y = rows[b];
-    if (x.metric_id != y.metric_id) {
-      return index_.metric_names_[x.metric_id] < index_.metric_names_[y.metric_id];
-    }
-    if (x.begin_seconds != y.begin_seconds) {
-      return x.begin_seconds < y.begin_seconds;
-    }
-    const double* mx = index_.means_.data() + x.means_begin;
-    const double* my = index_.means_.data() + y.means_begin;
-    if (!std::equal(mx, mx + x.means_count, my, my + y.means_count)) {
-      return std::lexicographical_compare(mx, mx + x.means_count, my,
-                                          my + y.means_count);
-    }
-    if (x.node_id != y.node_id) return x.node_id < y.node_id;
-    return x.end_seconds < y.end_seconds;
+    return index_.key_less(rows[a], rows[b]);
   });
   return order;
 }
@@ -179,6 +163,43 @@ std::optional<T> parse_as(std::string_view text) {
   const auto value = util::parse_int(text);
   if (!value || !std::in_range<T>(*value)) return std::nullopt;
   return static_cast<T>(*value);
+}
+
+/// The value of an integer token spelled as append_int writes it (plain
+/// digits, a '-' only before a non-zero value) when it fits T; nullopt
+/// for any other spelling or value. No trim, no from_chars.
+template <typename T>
+std::optional<T> canonical_int(std::string_view token) noexcept {
+  const bool negative = !token.empty() && token.front() == '-';
+  const std::string_view digits = token.substr(negative ? 1 : 0);
+  // 18 digits cannot overflow the accumulator; no field is that wide.
+  if (digits.empty() || digits.size() > 18) return std::nullopt;
+  if (digits.front() == '0' && token.size() != 1) return std::nullopt;
+  long long value = 0;
+  for (const char c : digits) {
+    const unsigned digit = static_cast<unsigned char>(c) - unsigned{'0'};
+    if (digit > 9) return std::nullopt;
+    value = value * 10 + digit;
+  }
+  if (negative) value = -value;
+  if (!std::in_range<T>(value)) return std::nullopt;
+  return static_cast<T>(value);
+}
+
+/// parse_as<T>, converting a canonical token directly; any other token
+/// clears \p canonical and takes today's parse.
+template <typename T>
+std::optional<T> read_int(std::string_view token, bool& canonical) {
+  if (const auto value = canonical_int<T>(token)) return value;
+  canonical = false;
+  return parse_as<T>(token);
+}
+
+/// util::parse_double, certifying the token as dictionary_text does.
+std::optional<double> read_mean(std::string_view token, bool& canonical) {
+  if (const auto value = dictionary_text::canonical_mean(token)) return value;
+  canonical = false;
+  return util::parse_double(token);
 }
 
 void append_int(std::string& out, long long value) {
@@ -238,6 +259,9 @@ class LineReader {
  public:
   explicit LineReader(std::string_view text) : rest_(text) {}
 
+  /// The text not yet returned.
+  std::string_view rest() const noexcept { return rest_; }
+
   bool next(std::string_view& line) {
     if (rest_.empty()) return false;
     const std::size_t newline = rest_.find('\n');
@@ -252,29 +276,35 @@ class LineReader {
   std::string_view rest_;
 };
 
-}  // namespace
-
-void Dictionary::save(std::string& out) const {
-  const std::vector<std::uint32_t> order = sorted_order();
-  // ~40 bytes per row in practice; one reservation covers most of it.
-  out.reserve(out.size() + 64 + order.size() * 48);
+/// The header lines save() writes: everything before the first key row.
+void append_header(std::string& out, const FingerprintConfig& config,
+                   long long keys) {
   out += kFormatTag;
   out += "\nmetrics ";
-  out += util::join(config_.metrics, ",");
+  out += util::join(config.metrics, ",");
   out += "\nintervals";
-  for (const auto& interval : config_.intervals) {
+  for (const auto& interval : config.intervals) {
     out += ' ';
     append_int(out, interval.begin_seconds);
     out += ':';
     append_int(out, interval.end_seconds);
   }
   out += "\ndepth ";
-  append_int(out, config_.rounding_depth);
+  append_int(out, config.rounding_depth);
   out += "\ncombine ";
-  out += config_.combine_metrics ? '1' : '0';
+  out += config.combine_metrics ? '1' : '0';
   out += "\nkeys ";
-  append_int(out, static_cast<long long>(order.size()));
+  append_int(out, keys);
   out += '\n';
+}
+
+}  // namespace
+
+void Dictionary::save(std::string& out) const {
+  const std::vector<std::uint32_t> order = sorted_order();
+  // ~40 bytes per row in practice; one reservation covers most of it.
+  out.reserve(out.size() + 64 + order.size() * 48);
+  append_header(out, config_, static_cast<long long>(order.size()));
   const std::span<const DictionaryIndex::Entry> rows = index_.entries_;
   for (const std::uint32_t ordinal : order) {
     const DictionaryIndex::Entry& row = rows[ordinal];
@@ -317,6 +347,11 @@ void Dictionary::save_file(const std::string& path) const {
 }
 
 Dictionary Dictionary::load(std::string_view text) {
+  bool canonical = false;
+  return load(text, canonical);
+}
+
+Dictionary Dictionary::load(std::string_view text, bool& canonical) {
   const auto start = std::chrono::steady_clock::now();
   LineReader lines(text);
   std::string_view line;
@@ -351,12 +386,22 @@ Dictionary Dictionary::load(std::string_view text) {
 
   if (!lines.next(line) || !util::starts_with(line, "combine "))
     fail("missing combine flag");
-  config.combine_metrics = line.substr(8) == "1";
+  const std::string_view combine = line.substr(8);
+  if (combine != "0" && combine != "1") fail("bad combine flag");
+  config.combine_metrics = combine == "1";
 
   if (!lines.next(line) || !util::starts_with(line, "keys "))
     fail("missing key count");
   const auto key_count = util::parse_int(line.substr(5));
   if (!key_count || *key_count < 0) fail("bad key count");
+
+  // The header is canonical when it is what save() would write for the
+  // parsed config and count (a row merge later makes the count stale).
+  {
+    std::string header;
+    append_header(header, config, *key_count);
+    canonical = text.substr(0, text.size() - lines.rest().size()) == header;
+  }
 
   Dictionary dictionary(config);
   // A row is at least 14 bytes ("m|0|0:0|0|a=1\n") and a mean at least
@@ -383,35 +428,51 @@ Dictionary Dictionary::load(std::string_view text) {
     std::array<std::string_view, 5> fields;
     if (!split_exact(line, '|', fields)) fail("bad key row");
     key.metric.assign(fields[0]);
-    const auto node = parse_as<std::uint32_t>(fields[1]);
+    const auto node = read_int<std::uint32_t>(fields[1], canonical);
     if (!node) fail("bad node id");
     key.node_id = *node;
     std::array<std::string_view, 2> bounds;
     if (!split_exact(fields[2], ':', bounds)) fail("bad key interval");
-    const auto ib = parse_as<int>(bounds[0]);
-    const auto ie = parse_as<int>(bounds[1]);
+    const auto ib = read_int<int>(bounds[0], canonical);
+    const auto ie = read_int<int>(bounds[1], canonical);
     if (!ib || !ie) fail("bad key interval numbers");
     key.interval = {*ib, *ie};
     key.rounded_means.clear();
     for_each_token(fields[3], ',', [&](std::string_view mean_text) {
-      const auto mean = util::parse_double(mean_text);
+      const auto mean = read_mean(mean_text, canonical);
       if (!mean) fail("bad mean");
       key.rounded_means.push_back(*mean);
     });
+    const std::size_t keys_before = index.key_count();
     const std::uint32_t ordinal = index.find_or_add(key);
+    // save() sorts, so canonical rows arrive each a new key, strictly
+    // after the previous row in its order: the sort is then the identity.
+    if (canonical) {
+      canonical = index.key_count() != keys_before &&
+                  (ordinal == 0 || index.key_less(index.entries_[ordinal - 1],
+                                                  index.entries_[ordinal]));
+    }
     for_each_token(fields[4], ',', [&](std::string_view label_token) {
       const std::size_t eq = label_token.rfind('=');
       if (eq == std::string_view::npos) fail("bad label token");
-      const auto count = parse_as<std::uint32_t>(label_token.substr(eq + 1));
+      const auto count =
+          read_int<std::uint32_t>(label_token.substr(eq + 1), canonical);
       if (!count || *count < 1) fail("bad label count");
       const std::string_view name = label_token.substr(0, eq);
       if (label_id == kNoLabelId || name != label) {
         label.assign(name);
         label_id = dictionary.labels_.intern(label);
       }
-      index.add_label(ordinal, label_id, *count);
+      if (!index.add_label(ordinal, label_id, *count)) canonical = false;
     });
   }
+  // Blank lines may trail the rows; anything else is not part of the
+  // dictionary, and the declared count would silently drop it.
+  while (lines.next(line)) {
+    if (!line.empty()) fail("text after the declared key rows");
+    canonical = false;
+  }
+  if (text.back() != '\n') canonical = false;
   index.build_seconds_ =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -425,9 +486,98 @@ Dictionary Dictionary::load(std::istream& in) {
 }
 
 Dictionary Dictionary::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open dictionary: " + path);
-  return load(in);
+  return load(read_file(path));
 }
+
+std::string Dictionary::read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open dictionary: " + path);
+  // One read of a regular file's length (a read this large bypasses the
+  // stream's buffer); a pipe has no length and is read to its end.
+  std::error_code no_size;
+  const std::uintmax_t size = std::filesystem::file_size(path, no_size);
+  std::string text;
+  if (!no_size) {
+    text.resize(size);
+    in.read(text.data(), static_cast<std::streamsize>(size));
+    if (static_cast<std::uintmax_t>(in.gcount()) != size) {
+      throw std::runtime_error("cannot read dictionary: " + path);
+    }
+  } else {
+    std::ostringstream all;
+    all << in.rdbuf();
+    text = std::move(all).str();
+  }
+  return text;
+}
+
+namespace dictionary_text {
+
+std::optional<double> canonical_mean(std::string_view token) noexcept {
+  const auto digits_at = [&](std::size_t at) {
+    std::size_t end = at;
+    while (end < token.size() && token[end] >= '0' && token[end] <= '9') ++end;
+    return token.substr(at, end - at);
+  };
+  std::size_t at = !token.empty() && token.front() == '-' ? 1 : 0;
+  const std::string_view whole = digits_at(at);
+  at += whole.size();
+  std::string_view fraction;
+  if (at < token.size() && token[at] == '.') {
+    fraction = digits_at(at + 1);
+    // %g keeps no trailing zero; save() writes ".0" only with no fraction.
+    if (fraction.empty() || (fraction.back() == '0' && fraction != "0")) {
+      return std::nullopt;
+    }
+    at += 1 + fraction.size();
+  }
+  if (whole.empty()) return std::nullopt;
+  bool zero = false;
+  if (at == token.size()) {
+    // Fixed notation: decimal exponents -4..9, always with a fraction.
+    if (fraction.empty()) return std::nullopt;
+    if (whole == "0") {
+      const std::size_t leading = fraction.find_first_not_of('0');
+      zero = leading == std::string_view::npos;
+      if (zero ? fraction.size() != 1
+               : leading > 3 || fraction.size() - leading > 10) {
+        return std::nullopt;
+      }
+    } else {
+      const std::size_t significant =
+          whole.size() + (fraction == "0" ? 0 : fraction.size());
+      if (whole.front() == '0' || whole.size() > 10 || significant > 10) {
+        return std::nullopt;
+      }
+    }
+  } else {
+    // d[.ddd]e±XX for the other exponents, at least two exponent digits.
+    if (whole.size() != 1 || whole.front() == '0' || fraction == "0" ||
+        fraction.size() > 9 || token[at] != 'e' || at + 2 >= token.size() ||
+        (token[at + 1] != '+' && token[at + 1] != '-')) {
+      return std::nullopt;
+    }
+    const std::string_view exponent = digits_at(at + 2);
+    if (at + 2 + exponent.size() != token.size() || exponent.size() < 2 ||
+        exponent.size() > 3 || (exponent.size() == 3 && exponent.front() == '0')) {
+      return std::nullopt;
+    }
+    int value = 0;
+    for (const char c : exponent) value = value * 10 + (c - '0');
+    if (token[at + 1] == '-' ? value <= 4 : value <= 9) return std::nullopt;
+  }
+  double value = 0.0;
+  const auto [end, error] =
+      std::from_chars(token.data(), token.data() + token.size(), value);
+  if (error != std::errc{} || end != token.data() + token.size()) {
+    return std::nullopt;
+  }
+  // A subnormal keeps fewer than 15 significant digits, so its digits
+  // need not print back; digits that underflow to zero do not.
+  if (zero ? value != 0.0 : !std::isnormal(value)) return std::nullopt;
+  return value;
+}
+
+}  // namespace dictionary_text
 
 }  // namespace efd::core

@@ -158,15 +158,30 @@ class Dictionary {
   void save_file(const std::string& path) const;
 
   /// Deserializes EFD-DICT-V1 text straight into the flat rows; throws
-  /// std::runtime_error on malformed input, including CRLF line endings
-  /// and integers that do not fit their field (a node id or label count
-  /// outside u32, an interval bound or depth outside int). A key on
-  /// several rows, or a label repeated within a row, merges as insert()
-  /// would. Text after the declared key rows is ignored.
+  /// std::runtime_error on malformed input, including CRLF line endings,
+  /// a combine flag other than 0 or 1, a non-empty line after the
+  /// declared key rows, and integers that do not fit their field (a node
+  /// id or label count outside u32, an interval bound or depth outside
+  /// int). A key on several rows, or a label repeated within a row,
+  /// merges as insert() would.
   static Dictionary load(std::string_view text);
+  /// The same load, which also certifies, in its one token scan, whether
+  /// save() would write \p text back byte for byte (\p canonical). It
+  /// is true when the header is what save() writes for the parsed config
+  /// and key count, the rows are strictly increasing in sorted_order()
+  /// with no key or label merged, every integer is plain digits (a '-'
+  /// only before a non-zero value), every mean passes
+  /// dictionary_text::canonical_mean(), and nothing follows the last
+  /// row's newline. A false is conservative: such text may still resave
+  /// as itself (a subnormal or NaN mean).
+  static Dictionary load(std::string_view text, bool& canonical);
   /// Reads \p in to its end, then load(text).
   static Dictionary load(std::istream& in);
+  /// load(read_file(path)).
   static Dictionary load_file(const std::string& path);
+  /// The bytes of the file at \p path, taken with one read sized by the
+  /// file's length; throws std::runtime_error when it cannot be read.
+  static std::string read_file(const std::string& path);
 
   /// The table is built as rows arrive, so there is nothing left to
   /// compile: a no-op, kept for callers written against the compiled
@@ -184,5 +199,19 @@ class Dictionary {
   LabelTable labels_;
   DictionaryIndex index_;
 };
+
+namespace dictionary_text {
+
+/// The value of an EFD-DICT-V1 mean token spelled exactly as save()
+/// writes that value, or nullopt for any other spelling. Accepted: at
+/// most 10 significant digits of zero or a finite normal value, laid out
+/// as %.10g lays out those digits (fixed notation for decimal exponents
+/// -4..9, else d[.ddd]e±XX) plus save()'s ".0" on an integral fixed
+/// value. A double carries at least 15 significant digits, so such a
+/// token prints back as itself; the check re-lays out the token's own
+/// digits and never converts binary to decimal.
+std::optional<double> canonical_mean(std::string_view token) noexcept;
+
+}  // namespace dictionary_text
 
 }  // namespace efd::core

@@ -43,20 +43,18 @@ class DictionaryHandle {
     /// Construction is the publication point: the dictionary's rows are
     /// already its probe table (dictionary_index.hpp), so publishing
     /// writes the canonical EFD-DICT-V1 text from one sorted pass and
-    /// moves the rows in. Every path that publishes an epoch — initial
-    /// handle construction (train completion), swap_if_changed(), and
-    /// the snapshot restorer's pre-built epoch for reset() — ships rows
+    /// moves the rows in. Every path that publishes an epoch ships rows
     /// and bytes together, and neither can change afterwards.
-    /// (`bytes` is declared before `dictionary`, so it is written from
-    /// the parameter before the parameter is moved from.)
-    Epoch(std::uint64_t version, Dictionary dictionary)
-        : version(version),
-          bytes([&] {
-            std::string text;
-            dictionary.save(text);
-            return text;
-          }()),
-          dictionary(std::move(dictionary)) {}
+    Epoch(std::uint64_t version, Dictionary dictionary);
+
+    /// Publication from EFD-DICT-V1 text (a wire swap, a snapshot's
+    /// embedded dictionary, a dictionary file): one parse, which also
+    /// certifies whether save() would write \p text back byte for byte
+    /// (Dictionary::load(text, canonical)). Canonical text becomes
+    /// `bytes` as it is, with no second write; any other text is
+    /// written out as the other constructor does. Throws what
+    /// Dictionary::load throws.
+    Epoch(std::uint64_t version, std::string text);
 
     const std::uint64_t version;
     /// The dictionary's EFD-DICT-V1 text, exactly what save() writes:
@@ -64,6 +62,19 @@ class DictionaryHandle {
     /// so neither serializes the dictionary again.
     const std::string bytes;
     const Dictionary dictionary;
+    /// True when `bytes` is the text this epoch was built from, adopted
+    /// without a write.
+    const bool adopted_text;
+
+   private:
+    struct Parts {
+      std::string bytes;
+      Dictionary dictionary;
+      bool adopted_text = false;
+    };
+    static Parts written(Dictionary dictionary);
+    static Parts parsed(std::string text);
+    Epoch(std::uint64_t version, Parts parts);
   };
 
   /// What swap_if_changed() did: the active version after the call, and
@@ -75,6 +86,9 @@ class DictionaryHandle {
 
   /// The initial dictionary becomes epoch 1.
   explicit DictionaryHandle(Dictionary initial);
+  /// A pre-built initial epoch (e.g. from a dictionary file's text),
+  /// published with its own version.
+  explicit DictionaryHandle(std::shared_ptr<Epoch> initial);
 
   DictionaryHandle(const DictionaryHandle&) = delete;
   DictionaryHandle& operator=(const DictionaryHandle&) = delete;
@@ -104,8 +118,10 @@ class DictionaryHandle {
 
   /// The same for a candidate still in EFD-DICT-V1 text (a wire swap):
   /// text byte-equal to the active epoch's bytes is refused as a no-op
-  /// before any parse; other text is loaded (Dictionary::load throws on
-  /// malformed input) and goes through swap_if_changed(Dictionary).
+  /// before any parse; other text builds its epoch through
+  /// Epoch(version, text) — one parse, and no write when the text is
+  /// canonical (Dictionary::load throws on malformed input) — and is
+  /// then compared and published as swap_if_changed(Dictionary) does.
   SwapOutcome swap_if_changed(std::string_view text);
 
   /// Restore path: installs a pre-built epoch (explicit version) with
@@ -117,6 +133,9 @@ class DictionaryHandle {
              std::uint64_t noop_swap_count = 0);
 
  private:
+  /// Publishes \p candidate unless its bytes equal the active epoch's.
+  SwapOutcome publish(std::shared_ptr<Epoch> candidate);
+
   std::shared_ptr<Epoch> current_;
   std::uint64_t swaps_ = 0;
   std::uint64_t noop_swaps_ = 0;

@@ -179,13 +179,13 @@ std::uint32_t DictionaryIndex::find_or_add(const FingerprintKey& key) {
   return ordinal;
 }
 
-void DictionaryIndex::add_label(std::uint32_t ordinal, std::uint32_t label_id,
+bool DictionaryIndex::add_label(std::uint32_t ordinal, std::uint32_t label_id,
                                 std::uint32_t count) {
   Entry& entry = entries_[ordinal];
   for (std::uint32_t i = 0; i < entry.labels_count; ++i) {
     if (label_ids_[entry.labels_begin + i] == label_id) {
       counts_[entry.labels_begin + i] += count;
-      return;
+      return false;
     }
   }
   if (entry.labels_begin + entry.labels_count != label_ids_.size()) {
@@ -202,6 +202,7 @@ void DictionaryIndex::add_label(std::uint32_t ordinal, std::uint32_t label_id,
   label_ids_.push_back(label_id);
   counts_.push_back(count);
   ++entry.labels_count;
+  return true;
 }
 
 void DictionaryIndex::resize_table(std::size_t keys) {

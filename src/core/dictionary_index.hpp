@@ -36,6 +36,7 @@
 /// FingerprintKey::operator== (double ==, so a NaN mean never matches),
 /// and the table stays at load factor <= 0.5.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -135,6 +136,29 @@ class DictionaryIndex {
   /// gauge), runs left behind by a moved label run included.
   std::uint64_t resident_bytes() const noexcept;
 
+  /// The Table-4 key order of the EFD-DICT-V1 key list: metric name,
+  /// interval begin, means, node, interval end. Total over keys without
+  /// a NaN mean: two such entries compare equal only as the same key.
+  /// Inline: it is the comparator of the writer's sort.
+  bool key_less(const Entry& x, const Entry& y) const noexcept {
+    // Distinct metric ids name distinct metrics; the interval end only
+    // splits keys that agree on everything else.
+    if (x.metric_id != y.metric_id) {
+      return metric_names_[x.metric_id] < metric_names_[y.metric_id];
+    }
+    if (x.begin_seconds != y.begin_seconds) {
+      return x.begin_seconds < y.begin_seconds;
+    }
+    const double* mx = means_.data() + x.means_begin;
+    const double* my = means_.data() + y.means_begin;
+    if (!std::equal(mx, mx + x.means_count, my, my + y.means_count)) {
+      return std::lexicographical_compare(mx, mx + x.means_count, my,
+                                          my + y.means_count);
+    }
+    if (x.node_id != y.node_id) return x.node_id < y.node_id;
+    return x.end_seconds < y.end_seconds;
+  }
+
  private:
   friend class Dictionary;
 
@@ -143,8 +167,9 @@ class DictionaryIndex {
                    const FingerprintKey& key) const noexcept;
   /// Ordinal of \p key's entry, appended (with no labels) when absent.
   std::uint32_t find_or_add(const FingerprintKey& key);
-  /// Adds \p count observations of \p label_id to entry \p ordinal.
-  void add_label(std::uint32_t ordinal, std::uint32_t label_id,
+  /// Adds \p count observations of \p label_id to entry \p ordinal;
+  /// true when the label is new to the entry, false when it merged.
+  bool add_label(std::uint32_t ordinal, std::uint32_t label_id,
                  std::uint32_t count);
   /// Rebuilds the tag table with room for \p keys keys at load <= 0.5.
   void resize_table(std::size_t keys);

@@ -27,7 +27,14 @@ std::optional<BackpressurePolicy> parse_backpressure_policy(
 
 RecognitionService::RecognitionService(Dictionary dictionary,
                                        RecognitionServiceConfig config)
-    : handle_(std::move(dictionary)), config_(config) {
+    : RecognitionService(
+          std::make_shared<DictionaryHandle::Epoch>(1, std::move(dictionary)),
+          config) {}
+
+RecognitionService::RecognitionService(
+    std::shared_ptr<DictionaryHandle::Epoch> initial,
+    RecognitionServiceConfig config)
+    : handle_(std::move(initial)), config_(config) {
   if (config_.job_queue_capacity == 0) config_.job_queue_capacity = 1;
 }
 

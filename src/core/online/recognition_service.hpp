@@ -221,6 +221,10 @@ class RecognitionService {
   /// Takes ownership of a trained dictionary; it becomes epoch 1.
   explicit RecognitionService(Dictionary dictionary,
                               RecognitionServiceConfig config = {});
+  /// Serves a pre-built initial epoch at its own version — serve's
+  /// Epoch(1, text) of a dictionary file, parsed once and not rewritten.
+  explicit RecognitionService(std::shared_ptr<DictionaryHandle::Epoch> initial,
+                              RecognitionServiceConfig config = {});
 
   RecognitionService(const RecognitionService&) = delete;
   RecognitionService& operator=(const RecognitionService&) = delete;

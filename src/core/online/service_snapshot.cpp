@@ -480,7 +480,7 @@ void RecognitionService::decode_snapshot_sections(std::istream& in,
             reader.remaining());
         try {
           staging.epoch = std::make_shared<DictionaryHandle::Epoch>(
-              staging.epoch_version, Dictionary::load(text));
+              staging.epoch_version, std::string(text));
         } catch (const std::exception& error) {
           fail(std::string("embedded dictionary rejected: ") + error.what());
         }

@@ -212,8 +212,8 @@ class ShmRingServer::ReplySink final : public VerdictSink {
 
   void deliver(const Message& verdict) override {
     ShmHeader& header = region_->header();
-    std::vector<std::uint8_t> frame;
-    encode_frame(verdict, frame);
+    frame_.clear();
+    encode_frame(verdict, frame_);
     const std::uint64_t head = header.out_head.load(std::memory_order_relaxed);
     const std::uint64_t tail = header.out_tail.load(std::memory_order_acquire);
     // out_tail is the peer's cursor: a corrupt value (tail > head, or a
@@ -223,17 +223,20 @@ class ShmRingServer::ReplySink final : public VerdictSink {
       return;
     }
     const std::uint64_t space = header.outbound_capacity - (head - tail);
-    if (frame.size() > space) {
+    if (frame_.size() > space) {
       header.verdicts_dropped.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     ring_write(region_->outbound(), header.outbound_capacity, head,
-               frame.data(), frame.size());
-    header.out_head.store(head + frame.size(), std::memory_order_release);
+               frame_.data(), frame_.size());
+    header.out_head.store(head + frame_.size(), std::memory_order_release);
   }
 
  private:
   std::shared_ptr<ShmRegion> region_;
+  /// The encoded frame, reused call after call. The sink already has
+  /// one writer: it alone advances the ring's out_head.
+  std::vector<std::uint8_t> frame_;
 };
 
 ShmRingServer::ShmRingServer(const std::string& name)

@@ -57,13 +57,17 @@ struct TcpServer::Connection final : VerdictSink, EventLoop::Watcher {
   }
 
   void deliver(const Message& verdict) override {
-    std::vector<std::uint8_t> frame;
-    encode_frame(verdict, frame);
     std::lock_guard lock(write_mutex);
     if (fd < 0) {  // connection already gone: best-effort drop
       write_failures->fetch_add(1, std::memory_order_relaxed);
       return;
     }
+    // The first deliver_many slot, reused: a steady verdict rate stops
+    // allocating a frame per call.
+    if (write_slots.empty()) write_slots.resize(1);
+    std::vector<std::uint8_t>& frame = write_slots.front();
+    frame.clear();
+    encode_frame(verdict, frame);
     if (!write_all(fd, frame.data(), frame.size())) {
       // Peer vanished, or it stopped reading verdicts and the send
       // timed out (SO_SNDTIMEO, set at accept). deliver() runs on the
@@ -156,7 +160,7 @@ struct TcpServer::Connection final : VerdictSink, EventLoop::Watcher {
   /// so the owner's reads need no write_mutex.
   int fd;
   std::shared_ptr<std::atomic<std::uint64_t>> write_failures;
-  /// deliver_many scratch (guarded by write_mutex).
+  /// deliver/deliver_many scratch (guarded by write_mutex).
   std::vector<std::vector<std::uint8_t>> write_slots;
   std::vector<iovec> write_iov;
   /// Owner-side stream state. Holds the bytes of the batch views

@@ -299,6 +299,44 @@ TEST(Dictionary, LoadRejectsMalformedInputs) {
   EXPECT_EQ(counts_of(entry), std::vector<std::uint32_t>{4294967295u});
 }
 
+TEST(Dictionary, LoadRejectsRowsPastTheDeclaredCountAndBadCombineFlags) {
+  const auto error_of = [](const std::string& text) -> std::string {
+    try {
+      Dictionary::load(text);
+    } catch (const std::runtime_error& error) {
+      return error.what();
+    }
+    return "loaded";
+  };
+  const std::string head =
+      "EFD-DICT-V1\nmetrics m\nintervals 60:120\ndepth 2\n";
+  const std::string header = head + "combine 0\n";
+  const std::string row = "m|0|60:120|6000.0|ft_X=1\n";
+
+  // A row past the declared count, or trailing text, is not dropped.
+  const std::string extra = "malformed dictionary: text after the declared key rows";
+  EXPECT_EQ(error_of(header + "keys 1\n" + row + "m|1|60:120|6000.0|mg_X=1\n"),
+            extra);
+  EXPECT_EQ(error_of(header + "keys 1\n" + row + "garbage"), extra);
+  EXPECT_EQ(error_of(header + "keys 0\n" + row), extra);
+  EXPECT_EQ(error_of(header + "keys 1\n" + row + "\n\n" + row), extra);
+  // Blank lines after the rows are not text.
+  EXPECT_EQ(Dictionary::load(header + "keys 1\n" + row + "\n\n").size(), 1u);
+
+  // Only 0 and 1 are combine flags.
+  const std::string flag = "malformed dictionary: bad combine flag";
+  for (const char* bad : {"yes", "2", "", " 1", "1 ", "01", "true"}) {
+    EXPECT_EQ(error_of(head + "combine " + bad + "\nkeys 1\n" + row), flag)
+        << "combine '" << bad << "'";
+  }
+  EXPECT_FALSE(Dictionary::load(head + "combine 0\nkeys 1\n" + row)
+                   .config()
+                   .combine_metrics);
+  EXPECT_TRUE(Dictionary::load(head + "combine 1\nkeys 1\n" + row)
+                  .config()
+                  .combine_metrics);
+}
+
 // Checked-in EFD-DICT-V1: every mean rendering the writer must keep
 // (integral ".0", plain decimals, negatives, small and large exponents,
 // the full 10 significant digits, nan), multi-mean and multi-label rows,

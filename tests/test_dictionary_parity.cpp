@@ -3,26 +3,40 @@
 /// storage: save() of a paper-trained dictionary and of a B1-shape one
 /// (the same plus 10k decoy keys), save() after loading non-canonical
 /// text (unsorted rows, a key split over two rows, a label repeated in a
-/// row, leading-zero integers), and save() after merge, prune_rare and a
-/// copy. Every expected value was recorded from the node-map dictionary
-/// these bytes must never drift from.
+/// row, leading-zero integers, other spellings of a number), and save()
+/// after merge, prune_rare and a copy. Every expected value was recorded
+/// from the node-map dictionary these bytes must never drift from.
+///
+/// The same texts pin the publication path: an epoch built from
+/// canonical text adopts it as its bytes, and any other text takes the
+/// write path to the same pinned bytes. A seeded property test holds
+/// the loader's mean certification to save()'s own formatting, and a
+/// seeded fuzz of one-row dictionaries holds the whole certification to
+/// "adopted only when save() writes the text back".
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <optional>
+#include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/dictionary.hpp"
+#include "core/dictionary_handle.hpp"
 #include "core/trainer.hpp"
 #include "sim/dataset_generator.hpp"
 #include "util/binary_io.hpp"
+#include "util/string_utils.hpp"
 
 namespace {
 
 using namespace efd;
 using core::Dictionary;
+using Epoch = core::DictionaryHandle::Epoch;
 
 std::string text_of(const Dictionary& dictionary) {
   std::string text;
@@ -66,6 +80,23 @@ Dictionary with_decoys(Dictionary dictionary) {
   return dictionary;
 }
 
+/// Canonical text: the epoch built from it keeps it, unwritten.
+void expect_adopted(const std::string& text, const char* what) {
+  const Epoch epoch(1, text);
+  EXPECT_TRUE(epoch.adopted_text) << what;
+  EXPECT_EQ(epoch.bytes, text) << what;
+  EXPECT_EQ(epoch.bytes, text_of(epoch.dictionary)) << what;
+}
+
+/// Non-canonical text: the epoch writes \p expected, what save() writes
+/// after a plain load.
+void expect_written(const std::string& text, const std::string& expected) {
+  const Epoch epoch(1, text);
+  EXPECT_FALSE(epoch.adopted_text) << text;
+  EXPECT_EQ(epoch.bytes, expected) << text;
+  EXPECT_EQ(text_of(Dictionary::load(text)), expected) << text;
+}
+
 struct Pinned {
   std::size_t size;
   std::uint32_t crc;
@@ -107,9 +138,11 @@ TEST_F(DictionaryParity, PaperTrainedAndB1ShapeSaves) {
   expect_pinned(trained, kTrained, "paper-trained");
   const std::string b1 = text_of(with_decoys(*trained_));
   expect_pinned(b1, kB1, "B1 shape");
-  // A load writes back exactly what it read.
+  // A load writes back exactly what it read, and an epoch keeps it.
   EXPECT_EQ(text_of(Dictionary::load(trained)), trained);
   EXPECT_EQ(text_of(Dictionary::load(b1)), b1);
+  expect_adopted(trained, "paper-trained");
+  expect_adopted(b1, "B1 shape");
 }
 
 TEST_F(DictionaryParity, MergePruneAndCopySaves) {
@@ -133,54 +166,270 @@ TEST_F(DictionaryParity, MergePruneAndCopySaves) {
   expect_pinned(text_of(copy), kB1, "copy of a loaded B1");
   const Dictionary trained_copy = *trained_;
   expect_pinned(text_of(trained_copy), kTrained, "copy of the trained");
+
+  expect_adopted(text_of(merged), "merge");
+  expect_adopted(text_of(pruned), "prune_rare(3)");
 }
 
 constexpr char kHeader[] =
     "EFD-DICT-V1\nmetrics m\nintervals 60:120\ndepth 2\ncombine 0\n";
 
 TEST(DictionaryParityText, NonCanonicalInputsSaveCanonically) {
-  const auto resaved = [](const std::string& text) {
-    return text_of(Dictionary::load(text));
-  };
   // Unsorted rows.
-  EXPECT_EQ(resaved(std::string(kHeader) +
-                    "keys 4\n"
-                    "m|1|60:120|6000.0|ft_X=1\n"
-                    "m|0|60:120|7000.0|mg_X=2\n"
-                    "m|0|0:60|9000.0|lu_X=1\n"
-                    "m|0|60:120|6000.0|sp_X=1,bt_X=3\n"),
-            std::string(kHeader) +
-                "keys 4\n"
-                "m|0|0:60|9000.0|lu_X=1\n"
-                "m|0|60:120|6000.0|sp_X=1,bt_X=3\n"
-                "m|1|60:120|6000.0|ft_X=1\n"
-                "m|0|60:120|7000.0|mg_X=2\n");
+  expect_written(std::string(kHeader) +
+                     "keys 4\n"
+                     "m|1|60:120|6000.0|ft_X=1\n"
+                     "m|0|60:120|7000.0|mg_X=2\n"
+                     "m|0|0:60|9000.0|lu_X=1\n"
+                     "m|0|60:120|6000.0|sp_X=1,bt_X=3\n",
+                 std::string(kHeader) +
+                     "keys 4\n"
+                     "m|0|0:60|9000.0|lu_X=1\n"
+                     "m|0|60:120|6000.0|sp_X=1,bt_X=3\n"
+                     "m|1|60:120|6000.0|ft_X=1\n"
+                     "m|0|60:120|7000.0|mg_X=2\n");
   // One key split over two rows: the labels merge in row order.
-  EXPECT_EQ(resaved(std::string(kHeader) +
-                    "keys 3\n"
-                    "m|0|60:120|6000.0|ft_X=1,mg_X=2\n"
-                    "m|0|60:120|7000.0|lu_X=1\n"
-                    "m|0|60:120|6000.0|mg_X=1,sp_X=4\n"),
-            std::string(kHeader) +
-                "keys 2\n"
-                "m|0|60:120|6000.0|ft_X=1,mg_X=3,sp_X=4\n"
-                "m|0|60:120|7000.0|lu_X=1\n");
+  expect_written(std::string(kHeader) +
+                     "keys 3\n"
+                     "m|0|60:120|6000.0|ft_X=1,mg_X=2\n"
+                     "m|0|60:120|7000.0|lu_X=1\n"
+                     "m|0|60:120|6000.0|mg_X=1,sp_X=4\n",
+                 std::string(kHeader) +
+                     "keys 2\n"
+                     "m|0|60:120|6000.0|ft_X=1,mg_X=3,sp_X=4\n"
+                     "m|0|60:120|7000.0|lu_X=1\n");
   // A label repeated within a row.
-  EXPECT_EQ(resaved(std::string(kHeader) +
-                    "keys 1\n"
-                    "m|0|60:120|6000.0|ft_X=1,mg_X=2,ft_X=5\n"),
-            std::string(kHeader) +
-                "keys 1\n"
-                "m|0|60:120|6000.0|ft_X=6,mg_X=2\n");
+  expect_written(std::string(kHeader) +
+                     "keys 1\n"
+                     "m|0|60:120|6000.0|ft_X=1,mg_X=2,ft_X=5\n",
+                 std::string(kHeader) +
+                     "keys 1\n"
+                     "m|0|60:120|6000.0|ft_X=6,mg_X=2\n");
   // Leading zeros in every integer field, and an unpadded mean.
-  EXPECT_EQ(resaved("EFD-DICT-V1\nmetrics m\nintervals 060:0120\ndepth 02\n"
-                    "combine 0\nkeys 02\n"
-                    "m|007|060:0120|6000|ft_X=0003\n"
-                    "m|0|00:060|0042.50|mg_X=01\n"),
-            std::string(kHeader) +
-                "keys 2\n"
-                "m|0|0:60|42.5|mg_X=1\n"
-                "m|7|60:120|6000.0|ft_X=3\n");
+  expect_written("EFD-DICT-V1\nmetrics m\nintervals 060:0120\ndepth 02\n"
+                 "combine 0\nkeys 02\n"
+                 "m|007|060:0120|6000|ft_X=0003\n"
+                 "m|0|00:060|0042.50|mg_X=01\n",
+                 std::string(kHeader) +
+                     "keys 2\n"
+                     "m|0|0:60|42.5|mg_X=1\n"
+                     "m|7|60:120|6000.0|ft_X=3\n");
+}
+
+/// One row under kHeader.
+std::string one_row(const std::string& row) {
+  return std::string(kHeader) + "keys 1\n" + row + "\n";
+}
+
+TEST(DictionaryParityText, OtherSpellingsOfANumberTakeTheWritePath) {
+  // A space before an integer or a mean; "-0"; a trailing zero; digits
+  // that %.10g lays out the other way (1e5 is 100000.0, 1e10 is 1e+10);
+  // an exponent padded or spelled as a fraction.
+  expect_written(one_row("m| 5|60:120|6000.0|ft_X=1"),
+                 one_row("m|5|60:120|6000.0|ft_X=1"));
+  expect_written(one_row("m|0|60:120| 5|ft_X= 5"),
+                 one_row("m|0|60:120|5.0|ft_X=5"));
+  expect_written(one_row("m|0|-0:120|1.50|ft_X=1"),
+                 one_row("m|0|0:120|1.5|ft_X=1"));
+  expect_written(one_row("m|0|60:120|1e5|ft_X=1"),
+                 one_row("m|0|60:120|100000.0|ft_X=1"));
+  expect_written(one_row("m|0|60:120|10000000000.0|ft_X=1"),
+                 one_row("m|0|60:120|1e+10|ft_X=1"));
+  expect_written(one_row("m|0|60:120|1e+010|ft_X=1"),
+                 one_row("m|0|60:120|1e+10|ft_X=1"));
+  expect_written(one_row("m|0|60:120|0.00001|ft_X=1"),
+                 one_row("m|0|60:120|1e-05|ft_X=1"));
+  expect_written(one_row("m|0|60:120|1.0e-05|ft_X=1"),
+                 one_row("m|0|60:120|1e-05|ft_X=1"));
+  // More than 10 significant digits round to 10.
+  expect_written(one_row("m|0|60:120|1.23456789012|ft_X=1"),
+                 one_row("m|0|60:120|1.23456789|ft_X=1"));
+  // A subnormal mean prints with 10 digits of its binary value; one
+  // that happens to print back as itself is still not certified.
+  expect_written(one_row("m|0|60:120|4.9e-324|ft_X=1"),
+                 one_row("m|0|60:120|4.940656458e-324|ft_X=1"));
+  expect_written(one_row("m|0|60:120|1e-310|ft_X=1"),
+                 one_row("m|0|60:120|1e-310|ft_X=1"));
+  // A final row without its newline, and blank lines after the rows.
+  const std::string row = one_row("m|0|60:120|6000.0|ft_X=1");
+  expect_written(row.substr(0, row.size() - 1), row);
+  expect_written(row + "\n\n", row);
+
+  // "+5" is no integer and no mean on either path.
+  for (const char* bad : {"m|+5|60:120|6000.0|ft_X=1", "m|0|60:120|+5|ft_X=1",
+                          "m|0|60:120|6000.0|ft_X=+5"}) {
+    EXPECT_THROW(Dictionary::load(one_row(bad)), std::runtime_error) << bad;
+    EXPECT_THROW(Epoch(1, one_row(bad)), std::runtime_error) << bad;
+  }
+
+  // The spellings save() itself writes are adopted.
+  for (const char* mean :
+       {"100000.0", "1e+10", "1e-05", "0.0001", "1234567890.0", "-0.0",
+        "0.0", "-2.5", "1.23456789e+300", "2.225073859e-308"}) {
+    expect_adopted(one_row(std::string("m|0|60:120|") + mean + "|ft_X=1"),
+                   mean);
+  }
+  expect_adopted(std::string(kHeader) + "keys 0\n", "no keys");
+  expect_adopted(std::string(kHeader) +
+                     "keys 2\n"
+                     "m|4294967295|-2147483648:2147483647|6000.0|ft_X=4294967295\n"
+                     "m|0|60:120|6000.0,7000.0|ft_X=1,mg_X=2\n",
+                 "field extremes and multi-value rows");
+}
+
+// --- mean certification --------------------------------------------------
+
+/// A random decimal token: a mix of save()'s spellings of random values
+/// and near misses (other layouts, padding, signs, digit counts).
+std::string random_mean_token(std::mt19937_64& rng) {
+  std::uniform_int_distribution<int> pick(0, 99);
+  const auto digits = [&](int count, bool nonzero_first) {
+    std::string out;
+    for (int i = 0; i < count; ++i) {
+      const int low = i == 0 && nonzero_first ? 1 : 0;
+      out += static_cast<char>('0' + std::uniform_int_distribution<int>(low, 9)(rng));
+    }
+    return out;
+  };
+  const int shape = pick(rng);
+  if (shape < 40) {
+    // save()'s own spelling of a value with 1-17 significant digits
+    // anywhere in (and just past) the normal range.
+    const int significant = std::uniform_int_distribution<int>(1, 17)(rng);
+    const int exponent = std::uniform_int_distribution<int>(-330, 310)(rng);
+    const std::string text = (pick(rng) < 20 ? "-" : "") + digits(1, true) +
+                             "." + digits(significant, false) + "e" +
+                             std::to_string(exponent);
+    const std::optional<double> value = util::parse_double(text);
+    return value ? util::format_mean(*value) : text;
+  }
+  if (shape < 60) {
+    // Fixed layouts around the %.10g boundaries.
+    const int whole = std::uniform_int_distribution<int>(0, 12)(rng);
+    const int fraction = std::uniform_int_distribution<int>(0, 12)(rng);
+    std::string text = (pick(rng) < 10 ? "-" : "") +
+                       (whole == 0 ? std::string("0") : digits(whole, pick(rng) < 90));
+    if (fraction > 0 || pick(rng) < 50) text += "." + digits(fraction, false);
+    return text;
+  }
+  if (shape < 80) {
+    // Scientific layouts with every exponent width and sign.
+    std::string text = (pick(rng) < 10 ? "-" : "") + digits(1, pick(rng) < 90);
+    const int fraction = std::uniform_int_distribution<int>(0, 11)(rng);
+    if (fraction > 0 || pick(rng) < 10) text += "." + digits(fraction, false);
+    text += pick(rng) < 95 ? "e" : "E";
+    const int sign = pick(rng);
+    text += sign < 45 ? "+" : sign < 90 ? "-" : "";
+    text += digits(std::uniform_int_distribution<int>(1, 4)(rng), false);
+    return text;
+  }
+  // Random strings over the token alphabet.
+  static constexpr char kAlphabet[] = "0123456789.-+e 0000";
+  std::string text;
+  const int length = std::uniform_int_distribution<int>(1, 14)(rng);
+  for (int i = 0; i < length; ++i) {
+    text += kAlphabet[std::uniform_int_distribution<int>(
+        0, static_cast<int>(sizeof(kAlphabet)) - 2)(rng)];
+  }
+  return text;
+}
+
+TEST(DictionaryParityText, MeanCertificationNeverAcceptsAnotherSpelling) {
+  // util::format_mean is save()'s mean format (save() writes the same
+  // bytes without snprintf).
+  std::mt19937_64 rng(20261019);
+  std::size_t accepted = 0;
+  std::size_t wrong = 0;
+  constexpr std::size_t kTokens = 1'200'000;
+  for (std::size_t i = 0; i < kTokens; ++i) {
+    const std::string token = random_mean_token(rng);
+    const std::optional<double> value = core::dictionary_text::canonical_mean(token);
+    if (!value) continue;
+    ++accepted;
+    if (util::format_mean(*value) != token && ++wrong <= 10) {
+      ADD_FAILURE() << "accepted '" << token << "', save() writes '"
+                    << util::format_mean(*value) << "'";
+    }
+  }
+  EXPECT_EQ(wrong, 0u);
+  // The generator reaches both sides of the rule.
+  EXPECT_GT(accepted, kTokens / 4);
+  EXPECT_LT(accepted, kTokens * 3 / 4);
+
+  // Every finite normal value's own spelling is accepted as that value.
+  std::uniform_int_distribution<std::uint64_t> bits;
+  for (std::size_t i = 0; i < 100'000; ++i) {
+    const double value = std::bit_cast<double>(bits(rng));
+    if (!std::isnormal(value)) continue;
+    const std::string token = util::format_mean(value);
+    const std::optional<double> certified = core::dictionary_text::canonical_mean(token);
+    ASSERT_TRUE(certified) << token;
+    EXPECT_EQ(util::format_mean(*certified), token);
+  }
+}
+
+// --- whole-text certification ----------------------------------------------
+
+TEST(DictionaryParityText, OneRowFuzzAdoptsExactlyTheTextsSaveWritesBack) {
+  std::mt19937_64 rng(28);
+  std::uniform_int_distribution<int> pick(0, 99);
+  const auto integer = [&](long long value) {
+    std::string text = std::to_string(value);
+    const int spelling = pick(rng);
+    if (spelling < 5) return "0" + text;
+    if (spelling < 8) return " " + text;
+    if (spelling < 10 && value == 0) return std::string("-0");
+    return text;
+  };
+  std::size_t adopted = 0;
+  std::size_t rejected = 0;
+  constexpr std::size_t kTexts = 40'000;
+  for (std::size_t i = 0; i < kTexts; ++i) {
+    std::string row = pick(rng) < 50 ? "m|" : "nr_mapped_vmstat|";
+    row += integer(std::uniform_int_distribution<long long>(0, 40)(rng)) + "|";
+    row += integer(std::uniform_int_distribution<long long>(-60, 60)(rng)) + ":";
+    row += integer(std::uniform_int_distribution<long long>(60, 180)(rng)) + "|";
+    const int means = pick(rng) < 80 ? 1 : 2;
+    for (int m = 0; m < means; ++m) {
+      if (m != 0) row += ',';
+      row += random_mean_token(rng);
+    }
+    row += '|';
+    const int labels = pick(rng) < 70 ? 1 : 2;
+    for (int l = 0; l < labels; ++l) {
+      if (l != 0) row += ',';
+      row += pick(rng) < 50 ? "ft_X=" : "mg_Y=";
+      row += integer(std::uniform_int_distribution<long long>(1, 9)(rng));
+    }
+    std::string text = std::string(kHeader) + "keys 1\n" + row;
+    if (pick(rng) < 95) text += '\n';
+
+    std::string written;
+    try {
+      written = text_of(Dictionary::load(text));
+    } catch (const std::runtime_error&) {
+      ++rejected;
+      EXPECT_THROW(Epoch(1, text), std::runtime_error) << text;
+      continue;
+    }
+    const Epoch epoch(1, text);
+    EXPECT_EQ(epoch.bytes, written) << text;
+    EXPECT_EQ(epoch.bytes, text_of(epoch.dictionary)) << text;
+    if (epoch.adopted_text) {
+      ++adopted;
+      EXPECT_EQ(text, written) << "adopted text that save() rewrites";
+    } else if (text == written) {
+      // Only a mean save() cannot certify by its digits may miss.
+      bool uncertifiable = false;
+      for (const std::string& mean : util::split(util::split(row, '|')[3], ',')) {
+        const std::optional<double> value = util::parse_double(mean);
+        uncertifiable |= value && !std::isnormal(*value) && *value != 0.0;
+      }
+      EXPECT_TRUE(uncertifiable) << "save() writes back unadopted text " << text;
+    }
+  }
+  EXPECT_GT(adopted, kTexts / 10);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 /// \file test_hot_path.cpp
 /// \brief Hot-path guarantees behind bench_hot_path's numbers: the
 /// counting-allocator proof that steady-state recognition, pooled frame
-/// decode and the source mux's poll/verdict path stop touching the heap,
-/// bit-exactness of the SIMD rounding kernel against both the scalar
-/// build and the legacy libm formula, pooled-decoder and online
-/// slot-path parity, UDP control retransmit bounds, and a
-/// concurrent-scratch case for the TSan job.
+/// decode, the source mux's poll/verdict path and a single-verdict TCP
+/// deliver stop touching the heap, and that publishing canonical
+/// dictionary text costs one parse and no write; bit-exactness of the
+/// SIMD rounding kernel against both the scalar build and the legacy
+/// libm formula, pooled-decoder and online slot-path parity, UDP control
+/// retransmit bounds, and a concurrent-scratch case for the TSan job.
 
 #include <gtest/gtest.h>
 
@@ -749,6 +750,47 @@ TEST_F(HotPathFixture, DictionaryLoadEpochAndFreeAllocateIndependentlyOfKeyCount
   EXPECT_LE(large.freed, 64u);
 }
 
+TEST_F(HotPathFixture, EpochFromCanonicalTextAdoptsItWithoutAWrite) {
+  struct Cost {
+    std::uint64_t load = 0;   ///< allocations of Dictionary::load(text)
+    std::uint64_t epoch = 0;  ///< allocations of Epoch(version, text)
+    std::uint64_t swap = 0;   ///< allocations of a wire swap of the text
+  };
+  const auto measure = [&](std::size_t decoys) {
+    std::string text = b1_text(dictionary_, decoys);
+    Cost cost;
+    std::uint64_t before = allocations();
+    EXPECT_EQ(core::Dictionary::load(text).size(), dictionary_.size() + decoys);
+    cost.load = allocations() - before;
+
+    core::DictionaryHandle handle(dictionary_);
+    before = allocations();
+    EXPECT_FALSE(handle.swap_if_changed(std::string_view(text)).already_active);
+    cost.swap = allocations() - before;
+    EXPECT_TRUE(handle.acquire()->adopted_text);
+    EXPECT_EQ(handle.acquire()->bytes, text);
+
+    // The parse is the epoch's only work: the text it was given becomes
+    // its bytes, buffer and all, with no output buffer written.
+    const char* const buffer = text.data();
+    before = allocations();
+    const core::DictionaryHandle::Epoch epoch(2, std::move(text));
+    cost.epoch = allocations() - before;
+    EXPECT_TRUE(epoch.adopted_text);
+    EXPECT_EQ(epoch.bytes.data(), buffer);
+    return cost;
+  };
+  const Cost small = measure(1000);
+  const Cost large = measure(10000);
+  EXPECT_EQ(large.load, small.load);
+  EXPECT_EQ(large.epoch, small.epoch);
+  EXPECT_EQ(large.epoch, large.load);
+  // A wire swap adds the candidate's copy of the text and its shared
+  // block to the parse.
+  EXPECT_EQ(large.swap, small.swap);
+  EXPECT_EQ(large.swap, large.load + 2);
+}
+
 TEST_F(HotPathFixture, IdenticalWireSwapIsRefusedBeforeAnyParse) {
   const std::string text = b1_text(dictionary_, 10000);
   RecognitionServiceConfig service_config;
@@ -791,6 +833,50 @@ TEST_F(HotPathFixture, IdenticalWireSwapIsRefusedBeforeAnyParse) {
   EXPECT_EQ(pipeline.stats().dictionary_swaps, 0u);
   EXPECT_EQ(service.stats().dictionary_swaps_noop, 2u);
   EXPECT_EQ(service.dictionary_handle().version(), 1u);
+}
+
+// --- verdict sinks -----------------------------------------------------
+
+TEST(VerdictSinkHotPath, SingleTcpDeliverIsAllocationFreeAfterWarmup) {
+  // Nearly every flush carries one verdict per connection, so deliver()
+  // of one verdict is the common path: it reuses the connection's frame
+  // buffer as deliver_many does.
+  TcpServer server({});
+  SourceMux mux;
+  mux.add_source("tcp", server);
+  TcpClient client("127.0.0.1", server.port());
+  client.send(make_open_job(1, 2));
+  std::vector<Envelope> out;
+  for (int i = 0; i < 200 && out.empty(); ++i) {
+    mux.poll(out, std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(out.size(), 1u);
+  const std::shared_ptr<VerdictSink> reply = out.front().reply;
+  ASSERT_NE(reply, nullptr);
+
+  Message verdict;
+  verdict.type = MessageType::kVerdict;
+  verdict.job_id = 1;
+  verdict.verdict = {true, 2, 2, "ft", "ft_X"};
+  constexpr int kWarmup = 4;
+  constexpr int kDelivered = 1000;
+  for (int i = 0; i < kWarmup; ++i) reply->deliver(verdict);
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < kDelivered; ++i) reply->deliver(verdict);
+  EXPECT_EQ(allocations() - before, 0u) << "single-verdict deliver allocated";
+
+  // Every frame arrived intact.
+  int received = 0;
+  Message message;
+  while (received < kWarmup + kDelivered &&
+         client.receive(message, std::chrono::seconds(10))) {
+    ASSERT_EQ(message.type, MessageType::kVerdict);
+    EXPECT_EQ(message.verdict, verdict.verdict);
+    ++received;
+  }
+  EXPECT_EQ(received, kWarmup + kDelivered);
+  client.finish_sending();
+  server.stop();
 }
 
 // --- UDP control retransmit ----------------------------------------------

@@ -821,6 +821,18 @@ TEST_F(SnapshotChainFixture, GoldenCaptureBytesStayIdentical) {
   EXPECT_EQ(crc_of(delta_bytes), 0xa606bd4bu);
   EXPECT_EQ(base.bytes, base_bytes.size());
   EXPECT_EQ(delta.bytes, delta_bytes.size());
+
+  // Restoring either chain length adopts the base's embedded dictionary
+  // text as the epoch's bytes: it is canonical, so it is not rewritten.
+  const auto active = service.dictionary_handle().acquire();
+  for (std::size_t parts = 1; parts <= 2; ++parts) {
+    RecognitionService restored = make_service();
+    restore_from(restored, {base_bytes, delta_bytes}, parts);
+    const auto epoch = restored.dictionary_handle().acquire();
+    EXPECT_TRUE(epoch->adopted_text) << parts << " part(s)";
+    EXPECT_EQ(epoch->version, 2u);
+    EXPECT_EQ(epoch->bytes, active->bytes);
+  }
 }
 
 /// The checked-in EFD-SNAP-V1 file. It was written by the V1 writer
@@ -838,6 +850,14 @@ std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in) << path;
   return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// Every epoch's bytes are what save() writes for its dictionary.
+void expect_bytes_coherent(const DictionaryHandle::Epoch& epoch,
+                           const std::string& context) {
+  std::string fresh;
+  epoch.dictionary.save(fresh);
+  EXPECT_EQ(epoch.bytes, fresh) << context;
 }
 
 /// What the V1 writer's own restore() returned for the legacy file.
@@ -874,6 +894,10 @@ TEST_F(SnapshotChainFixture, LegacyV1FileRestoresThroughBothEntries) {
   EXPECT_TRUE(disk.fallback_error.empty());
 
   for (RecognitionService* service : {&from_chain, &from_disk}) {
+    // The V1 writer embedded save()'s text, which the restore adopts.
+    const auto epoch = service->dictionary_handle().acquire();
+    EXPECT_TRUE(epoch->adopted_text);
+    expect_bytes_coherent(*epoch, "legacy V1 restore");
     EXPECT_EQ(service->stats().queued_samples, 2u * 30u);
     // Closing the jobs gives the verdicts the V1 restore gave: job 1's
     // pending ft verdict, and job 2 force-closed before its window.
@@ -954,13 +978,6 @@ std::string dictionary_section_text(const std::string& snapshot) {
 }
 
 /// An epoch's cached bytes are exactly a fresh save() of its dictionary.
-void expect_bytes_coherent(const DictionaryHandle::Epoch& epoch,
-                           const std::string& context) {
-  std::string fresh;
-  epoch.dictionary.save(fresh);
-  EXPECT_EQ(epoch.bytes, fresh) << context;
-}
-
 TEST_F(SnapshotChainFixture, EpochBytesStayCoherentThroughSwapBaseAndRestores) {
   RecognitionService service = make_service();
   expect_bytes_coherent(*service.dictionary_handle().acquire(), "initial");
@@ -999,12 +1016,14 @@ TEST_F(SnapshotChainFixture, EpochBytesStayCoherentThroughSwapBaseAndRestores) {
   const auto v1_epoch = from_v1.dictionary_handle().acquire();
   expect_bytes_coherent(*v1_epoch, "V1 restore");
   EXPECT_EQ(v1_epoch->bytes, swapped->bytes);
+  EXPECT_TRUE(v1_epoch->adopted_text);
 
   RecognitionService from_chain = make_service();
   restore_from(from_chain, captures, captures.size());
   const auto chain_epoch = from_chain.dictionary_handle().acquire();
   expect_bytes_coherent(*chain_epoch, "V2 chain restore");
   EXPECT_EQ(chain_epoch->bytes, swapped->bytes);
+  EXPECT_TRUE(chain_epoch->adopted_text);
 }
 
 TEST_F(SnapshotChainFixture, BrokenChainLinksAlwaysThrowWithServiceUntouched) {

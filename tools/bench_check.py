@@ -28,12 +28,22 @@ are the intended gate: absolute ns/* numbers vary with hardware, but
 any machine.
 
 --compare sidesteps thresholds entirely: it prints each metric's median
-(with n and min-max) in two JSONL files captured on the SAME machine
-(typically the base and head of one PR, runs interleaved) and the change
-between the medians. Fields ending in _seconds/_s/_ms/_us/_ns/_mb or
-holding _ns_per_ are lower-is-better; everything else numeric is
-reported as higher-is-better. Always exits 0 on well-formed input: the deltas
-inform, the thresholds gate.
+and quartiles (with n and min-max) in two JSONL files captured on the
+SAME machine (typically the base and head of one PR, runs interleaved)
+and the change between the medians. A record's metrics may be top-level
+numbers (the bench binaries' --json) or nested objects whose "value" is
+the number (e2ebench's last line, {"metrics": {"setup_s": {"value":
+...}}}); either way a metric is named by its own key. Fields ending in
+_seconds/_s/_ms/_us/_ns/_mb or _frac, holding _ns_per_, or named failed
+are lower-is-better; everything else numeric is reported as
+higher-is-better.
+
+When both files hold the same number of records, record i of each is
+one pair (run in that order, interleaved), and each shared metric also
+gets its pair wins and ties and the gain rule: the new side is better in
+at least 9 of 10 pairs, and the medians differ, in the better direction,
+by more than the old side's interquartile range. Always exits 0 on
+well-formed input: the deltas inform, the thresholds gate.
 """
 
 import json
@@ -41,6 +51,7 @@ import statistics
 import sys
 
 REGRESSED_SHARE = 0.75
+GAIN_WIN_SHARE = 0.9
 EXIT_REGRESSED = 1
 EXIT_MALFORMED = 2
 EXIT_TOO_NOISY = 3
@@ -55,10 +66,23 @@ def is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def load_reps(path):
-    """Field name -> its numeric values, one per line that carries it."""
-    reps = {}
-    lines = 0
+def numeric_fields(record):
+    """(name, number) for each metric of a record, nested ones included:
+    a top-level number, or an object's numeric "value", named by its key;
+    other objects are searched the same way."""
+    for field, value in record.items():
+        if is_number(value):
+            yield field, value
+        elif isinstance(value, dict):
+            if is_number(value.get("value")):
+                yield field, value["value"]
+            else:
+                yield from numeric_fields(value)
+
+
+def load_records(path):
+    """One {field: number} dict per line, in file order."""
+    records = []
     with open(path, encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, 1):
             line = line.strip()
@@ -70,12 +94,22 @@ def load_reps(path):
                 malformed(f"{path}:{line_number}: not JSON: {error}")
             if not isinstance(record, dict):
                 malformed(f"{path}:{line_number}: not a JSON object")
-            lines += 1
-            for field, value in record.items():
-                if is_number(value):
-                    reps.setdefault(field, []).append(value)
-    if lines == 0:
+            records.append(dict(numeric_fields(record)))
+    if not records:
         malformed(f"{path}: no benchmark records")
+    return records
+
+
+def load_reps(path):
+    """Field name -> its numeric values, one per line that carries it."""
+    return reps_of(load_records(path))
+
+
+def reps_of(records):
+    reps = {}
+    for record in records:
+        for field, value in record.items():
+            reps.setdefault(field, []).append(value)
     return reps
 
 
@@ -83,22 +117,55 @@ def spread(values):
     return f"n={len(values)}, min-max {min(values):.4g}-{max(values):.4g}"
 
 
+def quartiles(values):
+    """(q1, q3), exclusive method; both the value itself for one rep."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
 def lower_is_better(field):
     # Costs: times (any unit, but not rates like samples_per_s),
-    # per-item times and sizes in MB.
+    # per-item times, sizes in MB and failure counts and shares.
     if field.endswith("_per_s"):
         return False
-    return (field.endswith(("_seconds", "_s", "_ms", "_us", "_ns", "_mb"))
-            or "_ns_per_" in field)
+    return (field.endswith(("_seconds", "_s", "_ms", "_us", "_ns", "_mb",
+                            "_frac"))
+            or "_ns_per_" in field or field == "failed")
+
+
+def paired(field, old_records, new_records):
+    """Pair wins and ties of one metric and whether the gain rule holds;
+    None when no pair carries the metric on both sides."""
+    pairs = [(o[field], n[field]) for o, n in zip(old_records, new_records)
+             if field in o and field in n]
+    if not pairs:
+        return None
+    lower = lower_is_better(field)
+    wins = sum((n < o) if lower else (n > o) for o, n in pairs)
+    ties = sum(n == o for o, n in pairs)
+    before = [o for o, _ in pairs]
+    q1, q3 = quartiles(before)
+    gap = statistics.median(before) - statistics.median([n for _, n in pairs])
+    if not lower:
+        gap = -gap
+    holds = wins >= GAIN_WIN_SHARE * len(pairs) and gap > q3 - q1
+    return (f"pairs: {wins}/{len(pairs)} wins, {ties} ties; gain rule "
+            f"{'holds' if holds else 'fails'} (median gap {gap:.4g}, "
+            f"old IQR {q3 - q1:.4g})")
 
 
 def compare(old_path, new_path):
-    old = load_reps(old_path)
-    new = load_reps(new_path)
+    old_records = load_records(old_path)
+    new_records = load_records(new_path)
+    old = reps_of(old_records)
+    new = reps_of(new_records)
     shared = [f for f in sorted(old) if f in new]
     if not shared:
         print("no shared numeric fields to compare", file=sys.stderr)
         return EXIT_MALFORMED
+    in_pairs = len(old_records) == len(new_records)
     width = max(len(f) for f in shared)
     print(f"{'metric (median)':<{width}}  {'old':>12}  {'new':>12}  delta")
     for field in shared:
@@ -113,8 +180,16 @@ def compare(old_path, new_path):
             if abs(change) >= 1.0:
                 improved = change < 0 if lower_is_better(field) else change > 0
                 line += " (better)" if improved else " (worse)"
-        line += f"  [old {spread(old[field])}; new {spread(new[field])}]"
+        old_q1, old_q3 = quartiles(old[field])
+        new_q1, new_q3 = quartiles(new[field])
+        line += (f"  [old {spread(old[field])}, q1-q3 {old_q1:.4g}-"
+                 f"{old_q3:.4g}; new {spread(new[field])}, q1-q3 "
+                 f"{new_q1:.4g}-{new_q3:.4g}]")
         print(line)
+        if in_pairs:
+            summary = paired(field, old_records, new_records)
+            if summary is not None:
+                print(f"{'':<{width}}  {summary}")
     for field in sorted(set(old) ^ set(new)):
         side = "old" if field in old else "new"
         print(f"{field}: only in {side}")

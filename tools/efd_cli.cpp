@@ -581,12 +581,16 @@ int cmd_serve(const util::ArgParser& args) {
       static_cast<std::size_t>(queue_capacity);
   service_config.stale_ttl = std::chrono::seconds(ttl_seconds);
 
-  core::Dictionary dictionary = core::Dictionary::load_file(dict);
-  std::cout << "serving dictionary: " << dictionary.size() << " keys (policy "
+  // One read and one parse; a canonical file becomes the epoch's bytes
+  // as it is.
+  auto epoch = std::make_shared<core::DictionaryHandle::Epoch>(
+      1, core::Dictionary::read_file(dict));
+  std::cout << "serving dictionary: " << epoch->dictionary.size()
+            << " keys (policy "
             << core::backpressure_policy_name(service_config.policy)
             << ", queue " << service_config.job_queue_capacity << ", ttl "
             << ttl_seconds << " s)\n";
-  core::RecognitionService service(std::move(dictionary), service_config);
+  core::RecognitionService service(std::move(epoch), service_config);
 
   // N listeners → one service: every --listen spec becomes a registered
   // mux source with its own identity, counters, and verdict routing.
@@ -757,7 +761,9 @@ int cmd_serve(const util::ArgParser& args) {
     // promotion would boot.
     follower_config.shadow_factory = [dict, service_config] {
       return std::make_unique<core::RecognitionService>(
-          core::Dictionary::load_file(dict), service_config);
+          std::make_shared<core::DictionaryHandle::Epoch>(
+              1, core::Dictionary::read_file(dict)),
+          service_config);
     };
     if (!args.has("quiet")) {
       follower_config.log = [](const std::string& line) {
