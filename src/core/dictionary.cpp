@@ -248,6 +248,33 @@ bool split_exact(std::string_view text, char delimiter,
   return count == N;
 }
 
+/// A forward walk over text, one token at a time.
+struct Cursor {
+  const char* at;
+  const char* end;
+
+  /// Sets \p token to the bytes before the first of \p Stops; returns
+  /// that byte (now behind the cursor), or '\0' when the text ends first.
+  template <char... Stops>
+  char next(std::string_view& token) noexcept {
+    const char* from = at;
+    while (at != end && ((*at != Stops) && ...)) ++at;
+    token = {from, static_cast<std::size_t>(at - from)};
+    return at == end ? '\0' : *at++;
+  }
+
+  /// The canonical_int<T> spelled before \p Stop, stepping past it;
+  /// nullopt when the token is not one or another byte ends it.
+  template <typename T, char Stop>
+  std::optional<T> next_int() noexcept {
+    const char* from = at;
+    if (at != end && *at == '-') ++at;
+    while (at != end && static_cast<unsigned char>(*at - '0') <= 9) ++at;
+    if (at == end || *at != Stop) return std::nullopt;
+    return canonical_int<T>({from, static_cast<std::size_t>(at++ - from)});
+  }
+};
+
 [[noreturn]] void fail(const std::string& why) {
   throw std::runtime_error("malformed dictionary: " + why);
 }
@@ -418,57 +445,151 @@ Dictionary Dictionary::load(std::string_view text, bool& canonical) {
   index.label_ids_.reserve(rows);
   index.counts_.reserve(rows);
   if (rows != 0) index.resize_table(rows);
-  // Rows of one label are common (all of B1's decoys): the previous
-  // token's id is reused without hashing the name again.
-  std::string label;
-  std::uint32_t label_id = kNoLabelId;
-  FingerprintKey key;  // its buffers are reused row after row
-  for (long long k = 0; k < *key_count; ++k) {
-    if (!lines.next(line)) fail("truncated key list");
-    std::array<std::string_view, 5> fields;
-    if (!split_exact(line, '|', fields)) fail("bad key row");
-    key.metric.assign(fields[0]);
-    const auto node = read_int<std::uint32_t>(fields[1], canonical);
-    if (!node) fail("bad node id");
-    key.node_id = *node;
-    std::array<std::string_view, 2> bounds;
-    if (!split_exact(fields[2], ':', bounds)) fail("bad key interval");
-    const auto ib = read_int<int>(bounds[0], canonical);
-    const auto ie = read_int<int>(bounds[1], canonical);
-    if (!ib || !ie) fail("bad key interval numbers");
-    key.interval = {*ib, *ie};
-    key.rounded_means.clear();
-    for_each_token(fields[3], ',', [&](std::string_view mean_text) {
-      const auto mean = read_mean(mean_text, canonical);
-      if (!mean) fail("bad mean");
-      key.rounded_means.push_back(*mean);
-    });
+  // True while every row so far was appended by append_after_last().
+  bool increasing = true;
+  // find_or_add() with the write path's certificate: save() sorts, so
+  // canonical rows arrive each a new key, strictly after the previous
+  // row in its order (the sort is then the identity).
+  const auto add_key = [&](const FingerprintKey& row_key, std::uint64_t hash) {
     const std::size_t keys_before = index.key_count();
-    const std::uint32_t ordinal = index.find_or_add(key);
-    // save() sorts, so canonical rows arrive each a new key, strictly
-    // after the previous row in its order: the sort is then the identity.
+    const std::uint32_t ordinal = index.find_or_add(row_key, hash);
     if (canonical) {
       canonical = index.key_count() != keys_before &&
                   (ordinal == 0 || index.key_less(index.entries_[ordinal - 1],
                                                   index.entries_[ordinal]));
     }
+    return ordinal;
+  };
+  // Rows of one label are common (all of B1's decoys): the previous
+  // token's id is reused without hashing the name again.
+  std::string label;
+  std::uint32_t label_id = kNoLabelId;
+  const auto add_label = [&](std::uint32_t ordinal, std::string_view name,
+                             std::uint32_t count) {
+    if (label_id == kNoLabelId || name != label) {
+      label.assign(name);
+      label_id = dictionary.labels_.intern(label);
+    }
+    if (!index.add_label(ordinal, label_id, count)) canonical = false;
+  };
+  // A row spelled as save() spells one, walked once from its first byte
+  // to its newline. The key's buffers, its metric's id and the hash
+  // state after the metric's bytes carry over to the next row while the
+  // metric name repeats; the row's labels are only read here and added
+  // once the whole row has passed.
+  constexpr std::uint32_t kNoMetric = 0xFFFFFFFFu;
+  FingerprintKey key;
+  std::uint32_t metric_id = kNoMetric;
+  std::uint64_t metric_state = 0;
+  std::vector<std::pair<std::string_view, std::uint32_t>> row_labels;
+  const auto read_row = [&](std::string_view& rest) -> bool {
+    Cursor at{rest.data(), rest.data() + rest.size()};
+    // The previous row's metric name, when it is this row's too, is
+    // compared, not scanned (it holds no '|' or newline).
+    std::string_view metric = key.metric;
+    if (metric_id != kNoMetric && rest.size() > metric.size() &&
+        rest[metric.size()] == '|' && rest.starts_with(metric)) {
+      at.at += metric.size() + 1;
+    } else if (at.next<'|', '\n'>(metric) != '|') {
+      return false;
+    }
+    const auto node = at.next_int<std::uint32_t, '|'>();
+    if (!node) return false;
+    const auto begin = at.next_int<int, ':'>();
+    if (!begin) return false;
+    const auto finish = at.next_int<int, '|'>();
+    if (!finish) return false;
+    std::string_view field;
+    key.rounded_means.clear();
+    for (char stop = ','; stop == ',';) {
+      stop = at.next<',', '|', '\n'>(field);
+      const auto mean = dictionary_text::canonical_mean(field);
+      if (!mean || stop == '\n' || stop == '\0') return false;
+      key.rounded_means.push_back(*mean);
+    }
+    row_labels.clear();
+    for (char stop = ','; stop == ',';) {
+      std::string_view name;
+      if (at.next<'=', ',', '|', '\n'>(name) != '=') return false;
+      stop = at.next<',', '|', '\n'>(field);
+      const auto count = canonical_int<std::uint32_t>(field);
+      if (!count || *count < 1 || stop == '|') return false;
+      row_labels.emplace_back(name, *count);
+    }
+    rest.remove_prefix(static_cast<std::size_t>(at.at - rest.data()));
+
+    if (metric.data() != key.metric.data()) {
+      key.metric.assign(metric);
+      metric_id = index.metric_id(key.metric);
+      metric_state = FingerprintKeyHash::metric(metric);
+    }
+    key.node_id = *node;
+    key.interval = {*begin, *finish};
+    const std::uint64_t hash = DictionaryIndex::spread(FingerprintKeyHash::fields(
+        metric_state, key.node_id, key.interval, key.rounded_means.data(),
+        key.rounded_means.size()));
+    // While every row so far was appended in key order (none with a NaN
+    // mean: canonical_mean() never returns one), a row that sorts after
+    // the last one is new: no probe. Any other row is looked up as
+    // insert() would, and certifies as the write path's rows do.
+    std::uint32_t ordinal;
+    if (increasing && index.append_after_last(key, metric_id, hash)) {
+      ordinal = static_cast<std::uint32_t>(index.key_count() - 1);
+    } else {
+      increasing = false;
+      ordinal = add_key(key, hash);
+    }
+    for (const auto& [name, count] : row_labels) add_label(ordinal, name, count);
+    return true;
+  };
+  // Any other row, read as its fields split: every spelling util's
+  // parsers accept, each rejection with its error text.
+  FingerprintKey other_key;
+  const auto read_other_row = [&](std::string_view line) {
+    std::array<std::string_view, 5> fields;
+    if (!split_exact(line, '|', fields)) fail("bad key row");
+    other_key.metric.assign(fields[0]);
+    const auto node = read_int<std::uint32_t>(fields[1], canonical);
+    if (!node) fail("bad node id");
+    other_key.node_id = *node;
+    std::array<std::string_view, 2> bounds;
+    if (!split_exact(fields[2], ':', bounds)) fail("bad key interval");
+    const auto ib = read_int<int>(bounds[0], canonical);
+    const auto ie = read_int<int>(bounds[1], canonical);
+    if (!ib || !ie) fail("bad key interval numbers");
+    other_key.interval = {*ib, *ie};
+    other_key.rounded_means.clear();
+    for_each_token(fields[3], ',', [&](std::string_view mean_text) {
+      const auto mean = read_mean(mean_text, canonical);
+      if (!mean) fail("bad mean");
+      other_key.rounded_means.push_back(*mean);
+    });
+    const std::uint32_t ordinal =
+        add_key(other_key, DictionaryIndex::hash_key(other_key));
     for_each_token(fields[4], ',', [&](std::string_view label_token) {
       const std::size_t eq = label_token.rfind('=');
       if (eq == std::string_view::npos) fail("bad label token");
       const auto count =
           read_int<std::uint32_t>(label_token.substr(eq + 1), canonical);
       if (!count || *count < 1) fail("bad label count");
-      const std::string_view name = label_token.substr(0, eq);
-      if (label_id == kNoLabelId || name != label) {
-        label.assign(name);
-        label_id = dictionary.labels_.intern(label);
-      }
-      if (!index.add_label(ordinal, label_id, *count)) canonical = false;
+      add_label(ordinal, label_token.substr(0, eq), *count);
     });
+  };
+  std::string_view rest = lines.rest();
+  for (long long k = 0; k < *key_count; ++k) {
+    if (rest.empty()) fail("truncated key list");
+    if (read_row(rest)) continue;
+    // This row is looked up (it may merge into any earlier key), and so
+    // is every row after it.
+    increasing = false;
+    LineReader row(rest);
+    row.next(line);
+    rest = row.rest();
+    read_other_row(line);
   }
   // Blank lines may trail the rows; anything else is not part of the
   // dictionary, and the declared count would silently drop it.
-  while (lines.next(line)) {
+  for (LineReader tail(rest); tail.next(line);) {
     if (!line.empty()) fail("text after the declared key rows");
     canonical = false;
   }
@@ -569,6 +690,15 @@ std::optional<double> canonical_mean(std::string_view token) noexcept {
   double value = 0.0;
   const auto [end, error] =
       std::from_chars(token.data(), token.data() + token.size(), value);
+  const bool negative = token.front() == '-';
+  if (error == std::errc::result_out_of_range &&
+      token.substr(negative ? 1 : 0) == "1.797693135e+308") {
+    // Ten digits round every double within ~5e298 of the largest up to
+    // this token, one past the range: it reads as the largest double,
+    // which save() writes as this token again.
+    return negative ? -std::numeric_limits<double>::max()
+                    : std::numeric_limits<double>::max();
+  }
   if (error != std::errc{} || end != token.data() + token.size()) {
     return std::nullopt;
   }

@@ -209,7 +209,9 @@ namespace dictionary_text {
 /// -4..9, else d[.ddd]e±XX) plus save()'s ".0" on an integral fixed
 /// value. A double carries at least 15 significant digits, so such a
 /// token prints back as itself; the check re-lays out the token's own
-/// digits and never converts binary to decimal.
+/// digits and never converts binary to decimal. One token past the
+/// range is accepted too: ±1.797693135e+308, what save() writes for
+/// ±DBL_MAX and every value within its last digit, reads as ±DBL_MAX.
 std::optional<double> canonical_mean(std::string_view token) noexcept;
 
 }  // namespace dictionary_text

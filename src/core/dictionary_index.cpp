@@ -97,16 +97,6 @@ std::uint8_t tag_of(std::uint64_t hash) noexcept {
 
 const char* index_kernel_name() noexcept { return scan_dispatch().name; }
 
-std::uint64_t DictionaryIndex::hash_key(const FingerprintKey& key) noexcept {
-  std::uint64_t h = static_cast<std::uint64_t>(FingerprintKeyHash{}(key));
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return h;
-}
-
 FingerprintKey DictionaryIndex::key_of(const Entry& entry) const {
   const double* means = means_.data() + entry.means_begin;
   return {metric_names_[entry.metric_id], entry.node_id,
@@ -157,24 +147,50 @@ const DictionaryIndex::Entry* DictionaryIndex::find_hashed(
   return nullptr;
 }
 
-std::uint32_t DictionaryIndex::find_or_add(const FingerprintKey& key) {
-  const std::uint64_t hash = hash_key(key);
+std::uint32_t DictionaryIndex::find_or_add(const FingerprintKey& key,
+                                           std::uint64_t hash) {
   if (const Entry* found = find_hashed(key, hash)) {
     return static_cast<std::uint32_t>(found - entries_.data());
   }
-  if (2 * (entries_.size() + 1) > slots_) resize_table(entries_.size() + 1);
+  return add_entry(append_means(key, metric_id(key.metric)), hash);
+}
+
+bool DictionaryIndex::append_after_last(const FingerprintKey& key,
+                                        std::uint32_t metric_id,
+                                        std::uint64_t hash) {
+  const Entry row = append_means(key, metric_id);
+  if (!entries_.empty() && !key_less(entries_.back(), row)) {
+    means_.resize(row.means_begin);
+    return false;
+  }
+  add_entry(row, hash);
+  return true;
+}
+
+DictionaryIndex::Entry DictionaryIndex::append_means(const FingerprintKey& key,
+                                                     std::uint32_t metric_id) {
+  const Entry row{key.node_id, metric_id, key.interval.begin_seconds,
+                  key.interval.end_seconds,
+                  static_cast<std::uint32_t>(means_.size()),
+                  static_cast<std::uint32_t>(key.rounded_means.size()),
+                  static_cast<std::uint32_t>(label_ids_.size()), 0};
+  means_.insert(means_.end(), key.rounded_means.begin(), key.rounded_means.end());
+  return row;
+}
+
+std::uint32_t DictionaryIndex::metric_id(const std::string& metric) {
   // Only a metric not seen before builds a string.
   const auto [it, added] = metric_ids_.try_emplace(
-      key.metric, static_cast<std::uint32_t>(metric_names_.size()));
-  if (added) metric_names_.push_back(key.metric);
+      metric, static_cast<std::uint32_t>(metric_names_.size()));
+  if (added) metric_names_.push_back(metric);
+  return it->second;
+}
+
+std::uint32_t DictionaryIndex::add_entry(const Entry& row, std::uint64_t hash) {
+  if (2 * (entries_.size() + 1) > slots_) resize_table(entries_.size() + 1);
   const auto ordinal = static_cast<std::uint32_t>(entries_.size());
-  entries_.push_back({key.node_id, it->second, key.interval.begin_seconds,
-                      key.interval.end_seconds,
-                      static_cast<std::uint32_t>(means_.size()),
-                      static_cast<std::uint32_t>(key.rounded_means.size()),
-                      static_cast<std::uint32_t>(label_ids_.size()), 0});
+  entries_.push_back(row);
   hashes_.push_back(hash);
-  means_.insert(means_.end(), key.rounded_means.begin(), key.rounded_means.end());
   place(ordinal);
   return ordinal;
 }

@@ -89,7 +89,18 @@ class DictionaryIndex {
   /// The placement hash: the dictionary's own FingerprintKeyHash run
   /// through a splitmix64 finalizer, because open addressing masks with
   /// the LOW bits while FNV concentrates its quality in the high ones.
-  static std::uint64_t hash_key(const FingerprintKey& key) noexcept;
+  static std::uint64_t hash_key(const FingerprintKey& key) noexcept {
+    return spread(FingerprintKeyHash{}(key));
+  }
+  /// The splitmix64 finalizer hash_key() runs FingerprintKeyHash through.
+  static std::uint64_t spread(std::uint64_t h) noexcept {
+    h ^= h >> 30;
+    h *= 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 27;
+    h *= 0x94d049bb133111ebULL;
+    h ^= h >> 31;
+    return h;
+  }
 
   /// Pulls the probe's first tag/slot cache lines toward L1. Issue this
   /// for key i+K while resolving key i (Matcher pipelines with K = 8) so
@@ -165,8 +176,22 @@ class DictionaryIndex {
   /// Full key equality against a packed entry, cheapest fields first.
   bool key_matches(const Entry& entry,
                    const FingerprintKey& key) const noexcept;
-  /// Ordinal of \p key's entry, appended (with no labels) when absent.
-  std::uint32_t find_or_add(const FingerprintKey& key);
+  /// Ordinal of \p key's entry, appended (with no labels) when absent;
+  /// \p hash is hash_key(key).
+  std::uint32_t find_or_add(const FingerprintKey& key, std::uint64_t hash);
+  std::uint32_t find_or_add(const FingerprintKey& key) {
+    return find_or_add(key, hash_key(key));
+  }
+  /// Appends \p key (with no labels) without probing when it sorts
+  /// strictly after the last entry under key_less; false, with nothing
+  /// appended, when it does not. Only a caller that knows every entry so
+  /// far was appended this way, none with a NaN mean, may take true to
+  /// mean "absent": key_less is then a chain, and no key on it equals an
+  /// earlier one. \p metric_id is metric_id(key.metric).
+  bool append_after_last(const FingerprintKey& key, std::uint32_t metric_id,
+                         std::uint64_t hash);
+  /// The id of metric name \p metric, added when new.
+  std::uint32_t metric_id(const std::string& metric);
   /// Adds \p count observations of \p label_id to entry \p ordinal;
   /// true when the label is new to the entry, false when it merged.
   bool add_label(std::uint32_t ordinal, std::uint32_t label_id,
@@ -174,6 +199,10 @@ class DictionaryIndex {
   /// Rebuilds the tag table with room for \p keys keys at load <= 0.5.
   void resize_table(std::size_t keys);
   void place(std::uint32_t ordinal) noexcept;
+  /// Appends \p key's means; returns its entry (no labels), not yet added.
+  Entry append_means(const FingerprintKey& key, std::uint32_t metric_id);
+  /// Appends \p row, whose means are already at its cursor, and places it.
+  std::uint32_t add_entry(const Entry& row, std::uint64_t hash);
 
   std::size_t slots_ = 0;  ///< power of two >= kTagScanWindow; 0 = empty
   std::size_t mask_ = 0;

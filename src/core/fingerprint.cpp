@@ -23,30 +23,6 @@ std::string FingerprintKey::to_string() const {
   return out.str();
 }
 
-std::size_t FingerprintKeyHash::operator()(const FingerprintKey& key) const noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix64 = [&h](std::uint64_t word) {
-    h ^= word;
-    h *= 0x100000001b3ULL;
-    h ^= h >> 29;
-  };
-  for (char c : key.metric) {
-    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
-  }
-  mix64(key.node_id);
-  mix64(static_cast<std::uint64_t>(
-      static_cast<std::uint32_t>(key.interval.begin_seconds)));
-  mix64(static_cast<std::uint64_t>(
-      static_cast<std::uint32_t>(key.interval.end_seconds)));
-  for (double mean : key.rounded_means) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(mean));
-    __builtin_memcpy(&bits, &mean, sizeof(bits));
-    mix64(bits);
-  }
-  return static_cast<std::size_t>(h);
-}
-
 std::vector<FingerprintKey> build_fingerprints(
     const telemetry::ExecutionRecord& record, const FingerprintConfig& config,
     const std::vector<std::size_t>& metric_slots) {

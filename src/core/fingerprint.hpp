@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "telemetry/dataset.hpp"
@@ -36,9 +37,46 @@ struct FingerprintKey {
   std::string to_string() const;
 };
 
-/// Hash for unordered containers.
+/// Hash for unordered containers: FNV-1a over the metric's bytes, then
+/// the node, interval and means mixed into that state. The two steps are
+/// public so that a caller meeting one metric name on many keys (the
+/// dictionary loader) hashes its bytes once and gets the same value.
 struct FingerprintKeyHash {
-  std::size_t operator()(const FingerprintKey& key) const noexcept;
+  std::size_t operator()(const FingerprintKey& key) const noexcept {
+    return static_cast<std::size_t>(
+        fields(metric(key.metric), key.node_id, key.interval,
+               key.rounded_means.data(), key.rounded_means.size()));
+  }
+
+  /// The state after the metric name's bytes.
+  static std::uint64_t metric(std::string_view name) noexcept {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : name) {
+      h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+    }
+    return h;
+  }
+
+  /// The hash of a key whose metric left \p state.
+  static std::uint64_t fields(std::uint64_t state, std::uint32_t node_id,
+                              telemetry::Interval interval,
+                              const double* means, std::size_t count) noexcept {
+    const auto mix64 = [&state](std::uint64_t word) {
+      state ^= word;
+      state *= 0x100000001b3ULL;
+      state ^= state >> 29;
+    };
+    mix64(node_id);
+    mix64(static_cast<std::uint32_t>(interval.begin_seconds));
+    mix64(static_cast<std::uint32_t>(interval.end_seconds));
+    for (std::size_t i = 0; i < count; ++i) {
+      std::uint64_t bits = 0;
+      static_assert(sizeof(bits) == sizeof(means[i]));
+      __builtin_memcpy(&bits, &means[i], sizeof(bits));
+      mix64(bits);
+    }
+    return state;
+  }
 };
 
 /// Settings that determine how fingerprints are constructed. Training and

@@ -13,12 +13,21 @@
 /// the loader's mean certification to save()'s own formatting, and a
 /// seeded fuzz of one-row dictionaries holds the whole certification to
 /// "adopted only when save() writes the text back".
+///
+/// The loader's row paths (rows appended in key order without a probe,
+/// and every other row) are pinned by texts recorded from the loader
+/// that probed for each row, and by a seeded fuzz of row edits whose
+/// error texts, adoption flags and bytes fold into one recorded CRC.
+/// Means at the edge of the double range save and load as themselves.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
+#include <map>
 #include <optional>
 #include <random>
 #include <stdexcept>
@@ -220,6 +229,356 @@ TEST(DictionaryParityText, NonCanonicalInputsSaveCanonically) {
 std::string one_row(const std::string& row) {
   return std::string(kHeader) + "keys 1\n" + row + "\n";
 }
+
+// --- the loader's row paths ------------------------------------------------
+//
+// Each text below takes another branch of load(): rows strictly
+// increasing in key order, then a row that is not; a key repeated; the
+// two zeros of one key (== but hashed apart); metric names that change
+// and change back; labels that change within a row; one label on 10k
+// sorted rows. Every expected value was recorded from the loader that
+// probed the table for each row, before rows in key order were appended
+// without a probe.
+
+core::FingerprintKey row_key(std::string metric, std::uint32_t node,
+                             double mean) {
+  core::FingerprintKey key;
+  key.metric = std::move(metric);
+  key.node_id = node;
+  key.interval = telemetry::kPaperInterval;
+  key.rounded_means = {mean};
+  return key;
+}
+
+/// A key's labels as save() lists them ("ft_X=3,bt_X=1"); "" when the
+/// dictionary has no such key.
+std::string labels_at(const Dictionary& dictionary,
+                      const core::FingerprintKey& key) {
+  const std::optional<core::DictionaryEntry> entry = dictionary.lookup(key);
+  std::string out;
+  for (std::size_t i = 0; entry && i < entry->size(); ++i) {
+    if (i != 0) out += ',';
+    out += entry->label(i) + "=" + std::to_string(entry->counts()[i]);
+  }
+  return out;
+}
+
+struct LoadedShape {
+  bool adopted;
+  std::vector<std::string> labels;  ///< label names in id order
+  std::size_t slots;
+  std::uint64_t resident;
+  std::vector<std::pair<core::FingerprintKey, std::string>> lookups;
+};
+
+/// Builds an epoch from \p text, checks it against \p shape and returns
+/// the epoch's bytes (save() of what was loaded).
+std::string expect_shape(const std::string& text, const LoadedShape& shape,
+                         const char* what) {
+  const Epoch epoch(1, text);
+  const Dictionary& loaded = epoch.dictionary;
+  EXPECT_EQ(epoch.adopted_text, shape.adopted) << what;
+  EXPECT_EQ(epoch.bytes, text_of(loaded)) << what;
+  EXPECT_EQ(text_of(Dictionary::load(text)), epoch.bytes) << what;
+  std::vector<std::string> labels;
+  for (std::uint32_t id = 0; id < loaded.label_table().label_count(); ++id) {
+    labels.push_back(loaded.label_table().label_name(id));
+  }
+  EXPECT_EQ(labels, shape.labels) << what;
+  EXPECT_EQ(loaded.probe_index()->slot_count(), shape.slots) << what;
+  EXPECT_EQ(loaded.probe_index()->resident_bytes(), shape.resident) << what;
+  for (const auto& [key, expected] : shape.lookups) {
+    EXPECT_EQ(labels_at(loaded, key), expected) << what << ": " << key.to_string();
+  }
+  return epoch.bytes;
+}
+
+TEST(DictionaryParityText, SortedPrefixThenAnOutOfOrderRow) {
+  // Two rows in key order, one before them, one after, then the first
+  // key again with a new label: it must merge into the first row.
+  const std::string saved = expect_shape(
+      std::string(kHeader) +
+          "keys 5\n"
+          "m|0|60:120|6000.0|ft_X=1\n"
+          "m|1|60:120|6000.0|mg_X=1\n"
+          "m|0|60:120|5000.0|lu_X=2\n"
+          "m|0|60:120|7000.0|sp_X=1\n"
+          "m|0|60:120|6000.0|ft_X=2,bt_X=1\n",
+      {false,
+       {"ft_X", "mg_X", "lu_X", "sp_X", "bt_X"},
+       32,
+       433,
+       {{row_key("m", 0, 6000.0), "ft_X=3,bt_X=1"},
+        {row_key("m", 1, 6000.0), "mg_X=1"},
+        {row_key("m", 0, 5000.0), "lu_X=2"},
+        {row_key("m", 0, 7000.0), "sp_X=1"},
+        {row_key("m", 2, 6000.0), ""}}},
+      "sorted prefix, then out of order");
+  EXPECT_EQ(saved, std::string(kHeader) +
+                       "keys 4\n"
+                       "m|0|60:120|5000.0|lu_X=2\n"
+                       "m|0|60:120|6000.0|ft_X=3,bt_X=1\n"
+                       "m|1|60:120|6000.0|mg_X=1\n"
+                       "m|0|60:120|7000.0|sp_X=1\n");
+}
+
+TEST(DictionaryParityText, AnExactDuplicateRowMerges) {
+  const std::string saved = expect_shape(
+      std::string(kHeader) +
+          "keys 3\n"
+          "m|0|60:120|6000.0|ft_X=1\n"
+          "m|0|60:120|6000.0|ft_X=1\n"
+          "m|1|60:120|6000.0|ft_X=1\n",
+      {false,
+       {"ft_X"},
+       32,
+       305,
+       {{row_key("m", 0, 6000.0), "ft_X=2"},
+        {row_key("m", 1, 6000.0), "ft_X=1"}}},
+      "duplicate row");
+  EXPECT_EQ(saved, std::string(kHeader) +
+                       "keys 2\n"
+                       "m|0|60:120|6000.0|ft_X=2\n"
+                       "m|1|60:120|6000.0|ft_X=1\n");
+}
+
+TEST(DictionaryParityText, BothZerosOfOneKey) {
+  // 0.0 == -0.0, yet the two hash apart: each row keeps its own key, in
+  // either order, and neither order is strictly increasing.
+  const std::string negative_first = expect_shape(
+      std::string(kHeader) +
+          "keys 2\n"
+          "m|0|60:120|-0.0|ft_X=1\n"
+          "m|0|60:120|0.0|mg_X=1\n",
+      {false,
+       {"ft_X", "mg_X"},
+       32,
+       305,
+       {{row_key("m", 0, -0.0), "ft_X=1"}, {row_key("m", 0, 0.0), "mg_X=1"}}},
+      "-0.0 then 0.0");
+  EXPECT_EQ(negative_first, std::string(kHeader) +
+                                "keys 2\n"
+                                "m|0|60:120|-0.0|ft_X=1\n"
+                                "m|0|60:120|0.0|mg_X=1\n");
+  const std::string positive_first = expect_shape(
+      std::string(kHeader) +
+          "keys 2\n"
+          "m|0|60:120|0.0|ft_X=1\n"
+          "m|0|60:120|-0.0|mg_X=1\n",
+      {false,
+       {"ft_X", "mg_X"},
+       32,
+       305,
+       {{row_key("m", 0, 0.0), "ft_X=1"}, {row_key("m", 0, -0.0), "mg_X=1"}}},
+      "0.0 then -0.0");
+  EXPECT_EQ(positive_first, std::string(kHeader) +
+                                "keys 2\n"
+                                "m|0|60:120|0.0|ft_X=1\n"
+                                "m|0|60:120|-0.0|mg_X=1\n");
+}
+
+TEST(DictionaryParityText, MetricNamesThatChangeAndChangeBack) {
+  // In key order, with a name that extends the one before it.
+  const std::string sorted = std::string(kHeader) +
+                             "keys 5\n"
+                             "a|0|60:120|1.0|ft_X=1\n"
+                             "a|1|60:120|1.0|ft_X=1\n"
+                             "b|0|60:120|1.0|mg_X=1\n"
+                             "bb|0|60:120|1.0|mg_X=1\n"
+                             "c|0|60:120|1.0|ft_X=1\n";
+  EXPECT_EQ(expect_shape(sorted,
+                         {true,
+                          {"ft_X", "mg_X"},
+                          32,
+                          477,
+                          {{row_key("a", 0, 1.0), "ft_X=1"},
+                           {row_key("a", 1, 1.0), "ft_X=1"},
+                           {row_key("b", 0, 1.0), "mg_X=1"},
+                           {row_key("bb", 0, 1.0), "mg_X=1"},
+                           {row_key("c", 0, 1.0), "ft_X=1"},
+                           {row_key("b", 1, 1.0), ""}}},
+                         "metrics in order"),
+            sorted);
+  // Alternating, back to the first name, and its first key again.
+  const std::string saved = expect_shape(
+      std::string(kHeader) +
+          "keys 5\n"
+          "a|0|60:120|1.0|ft_X=1\n"
+          "b|0|60:120|1.0|mg_X=1\n"
+          "a|1|60:120|1.0|ft_X=1\n"
+          "b|1|60:120|1.0|mg_X=2\n"
+          "a|0|60:120|1.0|sp_X=1\n",
+      {false,
+       {"ft_X", "mg_X", "sp_X"},
+       32,
+       434,
+       {{row_key("a", 0, 1.0), "ft_X=1,sp_X=1"},
+        {row_key("b", 0, 1.0), "mg_X=1"},
+        {row_key("a", 1, 1.0), "ft_X=1"},
+        {row_key("b", 1, 1.0), "mg_X=2"}}},
+      "alternating metrics");
+  EXPECT_EQ(saved, std::string(kHeader) +
+                       "keys 4\n"
+                       "a|0|60:120|1.0|ft_X=1,sp_X=1\n"
+                       "a|1|60:120|1.0|ft_X=1\n"
+                       "b|0|60:120|1.0|mg_X=1\n"
+                       "b|1|60:120|1.0|mg_X=2\n");
+}
+
+TEST(DictionaryParityText, LabelsThatChangeWithinARow) {
+  const std::string saved = expect_shape(
+      std::string(kHeader) +
+          "keys 3\n"
+          "m|0|60:120|6000.0|ft_X=1,mg_X=2\n"
+          "m|0|60:120|7000.0|mg_X=1,ft_X=3\n"
+          "m|1|60:120|6000.0|ft_X=1,sp_X=4,ft_X=2\n",
+      {false,
+       {"ft_X", "mg_X", "sp_X"},
+       32,
+       385,
+       {{row_key("m", 0, 6000.0), "ft_X=1,mg_X=2"},
+        {row_key("m", 0, 7000.0), "mg_X=1,ft_X=3"},
+        {row_key("m", 1, 6000.0), "ft_X=3,sp_X=4"}}},
+      "labels within a row");
+  EXPECT_EQ(saved, std::string(kHeader) +
+                       "keys 3\n"
+                       "m|0|60:120|6000.0|ft_X=1,mg_X=2\n"
+                       "m|1|60:120|6000.0|ft_X=3,sp_X=4\n"
+                       "m|0|60:120|7000.0|mg_X=1,ft_X=3\n");
+}
+
+TEST(DictionaryParityText, TenThousandSortedRowsOfOneLabel) {
+  std::string text = std::string(kHeader) + "keys 10000\n";
+  for (int node = 0; node < 10000; ++node) {
+    text += "m|" + std::to_string(node) + "|60:120|6000.0|decoy_D=1\n";
+  }
+  const std::string saved = expect_shape(
+      text,
+      {true,
+       {"decoy_D"},
+       32768,
+       723873,
+       {{row_key("m", 0, 6000.0), "decoy_D=1"},
+        {row_key("m", 4999, 6000.0), "decoy_D=1"},
+        {row_key("m", 9999, 6000.0), "decoy_D=1"},
+        {row_key("m", 10000, 6000.0), ""},
+        {row_key("m", 0, 7000.0), ""}}},
+      "10k rows of one label");
+  expect_pinned(saved, {308958, 0x5dd521dc}, "10k rows of one label");
+}
+
+TEST(DictionaryParityText, RowEditFuzzKeepsErrorsAdoptionAndBytes) {
+  // Seeded edits of a canonical four-row text (a byte of the row
+  // alphabet inserted, replaced or deleted, up to three times, two rows
+  // swapped, a key count one off) reach every row error and both
+  // publication paths. Each text's outcome (its error text, or the adoption flag and the
+  // epoch's bytes) is folded into one CRC recorded from the loader that
+  // probed the table for each row; the per-outcome counts say which
+  // path drifted when it does not match.
+  const std::string rows[] = {"m|1|0:60|1e+10|ft_X=4294967295\n",
+                              "m|0|60:120|6000.0|ft_X=1\n",
+                              "m|1|60:120|6000.0,2.5|mg_X=2,ft_X=1\n",
+                              "mm|7|60:120|-0.0015|sp_X=3\n"};
+  std::mt19937_64 rng(29);
+  std::uniform_int_distribution<int> pick(0, 99);
+  static constexpr char kAlphabet[] = "|,:=\n\r-.e+0159 xm_";
+  std::string outcomes;
+  std::map<std::string, std::size_t> counts;
+  constexpr std::size_t kTexts = 30'000;
+  for (std::size_t i = 0; i < kTexts; ++i) {
+    std::vector<std::string> text_rows(std::begin(rows), std::end(rows));
+    if (pick(rng) < 15) {
+      std::swap(text_rows[std::uniform_int_distribution<std::size_t>(0, 3)(rng)],
+                text_rows[std::uniform_int_distribution<std::size_t>(0, 3)(rng)]);
+    }
+    std::string body;
+    for (const std::string& row : text_rows) body += row;
+    const int edits = std::uniform_int_distribution<int>(0, 3)(rng);
+    for (int e = 0; e < edits && !body.empty(); ++e) {
+      const std::size_t at =
+          std::uniform_int_distribution<std::size_t>(0, body.size() - 1)(rng);
+      const char c = kAlphabet[std::uniform_int_distribution<std::size_t>(
+          0, sizeof(kAlphabet) - 2)(rng)];
+      const int kind = pick(rng);
+      if (kind < 40) {
+        body.insert(at, 1, c);
+      } else if (kind < 80) {
+        body[at] = c;
+      } else {
+        body.erase(at, 1);
+      }
+    }
+    const int declared = pick(rng);
+    const std::string text =
+        std::string(kHeader) +
+        (declared < 5 ? "keys 3\n" : declared < 10 ? "keys 5\n" : "keys 4\n") +
+        body;
+    std::string outcome;
+    try {
+      const Epoch epoch(1, text);
+      outcome = epoch.adopted_text ? "adopted" : "written";
+      ++counts[outcome];
+      outcome += '\n' + epoch.bytes;
+    } catch (const std::runtime_error& error) {
+      outcome = error.what();
+      ++counts[outcome];
+    }
+    outcomes += outcome;
+    outcomes += '\0';
+  }
+  const std::map<std::string, std::size_t> expected = {
+      {"adopted", 8865},
+      {"written", 3036},
+      {"malformed dictionary: CRLF line ending", 66},
+      {"malformed dictionary: bad key interval", 765},
+      {"malformed dictionary: bad key interval numbers", 2260},
+      {"malformed dictionary: bad key row", 5197},
+      {"malformed dictionary: bad label count", 2577},
+      {"malformed dictionary: bad label token", 1241},
+      {"malformed dictionary: bad mean", 3561},
+      {"malformed dictionary: bad node id", 939},
+      {"malformed dictionary: text after the declared key rows", 834},
+      {"malformed dictionary: truncated key list", 659}};
+  EXPECT_EQ(counts, expected);
+  EXPECT_EQ(crc_of(outcomes), 0xdf183647u)
+      << "crc 0x" << std::hex << crc_of(outcomes);
+}
+
+TEST(DictionaryParityText, MeansAtTheEdgeOfTheDoubleRangeRoundTrip) {
+  // Ten significant digits round every value within ~5e298 of DBL_MAX
+  // up to 1.797693135e+308, past the range; it reads as DBL_MAX.
+  constexpr double kMax = std::numeric_limits<double>::max();
+  const double near_max = std::nextafter(kMax, 0.0);
+  for (const double mean : {kMax, -kMax, near_max, -near_max, 1.7976931345e308,
+                            1.797693134e308, -1.797693134e308}) {
+    core::FingerprintKey key = row_key("m", 0, mean);
+    Dictionary dictionary(paper_config());
+    dictionary.insert(key, "ft_X");
+    const std::string text = text_of(dictionary);
+    Dictionary loaded;
+    ASSERT_NO_THROW(loaded = Dictionary::load(text)) << text;
+    EXPECT_EQ(text_of(loaded), text) << text;
+    expect_adopted(text, text.c_str());
+    const bool rounds_past = std::abs(mean) > 1.797693134e308;
+    const double read = loaded.entry(0).key().rounded_means.at(0);
+    EXPECT_EQ(read, rounds_past ? std::copysign(kMax, mean) : mean) << text;
+    key.rounded_means = {read};
+    EXPECT_EQ(labels_at(loaded, key), "ft_X=1") << text;
+  }
+  EXPECT_EQ(core::dictionary_text::canonical_mean("1.797693135e+308"), kMax);
+  EXPECT_EQ(core::dictionary_text::canonical_mean("-1.797693135e+308"), -kMax);
+  // Other spellings past the range, and the next ten-digit value, are
+  // still no mean.
+  for (const char* bad : {"1.797693136e+308", "1.7976931350e+308",
+                          "17.97693135e+307", "1e+309"}) {
+    EXPECT_FALSE(core::dictionary_text::canonical_mean(bad)) << bad;
+    EXPECT_THROW(Dictionary::load(one_row(std::string("m|0|60:120|") + bad +
+                                          "|ft_X=1")),
+                 std::runtime_error)
+        << bad;
+  }
+}
+
 
 TEST(DictionaryParityText, OtherSpellingsOfANumberTakeTheWritePath) {
   // A space before an integer or a mean; "-0"; a trailing zero; digits
