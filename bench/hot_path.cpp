@@ -26,7 +26,9 @@
 ///     (`lookup_index_ns_per_key`, informational);
 ///  6. dictionary publication — the trained dictionary plus 10k decoy
 ///     keys (the shape of e2ebench's churn-tcp B1/B2 dictionaries): load
-///     of its EFD-DICT-V1 text, write, the writer's key sort, an
+///     of its EFD-DICT-V1 text (read in slices by the loader's rule:
+///     `publish_load_ms`; in one: `publish_load_serial_ms`), write, the
+///     writer's key sort, an
 ///     in-process swap_dictionary (epoch build included), a no-op swap
 ///     of an identical candidate, a no-op swap of the active epoch's own
 ///     bytes (the wire path, refused before any parse), a wire swap of
@@ -387,6 +389,13 @@ int main(int argc, char** argv) {
       best_of(repetitions, [&] {
         g_sink = static_cast<double>(core::Dictionary::load(b1_text).size());
       }) / kNsPerMs;
+  // The same load forced into one slice, on the calling thread.
+  const double publish_load_serial_ms =
+      best_of(repetitions, [&] {
+        bool canonical = false;
+        g_sink = static_cast<double>(
+            core::dictionary_detail::load_sliced(b1_text, canonical, 1).size());
+      }) / kNsPerMs;
   const double publish_write_ms =
       best_of(repetitions, [&] {
         std::string text;
@@ -454,6 +463,7 @@ int main(int argc, char** argv) {
   std::cout << "\n";
   util::TablePrinter publish({"dictionary publication", "ms"});
   publish.add_row({"load", util::format_mean(publish_load_ms)});
+  publish.add_row({"load, one slice", util::format_mean(publish_load_serial_ms)});
   publish.add_row({"write", util::format_mean(publish_write_ms)});
   publish.add_row({"sort", util::format_mean(publish_sort_ms)});
   publish.add_row({"swap", util::format_mean(publish_swap_ms)});
@@ -494,6 +504,7 @@ int main(int argc, char** argv) {
       .field("publish_keys", static_cast<long long>(b1.size()))
       .field("publish_bytes", static_cast<long long>(b1_text.size()))
       .field("publish_load_ms", publish_load_ms)
+      .field("publish_load_serial_ms", publish_load_serial_ms)
       .field("publish_write_ms", publish_write_ms)
       .field("publish_sort_ms", publish_sort_ms)
       .field("publish_swap_ms", publish_swap_ms)

@@ -1,11 +1,15 @@
 #include "core/dictionary.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <charconv>
 #include <chrono>
 #include <cmath>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <numeric>
@@ -14,9 +18,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "util/string_utils.hpp"
+#include "util/thread_pool.hpp"
 
 namespace efd::core {
 
@@ -373,19 +379,26 @@ void Dictionary::save_file(const std::string& path) const {
   if (!out) throw std::runtime_error("write failed: " + path);
 }
 
-Dictionary Dictionary::load(std::string_view text) {
-  bool canonical = false;
-  return load(text, canonical);
-}
+namespace {
 
-Dictionary Dictionary::load(std::string_view text, bool& canonical) {
-  const auto start = std::chrono::steady_clock::now();
+/// What precedes the key rows.
+struct Header {
+  FingerprintConfig config;
+  long long key_count = 0;
+  /// The text after the header: the key rows and what follows them.
+  std::string_view body;
+  /// True when the header is what save() writes for config and count.
+  bool canonical = false;
+};
+
+Header read_header(std::string_view text) {
   LineReader lines(text);
   std::string_view line;
 
   if (!lines.next(line) || line != kFormatTag) fail("bad header");
 
-  FingerprintConfig config;
+  Header header;
+  FingerprintConfig& config = header.config;
   config.intervals.clear();
 
   if (!lines.next(line) || !util::starts_with(line, "metrics "))
@@ -421,21 +434,153 @@ Dictionary Dictionary::load(std::string_view text, bool& canonical) {
     fail("missing key count");
   const auto key_count = util::parse_int(line.substr(5));
   if (!key_count || *key_count < 0) fail("bad key count");
+  header.key_count = *key_count;
 
   // The header is canonical when it is what save() would write for the
   // parsed config and count (a row merge later makes the count stale).
-  {
-    std::string header;
-    append_header(header, config, *key_count);
-    canonical = text.substr(0, text.size() - lines.rest().size()) == header;
+  header.body = lines.rest();
+  std::string written;
+  append_header(written, config, *key_count);
+  header.canonical = text.substr(0, text.size() - header.body.size()) == written;
+  return header;
+}
+
+/// Reads rows spelled as save() spells one, each walked once from its
+/// first byte to its newline. The key's buffers and the hash state after
+/// the metric's bytes carry over to the next row while the metric name
+/// repeats; the row's labels are only read, for the caller to add.
+class RowReader {
+ public:
+  /// The row's key but its metric, which only the caller copies in.
+  FingerprintKey key;
+  std::string_view metric;  ///< the row's metric name, in the text read
+  std::uint64_t hash = 0;  ///< DictionaryIndex::hash_key() of the key
+  std::vector<std::pair<std::string_view, std::uint32_t>> labels;
+
+  /// Reads the row at the front of \p rest and steps past it; false, with
+  /// metric as it was, when the row is not spelled so. \p new_metric is
+  /// set when the metric is not the previous row's.
+  bool read(std::string_view& rest, bool& new_metric) {
+    Cursor at{rest.data(), rest.data() + rest.size()};
+    // The previous row's metric name, when it is this row's too, is
+    // compared, not scanned (it holds no '|' or newline).
+    std::string_view name = metric;
+    if (!metric.empty() && rest.size() > metric.size() &&
+        rest[metric.size()] == '|' && rest.starts_with(metric)) {
+      at.at += metric.size() + 1;
+    } else if (at.next<'|', '\n'>(name) != '|') {
+      return false;
+    }
+    const auto node = at.next_int<std::uint32_t, '|'>();
+    if (!node) return false;
+    const auto begin = at.next_int<int, ':'>();
+    if (!begin) return false;
+    const auto finish = at.next_int<int, '|'>();
+    if (!finish) return false;
+    std::string_view field;
+    key.rounded_means.clear();
+    for (char stop = ','; stop == ',';) {
+      stop = at.next<',', '|', '\n'>(field);
+      const auto mean = dictionary_text::canonical_mean(field);
+      if (!mean || stop == '\n' || stop == '\0') return false;
+      key.rounded_means.push_back(*mean);
+    }
+    labels.clear();
+    for (char stop = ','; stop == ',';) {
+      std::string_view label;
+      if (at.next<'=', ',', '|', '\n'>(label) != '=') return false;
+      stop = at.next<',', '|', '\n'>(field);
+      const auto count = canonical_int<std::uint32_t>(field);
+      if (!count || *count < 1 || stop == '|') return false;
+      labels.emplace_back(label, *count);
+    }
+    rest.remove_prefix(static_cast<std::size_t>(at.at - rest.data()));
+
+    new_metric = name.data() != metric.data();
+    if (new_metric) {
+      metric = name;
+      metric_state_ = FingerprintKeyHash::metric(name);
+    }
+    key.node_id = *node;
+    key.interval = {*begin, *finish};
+    hash = DictionaryIndex::spread(FingerprintKeyHash::fields(
+        metric_state_, key.node_id, key.interval, key.rounded_means.data(),
+        key.rounded_means.size()));
+    return true;
   }
 
-  Dictionary dictionary(config);
+ private:
+  std::uint64_t metric_state_ = 0;
+};
+
+/// The newlines in \p text. A block of at most 255 bytes counts into one
+/// byte, a loop the compiler vectorises.
+std::size_t count_newlines(std::string_view text) noexcept {
+  std::size_t total = 0;
+  while (!text.empty()) {
+    const std::size_t block = std::min<std::size_t>(text.size(), 255);
+    std::uint8_t newlines = 0;
+    for (std::size_t i = 0; i < block; ++i) newlines += text[i] == '\n';
+    total += newlines;
+    text.remove_prefix(block);
+  }
+  return total;
+}
+
+/// The first row start in \p body at or after byte \p at.
+std::size_t row_start(std::string_view body, std::size_t at) noexcept {
+  if (at == 0 || at >= body.size() || body[at - 1] == '\n') {
+    return std::min(at, body.size());
+  }
+  const std::size_t newline = body.find('\n', at);
+  return newline == std::string_view::npos ? body.size() : newline + 1;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+}  // namespace
+
+Dictionary Dictionary::load(std::string_view text) {
+  bool canonical = false;
+  return load(text, canonical);
+}
+
+Dictionary Dictionary::load(std::string_view text, bool& canonical) {
+  return load_text(text, canonical, std::nullopt, nullptr);
+}
+
+Dictionary Dictionary::load_text(std::string_view text, bool& canonical,
+                                 std::optional<std::size_t> slices,
+                                 std::size_t* slices_read) {
+  const auto start = std::chrono::steady_clock::now();
+  const Header header = read_header(text);
+  canonical = header.canonical;
   // A row is at least 14 bytes ("m|0|0:0|0|a=1\n") and a mean at least
   // 2 ("0,"), so the text bounds how much a hostile header can make this
   // reserve. One label per key is the common shape.
-  const std::size_t rows = static_cast<std::size_t>(
-      std::min<long long>(*key_count, static_cast<long long>(text.size() / 14)));
+  const std::size_t rows = static_cast<std::size_t>(std::min<long long>(
+      header.key_count, static_cast<long long>(text.size() / 14)));
+
+  // Only a text that can be canonical to its last byte is read in
+  // slices; a slice's rejection sends it to the rows loop below.
+  if (slices_read != nullptr) *slices_read = 1;
+  const std::size_t count = slices.value_or(
+      dictionary_detail::slice_count(rows, util::hardware_threads()));
+  if (canonical && count > 1 && rows > 1 &&
+      static_cast<long long>(rows) == header.key_count && text.back() == '\n') {
+    Dictionary sliced(header.config);
+    if (sliced.read_slices(header.body, rows, count)) {
+      if (slices_read != nullptr) *slices_read = std::min(count, rows);
+      sliced.index_.build_seconds_ = seconds_since(start);
+      return sliced;
+    }
+  }
+
+  Dictionary dictionary(header.config);
+  const FingerprintConfig& config = dictionary.config_;
   DictionaryIndex& index = dictionary.index_;
   index.entries_.reserve(rows);
   index.hashes_.reserve(rows);
@@ -472,74 +617,30 @@ Dictionary Dictionary::load(std::string_view text, bool& canonical) {
     }
     if (!index.add_label(ordinal, label_id, count)) canonical = false;
   };
-  // A row spelled as save() spells one, walked once from its first byte
-  // to its newline. The key's buffers, its metric's id and the hash
-  // state after the metric's bytes carry over to the next row while the
-  // metric name repeats; the row's labels are only read here and added
-  // once the whole row has passed.
-  constexpr std::uint32_t kNoMetric = 0xFFFFFFFFu;
-  FingerprintKey key;
-  std::uint32_t metric_id = kNoMetric;
-  std::uint64_t metric_state = 0;
-  std::vector<std::pair<std::string_view, std::uint32_t>> row_labels;
+  // A row spelled as save() spells one; its metric's id carries over to
+  // the next row while the name repeats, and its labels are added once
+  // the whole row has passed.
+  RowReader reader;
+  std::uint32_t metric_id = 0;
   const auto read_row = [&](std::string_view& rest) -> bool {
-    Cursor at{rest.data(), rest.data() + rest.size()};
-    // The previous row's metric name, when it is this row's too, is
-    // compared, not scanned (it holds no '|' or newline).
-    std::string_view metric = key.metric;
-    if (metric_id != kNoMetric && rest.size() > metric.size() &&
-        rest[metric.size()] == '|' && rest.starts_with(metric)) {
-      at.at += metric.size() + 1;
-    } else if (at.next<'|', '\n'>(metric) != '|') {
-      return false;
+    bool new_metric = false;
+    if (!reader.read(rest, new_metric)) return false;
+    if (new_metric) {
+      reader.key.metric.assign(reader.metric);
+      metric_id = index.metric_id(reader.key.metric);
     }
-    const auto node = at.next_int<std::uint32_t, '|'>();
-    if (!node) return false;
-    const auto begin = at.next_int<int, ':'>();
-    if (!begin) return false;
-    const auto finish = at.next_int<int, '|'>();
-    if (!finish) return false;
-    std::string_view field;
-    key.rounded_means.clear();
-    for (char stop = ','; stop == ',';) {
-      stop = at.next<',', '|', '\n'>(field);
-      const auto mean = dictionary_text::canonical_mean(field);
-      if (!mean || stop == '\n' || stop == '\0') return false;
-      key.rounded_means.push_back(*mean);
-    }
-    row_labels.clear();
-    for (char stop = ','; stop == ',';) {
-      std::string_view name;
-      if (at.next<'=', ',', '|', '\n'>(name) != '=') return false;
-      stop = at.next<',', '|', '\n'>(field);
-      const auto count = canonical_int<std::uint32_t>(field);
-      if (!count || *count < 1 || stop == '|') return false;
-      row_labels.emplace_back(name, *count);
-    }
-    rest.remove_prefix(static_cast<std::size_t>(at.at - rest.data()));
-
-    if (metric.data() != key.metric.data()) {
-      key.metric.assign(metric);
-      metric_id = index.metric_id(key.metric);
-      metric_state = FingerprintKeyHash::metric(metric);
-    }
-    key.node_id = *node;
-    key.interval = {*begin, *finish};
-    const std::uint64_t hash = DictionaryIndex::spread(FingerprintKeyHash::fields(
-        metric_state, key.node_id, key.interval, key.rounded_means.data(),
-        key.rounded_means.size()));
     // While every row so far was appended in key order (none with a NaN
     // mean: canonical_mean() never returns one), a row that sorts after
     // the last one is new: no probe. Any other row is looked up as
     // insert() would, and certifies as the write path's rows do.
     std::uint32_t ordinal;
-    if (increasing && index.append_after_last(key, metric_id, hash)) {
+    if (increasing && index.append_after_last(reader.key, metric_id, reader.hash)) {
       ordinal = static_cast<std::uint32_t>(index.key_count() - 1);
     } else {
       increasing = false;
-      ordinal = add_key(key, hash);
+      ordinal = add_key(reader.key, reader.hash);
     }
-    for (const auto& [name, count] : row_labels) add_label(ordinal, name, count);
+    for (const auto& [name, count] : reader.labels) add_label(ordinal, name, count);
     return true;
   };
   // Any other row, read as its fields split: every spelling util's
@@ -575,8 +676,9 @@ Dictionary Dictionary::load(std::string_view text, bool& canonical) {
       add_label(ordinal, label_token.substr(0, eq), *count);
     });
   };
-  std::string_view rest = lines.rest();
-  for (long long k = 0; k < *key_count; ++k) {
+  std::string_view rest = header.body;
+  std::string_view line;
+  for (long long k = 0; k < header.key_count; ++k) {
     if (rest.empty()) fail("truncated key list");
     if (read_row(rest)) continue;
     // This row is looked up (it may merge into any earlier key), and so
@@ -594,10 +696,158 @@ Dictionary Dictionary::load(std::string_view text, bool& canonical) {
     canonical = false;
   }
   if (text.back() != '\n') canonical = false;
-  index.build_seconds_ =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  index.build_seconds_ = seconds_since(start);
   return dictionary;
+}
+
+bool Dictionary::read_slices(std::string_view body, std::size_t rows,
+                             std::size_t slices) {
+  // A canonical row is one new key with the header's count of means, so
+  // its row number alone says where its entry, hash and means go.
+  const std::size_t means_per_row =
+      config_.combine_metrics ? config_.metrics.size() : 1;
+  if (means_per_row == 0 || rows * means_per_row > body.size() / 2) {
+    return false;
+  }
+  struct Slice {
+    std::string_view text;  ///< whole rows, newline-terminated
+    std::size_t first_row = 0;
+    std::size_t rows = 0;
+    /// Every row read as canonical, each after the one before it.
+    bool read = false;
+    /// Metric names and labels by slice-local id, in first-seen order.
+    std::vector<std::string_view> metrics;
+    std::vector<std::string_view> labels;
+    /// The slice's label runs, by slice-local id.
+    std::vector<std::uint32_t> label_ids;
+    std::vector<std::uint32_t> counts;
+  };
+  std::vector<Slice> parts(std::min(slices, rows));
+  std::size_t from = 0;
+  std::size_t row = 0;
+  for (std::size_t s = 0; s < parts.size(); ++s) {
+    // Equal byte shares, each moved up to the next row start.
+    const std::size_t to =
+        s + 1 == parts.size()
+            ? body.size()
+            : row_start(body, std::max(from, body.size() / parts.size() * (s + 1)));
+    parts[s].text = body.substr(from, to - from);
+    parts[s].first_row = row;
+    parts[s].rows = count_newlines(parts[s].text);
+    row += parts[s].rows;
+    from = to;
+  }
+  if (row != rows) return false;
+
+  DictionaryIndex& index = index_;
+  index.resize_table(rows);
+  // Sized, not zeroed: each slice's thread is the first to touch its rows.
+  index.entries_.resize(rows);
+  index.hashes_.resize(rows);
+  index.means_.resize(rows * means_per_row);
+  const auto read_slice = [&](std::size_t s) {
+    Slice& part = parts[s];
+    RowReader reader;
+    std::string_view rest = part.text;
+    std::uint32_t metric_id = 0;
+    std::string_view label;
+    std::uint32_t label_id = kNoLabelId;
+    std::unordered_map<std::string_view, std::uint32_t> label_ids;
+    part.label_ids.reserve(part.rows);
+    part.counts.reserve(part.rows);
+    for (std::size_t r = 0; r < part.rows; ++r) {
+      bool new_metric = false;
+      if (!reader.read(rest, new_metric) ||
+          reader.key.rounded_means.size() != means_per_row) {
+        return;
+      }
+      if (new_metric) {
+        const auto known =
+            std::find(part.metrics.begin(), part.metrics.end(), reader.metric);
+        metric_id = static_cast<std::uint32_t>(known - part.metrics.begin());
+        if (known == part.metrics.end()) part.metrics.push_back(reader.metric);
+      }
+      const std::size_t ordinal = part.first_row + r;
+      DictionaryIndex::Entry& entry = index.entries_[ordinal];
+      entry = {reader.key.node_id,
+               metric_id,
+               reader.key.interval.begin_seconds,
+               reader.key.interval.end_seconds,
+               static_cast<std::uint32_t>(ordinal * means_per_row),
+               static_cast<std::uint32_t>(means_per_row),
+               static_cast<std::uint32_t>(part.label_ids.size()),
+               0};
+      std::copy(reader.key.rounded_means.begin(), reader.key.rounded_means.end(),
+                index.means_.begin() + entry.means_begin);
+      index.hashes_[ordinal] = reader.hash;
+      if (r != 0 && !DictionaryIndex::key_less(part.metrics, index.means_.data(),
+                                               index.entries_[ordinal - 1], entry)) {
+        return;
+      }
+      for (const auto& [name, count] : reader.labels) {
+        if (label_id == kNoLabelId || name != label) {
+          const auto [it, added] = label_ids.try_emplace(
+              name, static_cast<std::uint32_t>(part.labels.size()));
+          if (added) part.labels.push_back(name);
+          label = name;
+          label_id = it->second;
+        }
+        // A label repeated within its row merges: not canonical.
+        const auto run = part.label_ids.begin() + entry.labels_begin;
+        if (std::find(run, part.label_ids.end(), label_id) != part.label_ids.end()) {
+          return;
+        }
+        part.label_ids.push_back(label_id);
+        part.counts.push_back(count);
+        ++entry.labels_count;
+      }
+    }
+    part.read = rest.empty();
+  };
+  util::fork_join(parts.size(), read_slice);
+
+  // Metrics and labels interned in slice order get the sequential
+  // loader's first-seen ids; each slice certified its own rows' order,
+  // and the owner certifies each place two slices meet.
+  std::size_t label_count = 0;
+  for (const Slice& part : parts) {
+    if (!part.read) return false;
+    label_count += part.label_ids.size();
+  }
+  index.label_ids_.reserve(label_count);
+  index.counts_.reserve(label_count);
+  std::vector<std::uint32_t> metric_ids;
+  std::vector<std::uint32_t> label_ids;
+  std::string name;
+  for (const Slice& part : parts) {
+    metric_ids.clear();
+    for (const std::string_view metric : part.metrics) {
+      metric_ids.push_back(index.metric_id(name.assign(metric)));
+    }
+    label_ids.clear();
+    for (const std::string_view label : part.labels) {
+      label_ids.push_back(labels_.intern(name.assign(label)));
+    }
+    const auto offset = static_cast<std::uint32_t>(index.label_ids_.size());
+    for (const std::uint32_t id : part.label_ids) {
+      index.label_ids_.push_back(label_ids[id]);
+    }
+    index.counts_.insert(index.counts_.end(), part.counts.begin(), part.counts.end());
+    for (std::size_t r = part.first_row; r < part.first_row + part.rows; ++r) {
+      DictionaryIndex::Entry& entry = index.entries_[r];
+      entry.metric_id = metric_ids[entry.metric_id];
+      entry.labels_begin += offset;
+    }
+    if (part.rows != 0 && part.first_row != 0 &&
+        !index.key_less(index.entries_[part.first_row - 1],
+                        index.entries_[part.first_row])) {
+      return false;
+    }
+  }
+  for (std::size_t ordinal = 0; ordinal < rows; ++ordinal) {
+    index.place(static_cast<std::uint32_t>(ordinal));
+  }
+  return true;
 }
 
 Dictionary Dictionary::load(std::istream& in) {
@@ -611,26 +861,54 @@ Dictionary Dictionary::load_file(const std::string& path) {
 }
 
 std::string Dictionary::read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open dictionary: " + path);
-  // One read of a regular file's length (a read this large bypasses the
-  // stream's buffer); a pipe has no length and is read to its end.
-  std::error_code no_size;
-  const std::uintmax_t size = std::filesystem::file_size(path, no_size);
-  std::string text;
-  if (!no_size) {
-    text.resize(size);
-    in.read(text.data(), static_cast<std::streamsize>(size));
-    if (static_cast<std::uintmax_t>(in.gcount()) != size) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) throw std::runtime_error("cannot open dictionary: " + path);
+  struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  return dictionary_detail::read_descriptor(fd, path);
+}
+
+namespace dictionary_detail {
+
+std::size_t slice_count(std::size_t rows, std::size_t hardware) noexcept {
+  return std::clamp<std::size_t>(rows / kRowsPerSlice, 1,
+                                 std::max<std::size_t>(hardware, 1));
+}
+
+Dictionary load_sliced(std::string_view text, bool& canonical,
+                       std::size_t slices, std::size_t* slices_read) {
+  return Dictionary::load_text(text, canonical, slices, slices_read);
+}
+
+std::string read_descriptor(int fd, const std::string& path) {
+  struct stat status {};
+  if (::fstat(fd, &status) != 0) {
+    throw std::runtime_error("cannot read dictionary: " + path);
+  }
+  // A regular file's length sizes the read that fills it, plus the byte
+  // the read that finds its end is offered; anything else grows as read.
+  std::string text(S_ISREG(status.st_mode)
+                       ? static_cast<std::size_t>(status.st_size) + 1
+                       : std::size_t{1} << 16,
+                   '\0');
+  std::size_t filled = 0;
+  while (true) {
+    if (filled == text.size()) text.resize(2 * text.size());
+    const ssize_t got = ::read(fd, text.data() + filled, text.size() - filled);
+    if (got == 0) break;
+    if (got < 0) {
+      if (errno == EINTR) continue;
       throw std::runtime_error("cannot read dictionary: " + path);
     }
-  } else {
-    std::ostringstream all;
-    all << in.rdbuf();
-    text = std::move(all).str();
+    filled += static_cast<std::size_t>(got);
   }
+  text.resize(filled);
   return text;
 }
+
+}  // namespace dictionary_detail
 
 namespace dictionary_text {
 

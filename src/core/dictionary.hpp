@@ -25,6 +25,32 @@
 
 namespace efd::core {
 
+class Dictionary;
+
+namespace dictionary_detail {
+
+/// Dictionary::load's row rule: a canonical text is read in one slice
+/// per this many rows, each on a thread of its own.
+inline constexpr std::size_t kRowsPerSlice = 2048;
+
+/// The slices load() reads \p rows canonical rows in: one per
+/// kRowsPerSlice rows, at most \p hardware threads, at least one.
+std::size_t slice_count(std::size_t rows, std::size_t hardware) noexcept;
+
+/// Dictionary::load(text, canonical) with its rows read in \p slices
+/// slices instead of the rule's count (a test and benchmark seam).
+/// \p slices_read, when given, is set to the slices that read the rows:
+/// 1 when the sequential loader did.
+Dictionary load_sliced(std::string_view text, bool& canonical,
+                       std::size_t slices, std::size_t* slices_read = nullptr);
+
+/// The bytes of open file \p fd from its offset to its end, sized by an
+/// fstat of \p fd (a pipe has no size and is read until it closes);
+/// throws std::runtime_error naming \p path when it cannot be read.
+std::string read_descriptor(int fd, const std::string& path);
+
+}  // namespace dictionary_detail
+
 /// One key's row, viewed in place in its dictionary's flat arrays: the
 /// key and its labels, in first-observation order, with their
 /// observation counts. Valid until the dictionary is mutated or
@@ -173,14 +199,20 @@ class Dictionary {
   /// only before a non-zero value), every mean passes
   /// dictionary_text::canonical_mean(), and nothing follows the last
   /// row's newline. A false is conservative: such text may still resave
-  /// as itself (a subnormal or NaN mean).
+  /// as itself (a subnormal or NaN mean). A canonical header declaring
+  /// at least 2 * dictionary_detail::kRowsPerSlice rows has its rows read
+  /// in slices on several threads, all joined before it returns; any row
+  /// a slice cannot take as canonical sends the whole text to the
+  /// sequential loader, which decides every other text.
   static Dictionary load(std::string_view text, bool& canonical);
   /// Reads \p in to its end, then load(text).
   static Dictionary load(std::istream& in);
   /// load(read_file(path)).
   static Dictionary load_file(const std::string& path);
-  /// The bytes of the file at \p path, taken with one read sized by the
-  /// file's length; throws std::runtime_error when it cannot be read.
+  /// The bytes of the file at \p path, read from the one descriptor it
+  /// opens (dictionary_detail::read_descriptor): a file renamed over
+  /// \p path meanwhile neither truncates nor pads the text. Throws
+  /// std::runtime_error when it cannot be opened or read.
   static std::string read_file(const std::string& path);
 
   /// The table is built as rows arrive, so there is nothing left to
@@ -195,6 +227,21 @@ class Dictionary {
   double index_build_seconds() const noexcept { return index_.build_seconds(); }
 
  private:
+  friend Dictionary dictionary_detail::load_sliced(std::string_view, bool&,
+                                                   std::size_t, std::size_t*);
+
+  /// load(text, canonical) reading its rows in \p slices slices, or in
+  /// the rule's count when none is given.
+  static Dictionary load_text(std::string_view text, bool& canonical,
+                              std::optional<std::size_t> slices,
+                              std::size_t* slices_read);
+  /// Reads \p rows canonical rows from \p body into this empty
+  /// dictionary in \p slices slices on as many threads; false, with the
+  /// dictionary to be discarded, when any row is not what save() would
+  /// write there.
+  bool read_slices(std::string_view body, std::size_t rows,
+                   std::size_t slices);
+
   FingerprintConfig config_;
   LabelTable labels_;
   DictionaryIndex index_;

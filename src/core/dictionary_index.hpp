@@ -39,9 +39,13 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/fingerprint.hpp"
@@ -74,17 +78,19 @@ class DictionaryIndex {
  public:
   /// One key's packed descriptor. 32 bytes: half a cache line, so a
   /// random probe touches at most two lines before the payload.
+  /// Trivial, so rows a loader fills in place are not zeroed first.
   struct Entry {
-    std::uint32_t node_id = 0;
-    std::uint32_t metric_id = 0;       ///< index into metric_names_
-    std::int32_t begin_seconds = 0;
-    std::int32_t end_seconds = 0;
-    std::uint32_t means_begin = 0;     ///< cursor into means_
-    std::uint32_t means_count = 0;
-    std::uint32_t labels_begin = 0;    ///< cursor into label_ids_/counts_
-    std::uint32_t labels_count = 0;
+    std::uint32_t node_id;
+    std::uint32_t metric_id;       ///< index into metric_names_
+    std::int32_t begin_seconds;
+    std::int32_t end_seconds;
+    std::uint32_t means_begin;     ///< cursor into means_
+    std::uint32_t means_count;
+    std::uint32_t labels_begin;    ///< cursor into label_ids_/counts_
+    std::uint32_t labels_count;
   };
   static_assert(sizeof(Entry) == 32);
+  static_assert(std::is_trivially_default_constructible_v<Entry>);
 
   /// The placement hash: the dictionary's own FingerprintKeyHash run
   /// through a splitmix64 finalizer, because open addressing masks with
@@ -152,16 +158,23 @@ class DictionaryIndex {
   /// a NaN mean: two such entries compare equal only as the same key.
   /// Inline: it is the comparator of the writer's sort.
   bool key_less(const Entry& x, const Entry& y) const noexcept {
+    return key_less(metric_names_, means_.data(), x, y);
+  }
+  /// key_less for rows whose metric ids index \p metric_names and whose
+  /// means cursors index \p means: a parse slice's own ids.
+  template <typename Names>
+  static bool key_less(const Names& metric_names, const double* means,
+                       const Entry& x, const Entry& y) noexcept {
     // Distinct metric ids name distinct metrics; the interval end only
     // splits keys that agree on everything else.
     if (x.metric_id != y.metric_id) {
-      return metric_names_[x.metric_id] < metric_names_[y.metric_id];
+      return metric_names[x.metric_id] < metric_names[y.metric_id];
     }
     if (x.begin_seconds != y.begin_seconds) {
       return x.begin_seconds < y.begin_seconds;
     }
-    const double* mx = means_.data() + x.means_begin;
-    const double* my = means_.data() + y.means_begin;
+    const double* mx = means + x.means_begin;
+    const double* my = means + y.means_begin;
     if (!std::equal(mx, mx + x.means_count, my, my + y.means_count)) {
       return std::lexicographical_compare(mx, mx + x.means_count, my,
                                           my + y.means_count);
@@ -199,6 +212,28 @@ class DictionaryIndex {
   /// Rebuilds the tag table with room for \p keys keys at load <= 0.5.
   void resize_table(std::size_t keys);
   void place(std::uint32_t ordinal) noexcept;
+
+  /// std::allocator whose construct() with no value default-initialises:
+  /// resize() leaves trivial rows unwritten, so the threads that fill
+  /// them in place are the first to touch their pages.
+  template <typename T>
+  struct Unzeroed : std::allocator<T> {
+    using std::allocator<T>::allocator;
+    template <typename U>
+    struct rebind {
+      using other = Unzeroed<U>;
+    };
+    template <typename U, typename... Args>
+    void construct(U* at, Args&&... args) {
+      if constexpr (sizeof...(Args) == 0) {
+        ::new (static_cast<void*>(at)) U;
+      } else {
+        ::new (static_cast<void*>(at)) U(std::forward<Args>(args)...);
+      }
+    }
+  };
+  template <typename T>
+  using Rows = std::vector<T, Unzeroed<T>>;
   /// Appends \p key's means; returns its entry (no labels), not yet added.
   Entry append_means(const FingerprintKey& key, std::uint32_t metric_id);
   /// Appends \p row, whose means are already at its cursor, and places it.
@@ -208,9 +243,9 @@ class DictionaryIndex {
   std::size_t mask_ = 0;
   std::vector<std::uint8_t> tags_;        ///< slots_ + kTagScanWindow mirror
   std::vector<std::uint32_t> slot_entry_;
-  std::vector<Entry> entries_;  ///< insertion order: ordinal = position
-  std::vector<std::uint64_t> hashes_;  ///< hash_key() per entry
-  std::vector<double> means_;
+  Rows<Entry> entries_;  ///< insertion order: ordinal = position
+  Rows<std::uint64_t> hashes_;  ///< hash_key() per entry
+  Rows<double> means_;
   std::vector<std::uint32_t> label_ids_;
   std::vector<std::uint32_t> counts_;
   std::vector<std::string> metric_names_;  ///< distinct, first-seen order

@@ -8,7 +8,7 @@ namespace efd::util {
 
 ThreadPool::ThreadPool(std::size_t thread_count) {
   if (thread_count == 0) {
-    thread_count = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    thread_count = hardware_threads();
   }
   workers_.reserve(thread_count);
   for (std::size_t i = 0; i < thread_count; ++i) {
@@ -92,6 +92,35 @@ void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
                   std::size_t min_chunk) {
   parallel_for(global_pool(), begin, end, body, min_chunk);
+}
+
+void fork_join(std::size_t count, const std::function<void(std::size_t)>& body) {
+  std::vector<std::exception_ptr> errors(count);
+  const auto run = [&](std::size_t i) {
+    try {
+      body(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(count == 0 ? 0 : count - 1);
+  for (std::size_t i = 1; i < count; ++i) {
+    try {
+      threads.emplace_back(run, i);
+    } catch (...) {
+      run(i);
+    }
+  }
+  if (count != 0) run(0);
+  for (std::thread& thread : threads) thread.join();
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+}
+
+std::size_t hardware_threads() noexcept {
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
 }  // namespace efd::util

@@ -1,6 +1,7 @@
 #pragma once
 /// \file thread_pool.hpp
-/// \brief A fixed-size work-queue thread pool plus a parallel_for helper.
+/// \brief A fixed-size work-queue thread pool plus a parallel_for helper,
+/// and a fork-join over threads that live only as long as one call.
 ///
 /// Used to parallelize the embarrassingly parallel parts of the pipeline:
 /// dataset generation (one execution per task), random-forest training
@@ -79,5 +80,15 @@ void parallel_for(std::size_t begin, std::size_t end,
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
                   std::size_t min_chunk = 1);
+
+/// Runs body(i) for every i in [0, count): body(0) on the calling thread,
+/// each other i on a thread started for it. Every thread is joined before
+/// it returns, so none outlives the call and nothing but what body shares
+/// is shared; a slice whose thread cannot be started runs on the caller.
+/// The first exception in slice order is rethrown once all have finished.
+void fork_join(std::size_t count, const std::function<void(std::size_t)>& body);
+
+/// std::thread::hardware_concurrency(), or 1 when it is not known.
+std::size_t hardware_threads() noexcept;
 
 }  // namespace efd::util

@@ -2,20 +2,31 @@
 /// \brief End-to-end tests of the efd_cli binary: the full operator
 /// workflow (generate -> train -> recognize -> stats -> coverage ->
 /// evaluate) through the real executable, exercising argument parsing,
-/// CSV and dictionary persistence across process boundaries.
+/// CSV and dictionary persistence across process boundaries, and the
+/// threads a serve of a large dictionary leaves running.
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "core/dictionary.hpp"
+
 namespace {
+
+using namespace efd;
 
 #ifndef EFD_CLI_PATH
 #error "EFD_CLI_PATH must be defined by the build"
@@ -187,6 +198,99 @@ TEST_F(CliWorkflow, Step7ServeAndReplayOverLocalhostTcp) {
   EXPECT_NE(serve_log.find("served 132 verdicts"), std::string::npos)
       << serve_log;
   std::remove(serve_out.c_str());
+}
+
+/// One GET against 127.0.0.1:<port>, read until the server closes;
+/// headers and body.
+std::string http_get(int port, const std::string& target) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return {};
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    ::close(fd);
+    return {};
+  }
+  const std::string request =
+      "GET " + target + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
+  if (::send(fd, request.data(), request.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(request.size())) {
+    ::close(fd);
+    return {};
+  }
+  std::string response;
+  char chunk[4096];
+  for (ssize_t got; (got = ::recv(fd, chunk, sizeof(chunk), 0)) > 0;) {
+    response.append(chunk, static_cast<std::size_t>(got));
+  }
+  ::close(fd);
+  return response;
+}
+
+TEST_F(CliWorkflow, ServeOfALargeDictionaryRunsOneThreadOnceHealthy) {
+  // The trained dictionary plus 10k decoy keys (e2ebench churn-tcp's B1
+  // shape) is read in slices on several threads where the machine has
+  // the cores; all of them are joined before serve answers, so it serves
+  // on its one thread.
+  core::Dictionary large = core::Dictionary::load_file(*dict_path_);
+  for (std::size_t k = 0; k < 10000; ++k) {
+    core::FingerprintKey key;
+    key.metric = large.config().metrics.front();
+    key.node_id = static_cast<std::uint32_t>(k % 32);
+    key.interval = telemetry::kPaperInterval;
+    key.rounded_means = {static_cast<double>(10 + k % 90) *
+                         std::pow(10.0, 13 + static_cast<int>(k / 90))};
+    large.insert(key, "decoy_D");
+  }
+  const std::string large_path = temp_path("cli_large.efd");
+  large.save_file(large_path);
+
+  const std::string serve_out = temp_path("cli_large_serve_out.txt");
+  const std::string pid_file = temp_path("cli_large_serve_pid.txt");
+  const std::string command = cli() + " serve --dict " + large_path +
+                              " --port 0 --http 0 --quiet > " + serve_out +
+                              " 2>&1 & echo $! > " + pid_file;
+  ASSERT_EQ(std::system(command.c_str()), 0);
+  struct ServeGuard {
+    std::string pid_file;
+    ~ServeGuard() {
+      std::ifstream in(pid_file);
+      long pid = 0;
+      if (in >> pid; pid > 1) ::kill(static_cast<pid_t>(pid), SIGTERM);
+      std::remove(pid_file.c_str());
+    }
+  } guard{pid_file};
+
+  int http_port = 0;
+  const std::string marker = "http: listening on 127.0.0.1:";
+  for (int attempt = 0; attempt < 100 && http_port == 0; ++attempt) {
+    ::usleep(100 * 1000);
+    std::ifstream in(serve_out);
+    for (std::string line; std::getline(in, line);) {
+      const auto at = line.find(marker);
+      if (at != std::string::npos) {
+        http_port = std::atoi(line.c_str() + at + marker.size());
+      }
+    }
+  }
+  ASSERT_GT(http_port, 0) << "serve never announced its http port";
+  const std::string health = http_get(http_port, "/healthz");
+  EXPECT_EQ(health.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << health;
+
+  long pid = 0;
+  std::ifstream(pid_file) >> pid;
+  ASSERT_GT(pid, 1);
+  std::size_t threads = 0;
+  for (const auto& task : std::filesystem::directory_iterator(
+           "/proc/" + std::to_string(pid) + "/task")) {
+    (void)task;
+    ++threads;
+  }
+  EXPECT_EQ(threads, 1u);
+  std::remove(serve_out.c_str());
+  std::remove(large_path.c_str());
 }
 
 TEST_F(CliWorkflow, UnknownCommandFails) {

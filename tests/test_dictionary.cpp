@@ -5,10 +5,15 @@
 
 #include "core/dictionary.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <optional>
 #include <random>
@@ -22,6 +27,7 @@
 namespace {
 
 using namespace efd::core;
+namespace detail = efd::core::dictionary_detail;
 
 FingerprintKey key_of(double mean, std::uint32_t node = 0,
                       const std::string& metric = "nr_mapped_vmstat") {
@@ -447,6 +453,68 @@ TEST(Dictionary, FileRoundTrip) {
   EXPECT_EQ(loaded.size(), 1u);
   std::remove(path.c_str());
   EXPECT_THROW(Dictionary::load_file("/no/such/file"), std::runtime_error);
+}
+
+/// Writes \p text to \p path through a temporary file renamed over it,
+/// as an operator replaces a served dictionary.
+void replace_file(const std::string& path, const std::string& text) {
+  const std::string temporary = path + ".tmp";
+  std::ofstream(temporary, std::ios::binary) << text;
+  ASSERT_EQ(std::rename(temporary.c_str(), path.c_str()), 0);
+}
+
+TEST(Dictionary, ReadFileReadsTheFileItOpened) {
+  // A dictionary renamed over the path between the open and the read,
+  // longer or shorter than the one opened: the descriptor's own file is
+  // read whole, sized by the descriptor and not by the path.
+  const std::string path = ::testing::TempDir() + "/efd_dict_replaced.txt";
+  Dictionary original(config_of());
+  original.insert(key_of(6000.0), "ft_X");
+  original.insert(key_of(7000.0), "mg_X");
+  std::string opened;
+  original.save(opened);
+  Dictionary shorter(config_of());
+  shorter.insert(key_of(1.0), "ft_X");
+  std::string replacement;
+  shorter.save(replacement);
+  const std::string longer = opened + opened;
+  for (const std::string& replaced : {replacement, longer}) {
+    replace_file(path, opened);
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    ASSERT_GE(fd, 0);
+    replace_file(path, replaced);
+    EXPECT_EQ(detail::read_descriptor(fd, path), opened);
+    ::close(fd);
+    EXPECT_EQ(Dictionary::read_file(path), replaced);
+  }
+  std::remove(path.c_str());
+  try {
+    Dictionary::read_file("/no/such/file");
+    ADD_FAILURE() << "read a missing file";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "cannot open dictionary: /no/such/file");
+  }
+}
+
+TEST(Dictionary, ReadFileReadsAPipeToItsEnd) {
+  // A pipe has no length: it is read until its writer closes it, through
+  // a path (/proc/self/fd) as through a descriptor.
+  std::string text;
+  Dictionary dictionary(config_of());
+  dictionary.insert(key_of(6000.0), "ft_X");
+  dictionary.save(text);
+  for (const bool by_path : {false, true}) {
+    int ends[2];
+    ASSERT_EQ(::pipe(ends), 0);
+    ASSERT_EQ(::write(ends[1], text.data(), text.size()),
+              static_cast<ssize_t>(text.size()));
+    ::close(ends[1]);
+    const std::string path = "/proc/self/fd/" + std::to_string(ends[0]);
+    EXPECT_EQ(by_path ? Dictionary::read_file(path)
+                      : detail::read_descriptor(ends[0], path),
+              text);
+    ::close(ends[0]);
+  }
 }
 
 TEST(Dictionary, EmptyDictionaryBehaviour) {

@@ -19,17 +19,25 @@
 /// that probed for each row, and by a seeded fuzz of row edits whose
 /// error texts, adoption flags and bytes fold into one recorded CRC.
 /// Means at the edge of the double range save and load as themselves.
+///
+/// Every text loaded here is also loaded with its rows read in forced
+/// counts of slices (dictionary_detail::load_sliced), which must give
+/// the sequential load's dictionary, flag or error text exactly; a text
+/// that is not canonical is always read by the sequential loader.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -38,6 +46,7 @@
 #include "core/dictionary_handle.hpp"
 #include "core/trainer.hpp"
 #include "sim/dataset_generator.hpp"
+#include "thread_probe.hpp"
 #include "util/binary_io.hpp"
 #include "util/string_utils.hpp"
 
@@ -89,8 +98,100 @@ Dictionary with_decoys(Dictionary dictionary) {
   return dictionary;
 }
 
+/// A key's labels as save() lists them ("ft_X=3,bt_X=1"); "" when the
+/// dictionary has no such key.
+std::string labels_at(const Dictionary& dictionary,
+                      const core::FingerprintKey& key) {
+  const std::optional<core::DictionaryEntry> entry = dictionary.lookup(key);
+  std::string out;
+  for (std::size_t i = 0; entry && i < entry->size(); ++i) {
+    if (i != 0) out += ',';
+    out += entry->label(i) + "=" + std::to_string(entry->counts()[i]);
+  }
+  return out;
+}
+
+/// Loads \p text with its rows read in \p slices slices and in one, and
+/// expects the same outcome: the same error text, or the same bytes,
+/// certification, label and metric ids, table and lookups. Returns the
+/// slices that read the rows.
+std::size_t expect_same_load(const std::string& text, std::size_t slices,
+                             const std::string& what) {
+  const auto load = [&](std::size_t count, bool& canonical, std::size_t& read,
+                        std::string& error) -> std::optional<Dictionary> {
+    try {
+      return core::dictionary_detail::load_sliced(text, canonical, count, &read);
+    } catch (const std::runtime_error& failure) {
+      error = failure.what();
+      return std::nullopt;
+    }
+  };
+  const std::string where = what + ", " + std::to_string(slices) + " slices";
+  bool serial_canonical = false;
+  bool sliced_canonical = false;
+  std::size_t serial_read = 0;
+  std::size_t sliced_read = 0;
+  std::string serial_error;
+  std::string sliced_error;
+  const std::optional<Dictionary> serial =
+      load(1, serial_canonical, serial_read, serial_error);
+  const std::optional<Dictionary> sliced =
+      load(slices, sliced_canonical, sliced_read, sliced_error);
+  EXPECT_EQ(serial_read, 1u) << where;
+  EXPECT_EQ(sliced_error, serial_error) << where;
+  if (!serial || !sliced) {
+    EXPECT_EQ(sliced.has_value(), serial.has_value()) << where;
+    return sliced_read;
+  }
+  EXPECT_EQ(sliced_canonical, serial_canonical) << where;
+  if (!serial_canonical) EXPECT_EQ(sliced_read, 1u) << where;
+  EXPECT_EQ(text_of(*sliced), text_of(*serial)) << where;
+  const auto label_names = [](const Dictionary& dictionary) {
+    std::vector<std::string> names;
+    for (std::uint32_t id = 0; id < dictionary.label_table().label_count(); ++id) {
+      names.push_back(dictionary.label_table().label_name(id));
+    }
+    return names;
+  };
+  EXPECT_EQ(label_names(*sliced), label_names(*serial)) << where;
+  EXPECT_EQ(sliced->applications_in_order(), serial->applications_in_order())
+      << where;
+  const core::DictionaryIndex& sliced_index = *sliced->probe_index();
+  const core::DictionaryIndex& serial_index = *serial->probe_index();
+  EXPECT_EQ(sliced_index.slot_count(), serial_index.slot_count()) << where;
+  EXPECT_EQ(sliced_index.resident_bytes(), serial_index.resident_bytes()) << where;
+  EXPECT_EQ(sliced->size(), serial->size()) << where;
+  for (std::size_t i = 0; i < serial->size() && i < sliced->size(); ++i) {
+    core::FingerprintKey key = serial->entry(i).key();
+    const core::DictionaryIndex::Entry* a = sliced_index.find(key);
+    const core::DictionaryIndex::Entry* b = serial_index.find(key);
+    if (sliced->entry(i).key() != key || a == nullptr || b == nullptr) {
+      ADD_FAILURE() << where << ": row " << i << " differs";
+      break;
+    }
+    EXPECT_EQ(a->metric_id, b->metric_id) << where << ": row " << i;
+    EXPECT_TRUE(std::ranges::equal(sliced_index.label_ids(*a),
+                                   serial_index.label_ids(*b)))
+        << where << ": row " << i;
+    EXPECT_TRUE(std::ranges::equal(sliced_index.counts(*a), serial_index.counts(*b)))
+        << where << ": row " << i;
+    // A key next to this one is absent from both, or present in both.
+    key.node_id += 1000;
+    EXPECT_EQ(labels_at(*sliced, key), labels_at(*serial, key)) << where;
+  }
+  return sliced_read;
+}
+
+/// expect_same_load at every forced count from 2 to 8 slices.
+void expect_slices_agree(const std::string& text, const std::string& what) {
+  for (std::size_t slices = 2; slices <= 8; ++slices) {
+    expect_same_load(text, slices, what);
+  }
+}
+
 /// Canonical text: the epoch built from it keeps it, unwritten.
 void expect_adopted(const std::string& text, const char* what) {
+  expect_slices_agree(text, what);
   const Epoch epoch(1, text);
   EXPECT_TRUE(epoch.adopted_text) << what;
   EXPECT_EQ(epoch.bytes, text) << what;
@@ -100,6 +201,7 @@ void expect_adopted(const std::string& text, const char* what) {
 /// Non-canonical text: the epoch writes \p expected, what save() writes
 /// after a plain load.
 void expect_written(const std::string& text, const std::string& expected) {
+  expect_slices_agree(text, text);
   const Epoch epoch(1, text);
   EXPECT_FALSE(epoch.adopted_text) << text;
   EXPECT_EQ(epoch.bytes, expected) << text;
@@ -250,19 +352,6 @@ core::FingerprintKey row_key(std::string metric, std::uint32_t node,
   return key;
 }
 
-/// A key's labels as save() lists them ("ft_X=3,bt_X=1"); "" when the
-/// dictionary has no such key.
-std::string labels_at(const Dictionary& dictionary,
-                      const core::FingerprintKey& key) {
-  const std::optional<core::DictionaryEntry> entry = dictionary.lookup(key);
-  std::string out;
-  for (std::size_t i = 0; entry && i < entry->size(); ++i) {
-    if (i != 0) out += ',';
-    out += entry->label(i) + "=" + std::to_string(entry->counts()[i]);
-  }
-  return out;
-}
-
 struct LoadedShape {
   bool adopted;
   std::vector<std::string> labels;  ///< label names in id order
@@ -275,6 +364,7 @@ struct LoadedShape {
 /// the epoch's bytes (save() of what was loaded).
 std::string expect_shape(const std::string& text, const LoadedShape& shape,
                          const char* what) {
+  expect_slices_agree(text, what);
   const Epoch epoch(1, text);
   const Dictionary& loaded = epoch.dictionary;
   EXPECT_EQ(epoch.adopted_text, shape.adopted) << what;
@@ -447,11 +537,17 @@ TEST(DictionaryParityText, LabelsThatChangeWithinARow) {
                        "m|0|60:120|7000.0|mg_X=1,ft_X=3\n");
 }
 
-TEST(DictionaryParityText, TenThousandSortedRowsOfOneLabel) {
+/// 10k sorted rows of one label, one key per node.
+std::string ten_thousand_rows() {
   std::string text = std::string(kHeader) + "keys 10000\n";
   for (int node = 0; node < 10000; ++node) {
     text += "m|" + std::to_string(node) + "|60:120|6000.0|decoy_D=1\n";
   }
+  return text;
+}
+
+TEST(DictionaryParityText, TenThousandSortedRowsOfOneLabel) {
+  const std::string text = ten_thousand_rows();
   const std::string saved = expect_shape(
       text,
       {true,
@@ -467,14 +563,18 @@ TEST(DictionaryParityText, TenThousandSortedRowsOfOneLabel) {
   expect_pinned(saved, {308958, 0x5dd521dc}, "10k rows of one label");
 }
 
-TEST(DictionaryParityText, RowEditFuzzKeepsErrorsAdoptionAndBytes) {
+/// The outcome of publishing one text: its error text, or whether the
+/// epoch adopts it and the epoch's bytes.
+using Publish = std::function<std::string(const std::string& text)>;
+
+/// Runs the row-edit fuzz below through \p publish; returns each
+/// outcome's count and the CRC of every outcome in order.
+std::pair<std::map<std::string, std::size_t>, std::uint32_t> row_edit_fuzz(
+    const Publish& publish) {
   // Seeded edits of a canonical four-row text (a byte of the row
   // alphabet inserted, replaced or deleted, up to three times, two rows
   // swapped, a key count one off) reach every row error and both
-  // publication paths. Each text's outcome (its error text, or the adoption flag and the
-  // epoch's bytes) is folded into one CRC recorded from the loader that
-  // probed the table for each row; the per-outcome counts say which
-  // path drifted when it does not match.
+  // publication paths.
   const std::string rows[] = {"m|1|0:60|1e+10|ft_X=4294967295\n",
                               "m|0|60:120|6000.0|ft_X=1\n",
                               "m|1|60:120|6000.0,2.5|mg_X=2,ft_X=1\n",
@@ -515,10 +615,8 @@ TEST(DictionaryParityText, RowEditFuzzKeepsErrorsAdoptionAndBytes) {
         body;
     std::string outcome;
     try {
-      const Epoch epoch(1, text);
-      outcome = epoch.adopted_text ? "adopted" : "written";
-      ++counts[outcome];
-      outcome += '\n' + epoch.bytes;
+      outcome = publish(text);
+      ++counts[outcome.substr(0, outcome.find('\n'))];
     } catch (const std::runtime_error& error) {
       outcome = error.what();
       ++counts[outcome];
@@ -526,6 +624,14 @@ TEST(DictionaryParityText, RowEditFuzzKeepsErrorsAdoptionAndBytes) {
     outcomes += outcome;
     outcomes += '\0';
   }
+  return {counts, crc_of(outcomes)};
+}
+
+TEST(DictionaryParityText, RowEditFuzzKeepsErrorsAdoptionAndBytes) {
+  // Each text's outcome is folded into one CRC recorded from the loader
+  // that probed the table for each row; the per-outcome counts say which
+  // path drifted when it does not match. The epoch reads these four rows
+  // in one slice; read in three, every outcome must be the same.
   const std::map<std::string, std::size_t> expected = {
       {"adopted", 8865},
       {"written", 3036},
@@ -539,9 +645,26 @@ TEST(DictionaryParityText, RowEditFuzzKeepsErrorsAdoptionAndBytes) {
       {"malformed dictionary: bad node id", 939},
       {"malformed dictionary: text after the declared key rows", 834},
       {"malformed dictionary: truncated key list", 659}};
-  EXPECT_EQ(counts, expected);
-  EXPECT_EQ(crc_of(outcomes), 0xdf183647u)
-      << "crc 0x" << std::hex << crc_of(outcomes);
+  const auto epoch = [](const std::string& text) {
+    const Epoch published(1, text);
+    return (published.adopted_text ? "adopted\n" : "written\n") + published.bytes;
+  };
+  std::size_t sliced_reads = 0;
+  const auto in_three_slices = [&](const std::string& text) {
+    bool canonical = false;
+    std::size_t read = 0;
+    const Dictionary loaded =
+        core::dictionary_detail::load_sliced(text, canonical, 3, &read);
+    sliced_reads += read == 3;
+    return canonical ? "adopted\n" + text : "written\n" + text_of(loaded);
+  };
+  for (const Publish& publish : {Publish(epoch), Publish(in_three_slices)}) {
+    const auto [counts, crc] = row_edit_fuzz(publish);
+    EXPECT_EQ(counts, expected);
+    EXPECT_EQ(crc, 0xdf183647u) << "crc 0x" << std::hex << crc;
+  }
+  // Three slices read every adopted text whose rows keep one mean each.
+  EXPECT_GT(sliced_reads, 0u);
 }
 
 TEST(DictionaryParityText, MeansAtTheEdgeOfTheDoubleRangeRoundTrip) {
@@ -789,6 +912,155 @@ TEST(DictionaryParityText, OneRowFuzzAdoptsExactlyTheTextsSaveWritesBack) {
   }
   EXPECT_GT(adopted, kTexts / 10);
   EXPECT_GT(rejected, 0u);
+}
+
+// --- rows read in slices ----------------------------------------------------
+//
+// load() reads the rows of a canonical text that declares at least
+// 2 * kRowsPerSlice of them in slices, one thread each; load_sliced
+// forces a count. Every check above already loads its texts in 2 to 8
+// slices (expect_slices_agree); these pin that the slices do read the
+// rows they should, and that where slices meet is certified.
+
+TEST_F(DictionaryParity, PinnedCanonicalTextsAreReadInEveryCountOfSlices) {
+  std::vector<std::size_t> even;
+  std::vector<std::size_t> odd;
+  for (std::size_t i = 0; i < dataset_->size(); ++i) {
+    (i % 2 == 0 ? even : odd).push_back(i);
+  }
+  Dictionary merged = core::train_dictionary(*dataset_, paper_config(1), odd);
+  merged.merge(core::train_dictionary(*dataset_, paper_config(1), even));
+  Dictionary pruned = *trained_;
+  pruned.prune_rare(3);
+  const std::pair<std::string, std::string> texts[] = {
+      {"paper-trained", text_of(*trained_)},
+      {"B1 shape", text_of(with_decoys(*trained_))},
+      {"merge", text_of(merged)},
+      {"prune_rare(3)", text_of(pruned)},
+      {"10k rows of one label", ten_thousand_rows()}};
+  for (const auto& [what, text] : texts) {
+    const std::size_t rows = Dictionary::load(text).size();
+    for (std::size_t slices = 1; slices <= 8; ++slices) {
+      EXPECT_EQ(expect_same_load(text, slices, what), std::min(slices, rows))
+          << what << ", " << slices << " slices";
+    }
+  }
+  bool canonical = false;
+  expect_pinned(text_of(core::dictionary_detail::load_sliced(texts[1].second,
+                                                             canonical, 4)),
+                kB1, "B1 shape in 4 slices");
+  EXPECT_TRUE(canonical);
+}
+
+/// Six rows of equal length: n equal byte shares of the rows start at
+/// row boundaries, so six slices put a boundary after every row. The
+/// metrics and labels change from row to row and come back.
+constexpr std::string_view kEqualRows[] = {
+    "a|0|60:120|1.0|ft_X=1,mg_X=2\n", "a|1|60:120|1.0|mg_X=1,ft_X=3\n",
+    "a|0|60:120|2.0|sp_X=1,ft_X=1\n", "b|0|60:120|1.0|bt_X=4,sp_X=2\n",
+    "b|0|60:120|3.0|mg_X=1,lu_X=1\n", "c|5|60:120|1.0|lu_X=2,ft_X=2\n"};
+
+std::string equal_rows_text(const std::vector<std::size_t>& order) {
+  std::string text = std::string(kHeader) + "keys " + std::to_string(order.size()) + "\n";
+  for (const std::size_t row : order) text += kEqualRows[row];
+  return text;
+}
+
+TEST(DictionaryParityText, ASliceBoundaryAfterEveryRow) {
+  const std::string sorted = equal_rows_text({0, 1, 2, 3, 4, 5});
+  for (std::size_t slices = 1; slices <= 8; ++slices) {
+    EXPECT_EQ(expect_same_load(sorted, slices, "every row a slice"),
+              std::min<std::size_t>(slices, 6))
+        << slices;
+  }
+  bool canonical = false;
+  const Dictionary loaded =
+      core::dictionary_detail::load_sliced(sorted, canonical, 6);
+  EXPECT_TRUE(canonical);
+  EXPECT_EQ(text_of(loaded), sorted);
+  EXPECT_EQ(labels_at(loaded, row_key("b", 0, 1.0)), "bt_X=4,sp_X=2");
+  EXPECT_EQ(loaded.applications_in_order(),
+            (std::vector<std::string>{"ft", "mg", "sp", "bt", "lu"}));
+
+  // Each slice reads its one row in order; only the owner, where two
+  // slices meet, sees rows out of order or a key repeated.
+  const std::vector<std::vector<std::size_t>> joins_out_of_order = {
+      {0, 1, 3, 2, 4, 5}, {1, 0, 2, 3, 4, 5}, {0, 1, 2, 3, 5, 4},
+      {0, 1, 1, 3, 4, 5}, {0, 0, 2, 3, 4, 5}};
+  for (const std::vector<std::size_t>& order : joins_out_of_order) {
+    const std::string text = equal_rows_text(order);
+    EXPECT_EQ(expect_same_load(text, 6, "rows out of order where slices meet"), 1u)
+        << text;
+  }
+}
+
+TEST(DictionaryParityText, ARowNoSliceTakesInAnySliceGoesToTheSequentialLoad) {
+  // Rows edited in the first, second, third and last of four slices of
+  // 10k rows: errors, merges and other spellings are the sequential
+  // loader's, to the byte and the error text.
+  const std::string text = ten_thousand_rows();
+  const auto row_at = [](std::size_t node) {
+    return "m|" + std::to_string(node) + "|60:120|6000.0|decoy_D=1\n";
+  };
+  const std::vector<std::pair<std::string, std::string>> edits = {
+      {"a bad node id", "m|x|60:120|6000.0|decoy_D=1\n"},
+      {"a CRLF row", "m|@|60:120|6000.0|decoy_D=1\r\n"},
+      {"a repeated key", "m|@-|60:120|6000.0|decoy_D=2\n"},
+      {"a label repeated in its row", "m|@|60:120|6000.0|decoy_D=1,decoy_D=2\n"},
+      {"a leading zero", "m|0@|60:120|6000.0|decoy_D=1\n"},
+      {"a padded mean", "m|@|60:120|6000.00|decoy_D=1\n"},
+      {"a second mean", "m|@|60:120|6000.0,1.0|decoy_D=1\n"},
+      {"a missing field", "m|@|60:120|decoy_D=1\n"},
+      {"a blank line", "\n"}};
+  for (const std::size_t node : {7u, 2507u, 5007u, 9993u}) {
+    for (const auto& [what, edit] : edits) {
+      std::string row = edit;
+      const std::size_t at = row.find('@');
+      if (at != std::string::npos) {
+        const bool previous = row[at + 1] == '-';
+        row.replace(at, previous ? 2 : 1, std::to_string(previous ? node - 1 : node));
+      }
+      std::string edited = text;
+      const std::string original = row_at(node);
+      edited.replace(edited.find(original), original.size(), row);
+      EXPECT_EQ(expect_same_load(edited, 4, what + " at node " + std::to_string(node)),
+                1u);
+    }
+  }
+}
+
+TEST(DictionaryParityText, SliceRule) {
+  using core::dictionary_detail::slice_count;
+  // fleet-tcp's 171-row dictionary is read in one slice; churn-tcp's
+  // 10,171-row B1 in one slice per 2,048 rows, up to the hardware's
+  // threads.
+  EXPECT_EQ(slice_count(171, 4), 1u);
+  EXPECT_EQ(slice_count(10171, 4), 4u);
+  EXPECT_EQ(slice_count(10171, 64), 4u);
+  EXPECT_EQ(slice_count(10171, 2), 2u);
+  EXPECT_EQ(slice_count(10171, 1), 1u);
+  EXPECT_EQ(slice_count(10171, 0), 1u);
+  EXPECT_EQ(slice_count(4095, 4), 1u);
+  EXPECT_EQ(slice_count(4096, 4), 2u);
+  EXPECT_EQ(slice_count(0, 4), 1u);
+}
+
+TEST_F(DictionaryParity, NoThreadOutlivesASlicedLoad) {
+  const std::string b1 = text_of(with_decoys(*trained_));
+  std::string bad = b1;
+  bad.replace(bad.rfind("decoy_D=1"), 9, "decoy_D=0");
+  const std::set<std::string> before = test::thread_ids();
+  bool canonical = false;
+  std::size_t read = 0;
+  EXPECT_EQ(core::dictionary_detail::load_sliced(b1, canonical, 4, &read).size(),
+            trained_->size() + 10000);
+  EXPECT_EQ(read, 4u);
+  EXPECT_EQ(test::thread_ids(), before);
+  // A slice that rejects its rows, and a load that then throws, leave
+  // none behind either.
+  EXPECT_THROW(core::dictionary_detail::load_sliced(bad, canonical, 4, &read),
+               std::runtime_error);
+  EXPECT_EQ(test::thread_ids(), before);
 }
 
 }  // namespace

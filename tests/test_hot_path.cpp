@@ -713,12 +713,16 @@ TEST_F(HotPathFixture, DictionaryLoadEpochAndFreeAllocateIndependentlyOfKeyCount
     std::uint64_t epoch = 0;  ///< allocations of building its Epoch
     std::uint64_t freed = 0;  ///< frees of dropping a superseded Epoch
   };
-  const auto measure = [&](std::size_t decoys) {
+  const auto measure = [&](std::size_t decoys, std::size_t slices) {
     const std::string text = b1_text(dictionary_, decoys);
     Cost cost;
+    bool canonical = false;
+    std::size_t slices_read = 0;
     std::uint64_t before = allocations();
-    core::Dictionary loaded = core::Dictionary::load(text);
+    core::Dictionary loaded =
+        core::dictionary_detail::load_sliced(text, canonical, slices, &slices_read);
     cost.load = allocations() - before;
+    EXPECT_EQ(slices_read, slices);
     EXPECT_EQ(loaded.size(), dictionary_.size() + decoys);
 
     core::DictionaryHandle handle(dictionary_);
@@ -740,14 +744,18 @@ TEST_F(HotPathFixture, DictionaryLoadEpochAndFreeAllocateIndependentlyOfKeyCount
   // A load tokenizes into flat arrays reserved from the declared key
   // count, so 1k and 10k decoy keys cost the same handful: the config,
   // the arrays, the tag table, one string per distinct metric and label.
-  const Cost small = measure(1000);
-  const Cost large = measure(10000);
-  EXPECT_EQ(large.load, small.load);
-  EXPECT_LE(large.load, 64u);
-  EXPECT_EQ(large.epoch, small.epoch);
-  EXPECT_LE(large.epoch, 16u);
-  EXPECT_EQ(large.freed, small.freed);
-  EXPECT_LE(large.freed, 64u);
+  // A load read in slices adds each slice's thread, reader and label
+  // runs: a cost per slice, still none per key.
+  for (const std::size_t slices : {1u, 4u}) {
+    const Cost small = measure(1000, slices);
+    const Cost large = measure(10000, slices);
+    EXPECT_EQ(large.load, small.load) << slices << " slices";
+    EXPECT_LE(large.load, 64u + 16u * (slices - 1)) << slices << " slices";
+    EXPECT_EQ(large.epoch, small.epoch) << slices << " slices";
+    EXPECT_LE(large.epoch, 16u) << slices << " slices";
+    EXPECT_EQ(large.freed, small.freed) << slices << " slices";
+    EXPECT_LE(large.freed, 64u) << slices << " slices";
+  }
 }
 
 TEST_F(HotPathFixture, EpochFromCanonicalTextAdoptsItWithoutAWrite) {
@@ -780,15 +788,16 @@ TEST_F(HotPathFixture, EpochFromCanonicalTextAdoptsItWithoutAWrite) {
     EXPECT_EQ(epoch.bytes.data(), buffer);
     return cost;
   };
-  const Cost small = measure(1000);
-  const Cost large = measure(10000);
-  EXPECT_EQ(large.load, small.load);
-  EXPECT_EQ(large.epoch, small.epoch);
-  EXPECT_EQ(large.epoch, large.load);
-  // A wire swap adds the candidate's copy of the text and its shared
-  // block to the parse.
-  EXPECT_EQ(large.swap, small.swap);
-  EXPECT_EQ(large.swap, large.load + 2);
+  // The load's own cost does not grow with the key count (the test
+  // above, read in one slice and in four); 10k decoys may be read in
+  // slices here and 1k are not, so each size is held to its own load.
+  for (const std::size_t decoys : {1000u, 10000u}) {
+    const Cost cost = measure(decoys);
+    EXPECT_EQ(cost.epoch, cost.load) << decoys << " decoys";
+    // A wire swap adds the candidate's copy of the text and its shared
+    // block to the parse.
+    EXPECT_EQ(cost.swap, cost.load + 2) << decoys << " decoys";
+  }
 }
 
 TEST_F(HotPathFixture, IdenticalWireSwapIsRefusedBeforeAnyParse) {

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -143,6 +146,39 @@ TEST(GlobalPool, IsUsable) {
   std::atomic<int> counter{0};
   parallel_for(0, 10, [&](std::size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 10);
+}
+
+TEST(ForkJoin, RunsSliceZeroOnTheCallerAndEveryOtherOnItsOwnThread) {
+  std::vector<std::thread::id> ran_on(5);
+  fork_join(ran_on.size(),
+            [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+  for (std::size_t i = 1; i < ran_on.size(); ++i) {
+    EXPECT_NE(ran_on[i], std::thread::id()) << i;
+    EXPECT_NE(ran_on[i], ran_on[0]) << i;
+  }
+  fork_join(0, [](std::size_t) { FAIL() << "no slice to run"; });
+}
+
+TEST(ForkJoin, JoinsEverySliceThenRethrowsTheFirstFailure) {
+  // Slice 3 outlasts the failures: its result is in before the rethrow.
+  std::vector<int> done(4, 0);
+  try {
+    fork_join(done.size(), [&](std::size_t i) {
+      if (i == 3) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        done[i] = 1;
+        return;
+      }
+      if (i != 0) throw std::runtime_error("slice " + std::to_string(i));
+      done[i] = 1;
+    });
+    ADD_FAILURE() << "no rethrow";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "slice 1");
+  }
+  EXPECT_EQ(done, (std::vector<int>{1, 0, 0, 1}));
+  EXPECT_GE(hardware_threads(), 1u);
 }
 
 TEST(ThreadPool, NestedSubmitFromTask) {
